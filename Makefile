@@ -1,7 +1,6 @@
 GO ?= go
 SERVER_FLAGS ?=
 GATEWAY_FLAGS ?= -backends http://127.0.0.1:8080
-BENCH_JSON ?= BENCH_service.json
 LOADGEN_ADDR ?= http://127.0.0.1:8090
 LOADGEN_FLAGS ?= -rate 100 -duration 10s -max-epochs 0
 LOAD_JSON ?= BENCH_load.json
@@ -11,7 +10,7 @@ COVER_FLOOR ?= 70.0
 # Absolute: go test runs with the package directory as cwd.
 CHAOS_LOG ?= $(CURDIR)/BENCH_chaos.log
 
-.PHONY: verify race bench bench-json bench-smoke bench-baseline fmt vet build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
+.PHONY: verify race bench bench-smoke bench-baseline fmt vet deadcode build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
 
 # verify is the tier-1 gate: exactly what CI and the roadmap run.
 verify: build test
@@ -54,12 +53,6 @@ fuzz:
 # for real measurements.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# bench-json emits the serving layer's perf trajectory (cold vs warm-start
-# build time, offline-build + epoch throughput, select latency, cache hit
-# rate) as one JSON document; CI uploads it as an artifact per commit.
-bench-json:
-	$(GO) run ./cmd/benchservice -out $(BENCH_JSON)
 
 # bench-smoke is the perf regression gate: re-measures the training hot
 # paths and fails if they regress >20% against BENCH_baseline.json
@@ -109,3 +102,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# deadcode lists functions unreachable from any main package
+# (golang.org/x/tools/cmd/deadcode). The tool is not vendored: install it
+# with `go install golang.org/x/tools/cmd/deadcode@latest` where there is
+# a network; without it the target says so and succeeds.
+deadcode:
+	@if command -v deadcode >/dev/null 2>&1; then \
+	  deadcode ./...; \
+	else \
+	  echo "deadcode is not on PATH; skipping (go install golang.org/x/tools/cmd/deadcode@latest)"; \
+	fi

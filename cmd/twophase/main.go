@@ -1,15 +1,15 @@
 // Command twophase runs the two-phase model-selection pipeline end to end:
-// build (or load) the offline performance matrix, then select a model for
-// a target dataset, reporting the recalled candidates, the per-stage
-// survivors, the winner, and the epoch cost against the BF/SH baselines.
+// build the offline performance matrix, then select a model for a target
+// dataset, reporting the recalled candidates, the per-stage survivors, the
+// winner, and the epoch cost against the BF/SH baselines.
 //
 // Usage:
 //
 //	twophase -task nlp -target tweet_eval [-seed 42] [-k 10]
-//	         [-store DIR] [-baselines] [-list-targets]
+//	         [-baselines] [-list-targets] [-plan]
 //
-// With -store, the offline matrix is persisted to (and reused from) a
-// store directory, demonstrating the §VII model-management extension.
+// The offline phase is rebuilt on every run; cmd/serve -store is the CLI
+// that persists and reuses it.
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/selection"
-	"twophase/internal/store"
 	"twophase/internal/trainer"
 )
 
@@ -32,7 +31,6 @@ func main() {
 	target := flag.String("target", "", "target dataset name (see -list-targets)")
 	seed := flag.Uint64("seed", 42, "world seed")
 	k := flag.Int("k", 0, "number of models to recall (0 = paper default 10)")
-	storeDir := flag.String("store", "", "artifact store directory (optional)")
 	baselines := flag.Bool("baselines", false, "also run brute-force and successive-halving baselines")
 	listTargets := flag.Bool("list-targets", false, "list target datasets for the task and exit")
 	plan := flag.Bool("plan", false, "print the cost model's strategy plan and exit (no training)")
@@ -45,7 +43,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*task, *target, *seed, *k, *storeDir, *baselines, *listTargets); err != nil {
+	if err := run(*task, *target, *seed, *k, *baselines, *listTargets); err != nil {
 		fmt.Fprintln(os.Stderr, "twophase:", err)
 		os.Exit(1)
 	}
@@ -73,7 +71,7 @@ func printPlan(task string, k int) error {
 	return nil
 }
 
-func run(task, target string, seed uint64, k int, storeDir string, baselines, listTargets bool) error {
+func run(task, target string, seed uint64, k int, baselines, listTargets bool) error {
 	opts := core.Options{Task: task, Seed: seed}
 	if k > 0 {
 		opts.Recall.K = k
@@ -91,18 +89,6 @@ func run(task, target string, seed uint64, k int, storeDir string, baselines, li
 	}
 	if target == "" {
 		return fmt.Errorf("missing -target (use -list-targets to see options)")
-	}
-
-	if storeDir != "" {
-		st, err := store.Open(storeDir)
-		if err != nil {
-			return err
-		}
-		if err := st.PutMatrix(task, fw.Matrix); err != nil {
-			return err
-		}
-		fmt.Printf("offline matrix (%d models x %d benchmarks) persisted to %s\n",
-			len(fw.Matrix.Models), len(fw.Matrix.Datasets), storeDir)
 	}
 
 	d, err := fw.Catalog.Get(target)

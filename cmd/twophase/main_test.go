@@ -1,47 +1,37 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunListTargets(t *testing.T) {
-	if err := run("nlp", "", 42, 0, "", false, true); err != nil {
+	if err := run("nlp", "", 42, 0, false, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMissingTarget(t *testing.T) {
-	if err := run("nlp", "", 42, 0, "", false, false); err == nil {
+	if err := run("nlp", "", 42, 0, false, false); err == nil {
 		t.Fatal("missing target accepted")
 	}
 }
 
 func TestRunUnknownTask(t *testing.T) {
-	if err := run("audio", "x", 42, 0, "", false, false); err == nil {
+	if err := run("audio", "x", 42, 0, false, false); err == nil {
 		t.Fatal("unknown task accepted")
 	}
 }
 
 func TestRunUnknownTarget(t *testing.T) {
-	if err := run("nlp", "no-such-dataset", 42, 0, "", false, false); err == nil {
+	if err := run("nlp", "no-such-dataset", 42, 0, false, false); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
 
-func TestRunEndToEndWithStore(t *testing.T) {
+func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline; skipped in -short")
 	}
-	dir := t.TempDir()
-	if err := run("nlp", "tweet_eval", 42, 5, dir, false, false); err != nil {
+	if err := run("nlp", "tweet_eval", 42, 5, false, false); err != nil {
 		t.Fatal(err)
-	}
-	// the offline matrix must have been persisted (binary codec)
-	path := filepath.Join(dir, "matrices", "nlp.bin")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("store missing matrix: %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ func main() {
 	// Offline phase: materialize the 40-model NLP repository, fine-tune
 	// every model on the 24 benchmark datasets, and keep the performance
 	// matrix plus convergence records. In production this runs once and
-	// is persisted (see the twophase CLI's -store flag).
+	// is persisted (see the serve CLI's -store flag).
 	fw, err := core.Build(core.Options{Task: datahub.TaskNLP, Seed: 42})
 	if err != nil {
 		log.Fatal(err)

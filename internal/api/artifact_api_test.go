@@ -151,6 +151,27 @@ func TestFetchArtifactCapsBody(t *testing.T) {
 	}
 }
 
+// TestFetchArtifactErrorsStayTyped: the artifact route keeps the client's
+// typed-error contract for refusals that are not contract envelopes — a
+// raw 500 (crashed proxy, injected fault) and an envelope whose code this
+// client does not know both surface as ErrInternal, like every other call.
+func TestFetchArtifactErrorsStayTyped(t *testing.T) {
+	for name, body := range map[string]string{
+		"raw 500":      "<html>upstream exploded</html>",
+		"unknown code": `{"error":"from the future","code":"teapot"}`,
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusInternalServerError)
+			fmt.Fprint(w, body)
+		}))
+		_, _, err := NewClient(ts.URL, nil).FetchArtifact(context.Background(), "matrices", "nlp-seed42", "")
+		ts.Close()
+		if !errors.Is(err, ErrInternal) || Code(err) != CodeInternal {
+			t.Errorf("%s: err = %v (code %q), want typed ErrInternal", name, err, Code(err))
+		}
+	}
+}
+
 // TestArtifactEndpointNotMounted verifies a handler with no artifact
 // source 404s the route rather than panicking on a nil interface.
 func TestArtifactEndpointNotMounted(t *testing.T) {

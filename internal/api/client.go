@@ -19,10 +19,6 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
-	// attemptTimeout bounds each individual HTTP attempt, distinct from
-	// the context deadline that bounds the whole request. See
-	// WithAttemptTimeout.
-	attemptTimeout time.Duration
 }
 
 // NewClient points a client at a server base URL (e.g.
@@ -32,18 +28,6 @@ func NewClient(base string, httpClient *http.Client) *Client {
 		httpClient = http.DefaultClient
 	}
 	return &Client{base: strings.TrimRight(base, "/"), hc: httpClient}
-}
-
-// WithAttemptTimeout returns a copy of the client that bounds every
-// individual HTTP attempt by d (0 = unbounded). The limit is distinct
-// from the caller's context deadline: when an attempt times out while
-// the overall request is still alive, the error is a *retryable*
-// unavailability, not a cancellation — so one hung backend can't consume
-// the entire deadline_ms before failover gets a turn.
-func (c *Client) WithAttemptTimeout(d time.Duration) *Client {
-	cp := *c
-	cp.attemptTimeout = d
-	return &cp
 }
 
 // Select implements API. The request is validated locally with the same
@@ -144,7 +128,7 @@ const maxArtifactBytes = 1 << 30
 
 // FetchArtifact downloads one binary artifact document from the
 // server's /v1/artifacts endpoint. kind is the store kind ("matrices",
-// "recalls", "frames"); name is the store key (e.g. "nlp-seed42"). A
+// "recalls"); name is the store key (e.g. "nlp-seed42"). A
 // non-empty etag (a prior fingerprint formatted "%016x") rides
 // If-None-Match; a 304 returns notModified=true with nil data. Bodies
 // larger than maxArtifactBytes fail the fetch so the ring can fall
@@ -179,11 +163,7 @@ func (c *Client) FetchArtifact(ctx context.Context, kind, name, etag string) (da
 		return nil, false, fmt.Errorf("api: artifact %s/%s exceeds cap %d bytes", kind, name, maxArtifactBytes)
 	}
 	if res.StatusCode != http.StatusOK {
-		var e ErrorResponse
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return nil, false, errFromCode(e.Code, e.Error, time.Duration(e.RetryAfterMS)*time.Millisecond)
-		}
-		return nil, false, fmt.Errorf("api: GET %s: unexpected status %d: %s", path, res.StatusCode, strings.TrimSpace(string(body)))
+		return nil, false, responseError(http.MethodGet, path, res.StatusCode, body)
 	}
 	return body, false, nil
 }
@@ -216,14 +196,22 @@ func WithInstanceCapture(ctx context.Context, dst *string) context.Context {
 	return context.WithValue(ctx, instanceCaptureKey{}, dst)
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out interface{}) error {
-	reqCtx := ctx
-	if c.attemptTimeout > 0 {
-		var cancel context.CancelFunc
-		reqCtx, cancel = context.WithTimeout(ctx, c.attemptTimeout)
-		defer cancel()
+// responseError turns a non-200 response into the contract's typed error:
+// a well-formed ErrorResponse rebuilds its code's sentinel, and anything
+// else (a crashed proxy's HTML page, an injected raw 500, a code this
+// client does not know) is still a *typed* internal error — the contract
+// promises every refusal satisfies errors.Is.
+func responseError(method, path string, status int, body []byte) error {
+	var e ErrorResponse
+	if json.Unmarshal(body, &e) == nil && e.Error != "" && sentinelOf(e.Code) != nil {
+		return &Error{Code: e.Code, Message: e.Error, RetryAfter: time.Duration(e.RetryAfterMS) * time.Millisecond}
 	}
-	req, err := http.NewRequestWithContext(reqCtx, method, c.base+path, body)
+	return &Error{Code: CodeInternal,
+		Message: fmt.Sprintf("api: %s %s: unexpected status %d: %s", method, path, status, strings.TrimSpace(string(body)))}
+}
+
+func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out interface{}) error {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return fmt.Errorf("api: build request: %w", err)
 	}
@@ -232,14 +220,6 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 	}
 	res, err := c.hc.Do(req)
 	if err != nil {
-		if reqCtx != ctx && reqCtx.Err() != nil && ctx.Err() == nil {
-			// The per-attempt timeout fired while the overall request was
-			// still alive: this attempt is dead, the request is not.
-			// Surface retryable unavailability so failover gets a turn
-			// instead of a terminal cancellation.
-			return &Error{Code: CodeUnavailable,
-				Message: fmt.Sprintf("api: attempt %s %s timed out after %v", method, path, c.attemptTimeout)}
-		}
 		return classify(err)
 	}
 	defer res.Body.Close()
@@ -251,15 +231,7 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 		return fmt.Errorf("api: read response: %w", err)
 	}
 	if res.StatusCode != http.StatusOK {
-		var e ErrorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" && sentinelOf(e.Code) != nil {
-			return errFromCode(e.Code, e.Error, time.Duration(e.RetryAfterMS)*time.Millisecond)
-		}
-		// A non-contract failure body (a crashed proxy's HTML page, an
-		// injected raw 500) still surfaces as a *typed* internal error:
-		// the contract promises every refusal satisfies errors.Is.
-		return &Error{Code: CodeInternal,
-			Message: fmt.Sprintf("api: %s %s: unexpected status %d: %s", method, path, res.StatusCode, strings.TrimSpace(string(data)))}
+		return responseError(method, path, res.StatusCode, data)
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("api: decode response: %w", err)

@@ -226,15 +226,3 @@ func sentinelOf(code string) error {
 		return nil
 	}
 }
-
-// errFromCode rebuilds a structured error from a wire code, message and
-// retry hint — the client-side inverse of writeError. The result unwraps
-// to the code's sentinel, so errors.Is holds across the HTTP boundary;
-// even an "internal" error stays typed (ErrInternal), so no refusal a
-// server emits ever reaches a caller untyped.
-func errFromCode(code, msg string, retryAfter time.Duration) error {
-	if sentinelOf(code) == nil {
-		return errors.New(msg)
-	}
-	return &Error{Code: code, Message: msg, RetryAfter: retryAfter}
-}

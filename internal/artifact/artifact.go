@@ -237,7 +237,7 @@ type matrixMeta struct {
 // EncodeMatrix encodes a performance matrix. It requires the matrix to be
 // rectangular — an entry for every (model, dataset) pair, every curve of
 // length Epochs — which every matrix the offline pipeline builds is; a
-// ragged matrix errors so the caller can fall back to JSON.
+// ragged matrix is an error.
 func EncodeMatrix(m *perfmatrix.Matrix) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("artifact: nil matrix")

@@ -138,9 +138,9 @@ func MulFrameGFLOPS() float64 {
 	return flops / float64(res.NsPerOp())
 }
 
-// DefaultPrefilterK is the pre-filter width the smoke and the service
-// bench measure agreement at: small enough that the filter is doing real
-// pruning, large enough that the epoch strategy still has a field to run.
+// DefaultPrefilterK is the pre-filter width the smoke measures agreement
+// at: small enough that the filter is doing real pruning, large enough
+// that the epoch strategy still has a field to run.
 const DefaultPrefilterK = 4
 
 // LSQSelect benchmarks one warm zero-epoch lsq selection end to end
@@ -152,12 +152,6 @@ func LSQSelect() (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	return LSQSelectFW(fw)
-}
-
-// LSQSelectFW is LSQSelect on a caller-built framework (the service bench
-// reuses its warm world instead of building another).
-func LSQSelectFW(fw *core.Framework) (Measurement, error) {
 	ctx := context.Background()
 	target := fw.Catalog.Targets()[0]
 	// One warmup primes the shared feature cache the way any earlier
@@ -195,12 +189,6 @@ func PrefilterAgreement() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return PrefilterAgreementFW(fw, DefaultPrefilterK)
-}
-
-// PrefilterAgreementFW is PrefilterAgreement on a caller-built framework
-// at a caller-chosen pre-filter width.
-func PrefilterAgreementFW(fw *core.Framework, k int) (float64, error) {
 	ctx := context.Background()
 	targets := fw.Catalog.Targets()
 	if len(targets) == 0 {
@@ -212,7 +200,7 @@ func PrefilterAgreementFW(fw *core.Framework, k int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		filtered, err := fw.SelectWith(ctx, d, core.SelectOptions{Strategy: core.StrategyTwoPhase, PrefilterTopK: k})
+		filtered, err := fw.SelectWith(ctx, d, core.SelectOptions{Strategy: core.StrategyTwoPhase, PrefilterTopK: DefaultPrefilterK})
 		if err != nil {
 			return 0, err
 		}
@@ -239,15 +227,8 @@ type BuildMeasurement struct {
 // the parallel build must keep. Serial runs first so the parallel pass
 // cannot borrow its page-cache warmup advantage.
 func BuildPair() (BuildMeasurement, error) {
-	return BuildPairAt(core.Options{Task: datahub.TaskNLP, Seed: 7, Sizes: Sizes})
-}
-
-// BuildPairAt is BuildPair at caller-chosen build options; BuildWorkers
-// in opts is overridden (that is the axis being measured).
-func BuildPairAt(opts core.Options) (BuildMeasurement, error) {
 	build := func(workers int) (*core.Framework, float64, error) {
-		opts := opts
-		opts.BuildWorkers = workers
+		opts := core.Options{Task: datahub.TaskNLP, Seed: 7, Sizes: Sizes, BuildWorkers: workers}
 		best := math.Inf(1)
 		var fw *core.Framework
 		for i := 0; i < 2; i++ {

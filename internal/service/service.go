@@ -90,8 +90,8 @@ type Options struct {
 }
 
 // ArtifactFetcher fetches the binary encoding of one artifact (kind is a
-// store kind directory: "matrices", "recalls", "frames"; name is the
-// world key, e.g. "nlp-seed42") from a fleet peer. The returned bytes are
+// store kind directory: "matrices" or "recalls"; name is the world key,
+// e.g. "nlp-seed42") from a fleet peer. The returned bytes are
 // checksum-verified by the service before anything trusts them.
 type ArtifactFetcher func(ctx context.Context, kind, name string) ([]byte, error)
 
@@ -315,9 +315,9 @@ func (s *Service) DegradedStats() DegradedStats {
 func (s *Service) Panics() int64 { return atomic.LoadInt64(&s.panics) }
 
 // loadWorld resolves a framework through the artifact tiers: the local
-// store first (binary artifacts, with JSON fallback inside the store),
-// then — when a fetcher is configured — the world's fleet peers, and only
-// then the offline build (whose artifacts persist for the next process).
+// store first, then — when a fetcher is configured — the world's fleet
+// peers, and only then the offline build (whose artifacts persist for the
+// next process).
 // With both the matrix and the clustering artifact at hand, a warm start
 // recomputes neither — zero fine-tuning runs and zero clustering passes.
 //

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"twophase/internal/api"
@@ -52,90 +51,101 @@ func OwnedKeys(keys []lifecycle.Key, ring *Ring, self string, replicas int) []li
 // first peer that has it. The store key ("task-seedN") IS the routing
 // key, so artifact locality follows request routing: the owners tried
 // here are exactly the backends whose ring-aware warmup built the world.
-// Self is skipped (a local miss is why the fetcher ran), every document
-// is checksum-verified before it is trusted, and each attempt carries
-// its own timeout. A per-peer circuit breaker cuts off a hanging or
-// corrupt-serving peer so repeated builds don't each re-pay its attempt
-// timeout; a typed "unknown artifact" miss is a healthy answer and never
-// trips it. An error means no live owner had a valid copy; the caller
-// falls back to a local build.
+// Self is skipped (a local miss is why the fetcher ran) and every
+// document is checksum-verified before it is trusted. The walk is the
+// router's (see attempter): each attempt carries its own timeout and a
+// per-peer circuit breaker cuts off a hanging or corrupt-serving peer so
+// repeated builds don't each re-pay its attempt timeout; a typed "unknown
+// artifact" miss is a healthy answer and never trips it. An error means
+// no live owner had a valid copy; the caller falls back to a local build.
 func NewArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client) func(ctx context.Context, kind, name string) ([]byte, error) {
+	return newArtifactFetcher(ring, self, replicas, hc, fetchAttemptTimeout)
+}
+
+func newArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client, timeout time.Duration) func(ctx context.Context, kind, name string) ([]byte, error) {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	var mu sync.Mutex
-	clients := make(map[string]*api.Client)
-	clientFor := func(node string) *api.Client {
-		mu.Lock()
-		defer mu.Unlock()
-		c, ok := clients[node]
-		if !ok {
-			c = api.NewClient(node, hc)
-			clients[node] = c
-		}
-		return c
+	clients := make(map[string]*api.Client, len(ring.Nodes()))
+	for _, node := range ring.Nodes() {
+		clients[node] = api.NewClient(node, hc)
 	}
-	breakers := breaker.NewSet(breaker.Options{})
+	a := &attempter{
+		breakers:  breaker.NewSet(breaker.Options{}),
+		timeout:   timeout,
+		classify:  classifyFetched,
+		exhausted: fetchExhausted,
+		counters:  newPeerCounters(ring.Nodes()),
+	}
 	return func(ctx context.Context, kind, name string) ([]byte, error) {
-		var lastErr error
+		var peers []string
 		for _, owner := range ring.Owners(name, replicas) {
-			if owner == self {
-				continue
+			if owner != self {
+				peers = append(peers, owner)
 			}
-			if !breakers.Allow(owner) {
-				lastErr = fmt.Errorf("%s: %w: artifact fetch circuit open", owner, api.ErrUnavailable)
-				continue
-			}
-			data, err := fetchOne(ctx, clientFor(owner), kind, name)
-			if err != nil {
-				// A typed miss is a healthy peer answering "I don't have
-				// it" — only real failures (hangs, resets, corrupt bytes)
-				// count against the circuit.
-				if !errors.Is(err, api.ErrUnknownArtifact) {
-					breakers.Failure(owner)
-				}
-				lastErr = fmt.Errorf("%s: %w", owner, err)
-				continue
-			}
-			if _, err := artifact.Verify(data); err != nil {
+		}
+		data, _, err := walk(ctx, a, peers, nil, func(ctx context.Context, node string) ([]byte, error) {
+			data, err := fetchOne(ctx, clients[node], kind, name)
+			if err == nil {
 				// A peer serving bytes that fail their own checksum is
 				// broken, not just missing the key.
-				breakers.Failure(owner)
-				lastErr = fmt.Errorf("%s: %w", owner, err)
-				continue
+				_, err = artifact.Verify(data)
 			}
-			breakers.Success(owner)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", node, err)
+			}
 			return data, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("shard: fetch %s/%s: %w", kind, name, err)
 		}
-		if lastErr != nil {
-			return nil, fmt.Errorf("shard: fetch %s/%s: %w", kind, name, lastErr)
-		}
-		return nil, fmt.Errorf("shard: fetch %s/%s: %w", kind, name, service.ErrNoPeers)
+		return data, nil
 	}
 }
 
-// fetchOne performs one bounded fetch attempt against one peer, applying
-// the fetch.request and fetch.body fault sites: a request fault hangs or
-// fails the attempt before any byte moves; a body fault corrupts the
-// received document (the checksum gate must catch it) or drops it
-// mid-transfer after the request itself succeeded.
+// classifyFetched is the fetcher's ruling on a failed attempt: a typed
+// miss is a healthy peer answering "I don't have it"; only real failures
+// (hangs, resets, corrupt bytes) count against the circuit. Nothing stops
+// the walk — any other owner may still hold a valid copy.
+func classifyFetched(err error) verdict {
+	if errors.Is(err, api.ErrUnknownArtifact) {
+		return next
+	}
+	return nextAndCharge
+}
+
+// fetchExhausted reports why no owner produced the document: the last
+// peer's failure, every circuit open, or no peer to ask at all (the typed
+// ErrNoPeers lets the service build without logging a distribution
+// failure).
+func fetchExhausted(tried, open int, last error) error {
+	switch {
+	case tried > 0:
+		return last
+	case open > 0:
+		return fmt.Errorf("%w: artifact fetch circuit open on all %d peers", api.ErrUnavailable, open)
+	default:
+		return service.ErrNoPeers
+	}
+}
+
+// fetchOne performs one fetch attempt against one peer under the walk's
+// attempt context, applying the fetch.request and fetch.body fault sites:
+// a request fault hangs or fails the attempt before any byte moves; a
+// body fault corrupts the received document (the checksum gate must catch
+// it), stalls it, or drops it mid-transfer after the request itself
+// succeeded. A hang that outlives the attempt is the walk's to report.
 func fetchOne(ctx context.Context, c *api.Client, kind, name string) ([]byte, error) {
-	attempt, cancel := context.WithTimeout(ctx, fetchAttemptTimeout)
-	defer cancel()
 	if f := faultinject.On(faultinject.SiteFetchRequest); f != nil {
-		if f.Action == faultinject.ActHang {
-			f.Sleep(attempt.Done())
-			if err := attempt.Err(); err != nil {
-				return nil, fmt.Errorf("shard: fetch request: %w: %w", f.Err(), err)
-			}
-		} else {
+		if f.Action != faultinject.ActHang {
 			return nil, fmt.Errorf("shard: fetch request: %w", f.Err())
 		}
+		f.Sleep(ctx.Done())
 	}
-	data, _, err := c.FetchArtifact(attempt, kind, name, "")
+	data, _, err := c.FetchArtifact(ctx, kind, name, "")
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +154,7 @@ func fetchOne(ctx context.Context, c *api.Client, kind, name string) ([]byte, er
 		case faultinject.ActCorrupt:
 			data = f.Corrupt(data)
 		case faultinject.ActHang:
-			f.Sleep(attempt.Done())
+			f.Sleep(ctx.Done())
 		default:
 			return nil, fmt.Errorf("shard: fetch body: %w: disconnected after %d bytes", f.Err(), f.Prefix(len(data)))
 		}

@@ -1,0 +1,205 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/url"
+	"sync/atomic"
+	"time"
+
+	"twophase/internal/api"
+	"twophase/internal/breaker"
+)
+
+// verdict is a classifier's ruling on one failed attempt.
+type verdict int
+
+const (
+	// stop: the failure is the request's answer (a deterministic
+	// rejection fails identically on every peer); return it as is.
+	stop verdict = iota
+	// next: a healthy peer that cannot help (it does not hold the
+	// artifact); try the next candidate and charge nothing.
+	next
+	// nextAndCharge: a peer failure; charge it and try the next candidate.
+	nextAndCharge
+)
+
+// peerCounters is one peer's attempt ledger (atomics).
+type peerCounters struct {
+	requests int64
+	failures int64
+}
+
+// attempter is the fleet tier's one "try again elsewhere" policy, shared
+// by the Router (select, targets) and the artifact fetcher. walk is its
+// only entry point: candidates in order, breaker gate, per-attempt
+// timeout, optional hedge against the next candidate, and on failure the
+// owner's classifier decides stop / next / next-and-charge. What a failed
+// attempt costs — the peer's failure counter, its breaker, membership on a
+// transport error, and nothing at all once the caller's context died — is
+// settled in try and nowhere else.
+type attempter struct {
+	breakers *breaker.Set
+	// members, when set, is told about transport failures so the request
+	// path and the probe loop converge on one health view.
+	members *Membership
+	// timeout bounds each attempt, distinct from the caller's deadline: a
+	// hung peer costs one timeout and a move to the next candidate, not
+	// the whole request. 0 leaves attempts bounded by the caller's context.
+	timeout  time.Duration
+	classify func(err error) verdict
+	// exhausted shapes the error of a walk that ran out of candidates:
+	// tried were called and failed (last is the final failure), open were
+	// skipped by their breakers.
+	exhausted func(tried, open int, last error) error
+	counters  map[string]*peerCounters // one per peer, fixed at construction
+
+	failovers    int64 // atomic: a candidate failed and the next one was tried
+	breakerSkips int64 // atomic: candidates skipped by an open breaker
+	hedges       int64 // atomic: hedge legs fired
+	hedgeWins    int64 // atomic: hedges whose response was the one used
+}
+
+func newPeerCounters(peers []string) map[string]*peerCounters {
+	m := make(map[string]*peerCounters, len(peers))
+	for _, p := range peers {
+		m[p] = &peerCounters{}
+	}
+	return m
+}
+
+// leg is one peer's answer to one attempt.
+type leg[T any] struct {
+	node string
+	val  T
+	err  error
+	v    verdict // ruling on err
+}
+
+// walk drives one call down a candidate list and returns the first
+// success with the node that served it, the terminal error of a stopped
+// walk, or a.exhausted's error. Candidates whose breaker is open are
+// skipped up front; if that leaves none, the refusal is transient by
+// construction (cooldown and probes re-admit peers). A non-nil hedge that
+// reports armed races each attempt against the next candidate once the
+// attempt outlives the delay; hedge traffic is not a failover, so that
+// counter keeps meaning "a peer failed and another was asked".
+func walk[T any](ctx context.Context, a *attempter, candidates []string, hedge func() (time.Duration, bool),
+	call func(ctx context.Context, node string) (T, error)) (val T, node string, err error) {
+	admitted := make([]string, 0, len(candidates))
+	for _, c := range candidates {
+		if a.breakers.Allow(c) {
+			admitted = append(admitted, c)
+		} else {
+			atomic.AddInt64(&a.breakerSkips, 1)
+		}
+	}
+	var last error
+	for i := 0; i < len(admitted); i++ {
+		if i > 0 {
+			atomic.AddInt64(&a.failovers, 1)
+		}
+		var res leg[T]
+		delay, armed := time.Duration(0), false
+		if hedge != nil && i+1 < len(admitted) {
+			delay, armed = hedge()
+		}
+		if armed {
+			var launched bool
+			res, launched = race(ctx, a, admitted[i], admitted[i+1], delay, call)
+			if launched {
+				i++ // the pair consumed the next candidate too
+			}
+		} else {
+			res = try(ctx, a, admitted[i], call)
+		}
+		if res.err == nil {
+			return res.val, res.node, nil
+		}
+		if res.v == stop || ctx.Err() != nil {
+			return val, "", res.err
+		}
+		last = res.err
+	}
+	return val, "", a.exhausted(len(admitted), len(candidates)-len(admitted), last)
+}
+
+// try makes one bounded call to one peer and settles its account. An
+// attempt whose own deadline expired while the caller's context is alive
+// is a retryable unavailability whatever the call returned — including a
+// late "success" — so a hung peer is charged to its breaker and the walk
+// moves on, while the caller's own expiry stays a cancellation. A failure
+// observed after ctx died (the caller gave up, or a hedge's winner
+// canceled this leg) says nothing about the peer and is never charged.
+func try[T any](ctx context.Context, a *attempter, node string,
+	call func(ctx context.Context, node string) (T, error)) leg[T] {
+	atomic.AddInt64(&a.counters[node].requests, 1)
+	actx, cancel := ctx, context.CancelFunc(func() {})
+	if a.timeout > 0 {
+		actx, cancel = context.WithTimeout(ctx, a.timeout)
+	}
+	val, err := call(actx, node)
+	expired := actx.Err() != nil && ctx.Err() == nil
+	cancel()
+	if expired {
+		err = &api.Error{Code: api.CodeUnavailable,
+			Message: fmt.Sprintf("shard: attempt on %s timed out after %v", node, a.timeout)}
+	}
+	if err == nil {
+		a.breakers.Success(node)
+		return leg[T]{node: node, val: val}
+	}
+	if ctx.Err() != nil {
+		return leg[T]{node: node, err: err, v: stop}
+	}
+	v := a.classify(err)
+	if v == nextAndCharge {
+		atomic.AddInt64(&a.counters[node].failures, 1)
+		a.breakers.Failure(node)
+		// Only transport failures reach membership: a decoded 5xx body or
+		// an attempt timeout came from a reachable process (one broken
+		// target must not flap the whole node down).
+		var ue *url.Error
+		if a.members != nil && errors.As(err, &ue) {
+			a.members.ReportFailure(node)
+		}
+	}
+	return leg[T]{node: node, err: err, v: v}
+}
+
+// race runs primary and fires secondary only if primary is still in
+// flight past delay. The first success wins and the loser's call is
+// canceled, so the caller always gets exactly one answer — replicas are
+// bit-identical for the same request, which is what makes racing them
+// safe. launched reports whether the hedge actually fired (the pair then
+// consumed both candidates).
+func race[T any](ctx context.Context, a *attempter, primary, secondary string, delay time.Duration,
+	call func(ctx context.Context, node string) (T, error)) (res leg[T], launched bool) {
+	hctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	ch := make(chan leg[T], 2) // one slot per leg: the loser must never block
+	go func() { ch <- try(hctx, a, primary, call) }()
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
+
+	select {
+	case res = <-ch:
+	case <-timer.C:
+		atomic.AddInt64(&a.hedges, 1)
+		launched = true
+		go func() { ch <- try(hctx, a, secondary, call) }()
+		res = <-ch
+	}
+	if res.err != nil && launched {
+		// The first finisher failed; the race's other leg may still win.
+		if second := <-ch; second.err == nil {
+			res = second
+		}
+	}
+	if res.err == nil && launched && res.node == secondary {
+		atomic.AddInt64(&a.hedgeWins, 1)
+	}
+	return res, launched
+}

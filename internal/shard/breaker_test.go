@@ -144,9 +144,10 @@ func TestRouterBreakerLifecycle(t *testing.T) {
 
 // TestFetcherFaultSites drives the artifact fetcher through the
 // fetch.request and fetch.body injection sites against a real peer: an
-// injected request error fails that attempt, and an injected body
-// corruption must die at the checksum gate — the fetcher never returns
-// bytes that fail verification.
+// injected request error fails that attempt, an injected body corruption
+// must die at the checksum gate — the fetcher never returns bytes that
+// fail verification — and a body stall that outlives the attempt timeout
+// is a failed attempt, not a late success.
 func TestFetcherFaultSites(t *testing.T) {
 	svc, err := service.New(service.Options{
 		Base:     core.Options{Seed: 42, Sizes: datahub.Sizes{Train: 60, Val: 40, Test: 48}},
@@ -199,5 +200,23 @@ func TestFetcherFaultSites(t *testing.T) {
 		t.Fatalf("fetch after corrupt fault drained: %v", err)
 	} else if _, err := artifact.Verify(data); err != nil {
 		t.Fatalf("post-drain document fails verification: %v", err)
+	}
+
+	// A body that stalls past the attempt deadline: the attempt is over
+	// when its timeout fires, whatever arrives afterwards. The fetch fails
+	// as a retryable unavailability after one timeout, not after the hang.
+	if err := faultinject.Enable("seed=1;fetch.body:hang:30s#1"); err != nil {
+		t.Fatal(err)
+	}
+	fetch = newArtifactFetcher(ring, self, 2, nil, 50*time.Millisecond)
+	start := time.Now()
+	if data, err := fetch(ctx, "matrices", "nlp-seed42"); !errors.Is(err, api.ErrUnavailable) {
+		t.Fatalf("fetch stalled past its attempt timeout = (%d bytes, %v), want retryable ErrUnavailable", len(data), err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("stalled fetch took %v: the attempt timeout did not bound it", took)
+	}
+	if _, err := fetch(ctx, "matrices", "nlp-seed42"); err != nil {
+		t.Fatalf("fetch after hang fault drained: %v", err)
 	}
 }

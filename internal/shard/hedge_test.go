@@ -9,24 +9,31 @@ import (
 	"twophase/internal/api"
 )
 
+// warmHedge fills the router's latency window with the samples hedging
+// needs before it arms.
+func warmHedge(t *testing.T, r *Router, req *api.SelectRequest) {
+	t.Helper()
+	for i := 0; i < hedgeMinSamples; i++ {
+		if _, err := r.Select(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestHedgeFiresOnSlowPrimary: a sub-request stuck on a slow primary past
 // the fleet's recent latency percentile is raced against the secondary
 // replica, whose answer is used — one report, no failover charged, and
 // the win shows up in the hedge counters.
 func TestHedgeFiresOnSlowPrimary(t *testing.T) {
 	r, backends := newStubFleet(t, 2, RouterOptions{
-		Replicas: 2, Seed: 42, HedgePercentile: 90, HedgeMinSamples: 5,
+		Replicas: 2, Seed: 42, HedgePercentile: 90,
 	})
 	if _, armed := r.hedgeDelay(); armed {
 		t.Fatal("hedging armed before the latency window warmed")
 	}
 	ctx := context.Background()
 	req := &api.SelectRequest{Task: "nlp", Targets: []string{"t0"}}
-	for i := 0; i < 5; i++ {
-		if _, err := r.Select(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-	}
+	warmHedge(t, r, req)
 	if _, armed := r.hedgeDelay(); !armed {
 		t.Fatalf("hedging not armed after %d samples", r.latency.Len())
 	}
@@ -73,13 +80,11 @@ func TestHedgeFiresOnSlowPrimary(t *testing.T) {
 // never merged, and never counted as a win or a failover.
 func TestHedgeBothLegsHealthyOneReport(t *testing.T) {
 	r, backends := newStubFleet(t, 2, RouterOptions{
-		Replicas: 2, Seed: 42, HedgePercentile: 50, HedgeMinSamples: 1,
+		Replicas: 2, Seed: 42, HedgePercentile: 50,
 	})
 	ctx := context.Background()
 	req := &api.SelectRequest{Task: "nlp", Targets: []string{"t0"}}
-	if _, err := r.Select(ctx, req); err != nil {
-		t.Fatal(err)
-	}
+	warmHedge(t, r, req)
 
 	owners := r.Owners("nlp", 42)
 	primary, secondary := instanceOf(backends, owners[0]), instanceOf(backends, owners[1])
@@ -113,13 +118,11 @@ func TestHedgeBothLegsHealthyOneReport(t *testing.T) {
 // primary dies mid-race, the secondary's answer still serves the request.
 func TestHedgeFallsBackOnPrimaryFailure(t *testing.T) {
 	r, backends := newStubFleet(t, 2, RouterOptions{
-		Replicas: 2, Seed: 42, HedgePercentile: 50, HedgeMinSamples: 1,
+		Replicas: 2, Seed: 42, HedgePercentile: 50,
 	})
 	ctx := context.Background()
 	req := &api.SelectRequest{Task: "nlp", Targets: []string{"t0"}}
-	if _, err := r.Select(ctx, req); err != nil {
-		t.Fatal(err)
-	}
+	warmHedge(t, r, req)
 	owners := r.Owners("nlp", 42)
 	primary, secondary := instanceOf(backends, owners[0]), instanceOf(backends, owners[1])
 	atomic.StoreInt64(&primary.delayNS, int64(100*time.Millisecond))

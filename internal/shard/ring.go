@@ -10,6 +10,12 @@
 // the fleet-wide cache hit rate flat as backends are added. Selections
 // are deterministic in the world, so any replica serves bit-identical
 // reports — failover is invisible to clients.
+//
+// Everything that asks a peer and may have to ask another — the router's
+// select and targets forwarding, the backends' artifact fetcher — goes
+// through one attempt loop (walk, in attempt.go): candidates in order,
+// breaker gate, per-attempt timeout, optional hedge, and a per-owner
+// classifier that rules stop / next / next-and-charge on each failure.
 package shard
 
 import (

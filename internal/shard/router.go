@@ -2,10 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,12 +14,12 @@ import (
 	"twophase/internal/core"
 )
 
-// Hedging defaults: the latency window size and how many samples must
+// Hedging constants: the latency window size and how many samples must
 // accumulate before hedging arms (an unwarmed percentile would hedge on
 // noise).
 const (
-	DefaultHedgeWindow     = 256
-	DefaultHedgeMinSamples = 20
+	DefaultHedgeWindow = 256
+	hedgeMinSamples    = 20
 )
 
 // DefaultReplicas is the owner-set size per (task, seed) key when
@@ -62,27 +60,19 @@ type RouterOptions struct {
 	// still in flight past the fleet's recent p-th latency percentile is
 	// raced against the next replica owner, first success wins. Safe
 	// because replicas are bit-identical for the same request (the
-	// determinism suite proves it). 0 disables hedging.
+	// determinism suite proves it). 0 disables hedging; a hedge only
+	// fires once the latency window holds enough samples to trust.
 	HedgePercentile float64
-	// HedgeMinSamples is how many latency samples must accumulate before
-	// hedging arms (0 = DefaultHedgeMinSamples).
-	HedgeMinSamples int
-	// AttemptTimeout bounds each individual forwarded HTTP attempt,
-	// distinct from the request's own deadline: a hung backend costs one
-	// attempt timeout and a failover, not the whole deadline_ms. 0 leaves
-	// attempts bounded only by the caller's context.
+	// AttemptTimeout bounds each individual forwarded select/targets
+	// attempt, distinct from the request's own deadline: a hung backend
+	// costs one attempt timeout and a failover, not the whole deadline_ms.
+	// 0 leaves attempts bounded only by the caller's context.
 	AttemptTimeout time.Duration
 	// Breaker tunes the per-backend circuit breakers (zero value =
 	// package defaults). A backend whose breaker is open is skipped by
 	// scatter and failover until its cooldown admits probes again; health
 	// probe successes also close it directly.
 	Breaker breaker.Options
-}
-
-// backendCounters is one backend's routing ledger (atomics).
-type backendCounters struct {
-	requests int64
-	failures int64
 }
 
 // Router routes v1 selection traffic across a fixed backend fleet: each
@@ -94,18 +84,14 @@ type backendCounters struct {
 // single backend — clients cannot tell the difference (except for the
 // per-target "backend" field reporting who served them).
 type Router struct {
+	// attempter is the failover/breaker/hedge/timeout policy and its
+	// routing counters; Select and Targets both go through walk.
+	attempter
 	ring    *Ring
-	members *Membership
 	clients map[string]*api.Client
 	opts    RouterOptions
-
-	counters     map[string]*backendCounters
-	breakers     *breaker.Set
-	failovers    int64 // atomic
-	breakerSkips int64 // atomic: candidates skipped by an open breaker
-	hedges       int64 // atomic: hedged sub-requests fired
-	hedgeWins    int64 // atomic: hedges whose response was the one used
-	latency      *admission.Window
+	// latency is the recent select latency the hedge delay is read from.
+	latency *admission.Window
 }
 
 // NewRouter builds a router over a fixed backend set. Start begins health
@@ -121,24 +107,21 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.HedgeMinSamples <= 0 {
-		opts.HedgeMinSamples = DefaultHedgeMinSamples
-	}
 	r := &Router{
-		ring:     ring,
-		clients:  make(map[string]*api.Client, len(opts.Backends)),
-		counters: make(map[string]*backendCounters, len(opts.Backends)),
-		breakers: breaker.NewSet(opts.Breaker),
-		opts:     opts,
-		latency:  admission.NewWindow(DefaultHedgeWindow),
+		attempter: attempter{
+			breakers:  breaker.NewSet(opts.Breaker),
+			timeout:   opts.AttemptTimeout,
+			classify:  classifyRouted,
+			exhausted: routedExhausted,
+			counters:  newPeerCounters(opts.Backends),
+		},
+		ring:    ring,
+		clients: make(map[string]*api.Client, len(opts.Backends)),
+		opts:    opts,
+		latency: admission.NewWindow(DefaultHedgeWindow),
 	}
 	for _, b := range opts.Backends {
-		c := api.NewClient(b, opts.HTTPClient)
-		if opts.AttemptTimeout > 0 {
-			c = c.WithAttemptTimeout(opts.AttemptTimeout)
-		}
-		r.clients[b] = c
-		r.counters[b] = &backendCounters{}
+		r.clients[b] = api.NewClient(b, opts.HTTPClient)
 	}
 	r.members, err = NewMembership(MembershipOptions{
 		Nodes:     opts.Backends,
@@ -177,22 +160,6 @@ func (r *Router) Membership() *Membership { return r.members }
 // Breakers exposes the per-backend circuit breakers (for stats and the
 // chaos harness's reconvergence poll).
 func (r *Router) Breakers() *breaker.Set { return r.breakers }
-
-// admitted filters a candidate list through the circuit breakers,
-// counting skips. An all-open candidate set returns empty; callers
-// surface that as a typed unavailability — the cooldown plus the probe
-// loop re-admit the peers, so the refusal is transient by construction.
-func (r *Router) admitted(candidates []string) []string {
-	out := make([]string, 0, len(candidates))
-	for _, node := range candidates {
-		if r.breakers.Allow(node) {
-			out = append(out, node)
-		} else {
-			atomic.AddInt64(&r.breakerSkips, 1)
-		}
-	}
-	return out
-}
 
 // Owners returns the replica owner set for one world, in ring priority
 // order — the routing decision as a pure function, for tests and ops.
@@ -235,183 +202,43 @@ func (r *Router) liveFirst(owners []string) (ordered []string, alive int) {
 	return ordered, alive
 }
 
-// retryable reports whether a backend failure may succeed on another
-// replica. The contract's own predicate decides for typed errors
-// (unavailable, rate-limited, overloaded are transient; contract
-// rejections and cancellations fail identically everywhere); an untyped
-// failure — a connection error, a 5xx — is node-local and worth a
-// failover.
-func retryable(err error) bool {
-	return api.Retryable(err) || api.Code(err) == api.CodeInternal
+// classifyRouted is the router's ruling on a failed attempt: a failure
+// that may succeed on another replica is the backend's fault and moves
+// on; everything else is the request's answer. The contract's own
+// predicate decides for typed errors (unavailable, rate-limited,
+// overloaded are transient; contract rejections and cancellations fail
+// identically everywhere); an internal failure — a connection error, a
+// 5xx — is node-local and worth a failover.
+func classifyRouted(err error) verdict {
+	if api.Retryable(err) || api.Code(err) == api.CodeInternal {
+		return nextAndCharge
+	}
+	return stop
 }
 
-// forward sends one sub-request down a candidate list, failing over on
-// retryable errors. It returns the first success — the serving backend's
-// node URL plus its self-reported instance id — or the terminal error.
-func (r *Router) forward(ctx context.Context, candidates []string, send func(ctx context.Context, c *api.Client) error) (node, instance string, err error) {
-	open := len(candidates)
-	candidates = r.admitted(candidates)
-	open -= len(candidates)
-	if len(candidates) == 0 {
-		return "", "", fmt.Errorf("%w: all %d candidate backends have open circuit breakers", api.ErrUnavailable, open)
+// routedExhausted reshapes an owner set that could not serve into the
+// contract's retryable unavailability.
+func routedExhausted(tried, open int, last error) error {
+	if tried == 0 {
+		return fmt.Errorf("%w: all %d candidate backends have open circuit breakers", api.ErrUnavailable, open)
 	}
-	var lastErr error
-	for attempt, node := range candidates {
-		if attempt > 0 {
-			atomic.AddInt64(&r.failovers, 1)
-		}
-		atomic.AddInt64(&r.counters[node].requests, 1)
-		var instance string
-		err := send(api.WithInstanceCapture(ctx, &instance), r.clients[node])
-		if err == nil {
-			r.breakers.Success(node)
-			return node, instance, nil
-		}
-		if !retryable(err) || ctx.Err() != nil {
-			// A deterministic rejection or the caller's own cancellation
-			// is not a backend failure; the counter tracks backend health.
-			return "", "", err
-		}
-		atomic.AddInt64(&r.counters[node].failures, 1)
-		r.breakers.Failure(node)
-		// Feed the failure into membership so the request path and the
-		// probe loop converge on one health view — but only transport
-		// failures: a decoded 5xx body came from a live, reachable
-		// process (one broken target must not flap the whole node down).
-		var ue *url.Error
-		if errors.As(err, &ue) {
-			r.members.ReportFailure(node)
-		}
-		lastErr = err
-	}
-	return "", "", fmt.Errorf("%w: all %d candidate backends failed, last: %v", api.ErrUnavailable, len(candidates), lastErr)
-}
-
-// attempt is one backend's answer to a select sub-request.
-type attempt struct {
-	node, instance string
-	resp           *api.SelectResponse
-	err            error
-}
-
-// attemptOne sends a select sub-request to one backend, recording its
-// routing counters, its latency on success, and its health on transport
-// failure. An error observed after the caller's context died (including a
-// hedge race loser canceled by the winner) is not charged as a backend
-// failure.
-func (r *Router) attemptOne(ctx context.Context, node string, sub *api.SelectRequest) attempt {
-	atomic.AddInt64(&r.counters[node].requests, 1)
-	var instance string
-	start := time.Now()
-	resp, err := r.clients[node].Select(api.WithInstanceCapture(ctx, &instance), sub)
-	if err == nil {
-		r.latency.Observe(time.Since(start))
-		r.breakers.Success(node)
-		return attempt{node: node, instance: instance, resp: resp}
-	}
-	if retryable(err) && ctx.Err() == nil {
-		atomic.AddInt64(&r.counters[node].failures, 1)
-		r.breakers.Failure(node)
-		// Feed the failure into membership so the request path and the
-		// probe loop converge on one health view — but only transport
-		// failures: a decoded 5xx body came from a live, reachable
-		// process (one broken target must not flap the whole node down).
-		var ue *url.Error
-		if errors.As(err, &ue) {
-			r.members.ReportFailure(node)
-		}
-	}
-	return attempt{node: node, err: err}
+	return fmt.Errorf("%w: all %d candidate backends failed, last: %v", api.ErrUnavailable, tried, last)
 }
 
 // hedgeDelay reports the armed hedging trigger: the fleet's recent p-th
 // latency percentile, once enough samples accumulated. ok is false while
 // hedging is disabled or unwarmed.
 func (r *Router) hedgeDelay() (time.Duration, bool) {
-	if r.opts.HedgePercentile <= 0 || r.latency.Len() < r.opts.HedgeMinSamples {
+	if r.opts.HedgePercentile <= 0 || r.latency.Len() < hedgeMinSamples {
 		return 0, false
 	}
 	return r.latency.Percentile(r.opts.HedgePercentile)
 }
 
-// hedgedPair races primary against secondary: the secondary fires only
-// when the primary is still in flight past `delay`. The first success
-// wins and the loser's request is canceled, so the caller always gets
-// exactly one report — replicas are bit-identical for the same request,
-// which is what makes racing them safe. launched reports whether the
-// hedge actually fired (the pair then consumed both candidates).
-func (r *Router) hedgedPair(ctx context.Context, primary, secondary string, delay time.Duration, sub *api.SelectRequest) (res attempt, launched bool) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan attempt, 2) // buffered: the loser must never block
-	go func() { ch <- r.attemptOne(hctx, primary, sub) }()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	var first attempt
-	select {
-	case first = <-ch:
-	case <-timer.C:
-		atomic.AddInt64(&r.hedges, 1)
-		launched = true
-		go func() { ch <- r.attemptOne(hctx, secondary, sub) }()
-		first = <-ch
-	}
-	if first.err == nil {
-		if launched && first.node == secondary {
-			atomic.AddInt64(&r.hedgeWins, 1)
-		}
-		return first, launched
-	}
-	if launched {
-		// The first finisher failed; the race's other leg may still win.
-		if second := <-ch; second.err == nil {
-			if second.node == secondary {
-				atomic.AddInt64(&r.hedgeWins, 1)
-			}
-			return second, launched
-		}
-	}
-	return first, launched
-}
-
-// forwardSelect drives one select sub-request down a candidate list:
-// failover on retryable errors, plus hedged pairs when the latency
-// window arms them. Hedge traffic is not a failover — the failover
-// counter keeps meaning "a backend failed and another answered".
-func (r *Router) forwardSelect(ctx context.Context, candidates []string, sub *api.SelectRequest) attempt {
-	open := len(candidates)
-	candidates = r.admitted(candidates)
-	open -= len(candidates)
-	if len(candidates) == 0 {
-		return attempt{err: fmt.Errorf("%w: all %d candidate backends have open circuit breakers", api.ErrUnavailable, open)}
-	}
-	var lastErr error
-	for i := 0; i < len(candidates); i++ {
-		if i > 0 {
-			atomic.AddInt64(&r.failovers, 1)
-		}
-		var res attempt
-		if delay, ok := r.hedgeDelay(); ok && i+1 < len(candidates) {
-			var launched bool
-			res, launched = r.hedgedPair(ctx, candidates[i], candidates[i+1], delay, sub)
-			if launched {
-				i++ // the pair consumed the next candidate too
-			}
-		} else {
-			res = r.attemptOne(ctx, candidates[i], sub)
-		}
-		if res.err == nil {
-			return res
-		}
-		if !retryable(res.err) || ctx.Err() != nil {
-			// A deterministic rejection or the caller's own cancellation
-			// is not a backend failure.
-			return attempt{err: res.err}
-		}
-		lastErr = res.err
-	}
-	return attempt{err: fmt.Errorf("%w: all %d candidate backends failed, last: %v", api.ErrUnavailable, len(candidates), lastErr)}
+// served is one backend's answer to a select sub-request.
+type served struct {
+	resp     *api.SelectResponse
+	instance string // the backend's self-reported instance id (may be empty)
 }
 
 // subResult is one scattered sub-request's outcome.
@@ -470,8 +297,20 @@ func (r *Router) Select(ctx context.Context, req *api.SelectRequest) (*api.Selec
 			// Failover order: this slice's assigned owner first, then the
 			// rest of the owner set in priority order.
 			candidates := append([]string{owners[gi]}, deleteAt(owners, gi)...)
-			res := r.forwardSelect(ctx, candidates, &sub)
-			g.node, g.instance, g.resp, g.err = res.node, res.instance, res.resp, res.err
+			var res served
+			res, g.node, g.err = walk(ctx, &r.attempter, candidates, r.hedgeDelay,
+				func(ctx context.Context, node string) (served, error) {
+					var s served
+					start := time.Now()
+					resp, err := r.clients[node].Select(api.WithInstanceCapture(ctx, &s.instance), &sub)
+					if err != nil {
+						return s, err
+					}
+					r.latency.Observe(time.Since(start))
+					s.resp = resp
+					return s, nil
+				})
+			g.resp, g.instance = res.resp, res.instance
 		}(gi)
 	}
 	wg.Wait()
@@ -563,17 +402,12 @@ func (r *Router) Targets(ctx context.Context, task string) (*api.TargetsResponse
 	if task == "" {
 		return nil, fmt.Errorf("%w: missing task", api.ErrBadRequest)
 	}
-	var resp *api.TargetsResponse
 	owners, _ := r.liveFirst(r.Owners(task, r.opts.Seed))
-	_, _, err := r.forward(ctx, owners, func(ctx context.Context, c *api.Client) error {
-		var err error
-		resp, err = c.Targets(ctx, task)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	resp, _, err := walk(ctx, &r.attempter, owners, nil,
+		func(ctx context.Context, node string) (*api.TargetsResponse, error) {
+			return r.clients[node].Targets(ctx, task)
+		})
+	return resp, err
 }
 
 // Stats implements api.API: fleet-wide sums at the top level plus the

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"twophase/internal/api"
+	"twophase/internal/breaker"
 )
 
 // stubBackend is a scriptable api.API served over a real httptest server
@@ -417,5 +418,71 @@ func TestRouterOverHTTP(t *testing.T) {
 	}
 	if _, err := c.Select(context.Background(), &api.SelectRequest{Task: "nlp", Targets: []string{"missing"}}); !errors.Is(err, api.ErrUnknownTarget) {
 		t.Fatalf("typed error lost through gateway hop: %v", err)
+	}
+}
+
+// TestRouterAttemptTimeout: the per-attempt timeout is the gateway's, not
+// the request's. A backend that accepts a select and never answers costs
+// one attempt timeout and a failover — its breaker is charged, but
+// membership is not flapped (the process is reachable) — while the
+// caller's own deadline expiring on the same hung backend stays a
+// cancellation, never a retryable unavailability.
+func TestRouterAttemptTimeout(t *testing.T) {
+	hungFleet := func(attemptTimeout time.Duration) (*Router, []*stubBackend, string) {
+		// Unprobed: a healthy probe would close the breaker under test.
+		r, backends := newUnprobedFleet(t, 2, RouterOptions{
+			Replicas:       2,
+			Seed:           42,
+			AttemptTimeout: attemptTimeout,
+			Breaker:        breaker.Options{FailureThreshold: 1, Cooldown: time.Hour},
+		})
+		t.Cleanup(r.Close)
+		hung := r.Owners("nlp", 42)[0]
+		atomic.StoreInt64(&instanceOf(backends, hung).delayNS, int64(time.Minute))
+		return r, backends, hung
+	}
+	req := &api.SelectRequest{Task: "nlp", Targets: []string{"t0"}}
+
+	r, backends, hung := hungFleet(50 * time.Millisecond)
+	secondary := r.Owners("nlp", 42)[1]
+	resp, err := r.Select(context.Background(), req)
+	if err != nil {
+		t.Fatalf("select behind a hung primary: %v", err)
+	}
+	if got, want := resp.Results[0].Backend, instanceOf(backends, secondary).instance; got != want {
+		t.Fatalf("served by %q, want the second owner %q", got, want)
+	}
+	if f := atomic.LoadInt64(&r.failovers); f != 1 {
+		t.Errorf("failovers = %d, want 1", f)
+	}
+	if f := atomic.LoadInt64(&r.counters[hung].failures); f != 1 {
+		t.Errorf("hung backend failures = %d, want 1", f)
+	}
+	if f := atomic.LoadInt64(&r.counters[secondary].failures); f != 0 {
+		t.Errorf("serving backend failures = %d, want 0", f)
+	}
+	if st := r.Breakers().For(hung).State(); st != breaker.Open {
+		t.Errorf("hung backend breaker = %v, want open (threshold 1)", st)
+	}
+	for _, ns := range r.Membership().Snapshot() {
+		if !ns.Alive || ns.Fails != 0 || ns.DownEvents != 0 {
+			t.Errorf("membership flapped by an attempt timeout: %+v", ns)
+		}
+	}
+
+	// The caller's deadline is shorter than the attempt timeout: the
+	// request is over, the backend is not to blame.
+	r, _, hung = hungFleet(time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err = r.Select(ctx, req)
+	if !errors.Is(err, api.ErrCanceled) || api.Retryable(err) {
+		t.Fatalf("expired caller deadline = %v, want a non-retryable cancellation", err)
+	}
+	if f := atomic.LoadInt64(&r.counters[hung].failures); f != 0 {
+		t.Errorf("caller's expiry charged the backend %d failures", f)
+	}
+	if f := atomic.LoadInt64(&r.failovers); f != 0 {
+		t.Errorf("caller's expiry counted %d failovers", f)
 	}
 }

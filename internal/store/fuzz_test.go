@@ -8,9 +8,8 @@ import (
 // FuzzSlugInjective upgrades the brute-force injectivity walk in
 // TestSlugRoundTrip to native fuzzing: for arbitrary artifact names the
 // encoding must round-trip exactly (which implies injectivity — two
-// names colliding on one file could not both decode back), produce a
-// file name safe for a flat store directory, and never be mistaken for
-// a legacy-encoded file (the migration logic deletes those on rewrite).
+// names colliding on one file could not both decode back) and produce a
+// file name safe for a flat store directory.
 //
 // CI runs this as a short -fuzztime smoke on every push; the seed corpus
 // below always runs under plain `go test`.
@@ -35,11 +34,6 @@ func FuzzSlugInjective(f *testing.F) {
 		// Flat-directory safety: no separators, no spaces.
 		if strings.ContainsAny(base, "/ ") {
 			t.Fatalf("slug(%q) = %q contains a path or space character", name, file)
-		}
-		// New-format files must never look legacy-only, or the write-path
-		// migration could delete a current artifact.
-		if legacyOnly(file) {
-			t.Fatalf("slug(%q) = %q classified as legacy-only", name, file)
 		}
 	})
 }

@@ -5,13 +5,14 @@
 // ("build data management system which stores and maintains the
 // pre-trained models and datasets").
 //
-// Specs (models, datasets) are small JSON documents. The heavy world
-// artifacts — performance matrices, recall artifacts and feature frames —
-// persist in the binary internal/artifact format (checksummed headers,
-// raw float64 payloads) with transparent JSON fallback: a store written
-// by an older binary still reads, and the first read migrates the
-// artifact to its binary form. The store is a directory with an in-memory
-// index; it is safe for concurrent readers and single-writer use.
+// Every kind has exactly one on-disk format. Specs (models, datasets) are
+// small JSON documents, "<slug>.json". The heavy world artifacts —
+// performance matrices and recall artifacts — are internal/artifact codec
+// documents (checksummed headers, raw float64 payloads), "<slug>.bin";
+// the byte layout is that package's business alone, the store only files,
+// verifies and serves the documents. A value the codec refuses is an
+// error, not a second format. The store is a directory; it is safe for
+// concurrent readers and single-writer use.
 package store
 
 import (
@@ -30,20 +31,18 @@ import (
 	"twophase/internal/datahub"
 	"twophase/internal/faultinject"
 	"twophase/internal/modelhub"
-	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 )
 
-// ErrNotFound marks an artifact that is truly absent from the store — no
-// binary file, no JSON fallback. Callers rebuild (or fetch from a ring
-// peer) only on this error; transient read failures (permissions, I/O)
-// propagate unwrapped so they never silently trigger an expensive
-// rebuild.
+// ErrNotFound marks an artifact that is truly absent from the store.
+// Callers rebuild (or fetch from a ring peer) only on this error;
+// transient read failures (permissions, I/O) propagate unwrapped so they
+// never silently trigger an expensive rebuild.
 var ErrNotFound = errors.New("store: artifact not found")
 
 // ErrCorrupt marks an artifact that exists but cannot be decoded — a
-// failed checksum, a truncated file, unparsable JSON. The wrapped message
+// failed checksum, a truncated file, an unparsable spec. The wrapped message
 // names the offending file path. Callers rebuild on it: the rewrite heals
 // the store.
 var ErrCorrupt = errors.New("store: corrupt artifact")
@@ -58,7 +57,7 @@ type Store struct {
 // recovery sweep: orphaned temp files from a writer killed mid-write and
 // checksum-failing artifacts are quarantined before anything is served.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"models", "datasets", "matrices", "recalls", "frames"} {
+	for sub := range kindDirs() {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: create %s: %w", sub, err)
 		}
@@ -90,26 +89,6 @@ func unslug(base string) string {
 	n := strings.ReplaceAll(base, "__", "/")
 	r := strings.NewReplacer("%20", " ", "%5F", "_", "%25", "%")
 	return r.Replace(n)
-}
-
-// legacySlug is the pre-escaping encoding ("/"→"__", " "→"_"), kept so
-// stores written by older binaries stay readable: read falls back to it
-// on a miss, and write removes the legacy file once the artifact exists
-// under its collision-safe name.
-func legacySlug(name string) string {
-	r := strings.NewReplacer("/", "__", " ", "_")
-	return r.Replace(name) + ".json"
-}
-
-// legacyOnly reports whether a file name could only have been written by
-// the legacy encoding. New-format file names round-trip unslug→slug
-// exactly; a name that doesn't (a bare "_" outside a "__" pair, an
-// unescaped "%") must be a legacy artifact. Files that are valid under
-// both encodings (e.g. "a__b.json" is legacy "a__b" and new-format
-// "a/b") are treated as new-format, matching how list decodes them.
-func legacyOnly(file string) bool {
-	base := strings.TrimSuffix(file, ".json")
-	return slug(unslug(base)) != file
 }
 
 // isNotExist reports that a path truly has no file behind it: ENOENT, or
@@ -203,6 +182,7 @@ func syncDir(dir string) {
 	d.Close()
 }
 
+// write persists a spec as its JSON document.
 func (s *Store) write(kind, name string, v interface{}) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,41 +190,17 @@ func (s *Store) write(kind, name string, v interface{}) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal %s/%s: %w", kind, name, err)
 	}
-	if err := writeFile(filepath.Join(s.dir, kind, slug(name)), data); err != nil {
-		return err
-	}
-	// Migrate away from the ambiguous legacy encoding: with the artifact
-	// safely under its collision-safe name, a leftover legacy file would
-	// only shadow stale data and duplicate list entries. Only delete
-	// files the new encoding could never produce — otherwise the
-	// "legacy" path is some other name's current artifact, e.g.
-	// legacySlug("a__b") == slug("a/b").
-	if legacy := legacySlug(name); legacy != slug(name) && legacyOnly(legacy) {
-		os.Remove(filepath.Join(s.dir, kind, legacy))
-	}
-	// A stale binary sibling would shadow this JSON document on the next
-	// read; JSON writes only happen when the binary encoder refused the
-	// value, so the sibling is the older artifact.
-	os.Remove(filepath.Join(s.dir, kind, binSlug(name)))
-	return nil
+	return writeFile(filepath.Join(s.dir, kind, slug(name)), data)
 }
 
-// writeBinary atomically installs an already-encoded binary artifact and
-// migrates away from its JSON (and legacy-JSON) siblings, which would
-// otherwise go stale silently.
+// writeBinary atomically installs an already-encoded codec document.
 func (s *Store) writeBinary(kind, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := writeFile(filepath.Join(s.dir, kind, binSlug(name)), data); err != nil {
-		return err
-	}
-	os.Remove(filepath.Join(s.dir, kind, slug(name)))
-	if legacy := legacySlug(name); legacy != slug(name) && legacyOnly(legacy) {
-		os.Remove(filepath.Join(s.dir, kind, legacy))
-	}
-	return nil
+	return writeFile(filepath.Join(s.dir, kind, binSlug(name)), data)
 }
 
+// read loads and decodes a spec's JSON document.
 func (s *Store) read(kind, name string, v interface{}) error {
 	file := slug(name)
 	err := func() error {
@@ -255,16 +211,6 @@ func (s *Store) read(kind, name string, v interface{}) error {
 		}
 		path := filepath.Join(s.dir, kind, file)
 		data, err := os.ReadFile(path)
-		if isNotExist(err) {
-			// Stores written by older binaries used the legacy encoding; fall
-			// back only when that file couldn't be another name's current
-			// artifact under the new encoding.
-			if legacy := legacySlug(name); legacy != slug(name) && legacyOnly(legacy) {
-				file = legacy
-				path = filepath.Join(s.dir, kind, legacy)
-				data, err = os.ReadFile(path)
-			}
-		}
 		switch {
 		case err == nil:
 		case isNotExist(err):
@@ -284,7 +230,7 @@ func (s *Store) read(kind, name string, v interface{}) error {
 	return err
 }
 
-// withBinary maps the binary encoding of kind/name and runs fn over it
+// withBinary maps the codec document of kind/name and runs fn over it
 // while the mapping is held; fn must copy anything it keeps. A missing
 // file is ErrNotFound; a file fn rejects is ErrCorrupt and is quarantined
 // so it can never be decoded again or shadow the healing rewrite.
@@ -315,30 +261,20 @@ func (s *Store) withBinary(kind, name string, fn func(data []byte) error) error 
 	return err
 }
 
-func (s *Store) list(kind string) ([]string, error) {
+// list returns the names filed under kind, sorted. Only files carrying
+// the kind's one extension count: anything else in the directory is not
+// an artifact of this store.
+func (s *Store) list(kind, ext string) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	entries, err := os.ReadDir(filepath.Join(s.dir, kind))
 	if err != nil {
 		return nil, fmt.Errorf("store: list %s: %w", kind, err)
 	}
-	seen := make(map[string]bool)
 	var names []string
 	for _, e := range entries {
-		n := e.Name()
-		var base string
-		switch {
-		case strings.HasSuffix(n, ".json"):
-			base = strings.TrimSuffix(n, ".json")
-		case strings.HasSuffix(n, ".bin"):
-			base = strings.TrimSuffix(n, ".bin")
-		default:
-			continue
-		}
-		name := unslug(base)
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
+		if base, ok := strings.CutSuffix(e.Name(), ext); ok {
+			names = append(names, unslug(base))
 		}
 	}
 	sort.Strings(names)
@@ -356,7 +292,7 @@ func (s *Store) GetModel(name string) (modelhub.Spec, error) {
 }
 
 // ListModels returns all stored model names, sorted.
-func (s *Store) ListModels() ([]string, error) { return s.list("models") }
+func (s *Store) ListModels() ([]string, error) { return s.list("models", ".json") }
 
 // QueryModels returns the stored model specs matching all non-zero filter
 // fields: task, architecture and a minimum capability.
@@ -396,23 +332,21 @@ func (s *Store) GetDataset(name string) (datahub.Spec, error) {
 }
 
 // ListDatasets returns all stored dataset names, sorted.
-func (s *Store) ListDatasets() ([]string, error) { return s.list("datasets") }
+func (s *Store) ListDatasets() ([]string, error) { return s.list("datasets", ".json") }
 
-// PutMatrix persists a performance matrix under a name (e.g. "nlp") in
-// the binary artifact format. A matrix the binary encoder refuses (ragged
-// entries) falls back to JSON, so nothing is ever unpersistable.
+// PutMatrix persists a performance matrix under a name (e.g. "nlp-seed42")
+// as a codec document. A matrix the encoder refuses (ragged entries) is
+// returned as its error and leaves no file.
 func (s *Store) PutMatrix(name string, m *perfmatrix.Matrix) error {
 	data, err := artifact.EncodeMatrix(m)
 	if err != nil {
-		return s.write("matrices", name, m)
+		return fmt.Errorf("store: put matrices/%s: %w", name, err)
 	}
 	return s.writeBinary("matrices", name, data)
 }
 
-// GetMatrix retrieves a performance matrix by name: binary first, JSON
-// fallback for stores written by older binaries (the read migrates the
-// artifact to binary, best-effort). A missing matrix is ErrNotFound; an
-// undecodable one is ErrCorrupt naming the file.
+// GetMatrix retrieves a performance matrix by name. A missing matrix is
+// ErrNotFound; an undecodable one is ErrCorrupt naming the file.
 func (s *Store) GetMatrix(name string) (*perfmatrix.Matrix, error) {
 	var m *perfmatrix.Matrix
 	err := s.withBinary("matrices", name, func(data []byte) error {
@@ -420,38 +354,28 @@ func (s *Store) GetMatrix(name string) (*perfmatrix.Matrix, error) {
 		m, derr = artifact.DecodeMatrix(data)
 		return derr
 	})
-	if err == nil {
-		return m, nil
-	}
-	if !errors.Is(err, ErrNotFound) {
+	if err != nil {
 		return nil, err
 	}
-	var jm perfmatrix.Matrix
-	if jerr := s.read("matrices", name, &jm); jerr != nil {
-		return nil, jerr
-	}
-	if data, eerr := artifact.EncodeMatrix(&jm); eerr == nil {
-		_ = s.writeBinary("matrices", name, data)
-	}
-	return &jm, nil
+	return m, nil
 }
 
 // ListMatrices returns all stored matrix names, sorted.
-func (s *Store) ListMatrices() ([]string, error) { return s.list("matrices") }
+func (s *Store) ListMatrices() ([]string, error) { return s.list("matrices", ".bin") }
 
 // PutRecall persists the clustering-stage artifact of the offline pipeline
 // under a name (conventionally the same key as the matrix it derives
-// from), in the binary artifact format with JSON fallback.
+// from) as a codec document.
 func (s *Store) PutRecall(name string, a *recall.Artifact) error {
 	data, err := artifact.EncodeRecall(a)
 	if err != nil {
-		return s.write("recalls", name, a)
+		return fmt.Errorf("store: put recalls/%s: %w", name, err)
 	}
 	return s.writeBinary("recalls", name, data)
 }
 
-// GetRecall retrieves a clustering-stage artifact by name (binary first,
-// JSON fallback with best-effort migration, like GetMatrix).
+// GetRecall retrieves a clustering-stage artifact by name, with the same
+// error contract as GetMatrix.
 func (s *Store) GetRecall(name string) (*recall.Artifact, error) {
 	var a *recall.Artifact
 	err := s.withBinary("recalls", name, func(data []byte) error {
@@ -459,103 +383,43 @@ func (s *Store) GetRecall(name string) (*recall.Artifact, error) {
 		a, derr = artifact.DecodeRecall(data)
 		return derr
 	})
-	if err == nil {
-		return a, nil
-	}
-	if !errors.Is(err, ErrNotFound) {
+	if err != nil {
 		return nil, err
 	}
-	var ja recall.Artifact
-	if jerr := s.read("recalls", name, &ja); jerr != nil {
-		return nil, jerr
-	}
-	if data, eerr := artifact.EncodeRecall(&ja); eerr == nil {
-		_ = s.writeBinary("recalls", name, data)
-	}
-	return &ja, nil
+	return a, nil
 }
 
 // ListRecalls returns all stored recall-artifact names, sorted.
-func (s *Store) ListRecalls() ([]string, error) { return s.list("recalls") }
-
-// PutFrame persists a numeric feature frame. Frames are binary-only —
-// they never had a JSON schema to stay compatible with.
-func (s *Store) PutFrame(name string, f *numeric.Frame) error {
-	data, err := artifact.EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	return s.writeBinary("frames", name, data)
-}
-
-// GetFrame retrieves a numeric feature frame by name.
-func (s *Store) GetFrame(name string) (*numeric.Frame, error) {
-	var f *numeric.Frame
-	err := s.withBinary("frames", name, func(data []byte) error {
-		var derr error
-		f, derr = artifact.DecodeFrame(data)
-		return derr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ListFrames returns all stored frame names, sorted.
-func (s *Store) ListFrames() ([]string, error) { return s.list("frames") }
+func (s *Store) ListRecalls() ([]string, error) { return s.list("recalls", ".bin") }
 
 // artifactKinds maps a wire/store kind directory to the binary format's
 // kind tag. These are the only kinds OpenArtifact and PutVerified serve.
 var artifactKinds = map[string]artifact.Kind{
 	"matrices": artifact.KindMatrix,
 	"recalls":  artifact.KindRecall,
-	"frames":   artifact.KindFrame,
 }
 
-// OpenArtifact returns the verified binary encoding of an artifact plus
+// OpenArtifact returns the verified codec document of an artifact plus
 // its input fingerprint — the payload of GET /v1/artifacts/{kind}/{name}.
-// An artifact that only exists as JSON (older store) is migrated to
-// binary on the way out, so a fleet peer can always fetch it. Unknown
-// kinds and missing artifacts are ErrNotFound; a failed checksum is
-// ErrCorrupt.
-func (s *Store) OpenArtifact(kind, name string) ([]byte, uint64, error) {
+// Unknown kinds and missing artifacts are ErrNotFound; a failed checksum
+// is ErrCorrupt.
+func (s *Store) OpenArtifact(kind, name string) (data []byte, fp uint64, err error) {
 	k, ok := artifactKinds[kind]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: kind %q", ErrNotFound, kind)
 	}
-	open := func() (data []byte, fp uint64, err error) {
-		err = s.withBinary(kind, name, func(mapped []byte) error {
-			h, verr := artifact.Verify(mapped)
-			if verr != nil {
-				return verr
-			}
-			if h.Kind != k {
-				return fmt.Errorf("kind %s under %s/", h.Kind, kind)
-			}
-			data = append([]byte(nil), mapped...)
-			fp = h.Fingerprint
-			return nil
-		})
-		return data, fp, err
-	}
-	data, fp, err := open()
-	if errors.Is(err, ErrNotFound) {
-		// Trigger the JSON-fallback migration, then retry the binary path.
-		var merr error
-		switch kind {
-		case "matrices":
-			_, merr = s.GetMatrix(name)
-		case "recalls":
-			_, merr = s.GetRecall(name)
-		default:
-			merr = err
+	err = s.withBinary(kind, name, func(mapped []byte) error {
+		h, verr := artifact.Verify(mapped)
+		if verr != nil {
+			return verr
 		}
-		if merr != nil {
-			return nil, 0, err
+		if h.Kind != k {
+			return fmt.Errorf("kind %s under %s/", h.Kind, kind)
 		}
-		data, fp, err = open()
-	}
+		data = append([]byte(nil), mapped...)
+		fp = h.Fingerprint
+		return nil
+	})
 	return data, fp, err
 }
 

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -118,62 +118,6 @@ func TestSlugRoundTrip(t *testing.T) {
 		}
 	}
 	walk("", 4)
-}
-
-// TestLegacyStoreMigration: artifacts written by older binaries under the
-// ambiguous legacy encoding stay readable by exact name, and the next
-// write migrates them to the collision-safe name without duplicating
-// list entries.
-func TestLegacyStoreMigration(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a pre-upgrade store: a spec with "_" in its name filed
-	// under the legacy encoding (underscore kept literal).
-	spec := modelhub.Spec{Name: "Jeevesh8/bert_ft_qqp-40", Task: "nlp", Arch: "bert",
-		Params: 1, Capability: 0.5, SourceClasses: 2}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyPath := filepath.Join(dir, "models", "Jeevesh8__bert_ft_qqp-40.json")
-	if err := os.WriteFile(legacyPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := s.GetModel(spec.Name)
-	if err != nil {
-		t.Fatalf("legacy artifact unreadable after upgrade: %v", err)
-	}
-	if got.Name != spec.Name {
-		t.Fatalf("legacy read returned %+v", got)
-	}
-	// QueryModels walks list + get; it must survive a legacy store.
-	if specs, err := s.QueryModels("nlp", "", 0); err != nil || len(specs) != 1 {
-		t.Fatalf("QueryModels over legacy store: %v, %+v", err, specs)
-	}
-
-	// A rewrite migrates the file: new name present, legacy gone, one
-	// list entry, still readable.
-	spec.Capability = 0.9
-	if err := s.PutModel(spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
-		t.Fatalf("legacy file not migrated away: %v", err)
-	}
-	names, err := s.ListModels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != spec.Name {
-		t.Fatalf("post-migration names = %v", names)
-	}
-	if got, err := s.GetModel(spec.Name); err != nil || got.Capability != 0.9 {
-		t.Fatalf("post-migration read: %v, %+v", err, got)
-	}
 }
 
 func TestGetMissing(t *testing.T) {
@@ -344,5 +288,42 @@ func TestOverwrite(t *testing.T) {
 	}
 	if len(names) != 1 {
 		t.Fatal("overwrite duplicated entry")
+	}
+}
+
+// TestWorldArtifactsHaveOneEncoding: matrices and recalls exist only as
+// codec documents. A stray JSON file in a world-artifact directory is not
+// an artifact — never read, served or listed — and a matrix the codec
+// refuses is an error that leaves nothing on disk.
+func TestWorldArtifactsHaveOneEncoding(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "matrices", "x.json")
+	if err := os.WriteFile(stray, []byte(`{"task":"nlp","models":[],"datasets":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetMatrix("x"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetMatrix over a stray JSON file = %v, want ErrNotFound", err)
+	}
+	if _, _, err := s.OpenArtifact("matrices", "x"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("OpenArtifact over a stray JSON file = %v, want ErrNotFound", err)
+	}
+	if names, err := s.ListMatrices(); err != nil || len(names) != 0 {
+		t.Fatalf("ListMatrices = %v, %v, want none", names, err)
+	}
+	if got := listDir(t, filepath.Join(dir, "matrices")); len(got) != 1 || got[0] != "x.json" {
+		t.Fatalf("matrices/ = %v, want the stray file untouched and nothing migrated", got)
+	}
+
+	ragged := sweepMatrix()
+	ragged.Datasets = append(ragged.Datasets, "d1") // no entry for (m0, d1)
+	if err := s.PutMatrix("ragged", ragged); err == nil || !strings.Contains(err.Error(), "ragged") {
+		t.Fatalf("PutMatrix of a ragged matrix = %v, want the encoder's refusal", err)
+	}
+	if got := listDir(t, filepath.Join(dir, "matrices")); len(got) != 1 {
+		t.Fatalf("refused PutMatrix left files behind: %v", got)
 	}
 }

@@ -68,7 +68,7 @@ func (s *Store) Sweep() (SweepReport, error) {
 // kindDirs returns the set of artifact kind directories a store owns.
 func kindDirs() map[string]bool {
 	return map[string]bool{
-		"models": true, "datasets": true, "matrices": true, "recalls": true, "frames": true,
+		"models": true, "datasets": true, "matrices": true, "recalls": true,
 	}
 }
 

@@ -102,7 +102,7 @@ func TestSweepUniquifiesQuarantineCollisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := os.WriteFile(filepath.Join(dir, "frames", "bad.bin"), []byte("garbage"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "recalls", "bad.bin"), []byte("garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := s.Sweep()
@@ -113,9 +113,9 @@ func TestSweepUniquifiesQuarantineCollisions(t *testing.T) {
 			t.Fatalf("sweep %d: report %+v", i, rep)
 		}
 	}
-	q := listDir(t, filepath.Join(dir, QuarantineDir, "frames"))
+	q := listDir(t, filepath.Join(dir, QuarantineDir, "recalls"))
 	if len(q) != 2 {
-		t.Fatalf("quarantine/frames = %v, want two uniquified entries", q)
+		t.Fatalf("quarantine/recalls = %v, want two uniquified entries", q)
 	}
 }
 
