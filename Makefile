@@ -9,8 +9,12 @@ COVER_FLOOR ?= 70.0
 
 # Absolute: go test runs with the package directory as cwd.
 CHAOS_LOG ?= $(CURDIR)/BENCH_chaos.log
+# bench-ab: the git ref to compare the working tree against, and how many
+# runs of every workload each side gets.
+BASE ?= HEAD
+BENCH_AB_RUNS ?= 3
 
-.PHONY: verify race bench bench-smoke bench-baseline fmt vet deadcode build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
+.PHONY: verify race bench bench-smoke bench-baseline bench-ab fmt vet deadcode build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
 
 # verify is the tier-1 gate: exactly what CI and the roadmap run.
 verify: build test
@@ -65,6 +69,34 @@ bench-smoke:
 # perf change and commit the result.
 bench-baseline:
 	$(GO) run ./cmd/benchsmoke -baseline BENCH_baseline.json -write
+
+# bench-ab is "no optimisation lands without a before/after from that
+# harness" as one command: it exports $(BASE) into a temporary directory
+# (git archive: nothing to unregister if the run is interrupted), builds
+# ./bench there and at the working tree, runs every workload
+# $(BENCH_AB_RUNS) times per side in rounds of one run each, alternating
+# which side goes first, merges each side's rounds with jq and prints
+# `bench -compare` (exit 1 when a metric is worse than its bound). The
+# merged files stay in bench/out/ab-{base,head}.json.
+bench-ab:
+	@command -v jq >/dev/null 2>&1 || { echo "bench-ab merges its per-round result files with jq, which is not on PATH" >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir -p "$$tmp/base" bench/out; \
+	git archive --format=tar "$(BASE)" | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench.base" ./bench); \
+	$(GO) build -o "$$tmp/bench.head" ./bench; \
+	side() { \
+	  if [ "$$1" = base ]; then (cd "$$tmp/base" && "$$tmp/bench.base" -runs 1 -out "$$tmp/base.$$2.json"); \
+	  else "$$tmp/bench.head" -runs 1 -out "$$tmp/head.$$2.json"; fi; \
+	}; \
+	i=1; while [ $$i -le $(BENCH_AB_RUNS) ]; do \
+	  if [ $$((i % 2)) -eq 1 ]; then side base $$i; side head $$i; else side head $$i; side base $$i; fi; \
+	  i=$$((i + 1)); \
+	done; \
+	merge='.[0] + {workloads: (map(.workloads | to_entries[]) | group_by(.key) | map({key: .[0].key, value: map(.value[])}) | from_entries)}'; \
+	jq -s "$$merge" "$$tmp"/base.*.json > bench/out/ab-base.json; \
+	jq -s "$$merge" "$$tmp"/head.*.json > bench/out/ab-head.json; \
+	"$$tmp/bench.head" -compare bench/out/ab-base.json bench/out/ab-head.json
 
 # run-server boots the v1 selection API on :8080; override with e.g.
 # `make run-server SERVER_FLAGS='-addr :9090 -store /tmp/twophase-store'`.

@@ -43,7 +43,7 @@ func fixture() (*modelhub.Model, *datahub.Dataset, trainer.Hyperparams, error) {
 }
 
 // TrainEpoch benchmarks the steady-state epoch (SGD pass + batched
-// val/test eval) on a warm run. AllocsPerOp must be 0 — the -benchmem
+// validation scoring) on a warm run. AllocsPerOp must be 0 — the -benchmem
 // assertion of the smoke.
 func TrainEpoch() (Measurement, error) {
 	m, d, hp, err := fixture()

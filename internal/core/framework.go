@@ -179,6 +179,13 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: performance matrix: %w", err)
 		}
+		// Training every model on every benchmark split went through the
+		// models' feature caches, and no online request ever asks for a
+		// benchmark split: drop those frames instead of keeping each
+		// model's last few resident for the life of the framework.
+		for _, mod := range repo.Models() {
+			mod.ReleaseFeatures()
+		}
 	}
 
 	// Stage 3: target-independent recall artifacts.

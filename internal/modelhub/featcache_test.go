@@ -1,6 +1,7 @@
 package modelhub
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -117,4 +118,113 @@ func TestFeatureFrameConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSourceDistributionsMatchHeadBitwise: the cached distributions are
+// the source head applied to the cached features, row for row — also for a
+// prefix, which is what the proxy scorers read.
+func TestSourceDistributionsMatchHeadBitwise(t *testing.T) {
+	m, d := cacheFixture(t)
+	for _, split := range []datahub.Split{d.Train, d.Val, d.Test} {
+		got := m.SourceDistributions(split.X)
+		for _, n := range []int{1, split.X.N / 2, split.X.N} {
+			feats := m.FeatureFrame(split.X).Slice(0, n)
+			want := numeric.NewFrame(n, m.SourceClasses)
+			m.SourceProbsFrame(feats, want)
+			view := got.Slice(0, n)
+			for i := 0; i < n; i++ {
+				single := m.SourceProbs(feats.Row(i))
+				for z := range single {
+					if math.Float64bits(view.At(i, z)) != math.Float64bits(want.At(i, z)) ||
+						math.Float64bits(view.At(i, z)) != math.Float64bits(single[z]) {
+						t.Fatalf("prefix %d row %d class %d: cached %x, frame pass %x, per-example %x",
+							n, i, z, view.At(i, z), want.At(i, z), single[z])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSourceDistributionsLiveAndDieWithTheEntry: one source-head pass per
+// cached split however often it is asked for; once the split's entry is
+// evicted the distributions go with it and are recomputed from the fresh
+// extraction, never served from a second cache.
+func TestSourceDistributionsLiveAndDieWithTheEntry(t *testing.T) {
+	m, d := cacheFixture(t)
+	before := SourceHeadPasses()
+	first := m.SourceDistributions(d.Train.X)
+	for i := 0; i < 5; i++ {
+		if got := m.SourceDistributions(d.Train.X); got != first {
+			t.Fatal("cached split returned a different distribution frame")
+		}
+	}
+	if got := SourceHeadPasses() - before; got != 1 {
+		t.Fatalf("%d source-head passes for 6 lookups, want 1", got)
+	}
+	// Asking for features alone never runs the head.
+	m.FeatureFrame(d.Val.X)
+	if got := SourceHeadPasses() - before; got != 1 {
+		t.Fatalf("FeatureFrame ran a source-head pass (%d total)", got)
+	}
+
+	// Touch featureCacheCap other splits: the train entry is the LRU victim.
+	for i := 0; i < featureCacheCap; i++ {
+		m.FeatureFrame(numeric.NewFrame(2, synth.InputDim))
+	}
+	extBefore, headBefore := Extractions(), SourceHeadPasses()
+	again := m.SourceDistributions(d.Train.X)
+	if got := Extractions() - extBefore; got != 1 {
+		t.Fatalf("evicted split re-extraction passes = %d, want 1", got)
+	}
+	if got := SourceHeadPasses() - headBefore; got != 1 {
+		t.Fatalf("evicted split source-head passes = %d, want 1 (stale distributions served?)", got)
+	}
+	if again == first {
+		t.Fatal("evicted split served the old distribution frame")
+	}
+	for j := range first.Data {
+		if math.Float64bits(first.Data[j]) != math.Float64bits(again.Data[j]) {
+			t.Fatal("recomputed distributions differ from the evicted ones")
+		}
+	}
+
+	// ReleaseFeatures empties the cache; the old handle stays readable.
+	m.ReleaseFeatures()
+	if n := m.CachedSplits(); n != 0 {
+		t.Fatalf("%d splits cached after ReleaseFeatures", n)
+	}
+	headBefore = SourceHeadPasses()
+	m.SourceDistributions(d.Train.X)
+	if got := SourceHeadPasses() - headBefore; got != 1 {
+		t.Fatalf("released split source-head passes = %d, want 1", got)
+	}
+	if n := m.CachedSplits(); n != 1 {
+		t.Fatalf("%d splits cached after one lookup, want 1", n)
+	}
+}
+
+// TestSourceDistributionsConcurrent: racing first askers of one cold split
+// share one extraction and one source-head pass. Run with -race.
+func TestSourceDistributionsConcurrent(t *testing.T) {
+	m, d := cacheFixture(t)
+	extBefore, headBefore := Extractions(), SourceHeadPasses()
+	got := make([]*numeric.Frame, 16)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = m.SourceDistributions(d.Train.X)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got a different distribution frame", g)
+		}
+	}
+	if e, h := Extractions()-extBefore, SourceHeadPasses()-headBefore; e != 1 || h != 1 {
+		t.Fatalf("%d extractions and %d source-head passes for 16 racing askers, want 1 and 1", e, h)
+	}
 }

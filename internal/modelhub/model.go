@@ -4,6 +4,14 @@
 // pre-trained model itself — a frozen nonlinear feature extractor plus a
 // fixed source-label head, which together stand in for a transformer
 // checkpoint (DESIGN.md §2).
+//
+// Both are frozen, so what they compute for a dataset split never changes.
+// A Model therefore caches, per split and under one small LRU, the
+// extracted feature frame (FeatureFrame) and — lazily, in the same entry —
+// the source head's distributions over it (SourceDistributions): requests
+// share them instead of re-running inference, and an evicted split takes
+// both with it. ReleaseFeatures empties the cache; the offline build calls
+// it once the benchmark splits it trained on are no longer needed.
 package modelhub
 
 import (
@@ -65,12 +73,13 @@ type Model struct {
 	gain, leak float64
 
 	// Feature-extraction cache: input frame identity -> extracted
-	// features. The extractor is frozen, so a given input frame always
-	// maps to the same features; every selection strategy, candidate run
-	// and round in a framework build shares one read-only extraction per
-	// (model, split) instead of re-extracting it per trainer.Run. Keys
-	// are the *numeric.Frame pointers a Dataset holds for its splits,
-	// which are stable for the dataset's lifetime.
+	// features (and, lazily, the source head's distributions over them).
+	// The extractor and the head are frozen, so a given input frame always
+	// maps to the same features and the same distributions; every proxy
+	// score, selection strategy, candidate run and round shares one
+	// read-only extraction per (model, split) instead of recomputing it
+	// per request. Keys are the *numeric.Frame pointers a Dataset holds
+	// for its splits, which are stable for the dataset's lifetime.
 	featMu    sync.Mutex
 	featCache map[*numeric.Frame]*featEntry
 	featTick  uint64
@@ -79,11 +88,16 @@ type Model struct {
 // featEntry is one cached extraction with its LRU recency stamp. The
 // frame materializes through once, outside the cache mutex, so a cache
 // hit on one split never waits behind another split's in-flight
-// extraction.
+// extraction. The source head's softmax rows over the frame materialize
+// the same way the first time a proxy score asks for them, and leave
+// with the entry: one cache, one eviction policy.
 type featEntry struct {
 	once  sync.Once
 	frame *numeric.Frame
 	tick  uint64
+
+	probsOnce sync.Once
+	probs     *numeric.Frame
 }
 
 // featureCacheCap bounds how many split extractions one model retains —
@@ -101,6 +115,15 @@ var extractions atomic.Int64
 // Extractions reports how many split feature-extraction passes this
 // process has executed so far.
 func Extractions() int64 { return extractions.Load() }
+
+// sourceHeadPasses counts full-split source-head passes (the head applied
+// to a cached extraction) the same way: tests use it to prove that
+// repeated and concurrent proxy scores of one (model, split) share one.
+var sourceHeadPasses atomic.Int64
+
+// SourceHeadPasses reports how many split source-head passes this process
+// has executed so far.
+func SourceHeadPasses() int64 { return sourceHeadPasses.Load() }
 
 // Materialize builds the frozen weights of a model inside the world.
 // All randomness derives from (world seed, model name), so repeated calls
@@ -201,6 +224,29 @@ func (m *Model) FeatureBatch(xs [][]float64) [][]float64 {
 // frame is shared and read-only: callers must not write through its rows.
 // Every element is bit-identical to Features of the same row.
 func (m *Model) FeatureFrame(x *numeric.Frame) *numeric.Frame {
+	return m.entry(x).frame
+}
+
+// SourceDistributions returns the frozen source head's softmax
+// distribution for every row of x: row i is SourceProbs(Features(x.Row(i)))
+// bit for bit. The result is computed once from the cached extraction of
+// x, shared by every later caller while that extraction stays cached, and
+// read-only. Rows are independent, so a prefix view (Slice) equals the
+// head applied to the same prefix of the features.
+func (m *Model) SourceDistributions(x *numeric.Frame) *numeric.Frame {
+	e := m.entry(x)
+	e.probsOnce.Do(func() {
+		sourceHeadPasses.Add(1)
+		e.probs = numeric.NewFrame(e.frame.N, m.SourceClasses)
+		m.SourceProbsFrame(e.frame, e.probs)
+	})
+	return e.probs
+}
+
+// entry returns x's cache entry with its extraction materialized,
+// inserting it (and evicting the least recently used entry past
+// featureCacheCap) on a miss.
+func (m *Model) entry(x *numeric.Frame) *featEntry {
 	m.featMu.Lock()
 	m.featTick++
 	e, ok := m.featCache[x]
@@ -231,7 +277,26 @@ func (m *Model) FeatureFrame(x *numeric.Frame) *numeric.Frame {
 		extractions.Add(1)
 		e.frame = m.extractFrame(x)
 	})
-	return e.frame
+	return e
+}
+
+// ReleaseFeatures drops every cached extraction (and the distributions
+// held with it). Frames already handed out stay valid for their holders;
+// the next request for a split extracts it again. The offline build calls
+// this once its benchmark-split training is done: no online request ever
+// asks for a benchmark split, so those frames would only sit in the heap.
+func (m *Model) ReleaseFeatures() {
+	m.featMu.Lock()
+	m.featCache = nil
+	m.featMu.Unlock()
+}
+
+// CachedSplits reports how many split extractions the model currently
+// holds.
+func (m *Model) CachedSplits() int {
+	m.featMu.Lock()
+	defer m.featMu.Unlock()
+	return len(m.featCache)
 }
 
 // extractFrame is the batched extractor: phi(X) = tanh(gain*Wp(P·X) +

@@ -52,6 +52,34 @@ type Matrix struct {
 	modelIdx map[string]int      // lazily rebuilt
 	dsIdx    map[string]int
 	once     sync.Once
+	memo     sync.Map // Memo's table: key -> *memoEntry
+}
+
+// memoEntry is one memoised derivation; once makes concurrent first
+// askers share a single computation.
+type memoEntry struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+// Memo returns what compute returned the first time key was asked of this
+// matrix, running compute exactly once per key however many goroutines
+// ask. It is where consumers keep data mined from the matrix alone (the
+// fine-selection phase's convergence trends): the memo lives on the matrix,
+// so it is shared by everything selecting over that matrix and is
+// collected with it — a process that restores and drops worlds retains
+// nothing. The matrix must not change after the first call, and callers
+// must treat the shared value as read-only. Keys follow the context.Value
+// convention: comparable, of a type private to the consumer.
+func (m *Matrix) Memo(key any, compute func() (any, error)) (any, error) {
+	v, ok := m.memo.Load(key)
+	if !ok {
+		v, _ = m.memo.LoadOrStore(key, new(memoEntry))
+	}
+	e := v.(*memoEntry)
+	e.once.Do(func() { e.val, e.err = compute() })
+	return e.val, e.err
 }
 
 func key(model, dataset string) string { return model + "\x00" + dataset }

@@ -6,6 +6,13 @@
 // All scorers consume only frozen-model inference on the target training
 // split — no gradient steps — which is why the framework charges them half
 // a training epoch each (§V.D).
+//
+// That inference is not request work: the extractor and the source head
+// are frozen, so a (model, split) pair has one feature frame and one frame
+// of source-head distributions, both held by the model's feature cache
+// (modelhub.Model.FeatureFrame / SourceDistributions) while the split stays
+// cached. A score reads a prefix view of them and pays only for its own
+// statistics over (distributions, labels); the ledger charge is unchanged.
 package proxy
 
 import (
@@ -44,12 +51,12 @@ func (LEEP) Name() string { return "leep" }
 
 // Score implements Scorer.
 func (LEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
-	feats, ys, err := sample(m, d)
+	theta, ys, err := sourceSample(m, d)
 	if err != nil {
 		return 0, err
 	}
-	theta := sourcePredictions(m, feats)
-	return leepFromPredictions(theta, ys, d.Classes, m.SourceClasses), nil
+	scratch := newLEEPScratch(d.Classes, m.SourceClasses)
+	return scratch.leep(theta, ys), nil
 }
 
 // CalibratedLEEP is LEEP minus its permutation-null baseline: the LEEP the
@@ -71,12 +78,14 @@ func (CalibratedLEEP) Name() string { return "leep-calibrated" }
 
 // Score implements Scorer.
 func (c CalibratedLEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
-	feats, ys, err := sample(m, d)
+	theta, ys, err := sourceSample(m, d)
 	if err != nil {
 		return 0, err
 	}
-	theta := sourcePredictions(m, feats)
-	real := leepFromPredictions(theta, ys, d.Classes, m.SourceClasses)
+	// One set of statistics scratch serves the real pass and every null
+	// pass: each pass rewrites all of it.
+	scratch := newLEEPScratch(d.Classes, m.SourceClasses)
+	real := scratch.leep(theta, ys)
 
 	perms := c.Permutations
 	if perms <= 0 {
@@ -90,54 +99,68 @@ func (c CalibratedLEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, e
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		null += leepFromPredictions(theta, shuffled, d.Classes, m.SourceClasses)
+		null += scratch.leep(theta, shuffled)
 	}
 	return real - null/float64(perms), nil
 }
 
-// sourcePredictions runs the frozen source head over already-extracted
-// feature rows in one batched pass, returning one distribution per row.
-func sourcePredictions(m *modelhub.Model, feats *numeric.Frame) *numeric.Frame {
-	theta := numeric.NewFrame(feats.N, m.SourceClasses)
-	m.SourceProbsFrame(feats, theta)
-	return theta
+// leepScratch holds the statistics buffers of one LEEP evaluation: the
+// empirical joint P(y, z), the source marginal P(z) and the conditional
+// P(y|z), carved from one allocation.
+type leepScratch struct {
+	joint, cond numeric.Matrix // targetK x sourceK
+	marginal    []float64      // sourceK
 }
 
-// leepFromPredictions computes the LEEP statistic given the source-head
-// distributions theta (one row per example) and target labels ys.
-func leepFromPredictions(theta *numeric.Frame, ys []int, targetK, sourceK int) float64 {
+func newLEEPScratch(targetK, sourceK int) leepScratch {
+	slab := make([]float64, (2*targetK+1)*sourceK)
+	cells := targetK * sourceK
+	return leepScratch{
+		joint:    numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[:cells]},
+		cond:     numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[cells : 2*cells]},
+		marginal: slab[2*cells:],
+	}
+}
+
+// leep computes the LEEP statistic given the source-head distributions
+// theta (one row per example) and target labels ys. Every call overwrites
+// the whole scratch, so one scratch serves any number of label
+// assignments over the same theta.
+func (s *leepScratch) leep(theta *numeric.Frame, ys []int) float64 {
 	n := theta.N
 	if n == 0 {
 		return math.Inf(-1)
 	}
+	targetK, sourceK := s.joint.Rows, s.joint.Cols
 	// joint[y][z] = (1/n) sum_i theta_i[z] * 1{y_i = y}
-	joint := numeric.NewMatrix(targetK, sourceK)
+	clear(s.joint.Data)
 	for i := 0; i < n; i++ {
-		row := joint.Row(ys[i])
+		row := s.joint.Row(ys[i])
 		for z, p := range theta.Row(i) {
 			row[z] += p / float64(n)
 		}
 	}
 	// marginal over z and conditional P(y|z)
-	marginal := make([]float64, sourceK)
+	clear(s.marginal)
 	for y := 0; y < targetK; y++ {
-		for z, p := range joint.Row(y) {
-			marginal[z] += p
+		for z, p := range s.joint.Row(y) {
+			s.marginal[z] += p
 		}
 	}
-	cond := numeric.NewMatrix(targetK, sourceK) // P(y|z)
 	for y := 0; y < targetK; y++ {
 		for z := 0; z < sourceK; z++ {
-			if marginal[z] > 0 {
-				cond.Set(y, z, joint.At(y, z)/marginal[z])
+			c := 0.0
+			if s.marginal[z] > 0 {
+				c = s.joint.At(y, z) / s.marginal[z]
 			}
+			s.cond.Set(y, z, c)
 		}
 	}
 	// LEEP = (1/n) sum_i log( sum_z P(y_i|z) theta_i[z] )
 	var total float64
 	for i := 0; i < n; i++ {
 		var p float64
-		row := cond.Row(ys[i])
+		row := s.cond.Row(ys[i])
 		for z, t := range theta.Row(i) {
 			p += row[z] * t
 		}
@@ -159,12 +182,11 @@ func (NCE) Name() string { return "nce" }
 
 // Score implements Scorer.
 func (NCE) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
-	feats, ys, err := sample(m, d)
+	theta, ys, err := sourceSample(m, d)
 	if err != nil {
 		return 0, err
 	}
-	n := feats.N
-	theta := sourcePredictions(m, feats)
+	n := theta.N
 	joint := numeric.NewMatrix(d.Classes, m.SourceClasses)
 	for i := 0; i < n; i++ {
 		z := numeric.ArgMax(theta.Row(i))
@@ -341,15 +363,36 @@ func Normalize(scores []float64) []float64 {
 // same frame every trainer.Run of this (model, dataset) reuses — and the
 // returned frame is a read-only view of its first rows.
 func sample(m *modelhub.Model, d *datahub.Dataset) (*numeric.Frame, []int, error) {
+	n, err := sampleSize(m, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.FeatureFrame(d.Train.X).Slice(0, n), d.Train.Y[:n], nil
+}
+
+// sourceSample is sample for the scorers that only see the model through
+// its source head: the head's distributions over the same examples, a
+// read-only view of the rows the model caches beside the split's features.
+func sourceSample(m *modelhub.Model, d *datahub.Dataset) (*numeric.Frame, []int, error) {
+	n, err := sampleSize(m, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.SourceDistributions(d.Train.X).Slice(0, n), d.Train.Y[:n], nil
+}
+
+// sampleSize validates the (model, dataset) pair and returns how many
+// training examples a scorer consumes.
+func sampleSize(m *modelhub.Model, d *datahub.Dataset) (int, error) {
 	if m.Task != d.Task {
-		return nil, nil, fmt.Errorf("proxy: model %q task %q does not match dataset %q task %q", m.Name, m.Task, d.Name, d.Task)
+		return 0, fmt.Errorf("proxy: model %q task %q does not match dataset %q task %q", m.Name, m.Task, d.Name, d.Task)
 	}
 	n := d.Train.Len()
 	if n == 0 {
-		return nil, nil, fmt.Errorf("proxy: dataset %q has empty training split", d.Name)
+		return 0, fmt.Errorf("proxy: dataset %q has empty training split", d.Name)
 	}
 	if n > MaxExamples {
 		n = MaxExamples
 	}
-	return m.FeatureFrame(d.Train.X).Slice(0, n), d.Train.Y[:n], nil
+	return n, nil
 }

@@ -3,6 +3,15 @@
 // non-singleton cluster's representative, propagate scores to singleton
 // clusters by model similarity, and return the top-K candidates by
 // recall score (Eq. 2-4).
+//
+// The phase is split where the paper splits it. Everything that depends on
+// the performance matrix alone — vectors, benchmark averages, clustering,
+// representatives, and the Eq. 1 similarity of every singleton model to
+// every representative — is computed once per Offline (PrepareOfflineWith
+// or Rehydrate, which share assembleOffline so built and restored worlds
+// agree bit for bit). Recall, the per-request half, scores the
+// representatives on the target and combines those scores with the
+// precomputed tables; it computes no distance and no grouping.
 package recall
 
 import (
@@ -75,23 +84,28 @@ type Result struct {
 }
 
 // Offline bundles the target-independent artifacts of coarse recall —
-// performance vectors, benchmark averages, the model clustering and its
-// representatives. The paper computes these once in the offline phase
-// (§II.B); preparing them once per framework lets a serving layer answer
-// many targets without re-clustering the repository every request.
+// benchmark averages, the model clustering, its representatives and the
+// Eq. 1 similarities score propagation needs. The paper computes these
+// once in the offline phase (§II.B); preparing them once per framework
+// lets a serving layer answer many targets without re-clustering the
+// repository every request.
 // An Offline is immutable after PrepareOffline and safe for concurrent use.
 type Offline struct {
 	opts   Options
 	names  []string
-	vecs   *numeric.Frame // one performance vector per row, matrix model order
 	avgAcc []float64
-	dist   func(a, b []float64) float64
 
 	// Clustering is the model clustering over the matrix's model order.
 	Clustering cluster.Clustering
 	reps       map[int]string
-	repIdx     map[int]int
 	cids       []int // representative cluster ids, ascending
+
+	// repOf[i] is the position in cids of the representative whose proxy
+	// score model i takes as is (Eq. 3: its own cluster's), or -1 for a
+	// singleton that Eq. 4 propagates to; sims[i] is then its Eq. 1
+	// similarity, clamped at 0, to each representative in cids order.
+	repOf []int
+	sims  [][]float64
 }
 
 // PrepareOffline computes the target-independent half of coarse recall.
@@ -174,9 +188,10 @@ func matrixVectors(m *perfmatrix.Matrix, workers int) (names []string, vecs *num
 	return names, vecs, avgAcc, nil
 }
 
-// assembleOffline derives representatives and their deterministic order
-// from a clustering — the shared tail of PrepareOffline and Rehydrate, so
-// a rehydrated Offline is bit-identical to a freshly clustered one.
+// assembleOffline derives representatives, their deterministic order and
+// the singleton-to-representative similarity table from a clustering —
+// the shared tail of PrepareOffline and Rehydrate, so a rehydrated Offline
+// is bit-identical to a freshly clustered one. None of it is persisted.
 func assembleOffline(opts Options, names []string, vecs *numeric.Frame, avgAcc []float64, dist func(a, b []float64) float64, clustering cluster.Clustering) *Offline {
 	// Representatives of non-singleton clusters: best benchmark average.
 	reps := make(map[int]string)
@@ -215,16 +230,42 @@ func assembleOffline(opts Options, names []string, vecs *numeric.Frame, avgAcc [
 			}
 		}
 	}
+
+	// Eq. 1 similarities depend on performance vectors only, so they are
+	// offline work: a singleton outside the scored set gets its row of
+	// similarities here and Recall only weighs them by the target's proxy
+	// scores.
+	pos := make(map[int]int, len(cids))
+	for k, cid := range cids {
+		pos[cid] = k
+	}
+	repOf := make([]int, len(names))
+	sims := make([][]float64, len(names))
+	for i := range names {
+		if k, ok := pos[clustering.Assign[i]]; ok {
+			repOf[i] = k
+			continue
+		}
+		repOf[i] = -1
+		row := make([]float64, len(cids))
+		for k, cid := range cids {
+			sim := 1 - dist(vecs.Row(i), vecs.Row(repIdx[cid]))
+			if sim < 0 {
+				sim = 0
+			}
+			row[k] = sim
+		}
+		sims[i] = row
+	}
 	return &Offline{
 		opts:       opts,
 		names:      names,
-		vecs:       vecs,
 		avgAcc:     avgAcc,
-		dist:       dist,
 		Clustering: clustering,
 		reps:       reps,
-		repIdx:     repIdx,
 		cids:       cids,
+		repOf:      repOf,
+		sims:       sims,
 	}
 }
 
@@ -323,8 +364,8 @@ func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error
 
 // Recall runs the online half of the phase against one target dataset:
 // proxy-score the representatives, normalize, propagate to members and
-// singletons, and rank. The ledger, if non-nil, is charged 0.5 epoch per
-// proxy computation.
+// singletons through the precomputed tables, and rank. The ledger, if
+// non-nil, is charged 0.5 epoch per proxy computation.
 func (o *Offline) Recall(repo *modelhub.Repository, target *datahub.Dataset, ledger *trainer.Ledger) (*Result, error) {
 	// Proxy scores for representatives only, then min-max normalization
 	// across the scored set (Eq. 2's [0,1] normalization).
@@ -340,11 +381,7 @@ func (o *Offline) Recall(repo *modelhub.Repository, target *datahub.Dataset, led
 		}
 		raw[i] = s
 	}
-	norm := proxy.Normalize(raw)
-	repProxy := make(map[int]float64, len(o.cids))
-	for i, cid := range o.cids {
-		repProxy[cid] = norm[i]
-	}
+	norm := proxy.Normalize(raw) // norm[k] belongs to representative cids[k]
 	if ledger != nil {
 		ledger.ChargeInference(len(o.cids))
 	}
@@ -357,30 +394,20 @@ func (o *Offline) Recall(repo *modelhub.Repository, target *datahub.Dataset, led
 		ScoredModels:    len(o.cids),
 	}
 
-	groups := o.Clustering.Groups()
 	scores := make([]float64, len(o.names))
 	for i, name := range o.names {
-		cid := o.Clustering.Assign[i]
 		var p float64
-		if len(groups[cid]) > 1 {
-			// Eq. 3: member of a non-singleton cluster inherits the
-			// representative's proxy score.
-			p = repProxy[cid]
-		} else if pr, ok := repProxy[cid]; ok {
-			// Degenerate all-singleton fallback scored this cluster
-			// directly.
-			p = pr
+		if k := o.repOf[i]; k >= 0 {
+			// Eq. 3: a member of a non-singleton cluster inherits its
+			// representative's proxy score (in the degenerate
+			// all-singleton fallback every model was scored directly).
+			p = norm[k]
 		} else {
-			// Eq. 4: propagate from non-singleton representatives,
-			// decayed by Eq. 1 similarity.
+			// Eq. 4: propagate from the representatives, decayed by the
+			// precomputed Eq. 1 similarities, summed in cids order.
 			var sum float64
-			for _, rc := range o.cids {
-				rep := o.repIdx[rc]
-				sim := 1 - o.dist(o.vecs.Row(i), o.vecs.Row(rep))
-				if sim < 0 {
-					sim = 0
-				}
-				sum += sim * repProxy[rc]
+			for k, sim := range o.sims[i] {
+				sum += sim * norm[k]
 			}
 			p = sum / float64(len(o.cids))
 		}

@@ -193,7 +193,7 @@ func finish(out *Outcome, pool []string, runs map[string]*trainer.Run) (*Outcome
 	}
 	bestVal := -1.0
 	for _, name := range pool {
-		if v := runs[name].Curve().FinalVal(); v > bestVal {
+		if v := runs[name].FinalVal(); v > bestVal {
 			bestVal = v
 			out.Winner = name
 			out.WinnerVal = v

@@ -126,7 +126,7 @@ func EnsembleSelect(ctx context.Context, models []*modelhub.Model, d *datahub.Da
 	// Rank survivors by final validation, keep at most k.
 	finalVals := make([]float64, len(pool))
 	for i, name := range pool {
-		finalVals[i] = runs[name].Curve().FinalVal()
+		finalVals[i] = runs[name].FinalVal()
 	}
 	order := numeric.ArgSortDesc(finalVals)
 	if len(order) > k {

@@ -89,10 +89,34 @@ func MatchTrend(trends []Trend, val float64) int {
 	return best
 }
 
+// trendKey identifies one mined trend set in a matrix's memo.
+type trendKey struct {
+	model    string
+	stage, c int
+}
+
+// minedTrends is TrendsAtStage mined once per (model, stage, c) for the
+// lifetime of the matrix: the trends depend on the offline curves alone —
+// the paper mines them offline — so online selections share one read-only
+// copy held by the matrix they came from.
+func minedTrends(m *perfmatrix.Matrix, model string, stage, c int) ([]Trend, error) {
+	if c <= 0 {
+		c = DefaultTrendClusters
+	}
+	v, err := m.Memo(trendKey{model, stage, c}, func() (any, error) {
+		return TrendsAtStage(m, model, stage, c)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.([]Trend), nil
+}
+
 // PredictFinal matches val against the model's stage trends and returns
-// the matched trend's mean final test accuracy (Eq. 6).
+// the matched trend's mean final test accuracy (Eq. 6). The trends are
+// mined on first use and then looked up; see minedTrends.
 func PredictFinal(m *perfmatrix.Matrix, model string, stage int, val float64, c int) (float64, error) {
-	trends, err := TrendsAtStage(m, model, stage, c)
+	trends, err := minedTrends(m, model, stage, c)
 	if err != nil {
 		return 0, err
 	}

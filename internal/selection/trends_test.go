@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"twophase/internal/datahub"
@@ -11,9 +12,11 @@ import (
 	"twophase/internal/trainer"
 )
 
-func trendFixture(t *testing.T) *perfmatrix.Matrix {
+func trendFixture(t *testing.T) *perfmatrix.Matrix { return trendFixtureSeed(t, 42) }
+
+func trendFixtureSeed(t *testing.T, seed uint64) *perfmatrix.Matrix {
 	t.Helper()
-	w := synth.NewWorld(42)
+	w := synth.NewWorld(seed)
 	repo, err := modelhub.NewRepository(w, datahub.TaskNLP, modelhub.NLPSpecs()[:3])
 	if err != nil {
 		t.Fatal(err)
@@ -161,5 +164,84 @@ func TestTrendPredictionTracksReality(t *testing.T) {
 	}
 	if worse > len(vals)/2 {
 		t.Fatalf("trend prediction off by >0.25 for %d/%d benchmarks", worse, len(vals))
+	}
+}
+
+// TestMinedTrendsEqualTrendsAtStage: the trends PredictFinal looks up are
+// mined once per (matrix, model, stage, c) and equal a fresh TrendsAtStage
+// for every model, stage and cluster count; a second matrix gets its own
+// trends, never the first one's.
+func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
+	a, b := trendFixtureSeed(t, 42), trendFixtureSeed(t, 43)
+	differ := false
+	// Mine all of a before touching b: anything keyed off less than the
+	// matrix itself would now answer b's lookups with a's trends.
+	for _, m := range []*perfmatrix.Matrix{a, b} {
+		for _, model := range m.Models {
+			for stage := 0; stage < m.Epochs; stage++ {
+				for _, c := range []int{2, 4, 6} {
+					want, err := TrendsAtStage(m, model, stage, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := minedTrends(m, model, stage, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d %s stage %d c=%d: mined trends differ from TrendsAtStage", m.Seed, model, stage, c)
+					}
+					again, err := minedTrends(m, model, stage, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if &again[0] != &got[0] {
+						t.Fatalf("seed %d %s stage %d c=%d: second lookup mined again", m.Seed, model, stage, c)
+					}
+					if m == b {
+						other, err := minedTrends(a, model, stage, c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(other, got) {
+							differ = true
+						}
+					}
+					for _, val := range []float64{0, 0.37, 0.5, 0.93, 1} {
+						p, err := PredictFinal(m, model, stage, val, c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if wantP := want[MatchTrend(want, val)].Test; math.Float64bits(p) != math.Float64bits(wantP) {
+							t.Fatalf("PredictFinal(%s, stage %d, val %v, c=%d) = %v, want %v", model, stage, val, c, p, wantP)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !differ {
+		t.Fatal("the two fixtures mined identical trends everywhere; the isolation check proved nothing")
+	}
+	// c <= 0 means the default and shares its entry; errors are reported
+	// on every lookup.
+	def, err := minedTrends(a, a.Models[0], 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := minedTrends(a, a.Models[0], 0, DefaultTrendClusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &def[0] != &four[0] {
+		t.Fatal("c=0 and c=DefaultTrendClusters mined separately")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := PredictFinal(a, a.Models[0], a.Epochs, 0.5, 0); err == nil {
+			t.Fatal("out-of-range stage accepted")
+		}
+		if _, err := PredictFinal(a, "nope", 0, 0.5, 0); err == nil {
+			t.Fatal("unknown model accepted")
+		}
 	}
 }

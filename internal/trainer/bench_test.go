@@ -24,7 +24,7 @@ func benchWorld(b *testing.B, sizes datahub.Sizes) (*modelhub.Model, *datahub.Da
 }
 
 // BenchmarkTrainEpoch measures the steady-state cost of one training
-// epoch (SGD pass + batched val/test evaluation) on a warm run. This is
+// epoch (SGD pass + batched validation scoring) on a warm run. This is
 // the unit the paper's cost model charges, and the hot loop every
 // selection strategy spins; allocs/op must stay at zero.
 func BenchmarkTrainEpoch(b *testing.B) {
@@ -42,7 +42,6 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		// per-history.
 		if len(run.curve.Val) >= 64 {
 			run.curve.Val = run.curve.Val[:0]
-			run.curve.Test = run.curve.Test[:0]
 		}
 	}
 }

@@ -7,6 +7,13 @@
 //
 // Runtime accounting follows the paper: the unit of cost is one training
 // epoch over the target dataset's training split.
+//
+// A Run evaluates what its caller decides on. The online selection
+// strategies decide on validation accuracy alone, so Run.TrainEpoch scores
+// the validation split and nothing else; held-out test accuracy is computed
+// on request (TestAccuracy — once, for a finished selection's winner).
+// FineTune, the offline path behind the performance matrix and the oracle,
+// wants the whole test curve and records it itself after every epoch.
 package trainer
 
 import (
@@ -49,7 +56,8 @@ func LowLR(task string) Hyperparams {
 }
 
 // Curve holds the per-epoch validation and test accuracy of one run.
-// Curve[t] is measured after epoch t+1 of training.
+// Curve[t] is measured after epoch t+1 of training. FineTune fills both;
+// a staged Run's Curve() carries Val only and leaves Test empty.
 type Curve struct {
 	Val  []float64
 	Test []float64
@@ -95,7 +103,7 @@ type Run struct {
 	// scratch (weights, bias, logits, probs, both eval-logit frames and
 	// the curve) is carved from one backing slab — see NewRun.
 	logits, probs        []float64
-	valLogits, tstLogits numeric.Frame // per-split eval logits
+	valLogits, tstLogits numeric.Frame // per-split eval logits; tstLogits serves TestAccuracy only
 	perm                 []int         // epoch shuffle order
 }
 
@@ -114,12 +122,12 @@ func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, 
 	valN, tstN := d.Val.Len(), d.Test.Len()
 	// Every float64 buffer the run owns comes out of one backing slab —
 	// weights, bias, per-example logit/prob scratch, both eval-logit
-	// frames and the accuracy curve (capacity for the full epoch budget,
-	// so in-budget appends never reallocate). One allocation instead of
+	// frames and the validation curve (capacity for the full epoch
+	// budget, so in-budget appends never reallocate). One allocation instead of
 	// eight keeps a candidate run at a handful of allocs total; see
 	// BenchmarkCandidateRun. Each carve is capacity-limited so an
 	// overflowing append can never silently bleed into its neighbor.
-	slab := make([]float64, classes*(modelhub.FeatureDim+3+valN+tstN)+2*hp.Epochs)
+	slab := make([]float64, classes*(modelhub.FeatureDim+3+valN+tstN)+hp.Epochs)
 	carve := func(n int) []float64 {
 		s := slab[:n:n]
 		slab = slab[n:]
@@ -139,7 +147,6 @@ func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, 
 		perm:      make([]int, d.Train.Len()),
 	}
 	r.curve.Val = carve(hp.Epochs)[:0]
-	r.curve.Test = carve(hp.Epochs)[:0]
 	for i := range r.weights.Data {
 		r.weights.Data[i] = r.rng.Norm() * 0.01
 	}
@@ -154,15 +161,21 @@ func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, 
 // Epoch returns the number of completed training epochs.
 func (r *Run) Epoch() int { return r.curve.Epochs() }
 
-// Curve returns a copy of the accuracy curve so far.
+// Curve returns a copy of the accuracy curve so far: the validation
+// accuracy after each epoch. Test is empty — a staged run never scores the
+// test split per epoch (see TrainEpoch).
 func (r *Run) Curve() Curve {
-	return Curve{Val: numeric.Clone(r.curve.Val), Test: numeric.Clone(r.curve.Test)}
+	return Curve{Val: numeric.Clone(r.curve.Val)}
 }
 
+// FinalVal returns the validation accuracy recorded by the last epoch (0 if
+// untrained), without copying the curve.
+func (r *Run) FinalVal() float64 { return r.curve.FinalVal() }
+
 // TrainEpoch performs one SGD pass over the training split, then records
-// and returns the validation accuracy. Test accuracy is recorded alongside
-// (the paper plots both), but selection algorithms must only consult
-// validation — tests enforce this separation.
+// and returns the validation accuracy. It does not touch the test split:
+// selection algorithms consult validation only, and pay for a test
+// evaluation (TestAccuracy) only where they report one.
 func (r *Run) TrainEpoch() float64 {
 	n := r.featTrain.N
 	order := r.rng.PermInto(r.perm)
@@ -174,9 +187,7 @@ func (r *Run) TrainEpoch() float64 {
 		r.stepBatch(order[start:end])
 	}
 	val := r.evaluate(r.featVal, &r.valLogits, r.Dataset.Val.Y)
-	test := r.evaluate(r.featTest, &r.tstLogits, r.Dataset.Test.Y)
 	r.curve.Val = append(r.curve.Val, val)
-	r.curve.Test = append(r.curve.Test, test)
 	return val
 }
 
@@ -247,14 +258,19 @@ func (r *Run) probabilities(feats *numeric.Frame) *numeric.Frame {
 // TestAccuracy returns the current held-out test accuracy.
 func (r *Run) TestAccuracy() float64 { return r.evaluate(r.featTest, &r.tstLogits, r.Dataset.Test.Y) }
 
-// FineTune trains to the full epoch budget and returns the curve.
+// FineTune trains to the full epoch budget and returns the curve, test
+// accuracy after every epoch included (the offline convergence records and
+// the paper's plots want both).
 func FineTune(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, salt string) (Curve, error) {
 	run, err := NewRun(m, d, hp, seed, salt)
 	if err != nil {
 		return Curve{}, err
 	}
+	curve := Curve{Test: make([]float64, 0, hp.Epochs)}
 	for e := 0; e < hp.Epochs; e++ {
 		run.TrainEpoch()
+		curve.Test = append(curve.Test, run.TestAccuracy())
 	}
-	return run.Curve(), nil
+	curve.Val = run.Curve().Val
+	return curve, nil
 }

@@ -170,14 +170,30 @@ func TestStagedTrainingMatchesFineTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if run.FinalVal() != 0 {
+		t.Fatalf("untrained FinalVal = %v, want 0", run.FinalVal())
+	}
 	for e := 0; e < hp.Epochs; e++ {
-		run.TrainEpoch()
+		val := run.TrainEpoch()
+		if run.FinalVal() != val {
+			t.Fatalf("epoch %d: FinalVal %v, TrainEpoch returned %v", e, run.FinalVal(), val)
+		}
+		// FineTune's test curve is what the staged run would report if
+		// asked after the same epoch; asking does not disturb training.
+		if got := run.TestAccuracy(); got != full.Test[e] {
+			t.Fatalf("epoch %d: staged TestAccuracy %v, FineTune recorded %v", e, got, full.Test[e])
+		}
 	}
 	staged := run.Curve()
 	for i := range full.Val {
 		if full.Val[i] != staged.Val[i] {
 			t.Fatal("staged training diverges from FineTune")
 		}
+	}
+	// A staged run scores the validation split only: no per-epoch test
+	// accuracy is recorded.
+	if len(staged.Test) != 0 || staged.FinalTest() != 0 {
+		t.Fatalf("staged run recorded a test curve: %v", staged.Test)
 	}
 }
 
