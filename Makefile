@@ -13,8 +13,10 @@ CHAOS_LOG ?= $(CURDIR)/BENCH_chaos.log
 # runs of every workload each side gets.
 BASE ?= HEAD
 BENCH_AB_RUNS ?= 3
+# The golang.org/x/tools release `make deadcode-tool` installs.
+DEADCODE_VERSION ?= v0.30.0
 
-.PHONY: verify race bench bench-smoke bench-baseline bench-ab fmt vet deadcode build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
+.PHONY: verify race bench bench-smoke bench-baseline bench-ab fmt vet deadcode deadcode-tool build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
 
 # verify is the tier-1 gate: exactly what CI and the roadmap run.
 verify: build test
@@ -136,12 +138,15 @@ vet:
 	$(GO) vet ./...
 
 # deadcode lists functions unreachable from any main package
-# (golang.org/x/tools/cmd/deadcode). The tool is not vendored: install it
-# with `go install golang.org/x/tools/cmd/deadcode@latest` where there is
-# a network; without it the target says so and succeeds.
+# (golang.org/x/tools/cmd/deadcode). The tool is not vendored and go.mod
+# stays dependency-free: `make deadcode-tool` installs the pinned version
+# into GOBIN where there is a network (CI does). Findings are a report —
+# the tool exits 0 on them — but a missing tool is an error: a deletion
+# that leans on this check must not pass because the check never ran.
 deadcode:
-	@if command -v deadcode >/dev/null 2>&1; then \
-	  deadcode ./...; \
-	else \
-	  echo "deadcode is not on PATH; skipping (go install golang.org/x/tools/cmd/deadcode@latest)"; \
-	fi
+	@command -v deadcode >/dev/null 2>&1 || \
+	  { echo "deadcode is not on PATH: run 'make deadcode-tool' (go install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION))" >&2; exit 1; }
+	deadcode ./...
+
+deadcode-tool:
+	$(GO) install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION)

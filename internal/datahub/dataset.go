@@ -59,6 +59,9 @@ type Split struct {
 // Len returns the number of examples in the split.
 func (s Split) Len() int { return len(s.Y) }
 
+// SplitsPerDataset is how many splits a Dataset carries: Train, Val, Test.
+const SplitsPerDataset = 3
+
 // Dataset is a materialized dataset: spec plus train/val/test splits and
 // the true class means (kept for diagnostics and property tests).
 type Dataset struct {

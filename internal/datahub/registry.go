@@ -131,6 +131,19 @@ func CVTargets() []Spec {
 	}
 }
 
+// TaskTargets returns the evaluation-target specs of a task family ("nlp"
+// or "cv"): the datasets online requests select models for.
+func TaskTargets(task string) ([]Spec, error) {
+	switch task {
+	case TaskNLP:
+		return NLPTargets(), nil
+	case TaskCV:
+		return CVTargets(), nil
+	default:
+		return nil, fmt.Errorf("%w %q", ErrUnknownTask, task)
+	}
+}
+
 // Catalog is a materialized collection of datasets indexed by name.
 type Catalog struct {
 	World    *synth.World

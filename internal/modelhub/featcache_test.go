@@ -70,7 +70,7 @@ func TestFeatureFrameCachedOnce(t *testing.T) {
 // out.
 func TestFeatureFrameLRUEviction(t *testing.T) {
 	m, _ := cacheFixture(t)
-	frames := make([]*numeric.Frame, featureCacheCap+1)
+	frames := make([]*numeric.Frame, m.featBound+1)
 	for i := range frames {
 		frames[i] = numeric.NewFrame(3, synth.InputDim)
 		frames[i].Data[0] = float64(i + 1)
@@ -168,8 +168,9 @@ func TestSourceDistributionsLiveAndDieWithTheEntry(t *testing.T) {
 		t.Fatalf("FeatureFrame ran a source-head pass (%d total)", got)
 	}
 
-	// Touch featureCacheCap other splits: the train entry is the LRU victim.
-	for i := 0; i < featureCacheCap; i++ {
+	// Touch as many other splits as the cache holds: the train entry is the
+	// LRU victim.
+	for i := 0; i < m.featBound; i++ {
 		m.FeatureFrame(numeric.NewFrame(2, synth.InputDim))
 	}
 	extBefore, headBefore := Extractions(), SourceHeadPasses()
@@ -226,5 +227,136 @@ func TestSourceDistributionsConcurrent(t *testing.T) {
 	}
 	if e, h := Extractions()-extBefore, SourceHeadPasses()-headBefore; e != 1 || h != 1 {
 		t.Fatalf("%d extractions and %d source-head passes for 16 racing askers, want 1 and 1", e, h)
+	}
+}
+
+// TestFeatureCacheBoundIsTheTargetCatalog: for both task families a model
+// keeps exactly one extraction per split of its family's target catalog —
+// every target's train, val and test resident at once, re-read in any order
+// without a pass — and the first split beyond the catalog evicts.
+func TestFeatureCacheBoundIsTheTargetCatalog(t *testing.T) {
+	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+		w := synth.NewWorld(42)
+		spec := testModelSpec("bound/"+task, nil, 0.6)
+		spec.Task = task
+		m, err := Materialize(w, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets, err := datahub.TaskTargets(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var splits []*numeric.Frame
+		for _, ts := range targets {
+			d, err := datahub.Generate(w, ts, datahub.Sizes{Train: 12, Val: 8, Test: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			splits = append(splits, d.Train.X, d.Val.X, d.Test.X)
+		}
+		if m.featBound != len(splits) {
+			t.Fatalf("%s: bound %d, the target catalog has %d splits", task, m.featBound, len(splits))
+		}
+
+		for _, x := range splits {
+			m.FeatureFrame(x)
+		}
+		before := Extractions()
+		for lap := 0; lap < 2; lap++ {
+			for _, x := range splits {
+				m.FeatureFrame(x)
+			}
+		}
+		if got := Extractions() - before; got != 0 {
+			t.Fatalf("%s: %d extraction passes re-reading a resident catalog, want 0", task, got)
+		}
+		if got := m.CachedSplits(); got != len(splits) {
+			t.Fatalf("%s: %d splits resident, want the whole catalog (%d)", task, got, len(splits))
+		}
+
+		// One frame past the catalog: the least recently used split goes.
+		m.FeatureFrame(numeric.NewFrame(2, synth.InputDim))
+		if got := m.CachedSplits(); got != len(splits) {
+			t.Fatalf("%s: %d splits resident past the bound, want %d", task, got, len(splits))
+		}
+		before = Extractions()
+		m.FeatureFrame(splits[0])
+		if got := Extractions() - before; got != 1 {
+			t.Fatalf("%s: LRU split re-read ran %d passes, want 1 (it should have been evicted)", task, got)
+		}
+	}
+}
+
+// TestFeatureCacheEvictionNeverChangesAFrame is the property behind
+// "feature-cache eviction order never changes a report": whatever order
+// splits are asked for in, over more frames than the cache holds, every
+// lookup returns the bits extractFrame computes (features and source
+// distributions both), and a handle taken before its entry was evicted
+// stays valid and unchanged.
+func TestFeatureCacheEvictionNeverChangesAFrame(t *testing.T) {
+	m, _ := cacheFixture(t)
+	rng := numeric.NewRNG(20260928)
+	inputs := make([]*numeric.Frame, 2*m.featBound+3)
+	wantFeats := make([]*numeric.Frame, len(inputs))
+	wantProbs := make([]*numeric.Frame, len(inputs))
+	for i := range inputs {
+		inputs[i] = numeric.NewFrame(1+rng.Intn(6), synth.InputDim)
+		for j := range inputs[i].Data {
+			inputs[i].Data[j] = rng.Norm()
+		}
+		wantFeats[i] = m.extractFrame(inputs[i])
+		wantProbs[i] = numeric.NewFrame(inputs[i].N, m.SourceClasses)
+		m.SourceProbsFrame(wantFeats[i], wantProbs[i])
+	}
+	sameBits := func(got, want *numeric.Frame) bool {
+		if got.N != want.N || got.D != want.D {
+			return false
+		}
+		for j := range want.Data {
+			if math.Float64bits(got.Data[j]) != math.Float64bits(want.Data[j]) {
+				return false
+			}
+		}
+		return true
+	}
+
+	type handle struct {
+		frame *numeric.Frame
+		input int
+		probs bool
+	}
+	var held []handle
+	before := Extractions()
+	for step := 0; step < 600; step++ {
+		i := rng.Intn(len(inputs))
+		if rng.Intn(3) == 0 {
+			got := m.SourceDistributions(inputs[i])
+			if !sameBits(got, wantProbs[i]) {
+				t.Fatalf("step %d: distributions of input %d differ from the head over extractFrame", step, i)
+			}
+			held = append(held, handle{got, i, true})
+		} else {
+			got := m.FeatureFrame(inputs[i])
+			if !sameBits(got, wantFeats[i]) {
+				t.Fatalf("step %d: features of input %d differ from extractFrame", step, i)
+			}
+			held = append(held, handle{got, i, false})
+		}
+		if n := m.CachedSplits(); n > m.featBound {
+			t.Fatalf("step %d: %d splits resident, bound is %d", step, n, m.featBound)
+		}
+	}
+	if Extractions()-before <= int64(len(inputs)) {
+		t.Fatal("the access sequence never evicted: the property was not exercised")
+	}
+	for _, h := range held {
+		want := wantFeats[h.input]
+		if h.probs {
+			want = wantProbs[h.input]
+		}
+		if !sameBits(h.frame, want) {
+			t.Fatalf("a handle on input %d changed after later evictions", h.input)
+		}
 	}
 }

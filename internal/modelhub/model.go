@@ -6,12 +6,25 @@
 // checkpoint (DESIGN.md §2).
 //
 // Both are frozen, so what they compute for a dataset split never changes.
-// A Model therefore caches, per split and under one small LRU, the
-// extracted feature frame (FeatureFrame) and — lazily, in the same entry —
-// the source head's distributions over it (SourceDistributions): requests
-// share them instead of re-running inference, and an evicted split takes
-// both with it. ReleaseFeatures empties the cache; the offline build calls
-// it once the benchmark splits it trained on are no longer needed.
+// A Model therefore caches, per split, the extracted feature frame
+// (FeatureFrame) and — lazily, in the same entry — the source head's
+// distributions over it (SourceDistributions): requests share them instead
+// of re-running inference, and an evicted split takes both with it.
+//
+// The cache holds as many splits as the model's task family has target
+// splits (featureCacheBound), so the catalog a backend serves stays
+// resident however requests rotate over it; the LRU only decides what goes
+// when traffic reaches past the catalog (benchmark splits during a build,
+// cmd/experiments sweeping dataset sizes). At datahub.DefaultSizes a fully
+// resident catalog is 4 targets x 760 rows x FeatureDim float64s = 1.17 MB
+// of frames per model, plus distributions over the train splits only (the
+// one split proxy scoring reads): 4 x 240 rows x SourceClasses float64s,
+// 384 KB at the registry's widest head (50 classes) — 1.55 MB worst case,
+// reached only by a model every target has asked all three splits of (a
+// candidate run reads train and val; the test split is extracted for a run
+// that is asked for test accuracy, online the winner). ReleaseFeatures
+// empties the cache; the offline build calls it once the benchmark splits
+// it trained on are no longer needed.
 package modelhub
 
 import (
@@ -21,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"twophase/internal/datahub"
 	"twophase/internal/numeric"
 	"twophase/internal/synth"
 )
@@ -83,6 +97,7 @@ type Model struct {
 	featMu    sync.Mutex
 	featCache map[*numeric.Frame]*featEntry
 	featTick  uint64
+	featBound int // featureCacheBound(Task), fixed by Materialize
 }
 
 // featEntry is one cached extraction with its LRU recency stamp. The
@@ -100,11 +115,20 @@ type featEntry struct {
 	probs     *numeric.Frame
 }
 
-// featureCacheCap bounds how many split extractions one model retains —
-// enough for two datasets' train/val/test plus headroom, which covers a
-// full multi-strategy selection on a target while keeping the worst-case
-// resident footprint per model at a few hundred KB.
-const featureCacheCap = 8
+// featureCacheBound is how many split extractions a model of the task
+// family retains: one per split of every target in the family's catalog,
+// the working set of online traffic. A smaller bound turns requests that
+// rotate over the catalog into LRU's worst case — every lookup a miss, the
+// extractor re-run per request; a larger one only keeps frames no request
+// asks for again. It is a function of the catalog alone: there is nothing
+// to tune, so there is no knob. The package comment has the resident bytes.
+func featureCacheBound(task string) (int, error) {
+	targets, err := datahub.TaskTargets(task)
+	if err != nil {
+		return 0, err
+	}
+	return datahub.SplitsPerDataset * len(targets), nil
+}
 
 // extractions counts full-split feature-extraction passes (cache misses)
 // in this process, mirroring cluster.Passes: tests use it to prove that a
@@ -138,10 +162,14 @@ func Materialize(w *synth.World, spec Spec) (*Model, error) {
 	if spec.SourceClasses < 2 {
 		return nil, fmt.Errorf("modelhub: model %q needs >= 2 source classes, got %d", spec.Name, spec.SourceClasses)
 	}
+	bound, err := featureCacheBound(spec.Task)
+	if err != nil {
+		return nil, fmt.Errorf("modelhub: model %q: %w", spec.Name, err)
+	}
 	rng := numeric.NewNamedRNG(w.Seed, "model", spec.Name)
 	mix := synth.WithCore(spec.Domains, spec.Task, 0.30)
 
-	m := &Model{Spec: spec}
+	m := &Model{Spec: spec, featBound: bound}
 	m.prefDirs = w.MixtureDirections(mix, PrefRank, rng)
 	// Low-capability models attend to a corrupted version of their domain
 	// subspace: even on in-domain tasks their features capture less of the
@@ -244,8 +272,8 @@ func (m *Model) SourceDistributions(x *numeric.Frame) *numeric.Frame {
 }
 
 // entry returns x's cache entry with its extraction materialized,
-// inserting it (and evicting the least recently used entry past
-// featureCacheCap) on a miss.
+// inserting it (and evicting the least recently used entry past the
+// model's bound) on a miss.
 func (m *Model) entry(x *numeric.Frame) *featEntry {
 	m.featMu.Lock()
 	m.featTick++
@@ -254,9 +282,9 @@ func (m *Model) entry(x *numeric.Frame) *featEntry {
 		e.tick = m.featTick
 	} else {
 		if m.featCache == nil {
-			m.featCache = make(map[*numeric.Frame]*featEntry, featureCacheCap)
+			m.featCache = make(map[*numeric.Frame]*featEntry, m.featBound)
 		}
-		if len(m.featCache) >= featureCacheCap {
+		if len(m.featCache) >= m.featBound {
 			var oldest *numeric.Frame
 			var oldestTick uint64
 			for k, prev := range m.featCache {

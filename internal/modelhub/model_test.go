@@ -24,6 +24,7 @@ func TestMaterializeValidation(t *testing.T) {
 		testModelSpec("a", nil, -0.1), // capability < 0
 		testModelSpec("b", nil, 1.1),  // capability > 1
 		{Name: "c", Task: datahub.TaskNLP, Capability: 0.5, SourceClasses: 1}, // 1 source class
+		{Name: "d", Task: "audio", Capability: 0.5, SourceClasses: 2},         // unknown task family
 	}
 	for i, spec := range cases {
 		if _, err := Materialize(w, spec); err == nil {

@@ -186,7 +186,9 @@ func SuccessiveHalving(ctx context.Context, models []*modelhub.Model, d *datahub
 	return finish(out, pool, runs)
 }
 
-// finish picks the best-validation survivor and fills the outcome.
+// finish picks the best-validation survivor and fills the outcome. Only
+// the winner's run is asked for test accuracy, so only the winner pays for
+// (and keeps cached) an extraction of the target's test split.
 func finish(out *Outcome, pool []string, runs map[string]*trainer.Run) (*Outcome, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("selection: no survivors")
@@ -197,9 +199,9 @@ func finish(out *Outcome, pool []string, runs map[string]*trainer.Run) (*Outcome
 			bestVal = v
 			out.Winner = name
 			out.WinnerVal = v
-			out.WinnerTest = runs[name].TestAccuracy()
 		}
 	}
+	out.WinnerTest = runs[out.Winner].TestAccuracy()
 	return out, nil
 }
 

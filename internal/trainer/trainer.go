@@ -8,12 +8,14 @@
 // Runtime accounting follows the paper: the unit of cost is one training
 // epoch over the target dataset's training split.
 //
-// A Run evaluates what its caller decides on. The online selection
-// strategies decide on validation accuracy alone, so Run.TrainEpoch scores
-// the validation split and nothing else; held-out test accuracy is computed
-// on request (TestAccuracy — once, for a finished selection's winner).
-// FineTune, the offline path behind the performance matrix and the oracle,
-// wants the whole test curve and records it itself after every epoch.
+// A Run reads what its caller decides on. The online selection strategies
+// decide on validation accuracy alone, so NewRun looks up the train and
+// validation features only and Run.TrainEpoch scores the validation split
+// and nothing else; the test split's features and scratch materialise the
+// first time a run is asked about it (TestAccuracy, TestProbs — online, the
+// finished selection's winner and ensemble members). FineTune, the offline
+// path behind the performance matrix and the oracle, wants the whole test
+// curve and records it itself after every epoch.
 package trainer
 
 import (
@@ -94,23 +96,27 @@ type Run struct {
 	bias    []float64
 
 	// Frozen feature frames, shared read-only with the model's
-	// extraction cache — never written through.
+	// extraction cache — never written through. featTest stays nil until
+	// the run is first asked about the test split (testFeatures).
 	featTrain, featVal, featTest *numeric.Frame
 	rng                          numeric.RNG
 	curve                        Curve
 
-	// scratch buffers reused across steps and epochs. All float64
-	// scratch (weights, bias, logits, probs, both eval-logit frames and
-	// the curve) is carved from one backing slab — see NewRun.
-	logits, probs        []float64
-	valLogits, tstLogits numeric.Frame // per-split eval logits; tstLogits serves TestAccuracy only
-	perm                 []int         // epoch shuffle order
+	// scratch buffers reused across steps and epochs. The float64 scratch
+	// every run needs (weights, bias, logits, probs, the validation logits
+	// and the curve) is carved from one backing slab — see NewRun.
+	logits, probs []float64
+	valLogits     numeric.Frame
+	tstLogits     *numeric.Frame // allocated by the first TestAccuracy
+	perm          []int          // epoch shuffle order
 }
 
-// NewRun extracts the frozen features once and initializes a fresh head.
-// All stochasticity (head init, batch shuffles) derives from the world-
-// style triple (seed, model name, dataset name) plus the salt, so distinct
-// hyperparameter settings can request distinct streams.
+// NewRun initializes a fresh head over the model's frozen train and
+// validation features, which come from (and on first use fill) the model's
+// shared extraction cache; the test split is not touched until the run is
+// asked about it. All stochasticity (head init, batch shuffles) derives
+// from the world-style triple (seed, model name, dataset name) plus the
+// salt, so distinct hyperparameter settings can request distinct streams.
 func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, salt string) (*Run, error) {
 	if hp.Epochs <= 0 || hp.BatchSize <= 0 || hp.LearningRate <= 0 {
 		return nil, fmt.Errorf("trainer: invalid hyperparams %+v", hp)
@@ -119,15 +125,15 @@ func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, 
 		return nil, fmt.Errorf("trainer: model %q task %q does not match dataset %q task %q", m.Name, m.Task, d.Name, d.Task)
 	}
 	classes := d.Classes
-	valN, tstN := d.Val.Len(), d.Test.Len()
-	// Every float64 buffer the run owns comes out of one backing slab —
-	// weights, bias, per-example logit/prob scratch, both eval-logit
-	// frames and the validation curve (capacity for the full epoch
-	// budget, so in-budget appends never reallocate). One allocation instead of
-	// eight keeps a candidate run at a handful of allocs total; see
+	valN := d.Val.Len()
+	// Every float64 buffer a training run needs comes out of one backing
+	// slab — weights, bias, per-example logit/prob scratch, the validation
+	// logits and the validation curve (capacity for the full epoch budget,
+	// so in-budget appends never reallocate). One allocation instead of
+	// one per buffer keeps a candidate run at three allocs total; see
 	// BenchmarkCandidateRun. Each carve is capacity-limited so an
 	// overflowing append can never silently bleed into its neighbor.
-	slab := make([]float64, classes*(modelhub.FeatureDim+3+valN+tstN)+hp.Epochs)
+	slab := make([]float64, classes*(modelhub.FeatureDim+3+valN)+hp.Epochs)
 	carve := func(n int) []float64 {
 		s := slab[:n:n]
 		slab = slab[n:]
@@ -143,7 +149,6 @@ func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, 
 		logits:    carve(classes),
 		probs:     carve(classes),
 		valLogits: numeric.Frame{N: valN, D: classes, Data: carve(valN * classes)},
-		tstLogits: numeric.Frame{N: tstN, D: classes, Data: carve(tstN * classes)},
 		perm:      make([]int, d.Train.Len()),
 	}
 	r.curve.Val = carve(hp.Epochs)[:0]
@@ -154,12 +159,8 @@ func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, 
 	// every run over the same split reuses one contiguous frame.
 	r.featTrain = m.FeatureFrame(d.Train.X)
 	r.featVal = m.FeatureFrame(d.Val.X)
-	r.featTest = m.FeatureFrame(d.Test.X)
 	return r, nil
 }
-
-// Epoch returns the number of completed training epochs.
-func (r *Run) Epoch() int { return r.curve.Epochs() }
 
 // Curve returns a copy of the accuracy curve so far: the validation
 // accuracy after each epoch. Test is empty — a staged run never scores the
@@ -236,10 +237,6 @@ func (r *Run) evaluate(feats, logits *numeric.Frame, ys []int) float64 {
 	return float64(correct) / float64(feats.N)
 }
 
-// ValAccuracy returns the current validation accuracy without training
-// (useful before the first epoch).
-func (r *Run) ValAccuracy() float64 { return r.evaluate(r.featVal, &r.valLogits, r.Dataset.Val.Y) }
-
 // ValProbs returns the current head's class-probability predictions for
 // every validation example (rows sum to 1), one example per frame row.
 // Used by ensemble selection. The caller owns the returned frame.
@@ -247,7 +244,7 @@ func (r *Run) ValProbs() *numeric.Frame { return r.probabilities(r.featVal) }
 
 // TestProbs returns the current head's class-probability predictions for
 // every test example. The caller owns the returned frame.
-func (r *Run) TestProbs() *numeric.Frame { return r.probabilities(r.featTest) }
+func (r *Run) TestProbs() *numeric.Frame { return r.probabilities(r.testFeatures()) }
 
 func (r *Run) probabilities(feats *numeric.Frame) *numeric.Frame {
 	out := numeric.NewFrame(feats.N, r.Dataset.Classes)
@@ -256,7 +253,23 @@ func (r *Run) probabilities(feats *numeric.Frame) *numeric.Frame {
 }
 
 // TestAccuracy returns the current held-out test accuracy.
-func (r *Run) TestAccuracy() float64 { return r.evaluate(r.featTest, &r.tstLogits, r.Dataset.Test.Y) }
+func (r *Run) TestAccuracy() float64 {
+	feats := r.testFeatures()
+	if r.tstLogits == nil {
+		r.tstLogits = numeric.NewFrame(feats.N, r.Dataset.Classes)
+	}
+	return r.evaluate(feats, r.tstLogits, r.Dataset.Test.Y)
+}
+
+// testFeatures looks the test split's frozen features up in the model's
+// extraction cache the first time the run needs them: most candidates of a
+// selection are dropped on validation accuracy and never do.
+func (r *Run) testFeatures() *numeric.Frame {
+	if r.featTest == nil {
+		r.featTest = r.Model.FeatureFrame(r.Dataset.Test.X)
+	}
+	return r.featTest
+}
 
 // FineTune trains to the full epoch budget and returns the curve, test
 // accuracy after every epoch included (the offline convergence records and

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"math"
 	"testing"
 
 	"twophase/internal/datahub"
@@ -67,7 +68,7 @@ func TestTrainingLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := run.ValAccuracy()
+	before := argmaxAccuracy(run.ValProbs(), d.Val.Y) // the untrained head
 	for e := 0; e < 5; e++ {
 		run.TrainEpoch()
 	}
@@ -266,23 +267,76 @@ func TestProbsConsistentWithAccuracy(t *testing.T) {
 	for e := 0; e < 3; e++ {
 		run.TrainEpoch()
 	}
-	probs := run.TestProbs()
+	want := run.TestAccuracy()
+	if got := argmaxAccuracy(run.TestProbs(), d.Test.Y); got != want {
+		t.Fatalf("argmax accuracy %v != TestAccuracy %v", got, want)
+	}
+}
+
+// argmaxAccuracy scores per-example class scores (probabilities or logits)
+// against labels.
+func argmaxAccuracy(probs *numeric.Frame, ys []int) float64 {
 	correct := 0
-	for i := 0; i < probs.N; i++ {
-		p := probs.Row(i)
-		best, bestV := 0, p[0]
-		for c, v := range p {
-			if v > bestV {
-				best, bestV = c, v
-			}
-		}
-		if best == d.Test.Y[i] {
+	for i, y := range ys {
+		if numeric.ArgMax(probs.Row(i)) == y {
 			correct++
 		}
 	}
-	want := run.TestAccuracy()
-	got := float64(correct) / float64(probs.N)
-	if got != want {
-		t.Fatalf("argmax accuracy %v != TestAccuracy %v", got, want)
+	return float64(correct) / float64(len(ys))
+}
+
+// eagerTestAccuracy is a test-local copy of how a run scored the test split
+// while NewRun still extracted all three splits and carved test logits out
+// of its slab: the frame handed in was extracted before training started.
+// It is the differential oracle for the on-demand path.
+func eagerTestAccuracy(r *Run, featTest *numeric.Frame) float64 {
+	logits := numeric.NewFrame(featTest.N, r.Dataset.Classes)
+	r.weights.MulFrameBias(featTest, r.bias, logits)
+	return argmaxAccuracy(logits, r.Dataset.Test.Y)
+}
+
+// TestTestSplitExtractedOnDemand: a run that is never asked about the test
+// split never extracts it — NewRun plus the full epoch budget leaves the
+// model holding train and val only — and the first TestAccuracy pays exactly
+// one extraction for a value bit-identical to the eager path's.
+func TestTestSplitExtractedOnDemand(t *testing.T) {
+	w, m, d := fixture(t)
+	_, oracleModel, _ := fixture(t) // same world and spec: an identical, separately cached model
+	hp := Default(datahub.TaskNLP)
+
+	eagerFrame := oracleModel.FeatureFrame(d.Test.X)
+	oracle, err := NewRun(oracleModel, d, hp, w.Seed, "lazy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := NewRun(m, d, hp, w.Seed, "lazy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < hp.Epochs; e++ {
+		oracle.TrainEpoch()
+		run.TrainEpoch()
+	}
+	if got := m.CachedSplits(); got != 2 {
+		t.Fatalf("model holds %d cached splits after NewRun + %d epochs, want 2 (train, val)", got, hp.Epochs)
+	}
+
+	before := modelhub.Extractions()
+	got := run.TestAccuracy()
+	if n := modelhub.Extractions() - before; n != 1 {
+		t.Fatalf("first TestAccuracy ran %d extraction passes, want 1", n)
+	}
+	if want := eagerTestAccuracy(oracle, eagerFrame); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("on-demand TestAccuracy %x, eager path %x", got, want)
+	}
+	if again := run.TestAccuracy(); again != got {
+		t.Fatalf("second TestAccuracy %v, first %v", again, got)
+	}
+	run.TestProbs()
+	if n := modelhub.Extractions() - before; n != 1 {
+		t.Fatalf("%d extraction passes after repeated test reads, want 1", n)
+	}
+	if got := m.CachedSplits(); got != 3 {
+		t.Fatalf("model holds %d cached splits after TestAccuracy, want 3", got)
 	}
 }
