@@ -16,7 +16,7 @@ BENCH_AB_RUNS ?= 3
 # The golang.org/x/tools release `make deadcode-tool` installs.
 DEADCODE_VERSION ?= v0.30.0
 
-.PHONY: verify race bench bench-smoke bench-baseline bench-ab fmt vet deadcode deadcode-tool build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
+.PHONY: verify race bench bench-smoke bench-baseline bench-ab fmt vet deadcode deadcode-tool loc build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
 
 # verify is the tier-1 gate: exactly what CI and the roadmap run.
 verify: build test
@@ -150,3 +150,10 @@ deadcode:
 
 deadcode-tool:
 	$(GO) install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION)
+
+# loc prints the two numbers ROADMAP aim 2 tracks, so the figure quoted
+# there comes from one command: Go source lines outside tests and bench/,
+# and the number of binaries under cmd/.
+loc:
+	@echo "source lines (non-test, non-bench/): $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@echo "cmd binaries: $$(ls -d cmd/*/ | wc -l)"

@@ -149,7 +149,7 @@ func BenchmarkBruteForceNLP(b *testing.B) {
 	var epochs float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := nlp.BruteForce(context.Background(), d)
+		out, err := nlp.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategyBF})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func BenchmarkSuccessiveHalvingNLP(b *testing.B) {
 	var epochs float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := nlp.SuccessiveHalving(context.Background(), d)
+		out, err := nlp.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategySH})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func benchServiceBatch(b *testing.B, workers, concurrency int) {
 	var epochs float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := svc.SelectAll(context.Background(), datahub.TaskNLP, targets)
+		results, err := svc.Do(context.Background(), service.Request{Task: datahub.TaskNLP, Targets: targets})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func BenchmarkEnsembleSelectK3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc += out.EnsembleTest
+		acc += out.WinnerTest
 		epochs += float64(out.Ledger.TrainEpochs())
 	}
 	b.ReportMetric(acc/float64(b.N), "acc")

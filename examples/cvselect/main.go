@@ -44,11 +44,11 @@ func main() {
 	fmt.Printf("\nselected: %s (test %.3f) in %.1f epochs\n",
 		report.Outcome.Winner, report.Outcome.WinnerTest, report.TotalEpochs())
 
-	bf, err := fw.BruteForce(context.Background(), target)
+	bf, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: core.StrategyBF})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("brute force: %s (test %.3f) in %d epochs — %.2fx slower\n",
-		bf.Winner, bf.WinnerTest, bf.Ledger.TrainEpochs(),
+		bf.Outcome.Winner, bf.Outcome.WinnerTest, bf.Ledger.TrainEpochs(),
 		float64(bf.Ledger.TrainEpochs())/report.TotalEpochs())
 }

@@ -55,7 +55,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("k=%d ensemble: test %.3f (best member %.3f) in %d epochs, members:\n",
-			k, ens.EnsembleTest, ens.BestSingleTest, ens.Ledger.TrainEpochs())
+			k, ens.WinnerTest, ens.BestMemberTest, ens.Ledger.TrainEpochs())
 		for _, m := range ens.Members {
 			fmt.Printf("   - %s\n", m)
 		}

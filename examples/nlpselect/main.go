@@ -57,18 +57,18 @@ func main() {
 		report.Outcome.Winner, report.Outcome.WinnerTest, report.TotalEpochs())
 
 	// Baselines.
-	bf, err := fw.BruteForce(context.Background(), target)
+	bf, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: core.StrategyBF})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sh, err := fw.SuccessiveHalving(context.Background(), target)
+	sh, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: core.StrategySH})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("brute force: winner %s (test %.3f) in %d epochs\n",
-		bf.Winner, bf.WinnerTest, bf.Ledger.TrainEpochs())
+		bf.Outcome.Winner, bf.Outcome.WinnerTest, bf.Ledger.TrainEpochs())
 	fmt.Printf("succ. halving: winner %s (test %.3f) in %d epochs\n",
-		sh.Winner, sh.WinnerTest, sh.Ledger.TrainEpochs())
+		sh.Outcome.Winner, sh.Outcome.WinnerTest, sh.Ledger.TrainEpochs())
 	fmt.Printf("\nspeedup: %.2fx vs BF, %.2fx vs SH at comparable accuracy\n",
 		float64(bf.Ledger.TrainEpochs())/report.TotalEpochs(),
 		float64(sh.Ledger.TrainEpochs())/report.TotalEpochs())

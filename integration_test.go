@@ -82,8 +82,7 @@ func TestOfflineArtifactsSurvivePersistence(t *testing.T) {
 	}
 }
 
-// TestMatrixFilePersistenceRoundtrip covers the plain Save/Load path used
-// by cmd/twophase without a store directory.
+// TestMatrixFilePersistenceRoundtrip covers the plain Save/Load path.
 func TestMatrixFilePersistenceRoundtrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full offline build; skipped in -short")

@@ -437,189 +437,130 @@ func (f *Framework) Select(ctx context.Context, target *datahub.Dataset) (*Repor
 	return f.SelectWith(ctx, target, SelectOptions{})
 }
 
+// fineSalt separates the run streams of the epoch-trained strategies; the
+// ensemble shares two-phase's, so its members train exactly as the
+// two-phase candidates do.
+var fineSalt = map[Strategy]string{
+	StrategyTwoPhase: "two-phase",
+	StrategyEnsemble: "two-phase",
+	StrategySH:       "successive-halving",
+	StrategyBF:       "brute-force",
+}
+
 // SelectWith is the single dispatch point for every online selection
-// strategy: it routes the request to the paper's two-phase pipeline, the
-// SH or BF baselines, or the ensemble extension, and renders each as a
-// uniform Report. Callers should route through here rather than
-// hard-wiring individual Framework methods.
+// strategy. The four epoch-trained ones share one path — resolve the
+// candidate pool (coarse-recalled for two-phase and ensemble, the whole
+// repository for sh and bf), apply the optional lsq pre-filter, run the
+// strategy's staged search, assemble the Report — and lsq, which trains
+// nothing, is the one separate arm.
 func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opts SelectOptions) (*Report, error) {
 	// Refuse dead requests before the recall phase too — proxy-scoring
 	// the repository is cheap per model but not free across a batch.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	strat := opts.Strategy
-	if strat == "" {
-		strat = StrategyTwoPhase
+	strat, err := ParseStrategy(string(opts.Strategy))
+	if err != nil {
+		return nil, err
 	}
 	workers := opts.Workers
 	if workers == 0 {
 		workers = f.Workers
 	}
-	// base is the per-request training config shared by every strategy;
-	// the budget fields make the fine phase anytime (see selection.Config).
-	base := func(salt string) selection.Config {
-		return selection.Config{
-			HP: f.HP, Seed: f.Seed, Salt: salt, Workers: workers,
-			MaxEpochs: opts.MaxEpochs, Deadline: opts.Deadline,
-		}
-	}
-	// prefilter applies the optional lsq pre-filter to an epoch-trained
-	// strategy's candidate pool. PrefilterTopK <= 0 returns the pool
-	// untouched and charges nothing — disabled means byte-identical to a
-	// request without the field.
-	prefilter := func(models []*modelhub.Model, ledger *trainer.Ledger) ([]*modelhub.Model, error) {
-		k := opts.PrefilterTopK
-		if k <= 0 || len(models) == 0 {
-			return models, nil
-		}
-		res, err := lsq.Rank(ctx, models, target, lsq.Options{Workers: workers}, ledger)
-		if err != nil {
-			return nil, fmt.Errorf("core: lsq pre-filter on %s: %w", target.Name, err)
-		}
-		keep := make(map[string]bool, k)
-		for _, name := range res.TopK(k) {
-			keep[name] = true
-		}
-		out := make([]*modelhub.Model, 0, len(keep))
-		for _, m := range models {
-			if keep[m.Name] {
-				out = append(out, m)
-			}
-		}
-		return out, nil
-	}
-	switch strat {
-	case StrategyTwoPhase:
-		var ledger trainer.Ledger
-		rr, err := f.offline.Recall(f.Repo, target, &ledger)
-		if err != nil {
-			return nil, fmt.Errorf("core: coarse recall on %s: %w", target.Name, err)
-		}
-		candidates, err := f.Repo.Subset(rr.Recalled)
-		if err != nil {
-			return nil, err
-		}
-		pool, err := prefilter(candidates.Models(), &ledger)
-		if err != nil {
-			return nil, err
-		}
-		out, err := selection.FineSelect(ctx, pool, target, selection.FineSelectOptions{
-			Config: base("two-phase"),
-			Matrix: f.Matrix,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: fine selection on %s: %w", target.Name, err)
-		}
-		ledger.Add(out.Ledger)
-		return &Report{
-			Target: target.Name, Strategy: strat, Recall: rr, Outcome: out, Ledger: ledger,
-			Truncated: out.Truncated, TruncatedBy: out.TruncatedBy,
-		}, nil
-	case StrategySH:
-		var ledger trainer.Ledger
-		pool, err := prefilter(f.Repo.Models(), &ledger)
-		if err != nil {
-			return nil, err
-		}
-		out, err := selection.SuccessiveHalving(ctx, pool, target, base("successive-halving"))
-		if err != nil {
-			return nil, err
-		}
-		ledger.Add(out.Ledger)
-		return &Report{
-			Target: target.Name, Strategy: strat, Outcome: out, Ledger: ledger,
-			Truncated: out.Truncated, TruncatedBy: out.TruncatedBy,
-		}, nil
-	case StrategyBF:
-		var ledger trainer.Ledger
-		pool, err := prefilter(f.Repo.Models(), &ledger)
-		if err != nil {
-			return nil, err
-		}
-		out, err := selection.BruteForce(ctx, pool, target, base("brute-force"))
-		if err != nil {
-			return nil, err
-		}
-		ledger.Add(out.Ledger)
-		return &Report{
-			Target: target.Name, Strategy: strat, Outcome: out, Ledger: ledger,
-			Truncated: out.Truncated, TruncatedBy: out.TruncatedBy,
-		}, nil
-	case StrategyLSQ:
+	report := &Report{Target: target.Name, Strategy: strat}
+	pool := f.Repo.Models()
+
+	if strat == StrategyLSQ {
 		// Zero-epoch path: rank the whole repository by closed-form head
 		// quality and report the best, rendered as a uniform Report. The
 		// request's budget fields never truncate it — there is no training
 		// to cut short — so max_epochs: 0 yields truncated: false with the
 		// proxy-inference cost on the ledger.
-		var ledger trainer.Ledger
-		res, err := lsq.Rank(ctx, f.Repo.Models(), target, lsq.Options{Workers: workers}, &ledger)
+		res, err := lsq.Rank(ctx, pool, target, lsq.Options{Workers: workers}, &report.Ledger)
 		if err != nil {
 			return nil, fmt.Errorf("core: lsq selection on %s: %w", target.Name, err)
 		}
 		best := res.Best()
-		return &Report{
-			Target:   target.Name,
-			Strategy: strat,
-			Outcome: &selection.Outcome{
-				Winner:     res.Names[best],
-				WinnerVal:  res.Val[best],
-				WinnerTest: res.Test[best],
-				Ledger:     ledger,
-				Stages:     [][]string{append([]string(nil), res.Names...)},
-			},
-			Ledger: ledger,
-		}, nil
+		report.Outcome = &selection.Outcome{
+			Winner:     res.Names[best],
+			WinnerVal:  res.Val[best],
+			WinnerTest: res.Test[best],
+			Ledger:     report.Ledger,
+			Stages:     [][]string{append([]string(nil), res.Names...)},
+		}
+		return report, nil
+	}
+
+	if strat == StrategyTwoPhase || strat == StrategyEnsemble {
+		report.Recall, err = f.offline.Recall(f.Repo, target, &report.Ledger)
+		if err != nil {
+			return nil, fmt.Errorf("core: coarse recall on %s: %w", target.Name, err)
+		}
+		candidates, err := f.Repo.Subset(report.Recall.Recalled)
+		if err != nil {
+			return nil, err
+		}
+		pool = candidates.Models()
+	}
+	pool, err = prefilter(ctx, pool, target, opts.PrefilterTopK, workers, &report.Ledger)
+	if err != nil {
+		return nil, err
+	}
+	// The budget fields make the fine phase anytime (see selection.Config).
+	fine := selection.FineSelectOptions{
+		Config: selection.Config{
+			HP: f.HP, Seed: f.Seed, Salt: fineSalt[strat], Workers: workers,
+			MaxEpochs: opts.MaxEpochs, Deadline: opts.Deadline,
+		},
+		Matrix: f.Matrix,
+	}
+	var out *selection.Outcome
+	switch strat {
+	case StrategyTwoPhase:
+		out, err = selection.FineSelect(ctx, pool, target, fine)
 	case StrategyEnsemble:
 		k := opts.EnsembleK
 		if k <= 0 {
 			k = DefaultEnsembleK
 		}
-		var ledger trainer.Ledger
-		rr, err := f.offline.Recall(f.Repo, target, &ledger)
-		if err != nil {
-			return nil, fmt.Errorf("core: coarse recall on %s: %w", target.Name, err)
-		}
-		candidates, err := f.Repo.Subset(rr.Recalled)
-		if err != nil {
-			return nil, err
-		}
-		pool, err := prefilter(candidates.Models(), &ledger)
-		if err != nil {
-			return nil, err
-		}
-		ens, err := selection.EnsembleSelect(ctx, pool, target, selection.FineSelectOptions{
-			Config: base("two-phase"),
-			Matrix: f.Matrix,
-		}, k)
-		if err != nil {
-			return nil, fmt.Errorf("core: ensemble selection on %s: %w", target.Name, err)
-		}
-		ledger.Add(ens.Ledger)
-		return &Report{
-			Target:   target.Name,
-			Strategy: strat,
-			Recall:   rr,
-			Outcome: &selection.Outcome{
-				Winner:      ens.Members[0],
-				WinnerVal:   ens.EnsembleVal,
-				WinnerTest:  ens.EnsembleTest,
-				Ledger:      ens.Ledger,
-				Stages:      ens.Stages,
-				Truncated:   ens.Truncated,
-				TruncatedBy: ens.TruncatedBy,
-			},
-			Members:     ens.Members,
-			Ledger:      ledger,
-			Truncated:   ens.Truncated,
-			TruncatedBy: ens.TruncatedBy,
-		}, nil
-	default:
-		if _, err := ParseStrategy(string(strat)); err != nil {
-			return nil, err
-		}
-		panic("unreachable")
+		out, err = selection.EnsembleSelect(ctx, pool, target, fine, k)
+	case StrategySH:
+		out, err = selection.SuccessiveHalving(ctx, pool, target, fine.Config)
+	case StrategyBF:
+		out, err = selection.BruteForce(ctx, pool, target, fine.Config)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %s selection on %s: %w", strat, target.Name, err)
+	}
+	report.Outcome, report.Members = out, out.Members
+	report.Truncated, report.TruncatedBy = out.Truncated, out.TruncatedBy
+	report.Ledger.Add(out.Ledger)
+	return report, nil
+}
+
+// prefilter applies the optional lsq pre-filter to an epoch-trained
+// strategy's candidate pool: the k best lsq scores, in pool order. k <= 0
+// returns the pool untouched and charges nothing — disabled means
+// byte-identical to a request without the field.
+func prefilter(ctx context.Context, pool []*modelhub.Model, target *datahub.Dataset, k, workers int, ledger *trainer.Ledger) ([]*modelhub.Model, error) {
+	if k <= 0 || len(pool) == 0 {
+		return pool, nil
+	}
+	res, err := lsq.Rank(ctx, pool, target, lsq.Options{Workers: workers}, ledger)
+	if err != nil {
+		return nil, fmt.Errorf("core: lsq pre-filter on %s: %w", target.Name, err)
+	}
+	keep := make(map[string]bool, k)
+	for _, name := range res.TopK(k) {
+		keep[name] = true
+	}
+	out := make([]*modelhub.Model, 0, len(keep))
+	for _, m := range pool {
+		if keep[m.Name] {
+			out = append(out, m)
+		}
+	}
+	return out, nil
 }
 
 // SelectByName resolves the target from the framework's catalog and runs
@@ -630,18 +571,6 @@ func (f *Framework) SelectByName(ctx context.Context, name string) (*Report, err
 		return nil, err
 	}
 	return f.Select(ctx, d)
-}
-
-// BruteForce runs the brute-force baseline over the whole repository for
-// a target (Table VI's BF row).
-func (f *Framework) BruteForce(ctx context.Context, target *datahub.Dataset) (*selection.Outcome, error) {
-	return selection.BruteForce(ctx, f.Repo.Models(), target, selection.Config{HP: f.HP, Seed: f.Seed, Salt: "brute-force"})
-}
-
-// SuccessiveHalving runs the SH baseline over the whole repository for a
-// target (Table VI's SH row).
-func (f *Framework) SuccessiveHalving(ctx context.Context, target *datahub.Dataset) (*selection.Outcome, error) {
-	return selection.SuccessiveHalving(ctx, f.Repo.Models(), target, selection.Config{HP: f.HP, Seed: f.Seed, Salt: "successive-halving"})
 }
 
 // OracleAccuracies brute-force fine-tunes every repository model on the

@@ -123,11 +123,11 @@ func TestBaselinesBeatNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := fw.BruteForce(context.Background(), d)
+	bf, err := fw.SelectWith(context.Background(), d, SelectOptions{Strategy: StrategyBF})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := fw.SuccessiveHalving(context.Background(), d)
+	sh, err := fw.SelectWith(context.Background(), d, SelectOptions{Strategy: StrategySH})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,9 @@ func AblationRepresentative(e *Env) (*Table, error) {
 }
 
 // AblationTrendFilter measures what the convergence-trend filter adds over
-// plain halving inside fine-selection.
+// fine-selection's halving backstop alone. The filter-less variant has
+// successive halving's schedule and cost but is not SH: the backstop breaks
+// validation ties the other way (see package selection).
 func AblationTrendFilter(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation — convergence-trend filter on/off",
@@ -160,7 +162,7 @@ func AblationTrendFilter(e *Env) (*Table, error) {
 			disable bool
 		}{
 			{"with trend filter", false},
-			{"halving only", true},
+			{"halving backstop only", true},
 		} {
 			out, err := selection.FineSelect(context.Background(), cand.Models(), d, selection.FineSelectOptions{
 				Config:             selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "two-phase"},
@@ -173,7 +175,7 @@ func AblationTrendFilter(e *Env) (*Table, error) {
 			t.AddRow(tgt.label, variant.label, out.Ledger.TrainEpochs(), out.WinnerTest)
 		}
 	}
-	t.Note("the trend filter saves epochs at equal (or better) selected accuracy — the source of FS's gain over SH")
+	t.Note("the trend filter saves epochs at equal (or better) selected accuracy over the halving backstop alone, whose epoch cost is SH's — the source of FS's gain over SH")
 	return t, nil
 }
 

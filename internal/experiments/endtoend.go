@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"twophase/internal/core"
 	"twophase/internal/numeric"
 	"twophase/internal/recall"
 )
@@ -32,11 +33,11 @@ func Table6(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bf, err := fw.BruteForce(context.Background(), d)
+		bf, err := fw.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategyBF})
 		if err != nil {
 			return nil, err
 		}
-		sh, err := fw.SuccessiveHalving(context.Background(), d)
+		sh, err := fw.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategySH})
 		if err != nil {
 			return nil, err
 		}
@@ -45,8 +46,8 @@ func Table6(e *Env) (*Table, error) {
 			fmt.Sprintf("%.1f", twoPhase),
 			fmt.Sprintf("%.2fx", float64(bf.Ledger.TrainEpochs())/twoPhase),
 			fmt.Sprintf("%.2fx", float64(sh.Ledger.TrainEpochs())/twoPhase),
-			bf.WinnerTest, sh.WinnerTest, report.Outcome.WinnerTest)
-		if gap := bf.WinnerTest - report.Outcome.WinnerTest; gap > worstGap {
+			bf.Outcome.WinnerTest, sh.Outcome.WinnerTest, report.Outcome.WinnerTest)
+		if gap := bf.Outcome.WinnerTest - report.Outcome.WinnerTest; gap > worstGap {
 			worstGap = gap
 		}
 	}

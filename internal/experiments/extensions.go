@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"twophase/internal/cluster"
+	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
@@ -52,9 +53,9 @@ func ExtEnsemble(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(tgt.label, single.WinnerTest, ens.EnsembleTest, ens.BestSingleTest,
+		t.AddRow(tgt.label, single.WinnerTest, ens.WinnerTest, ens.BestMemberTest,
 			single.Ledger.TrainEpochs(), ens.Ledger.TrainEpochs())
-		if ens.EnsembleTest >= single.WinnerTest {
+		if ens.WinnerTest >= single.WinnerTest {
 			lifted++
 		}
 	}
@@ -92,7 +93,7 @@ func ExtRobustness(*Env) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			bf, err := fw.BruteForce(context.Background(), d)
+			bf, err := fw.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategyBF})
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +105,7 @@ func ExtRobustness(*Env) (*Table, error) {
 			}
 			a.epochs = append(a.epochs, report.TotalEpochs())
 			a.speedup = append(a.speedup, float64(bf.Ledger.TrainEpochs())/report.TotalEpochs())
-			a.gap = append(a.gap, bf.WinnerTest-report.Outcome.WinnerTest)
+			a.gap = append(a.gap, bf.Outcome.WinnerTest-report.Outcome.WinnerTest)
 		}
 	}
 

@@ -29,12 +29,3 @@ func (c Config) budgetStop(spent, stageCost int) (string, bool) {
 	}
 	return "", false
 }
-
-// truncate marks an outcome as stopped early by the given budget
-// dimension. The pool and ledger stay exactly as the last completed stage
-// left them — partial work is kept, never rolled back, so the batch
-// ledger still counts a truncated target's spent epochs.
-func (o *Outcome) truncate(by string) {
-	o.Truncated = true
-	o.TruncatedBy = by
-}

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -106,22 +107,52 @@ func TestEpochBudgetDeterministic(t *testing.T) {
 	}
 }
 
-// TestBudgetedPrefixMatchesUnbudgeted: up to the truncation point a
-// budgeted run retrains the exact same stages as the unbudgeted procedure —
-// anytime means "stop early", never "train differently".
+// TestBudgetedPrefixMatchesUnbudgeted: for every epoch-trained strategy,
+// validation interval and epoch cap from 0 to the unbudgeted cost, a
+// budgeted run retrains the exact same stages as the unbudgeted procedure
+// up to its truncation point — anytime means "stop early", never "train
+// differently": the recorded stages are a prefix of the unbudgeted run's,
+// the ledger stays within the cap, Truncated is set exactly when the cap
+// is below the unbudgeted cost, and a cap that is not yields the
+// unbudgeted outcome.
 func TestBudgetedPrefixMatchesUnbudgeted(t *testing.T) {
-	models, _, target, cfg := fixture(t)
-	full, err := SuccessiveHalving(context.Background(), models, target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MaxEpochs = intPtr(len(models)) // exactly the first stage
-	part, err := SuccessiveHalving(context.Background(), models, target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(part.Stages, full.Stages[:len(part.Stages)]) {
-		t.Fatalf("budgeted stages %v are not a prefix of full stages %v", part.Stages, full.Stages)
+	models, matrix, target, cfg := fixture(t)
+	ctx := context.Background()
+	for _, c := range strategyCases() {
+		for _, s := range stageEpochGrid {
+			opts := FineSelectOptions{Config: cfg, Matrix: matrix}
+			opts.StageEpochs = s
+			full, err := c.run(ctx, models, target, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost := full.Ledger.TrainEpochs()
+			for cap := 0; cap <= cost; cap++ {
+				opts.MaxEpochs = intPtr(cap)
+				part, err := c.run(ctx, models, target, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("%s s=%d cap=%d/%d", c.name, s, cap, cost)
+				if len(part.Stages) > len(full.Stages) {
+					t.Fatalf("%s: %d stages, the unbudgeted run has %d", at, len(part.Stages), len(full.Stages))
+				}
+				for i, pool := range part.Stages {
+					if !reflect.DeepEqual(pool, full.Stages[i]) {
+						t.Fatalf("%s: stage %d pool %v, unbudgeted %v", at, i, pool, full.Stages[i])
+					}
+				}
+				if spent := part.Ledger.TrainEpochs(); spent > cap {
+					t.Fatalf("%s: spent %d epochs", at, spent)
+				}
+				if part.Truncated != (cap < cost) || (part.TruncatedBy == TruncatedByEpochs) != part.Truncated {
+					t.Fatalf("%s: truncated=%v by=%q", at, part.Truncated, part.TruncatedBy)
+				}
+				if cap == cost && !reflect.DeepEqual(part, full) {
+					t.Fatalf("%s: a cap the run fits in changed it:\n got %+v\nwant %+v", at, part, full)
+				}
+			}
+		}
 	}
 }
 

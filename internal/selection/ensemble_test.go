@@ -18,10 +18,10 @@ func TestEnsembleSelectBasics(t *testing.T) {
 	if len(out.Members) != 3 {
 		t.Fatalf("ensemble has %d members", len(out.Members))
 	}
-	if out.EnsembleTest <= 0 || out.EnsembleTest > 1 || out.EnsembleVal <= 0 {
-		t.Fatalf("ensemble accuracies val=%v test=%v", out.EnsembleVal, out.EnsembleTest)
+	if out.WinnerTest <= 0 || out.WinnerTest > 1 || out.WinnerVal <= 0 {
+		t.Fatalf("ensemble accuracies val=%v test=%v", out.WinnerVal, out.WinnerTest)
 	}
-	if out.BestSingleTest <= 0 {
+	if out.BestMemberTest <= 0 {
 		t.Fatal("no best member accuracy")
 	}
 	// members must be unique and drawn from the pool
@@ -85,8 +85,8 @@ func TestEnsembleK1MatchesFineSelectWinnerQuality(t *testing.T) {
 		t.Fatalf("k=1 kept %d members", len(ens.Members))
 	}
 	// a single-member "ensemble" is just that model's prediction
-	if ens.EnsembleTest != ens.BestSingleTest {
-		t.Fatalf("single-member ensemble %v != member %v", ens.EnsembleTest, ens.BestSingleTest)
+	if ens.WinnerTest != ens.BestMemberTest {
+		t.Fatalf("single-member ensemble %v != member %v", ens.WinnerTest, ens.BestMemberTest)
 	}
 }
 

@@ -29,9 +29,3 @@ func ExampleMatchTrend() {
 	fmt.Printf("%d %.2f\n", idx, trends[idx].Test)
 	// Output: 1 0.72
 }
-
-func ExampleCheapestStrategy() {
-	strategy, epochs := selection.CheapestStrategy(10, 5, 1, true)
-	fmt.Println(strategy, epochs)
-	// Output: fine-selection 16
-}

@@ -7,6 +7,7 @@ import (
 	"twophase/internal/modelhub"
 	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
+	"twophase/internal/trainer"
 )
 
 // FineSelectOptions extends Config with the convergence-trend machinery of
@@ -15,8 +16,6 @@ type FineSelectOptions struct {
 	Config
 	// Matrix supplies the offline convergence records mined into trends.
 	Matrix *perfmatrix.Matrix
-	// TrendClusters is c of §IV.C (0 means DefaultTrendClusters).
-	TrendClusters int
 	// Threshold is the filtering threshold of Table IV: a model is only
 	// trend-filtered when a better-validation competitor's predicted
 	// final performance exceeds the model's own prediction by more than
@@ -24,120 +23,69 @@ type FineSelectOptions struct {
 	// paper's default setting.
 	Threshold float64
 	// DisableTrendFilter turns Algorithm 1's fine-filter step off,
-	// reducing the procedure to successive halving; used by the
-	// ablation benchmark.
+	// leaving its halving backstop as the only prune rule; used by the
+	// ablation benchmark. That is successive halving's schedule and cost
+	// but not its survivors — see the package comment on ties.
 	DisableTrendFilter bool
 }
 
-// FineSelect runs Algorithm 1: staged training with convergence-trend
-// prediction (Eq. 5/6), trend-based fine-filtering, and a halving
-// backstop, returning a single fully trained model. A canceled context
-// aborts between epochs-of-one-model with ctx.Err(); with an uncanceled
-// context the outcome is bit-identical to the historical signature. A
-// budget in Config (MaxEpochs/Deadline) makes the procedure anytime: it
-// stops at the last stage boundary that fits and reports Truncated with
-// the best-so-far winner instead of erroring.
+// FineSelect runs Algorithm 1 and returns a single fully trained model.
 func FineSelect(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opts FineSelectOptions) (*Outcome, error) {
-	runs, err := newRuns(models, d, opts.Config)
+	s, err := search(ctx, models, d, opts.Config, 1, opts.prune)
 	if err != nil {
 		return nil, err
 	}
-	pool := names(models)
-	out := &Outcome{}
-
-	completed := 0
-	for _, stageLen := range opts.stagePlan() {
-		if by, stop := opts.budgetStop(out.Ledger.TrainEpochs(), len(pool)*stageLen); stop {
-			out.truncate(by)
-			break
-		}
-		out.Stages = append(out.Stages, append([]string(nil), pool...))
-		vals, err := trainStage(ctx, runs, pool, stageLen, opts.workers(), &out.Ledger)
-		if err != nil {
-			return nil, err
-		}
-		completed += stageLen
-		// stage is the offline-curve epoch index matching the validation
-		// accuracy just measured, for trend lookup.
-		stage := completed - 1
-		if len(pool) == 1 {
-			continue
-		}
-
-		keepMask := make([]bool, len(pool))
-		for i := range keepMask {
-			keepMask[i] = true
-		}
-
-		if !opts.DisableTrendFilter && opts.Matrix != nil {
-			// Predict each survivor's final performance by matching its
-			// current validation accuracy against the model's mined
-			// convergence trends at this stage (Eq. 5/6).
-			preds := make([]float64, len(pool))
-			for i, name := range pool {
-				p, err := PredictFinal(opts.Matrix, name, stage, vals[i], opts.TrendClusters)
-				if err != nil {
-					return nil, err
-				}
-				preds[i] = p
-			}
-			// Fine-filter: walk models from worst validation upward and
-			// drop one when some better-validation model's prediction
-			// beats its own by more than the threshold proportion.
-			order := numeric.ArgSortAsc(vals)
-			for oi, i := range order {
-				dominated := false
-				for _, j := range order[oi+1:] {
-					if !keepMask[j] || vals[j] <= vals[i] {
-						continue
-					}
-					margin := opts.Threshold * preds[i]
-					if preds[j]-preds[i] > margin {
-						dominated = true
-						break
-					}
-				}
-				if dominated && remaining(keepMask) > 1 {
-					keepMask[i] = false
-				}
-			}
-		}
-
-		// Halving backstop: never keep more than floor(|Mt|/2) models
-		// (Algorithm 1 lines 8-10).
-		limit := len(pool) / 2
-		if limit < 1 {
-			limit = 1
-		}
-		if remaining(keepMask) > limit {
-			order := numeric.ArgSortAsc(vals)
-			for _, i := range order {
-				if remaining(keepMask) <= limit {
-					break
-				}
-				if keepMask[i] {
-					keepMask[i] = false
-				}
-			}
-		}
-
-		next := pool[:0:0]
-		for i, keep := range keepMask {
-			if keep {
-				next = append(next, pool[i])
-			}
-		}
-		pool = next
-	}
-	return finish(out, pool, runs)
+	return s.winner(), nil
 }
 
-func remaining(mask []bool) int {
-	n := 0
-	for _, m := range mask {
-		if m {
-			n++
+// prune is Algorithm 1's prune step: the trend filter, then the halving
+// backstop (lines 8-10).
+func (opts FineSelectOptions) prune(pool []*trainer.Run, vals []float64, stage, floor int) ([]bool, error) {
+	keep := make([]bool, len(pool))
+	for i := range keep {
+		keep[i] = true
+	}
+	kept := len(pool)
+	// Both rules walk the models from worst validation upward.
+	order := numeric.ArgSortAsc(vals)
+
+	if !opts.DisableTrendFilter && opts.Matrix != nil {
+		// Predict each member's final performance by matching its
+		// current validation accuracy against the model's mined
+		// convergence trends at this stage (Eq. 5/6).
+		preds := make([]float64, len(pool))
+		for i, run := range pool {
+			p, err := PredictFinal(opts.Matrix, run.Model.Name, stage, vals[i])
+			if err != nil {
+				return nil, err
+			}
+			preds[i] = p
+		}
+		// Drop a model when some better-validation model's prediction
+		// beats its own by more than the threshold proportion.
+		for oi, i := range order {
+			if kept <= floor {
+				break
+			}
+			for _, j := range order[oi+1:] {
+				if vals[j] > vals[i] && preds[j]-preds[i] > opts.Threshold*preds[i] {
+					keep[i] = false
+					kept--
+					break
+				}
+			}
 		}
 	}
-	return n
+
+	limit := max(len(pool)/2, floor)
+	for _, i := range order {
+		if kept <= limit {
+			break
+		}
+		if keep[i] {
+			keep[i] = false
+			kept--
+		}
+	}
+	return keep, nil
 }

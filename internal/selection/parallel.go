@@ -24,18 +24,18 @@ import (
 // work pickups (in parallel): a canceled context aborts the stage with
 // ctx.Err() instead of burning the remaining members' epochs. A canceled
 // stage charges nothing — its partial results are discarded by the caller.
-func trainStage(ctx context.Context, runs map[string]*trainer.Run, pool []string, stageLen, workers int, ledger *trainer.Ledger) ([]float64, error) {
+func trainStage(ctx context.Context, pool []*trainer.Run, stageLen, workers int, ledger *trainer.Ledger) ([]float64, error) {
 	vals := make([]float64, len(pool))
 	if workers > len(pool) {
 		workers = len(pool)
 	}
 	errs := make([]error, len(pool))
 	if workers <= 1 {
-		for i, name := range pool {
+		for i, run := range pool {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			vals[i], errs[i] = trainMember(runs[name], pool[i], stageLen)
+			vals[i], errs[i] = trainMember(run, stageLen)
 		}
 		if err := firstErr(errs); err != nil {
 			return nil, err
@@ -50,7 +50,7 @@ func trainStage(ctx context.Context, runs map[string]*trainer.Run, pool []string
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				vals[i], errs[i] = trainMember(runs[pool[i]], pool[i], stageLen)
+				vals[i], errs[i] = trainMember(pool[i], stageLen)
 			}
 		}()
 	}
@@ -78,11 +78,11 @@ feed:
 // the training kernel into an error: a bare panic on a pool goroutine
 // would kill the whole process, taking every other in-flight selection
 // with it. The recover keeps the stage's failure local to its request.
-func trainMember(run *trainer.Run, name string, stageLen int) (val float64, err error) {
+func trainMember(run *trainer.Run, stageLen int) (val float64, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			log.Printf("selection: training %q panicked: %v\n%s", name, rec, debug.Stack())
-			err = fmt.Errorf("selection: training %q panicked: %v", name, rec)
+			err = fmt.Errorf("selection: training %q panicked: %v", run.Model.Name, rec)
+			log.Printf("%v\n%s", err, debug.Stack())
 		}
 	}()
 	for e := 0; e < stageLen; e++ {

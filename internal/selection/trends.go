@@ -89,22 +89,20 @@ func MatchTrend(trends []Trend, val float64) int {
 	return best
 }
 
-// trendKey identifies one mined trend set in a matrix's memo.
+// trendKey identifies one model's mined trends at one stage in a matrix's
+// memo.
 type trendKey struct {
-	model    string
-	stage, c int
+	model string
+	stage int
 }
 
-// minedTrends is TrendsAtStage mined once per (model, stage, c) for the
-// lifetime of the matrix: the trends depend on the offline curves alone —
-// the paper mines them offline — so online selections share one read-only
-// copy held by the matrix they came from.
-func minedTrends(m *perfmatrix.Matrix, model string, stage, c int) ([]Trend, error) {
-	if c <= 0 {
-		c = DefaultTrendClusters
-	}
-	v, err := m.Memo(trendKey{model, stage, c}, func() (any, error) {
-		return TrendsAtStage(m, model, stage, c)
+// minedTrends is TrendsAtStage at DefaultTrendClusters, mined once per
+// (model, stage) for the lifetime of the matrix: the trends depend on the
+// offline curves alone — the paper mines them offline — so online
+// selections share one read-only copy held by the matrix they came from.
+func minedTrends(m *perfmatrix.Matrix, model string, stage int) ([]Trend, error) {
+	v, err := m.Memo(trendKey{model, stage}, func() (any, error) {
+		return TrendsAtStage(m, model, stage, DefaultTrendClusters)
 	})
 	if err != nil {
 		return nil, err
@@ -115,8 +113,8 @@ func minedTrends(m *perfmatrix.Matrix, model string, stage, c int) ([]Trend, err
 // PredictFinal matches val against the model's stage trends and returns
 // the matched trend's mean final test accuracy (Eq. 6). The trends are
 // mined on first use and then looked up; see minedTrends.
-func PredictFinal(m *perfmatrix.Matrix, model string, stage int, val float64, c int) (float64, error) {
-	trends, err := minedTrends(m, model, stage, c)
+func PredictFinal(m *perfmatrix.Matrix, model string, stage int, val float64) (float64, error) {
+	trends, err := minedTrends(m, model, stage)
 	if err != nil {
 		return 0, err
 	}

@@ -88,7 +88,7 @@ func TestMatchTrend(t *testing.T) {
 
 func TestPredictFinalInRange(t *testing.T) {
 	m := trendFixture(t)
-	p, err := PredictFinal(m, m.Models[0], 0, 0.7, 3)
+	p, err := PredictFinal(m, m.Models[0], 0, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTrendPredictionTracksReality(t *testing.T) {
 	}
 	var worse int
 	for i := range vals {
-		pred, err := PredictFinal(m, model, 0, vals[i][0], DefaultTrendClusters)
+		pred, err := PredictFinal(m, model, 0, vals[i][0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,9 +168,9 @@ func TestTrendPredictionTracksReality(t *testing.T) {
 }
 
 // TestMinedTrendsEqualTrendsAtStage: the trends PredictFinal looks up are
-// mined once per (matrix, model, stage, c) and equal a fresh TrendsAtStage
-// for every model, stage and cluster count; a second matrix gets its own
-// trends, never the first one's.
+// mined once per (matrix, model, stage) and equal a fresh TrendsAtStage at
+// DefaultTrendClusters for every model and stage; a second matrix gets its
+// own trends, never the first one's.
 func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	a, b := trendFixtureSeed(t, 42), trendFixtureSeed(t, 43)
 	differ := false
@@ -179,42 +179,40 @@ func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	for _, m := range []*perfmatrix.Matrix{a, b} {
 		for _, model := range m.Models {
 			for stage := 0; stage < m.Epochs; stage++ {
-				for _, c := range []int{2, 4, 6} {
-					want, err := TrendsAtStage(m, model, stage, c)
+				want, err := TrendsAtStage(m, model, stage, DefaultTrendClusters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := minedTrends(m, model, stage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %s stage %d: mined trends differ from TrendsAtStage", m.Seed, model, stage)
+				}
+				again, err := minedTrends(m, model, stage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &again[0] != &got[0] {
+					t.Fatalf("seed %d %s stage %d: second lookup mined again", m.Seed, model, stage)
+				}
+				if m == b {
+					other, err := minedTrends(a, model, stage)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := minedTrends(m, model, stage, c)
+					if !reflect.DeepEqual(other, got) {
+						differ = true
+					}
+				}
+				for _, val := range []float64{0, 0.37, 0.5, 0.93, 1} {
+					p, err := PredictFinal(m, model, stage, val)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d %s stage %d c=%d: mined trends differ from TrendsAtStage", m.Seed, model, stage, c)
-					}
-					again, err := minedTrends(m, model, stage, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if &again[0] != &got[0] {
-						t.Fatalf("seed %d %s stage %d c=%d: second lookup mined again", m.Seed, model, stage, c)
-					}
-					if m == b {
-						other, err := minedTrends(a, model, stage, c)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(other, got) {
-							differ = true
-						}
-					}
-					for _, val := range []float64{0, 0.37, 0.5, 0.93, 1} {
-						p, err := PredictFinal(m, model, stage, val, c)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if wantP := want[MatchTrend(want, val)].Test; math.Float64bits(p) != math.Float64bits(wantP) {
-							t.Fatalf("PredictFinal(%s, stage %d, val %v, c=%d) = %v, want %v", model, stage, val, c, p, wantP)
-						}
+					if wantP := want[MatchTrend(want, val)].Test; math.Float64bits(p) != math.Float64bits(wantP) {
+						t.Fatalf("PredictFinal(%s, stage %d, val %v) = %v, want %v", model, stage, val, p, wantP)
 					}
 				}
 			}
@@ -223,24 +221,12 @@ func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	if !differ {
 		t.Fatal("the two fixtures mined identical trends everywhere; the isolation check proved nothing")
 	}
-	// c <= 0 means the default and shares its entry; errors are reported
-	// on every lookup.
-	def, err := minedTrends(a, a.Models[0], 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, err := minedTrends(a, a.Models[0], 0, DefaultTrendClusters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &def[0] != &four[0] {
-		t.Fatal("c=0 and c=DefaultTrendClusters mined separately")
-	}
+	// Errors are reported on every lookup, not memoised away.
 	for i := 0; i < 2; i++ {
-		if _, err := PredictFinal(a, a.Models[0], a.Epochs, 0.5, 0); err == nil {
+		if _, err := PredictFinal(a, a.Models[0], a.Epochs, 0.5); err == nil {
 			t.Fatal("out-of-range stage accepted")
 		}
-		if _, err := PredictFinal(a, "nope", 0, 0.5, 0); err == nil {
+		if _, err := PredictFinal(a, "nope", 0, 0.5); err == nil {
 			t.Fatal("unknown model accepted")
 		}
 	}

@@ -28,7 +28,7 @@ func TestWarmStartSkipsRecallRecompute(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	cold := newTestService(t, Options{StoreDir: dir})
-	reportA, err := cold.Select(ctx, datahub.TaskNLP, "tweet_eval")
+	reportA, err := selectOne(ctx, cold, "tweet_eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestWarmStartSkipsRecallRecompute(t *testing.T) {
 
 	warm := newTestService(t, Options{StoreDir: dir})
 	before := cluster.Passes()
-	reportB, err := warm.Select(ctx, datahub.TaskNLP, "tweet_eval")
+	reportB, err := selectOne(ctx, warm, "tweet_eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCacheEvictionUnderSeedChurn(t *testing.T) {
 	if st := s.CacheStats(); st.InUse != 0 {
 		t.Fatalf("leaked leases: %+v", st)
 	}
-	entries := s.CacheEntries()
+	entries := s.mgr.Entries()
 	if len(entries) != 1 || entries[0].Key.Seed != s.opts.Base.Seed || entries[0].BuildDuration <= 0 {
 		t.Fatalf("cache entries after churn: %+v", entries)
 	}
@@ -339,7 +339,7 @@ func TestServiceWarm(t *testing.T) {
 	if s.Builds() != 1 {
 		t.Fatalf("warm ran %d builds, want 1", s.Builds())
 	}
-	if _, err := s.Select(ctx, datahub.TaskNLP, "tweet_eval"); err != nil {
+	if _, err := selectOne(ctx, s, "tweet_eval"); err != nil {
 		t.Fatal(err)
 	}
 	if s.Builds() != 1 {

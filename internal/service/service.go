@@ -70,7 +70,7 @@ type Options struct {
 	// 1 forces serial builds. Built frameworks are bit-identical at any
 	// setting.
 	BuildWorkers int
-	// Concurrency bounds how many selections run at once in SelectAll.
+	// Concurrency bounds how many selections of one request run at once.
 	// 0 means one per CPU.
 	Concurrency int
 	// CacheSize bounds how many built frameworks stay resident (LRU
@@ -511,10 +511,6 @@ func (s *Service) Cost() trainer.Ledger { return s.cost.Snapshot() }
 // counts and cumulative build time.
 func (s *Service) CacheStats() lifecycle.Stats { return s.mgr.Stats() }
 
-// CacheEntries snapshots the resident frameworks, most recently used
-// first.
-func (s *Service) CacheEntries() []lifecycle.EntryStats { return s.mgr.Entries() }
-
 // WarmResult records the outcome of warming one world: how long this
 // caller waited for the framework (the build duration on a cold cache,
 // near zero when another waiter already built it) and the error, if any.
@@ -585,15 +581,6 @@ func (s *Service) Targets(ctx context.Context, task string) ([]string, error) {
 		names[i] = d.Name
 	}
 	return names, nil
-}
-
-// Select serves one two-phase selection for a named target.
-func (s *Service) Select(ctx context.Context, task, target string) (*core.Report, error) {
-	results, err := s.Do(ctx, Request{Task: task, Targets: []string{target}})
-	if err != nil {
-		return nil, err
-	}
-	return results[0].Report, results[0].Err
 }
 
 // Result is one entry of a batched selection.
@@ -717,19 +704,4 @@ func (s *Service) Do(ctx context.Context, req Request) ([]Result, error) {
 	}
 	wg.Wait()
 	return results, nil
-}
-
-// SelectAll serves a batch of two-phase selections concurrently. Results
-// come back in request order; the framework resolves once for the batch.
-func (s *Service) SelectAll(ctx context.Context, task string, targets []string) ([]Result, error) {
-	return s.Do(ctx, Request{Task: task, Targets: targets})
-}
-
-// SelectAllTargets serves every target in the task family's catalog.
-func (s *Service) SelectAllTargets(ctx context.Context, task string) ([]Result, error) {
-	targets, err := s.Targets(ctx, task)
-	if err != nil {
-		return nil, err
-	}
-	return s.SelectAll(ctx, task, targets)
 }

@@ -34,6 +34,28 @@ func newTestService(t *testing.T, opts Options) *Service {
 	return s
 }
 
+// selectAll serves two-phase selections through Do, the one entry point
+// the dispatcher calls, for the named targets — the task family's whole
+// catalog when none are named.
+func selectAll(ctx context.Context, s *Service, targets ...string) ([]Result, error) {
+	if len(targets) == 0 {
+		var err error
+		if targets, err = s.Targets(ctx, datahub.TaskNLP); err != nil {
+			return nil, err
+		}
+	}
+	return s.Do(ctx, Request{Task: datahub.TaskNLP, Targets: targets})
+}
+
+// selectOne is selectAll for a single target.
+func selectOne(ctx context.Context, s *Service, target string) (*core.Report, error) {
+	results, err := selectAll(ctx, s, target)
+	if err != nil {
+		return nil, err
+	}
+	return results[0].Report, results[0].Err
+}
+
 func TestFrameworkSingleflight(t *testing.T) {
 	s := newTestService(t, Options{})
 	const callers = 8
@@ -87,7 +109,7 @@ func TestFrameworkBadTaskNotCached(t *testing.T) {
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	first := newTestService(t, Options{StoreDir: dir})
-	reportA, err := first.Select(context.Background(), datahub.TaskNLP, "tweet_eval")
+	reportA, err := selectOne(context.Background(), first, "tweet_eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +120,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	// A second process over the same store must serve without rebuilding
 	// and return the identical report.
 	second := newTestService(t, Options{StoreDir: dir})
-	reportB, err := second.Select(context.Background(), datahub.TaskNLP, "tweet_eval")
+	reportB, err := selectOne(context.Background(), second, "tweet_eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +198,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if len(targets) == 0 {
 		t.Fatal("no targets")
 	}
-	got, err := par.SelectAll(context.Background(), datahub.TaskNLP, targets)
+	got, err := selectAll(context.Background(), par, targets...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seq.SelectAll(context.Background(), datahub.TaskNLP, targets)
+	want, err := selectAll(context.Background(), seq, targets...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +223,11 @@ func TestSelectAllDeterministicAndOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.SelectAll(context.Background(), datahub.TaskNLP, targets)
+	a, err := selectAll(context.Background(), s, targets...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.SelectAll(context.Background(), datahub.TaskNLP, targets)
+	b, err := selectAll(context.Background(), s, targets...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +246,7 @@ func TestSelectAllDeterministicAndOrdered(t *testing.T) {
 
 func TestSelectAllPartialFailure(t *testing.T) {
 	s := newTestService(t, Options{})
-	results, err := s.SelectAll(context.Background(), datahub.TaskNLP, []string{"tweet_eval", "no-such-dataset"})
+	results, err := selectAll(context.Background(), s, "tweet_eval", "no-such-dataset")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +260,7 @@ func TestSelectAllPartialFailure(t *testing.T) {
 
 func TestSharedCostLedger(t *testing.T) {
 	s := newTestService(t, Options{})
-	results, err := s.SelectAllTargets(context.Background(), datahub.TaskNLP)
+	results, err := selectAll(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +284,7 @@ func TestSharedCostLedger(t *testing.T) {
 func TestStoreCorruptArtifactRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	first := newTestService(t, Options{StoreDir: dir})
-	reportA, err := first.Select(context.Background(), datahub.TaskNLP, "tweet_eval")
+	reportA, err := selectOne(context.Background(), first, "tweet_eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +300,7 @@ func TestStoreCorruptArtifactRebuilds(t *testing.T) {
 	}
 
 	second := newTestService(t, Options{StoreDir: dir})
-	reportB, err := second.Select(context.Background(), datahub.TaskNLP, "tweet_eval")
+	reportB, err := selectOne(context.Background(), second, "tweet_eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +316,7 @@ func TestStoreCorruptArtifactRebuilds(t *testing.T) {
 
 	// The overwrite healed the store: a third process serves from it.
 	third := newTestService(t, Options{StoreDir: dir})
-	reportC, err := third.Select(context.Background(), datahub.TaskNLP, "tweet_eval")
+	reportC, err := selectOne(context.Background(), third, "tweet_eval")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +344,7 @@ func TestStorePersistDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	report, err := s.Select(context.Background(), datahub.TaskNLP, "tweet_eval")
+	report, err := selectOne(context.Background(), s, "tweet_eval")
 	if err != nil {
 		t.Fatalf("degraded store must still serve from memory: %v", err)
 	}
@@ -333,7 +355,7 @@ func TestStorePersistDegradation(t *testing.T) {
 		t.Fatal("persist failure not surfaced via PersistErr")
 	}
 	// Serving keeps working after the failed persist (framework cached).
-	if _, err := s.Select(context.Background(), datahub.TaskNLP, "super_glue/boolq"); err != nil {
+	if _, err := selectOne(context.Background(), s, "super_glue/boolq"); err != nil {
 		t.Fatal(err)
 	}
 }
