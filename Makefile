@@ -46,8 +46,9 @@ cover-check:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 	  { echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
-# fuzz smoke-runs the native fuzz targets for a few seconds each; real
-# fuzzing campaigns should raise -fuzztime.
+# fuzz smoke-runs the five native fuzz targets (store slug x2, numeric
+# kernels x2, artifact decode) for a few seconds each; real fuzzing
+# campaigns should raise -fuzztime.
 fuzz:
 	$(GO) test -fuzz=FuzzSlugInjective -fuzztime=10s -run='^$$' ./internal/store
 	$(GO) test -fuzz=FuzzSlugPairwise -fuzztime=10s -run='^$$' ./internal/store
@@ -138,11 +139,13 @@ vet:
 	$(GO) vet ./...
 
 # deadcode lists functions unreachable from any main package
-# (golang.org/x/tools/cmd/deadcode). The tool is not vendored and go.mod
-# stays dependency-free: `make deadcode-tool` installs the pinned version
-# into GOBIN where there is a network (CI does). Findings are a report —
-# the tool exits 0 on them — but a missing tool is an error: a deletion
-# that leans on this check must not pass because the check never ran.
+# (golang.org/x/tools/cmd/deadcode) — the precise second opinion beside
+# the by-name tier-1 guard TestExportedSurfaceIsUsed (surface_test.go).
+# The tool is not vendored and go.mod stays dependency-free: `make
+# deadcode-tool` installs the pinned version into GOBIN where there is a
+# network (CI does). Findings are a report — the tool exits 0 on them —
+# but a missing tool is an error: a deletion that leans on this check must
+# not pass because the check never ran.
 deadcode:
 	@command -v deadcode >/dev/null 2>&1 || \
 	  { echo "deadcode is not on PATH: run 'make deadcode-tool' (go install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION))" >&2; exit 1; }

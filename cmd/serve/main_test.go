@@ -110,7 +110,7 @@ func TestCLIMatchesHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(api.NewHandler(api.NewDispatcher(svc, 42)))
+	ts := httptest.NewServer(api.NewHandlerWith(api.NewDispatcher(svc, 42), api.HandlerOptions{}))
 	defer ts.Close()
 
 	cfg := config{task: datahub.TaskNLP, targets: "tweet_eval,super_glue/boolq", seed: 42, sizes: testSizes}

@@ -2,13 +2,10 @@ package twophase_bench
 
 import (
 	"context"
-
-	"path/filepath"
 	"testing"
 
 	"twophase/internal/core"
 	"twophase/internal/datahub"
-	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 	"twophase/internal/selection"
 	"twophase/internal/store"
@@ -79,38 +76,6 @@ func TestOfflineArtifactsSurvivePersistence(t *testing.T) {
 	}
 	if out.Winner != direct.Outcome.Winner {
 		t.Fatalf("winner changed after persistence: %s vs %s", out.Winner, direct.Outcome.Winner)
-	}
-}
-
-// TestMatrixFilePersistenceRoundtrip covers the plain Save/Load path.
-func TestMatrixFilePersistenceRoundtrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full offline build; skipped in -short")
-	}
-	fw, err := core.Build(core.Options{Task: datahub.TaskCV, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cv.json")
-	if err := fw.Matrix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := perfmatrix.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, model := range fw.Matrix.Models {
-		a, err := fw.Matrix.AvgAcc(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.AvgAcc(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("avg acc changed for %s", model)
-		}
 	}
 }
 

@@ -44,8 +44,8 @@ func TestTokenBucketClockSkew(t *testing.T) {
 	if ok, _ := b.Allow(past); ok {
 		t.Fatal("backwards clock refilled the bucket")
 	}
-	if tok := b.Tokens(); tok < 0 {
-		t.Fatalf("tokens went negative: %v", tok)
+	if b.tokens < 0 {
+		t.Fatalf("tokens went negative: %v", b.tokens)
 	}
 	// The bucket adopted the new clock: 100ms forward from `past` refills
 	// one token — it must NOT wait to catch up with the old timeline.

@@ -59,10 +59,3 @@ func (b *TokenBucket) Allow(now time.Time) (bool, time.Duration) {
 	missing := 1 - b.tokens
 	return false, time.Duration(missing / b.rate * float64(time.Second))
 }
-
-// Tokens reports the current token count (diagnostics only).
-func (b *TokenBucket) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}

@@ -52,7 +52,7 @@ func TestWireSentinelRegression(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := httptest.NewServer(NewHandler(errAPI{err: tc.served}))
+			ts := httptest.NewServer(NewHandlerWith(errAPI{err: tc.served}, HandlerOptions{}))
 			defer ts.Close()
 
 			_, err := NewClient(ts.URL, ts.Client()).Select(context.Background(), validReq)
@@ -237,7 +237,7 @@ func (s *rateLimitN) Select(ctx context.Context, req *SelectRequest) (*SelectRes
 // the server's hint; deterministic rejections are never retried.
 func TestSelectRetry(t *testing.T) {
 	stub := &rateLimitN{n: 2}
-	ts := httptest.NewServer(NewHandler(stub))
+	ts := httptest.NewServer(NewHandlerWith(stub, HandlerOptions{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
@@ -252,7 +252,7 @@ func TestSelectRetry(t *testing.T) {
 
 	// Attempts exhausted → the last refusal comes back, sentinel intact.
 	stub2 := &rateLimitN{n: 100}
-	ts2 := httptest.NewServer(NewHandler(stub2))
+	ts2 := httptest.NewServer(NewHandlerWith(stub2, HandlerOptions{}))
 	defer ts2.Close()
 	if _, err := NewClient(ts2.URL, ts2.Client()).SelectRetry(ctx, validReq, 2); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("exhausted retry lost its refusal: %v", err)
@@ -263,7 +263,7 @@ func TestSelectRetry(t *testing.T) {
 
 	// Deterministic rejections are not retried.
 	stub3 := errAPI{err: ErrUnknownTarget}
-	ts3 := httptest.NewServer(NewHandler(stub3))
+	ts3 := httptest.NewServer(NewHandlerWith(stub3, HandlerOptions{}))
 	defer ts3.Close()
 	if _, err := NewClient(ts3.URL, ts3.Client()).SelectRetry(ctx, validReq, 5); !errors.Is(err, ErrUnknownTarget) {
 		t.Fatalf("got %v, want ErrUnknownTarget", err)
@@ -277,7 +277,7 @@ func TestSelectRetryHonorsBudgetDeadline(t *testing.T) {
 	// Each refusal hints a 30ms wait; a 50ms budget fits exactly one sleep
 	// (30ms), and stops before the second would overrun (30+30 > 50).
 	stub := &rateLimitN{n: 100}
-	ts := httptest.NewServer(NewHandler(stub))
+	ts := httptest.NewServer(NewHandlerWith(stub, HandlerOptions{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	atomic.StoreInt64(&stub.calls, 0)
@@ -303,7 +303,7 @@ func TestSelectRetryHonorsBudgetDeadline(t *testing.T) {
 	// slept+wait == budget still sleeps (the server truncates AT the
 	// deadline, so arriving exactly then is still useful).
 	stub2 := &rateLimitN{n: 100, hint: 25 * time.Millisecond}
-	ts2 := httptest.NewServer(NewHandler(stub2))
+	ts2 := httptest.NewServer(NewHandlerWith(stub2, HandlerOptions{}))
 	defer ts2.Close()
 	req2 := *validReq
 	req2.DeadlineMS = 50 // fits exactly two 25ms sleeps
@@ -316,7 +316,7 @@ func TestSelectRetryHonorsBudgetDeadline(t *testing.T) {
 
 	// No deadline_ms → the budget bound is inert and attempts rule.
 	stub3 := &rateLimitN{n: 100, hint: time.Millisecond}
-	ts3 := httptest.NewServer(NewHandler(stub3))
+	ts3 := httptest.NewServer(NewHandlerWith(stub3, HandlerOptions{}))
 	defer ts3.Close()
 	if _, err := NewClient(ts3.URL, ts3.Client()).SelectRetry(context.Background(), validReq, 4); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("unbudgeted retry lost its refusal: %v", err)

@@ -169,7 +169,7 @@ func TestSelectCanceled(t *testing.T) {
 // results and sentinel preservation across the wire.
 func TestHTTPRoundTrip(t *testing.T) {
 	d, _ := newTestDispatcher(t)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
@@ -228,7 +228,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 
 func TestHandlerHTTPSurface(t *testing.T) {
 	d, _ := newTestDispatcher(t)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
 	defer ts.Close()
 
 	res, err := http.Get(ts.URL + "/v1/healthz")

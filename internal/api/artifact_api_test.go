@@ -176,7 +176,7 @@ func TestFetchArtifactErrorsStayTyped(t *testing.T) {
 // source 404s the route rather than panicking on a nil interface.
 func TestArtifactEndpointNotMounted(t *testing.T) {
 	d, _ := newTestDispatcher(t)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
 	defer ts.Close()
 	res, err := http.Get(ts.URL + "/v1/artifacts/matrices/nlp-seed42")
 	if err != nil {

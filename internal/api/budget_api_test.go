@@ -65,7 +65,7 @@ func TestZeroBudgetBatchTruncation(t *testing.T) {
 // truncation is a successful response, never an error.
 func TestBudgetHTTPRoundTrip(t *testing.T) {
 	d, _ := newTestDispatcher(t)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
@@ -103,7 +103,7 @@ func TestBudgetHTTPRoundTrip(t *testing.T) {
 // on a warm framework is always hit.
 func TestDeadlineHTTPReturns200(t *testing.T) {
 	d, svc := newTestDispatcher(t)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()

@@ -41,9 +41,6 @@ func (d *Dispatcher) Select(ctx context.Context, req *SelectRequest) (*SelectRes
 	if req == nil {
 		return nil, errBadRequest("nil request")
 	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
 	strat, err := req.Normalize()
 	if err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func TestSeedRejectedMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDispatcher(svc, 42)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
@@ -59,7 +59,7 @@ func TestStatsReportsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDispatcher(svc, 42)
-	ts := httptest.NewServer(NewHandler(d))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
@@ -93,7 +93,7 @@ func TestStatsReportsCache(t *testing.T) {
 func TestReadyHandlerGatesHealthz(t *testing.T) {
 	d, _ := newTestDispatcher(t)
 	var ready atomic.Bool
-	ts := httptest.NewServer(NewReadyHandler(d, ready.Load))
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{Ready: ready.Load}))
 	defer ts.Close()
 
 	get := func() (int, Health) {

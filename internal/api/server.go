@@ -70,7 +70,7 @@ type ArtifactSource interface {
 	OpenArtifact(kind, name string) ([]byte, uint64, error)
 }
 
-// NewHandler mounts the v1 contract on an http.Handler:
+// NewHandlerWith mounts the v1 contract on an http.Handler:
 //
 //	POST /v1/select                  single or batch selection
 //	GET  /v1/tasks/{task}/targets    target catalog of a task family
@@ -78,16 +78,9 @@ type ArtifactSource interface {
 //	GET  /v1/stats                   builds, cache, cumulative cost
 //
 // Every response body is JSON; failures carry ErrorResponse with a
-// machine-readable code and the status from HTTPStatus.
-func NewHandler(a API) http.Handler { return NewHandlerWith(a, HandlerOptions{}) }
-
-// NewReadyHandler is NewHandler with a readiness gate (see
-// HandlerOptions.Ready).
-func NewReadyHandler(a API, ready func() bool) http.Handler {
-	return NewHandlerWith(a, HandlerOptions{Ready: ready})
-}
-
-// NewHandlerWith is NewHandler with the full option set.
+// machine-readable code and the status from HTTPStatus. The zero
+// HandlerOptions serve exactly that; see its fields for the optional
+// readiness gate, admission control and artifact endpoint.
 func NewHandlerWith(a API, opts HandlerOptions) http.Handler {
 	ready := opts.Ready
 	var panics atomic.Int64
@@ -114,8 +107,8 @@ func NewHandlerWith(a API, opts HandlerOptions) http.Handler {
 			writeError(w, errBadRequest(fmt.Sprintf("decode body: %v", err)))
 			return
 		}
-		// Reject malformed requests at the transport edge with the same
-		// gate the Dispatcher applies, before any framework resolution.
+		// Reject malformed requests at the transport edge, before the API
+		// behind it (a Dispatcher, or a Router about to spend a hop).
 		if err := req.Validate(); err != nil {
 			writeError(w, err)
 			return

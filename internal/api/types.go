@@ -62,33 +62,6 @@ type SelectOptions struct {
 	PrefilterTopK int `json:"prefilter_top_k,omitempty"`
 }
 
-// Validate rejects malformed tuning knobs with ErrBadRequest. It is
-// transport-independent: the Dispatcher, the HTTP handler and the Client
-// all call it, so a request rejected here is rejected identically on
-// every path.
-func (o *SelectOptions) Validate() error {
-	if o.Workers < 0 || o.EnsembleK < 0 || o.PrefilterTopK < 0 {
-		return errBadRequest(fmt.Sprintf("negative tuning field (workers=%d, ensemble_k=%d, prefilter_top_k=%d)", o.Workers, o.EnsembleK, o.PrefilterTopK))
-	}
-	if o.DeadlineMS < 0 {
-		return errBadRequest(fmt.Sprintf("negative deadline_ms %d", o.DeadlineMS))
-	}
-	if o.MaxEpochs != nil && *o.MaxEpochs < 0 {
-		return errBadRequest(fmt.Sprintf("negative max_epochs %d", *o.MaxEpochs))
-	}
-	_, err := parseStrategy(o.Strategy)
-	return err
-}
-
-// Normalize validates the options and resolves the wire strategy name to
-// its canonical core.Strategy (empty means two-phase).
-func (o *SelectOptions) Normalize() (core.Strategy, error) {
-	if err := o.Validate(); err != nil {
-		return "", err
-	}
-	return parseStrategy(o.Strategy)
-}
-
 // SelectRequest asks for one or more target selections within a task
 // family. The zero values of the optional fields mean "service default".
 type SelectRequest struct {
@@ -103,21 +76,42 @@ type SelectRequest struct {
 	SelectOptions
 }
 
-// Validate rejects a malformed request with ErrBadRequest: the shape
-// checks here plus the embedded SelectOptions.Validate.
-func (r *SelectRequest) Validate() error {
+// Normalize is the request's one validation pass: it rejects a malformed
+// shape or tuning knob with ErrBadRequest and resolves the wire strategy
+// name to its canonical core.Strategy (empty means two-phase). It is
+// transport-independent, so a request rejected here is rejected
+// identically on every path.
+func (r *SelectRequest) Normalize() (core.Strategy, error) {
 	if r.Task == "" {
-		return errBadRequest("missing task")
+		return "", errBadRequest("missing task")
 	}
 	if len(r.Targets) == 0 {
-		return errBadRequest("no targets")
+		return "", errBadRequest("no targets")
 	}
 	for _, t := range r.Targets {
 		if t == "" {
-			return errBadRequest("empty target name")
+			return "", errBadRequest("empty target name")
 		}
 	}
-	return r.SelectOptions.Validate()
+	if r.Workers < 0 || r.EnsembleK < 0 || r.PrefilterTopK < 0 {
+		return "", errBadRequest(fmt.Sprintf("negative tuning field (workers=%d, ensemble_k=%d, prefilter_top_k=%d)", r.Workers, r.EnsembleK, r.PrefilterTopK))
+	}
+	if r.DeadlineMS < 0 {
+		return "", errBadRequest(fmt.Sprintf("negative deadline_ms %d", r.DeadlineMS))
+	}
+	if r.MaxEpochs != nil && *r.MaxEpochs < 0 {
+		return "", errBadRequest(fmt.Sprintf("negative max_epochs %d", *r.MaxEpochs))
+	}
+	return parseStrategy(r.Strategy)
+}
+
+// Validate is Normalize for the edges that only gate — the HTTP handler,
+// the Client and the gateway Router refuse a bad request before spending a
+// hop or a framework resolution on it; the Dispatcher, which needs the
+// strategy, calls Normalize itself.
+func (r *SelectRequest) Validate() error {
+	_, err := r.Normalize()
+	return err
 }
 
 // TargetResult is one target's selection outcome. Exactly one of

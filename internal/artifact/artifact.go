@@ -1,17 +1,17 @@
 // Package artifact is the binary, versioned, checksummed encoding of the
-// offline world artifacts — performance matrices, recall (clustering)
-// artifacts and numeric feature frames. It exists because cold start is
-// dominated by JSON decode: the expensive payloads are large float64
-// matrices, and this format stores them as raw row-major little-endian
-// words behind a fixed header, so a warm start is an open + map +
-// fingerprint check instead of a reflective parse.
+// offline world artifacts — performance matrices and recall (clustering)
+// artifacts. It exists because cold start is dominated by JSON decode: the
+// expensive payloads are large float64 matrices, and this format stores
+// them as raw row-major little-endian words behind a fixed header, so a
+// warm start is an open + map + fingerprint check instead of a reflective
+// parse.
 //
 // Layout (all integers little-endian):
 //
 //	offset  size  field
 //	0       4     magic "TPAF"
 //	4       2     format version (1)
-//	6       2     kind (1 = matrix, 2 = recall, 3 = frame)
+//	6       2     kind (1 = matrix, 2 = recall)
 //	8       8     input fingerprint (CRC-64/ECMA of kind + meta JSON)
 //	16      8     body length in bytes
 //	24      8     body checksum (CRC-64/ECMA)
@@ -23,10 +23,9 @@
 // zero padding to the next 8-byte boundary, then the raw numeric payload:
 // float64 curves for matrices (model-major, dataset-minor, epoch-
 // innermost; validation section then test section), int64 cluster
-// assignments for recall artifacts, row-major float64 data for frames.
-// The fingerprint hashes only the provenance, so it doubles as an HTTP
-// ETag: two backends that built the same deterministic world advertise
-// the same fingerprint.
+// assignments for recall artifacts. The fingerprint hashes only the
+// provenance, so it doubles as an HTTP ETag: two backends that built the
+// same deterministic world advertise the same fingerprint.
 //
 // Decoding is strict and total: every length is bounds-checked against
 // the real input before any allocation sized from it, and no input —
@@ -43,7 +42,6 @@ import (
 	"math"
 
 	"twophase/internal/datahub"
-	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 	"twophase/internal/trainer"
@@ -52,11 +50,10 @@ import (
 // Kind identifies which world artifact a file encodes.
 type Kind uint16
 
-// The three artifact kinds of the offline pipeline.
+// The two artifact kinds of the offline pipeline.
 const (
 	KindMatrix Kind = 1
 	KindRecall Kind = 2
-	KindFrame  Kind = 3
 )
 
 // String names the kind for errors and logs.
@@ -66,8 +63,6 @@ func (k Kind) String() string {
 		return "matrix"
 	case KindRecall:
 		return "recall"
-	case KindFrame:
-		return "frame"
 	default:
 		return fmt.Sprintf("kind(%d)", uint16(k))
 	}
@@ -374,40 +369,4 @@ func DecodeRecall(data []byte) (*recall.Artifact, error) {
 		Threshold: meta.Threshold, Scorer: meta.Scorer, Models: meta.Models,
 		Assign: assign, Clusters: meta.Clusters,
 	}, nil
-}
-
-// frameMeta is the shape of a frame encoding; Data is the payload.
-type frameMeta struct {
-	N int `json:"n"`
-	D int `json:"d"`
-}
-
-// EncodeFrame encodes a numeric frame: the payload is the frame's
-// row-major data verbatim, so the encoding is exactly mmap-shaped.
-func EncodeFrame(f *numeric.Frame) ([]byte, error) {
-	if f == nil {
-		return nil, fmt.Errorf("artifact: nil frame")
-	}
-	if len(f.Data) != f.N*f.D {
-		return nil, fmt.Errorf("artifact: frame data %d, shape %dx%d", len(f.Data), f.N, f.D)
-	}
-	return encode(KindFrame, frameMeta{N: f.N, D: f.D}, len(f.Data), func(payload []byte) {
-		putFloats(payload, f.Data)
-	})
-}
-
-// DecodeFrame verifies and decodes a frame encoding.
-func DecodeFrame(data []byte) (*numeric.Frame, error) {
-	var meta frameMeta
-	payload, _, err := decodeBody(data, KindFrame, &meta)
-	if err != nil {
-		return nil, err
-	}
-	// Bound dimensions so the element count cannot wrap (2^26 * 2^26 =
-	// 2^52), then compare element counts against the real payload length.
-	if meta.N < 0 || meta.D < 0 || meta.N > 1<<26 || meta.D > 1<<26 ||
-		len(payload)%8 != 0 || uint64(meta.N)*uint64(meta.D) != uint64(len(payload))/8 {
-		return nil, fmt.Errorf("%w: frame payload %d bytes, shape %dx%d", ErrCorrupt, len(payload), meta.N, meta.D)
-	}
-	return &numeric.Frame{N: meta.N, D: meta.D, Data: getFloats(payload, meta.N*meta.D)}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"twophase/internal/datahub"
-	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 	"twophase/internal/trainer"
@@ -110,24 +109,6 @@ func TestRecallRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	f := numeric.NewFrame(3, 4)
-	for i := range f.Data {
-		f.Data[i] = float64(i) * 0.1
-	}
-	data, err := EncodeFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, f) {
-		t.Fatalf("frame round trip drifted: %+v vs %+v", got, f)
-	}
-}
-
 // TestFingerprintIsProvenance pins the fingerprint contract: same
 // provenance, same fingerprint — across separate encodes — and changed
 // provenance changes it. The fleet uses it as an HTTP ETag.
@@ -202,8 +183,8 @@ func TestCorruptionNeverPassesChecksum(t *testing.T) {
 
 // TestForgedMetaNeverPanics is the regression suite for the uint64
 // overflow class: a checksum-valid artifact whose meta section claims a
-// shape whose byte size wraps uint64 (assign_len=2^61 so len*8 == 0,
-// n=d=2^31 so n*d*8 == 0, a matrix whose nM*nD*ep*2*8 wraps) must decode
+// shape whose byte size wraps uint64 (assign_len=2^61 so len*8 == 0, a
+// matrix whose nM*nD*ep*2*8 wraps) must decode
 // to ErrCorrupt, never pass the size check and panic allocating. The
 // fuzzer cannot reach these — mutations never produce valid CRC64s — so
 // they are pinned here by crafting the encodings directly.
@@ -215,24 +196,6 @@ func TestForgedMetaNeverPanics(t *testing.T) {
 		}
 		if _, err := DecodeRecall(data); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("forged assign_len decoded: %v", err)
-		}
-	})
-	t.Run("frame/n=d=2^31", func(t *testing.T) {
-		data, err := encode(KindFrame, frameMeta{N: 1 << 31, D: 1 << 31}, 0, func([]byte) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeFrame(data); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("forged frame shape decoded: %v", err)
-		}
-	})
-	t.Run("frame/n*d!=payload", func(t *testing.T) {
-		data, err := encode(KindFrame, frameMeta{N: 4, D: 4}, 2, func([]byte) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeFrame(data); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("undersized frame payload decoded: %v", err)
 		}
 	})
 	t.Run("matrix/wrapping-shape", func(t *testing.T) {
@@ -256,18 +219,35 @@ func TestForgedMetaNeverPanics(t *testing.T) {
 }
 
 // TestDecodeWrongKind: a valid encoding of one kind must not decode as
-// another.
+// another, and a checksum-valid document of a kind this reader does not
+// know (3 was the retired frame kind) decodes as nothing.
 func TestDecodeWrongKind(t *testing.T) {
-	f := numeric.NewFrame(2, 2)
-	data, err := EncodeFrame(f)
+	matrix, err := EncodeMatrix(testMatrix(rand.New(rand.NewSource(4)), 2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeMatrix(data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("frame decoded as matrix: %v", err)
+	if _, err := DecodeRecall(matrix); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("matrix decoded as recall: %v", err)
 	}
-	if _, err := DecodeRecall(data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("frame decoded as recall: %v", err)
+	rec, err := EncodeRecall(&recall.Artifact{Task: "nlp", Models: []string{"m"}, Assign: []int{0}, Clusters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMatrix(rec); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("recall decoded as matrix: %v", err)
+	}
+	unknown, err := encode(Kind(3), struct{}{}, 0, func([]byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(unknown); err != nil {
+		t.Fatalf("well-formed document of an unknown kind fails Verify: %v", err)
+	}
+	if _, err := DecodeMatrix(unknown); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown kind decoded as matrix: %v", err)
+	}
+	if _, err := DecodeRecall(unknown); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown kind decoded as recall: %v", err)
 	}
 }
 

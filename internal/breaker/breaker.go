@@ -86,7 +86,6 @@ type Breaker struct {
 	fails    int       // consecutive failures while closed
 	openedAt time.Time // when the breaker last opened
 	rng      uint64    // xorshift state for half-open admits
-	trips    int64     // closed→open transitions, for stats
 }
 
 func newBreaker(key string, opts Options) *Breaker {
@@ -158,7 +157,6 @@ func (b *Breaker) open() {
 	b.state = Open
 	b.fails = 0
 	b.openedAt = b.opts.now()
-	b.trips++
 }
 
 // State reports the breaker's current state without advancing it.
@@ -166,13 +164,6 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Trips reports how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }
 
 // Set is a keyed collection of breakers (one per peer URL), created

@@ -43,9 +43,6 @@ func TestClosedUntilThreshold(t *testing.T) {
 	if b.State() != Open || b.Allow() {
 		t.Fatalf("breaker not open after threshold: state=%v", b.State())
 	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips = %d, want 1", b.Trips())
-	}
 }
 
 func TestSuccessResetsFailureStreak(t *testing.T) {
@@ -91,9 +88,6 @@ func TestOpenHalfOpenLifecycle(t *testing.T) {
 	b.Success()
 	if b.State() != Closed || !b.Allow() {
 		t.Fatal("half-open success did not close")
-	}
-	if b.Trips() != 2 {
-		t.Fatalf("trips = %d, want 2", b.Trips())
 	}
 }
 

@@ -19,7 +19,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -56,8 +55,8 @@ type ScanReport struct {
 	// Orphans are temp files lingering outside quarantine/ — evidence a
 	// torn write escaped the startup sweep.
 	Orphans []string
-	// Corrupt are artifact files outside quarantine/ whose checksums (or
-	// JSON shape) no longer hold — evidence corruption escaped the gates.
+	// Corrupt are artifact files outside quarantine/ whose checksums no
+	// longer hold — evidence corruption escaped the gates.
 	Corrupt []string
 	// Quarantined counts files parked under quarantine/.
 	Quarantined int
@@ -69,9 +68,8 @@ func (r ScanReport) Clean() bool { return len(r.Orphans) == 0 && len(r.Corrupt) 
 // ScanStore walks one backend's store directory after a chaos run and
 // verifies the persistence invariants: no orphaned temp files outside
 // quarantine/, and every artifact outside quarantine/ still passes its
-// integrity check (codec checksum for .bin, well-formed JSON for .json).
-// Files inside quarantine/ are counted, not verified — quarantine is
-// exactly where broken bytes are supposed to be.
+// codec checksum. Files inside quarantine/ are counted, not verified —
+// quarantine is exactly where broken bytes are supposed to be.
 func ScanStore(dir string) (ScanReport, error) {
 	var rep ScanReport
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
@@ -100,14 +98,6 @@ func ScanStore(dir string) (ScanReport, error) {
 				return rerr
 			}
 			if _, verr := artifact.Verify(data); verr != nil {
-				rep.Corrupt = append(rep.Corrupt, rel)
-			}
-		case strings.HasSuffix(name, ".json"):
-			data, rerr := os.ReadFile(path)
-			if rerr != nil {
-				return rerr
-			}
-			if !json.Valid(data) {
 				rep.Corrupt = append(rep.Corrupt, rel)
 			}
 		}

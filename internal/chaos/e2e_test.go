@@ -354,14 +354,13 @@ func seedStores(t *testing.T, baseline string, n int) []string {
 		}
 		for _, kind := range []string{"matrices", "recalls"} {
 			os.Remove(filepath.Join(dir, kind, "nlp-seed5.bin"))
-			os.Remove(filepath.Join(dir, kind, "nlp-seed5.json"))
 		}
 		stores[i] = dir
 	}
 	// Backend-0 "crashed mid-write" before this boot: an orphaned temp
 	// file that must never be served, and a corrupt artifact whose
 	// checksum no longer holds. The startup sweep must quarantine both.
-	if err := os.WriteFile(filepath.Join(stores[0], "matrices", "nlp-seed1.json.tmp999"), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(stores[0], "matrices", "nlp-seed1.bin.tmp999"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	victim := filepath.Join(stores[0], "matrices", "nlp-seed1.bin")

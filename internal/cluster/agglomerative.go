@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"twophase/internal/numeric"
@@ -43,18 +42,6 @@ func (c Clustering) NonSingletons() [][]int {
 			out = append(out, g)
 		}
 	}
-	return out
-}
-
-// Singletons returns the indices of items alone in their cluster.
-func (c Clustering) Singletons() []int {
-	var out []int
-	for _, g := range c.Groups() {
-		if len(g) == 1 {
-			out = append(out, g[0])
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -60,9 +60,6 @@ func TestTopKDistanceBasics(t *testing.T) {
 	if d(a, a) != 0 {
 		t.Fatal("self distance not 0")
 	}
-	if got := TopKSimilarity(2, a, b); math.Abs(got-0.7) > 1e-12 {
-		t.Fatalf("similarity %v", got)
-	}
 }
 
 func TestTopKDistanceOversizedK(t *testing.T) {
@@ -155,10 +152,6 @@ func TestClusteringGroupsAndSingletons(t *testing.T) {
 	ns := cl.NonSingletons()
 	if len(ns) != 1 || ns[0][0] != 0 || ns[0][1] != 2 {
 		t.Fatalf("non-singletons %v", ns)
-	}
-	s := cl.Singletons()
-	if len(s) != 2 || s[0] != 1 || s[1] != 3 {
-		t.Fatalf("singletons %v", s)
 	}
 }
 

@@ -43,11 +43,6 @@ func TopKDistance(k int) Distance {
 	}
 }
 
-// TopKSimilarity returns Eq. 1 directly: 1 - TopKDistance.
-func TopKSimilarity(k int, a, b []float64) float64 {
-	return 1 - TopKDistance(k)(a, b)
-}
-
 // Euclidean is the plain L2 distance (the ablation baseline for Eq. 1).
 func Euclidean(a, b []float64) float64 { return numeric.EuclideanDistance(a, b) }
 

@@ -9,11 +9,11 @@ import (
 // Example demonstrates Eq. 1: the similarity of two models is judged only
 // by the benchmarks where they differ most, ignoring benchmarks where
 // every model performs alike.
-func ExampleTopKSimilarity() {
+func ExampleTopKDistance() {
 	a := []float64{0.90, 0.85, 0.50, 0.51}
 	b := []float64{0.88, 0.84, 0.52, 0.90}
 	// top-2 absolute differences: |0.51-0.90|=0.39 and |0.50-0.52|=0.02
-	fmt.Printf("%.3f\n", cluster.TopKSimilarity(2, a, b))
+	fmt.Printf("%.3f\n", 1-cluster.TopKDistance(2)(a, b))
 	// Output: 0.795
 }
 
@@ -29,6 +29,6 @@ func ExampleAgglomerative() {
 
 func ExampleClustering_NonSingletons() {
 	cl := cluster.Clustering{Assign: []int{0, 1, 0, 2}, K: 3}
-	fmt.Println(cl.NonSingletons(), cl.Singletons())
-	// Output: [[0 2]] [1 3]
+	fmt.Println(cl.NonSingletons())
+	// Output: [[0 2]]
 }

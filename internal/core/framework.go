@@ -145,8 +145,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 		opts.Task = datahub.TaskNLP
 	}
 	// Stage 1: world synthesis. Deterministic in the seed and cheap next
-	// to training, so it always recomputes; its persisted form is the
-	// model/dataset spec sets the store keeps for querying.
+	// to training, so it always recomputes; nothing of it is persisted.
 	w := synth.NewWorld(opts.Seed)
 	cat, err := datahub.NewTaskCatalog(w, opts.Task, opts.Sizes)
 	if err != nil {

@@ -150,20 +150,3 @@ func sampleLabel(rng *numeric.RNG, probs []float64) int {
 	}
 	return len(probs) - 1
 }
-
-// MajorityBaseline returns the accuracy of always predicting the most
-// frequent label of the split — the floor every trained model must beat.
-func MajorityBaseline(s Split) float64 {
-	if s.Len() == 0 {
-		return 0
-	}
-	counts := map[int]int{}
-	best := 0
-	for _, y := range s.Y {
-		counts[y]++
-		if counts[y] > best {
-			best = counts[y]
-		}
-	}
-	return float64(best) / float64(s.Len())
-}

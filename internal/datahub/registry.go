@@ -3,7 +3,6 @@ package datahub
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"twophase/internal/synth"
 )
@@ -215,21 +214,4 @@ func (c *Catalog) Targets() []*Dataset {
 		}
 	}
 	return out
-}
-
-// All returns every dataset in registration order.
-func (c *Catalog) All() []*Dataset {
-	out := make([]*Dataset, len(c.ordered))
-	copy(out, c.ordered)
-	return out
-}
-
-// Names returns the sorted names of all datasets in the catalog.
-func (c *Catalog) Names() []string {
-	names := make([]string, 0, len(c.byName))
-	for n := range c.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

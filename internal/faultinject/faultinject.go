@@ -226,9 +226,6 @@ type Injector struct {
 // every On call is one atomic load.
 var active atomic.Pointer[Injector]
 
-// Active reports whether a schedule is armed in this process.
-func Active() bool { return active.Load() != nil }
-
 // Activate arms an injector process-wide (nil disarms). Tests pair it
 // with Reset.
 func Activate(inj *Injector) { active.Store(inj) }
@@ -331,22 +328,6 @@ func Fires() map[string]int64 {
 		out[k] = s.Fires
 	}
 	return out
-}
-
-// Drained reports whether every capped rule has exhausted its fire budget
-// — i.e. a schedule built only of #max-capped rules has no chaos left.
-// Uncapped rules never drain.
-func Drained() bool {
-	inj := active.Load()
-	if inj == nil {
-		return true
-	}
-	for _, r := range inj.rules {
-		if r.max == 0 || r.fires.Load() < r.max {
-			return false
-		}
-	}
-	return true
 }
 
 // Parse compiles a schedule spec. The grammar:

@@ -50,7 +50,7 @@ func BenchmarkFeatureExtractLegacy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.FeatureBatch(rows)
+		featuresPerExample(m, rows)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestFeatureFrameMatchesFeaturesBitwise(t *testing.T) {
 	m, d := cacheFixture(t)
 	for _, split := range []datahub.Split{d.Train, d.Val, d.Test} {
 		frame := m.FeatureFrame(split.X)
-		legacy := m.FeatureBatch(split.X.Rows2D())
+		legacy := featuresPerExample(m, split.X.Rows2D())
 		if frame.N != len(legacy) || frame.D != FeatureDim {
 			t.Fatalf("frame shape %dx%d, legacy %dx%d", frame.N, frame.D, len(legacy), FeatureDim)
 		}
@@ -133,7 +133,7 @@ func TestSourceDistributionsMatchHeadBitwise(t *testing.T) {
 			m.SourceProbsFrame(feats, want)
 			view := got.Slice(0, n)
 			for i := 0; i < n; i++ {
-				single := m.SourceProbs(feats.Row(i))
+				single := sourceProbs(m, feats.Row(i))
 				for z := range single {
 					if math.Float64bits(view.At(i, z)) != math.Float64bits(want.At(i, z)) ||
 						math.Float64bits(view.At(i, z)) != math.Float64bits(single[z]) {

@@ -234,19 +234,6 @@ func (m *Model) Features(x []float64) []float64 {
 	return out
 }
 
-// FeatureBatch extracts features example by example through the
-// single-vector path. It is the historical reference implementation —
-// kept alive so bit-identity tests can compare the batched frame kernels
-// against it — and allocates one row per example; hot paths use
-// FeatureFrame instead.
-func (m *Model) FeatureBatch(xs [][]float64) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = m.Features(x)
-	}
-	return out
-}
-
 // FeatureFrame extracts features for every row of x through the batched
 // frame kernels, caching the result by input-frame identity. The returned
 // frame is shared and read-only: callers must not write through its rows.
@@ -256,11 +243,12 @@ func (m *Model) FeatureFrame(x *numeric.Frame) *numeric.Frame {
 }
 
 // SourceDistributions returns the frozen source head's softmax
-// distribution for every row of x: row i is SourceProbs(Features(x.Row(i)))
-// bit for bit. The result is computed once from the cached extraction of
-// x, shared by every later caller while that extraction stays cached, and
-// read-only. Rows are independent, so a prefix view (Slice) equals the
-// head applied to the same prefix of the features.
+// distribution for every row of x: row i is the softmax of the head
+// applied to Features(x.Row(i)), bit for bit. The result is computed once
+// from the cached extraction of x, shared by every later caller while that
+// extraction stays cached, and read-only. Rows are independent, so a
+// prefix view (Slice) equals the head applied to the same prefix of the
+// features.
 func (m *Model) SourceDistributions(x *numeric.Frame) *numeric.Frame {
 	e := m.entry(x)
 	e.probsOnce.Do(func() {
@@ -348,24 +336,9 @@ func (m *Model) extractFrame(x *numeric.Frame) *numeric.Frame {
 	return out
 }
 
-// SourceProbs returns the frozen source head's softmax distribution over
-// the model's upstream label space, given already-extracted features.
-// The caller owns the returned slice; hot loops should use
-// SourceProbsInto or SourceProbsFrame to reuse buffers.
-func (m *Model) SourceProbs(features []float64) []float64 {
-	return m.SourceProbsInto(features, make([]float64, m.SourceClasses))
-}
-
-// SourceProbsInto writes the source head's softmax distribution into out
-// (which must have length SourceClasses) and returns it.
-func (m *Model) SourceProbsInto(features, out []float64) []float64 {
-	m.head.MulVec(features, out)
-	numeric.Softmax(out, out)
-	return out
-}
-
-// SourceProbsFrame runs the source head over every feature row at once:
-// out.Row(i) = softmax(head · feats.Row(i)). out must be feats.N x
+// SourceProbsFrame runs the frozen source head — the model's softmax
+// distribution over its upstream label space — over every feature row at
+// once: out.Row(i) = softmax(head · feats.Row(i)). out must be feats.N x
 // SourceClasses.
 func (m *Model) SourceProbsFrame(feats, out *numeric.Frame) {
 	m.head.MulFrame(feats, out)

@@ -74,6 +74,26 @@ func TestFeaturesBounded(t *testing.T) {
 	}
 }
 
+// sourceProbs is the per-example source head: the reference the frame
+// pass (SourceProbsFrame) is pinned to.
+func sourceProbs(m *Model, features []float64) []float64 {
+	out := make([]float64, m.SourceClasses)
+	m.head.MulVec(features, out)
+	numeric.Softmax(out, out)
+	return out
+}
+
+// featuresPerExample extracts features example by example through the
+// single-vector path — the historical reference the batched frame kernels
+// are compared against bit for bit.
+func featuresPerExample(m *Model, xs [][]float64) [][]float64 {
+	out := make([][]float64, len(xs))
+	for i, x := range xs {
+		out[i] = m.Features(x)
+	}
+	return out
+}
+
 func TestSourceProbsDistribution(t *testing.T) {
 	w := synth.NewWorld(42)
 	m, err := Materialize(w, testModelSpec("probs", map[string]float64{datahub.DomainNLI: 1}, 0.5))
@@ -81,7 +101,7 @@ func TestSourceProbsDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := numeric.NewNamedRNG(3, "x").NormVec(synth.InputDim)
-	p := m.SourceProbs(m.Features(x))
+	p := sourceProbs(m, m.Features(x))
 	if len(p) != m.SourceClasses {
 		t.Fatalf("probs len %d", len(p))
 	}
@@ -94,22 +114,6 @@ func TestSourceProbsDistribution(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("probs sum %v", sum)
-	}
-}
-
-func TestFeatureBatch(t *testing.T) {
-	w := synth.NewWorld(42)
-	m, err := Materialize(w, testModelSpec("batch", nil, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := [][]float64{
-		numeric.NewNamedRNG(1, "a").NormVec(synth.InputDim),
-		numeric.NewNamedRNG(1, "b").NormVec(synth.InputDim),
-	}
-	fs := m.FeatureBatch(xs)
-	if len(fs) != 2 || len(fs[0]) != FeatureDim {
-		t.Fatalf("batch shape %d x %d", len(fs), len(fs[0]))
 	}
 }
 

@@ -2,7 +2,6 @@ package modelhub
 
 import (
 	"fmt"
-	"sort"
 
 	"twophase/internal/datahub"
 	"twophase/internal/synth"
@@ -171,16 +170,6 @@ func (r *Repository) Get(name string) (*Model, error) {
 		return nil, fmt.Errorf("modelhub: model %q not in repository", name)
 	}
 	return m, nil
-}
-
-// Names returns the sorted model names.
-func (r *Repository) Names() []string {
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Subset returns a new repository restricted to the named models, in the

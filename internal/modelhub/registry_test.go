@@ -93,15 +93,6 @@ func TestRepositoryAccessors(t *testing.T) {
 	if _, err := repo.Get("no/such-model"); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	names := repo.Names()
-	if len(names) != 40 {
-		t.Fatalf("names len %d", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("names not sorted")
-		}
-	}
 	models := repo.Models()
 	if len(models) != 40 || models[0].Name != NLPSpecs()[0].Name {
 		t.Fatal("Models() order must match registration order")

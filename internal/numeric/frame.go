@@ -33,22 +33,6 @@ func NewFrame(n, d int) *Frame {
 	return &Frame{N: n, D: d, Data: make([]float64, n*d)}
 }
 
-// FrameFromRows copies a slice-of-slices into a fresh contiguous frame.
-// All rows must share the same length.
-func FrameFromRows(rows [][]float64) *Frame {
-	if len(rows) == 0 {
-		return &Frame{}
-	}
-	f := NewFrame(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != f.D {
-			panic("numeric: FrameFromRows with ragged rows")
-		}
-		copy(f.Row(i), r)
-	}
-	return f
-}
-
 // Row returns a mutable view of row i, aliasing the backing slice.
 func (f *Frame) Row(i int) []float64 {
 	return f.Data[i*f.D : (i+1)*f.D : (i+1)*f.D]

@@ -45,18 +45,6 @@ func TestFrameSliceSharesBacking(t *testing.T) {
 	}
 }
 
-func TestFrameFromRowsCopies(t *testing.T) {
-	rows := [][]float64{{1, 2}, {3, 4}}
-	f := FrameFromRows(rows)
-	rows[0][0] = 9
-	if f.At(0, 0) != 1 {
-		t.Fatal("FrameFromRows aliased its input")
-	}
-	if f.N != 2 || f.D != 2 || f.At(1, 1) != 4 {
-		t.Fatalf("unexpected frame contents %+v", f)
-	}
-}
-
 func TestRows2DAliases(t *testing.T) {
 	f := NewFrame(2, 2)
 	rows := f.Rows2D()

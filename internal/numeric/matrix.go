@@ -60,13 +60,6 @@ func (m *Matrix) MulVec(x, out []float64) {
 	}
 }
 
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // RandomMatrix fills a rows x cols matrix with N(0, sigma^2) entries drawn
 // from r.
 func RandomMatrix(r *RNG, rows, cols int, sigma float64) *Matrix {

@@ -50,16 +50,6 @@ func TestMulVecDimensionPanics(t *testing.T) {
 	m.MulVec([]float64{1}, make([]float64, 2))
 }
 
-func TestMatrixClone(t *testing.T) {
-	m := NewMatrix(1, 2)
-	m.Set(0, 0, 1)
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone aliases data")
-	}
-}
-
 func TestRandomMatrixStats(t *testing.T) {
 	r := NewRNG(3)
 	m := RandomMatrix(r, 100, 100, 2)

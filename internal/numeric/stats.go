@@ -59,36 +59,6 @@ func ArgSortAsc(v []float64) []int {
 	return idx
 }
 
-// TopKMean returns the mean of the k largest elements of v. If k exceeds
-// len(v), the whole slice is averaged; k <= 0 returns 0.
-func TopKMean(v []float64, k int) float64 {
-	if k <= 0 || len(v) == 0 {
-		return 0
-	}
-	if k > len(v) {
-		k = len(v)
-	}
-	sorted := Clone(v)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	return Mean(sorted[:k])
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// Sigmoid returns the logistic function 1/(1+exp(-x)).
-func Sigmoid(x float64) float64 {
-	return 1 / (1 + math.Exp(-x))
-}
-
 // PearsonCorrelation returns the correlation coefficient of paired samples
 // x and y, or 0 when either side has no variance. It panics on length
 // mismatch.

@@ -2,7 +2,6 @@ package numeric
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -64,50 +63,6 @@ func TestArgSortAscProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTopKMean(t *testing.T) {
-	v := []float64{1, 5, 3, 2}
-	if got := TopKMean(v, 2); got != 4 {
-		t.Fatalf("TopKMean(2) = %v", got)
-	}
-	if got := TopKMean(v, 99); !almostEq(got, Mean(v), 1e-12) {
-		t.Fatalf("oversized k = %v", got)
-	}
-	if TopKMean(v, 0) != 0 {
-		t.Fatal("k=0 should be 0")
-	}
-	// must not mutate input
-	if !sort.Float64sAreSorted([]float64{1, 2, 3}) || v[0] != 1 || v[1] != 5 {
-		t.Fatal("TopKMean mutated input")
-	}
-}
-
-func TestTopKMeanBoundsProperty(t *testing.T) {
-	f := func(raw [7]float64, k uint8) bool {
-		a := sanitize(raw[:])
-		kk := int(k%7) + 1
-		m := TopKMean(a, kk)
-		return m >= Min(a)-1e-9 && m <= Max(a)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp broken")
-	}
-}
-
-func TestSigmoid(t *testing.T) {
-	if !almostEq(Sigmoid(0), 0.5, 1e-12) {
-		t.Fatal("sigmoid(0)")
-	}
-	if Sigmoid(100) <= 0.999 || Sigmoid(-100) >= 0.001 {
-		t.Fatal("sigmoid saturation")
 	}
 }
 

@@ -138,21 +138,3 @@ func Softmax(logits, out []float64) {
 		out[i] /= sum
 	}
 }
-
-// LogSumExp returns log(sum(exp(v))) computed stably.
-func LogSumExp(v []float64) float64 {
-	if len(v) == 0 {
-		return math.Inf(-1)
-	}
-	max := v[0]
-	for _, x := range v[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	var sum float64
-	for _, x := range v {
-		sum += math.Exp(x - max)
-	}
-	return max + math.Log(sum)
-}

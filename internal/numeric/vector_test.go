@@ -188,21 +188,6 @@ func TestSoftmaxInPlace(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	v := []float64{math.Log(1), math.Log(2), math.Log(3)}
-	if got := LogSumExp(v); !almostEq(got, math.Log(6), 1e-9) {
-		t.Fatalf("LogSumExp = %v", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("empty LogSumExp should be -inf")
-	}
-	// stability under large shifts
-	big := []float64{1000, 1001}
-	if got := LogSumExp(big); math.IsInf(got, 1) || math.IsNaN(got) {
-		t.Fatalf("unstable LogSumExp = %v", got)
-	}
-}
-
 // sanitize maps arbitrary generated floats into a well-behaved range so
 // property tests exercise logic, not IEEE overflow.
 func sanitize(v []float64) []float64 {

@@ -1,15 +1,14 @@
-// Package perfmatrix builds and stores the paper's offline artifacts: the
-// performance matrix Matrix(D, M) — final test accuracy of every model
-// fine-tuned on every benchmark dataset — together with the full per-epoch
+// Package perfmatrix builds the paper's offline artifact: the performance
+// matrix Matrix(D, M) — final test accuracy of every model fine-tuned on
+// every benchmark dataset — together with the full per-epoch
 // validation/test curves that the fine-selection phase mines for
-// convergence trends (§II.B "Offline").
+// convergence trends (§II.B "Offline"). A Matrix is plain data; its one
+// on-disk encoding belongs to internal/artifact.
 package perfmatrix
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 
 	"twophase/internal/datahub"
@@ -49,10 +48,7 @@ type Matrix struct {
 	HP       trainer.Hyperparams `json:"hp"`
 	Sizes    datahub.Sizes       `json:"sizes"`
 	Entries  map[string]*Entry   `json:"entries"` // keyed by model + "\x00" + dataset
-	modelIdx map[string]int      // lazily rebuilt
-	dsIdx    map[string]int
-	once     sync.Once
-	memo     sync.Map // Memo's table: key -> *memoEntry
+	memo     sync.Map            // Memo's table: key -> *memoEntry
 }
 
 // memoEntry is one memoised derivation; once makes concurrent first
@@ -135,19 +131,6 @@ func Build(repo *modelhub.Repository, benchmarks []*datahub.Dataset, hp trainer.
 	return m, nil
 }
 
-func (m *Matrix) buildIndex() {
-	m.once.Do(func() {
-		m.modelIdx = make(map[string]int, len(m.Models))
-		for i, name := range m.Models {
-			m.modelIdx[name] = i
-		}
-		m.dsIdx = make(map[string]int, len(m.Datasets))
-		for i, name := range m.Datasets {
-			m.dsIdx[name] = i
-		}
-	})
-}
-
 // Entry returns the run record for (model, dataset).
 func (m *Matrix) Entry(model, dataset string) (*Entry, error) {
 	e, ok := m.Entries[key(model, dataset)]
@@ -170,10 +153,6 @@ func (m *Matrix) Perf(model, dataset string) (float64, error) {
 // Vector returns the model's |D|-dimensional performance vector in the
 // matrix's dataset order (vec(m_j) of §III.A).
 func (m *Matrix) Vector(model string) ([]float64, error) {
-	m.buildIndex()
-	if _, ok := m.modelIdx[model]; !ok {
-		return nil, fmt.Errorf("perfmatrix: unknown model %q", model)
-	}
 	v := make([]float64, len(m.Datasets))
 	for i, d := range m.Datasets {
 		p, err := m.Perf(model, d)
@@ -212,29 +191,4 @@ func (m *Matrix) ValCurves(model string) (val [][]float64, finalTest []float64, 
 		finalTest = append(finalTest, e.FinalTest())
 	}
 	return val, finalTest, nil
-}
-
-// Save writes the matrix as JSON to path.
-func (m *Matrix) Save(path string) error {
-	data, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return fmt.Errorf("perfmatrix: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("perfmatrix: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// Load reads a matrix previously written by Save.
-func Load(path string) (*Matrix, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("perfmatrix: read %s: %w", path, err)
-	}
-	var m Matrix
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("perfmatrix: parse %s: %w", path, err)
-	}
-	return &m, nil
 }

@@ -3,7 +3,6 @@ package perfmatrix
 import (
 	"errors"
 	"math"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,38 +165,6 @@ func TestValCurves(t *testing.T) {
 		if finals[i] != e.FinalTest() {
 			t.Fatal("final mismatch")
 		}
-	}
-}
-
-func TestSaveLoadRoundtrip(t *testing.T) {
-	_, _, m := smallFixture(t)
-	path := filepath.Join(t.TempDir(), "matrix.json")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Models) != len(m.Models) || len(loaded.Entries) != len(m.Entries) {
-		t.Fatal("roundtrip lost data")
-	}
-	a, err := m.Perf(m.Models[0], m.Datasets[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.Perf(m.Models[0], m.Datasets[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("perf changed across roundtrip")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

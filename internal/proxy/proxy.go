@@ -275,10 +275,10 @@ func (k KNN) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 	return float64(correct) / float64(feats.N), nil
 }
 
-// Ensemble averages the min-max-normalized scores of several scorers — the
-// paper's §VII plan of combining light-weight tasks for robustness. Since
-// normalization needs the whole candidate set, Ensemble scores lazily and
-// callers should use ScoreAll.
+// Ensemble averages the raw scores of several scorers — the paper's §VII
+// plan of combining light-weight tasks for robustness. Recall min-max
+// normalizes proxy scores across the candidate set (Normalize), as it does
+// for every Scorer.
 type Ensemble struct {
 	Scorers []Scorer
 }
@@ -286,8 +286,7 @@ type Ensemble struct {
 // Name implements Scorer.
 func (e Ensemble) Name() string { return "ensemble" }
 
-// Score implements Scorer by averaging raw member scores; prefer ScoreAll
-// when a whole candidate set is available so members can be normalized.
+// Score implements Scorer by averaging raw member scores.
 func (e Ensemble) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 	if len(e.Scorers) == 0 {
 		return 0, fmt.Errorf("proxy: empty ensemble")
@@ -301,32 +300,6 @@ func (e Ensemble) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) 
 		s += v
 	}
 	return s / float64(len(e.Scorers)), nil
-}
-
-// ScoreAll scores every model and min-max normalizes each member scorer
-// across the set before averaging, returning one value per model.
-func (e Ensemble) ScoreAll(models []*modelhub.Model, d *datahub.Dataset) ([]float64, error) {
-	if len(e.Scorers) == 0 {
-		return nil, fmt.Errorf("proxy: empty ensemble")
-	}
-	out := make([]float64, len(models))
-	for _, sc := range e.Scorers {
-		raw := make([]float64, len(models))
-		for i, m := range models {
-			v, err := sc.Score(m, d)
-			if err != nil {
-				return nil, err
-			}
-			raw[i] = v
-		}
-		for i, v := range Normalize(raw) {
-			out[i] += v
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(e.Scorers))
-	}
-	return out, nil
 }
 
 // Normalize min-max rescales scores into [0, 1]. A constant slice maps to

@@ -94,7 +94,7 @@ func TestRecallEquationsExact(t *testing.T) {
 	if got := len(res.Clustering.NonSingletons()); got != 2 {
 		t.Fatalf("non-singleton clusters %d", got)
 	}
-	if got := len(res.Clustering.Singletons()); got != 2 {
+	if got := res.Clustering.K - len(res.Clustering.NonSingletons()); got != 2 {
 		t.Fatalf("singletons %d", got)
 	}
 	// Representatives: equal averages inside {A,B} keep the first (A);

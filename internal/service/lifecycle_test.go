@@ -71,10 +71,8 @@ func TestRecallArtifactHealing(t *testing.T) {
 	if _, err := first.Framework(ctx, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
-	// Drop the clustering artifact, keep the matrix.
-	if names, err := first.st.ListRecalls(); err != nil || len(names) != 1 {
-		t.Fatalf("recalls = %v, %v", names, err)
-	}
+	// Drop the clustering artifact (the build must have written it), keep
+	// the matrix.
 	key := matrixKey(datahub.TaskNLP, 42)
 	if err := removeRecallArtifact(dir, key); err != nil {
 		t.Fatal(err)

@@ -36,10 +36,8 @@ import (
 
 	"twophase/internal/artifact"
 	"twophase/internal/core"
-	"twophase/internal/datahub"
 	"twophase/internal/faultinject"
 	"twophase/internal/lifecycle"
-	"twophase/internal/modelhub"
 	"twophase/internal/store"
 	"twophase/internal/trainer"
 )
@@ -57,8 +55,8 @@ type Options struct {
 	// Workers below.
 	Base core.Options
 	// StoreDir, when non-empty, persists offline artifacts (performance
-	// matrices, clustering artifacts, model/dataset specs) so later
-	// processes skip the offline build entirely.
+	// matrices, clustering artifacts) so later processes skip the offline
+	// build entirely.
 	StoreDir string
 	// Workers bounds per-round candidate-training parallelism inside one
 	// fine selection. 0 means one worker per CPU; 1 forces the
@@ -102,8 +100,8 @@ type ArtifactFetcher func(ctx context.Context, kind, name string) ([]byte, error
 var ErrNoPeers = errors.New("service: no remote artifact owners")
 
 // ArtifactStats counts the artifact-resolution outcomes of Service.load:
-// local binary/JSON store hits, worlds fetched from ring peers, failed
-// fetch attempts, and offline builds that ran because both tiers missed.
+// local store hits, worlds fetched from ring peers, failed fetch attempts,
+// and offline builds that ran because both tiers missed.
 type ArtifactStats struct {
 	// Hits counts worlds assembled from the local artifact store.
 	Hits int64
@@ -460,28 +458,13 @@ func (s *Service) PersistErr() error {
 }
 
 // persist writes the framework's offline stage artifacts to the store:
-// the performance matrix (stage 2), the clustering artifact (stage 3),
-// and the world's model/dataset specs (stage 1's queryable form).
+// the performance matrix (stage 2) and the clustering artifact (stage 3).
 func (s *Service) persist(fw *core.Framework) error {
 	key := matrixKey(fw.Task, fw.Seed)
 	if err := s.st.PutMatrix(key, fw.Matrix); err != nil {
 		return err
 	}
-	if err := s.st.PutRecall(key, fw.RecallArtifact()); err != nil {
-		return err
-	}
-	specs := make([]modelhub.Spec, 0, fw.Repo.Len())
-	for _, m := range fw.Repo.Models() {
-		specs = append(specs, m.Spec)
-	}
-	if err := s.st.SaveRepository(specs); err != nil {
-		return err
-	}
-	dspecs := make([]datahub.Spec, 0, len(fw.Catalog.All()))
-	for _, d := range fw.Catalog.All() {
-		dspecs = append(dspecs, d.Spec)
-	}
-	return s.st.SaveCatalogSpecs(dspecs)
+	return s.st.PutRecall(key, fw.RecallArtifact())
 }
 
 // Builds returns how many offline builds this service has executed — zero

@@ -2,9 +2,9 @@ package service
 
 import (
 	"context"
+	"io/fs"
 	"os"
 	"path/filepath"
-
 	"reflect"
 	"sync"
 	"testing"
@@ -274,6 +274,36 @@ func TestSharedCostLedger(t *testing.T) {
 	cost := s.Cost()
 	if got := cost.Total(); got != want {
 		t.Fatalf("shared ledger %v epochs, want sum of per-request ledgers %v", got, want)
+	}
+}
+
+// TestPersistWritesWorldArtifactsOnly: one offline build with a store
+// leaves exactly the two documents the paper's offline phase produces per
+// world — the performance matrix and the clustering — and nothing else.
+func TestPersistWritesWorldArtifactsOnly(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, Options{StoreDir: dir})
+	if _, err := s.Framework(context.Background(), datahub.TaskNLP); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		got = append(got, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"matrices", "matrices/nlp-seed42.bin", "recalls", "recalls/nlp-seed42.bin"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store tree after one build = %v, want %v", got, want)
 	}
 }
 

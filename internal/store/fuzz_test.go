@@ -23,9 +23,9 @@ func FuzzSlugInjective(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		file := slug(name)
-		base, ok := strings.CutSuffix(file, ".json")
+		base, ok := strings.CutSuffix(file, ".bin")
 		if !ok {
-			t.Fatalf("slug(%q) = %q lost its .json suffix", name, file)
+			t.Fatalf("slug(%q) = %q lost its .bin suffix", name, file)
 		}
 		// Round-trip exactness: the file name alone recovers the name.
 		if got := unslug(base); got != name {

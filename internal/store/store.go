@@ -1,36 +1,29 @@
-// Package store implements the paper's §VII future-work direction: a small
-// data-management layer that persists and serves the framework's artifacts
-// — model specs, dataset specs, performance matrices and clusterings — so
-// that the offline phase is computed once and reused across processes
-// ("build data management system which stores and maintains the
-// pre-trained models and datasets").
+// Package store persists what the paper's offline phase produces per world
+// (§II.B "Offline") — the performance matrix with its convergence curves
+// and the model clustering — so that the offline phase is computed once and
+// reused across processes and served to fleet peers.
 //
-// Every kind has exactly one on-disk format. Specs (models, datasets) are
-// small JSON documents, "<slug>.json". The heavy world artifacts —
-// performance matrices and recall artifacts — are internal/artifact codec
-// documents (checksummed headers, raw float64 payloads), "<slug>.bin";
-// the byte layout is that package's business alone, the store only files,
-// verifies and serves the documents. A value the codec refuses is an
-// error, not a second format. The store is a directory; it is safe for
-// concurrent readers and single-writer use.
+// It holds two kinds in one format: matrices/<slug>.bin and
+// recalls/<slug>.bin, both internal/artifact codec documents (checksummed
+// headers, raw float64 payloads). The byte layout is that package's
+// business alone; the store only files, verifies and serves the documents.
+// A value the codec refuses is an error, not a second format, and a file
+// without the .bin extension is not an artifact. The store is a directory;
+// it is safe for concurrent readers and single-writer use.
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
 
 	"twophase/internal/artifact"
-	"twophase/internal/datahub"
 	"twophase/internal/faultinject"
-	"twophase/internal/modelhub"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 )
@@ -42,9 +35,8 @@ import (
 var ErrNotFound = errors.New("store: artifact not found")
 
 // ErrCorrupt marks an artifact that exists but cannot be decoded — a
-// failed checksum, a truncated file, an unparsable spec. The wrapped message
-// names the offending file path. Callers rebuild on it: the rewrite heals
-// the store.
+// failed checksum, a truncated file. The wrapped message names the
+// offending file path. Callers rebuild on it: the rewrite heals the store.
 var ErrCorrupt = errors.New("store: corrupt artifact")
 
 // Store is a directory-backed artifact store.
@@ -57,9 +49,9 @@ type Store struct {
 // recovery sweep: orphaned temp files from a writer killed mid-write and
 // checksum-failing artifacts are quarantined before anything is served.
 func Open(dir string) (*Store, error) {
-	for sub := range kindDirs() {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: create %s: %w", sub, err)
+	for _, k := range artifactKinds {
+		if err := os.MkdirAll(filepath.Join(dir, k.dir), 0o755); err != nil {
+			return nil, fmt.Errorf("store: create %s: %w", k.dir, err)
 		}
 	}
 	s := &Store{dir: dir}
@@ -74,21 +66,40 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// slug converts an artifact name (possibly containing "/") into a file
-// name. The encoding is injective, so distinct names can never collide on
-// one file: "%", "_" and " " are percent-escaped before "/" maps to "__",
+// artifactKinds is the one table of what a store holds, in the order Open
+// creates and Sweep walks the directories: a wire/store kind directory and
+// the codec kind every document filed under it must carry.
+var artifactKinds = []struct {
+	dir  string
+	kind artifact.Kind
+}{
+	{"matrices", artifact.KindMatrix},
+	{"recalls", artifact.KindRecall},
+}
+
+// kindOf looks a kind directory up in artifactKinds.
+func kindOf(dir string) (artifact.Kind, bool) {
+	for _, k := range artifactKinds {
+		if k.dir == dir {
+			return k.kind, true
+		}
+	}
+	return 0, false
+}
+
+// ext is the one extension of the one format: a file without it is not an
+// artifact of this store.
+const ext = ".bin"
+
+// slug converts an artifact name (possibly containing "/" — names arrive
+// from the wire on GET /v1/artifacts/{kind}/{name}) into its file name.
+// The encoding is injective, so distinct names can never collide on one
+// file: "%", "_" and " " are percent-escaped before "/" maps to "__",
 // which means every underscore in the output comes from a slash pair —
 // "a/b" vs "a__b" and "a b" vs "a_b" all get distinct files.
 func slug(name string) string {
 	r := strings.NewReplacer("%", "%25", "_", "%5F", " ", "%20")
-	return strings.ReplaceAll(r.Replace(name), "/", "__") + ".json"
-}
-
-// unslug inverts slug (minus the ".json" suffix, which the caller strips).
-func unslug(base string) string {
-	n := strings.ReplaceAll(base, "__", "/")
-	r := strings.NewReplacer("%20", " ", "%5F", "_", "%25", "%")
-	return r.Replace(n)
+	return strings.ReplaceAll(r.Replace(name), "/", "__") + ext
 }
 
 // isNotExist reports that a path truly has no file behind it: ENOENT, or
@@ -97,12 +108,6 @@ func unslug(base string) string {
 // errors, which must not masquerade as "absent".
 func isNotExist(err error) bool {
 	return os.IsNotExist(err) || errors.Is(err, syscall.ENOTDIR)
-}
-
-// binSlug is the binary counterpart of slug: same injective name
-// encoding, ".bin" extension.
-func binSlug(name string) string {
-	return strings.TrimSuffix(slug(name), ".json") + ".bin"
 }
 
 // writeFile atomically and durably installs data at path: unique temp
@@ -182,52 +187,11 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// write persists a spec as its JSON document.
-func (s *Store) write(kind, name string, v interface{}) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		return fmt.Errorf("store: marshal %s/%s: %w", kind, name, err)
-	}
-	return writeFile(filepath.Join(s.dir, kind, slug(name)), data)
-}
-
 // writeBinary atomically installs an already-encoded codec document.
 func (s *Store) writeBinary(kind, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFile(filepath.Join(s.dir, kind, binSlug(name)), data)
-}
-
-// read loads and decodes a spec's JSON document.
-func (s *Store) read(kind, name string, v interface{}) error {
-	file := slug(name)
-	err := func() error {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		if f := faultinject.On(faultinject.SiteStoreRead); f != nil {
-			return fmt.Errorf("store: read %s/%s: %w", kind, name, f.Err())
-		}
-		path := filepath.Join(s.dir, kind, file)
-		data, err := os.ReadFile(path)
-		switch {
-		case err == nil:
-		case isNotExist(err):
-			return fmt.Errorf("%w: %s/%s", ErrNotFound, kind, name)
-		default:
-			return fmt.Errorf("store: read %s/%s: %w", kind, name, err)
-		}
-		if err := json.Unmarshal(data, v); err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-		}
-		return nil
-	}()
-	if errors.Is(err, ErrCorrupt) {
-		// Never decode (or let a rebuild be shadowed by) this file again.
-		s.quarantineCorrupt(kind, file)
-	}
-	return err
+	return writeFile(filepath.Join(s.dir, kind, slug(name)), data)
 }
 
 // withBinary maps the codec document of kind/name and runs fn over it
@@ -241,7 +205,7 @@ func (s *Store) withBinary(kind, name string, fn func(data []byte) error) error 
 		if f := faultinject.On(faultinject.SiteStoreRead); f != nil {
 			return fmt.Errorf("store: read %s/%s: %w", kind, name, f.Err())
 		}
-		path := filepath.Join(s.dir, kind, binSlug(name))
+		path := filepath.Join(s.dir, kind, slug(name))
 		data, release, err := artifact.MapFile(path)
 		if isNotExist(err) {
 			return fmt.Errorf("%w: %s/%s", ErrNotFound, kind, name)
@@ -256,83 +220,10 @@ func (s *Store) withBinary(kind, name string, fn func(data []byte) error) error 
 		return nil
 	}()
 	if errors.Is(err, ErrCorrupt) {
-		s.quarantineCorrupt(kind, binSlug(name))
+		s.quarantineCorrupt(kind, slug(name))
 	}
 	return err
 }
-
-// list returns the names filed under kind, sorted. Only files carrying
-// the kind's one extension count: anything else in the directory is not
-// an artifact of this store.
-func (s *Store) list(kind, ext string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries, err := os.ReadDir(filepath.Join(s.dir, kind))
-	if err != nil {
-		return nil, fmt.Errorf("store: list %s: %w", kind, err)
-	}
-	var names []string
-	for _, e := range entries {
-		if base, ok := strings.CutSuffix(e.Name(), ext); ok {
-			names = append(names, unslug(base))
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// PutModel persists a model spec.
-func (s *Store) PutModel(spec modelhub.Spec) error { return s.write("models", spec.Name, spec) }
-
-// GetModel retrieves a model spec by name.
-func (s *Store) GetModel(name string) (modelhub.Spec, error) {
-	var spec modelhub.Spec
-	err := s.read("models", name, &spec)
-	return spec, err
-}
-
-// ListModels returns all stored model names, sorted.
-func (s *Store) ListModels() ([]string, error) { return s.list("models", ".json") }
-
-// QueryModels returns the stored model specs matching all non-zero filter
-// fields: task, architecture and a minimum capability.
-func (s *Store) QueryModels(task, arch string, minCapability float64) ([]modelhub.Spec, error) {
-	names, err := s.ListModels()
-	if err != nil {
-		return nil, err
-	}
-	var out []modelhub.Spec
-	for _, n := range names {
-		spec, err := s.GetModel(n)
-		if err != nil {
-			return nil, err
-		}
-		if task != "" && spec.Task != task {
-			continue
-		}
-		if arch != "" && spec.Arch != arch {
-			continue
-		}
-		if spec.Capability < minCapability {
-			continue
-		}
-		out = append(out, spec)
-	}
-	return out, nil
-}
-
-// PutDataset persists a dataset spec.
-func (s *Store) PutDataset(spec datahub.Spec) error { return s.write("datasets", spec.Name, spec) }
-
-// GetDataset retrieves a dataset spec by name.
-func (s *Store) GetDataset(name string) (datahub.Spec, error) {
-	var spec datahub.Spec
-	err := s.read("datasets", name, &spec)
-	return spec, err
-}
-
-// ListDatasets returns all stored dataset names, sorted.
-func (s *Store) ListDatasets() ([]string, error) { return s.list("datasets", ".json") }
 
 // PutMatrix persists a performance matrix under a name (e.g. "nlp-seed42")
 // as a codec document. A matrix the encoder refuses (ragged entries) is
@@ -360,9 +251,6 @@ func (s *Store) GetMatrix(name string) (*perfmatrix.Matrix, error) {
 	return m, nil
 }
 
-// ListMatrices returns all stored matrix names, sorted.
-func (s *Store) ListMatrices() ([]string, error) { return s.list("matrices", ".bin") }
-
 // PutRecall persists the clustering-stage artifact of the offline pipeline
 // under a name (conventionally the same key as the matrix it derives
 // from) as a codec document.
@@ -389,22 +277,12 @@ func (s *Store) GetRecall(name string) (*recall.Artifact, error) {
 	return a, nil
 }
 
-// ListRecalls returns all stored recall-artifact names, sorted.
-func (s *Store) ListRecalls() ([]string, error) { return s.list("recalls", ".bin") }
-
-// artifactKinds maps a wire/store kind directory to the binary format's
-// kind tag. These are the only kinds OpenArtifact and PutVerified serve.
-var artifactKinds = map[string]artifact.Kind{
-	"matrices": artifact.KindMatrix,
-	"recalls":  artifact.KindRecall,
-}
-
 // OpenArtifact returns the verified codec document of an artifact plus
 // its input fingerprint — the payload of GET /v1/artifacts/{kind}/{name}.
 // Unknown kinds and missing artifacts are ErrNotFound; a failed checksum
 // is ErrCorrupt.
 func (s *Store) OpenArtifact(kind, name string) (data []byte, fp uint64, err error) {
-	k, ok := artifactKinds[kind]
+	k, ok := kindOf(kind)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: kind %q", ErrNotFound, kind)
 	}
@@ -427,7 +305,7 @@ func (s *Store) OpenArtifact(kind, name string) (data []byte, fp uint64, err err
 // and that the encoding's kind matches the directory it is filed under —
 // a corrupted or mislabeled fetch never lands on disk.
 func (s *Store) PutVerified(kind, name string, data []byte) error {
-	k, ok := artifactKinds[kind]
+	k, ok := kindOf(kind)
 	if !ok {
 		return fmt.Errorf("store: unknown artifact kind %q", kind)
 	}
@@ -439,26 +317,4 @@ func (s *Store) PutVerified(kind, name string, data []byte) error {
 		return fmt.Errorf("store: put %s/%s: encoding is kind %s", kind, name, h.Kind)
 	}
 	return s.writeBinary(kind, name, data)
-}
-
-// SaveRepository persists every spec of a repository.
-func (s *Store) SaveRepository(specs []modelhub.Spec) error {
-	for _, spec := range specs {
-		if err := s.PutModel(spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SaveCatalogSpecs persists every dataset spec group.
-func (s *Store) SaveCatalogSpecs(groups ...[]datahub.Spec) error {
-	for _, g := range groups {
-		for _, spec := range g {
-			if err := s.PutDataset(spec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

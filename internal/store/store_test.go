@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"twophase/internal/artifact"
 	"twophase/internal/datahub"
 	"twophase/internal/modelhub"
 	"twophase/internal/perfmatrix"
@@ -15,6 +17,23 @@ import (
 	"twophase/internal/synth"
 	"twophase/internal/trainer"
 )
+
+// unslug inverts slug (minus the ".bin" suffix, which the caller strips).
+// Nothing in the store lists a directory back into names any more; it
+// survives as the decoding oracle of the injectivity tests.
+func unslug(base string) string {
+	n := strings.ReplaceAll(base, "__", "/")
+	r := strings.NewReplacer("%20", " ", "%5F", "_", "%25", "%")
+	return r.Replace(n)
+}
+
+// namedMatrix is sweepMatrix stamped with a distinguishing seed, so a test
+// can tell which Put a Get read back.
+func namedMatrix(seed uint64) *perfmatrix.Matrix {
+	m := sweepMatrix()
+	m.Seed = seed
+	return m
+}
 
 func openTemp(t *testing.T) *Store {
 	t.Helper()
@@ -25,67 +44,49 @@ func openTemp(t *testing.T) *Store {
 	return s
 }
 
-func TestModelRoundtrip(t *testing.T) {
-	s := openTemp(t)
-	spec := modelhub.NLPSpecs()[0]
-	if err := s.PutModel(spec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetModel(spec.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != spec.Name || got.Capability != spec.Capability || got.Arch != spec.Arch {
-		t.Fatalf("roundtrip lost fields: %+v", got)
-	}
-}
-
 func TestSlashNamesSurvive(t *testing.T) {
-	s := openTemp(t)
-	spec := modelhub.Spec{Name: "org/sub/model-v2", Task: "nlp", Arch: "bert",
-		Params: 1, Capability: 0.5, SourceClasses: 2}
-	if err := s.PutModel(spec); err != nil {
-		t.Fatal(err)
-	}
-	names, err := s.ListModels()
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "org/sub/model-v2" {
-		t.Fatalf("names = %v", names)
+	if err := s.PutMatrix("org/sub/world-v2", sweepMatrix()); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.GetModel("org/sub/model-v2"); err != nil {
+	files := listDir(t, filepath.Join(dir, "matrices"))
+	if len(files) != 1 || unslug(strings.TrimSuffix(files[0], ".bin")) != "org/sub/world-v2" {
+		t.Fatalf("matrices/ = %v, want one flat file that decodes to the name", files)
+	}
+	if _, err := s.GetMatrix("org/sub/world-v2"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSlugCollisionSafe: names that the old slugging collapsed onto one
 // file ("a/b" vs "a__b", "a b" vs "a_b") must each round-trip to their own
-// artifact, and listing must invert the encoding exactly.
+// artifact, one file per name.
 func TestSlugCollisionSafe(t *testing.T) {
-	s := openTemp(t)
-	names := []string{"a/b", "a__b", "a b", "a_b", "a%5Fb", "pct%name", "tri___ple"}
-	for i, name := range names {
-		spec := modelhub.Spec{Name: name, Task: "nlp", Arch: "bert",
-			Params: i + 1, Capability: 0.5, SourceClasses: 2}
-		if err := s.PutModel(spec); err != nil {
-			t.Fatalf("put %q: %v", name, err)
-		}
-	}
-	got, err := s.ListModels()
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(names) {
-		t.Fatalf("stored %d names, listed %d: %v", len(names), len(got), got)
+	names := []string{"a/b", "a__b", "a b", "a_b", "a%5Fb", "pct%name", "tri___ple"}
+	for i, name := range names {
+		if err := s.PutMatrix(name, namedMatrix(uint64(i+1))); err != nil {
+			t.Fatalf("put %q: %v", name, err)
+		}
+	}
+	if got := listDir(t, filepath.Join(dir, "matrices")); len(got) != len(names) {
+		t.Fatalf("stored %d names, %d files: %v", len(names), len(got), got)
 	}
 	for i, name := range names {
-		spec, err := s.GetModel(name)
+		m, err := s.GetMatrix(name)
 		if err != nil {
 			t.Fatalf("get %q: %v", name, err)
 		}
-		if spec.Name != name || spec.Params != i+1 {
-			t.Fatalf("name %q read back as %+v — collision overwrote it", name, spec)
+		if m.Seed != uint64(i+1) {
+			t.Fatalf("name %q read back seed %d — collision overwrote it", name, m.Seed)
 		}
 	}
 }
@@ -93,7 +94,7 @@ func TestSlugCollisionSafe(t *testing.T) {
 func TestSlugRoundTrip(t *testing.T) {
 	for _, name := range []string{"plain", "a/b/c", "a b c", "under_score", "%", "%25", "__", "mix_ %/x"} {
 		file := slug(name)
-		if got := unslug(strings.TrimSuffix(file, ".json")); got != name {
+		if got := unslug(strings.TrimSuffix(file, ".bin")); got != name {
 			t.Errorf("slug(%q) = %q decodes to %q", name, file, got)
 		}
 		if strings.ContainsAny(file, "/ ") {
@@ -122,70 +123,11 @@ func TestSlugRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	s := openTemp(t)
-	if _, err := s.GetModel("nope"); err == nil {
-		t.Fatal("missing model accepted")
+	if _, err := s.GetMatrix("nope"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing matrix = %v, want ErrNotFound", err)
 	}
-	if _, err := s.GetDataset("nope"); err == nil {
-		t.Fatal("missing dataset accepted")
-	}
-	if _, err := s.GetMatrix("nope"); err == nil {
-		t.Fatal("missing matrix accepted")
-	}
-}
-
-func TestQueryModels(t *testing.T) {
-	s := openTemp(t)
-	if err := s.SaveRepository(modelhub.NLPSpecs()); err != nil {
-		t.Fatal(err)
-	}
-	berts, err := s.QueryModels("nlp", "bert", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(berts) == 0 {
-		t.Fatal("no berts found")
-	}
-	for _, m := range berts {
-		if m.Arch != "bert" {
-			t.Fatalf("query leaked arch %q", m.Arch)
-		}
-	}
-	strong, err := s.QueryModels("nlp", "", 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range strong {
-		if m.Capability < 0.7 {
-			t.Fatalf("query leaked capability %v", m.Capability)
-		}
-	}
-	cv, err := s.QueryModels("cv", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cv) != 0 {
-		t.Fatal("cv query should be empty")
-	}
-}
-
-func TestDatasetRoundtrip(t *testing.T) {
-	s := openTemp(t)
-	if err := s.SaveCatalogSpecs(datahub.NLPBenchmarks(), datahub.NLPTargets()); err != nil {
-		t.Fatal(err)
-	}
-	names, err := s.ListDatasets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 28 {
-		t.Fatalf("stored %d datasets", len(names))
-	}
-	spec, err := s.GetDataset("glue/cola")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Classes != 2 || !spec.Benchmark {
-		t.Fatalf("roundtrip spec %+v", spec)
+	if _, err := s.GetRecall("nope"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing recall artifact = %v, want ErrNotFound", err)
 	}
 }
 
@@ -226,17 +168,10 @@ func TestMatrixRoundtrip(t *testing.T) {
 	if a != b {
 		t.Fatal("matrix changed across store roundtrip")
 	}
-	mats, err := s.ListMatrices()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mats) != 1 || mats[0] != "nlp" {
-		t.Fatalf("matrices = %v", mats)
-	}
 }
 
 // TestRecallArtifactRoundtrip: the clustering-stage artifact persists and
-// reloads losslessly, and GetMissing-style lookups fail cleanly.
+// reloads losslessly.
 func TestRecallArtifactRoundtrip(t *testing.T) {
 	s := openTemp(t)
 	art := &recall.Artifact{
@@ -253,48 +188,82 @@ func TestRecallArtifactRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(got, art) {
 		t.Fatalf("recall artifact changed across roundtrip: %+v vs %+v", got, art)
 	}
-	names, err := s.ListRecalls()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "nlp-seed42" {
-		t.Fatalf("recalls = %v", names)
-	}
-	if _, err := s.GetRecall("nope"); err == nil {
-		t.Fatal("missing recall artifact accepted")
-	}
 }
 
 func TestOverwrite(t *testing.T) {
-	s := openTemp(t)
-	spec := modelhub.NLPSpecs()[0]
-	if err := s.PutModel(spec); err != nil {
-		t.Fatal(err)
-	}
-	spec.Capability = 0.99
-	if err := s.PutModel(spec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.GetModel(spec.Name)
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Capability != 0.99 {
+	if err := s.PutMatrix("nlp", namedMatrix(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutMatrix("nlp", namedMatrix(2)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GetMatrix("nlp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seed != 2 {
 		t.Fatal("overwrite did not take")
 	}
-	names, err := s.ListModels()
+	if files := listDir(t, filepath.Join(dir, "matrices")); len(files) != 1 {
+		t.Fatalf("overwrite duplicated entry: %v", files)
+	}
+}
+
+// TestPutVerifiedGatesChecksumAndKind: fetched bytes land only when their
+// checksum holds and their codec kind is the one the kind table files under
+// that directory; a directory outside the table is not a kind at all.
+func TestPutVerifiedGatesChecksumAndKind(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 {
-		t.Fatal("overwrite duplicated entry")
+	doc, err := artifact.EncodeMatrix(sweepMatrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutVerified("matrices", "w", doc); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := s.OpenArtifact("matrices", "w"); err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("OpenArtifact after PutVerified = %d bytes, %v; want the document back", len(got), err)
+	}
+	flipped := append([]byte(nil), doc...)
+	flipped[len(flipped)-1] ^= 0xFF
+	for _, tc := range []struct {
+		why, kind string
+		data      []byte
+	}{
+		{"failed checksum", "matrices", flipped},
+		{"matrix filed under recalls/", "recalls", doc},
+		{"directory outside the kind table", "models", doc},
+	} {
+		if err := s.PutVerified(tc.kind, "x", tc.data); err == nil {
+			t.Errorf("%s: PutVerified accepted it", tc.why)
+		}
+	}
+	if got := listDir(t, filepath.Join(dir, "matrices")); !reflect.DeepEqual(got, []string{"w.bin"}) {
+		t.Errorf("matrices/ = %v, want only the verified document", got)
+	}
+	for _, kind := range []string{"recalls", "models"} {
+		if got := listDir(t, filepath.Join(dir, kind)); len(got) != 0 {
+			t.Errorf("a refused PutVerified left %v in %s/", got, kind)
+		}
+	}
+	if _, _, err := s.OpenArtifact("models", "w"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("OpenArtifact of a directory outside the kind table = %v, want ErrNotFound", err)
 	}
 }
 
 // TestWorldArtifactsHaveOneEncoding: matrices and recalls exist only as
 // codec documents. A stray JSON file in a world-artifact directory is not
-// an artifact — never read, served or listed — and a matrix the codec
-// refuses is an error that leaves nothing on disk.
+// an artifact — never read, served, swept or migrated — and a matrix the
+// codec refuses is an error that leaves nothing on disk.
 func TestWorldArtifactsHaveOneEncoding(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -311,8 +280,8 @@ func TestWorldArtifactsHaveOneEncoding(t *testing.T) {
 	if _, _, err := s.OpenArtifact("matrices", "x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("OpenArtifact over a stray JSON file = %v, want ErrNotFound", err)
 	}
-	if names, err := s.ListMatrices(); err != nil || len(names) != 0 {
-		t.Fatalf("ListMatrices = %v, %v, want none", names, err)
+	if rep, err := s.Sweep(); err != nil || len(rep.Moved) != 0 {
+		t.Fatalf("Sweep over a stray JSON file = %+v, %v, want it left alone", rep, err)
 	}
 	if got := listDir(t, filepath.Join(dir, "matrices")); len(got) != 1 || got[0] != "x.json" {
 		t.Fatalf("matrices/ = %v, want the stray file untouched and nothing migrated", got)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -38,7 +37,8 @@ func (s *Store) Sweep() (SweepReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep SweepReport
-	for kind := range kindDirs() {
+	for _, k := range artifactKinds {
+		kind := k.dir
 		entries, err := os.ReadDir(filepath.Join(s.dir, kind))
 		if err != nil {
 			return rep, fmt.Errorf("store: sweep %s: %w", kind, err)
@@ -65,41 +65,28 @@ func (s *Store) Sweep() (SweepReport, error) {
 	return rep, nil
 }
 
-// kindDirs returns the set of artifact kind directories a store owns.
-func kindDirs() map[string]bool {
-	return map[string]bool{
-		"models": true, "datasets": true, "matrices": true, "recalls": true,
-	}
-}
-
 // isOrphanTemp recognizes the litter of a writer killed mid-writeFile:
 // CreateTemp names carry a ".tmp" infix and a random suffix, so they can
-// never end in ".json" or ".bin" — and every real artifact does.
+// never end in ".bin" — and every real artifact does.
 func isOrphanTemp(name string) bool {
-	return strings.Contains(name, ".tmp") &&
-		!strings.HasSuffix(name, ".json") && !strings.HasSuffix(name, ".bin")
+	return strings.Contains(name, ".tmp") && !strings.HasSuffix(name, ext)
 }
 
-// fileHealthyLocked reports whether an artifact file decodes: .bin must
-// pass the checksummed artifact.Verify, .json must at least be valid
-// JSON. Unknown extensions are left alone (healthy) — the sweep only
-// judges files the store itself would serve.
+// fileHealthyLocked reports whether an artifact file decodes: a .bin
+// document must pass the checksummed artifact.Verify. Other extensions are
+// left alone (healthy) — the sweep only judges files the store itself
+// would serve.
 func fileHealthyLocked(path, name string) bool {
-	switch {
-	case strings.HasSuffix(name, ".bin"):
-		data, release, err := artifact.MapFile(path)
-		if err != nil {
-			return false
-		}
-		_, verr := artifact.Verify(data)
-		release()
-		return verr == nil
-	case strings.HasSuffix(name, ".json"):
-		data, err := os.ReadFile(path)
-		return err == nil && json.Valid(data)
-	default:
+	if !strings.HasSuffix(name, ext) {
 		return true
 	}
+	data, release, err := artifact.MapFile(path)
+	if err != nil {
+		return false
+	}
+	_, verr := artifact.Verify(data)
+	release()
+	return verr == nil
 }
 
 // quarantineLocked moves kind/name into quarantine/<kind>/, uniquifying

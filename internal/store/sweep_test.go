@@ -4,12 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"twophase/internal/datahub"
 	"twophase/internal/faultinject"
-	"twophase/internal/modelhub"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/trainer"
 )
@@ -57,16 +56,19 @@ func TestOpenSweepsOrphansAndCorruptFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Litter the store like a crashed writer and a corrupting disk would.
-	orphan := filepath.Join(dir, "matrices", "nlp.bin.tmp123456")
-	if err := os.WriteFile(orphan, []byte("partial write"), 0o644); err != nil {
-		t.Fatal(err)
+	litter := func() {
+		t.Helper()
+		for _, f := range []struct{ kind, name, body string }{
+			{"matrices", "nlp.bin.tmp123456", "partial write"},
+			{"matrices", "bad.bin", "not an artifact"},
+			{"recalls", "broken.bin", "TPAF truncated"},
+		} {
+			if err := os.WriteFile(filepath.Join(dir, f.kind, f.name), []byte(f.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "matrices", "bad.bin"), []byte("not an artifact"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "recalls", "broken.json"), []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	litter()
 
 	s2, err := Open(dir)
 	if err != nil {
@@ -77,21 +79,34 @@ func TestOpenSweepsOrphansAndCorruptFiles(t *testing.T) {
 		t.Fatalf("good matrix swept away: %v", err)
 	}
 	// Every planted bad file left its kind directory...
-	for _, name := range listDir(t, filepath.Join(dir, "matrices")) {
-		if strings.Contains(name, ".tmp") || name == "bad.bin" {
-			t.Fatalf("sweep left %s in matrices/", name)
-		}
+	if got := listDir(t, filepath.Join(dir, "matrices")); !reflect.DeepEqual(got, []string{"nlp.bin"}) {
+		t.Fatalf("sweep left %v in matrices/", got)
 	}
 	if got := listDir(t, filepath.Join(dir, "recalls")); len(got) != 0 {
 		t.Fatalf("sweep left %v in recalls/", got)
 	}
 	// ...and landed in quarantine.
-	q := listDir(t, filepath.Join(dir, QuarantineDir, "matrices"))
-	if len(q) != 2 {
-		t.Fatalf("quarantine/matrices = %v, want the orphan and bad.bin", q)
+	if got := listDir(t, filepath.Join(dir, QuarantineDir, "matrices")); !reflect.DeepEqual(got, []string{"bad.bin", "nlp.bin.tmp123456"}) {
+		t.Fatalf("quarantine/matrices = %v, want the orphan and bad.bin", got)
 	}
-	if got := listDir(t, filepath.Join(dir, QuarantineDir, "recalls")); len(got) != 1 || got[0] != "broken.json" {
+	if got := listDir(t, filepath.Join(dir, QuarantineDir, "recalls")); !reflect.DeepEqual(got, []string{"broken.bin"}) {
 		t.Fatalf("quarantine/recalls = %v", got)
+	}
+
+	// The report walks the kind table in declaration order and each
+	// directory in name order, so it reads the same on every run.
+	litter()
+	rep, err := s2.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SweepReport{Orphans: 1, Corrupt: 2, Moved: []string{
+		filepath.Join(QuarantineDir, "matrices", "bad.bin"),
+		filepath.Join(QuarantineDir, "matrices", "nlp.bin.tmp123456"),
+		filepath.Join(QuarantineDir, "recalls", "broken.bin"),
+	}}
+	if !reflect.DeepEqual(rep, want) {
+		t.Fatalf("sweep report = %+v, want %+v", rep, want)
 	}
 }
 
@@ -168,8 +183,6 @@ func TestWriteFaultSitesAndTornOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := modelhub.Spec{Name: "m", Task: "nlp", Arch: "bert", Params: 1, Capability: 0.5, SourceClasses: 2}
-
 	// A torn write fails the Put and leaves an orphaned temp file — the
 	// exact litter the sweep exists to clean.
 	inj, err := faultinject.Parse("store.write:torn:0.5#1")
@@ -177,13 +190,13 @@ func TestWriteFaultSitesAndTornOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Activate(inj)
-	if err := s.PutModel(spec); !errors.Is(err, faultinject.ErrInjected) {
+	if err := s.PutMatrix("m", sweepMatrix()); !errors.Is(err, faultinject.ErrInjected) {
 		faultinject.Reset()
 		t.Fatalf("torn write = %v, want ErrInjected", err)
 	}
 	faultinject.Reset()
 	orphans := 0
-	for _, name := range listDir(t, filepath.Join(dir, "models")) {
+	for _, name := range listDir(t, filepath.Join(dir, "matrices")) {
 		if isOrphanTemp(name) {
 			orphans++
 		}
@@ -207,16 +220,16 @@ func TestWriteFaultSitesAndTornOrphans(t *testing.T) {
 	}
 	faultinject.Activate(inj)
 	defer faultinject.Reset()
-	if err := s.PutModel(spec); !errors.Is(err, faultinject.ErrInjected) {
+	if err := s.PutMatrix("m", sweepMatrix()); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("fsync fault = %v, want ErrInjected", err)
 	}
-	if _, err := s.GetModel("m"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.GetMatrix("m"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("artifact landed despite failed fsync: %v", err)
 	}
-	if err := s.PutModel(spec); err != nil {
+	if err := s.PutMatrix("m", sweepMatrix()); err != nil {
 		t.Fatalf("write after drained schedule: %v", err)
 	}
-	if _, err := s.GetModel("m"); err != nil {
+	if _, err := s.GetMatrix("m"); err != nil {
 		t.Fatal(err)
 	}
 }

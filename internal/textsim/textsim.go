@@ -17,16 +17,9 @@ import (
 // Dim is the embedding dimensionality.
 const Dim = 64
 
-// Embed maps text to a unit-norm hashed bag-of-words vector. Tokens are
-// lowercase alphanumeric runs; each token adds a signed hashed one-hot
-// (the classic "hashing trick" with a sign hash to reduce collisions' bias).
-func Embed(text string) []float64 {
-	return EmbedInto(text, make([]float64, Dim))
-}
-
 // EmbedAll embeds every text into one contiguous frame, a card per row —
 // the flat-buffer form downstream clustering streams without per-card
-// pointer chasing. Row i equals Embed(texts[i]) exactly.
+// pointer chasing.
 func EmbedAll(texts []string) *numeric.Frame {
 	f := numeric.NewFrame(len(texts), Dim)
 	for i, text := range texts {
@@ -35,8 +28,10 @@ func EmbedAll(texts []string) *numeric.Frame {
 	return f
 }
 
-// EmbedInto writes the embedding of text into v (length Dim) and
-// returns it.
+// EmbedInto writes the embedding of text — a unit-norm hashed bag-of-words
+// vector — into v (length Dim) and returns it. Tokens are lowercase
+// alphanumeric runs; each token adds a signed hashed one-hot (the classic
+// "hashing trick" with a sign hash to reduce collisions' bias).
 func EmbedInto(text string, v []float64) []float64 {
 	for i := range v {
 		v[i] = 0
@@ -85,14 +80,4 @@ func Tokenize(text string) []string {
 	}
 	flush()
 	return tokens
-}
-
-// Similarity returns the cosine similarity of two embedded cards.
-func Similarity(cardA, cardB string) float64 {
-	a, b := Embed(cardA), Embed(cardB)
-	var dot float64
-	for i := range a {
-		dot += a[i] * b[i]
-	}
-	return dot
 }

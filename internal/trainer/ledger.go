@@ -51,25 +51,12 @@ func (l *Ledger) String() string {
 	return fmt.Sprintf("%.1f epochs (%d train + %d proxy inferences)", l.Total(), l.trainEpochs, l.inferenceHalves)
 }
 
-// SharedLedger is a Ledger that many goroutines may charge concurrently —
-// the serving layer's shared cost budget. The zero value is ready to use.
+// SharedLedger is a Ledger that many goroutines may add to concurrently —
+// the serving layer's running total of finished requests' costs. The zero
+// value is ready to use.
 type SharedLedger struct {
 	mu sync.Mutex
 	l  Ledger
-}
-
-// ChargeEpochs records n full training epochs.
-func (s *SharedLedger) ChargeEpochs(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.l.ChargeEpochs(n)
-}
-
-// ChargeInference records proxy-score inference over n models.
-func (s *SharedLedger) ChargeInference(nModels int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.l.ChargeInference(nModels)
 }
 
 // Add merges a finished request's ledger into the shared total.
@@ -84,11 +71,4 @@ func (s *SharedLedger) Snapshot() Ledger {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.l
-}
-
-// Total returns the combined cost in epochs accumulated so far.
-func (s *SharedLedger) Total() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.l.Total()
 }

@@ -15,9 +15,8 @@ func TestSharedLedgerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				s.ChargeEpochs(1)
-				s.ChargeInference(2)
-				s.Add(Ledger{trainEpochs: 1, inferenceHalves: 0})
+				s.Add(Ledger{trainEpochs: 1, inferenceHalves: 2})
+				s.Add(Ledger{trainEpochs: 1})
 			}
 		}()
 	}
@@ -27,17 +26,17 @@ func TestSharedLedgerConcurrent(t *testing.T) {
 		t.Fatalf("train epochs %d, want %d", got, want)
 	}
 	wantTotal := float64(2*goroutines*perG) + 0.5*float64(2*goroutines*perG)
-	if got := s.Total(); got != wantTotal {
+	if got := snap.Total(); got != wantTotal {
 		t.Fatalf("total %v, want %v", got, wantTotal)
 	}
 }
 
 func TestSharedLedgerSnapshotIsCopy(t *testing.T) {
 	var s SharedLedger
-	s.ChargeEpochs(3)
+	s.Add(Ledger{trainEpochs: 3})
 	snap := s.Snapshot()
 	snap.ChargeEpochs(10)
-	if got := s.Total(); got != 3 {
-		t.Fatalf("mutating a snapshot changed the shared ledger: %v", got)
+	if again := s.Snapshot(); again.Total() != 3 {
+		t.Fatalf("mutating a snapshot changed the shared ledger: %v", again.Total())
 	}
 }

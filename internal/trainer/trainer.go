@@ -65,9 +65,6 @@ type Curve struct {
 	Test []float64
 }
 
-// Epochs returns the number of completed epochs.
-func (c Curve) Epochs() int { return len(c.Val) }
-
 // FinalVal returns the last validation accuracy (0 if untrained).
 func (c Curve) FinalVal() float64 {
 	if len(c.Val) == 0 {
