@@ -155,26 +155,6 @@ func main() {
 	}
 }
 
-// parseBackends splits and sanity-checks the -backends flag; the same
-// normalization the gateway applies, so the two rings agree node-for-node.
-func parseBackends(spec string) ([]string, error) {
-	var out []string
-	for _, b := range strings.Split(spec, ",") {
-		b = strings.TrimSpace(b)
-		if b == "" {
-			continue
-		}
-		if !strings.HasPrefix(b, "http://") && !strings.HasPrefix(b, "https://") {
-			return nil, fmt.Errorf("backend %q is not an http(s) URL", b)
-		}
-		out = append(out, strings.TrimRight(b, "/"))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-backends is required (comma-separated base URLs)")
-	}
-	return out, nil
-}
-
 // run starts the server and blocks until ctx is canceled (then drains
 // in-flight requests for the grace window) or the listener fails. If
 // ready is non-nil the bound address is sent once the listener is up, so
@@ -212,7 +192,7 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	// are fetched from their ring owners before falling back to a build.
 	var fetch service.ArtifactFetcher
 	if cfg.backends != "" {
-		nodes, err := parseBackends(cfg.backends)
+		nodes, err := shard.ParseBackends(cfg.backends)
 		if err != nil {
 			return err
 		}

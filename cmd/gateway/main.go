@@ -68,7 +68,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -128,31 +127,12 @@ func main() {
 	}
 }
 
-// parseBackends splits and sanity-checks the -backends flag.
-func parseBackends(spec string) ([]string, error) {
-	var out []string
-	for _, b := range strings.Split(spec, ",") {
-		b = strings.TrimSpace(b)
-		if b == "" {
-			continue
-		}
-		if !strings.HasPrefix(b, "http://") && !strings.HasPrefix(b, "https://") {
-			return nil, fmt.Errorf("backend %q is not an http(s) URL", b)
-		}
-		out = append(out, strings.TrimRight(b, "/"))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-backends is required (comma-separated base URLs)")
-	}
-	return out, nil
-}
-
 // run starts the gateway and blocks until ctx is canceled (then drains
 // for the grace window) or the listener fails. If ready is non-nil the
 // bound address is sent once the listener is up, so tests can bind
 // 127.0.0.1:0.
 func run(ctx context.Context, cfg config, ready chan<- string) error {
-	backends, err := parseBackends(cfg.backends)
+	backends, err := shard.ParseBackends(cfg.backends)
 	if err != nil {
 		return err
 	}

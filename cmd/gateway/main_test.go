@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"twophase/internal/api"
+	"twophase/internal/shard"
 )
 
 // echoAPI is a minimal backend for gateway lifecycle tests.
@@ -31,16 +32,16 @@ func (e *echoAPI) Stats(context.Context) (*api.Stats, error) {
 }
 
 func TestParseBackends(t *testing.T) {
-	got, err := parseBackends(" http://a:1/, http://b:2 ,")
+	got, err := shard.ParseBackends(" http://a:1/, http://b:2 ,")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"http://a:1", "http://b:2"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("parseBackends = %v", got)
+		t.Fatalf("ParseBackends = %v", got)
 	}
 	for _, bad := range []string{"", "   ,", "a:1", "ftp://x"} {
-		if _, err := parseBackends(bad); err == nil {
-			t.Fatalf("parseBackends(%q) accepted", bad)
+		if _, err := shard.ParseBackends(bad); err == nil {
+			t.Fatalf("ParseBackends(%q) accepted", bad)
 		}
 	}
 }

@@ -83,9 +83,8 @@ func (e *Error) Unwrap() error { return sentinelOf(e.Code) }
 // instead of hard-coding status classes, so a new transient code is
 // retryable everywhere at once.
 func Retryable(err error) bool {
-	return errors.Is(err, ErrUnavailable) ||
-		errors.Is(err, ErrRateLimited) ||
-		errors.Is(err, ErrOverloaded)
+	row := rowOf(err)
+	return row != nil && row.retryable
 }
 
 // RetryAfter extracts the retry hint riding err, or 0 when it carries
@@ -109,11 +108,7 @@ func classify(err error) error {
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, ErrBadRequest), errors.Is(err, ErrUnknownTask),
-		errors.Is(err, ErrUnknownTarget), errors.Is(err, ErrCanceled),
-		errors.Is(err, ErrSeedRejected), errors.Is(err, ErrUnavailable),
-		errors.Is(err, ErrRateLimited), errors.Is(err, ErrOverloaded),
-		errors.Is(err, ErrUnknownArtifact), errors.Is(err, ErrInternal):
+	case rowOf(err) != nil:
 		return err
 	case errors.Is(err, store.ErrNotFound):
 		return fmt.Errorf("%w: %v", ErrUnknownArtifact, err)
@@ -132,25 +127,13 @@ func classify(err error) error {
 
 // HTTPStatus maps a contract error to its response status.
 func HTTPStatus(err error) int {
-	switch {
-	case err == nil:
+	if err == nil {
 		return http.StatusOK
-	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrUnknownTask), errors.Is(err, ErrUnknownTarget),
-		errors.Is(err, ErrUnknownArtifact):
-		return http.StatusNotFound
-	case errors.Is(err, ErrSeedRejected):
-		return http.StatusForbidden
-	case errors.Is(err, ErrCanceled):
-		return StatusClientClosedRequest
-	case errors.Is(err, ErrRateLimited):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrUnavailable), errors.Is(err, ErrOverloaded):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
 	}
+	if row := rowOf(err); row != nil {
+		return row.status
+	}
+	return http.StatusInternalServerError
 }
 
 // Error codes of the wire format. The client reconstructs the matching
@@ -169,30 +152,49 @@ const (
 	CodeInternal        = "internal"
 )
 
+// errorKind is one row of the error contract.
+type errorKind struct {
+	code      string
+	sentinel  error
+	status    int
+	retryable bool
+}
+
+// vocabulary is the error contract, once: each wire code with its
+// sentinel, its HTTP status and whether a retry of the unchanged request
+// may succeed. Code, HTTPStatus, Retryable, sentinelOf and classify's
+// pass-through all read it, so a new code is one row. Order is match
+// order for an error that wraps more than one sentinel.
+var vocabulary = []errorKind{
+	{CodeBadRequest, ErrBadRequest, http.StatusBadRequest, false},
+	{CodeUnknownTask, ErrUnknownTask, http.StatusNotFound, false},
+	{CodeUnknownTarget, ErrUnknownTarget, http.StatusNotFound, false},
+	{CodeSeedRejected, ErrSeedRejected, http.StatusForbidden, false},
+	{CodeCanceled, ErrCanceled, StatusClientClosedRequest, false},
+	{CodeUnavailable, ErrUnavailable, http.StatusServiceUnavailable, true},
+	{CodeRateLimited, ErrRateLimited, http.StatusTooManyRequests, true},
+	{CodeOverloaded, ErrOverloaded, http.StatusServiceUnavailable, true},
+	{CodeUnknownArtifact, ErrUnknownArtifact, http.StatusNotFound, false},
+	{CodeInternal, ErrInternal, http.StatusInternalServerError, false},
+}
+
+// rowOf returns the first vocabulary row whose sentinel err wraps, or nil
+// for an error outside the contract (which renders as internal).
+func rowOf(err error) *errorKind {
+	for i := range vocabulary {
+		if errors.Is(err, vocabulary[i].sentinel) {
+			return &vocabulary[i]
+		}
+	}
+	return nil
+}
+
 // Code returns the wire code for a contract error.
 func Code(err error) string {
-	switch {
-	case errors.Is(err, ErrBadRequest):
-		return CodeBadRequest
-	case errors.Is(err, ErrUnknownTask):
-		return CodeUnknownTask
-	case errors.Is(err, ErrUnknownTarget):
-		return CodeUnknownTarget
-	case errors.Is(err, ErrSeedRejected):
-		return CodeSeedRejected
-	case errors.Is(err, ErrCanceled):
-		return CodeCanceled
-	case errors.Is(err, ErrUnavailable):
-		return CodeUnavailable
-	case errors.Is(err, ErrRateLimited):
-		return CodeRateLimited
-	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, ErrUnknownArtifact):
-		return CodeUnknownArtifact
-	default:
-		return CodeInternal
+	if row := rowOf(err); row != nil {
+		return row.code
 	}
+	return CodeInternal
 }
 
 // errBadRequest wraps a validation message in ErrBadRequest.
@@ -201,28 +203,10 @@ func errBadRequest(msg string) error { return fmt.Errorf("%w: %s", ErrBadRequest
 // sentinelOf maps a wire code back to its package sentinel (nil for
 // unknown codes, which have none).
 func sentinelOf(code string) error {
-	switch code {
-	case CodeBadRequest:
-		return ErrBadRequest
-	case CodeUnknownTask:
-		return ErrUnknownTask
-	case CodeUnknownTarget:
-		return ErrUnknownTarget
-	case CodeSeedRejected:
-		return ErrSeedRejected
-	case CodeCanceled:
-		return ErrCanceled
-	case CodeUnavailable:
-		return ErrUnavailable
-	case CodeRateLimited:
-		return ErrRateLimited
-	case CodeOverloaded:
-		return ErrOverloaded
-	case CodeUnknownArtifact:
-		return ErrUnknownArtifact
-	case CodeInternal:
-		return ErrInternal
-	default:
-		return nil
+	for _, row := range vocabulary {
+		if row.code == code {
+			return row.sentinel
+		}
 	}
+	return nil
 }

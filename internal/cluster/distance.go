@@ -5,12 +5,12 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"twophase/internal/fanout"
 	"twophase/internal/numeric"
 )
 
@@ -56,48 +56,26 @@ func Matrix(vecs [][]float64, dist Distance) *numeric.Matrix {
 
 // MatrixWith is Matrix with the rows fanned out across a worker budget
 // (<= 0 means GOMAXPROCS). Each (i, j) pair is computed exactly once by
-// the worker that owns row i, which writes the two mirror cells — no two
-// workers ever touch the same cell, and dist must be pure, so the matrix
-// is identical for every worker count.
+// the item that owns row i, which writes the two mirror cells — no two
+// items ever touch the same cell, and dist must be pure, so the matrix
+// is identical for every worker count. A panicking dist is re-raised
+// here, on the caller's goroutine, where the request's own recover guards.
 func MatrixWith(vecs [][]float64, dist Distance, workers int) *numeric.Matrix {
 	n := len(vecs)
 	m := numeric.NewMatrix(n, n)
-	fillRow := func(i int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	err := fanout.Each(context.TODO(), n, workers, func(i int) error {
 		for j := i + 1; j < n; j++ {
 			d := dist(vecs[i], vecs[j])
 			m.Set(i, j, d)
 			m.Set(j, i, d)
 		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fillRow(i)
-		}
-		return m
-	}
-	// Row i holds n-i-1 pairs, so rows are claimed dynamically to keep
-	// late (cheap) rows from idling workers that drew early (long) ones.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fillRow(i)
-			}
-		}()
-	}
-	wg.Wait()
 	return m
 }

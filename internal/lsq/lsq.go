@@ -14,10 +14,11 @@ package lsq
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 
 	"twophase/internal/datahub"
+	"twophase/internal/fanout"
 	"twophase/internal/modelhub"
 	"twophase/internal/numeric"
 	"twophase/internal/trainer"
@@ -34,10 +35,10 @@ type Options struct {
 	// column is regularized like every other column — simpler, and the
 	// head is a proxy score, not a served predictor.
 	Lambda float64
-	// Workers bounds how many candidates fit concurrently: 0 or 1 is
-	// sequential, negative means one per CPU (selection.Config semantics).
-	// Results are bit-identical across settings — each model's fit is
-	// independent and writes a preassigned slot.
+	// Workers bounds how many candidates fit concurrently (fanout.Each):
+	// 0 or 1 is sequential, negative means one per candidate. Results are
+	// bit-identical across settings — each model's fit is independent and
+	// writes a preassigned slot.
 	Workers int
 }
 
@@ -108,61 +109,16 @@ func Rank(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opt
 	if workers < 0 {
 		workers = len(models)
 	}
-	if workers > len(models) {
-		workers = len(models)
-	}
-	var firstErr error
-	if workers <= 1 {
-		for i, m := range models {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			val, test, err := Fit(m, d, opts.Lambda)
-			if err != nil {
-				return nil, err
-			}
-			res.Val[i], res.Test[i] = val, test
+	err := fanout.Each(ctx, len(models), workers, func(i int) (err error) {
+		res.Val[i], res.Test[i], err = Fit(models[i], d, opts.Lambda)
+		return err
+	})
+	if err != nil {
+		var p *fanout.Panic
+		if errors.As(err, &p) {
+			err = fmt.Errorf("lsq: fitting %q on %q: %w", res.Names[p.Index], d.Name, err)
 		}
-	} else {
-		idx := make(chan int)
-		errs := make([]error, len(models))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					val, test, err := Fit(models[i], d, opts.Lambda)
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					res.Val[i], res.Test[i] = val, test
-				}
-			}()
-		}
-	feed:
-		for i := range models {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(idx)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		return nil, err
 	}
 	// Charged once, after the barrier, like trainStage: ledger contents
 	// never depend on goroutine scheduling.

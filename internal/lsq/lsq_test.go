@@ -2,10 +2,13 @@ package lsq
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"twophase/internal/datahub"
+	"twophase/internal/fanout"
 	"twophase/internal/modelhub"
 	"twophase/internal/synth"
 	"twophase/internal/trainer"
@@ -157,5 +160,26 @@ func TestTopKKeepsPoolOrder(t *testing.T) {
 	}
 	if pos[two[0]] >= pos[two[1]] {
 		t.Fatalf("TopK(2) = %v not in pool order", two)
+	}
+}
+
+// TestRankSurvivesMalformedWorld: a label outside [0, Classes) makes every
+// fit index out of range. On the request path (strategy "lsq",
+// prefilter_top_k) that must cost the request an error naming the
+// candidate, at any width — a panic on a pool goroutine would take the
+// whole backend down.
+func TestRankSurvivesMalformedWorld(t *testing.T) {
+	models, d := fixture(t)
+	d.Train.Y[0] = d.Classes
+	for _, workers := range []int{1, 2} {
+		var ledger trainer.Ledger
+		res, err := Rank(context.Background(), models, d, Options{Workers: workers}, &ledger)
+		var p *fanout.Panic
+		if res != nil || !errors.As(err, &p) || !strings.Contains(err.Error(), models[0].Name) {
+			t.Fatalf("workers=%d: got (%v, %v), want an error naming %s", workers, res, err, models[0].Name)
+		}
+		if ledger.Total() != 0 {
+			t.Fatalf("workers=%d: failed rank charged %v epochs", workers, ledger.Total())
+		}
 	}
 }

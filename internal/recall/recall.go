@@ -15,13 +15,13 @@
 package recall
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
+	"twophase/internal/fanout"
 	"twophase/internal/modelhub"
 	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
@@ -48,18 +48,21 @@ func DefaultOptions() Options {
 	return Options{K: 10, SimilarityK: 5, Threshold: 0.08, Scorer: proxy.CalibratedLEEP{}}
 }
 
+// fill replaces every unset field with its DefaultOptions value — the one
+// place the defaults are written; core.fillRecallOptions reads it too.
 func (o *Options) fill() {
+	def := DefaultOptions()
 	if o.K <= 0 {
-		o.K = 10
+		o.K = def.K
 	}
 	if o.SimilarityK <= 0 {
-		o.SimilarityK = 5
+		o.SimilarityK = def.SimilarityK
 	}
 	if o.Threshold <= 0 {
-		o.Threshold = 0.08
+		o.Threshold = def.Threshold
 	}
 	if o.Scorer == nil {
-		o.Scorer = proxy.CalibratedLEEP{}
+		o.Scorer = def.Scorer
 	}
 }
 
@@ -131,8 +134,8 @@ func PrepareOfflineWith(m *perfmatrix.Matrix, opts Options, workers int) (*Offli
 }
 
 // matrixVectors extracts every model's performance vector and benchmark
-// average from the matrix, in matrix model order, fanning the rows out
-// across the worker budget (each worker owns whole rows of the output
+// average from the matrix, in matrix model order, a row per fan-out item
+// (<= 0 workers means GOMAXPROCS; each item owns a whole row of the output
 // frame, so contents are order-independent). Vectors land in one
 // contiguous frame, a row per model.
 func matrixVectors(m *perfmatrix.Matrix, workers int) (names []string, vecs *numeric.Frame, avgAcc []float64, err error) {
@@ -145,47 +148,16 @@ func matrixVectors(m *perfmatrix.Matrix, workers int) (names []string, vecs *num
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-	errs := make([]error, len(names))
-	fillRow := func(i int) {
+	err = fanout.Each(context.TODO(), len(names), workers, func(i int) error {
 		v, err := m.Vector(names[i])
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		copy(vecs.Row(i), v)
 		avgAcc[i] = numeric.Mean(v)
-	}
-	if workers <= 1 {
-		for i := range names {
-			fillRow(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(names) {
-						return
-					}
-					fillRow(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return names, vecs, avgAcc, nil
+		return nil
+	})
+	return names, vecs, avgAcc, err
 }
 
 // assembleOffline derives representatives, their deterministic order and

@@ -29,13 +29,13 @@ import (
 	"fmt"
 	"log"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"twophase/internal/artifact"
 	"twophase/internal/core"
+	"twophase/internal/fanout"
 	"twophase/internal/faultinject"
 	"twophase/internal/lifecycle"
 	"twophase/internal/store"
@@ -521,34 +521,28 @@ func (s *Service) Warm(ctx context.Context, keys []lifecycle.Key) error {
 // at startup. The joined error aggregates every failed world.
 func (s *Service) WarmResults(ctx context.Context, keys []lifecycle.Key) ([]WarmResult, error) {
 	results := make([]WarmResult, len(keys))
-	errs := make([]error, len(keys))
-	sem := make(chan struct{}, s.opts.BuildWorkers)
-	var wg sync.WaitGroup
+	errs := fanout.Errors(ctx, len(keys), s.opts.BuildWorkers, func(i int) error {
+		k := keys[i]
+		results[i].Key = k
+		start := time.Now()
+		h, err := s.acquire(ctx, k.Task, k.Seed)
+		results[i].Duration = time.Since(start)
+		if err != nil {
+			return err
+		}
+		h.Release()
+		return nil
+	})
 	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k lifecycle.Key) {
-			defer wg.Done()
-			results[i].Key = k
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				results[i].Err = ctx.Err()
-				errs[i] = fmt.Errorf("warm %s: %w", k, ctx.Err())
-				return
-			}
-			defer func() { <-sem }()
-			start := time.Now()
-			h, err := s.acquire(ctx, k.Task, k.Seed)
-			results[i].Duration = time.Since(start)
-			if err != nil {
-				results[i].Err = err
-				errs[i] = fmt.Errorf("warm %s: %w", k, err)
-				return
-			}
-			h.Release()
-		}(i, k)
+		r := &results[i]
+		r.Err = errs[i]
+		if r.Key != k { // never started: the warm was canceled first
+			*r = WarmResult{Key: k, Err: ctx.Err()}
+		}
+		if r.Err != nil {
+			errs[i] = fmt.Errorf("warm %s: %w", k, r.Err)
+		}
 	}
-	wg.Wait()
 	return results, errors.Join(errs...)
 }
 
@@ -643,48 +637,33 @@ func (s *Service) Do(ctx context.Context, req Request) ([]Result, error) {
 		PrefilterTopK: req.PrefilterTopK,
 	}
 	results := make([]Result, len(req.Targets))
-	sem := make(chan struct{}, s.opts.Concurrency)
-	var wg sync.WaitGroup
+	errs := fanout.Errors(ctx, len(req.Targets), s.opts.Concurrency, func(i int) error {
+		d, err := fw.Catalog.Get(req.Targets[i])
+		if err != nil {
+			return err
+		}
+		report, err := fw.SelectWith(ctx, d, opts)
+		if err != nil {
+			return err
+		}
+		s.cost.Add(report.Ledger)
+		results[i].Report, results[i].Degraded = report, fw.Degraded
+		return nil
+	})
 	for i, name := range req.Targets {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			// A canceled batch must not keep queueing work: give up the
-			// wait for a slot and record why this target was skipped.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				results[i] = Result{Target: name, Err: ctx.Err()}
-				return
-			}
-			defer func() { <-sem }()
-			report, err := func() (report *core.Report, err error) {
-				// A panicking selection (a malformed world, a bug in a
-				// strategy) must cost one target, not the process: recover
-				// here so the batch's other targets and every future
-				// request keep serving, and the failure surfaces as a
-				// typed internal error.
-				defer func() {
-					if rec := recover(); rec != nil {
-						atomic.AddInt64(&s.panics, 1)
-						log.Printf("service: selection for %q panicked: %v\n%s", name, rec, debug.Stack())
-						err = fmt.Errorf("service: selection for %q panicked: %v", name, rec)
-					}
-				}()
-				d, err := fw.Catalog.Get(name)
-				if err != nil {
-					return nil, err
-				}
-				return fw.SelectWith(ctx, d, opts)
-			}()
-			if err != nil {
-				results[i] = Result{Target: name, Err: err}
-				return
-			}
-			s.cost.Add(report.Ledger)
-			results[i] = Result{Target: name, Report: report, Degraded: fw.Degraded}
-		}(i, name)
+		r := &results[i]
+		r.Target, r.Err = name, errs[i]
+		// A panicking selection (a malformed world, a bug in a strategy)
+		// costs one target, not the process: fanout recovered it, here or
+		// in a stage's own fan-out, and it surfaces as a typed internal error.
+		var p *fanout.Panic
+		switch {
+		case errors.As(r.Err, &p):
+			atomic.AddInt64(&s.panics, 1)
+			r.Err = fmt.Errorf("service: selection for %q panicked: %w", name, r.Err)
+		case r.Err == nil && r.Report == nil:
+			r.Err = ctx.Err() // never started: the batch was canceled first
+		}
 	}
-	wg.Wait()
 	return results, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -255,6 +256,45 @@ func TestSelectAllPartialFailure(t *testing.T) {
 	}
 	if results[1].Err == nil {
 		t.Fatal("unknown target in batch did not error")
+	}
+}
+
+// TestPanickingSelectionCostsOneTarget: a selection that panics (here a
+// world whose target carries a negative label) answers its own target
+// with the service's typed message and is counted in Panics; the rest of
+// the batch is served. It holds whether the panic is recovered by the
+// batch's own fan-out (two-phase dies in the proxy scorer, on the caller's
+// goroutine at Concurrency 1) or by a stage's fan-out below it (lsq dies
+// in a fit, on lsq.Rank's pool).
+func TestPanickingSelectionCostsOneTarget(t *testing.T) {
+	for _, c := range []struct {
+		concurrency int
+		strategy    core.Strategy
+	}{{1, core.StrategyTwoPhase}, {2, core.StrategyLSQ}} {
+		s := newTestService(t, Options{Concurrency: c.concurrency})
+		fw, err := s.Framework(context.Background(), datahub.TaskNLP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := fw.Catalog.Get("tweet_eval")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Train.Y[0] = -1
+		results, err := s.Do(context.Background(), Request{Task: datahub.TaskNLP,
+			Targets: []string{"tweet_eval", "super_glue/boolq"}, Strategy: c.strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := results[0].Err; got == nil || !strings.HasPrefix(got.Error(), `service: selection for "tweet_eval" panicked: `) {
+			t.Fatalf("%s: panicking target answered %v", c.strategy, got)
+		}
+		if results[1].Err != nil || results[1].Report == nil {
+			t.Fatalf("%s: the batch's other target failed: %v", c.strategy, results[1].Err)
+		}
+		if s.Panics() != 1 {
+			t.Fatalf("%s: Panics() = %d, want 1", c.strategy, s.Panics())
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"twophase/internal/fanout"
 )
 
 // errRequestFailed marks a ReportFailure entry in the health ledger.
@@ -158,16 +160,14 @@ func (m *Membership) probeAll(ctx context.Context) {
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, n := range m.opts.Nodes {
-		wg.Add(1)
-		go func(n string) {
-			defer wg.Done()
-			instance, err := m.opts.Probe(ctx, n)
-			m.record(n, instance, err)
-		}(n)
-	}
-	wg.Wait()
+	nodes := m.opts.Nodes
+	// Each probe records its own outcome as it lands; a probe that panics
+	// (fanout logs it) leaves its node's state as it was.
+	_ = fanout.Each(ctx, len(nodes), len(nodes), func(i int) error {
+		instance, err := m.opts.Probe(ctx, nodes[i])
+		m.record(nodes[i], instance, err)
+		return nil
+	})
 }
 
 // record folds one probe outcome into the node's state.

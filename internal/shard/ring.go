@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+	"strings"
 
 	"twophase/internal/lifecycle"
 )
@@ -54,6 +55,27 @@ type Ring struct {
 type ringPoint struct {
 	hash uint64
 	node string
+}
+
+// ParseBackends splits and sanity-checks a -backends flag value into ring
+// node names. The gateway and every backend call this one function, so
+// the rings they build from the same flag agree node for node.
+func ParseBackends(spec string) ([]string, error) {
+	var out []string
+	for _, b := range strings.Split(spec, ",") {
+		b = strings.TrimSpace(b)
+		if b == "" {
+			continue
+		}
+		if !strings.HasPrefix(b, "http://") && !strings.HasPrefix(b, "https://") {
+			return nil, fmt.Errorf("backend %q is not an http(s) URL", b)
+		}
+		out = append(out, strings.TrimRight(b, "/"))
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-backends is required (comma-separated base URLs)")
+	}
+	return out, nil
 }
 
 // NewRing builds a ring with vnodes virtual points per node (0 means

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"twophase/internal/api"
 	"twophase/internal/breaker"
 	"twophase/internal/core"
+	"twophase/internal/fanout"
 )
 
 // Hedging constants: the latency window size and how many samples must
@@ -243,11 +243,9 @@ type served struct {
 
 // subResult is one scattered sub-request's outcome.
 type subResult struct {
-	indices  []int // original target indices, in sub-request order
-	resp     *api.SelectResponse
-	node     string // serving backend URL (unique by ring construction)
-	instance string // its self-reported instance id (may be empty)
-	err      error
+	indices []int // original target indices, in sub-request order
+	served
+	node string // serving backend URL (unique by ring construction)
 }
 
 // Select implements api.API: it scatters the request's targets across the
@@ -272,48 +270,42 @@ func (r *Router) Select(ctx context.Context, req *api.SelectRequest) (*api.Selec
 	// over the replica set parallelizes the online phase across machines
 	// without costing any extra offline builds. Target order inside each
 	// slice, and slice-to-owner assignment, are deterministic.
-	fanout := alive
-	if fanout > len(req.Targets) {
-		fanout = len(req.Targets)
+	width := alive
+	if width > len(req.Targets) {
+		width = len(req.Targets)
 	}
-	groups := make([]subResult, fanout)
+	groups := make([]subResult, width)
 	for i := range req.Targets {
-		g := &groups[i%fanout]
+		g := &groups[i%width]
 		g.indices = append(g.indices, i)
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for gi := range groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			g := &groups[gi]
-			sub := *req
-			sub.Targets = make([]string, len(g.indices))
-			for j, idx := range g.indices {
-				sub.Targets[j] = req.Targets[idx]
-			}
-			// Failover order: this slice's assigned owner first, then the
-			// rest of the owner set in priority order.
-			candidates := append([]string{owners[gi]}, deleteAt(owners, gi)...)
-			var res served
-			res, g.node, g.err = walk(ctx, &r.attempter, candidates, r.hedgeDelay,
-				func(ctx context.Context, node string) (served, error) {
-					var s served
-					start := time.Now()
-					resp, err := r.clients[node].Select(api.WithInstanceCapture(ctx, &s.instance), &sub)
-					if err != nil {
-						return s, err
-					}
-					r.latency.Observe(time.Since(start))
-					s.resp = resp
-					return s, nil
-				})
-			g.resp, g.instance = res.resp, res.instance
-		}(gi)
-	}
-	wg.Wait()
+	errs := fanout.Errors(ctx, len(groups), len(groups), func(gi int) error {
+		g := &groups[gi]
+		sub := *req
+		sub.Targets = make([]string, len(g.indices))
+		for j, idx := range g.indices {
+			sub.Targets[j] = req.Targets[idx]
+		}
+		// Failover order: this slice's assigned owner first, then the
+		// rest of the owner set in priority order.
+		candidates := append([]string{owners[gi]}, deleteAt(owners, gi)...)
+		var err error
+		g.served, g.node, err = walk(ctx, &r.attempter, candidates, r.hedgeDelay,
+			func(ctx context.Context, node string) (served, error) {
+				var s served
+				start := time.Now()
+				resp, err := r.clients[node].Select(api.WithInstanceCapture(ctx, &s.instance), &sub)
+				if err != nil {
+					return s, err
+				}
+				r.latency.Observe(time.Since(start))
+				s.resp = resp
+				return s, nil
+			})
+		return err
+	})
 
 	// Gather, preserving request order and per-target error codes.
 	out := &api.SelectResponse{
@@ -322,25 +314,30 @@ func (r *Router) Select(ctx context.Context, req *api.SelectRequest) (*api.Selec
 		Seed:       seed,
 		Results:    make([]api.TargetResult, len(req.Targets)),
 	}
-	builds := make(map[string]int, fanout) // per distinct backend, not per slice
+	builds := make(map[string]int, width) // per distinct backend, not per slice
 	for gi := range groups {
 		g := &groups[gi]
-		// Never trust a remote process's response shape: a skewed or
-		// broken backend answering 200 with the wrong result count must
-		// degrade to a per-target error, not an index panic.
-		if g.err == nil && (g.resp == nil || len(g.resp.Results) != len(g.indices)) {
+		err := errs[gi]
+		switch {
+		case err != nil:
+		case g.node == "": // never started: the request was canceled first
+			err = fmt.Errorf("%w: %v", api.ErrCanceled, ctx.Err())
+		case g.resp == nil || len(g.resp.Results) != len(g.indices):
+			// Never trust a remote process's response shape: a skewed or
+			// broken backend answering 200 with the wrong result count must
+			// degrade to a per-target error, not an index panic.
 			got := 0
 			if g.resp != nil {
 				got = len(g.resp.Results)
 			}
-			g.err = fmt.Errorf("backend %q returned %d results for %d targets", g.node, got, len(g.indices))
+			err = fmt.Errorf("backend %q returned %d results for %d targets", g.node, got, len(g.indices))
 		}
-		if g.err != nil {
+		if err != nil {
 			if len(req.Targets) == 1 {
 				// RPC semantics pass through the gateway untouched.
-				return nil, g.err
+				return nil, err
 			}
-			msg, code := g.err.Error(), api.Code(g.err)
+			msg, code := err.Error(), api.Code(err)
 			for _, idx := range g.indices {
 				out.Results[idx] = api.TargetResult{Target: req.Targets[idx], Error: msg, ErrorCode: code}
 				out.Failed++
@@ -432,7 +429,6 @@ func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
 	// document — a monitoring scrape must never hang on one slow node.
 	ctx, cancel := context.WithTimeout(ctx, statsTimeout)
 	defer cancel()
-	var wg sync.WaitGroup
 	for i, ns := range snap {
 		bs := &g.BackendStats[i]
 		bs.URL = ns.Node
@@ -450,16 +446,18 @@ func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
 		bs.Failures = atomic.LoadInt64(&r.counters[ns.Node].failures)
 		if ns.Alive {
 			g.Alive++
-			wg.Add(1)
-			go func(node string, bs *api.BackendStats) {
-				defer wg.Done()
-				if st, err := r.clients[node].Stats(ctx); err == nil {
-					bs.Stats = st
-				}
-			}(ns.Node, bs)
 		}
 	}
-	wg.Wait()
+	// A backend whose scrape fails, is canceled or panics (fanout logs it)
+	// just has no document: there is no error to pass on.
+	_ = fanout.Each(ctx, len(snap), len(snap), func(i int) error {
+		if bs := &g.BackendStats[i]; bs.Alive {
+			if st, err := r.clients[bs.URL].Stats(ctx); err == nil {
+				bs.Stats = st
+			}
+		}
+		return nil
+	})
 	for i := range g.BackendStats {
 		st := g.BackendStats[i].Stats
 		if st == nil {

@@ -2,88 +2,39 @@ package trainer
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"log"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"twophase/internal/datahub"
+	"twophase/internal/fanout"
 	"twophase/internal/modelhub"
 )
 
 // FineTuneGrid fine-tunes every (model, dataset) cell of the grid and
 // returns the curves in row-major order: curves[mi*len(datasets)+di] is
-// models[mi] trained on datasets[di]. Cells train concurrently under the
-// given worker budget (<= 0 means GOMAXPROCS), but the output is fully
-// order-independent:
-//
-//   - each cell owns an independent RNG stream (seed, model, dataset,
-//     salt), so training order cannot perturb any other cell;
-//   - results land in preassigned slots, never a shared map;
-//   - on failure the error reported is the first in *index* order, not
-//     whichever worker lost the race.
-//
-// This makes FineTuneGrid(workers=1) bit-identical to FineTuneGrid(
+// models[mi] trained on datasets[di]. Cells are fanout.Each items under
+// the given worker budget (<= 0 means GOMAXPROCS). Each cell owns an
+// independent RNG stream (seed, model, dataset, salt) and a preassigned
+// slot, so FineTuneGrid(workers=1) is bit-identical to FineTuneGrid(
 // workers=N) for every N — the property the offline-build determinism
-// suites pin. Workers observe ctx between cell pickups, so a canceled
-// build stops scheduling new cells and returns ctx.Err().
+// suites pin.
 func FineTuneGrid(ctx context.Context, models []*modelhub.Model, datasets []*datahub.Dataset, hp Hyperparams, seed uint64, salt string, workers int) ([]Curve, error) {
-	nCells := len(models) * len(datasets)
-	curves := make([]Curve, nCells)
-	if nCells == 0 {
-		return curves, ctx.Err()
-	}
+	curves := make([]Curve, len(models)*len(datasets))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nCells {
-		workers = nCells
-	}
-
-	errs := make([]error, nCells)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= nCells {
-					return
-				}
-				mi, di := i/len(datasets), i%len(datasets)
-				curves[i], errs[i] = fineTuneCell(models[mi], datasets[di], hp, seed, salt)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	nd := len(datasets)
+	err := fanout.Each(ctx, len(curves), workers, func(i int) (err error) {
+		curves[i], err = FineTune(models[i/nd], datasets[i%nd], hp, seed, salt)
+		return err
+	})
+	if err != nil {
+		var p *fanout.Panic
+		if errors.As(err, &p) {
+			err = fmt.Errorf("trainer: fine-tune %s/%s: %w", models[p.Index/nd].Name, datasets[p.Index%nd].Name, err)
+		}
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return curves, nil
-}
-
-// fineTuneCell trains one grid cell, converting a panic in the training
-// kernel into that cell's error: the grid workers run on bare goroutines,
-// where an unrecovered panic would kill the whole process instead of
-// failing the one offline build that hit it.
-func fineTuneCell(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, salt string) (c Curve, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			log.Printf("trainer: fine-tune %s/%s panicked: %v\n%s", m.Name, d.Name, rec, debug.Stack())
-			c, err = Curve{}, fmt.Errorf("trainer: fine-tune %s/%s panicked: %v", m.Name, d.Name, rec)
-		}
-	}()
-	return FineTune(m, d, hp, seed, salt)
 }

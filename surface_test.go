@@ -66,27 +66,11 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 	declIdents := map[*ast.Ident]bool{}
 	var files []*ast.File
 
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkSources(t, fset, func(path string, f *ast.File) {
 		files = append(files, f)
 		dir := filepath.ToSlash(filepath.Dir(path))
 		if !strings.HasPrefix(dir, "internal/") || harnessPackages[dir] != "" {
-			return nil
+			return
 		}
 		add := func(id *ast.Ident, method bool) {
 			declIdents[id] = true
@@ -111,11 +95,7 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	named := map[string]bool{}     // any identifier, by bare name
 	qualified := map[string]bool{} // "pkg.Name": pkg.Name anywhere, or a bare Name inside pkg
@@ -172,5 +152,78 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 		if !needed[key] {
 			t.Errorf("keptHooks lists %s, which is either gone or named by non-test code now: drop the entry", key)
 		}
+	}
+}
+
+// ownPools are the non-test files outside bench/ allowed to coordinate
+// goroutines with their own sync.WaitGroup instead of internal/fanout.
+// The list is exact — an entry that stops being needed fails the test too.
+var ownPools = map[string]string{
+	"internal/fanout/fanout.go":    "the one bounded fan-out itself",
+	"internal/numeric/parallel.go": "contiguous row blocks sized by flops, under a non-blocking process-wide helper reservation",
+	"cmd/loadgen/main.go":          "open-loop load driver: arrivals are paced by a clock, not claimed by workers",
+}
+
+// TestOneFanOut makes "one bounded fan-out" a tier-1 check: a non-test
+// file outside bench/ that names sync.WaitGroup is hand-rolling a pool
+// (width, cancellation, first-error and panic rules of its own) and must
+// go through fanout.Each / fanout.Errors instead.
+func TestOneFanOut(t *testing.T) {
+	fset := token.NewFileSet()
+	needed := map[string]bool{}
+	walkSources(t, fset, func(path string, f *ast.File) {
+		path = filepath.ToSlash(path)
+		if strings.HasPrefix(path, "bench/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "WaitGroup" {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "sync" {
+				return true
+			}
+			if ownPools[path] != "" {
+				needed[path] = true
+			} else {
+				t.Errorf("%s: sync.WaitGroup outside internal/fanout: run the items through fanout.Each or fanout.Errors", fset.Position(sel.Pos()))
+			}
+			return true
+		})
+	})
+	for path := range ownPools {
+		if !needed[path] {
+			t.Errorf("ownPools lists %s, which is gone or no longer names sync.WaitGroup: drop the entry", path)
+		}
+	}
+}
+
+// walkSources parses every non-test .go file of the module (hidden and
+// testdata directories skipped) and hands each to fn with its path.
+func walkSources(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
