@@ -1,6 +1,6 @@
 // Package twophase_bench regenerates every table and figure of the paper
-// as a testing.B benchmark (deliverable d of DESIGN.md). Each benchmark
-// reports two custom metrics alongside time/allocs where meaningful:
+// as a testing.B benchmark. Each benchmark reports two custom metrics
+// alongside time/allocs where meaningful:
 // epochs/op for selection cost and acc for selected-model quality — the
 // two quantities the paper's evaluation tracks.
 //
@@ -63,7 +63,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// --- one benchmark per paper artifact (DESIGN.md §4) ---
+// --- one benchmark per paper artifact (ids as `experiments -list` prints them) ---
 
 func BenchmarkFig1ModelSpread(b *testing.B)        { benchExperiment(b, "fig1") }
 func BenchmarkTable1Clustering(b *testing.B)       { benchExperiment(b, "tab1") }

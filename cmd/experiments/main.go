@@ -6,7 +6,7 @@
 //	experiments [-seed N] [-only id1,id2,...] [-list] [-csv DIR]
 //
 // Without -only it runs every experiment in paper order. Experiment ids
-// match DESIGN.md's index (fig1, tab1, ..., extRobust). With -csv, each
+// are the ones -list prints (fig1, tab1, ..., extRobust). With -csv, each
 // table is additionally written as DIR/<id>.csv for plotting.
 package main
 

@@ -54,9 +54,6 @@
 //	-queue N             max queued requests past the inflight bound;
 //	                     beyond it the lowest-priority waiter is shed as
 //	                     503 overloaded with Retry-After
-//	-hedge-pct P         hedge a select sub-request still in flight past
-//	                     the fleet's recent P-th latency percentile by
-//	                     racing the next replica (0 = disabled)
 package main
 
 import (
@@ -93,7 +90,6 @@ type config struct {
 	burst          float64
 	inflight       int
 	queue          int
-	hedgePct       float64
 	attemptTimeout time.Duration
 	faultSchedule  string
 }
@@ -114,7 +110,6 @@ func main() {
 	flag.Float64Var(&cfg.burst, "burst", 0, "per-client bucket capacity (0 = max(rate, 1))")
 	flag.IntVar(&cfg.inflight, "inflight", 0, "max concurrently admitted selections (0 = unlimited)")
 	flag.IntVar(&cfg.queue, "queue", 0, "max queued requests past the inflight bound")
-	flag.Float64Var(&cfg.hedgePct, "hedge-pct", 0, "hedge select sub-requests past this latency percentile (0 = disabled)")
 	flag.DurationVar(&cfg.attemptTimeout, "attempt-timeout", 0, "per-attempt timeout on forwarded backend requests (0 = disabled)")
 	flag.StringVar(&cfg.faultSchedule, "fault-schedule", "", "deterministic fault-injection schedule (empty = TWOPHASE_FAULT_SCHEDULE env, empty = off)")
 	flag.Parse()
@@ -144,8 +139,8 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	if cfg.replicas <= 0 || cfg.vnodes <= 0 || cfg.probeFailures <= 0 || cfg.probeInterval <= 0 {
 		return fmt.Errorf("-replicas, -vnodes, -probe-interval and -probe-failures must be positive")
 	}
-	if cfg.rate < 0 || cfg.burst < 0 || cfg.inflight < 0 || cfg.queue < 0 || cfg.hedgePct < 0 || cfg.hedgePct > 100 {
-		return fmt.Errorf("-rate, -burst, -inflight and -queue must be non-negative; -hedge-pct must be in [0, 100]")
+	if cfg.rate < 0 || cfg.burst < 0 || cfg.inflight < 0 || cfg.queue < 0 {
+		return fmt.Errorf("-rate, -burst, -inflight and -queue must be non-negative")
 	}
 	if cfg.attemptTimeout < 0 {
 		return fmt.Errorf("-attempt-timeout must be non-negative")
@@ -166,9 +161,8 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		// The transport wrapper is where the "transport" fault site lives
 		// (latency spikes, resets, raw 5xx bursts); with no schedule armed
 		// it is a single atomic load per round trip.
-		HTTPClient:      &http.Client{Transport: faultinject.Transport(nil)},
-		HedgePercentile: cfg.hedgePct,
-		AttemptTimeout:  cfg.attemptTimeout,
+		HTTPClient:     &http.Client{Transport: faultinject.Transport(nil)},
+		AttemptTimeout: cfg.attemptTimeout,
 		// Seed the half-open admission coin with the routing seed, so a
 		// seeded chaos run re-admits probes in the same order every time.
 		Breaker: breaker.Options{Seed: cfg.seed},

@@ -24,8 +24,6 @@
 //	-deadline-ms N   per-request deadline budget (0 = none)
 //	-client ID       X-Client-Id header (default "loadgen")
 //	-priority N      X-Priority header (0 = omitted)
-//	-retries N       extra attempts for Retryable refusals, honoring the
-//	                 server's Retry-After hint (default 0)
 //	-out FILE        JSON report path (default BENCH_load.json)
 //	-strict          exit nonzero when any request fails with an untyped
 //	                 (internal) error — refusals and sheds are expected
@@ -61,7 +59,6 @@ type config struct {
 	deadlineMS  int64
 	client      string
 	priority    int
-	retries     int
 	out         string
 	strict      bool
 }
@@ -112,7 +109,6 @@ func main() {
 	flag.Int64Var(&cfg.deadlineMS, "deadline-ms", 0, "per-request deadline budget in ms (0 = none)")
 	flag.StringVar(&cfg.client, "client", "loadgen", "X-Client-Id header")
 	flag.IntVar(&cfg.priority, "priority", 0, "X-Priority header (0 = omitted)")
-	flag.IntVar(&cfg.retries, "retries", 0, "extra attempts for retryable refusals")
 	flag.StringVar(&cfg.out, "out", "BENCH_load.json", "JSON report path")
 	flag.BoolVar(&cfg.strict, "strict", false, "exit nonzero on any internal (untyped) error")
 	flag.Parse()
@@ -179,13 +175,7 @@ func run(cfg config) error {
 		defer wg.Done()
 		defer func() { <-sem }()
 		start := time.Now()
-		var resp *api.SelectResponse
-		var err error
-		if cfg.retries > 0 {
-			resp, err = client.SelectRetry(context.Background(), req, cfg.retries+1)
-		} else {
-			resp, err = client.Select(context.Background(), req)
-		}
+		resp, err := client.Select(context.Background(), req)
 		elapsed := time.Since(start)
 		mu.Lock()
 		all = append(all, elapsed)

@@ -31,7 +31,9 @@
 //	                per CPU, 1 = serial; bit-identical output either way;
 //	                rejected with -server — it configures the builder)
 //	-concurrency N  concurrent selections in the batch (0 = one per CPU)
-//	-cache-size N   max resident frameworks, LRU-evicted beyond (0 = unbounded)
+//	-cache-size N   max resident frameworks, LRU-evicted beyond (0 = unbounded);
+//	                up to max(8, 2N) last good frameworks stay reachable
+//	                for degraded serving
 //	-warm SPEC      pre-build worlds before serving, e.g. "nlp,cv:7"
 //	-seed-policy P  per-request seed admission: any, fixed, allow=..., max=N
 //	-deadline-ms N  anytime deadline per target (0 = none); the response
@@ -76,7 +78,7 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "per-round training workers (0 = one per CPU)")
 	flag.IntVar(&cfg.buildWorkers, "build-workers", 0, "offline-build parallelism (0 = one per CPU, 1 = serial)")
 	flag.IntVar(&cfg.concurrency, "concurrency", 0, "concurrent selections (0 = one per CPU)")
-	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "max resident frameworks, LRU-evicted beyond it (0 = unbounded)")
+	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "max resident frameworks, LRU-evicted beyond it (0 = unbounded); up to max(8, 2N) last good frameworks stay reachable for degraded serving")
 	flag.StringVar(&cfg.warmSpec, "warm", "", `worlds to pre-build before serving, e.g. "nlp,cv:7"`)
 	flag.StringVar(&cfg.seedPolicy, "seed-policy", "any", "per-request seed admission: any, fixed, allow=..., max=N")
 	flag.Int64Var(&cfg.deadlineMS, "deadline-ms", 0, "anytime deadline per target in ms (0 = none; truncates, never cancels)")

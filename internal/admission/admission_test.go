@@ -10,7 +10,7 @@ import (
 )
 
 func TestTokenBucketRefill(t *testing.T) {
-	b := NewTokenBucket(10, 2) // 10 tok/s, burst 2
+	b := newTokenBucket(10, 2) // 10 tok/s, burst 2
 	now := time.Unix(1000, 0)
 	for i := 0; i < 2; i++ {
 		if ok, _ := b.Allow(now); !ok {
@@ -34,7 +34,7 @@ func TestTokenBucketRefill(t *testing.T) {
 // bucket nor drive tokens negative, and the bucket must resume refilling
 // on the new timeline.
 func TestTokenBucketClockSkew(t *testing.T) {
-	b := NewTokenBucket(10, 1)
+	b := newTokenBucket(10, 1)
 	now := time.Unix(1000, 0)
 	if ok, _ := b.Allow(now); !ok {
 		t.Fatal("full bucket refused")
@@ -53,7 +53,7 @@ func TestTokenBucketClockSkew(t *testing.T) {
 		t.Fatal("bucket stuck after clock skew")
 	}
 	// Repeated identical timestamps (a stopped clock) never refill.
-	b2 := NewTokenBucket(1000, 1)
+	b2 := newTokenBucket(1000, 1)
 	b2.Allow(now)
 	for i := 0; i < 100; i++ {
 		if ok, _ := b2.Allow(now); ok {
@@ -266,32 +266,6 @@ func TestAdmissionHammer(t *testing.T) {
 	}
 	if st := c.Stats(); st.Inflight != 0 || st.QueueLen != 0 {
 		t.Fatalf("leaked state after hammer: %+v", st)
-	}
-}
-
-func TestWindowPercentile(t *testing.T) {
-	w := NewWindow(100)
-	if _, ok := w.Percentile(99); ok {
-		t.Fatal("empty window reported a percentile")
-	}
-	for i := 1; i <= 100; i++ {
-		w.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if p50, _ := w.Percentile(50); p50 != 50*time.Millisecond {
-		t.Fatalf("p50 = %v", p50)
-	}
-	if p99, _ := w.Percentile(99); p99 != 99*time.Millisecond {
-		t.Fatalf("p99 = %v", p99)
-	}
-	// The window slides: 50 more large samples shift the percentiles up.
-	for i := 0; i < 50; i++ {
-		w.Observe(time.Second)
-	}
-	if p99, _ := w.Percentile(99); p99 != time.Second {
-		t.Fatalf("p99 after slide = %v", p99)
-	}
-	if w.Len() != 100 {
-		t.Fatalf("window len %d", w.Len())
 	}
 }
 

@@ -23,10 +23,10 @@ type TokenBucket struct {
 	last   time.Time // last refill instant (zero until first Allow)
 }
 
-// NewTokenBucket creates a full bucket. rate must be positive; a burst
+// newTokenBucket creates a full bucket. rate must be positive; a burst
 // below 1 is raised to 1 so a full bucket always admits at least one
 // request.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
+func newTokenBucket(rate, burst float64) *TokenBucket {
 	if burst < 1 {
 		burst = 1
 	}

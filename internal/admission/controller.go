@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -259,7 +258,7 @@ func (c *Controller) bucket(client string) *TokenBucket {
 		delete(c.buckets, oldest)
 		delete(c.lru, oldest)
 	}
-	b := NewTokenBucket(c.opts.Rate, c.opts.Burst)
+	b := newTokenBucket(c.opts.Rate, c.opts.Burst)
 	c.buckets[client] = b
 	c.lru[client] = c.tick
 	return b
@@ -274,62 +273,4 @@ func (c *Controller) Stats() Stats {
 	st.QueueLen = len(c.queue)
 	st.Clients = len(c.buckets)
 	return st
-}
-
-// Window is a fixed-size sliding window of latency observations with
-// percentile queries — the gateway's hedging trigger reads its p-th
-// percentile to decide when a sub-request is "slow".
-type Window struct {
-	mu  sync.Mutex
-	buf []time.Duration
-	idx int
-	n   int
-}
-
-// NewWindow creates a window over the last `size` observations (minimum 1).
-func NewWindow(size int) *Window {
-	if size < 1 {
-		size = 1
-	}
-	return &Window{buf: make([]time.Duration, size)}
-}
-
-// Observe records one latency sample.
-func (w *Window) Observe(d time.Duration) {
-	w.mu.Lock()
-	w.buf[w.idx] = d
-	w.idx = (w.idx + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.mu.Unlock()
-}
-
-// Len reports how many samples the window currently holds.
-func (w *Window) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) of the window's
-// samples, or false while the window is empty. Nearest-rank method.
-func (w *Window) Percentile(p float64) (time.Duration, bool) {
-	w.mu.Lock()
-	if w.n == 0 {
-		w.mu.Unlock()
-		return 0, false
-	}
-	samples := make([]time.Duration, w.n)
-	copy(samples, w.buf[:w.n])
-	w.mu.Unlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	rank := int(p/100*float64(len(samples))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(samples) {
-		rank = len(samples) - 1
-	}
-	return samples[rank], true
 }

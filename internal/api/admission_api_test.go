@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +58,7 @@ func TestWireSentinelRegression(t *testing.T) {
 			if !errors.Is(err, tc.sentinel) {
 				t.Fatalf("errors.Is lost across the wire: got %v", err)
 			}
-			if got := RetryAfter(err); got != tc.retry {
+			if got := retryAfter(err); got != tc.retry {
 				t.Fatalf("RetryAfter = %v, want %v", got, tc.retry)
 			}
 			if tc.retry > 0 && !Retryable(err) {
@@ -203,126 +202,12 @@ func TestAdmissionMiddlewareShed(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("arrival at the bound: %v, want ErrOverloaded", err)
 	}
-	if RetryAfter(err) != admission.DefaultShedRetryAfter {
-		t.Fatalf("shed retry hint %v, want %v", RetryAfter(err), admission.DefaultShedRetryAfter)
+	if retryAfter(err) != admission.DefaultShedRetryAfter {
+		t.Fatalf("shed retry hint %v, want %v", retryAfter(err), admission.DefaultShedRetryAfter)
 	}
 	close(gate)
 	if err := <-first; err != nil {
 		t.Fatalf("held request failed: %v", err)
-	}
-}
-
-// rateLimitN is an API stub that refuses the first n Select calls as
-// rate_limited with a tiny retry hint, then succeeds.
-type rateLimitN struct {
-	okAPI
-	n     int
-	calls int64
-	// hint overrides the Retry-After carried on each refusal (default 5ms).
-	hint time.Duration
-}
-
-func (s *rateLimitN) Select(ctx context.Context, req *SelectRequest) (*SelectResponse, error) {
-	if atomic.AddInt64(&s.calls, 1) <= int64(s.n) {
-		hint := s.hint
-		if hint <= 0 {
-			hint = 5 * time.Millisecond
-		}
-		return nil, &Error{Code: CodeRateLimited, Message: "not yet", RetryAfter: hint}
-	}
-	return s.okAPI.Select(ctx, req)
-}
-
-// TestSelectRetry: the client's retry loop consults Retryable and sleeps
-// the server's hint; deterministic rejections are never retried.
-func TestSelectRetry(t *testing.T) {
-	stub := &rateLimitN{n: 2}
-	ts := httptest.NewServer(NewHandlerWith(stub, HandlerOptions{}))
-	defer ts.Close()
-	c := NewClient(ts.URL, ts.Client())
-	ctx := context.Background()
-
-	resp, err := c.SelectRetry(ctx, validReq, 3)
-	if err != nil {
-		t.Fatalf("retries exhausted: %v", err)
-	}
-	if resp.Results[0].Winner == "" || atomic.LoadInt64(&stub.calls) != 3 {
-		t.Fatalf("resp %+v after %d calls", resp, stub.calls)
-	}
-
-	// Attempts exhausted → the last refusal comes back, sentinel intact.
-	stub2 := &rateLimitN{n: 100}
-	ts2 := httptest.NewServer(NewHandlerWith(stub2, HandlerOptions{}))
-	defer ts2.Close()
-	if _, err := NewClient(ts2.URL, ts2.Client()).SelectRetry(ctx, validReq, 2); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("exhausted retry lost its refusal: %v", err)
-	}
-	if got := atomic.LoadInt64(&stub2.calls); got != 2 {
-		t.Fatalf("made %d attempts, want 2", got)
-	}
-
-	// Deterministic rejections are not retried.
-	stub3 := errAPI{err: ErrUnknownTarget}
-	ts3 := httptest.NewServer(NewHandlerWith(stub3, HandlerOptions{}))
-	defer ts3.Close()
-	if _, err := NewClient(ts3.URL, ts3.Client()).SelectRetry(ctx, validReq, 5); !errors.Is(err, ErrUnknownTarget) {
-		t.Fatalf("got %v, want ErrUnknownTarget", err)
-	}
-}
-
-// TestSelectRetryHonorsBudgetDeadline: a request carrying deadline_ms
-// bounds the cumulative retry wait by its own budget — the client must not
-// back off past the instant the server would have truncated the work.
-func TestSelectRetryHonorsBudgetDeadline(t *testing.T) {
-	// Each refusal hints a 30ms wait; a 50ms budget fits exactly one sleep
-	// (30ms), and stops before the second would overrun (30+30 > 50).
-	stub := &rateLimitN{n: 100}
-	ts := httptest.NewServer(NewHandlerWith(stub, HandlerOptions{}))
-	defer ts.Close()
-	c := NewClient(ts.URL, ts.Client())
-	atomic.StoreInt64(&stub.calls, 0)
-	stubHint := 30 * time.Millisecond
-	stub.hint = stubHint
-
-	req := *validReq
-	req.DeadlineMS = 50
-	start := time.Now()
-	_, err := c.SelectRetry(context.Background(), &req, 10)
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("budget-bounded retry lost its refusal: %v", err)
-	}
-	if got := atomic.LoadInt64(&stub.calls); got != 2 {
-		t.Fatalf("made %d attempts, want 2 (one sleep fits the 50ms budget)", got)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("retry loop ran %v, should have stopped at the budget", elapsed)
-	}
-
-	// Boundary: a budget equal to the total wait is spent, not exceeded —
-	// slept+wait == budget still sleeps (the server truncates AT the
-	// deadline, so arriving exactly then is still useful).
-	stub2 := &rateLimitN{n: 100, hint: 25 * time.Millisecond}
-	ts2 := httptest.NewServer(NewHandlerWith(stub2, HandlerOptions{}))
-	defer ts2.Close()
-	req2 := *validReq
-	req2.DeadlineMS = 50 // fits exactly two 25ms sleeps
-	if _, err := NewClient(ts2.URL, ts2.Client()).SelectRetry(context.Background(), &req2, 10); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("boundary retry lost its refusal: %v", err)
-	}
-	if got := atomic.LoadInt64(&stub2.calls); got != 3 {
-		t.Fatalf("made %d attempts, want 3 (two exact-fit sleeps)", got)
-	}
-
-	// No deadline_ms → the budget bound is inert and attempts rule.
-	stub3 := &rateLimitN{n: 100, hint: time.Millisecond}
-	ts3 := httptest.NewServer(NewHandlerWith(stub3, HandlerOptions{}))
-	defer ts3.Close()
-	if _, err := NewClient(ts3.URL, ts3.Client()).SelectRetry(context.Background(), validReq, 4); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("unbudgeted retry lost its refusal: %v", err)
-	}
-	if got := atomic.LoadInt64(&stub3.calls); got != 4 {
-		t.Fatalf("made %d attempts, want 4", got)
 	}
 }
 

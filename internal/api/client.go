@@ -51,55 +51,6 @@ func (c *Client) Select(ctx context.Context, req *SelectRequest) (*SelectRespons
 	return &resp, nil
 }
 
-// SelectRetry is Select with bounded retries of transient refusals. It
-// consults the contract's Retryable predicate — rate_limited, overloaded,
-// unavailable — rather than any status-class heuristic, sleeps the
-// server's Retry-After hint when one rides the refusal (a small linear
-// backoff otherwise), and gives up after `attempts` tries, returning the
-// last refusal. Deterministic rejections and cancellations are never
-// retried. A request carrying deadline_ms also bounds the *cumulative*
-// retry wait by that budget: once the next sleep would push total waiting
-// past deadline_ms, the client stops retrying and returns the last
-// refusal — the server would have truncated the work at that instant
-// anyway, so sleeping past it can only return a stale answer late.
-func (c *Client) SelectRetry(ctx context.Context, req *SelectRequest, attempts int) (*SelectResponse, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var budget time.Duration
-	if req != nil && req.DeadlineMS > 0 {
-		budget = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	var slept time.Duration
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		resp, err := c.Select(ctx, req)
-		if err == nil || !Retryable(err) {
-			return resp, err
-		}
-		lastErr = err
-		if i == attempts-1 {
-			break
-		}
-		wait := RetryAfter(err)
-		if wait <= 0 {
-			wait = time.Duration(i+1) * 50 * time.Millisecond
-		}
-		if budget > 0 && slept+wait > budget {
-			break
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-			slept += wait
-		case <-ctx.Done():
-			t.Stop()
-			return nil, classify(ctx.Err())
-		}
-	}
-	return nil, lastErr
-}
-
 // Targets implements API.
 func (c *Client) Targets(ctx context.Context, task string) (*TargetsResponse, error) {
 	var resp TargetsResponse

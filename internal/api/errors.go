@@ -87,9 +87,9 @@ func Retryable(err error) bool {
 	return row != nil && row.retryable
 }
 
-// RetryAfter extracts the retry hint riding err, or 0 when it carries
+// retryAfter extracts the retry hint riding err, or 0 when it carries
 // none. The hint survives the HTTP boundary via retry_after_ms.
-func RetryAfter(err error) time.Duration {
+func retryAfter(err error) time.Duration {
 	var e *Error
 	if errors.As(err, &e) {
 		return e.RetryAfter

@@ -288,7 +288,7 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func writeError(w http.ResponseWriter, err error) {
 	resp := ErrorResponse{Error: err.Error(), Code: Code(err)}
-	if ra := RetryAfter(err); ra > 0 {
+	if ra := retryAfter(err); ra > 0 {
 		resp.RetryAfterMS = ra.Milliseconds()
 		// Retry-After speaks whole seconds; round up so a client honoring
 		// only the header never retries before the hint.

@@ -299,12 +299,9 @@ type GatewayStats struct {
 	// Failovers counts sub-requests retried on another replica after a
 	// connection error or backend-side failure.
 	Failovers int64 `json:"failovers"`
-	// Hedges counts hedged sub-requests fired at a second replica after
-	// the primary ran past the fleet's latency percentile; HedgeWins
-	// counts the ones whose response was the one used. Hedge traffic is
-	// not a failover.
-	Hedges    int64 `json:"hedges,omitempty"`
-	HedgeWins int64 `json:"hedge_wins,omitempty"`
+	// Hedges is always zero and never on the wire: bench/run.go:352 reads
+	// it; a benchmark-type PR retires it with the shard.hedges row.
+	Hedges int64 `json:"hedges,omitempty"`
 	// BreakerSkips counts sub-request attempts not even sent because the
 	// target backend's circuit breaker was open.
 	BreakerSkips int64 `json:"breaker_skips,omitempty"`

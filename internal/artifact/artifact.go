@@ -95,9 +95,9 @@ type Header struct {
 	BodyCRC     uint64
 }
 
-// ParseHeader decodes and validates the fixed header: magic, version and
+// parseHeader decodes and validates the fixed header: magic, version and
 // the header's own checksum. It does not touch the body.
-func ParseHeader(data []byte) (Header, error) {
+func parseHeader(data []byte) (Header, error) {
 	if len(data) < HeaderSize {
 		return Header{}, fmt.Errorf("%w: %d bytes, header needs %d", ErrCorrupt, len(data), HeaderSize)
 	}
@@ -125,7 +125,7 @@ func ParseHeader(data []byte) (Header, error) {
 // every fetched-over-the-wire artifact passes before any content is
 // trusted.
 func Verify(data []byte) (Header, error) {
-	h, err := ParseHeader(data)
+	h, err := parseHeader(data)
 	if err != nil {
 		return Header{}, err
 	}

@@ -3,6 +3,7 @@ package artifact
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -46,13 +47,20 @@ func testMatrix(rng *rand.Rand, nM, nD, ep int) *perfmatrix.Matrix {
 	return m
 }
 
-// TestMatrixRoundTrip is the property test against the JSON path: the
-// binary codec must reproduce exactly the matrix a JSON round trip
-// reproduces, bit for bit, across random shapes and values.
+// TestMatrixRoundTrip is the property test against the JSON path:
+// Decode ∘ Encode is the identity, bit for bit, and reproduces exactly the
+// matrix a JSON round trip reproduces, across seeded random shapes —
+// 0×N, N×0, 1×1 and zero-epoch curves (the only curve lengths the encoder
+// accepts are the rectangular ones) — and awkward values.
 func TestMatrixRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 25; trial++ {
-		m := testMatrix(rng, 1+rng.Intn(5), 1+rng.Intn(5), rng.Intn(6))
+	shapes := [][3]int{{0, 3, 2}, {3, 0, 2}, {0, 0, 0}, {1, 1, 1}, {1, 1, 0}}
+	for trial := 0; trial < 40; trial++ {
+		shape := [3]int{rng.Intn(6), rng.Intn(6), rng.Intn(6)}
+		if trial < len(shapes) {
+			shape = shapes[trial]
+		}
+		m := testMatrix(rng, shape[0], shape[1], shape[2])
 		data, err := EncodeMatrix(m)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
@@ -60,6 +68,9 @@ func TestMatrixRoundTrip(t *testing.T) {
 		got, err := DecodeMatrix(data)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("trial %d (shape %v): decode(encode(m)) != m:\n%+v\nvs\n%+v", trial, shape, got, m)
 		}
 		jdata, err := json.Marshal(m)
 		if err != nil {
@@ -90,22 +101,37 @@ func TestMatrixRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecallRoundTrip(t *testing.T) {
+// testRecall builds a seeded random clustering artifact over n models:
+// assignments span negatives and the int extremes.
+func testRecall(rng *rand.Rand, n int) *recall.Artifact {
 	a := &recall.Artifact{
-		Task: "cv", Seed: 7, SimilarityK: 5, Threshold: 0.08,
-		Scorer: "calibrated-leep", Models: []string{"m1", "m2", "m3"},
-		Assign: []int{0, -1, 2}, Clusters: 3,
+		Task: "cv", Seed: rng.Uint64(), SimilarityK: rng.Intn(9), Threshold: rng.NormFloat64(),
+		Scorer: "calibrated-leep", Clusters: rng.Intn(n + 1),
 	}
-	data, err := EncodeRecall(a)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		a.Models = append(a.Models, "m"+string(rune('a'+i)))
+		a.Assign = append(a.Assign, []int{rng.Intn(n), -1, math.MaxInt, math.MinInt}[rng.Intn(4)])
 	}
-	got, err := DecodeRecall(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("recall round trip drifted:\n%+v\nvs\n%+v", got, a)
+	return a
+}
+
+// TestRecallRoundTrip: Decode ∘ Encode is the identity on seeded random
+// recall artifacts, the empty one (no models, nil assignment) included.
+func TestRecallRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		a := testRecall(rng, trial%8)
+		data, err := EncodeRecall(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRecall(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, a) {
+			t.Fatalf("trial %d: recall round trip drifted:\n%+v\nvs\n%+v", trial, got, a)
+		}
 	}
 }
 
@@ -151,32 +177,43 @@ func TestEncodeMatrixRejectsRagged(t *testing.T) {
 	}
 }
 
-// TestCorruptionNeverPassesChecksum flips every byte of a valid encoding
-// (one at a time) and truncates it at every length: Verify must fail each
-// time, and every decode must error instead of returning data.
+// TestCorruptionNeverPassesChecksum flips every single bit of a valid
+// matrix document and of a valid recall document (one at a time,
+// exhaustively) and truncates each at every length: Verify and both
+// decoders must refuse each mutant as ErrCorrupt — never decode it, never
+// panic.
 func TestCorruptionNeverPassesChecksum(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := testMatrix(rng, 2, 2, 2)
-	data, err := EncodeMatrix(m)
+	matrixDoc, err := EncodeMatrix(testMatrix(rng, 2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x40
-		if _, err := Verify(mut); err == nil {
-			t.Fatalf("bit flip at byte %d passed Verify", i)
+	recallDoc, err := EncodeRecall(testRecall(rng, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, mut []byte) {
+		t.Helper()
+		if _, err := Verify(mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Verify = %v, want ErrCorrupt", what, err)
 		}
-		if _, err := DecodeMatrix(mut); err == nil {
-			t.Fatalf("bit flip at byte %d decoded", i)
+		if m, err := DecodeMatrix(mut); m != nil || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: DecodeMatrix = (%v, %v), want ErrCorrupt", what, m, err)
+		}
+		if a, err := DecodeRecall(mut); a != nil || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: DecodeRecall = (%v, %v), want ErrCorrupt", what, a, err)
 		}
 	}
-	for n := 0; n < len(data); n++ {
-		if _, err := Verify(data[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes passed Verify", n)
+	for name, data := range map[string][]byte{"matrix": matrixDoc, "recall": recallDoc} {
+		for i := range data {
+			for bit := 0; bit < 8; bit++ {
+				mut := append([]byte(nil), data...)
+				mut[i] ^= 1 << bit
+				refused(fmt.Sprintf("%s: bit %d of byte %d flipped", name, bit, i), mut)
+			}
 		}
-		if _, err := DecodeMatrix(data[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded", n)
+		for n := 0; n < len(data); n++ {
+			refused(fmt.Sprintf("%s: truncated to %d bytes", name, n), data[:n])
 		}
 	}
 }

@@ -114,11 +114,9 @@ func flatten(r testing.BenchmarkResult) Measurement {
 	return Measurement{NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp()}
 }
 
-// MulFrameGFLOPS benchmarks the batched GEMM kernel on a frame large
-// enough to clear the row-block parallel threshold (2048×96 against a
-// 96×96 matrix ≈ 38M multiply-adds) and returns sustained GFLOP/s
-// (2 flops per multiply-add). On a multi-core box the auto dispatcher
-// engages the parallel path; the output is bit-identical regardless.
+// MulFrameGFLOPS benchmarks the batched GEMM kernel on an extraction-sized
+// frame (2048×96 against a 96×96 matrix ≈ 19M multiply-adds) and returns
+// sustained single-goroutine GFLOP/s (2 flops per multiply-add).
 func MulFrameGFLOPS() float64 {
 	const n, rows, cols = 2048, 96, 96
 	rng := numeric.NewRNG(7)

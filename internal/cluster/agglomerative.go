@@ -64,7 +64,7 @@ func AgglomerativeWith(vecs [][]float64, dist Distance, threshold float64, maxCl
 	if n == 0 {
 		return Clustering{}
 	}
-	d := MatrixWith(vecs, dist, workers)
+	d := matrixWith(vecs, dist, workers)
 
 	// active clusters as member lists
 	members := make([][]int, n)

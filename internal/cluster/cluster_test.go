@@ -245,7 +245,7 @@ func TestRandomClusteringValid(t *testing.T) {
 
 func TestMatrixSymmetric(t *testing.T) {
 	vecs, _ := blobs(4)
-	m := Matrix(vecs, Euclidean)
+	m := matrix(vecs, Euclidean)
 	for i := 0; i < m.Rows; i++ {
 		if m.At(i, i) != 0 {
 			t.Fatal("diagonal not zero")

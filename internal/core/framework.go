@@ -7,7 +7,8 @@
 // Typical use:
 //
 //	fw, err := core.Build(core.Options{Task: datahub.TaskNLP, Seed: 42})
-//	report, err := fw.SelectByName(ctx, "tweet_eval")
+//	target, err := fw.Catalog.Get("tweet_eval")
+//	report, err := fw.Select(ctx, target)
 //	fmt.Println(report.Outcome.Winner, report.TotalEpochs())
 package core
 
@@ -560,16 +561,6 @@ func prefilter(ctx context.Context, pool []*modelhub.Model, target *datahub.Data
 		}
 	}
 	return out, nil
-}
-
-// SelectByName resolves the target from the framework's catalog and runs
-// Select.
-func (f *Framework) SelectByName(ctx context.Context, name string) (*Report, error) {
-	d, err := f.Catalog.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return f.Select(ctx, d)
 }
 
 // OracleAccuracies brute-force fine-tunes every repository model on the

@@ -62,12 +62,23 @@ func TestBuildDefaultTask(t *testing.T) {
 	}
 }
 
-func TestSelectEndToEnd(t *testing.T) {
-	fw := sharedNLP(t)
-	report, err := fw.SelectByName(context.Background(), "tweet_eval")
+// selectByName resolves name in fw's catalog and runs the default select.
+func selectByName(t *testing.T, fw *Framework, name string) *Report {
+	t.Helper()
+	d, err := fw.Catalog.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	report, err := fw.Select(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report
+}
+
+func TestSelectEndToEnd(t *testing.T) {
+	fw := sharedNLP(t)
+	report := selectByName(t, fw, "tweet_eval")
 	if len(report.Recall.Recalled) != 10 {
 		t.Fatalf("recalled %d", len(report.Recall.Recalled))
 	}
@@ -97,14 +108,8 @@ func TestSelectEndToEnd(t *testing.T) {
 
 func TestSelectDeterministic(t *testing.T) {
 	fw := sharedNLP(t)
-	a, err := fw.SelectByName(context.Background(), "super_glue/boolq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fw.SelectByName(context.Background(), "super_glue/boolq")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := selectByName(t, fw, "super_glue/boolq")
+	b := selectByName(t, fw, "super_glue/boolq")
 	if a.Outcome.Winner != b.Outcome.Winner || a.TotalEpochs() != b.TotalEpochs() {
 		t.Fatal("selection not deterministic")
 	}
@@ -112,7 +117,7 @@ func TestSelectDeterministic(t *testing.T) {
 
 func TestSelectUnknownTarget(t *testing.T) {
 	fw := sharedNLP(t)
-	if _, err := fw.SelectByName(context.Background(), "no-such-dataset"); err == nil {
+	if _, err := fw.Catalog.Get("no-such-dataset"); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }

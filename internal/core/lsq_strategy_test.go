@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"twophase/internal/core"
@@ -90,27 +91,54 @@ func TestLSQBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPrefilterDisabledIsByteIdentical: prefilter_top_k=0 must leave every
-// strategy's report byte-for-byte what it is without the option.
+// TestPrefilterDisabledIsByteIdentical: for every epoch-trained strategy,
+// prefilter_top_k=0 leaves the report byte-for-byte what it is without the
+// option, and a k that cannot drop anyone (|pool|, |pool|+7) leaves recall
+// and Outcome — winner, stages, members, accuracies, training ledger —
+// identical while the report ledger grows by exactly the lsq pass: 0.5 per
+// model of the pool it ranked (the recalled set for two-phase and
+// ensemble, the repository for sh and bf).
 func TestPrefilterDisabledIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds full frameworks")
 	}
 	fw := buildLSQTest(t, 0)
 	target := fw.Catalog.Targets()[0]
-	for _, strat := range []core.Strategy{core.StrategyTwoPhase, core.StrategySH, core.StrategyEnsemble} {
+	for _, strat := range []core.Strategy{core.StrategyTwoPhase, core.StrategySH, core.StrategyBF, core.StrategyEnsemble} {
 		plain, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		zeroed, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: strat, PrefilterTopK: 0})
-		if err != nil {
-			t.Fatal(err)
+		pool := len(plain.Outcome.Stages[0])
+		want := fw.Repo.Len()
+		if plain.Recall != nil {
+			want = len(plain.Recall.Recalled)
+		}
+		if pool != want {
+			t.Fatalf("%s: stage 0 holds %d models, want the pool's %d", strat, pool, want)
 		}
 		pb, _ := json.Marshal(renderGolden(plain))
-		zb, _ := json.Marshal(renderGolden(zeroed))
-		if string(pb) != string(zb) {
-			t.Fatalf("%s: prefilter_top_k=0 changed the report\n plain: %s\n zeroed: %s", strat, pb, zb)
+		for _, k := range []int{0, pool, pool + 7} {
+			got, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: strat, PrefilterTopK: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == 0 {
+				if gb, _ := json.Marshal(renderGolden(got)); string(pb) != string(gb) {
+					t.Fatalf("%s: prefilter_top_k=0 changed the report\n plain: %s\n zeroed: %s", strat, pb, gb)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got.Outcome, plain.Outcome) || !reflect.DeepEqual(got.Recall, plain.Recall) ||
+				!reflect.DeepEqual(got.Members, plain.Members) {
+				t.Fatalf("%s: prefilter_top_k=%d over a pool of %d changed the selection\n plain: %+v\n got:   %+v",
+					strat, k, pool, plain.Outcome, got.Outcome)
+			}
+			if got.Ledger.TrainEpochs() != plain.Ledger.TrainEpochs() ||
+				got.TotalEpochs()-plain.TotalEpochs() != 0.5*float64(pool) {
+				t.Fatalf("%s: prefilter_top_k=%d ledger %s, want %s plus an lsq pass over %d models",
+					strat, k, got.Ledger.String(), plain.Ledger.String(), pool)
+			}
 		}
 	}
 }

@@ -66,10 +66,10 @@ func TestBuildWorkersBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentBuildsHammer runs several full offline builds at once,
-// each with BuildWorkers > 1, so the kernel helper budget, the shared
-// feature cache and the perf-matrix fan-out all contend — the -race
-// workload of CI. Every concurrently built framework must still match
-// the golden fixture exactly.
+// each with BuildWorkers > 1, so the shared feature cache and the
+// perf-matrix fan-out contend — the -race workload of CI. Every
+// concurrently built framework must still match the golden fixture
+// exactly.
 func TestConcurrentBuildsHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds full frameworks")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -61,15 +60,8 @@ func TestAssembleArtifactsStages(t *testing.T) {
 	}
 
 	// Selections are bit-identical across cold and warm assembly.
-	ctx := context.Background()
-	want, err := cold.SelectByName(ctx, "tweet_eval")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := warm.SelectByName(ctx, "tweet_eval")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := selectByName(t, cold, "tweet_eval")
+	got := selectByName(t, warm, "tweet_eval")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("warm selection differs from cold:\n%+v\nvs\n%+v", got, want)
 	}

@@ -152,8 +152,8 @@ type Catalog struct {
 	specsErr error
 }
 
-// NewCatalog materializes all given specs in the world.
-func NewCatalog(w *synth.World, sizes Sizes, specs ...[]Spec) (*Catalog, error) {
+// newCatalog materializes all given specs in the world.
+func newCatalog(w *synth.World, sizes Sizes, specs ...[]Spec) (*Catalog, error) {
 	c := &Catalog{World: w, Sizes: sizes, byName: make(map[string]*Dataset)}
 	for _, group := range specs {
 		for _, spec := range group {
@@ -176,9 +176,9 @@ func NewCatalog(w *synth.World, sizes Sizes, specs ...[]Spec) (*Catalog, error) 
 func NewTaskCatalog(w *synth.World, task string, sizes Sizes) (*Catalog, error) {
 	switch task {
 	case TaskNLP:
-		return NewCatalog(w, sizes, NLPBenchmarks(), NLPTargets())
+		return newCatalog(w, sizes, NLPBenchmarks(), NLPTargets())
 	case TaskCV:
-		return NewCatalog(w, sizes, CVBenchmarks(), CVTargets())
+		return newCatalog(w, sizes, CVBenchmarks(), CVTargets())
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownTask, task)
 	}

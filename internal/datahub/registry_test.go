@@ -91,7 +91,7 @@ func TestNewCatalog(t *testing.T) {
 func TestNewCatalogDuplicateRejected(t *testing.T) {
 	w := synth.NewWorld(42)
 	s := testSpec()
-	if _, err := NewCatalog(w, Sizes{Train: 5, Val: 5, Test: 5}, []Spec{s}, []Spec{s}); err == nil {
+	if _, err := newCatalog(w, Sizes{Train: 5, Val: 5, Test: 5}, []Spec{s}, []Spec{s}); err == nil {
 		t.Fatal("duplicate dataset accepted")
 	}
 }

@@ -40,9 +40,9 @@ func recallQuality(e *Env, task string, opts recall.Options) (avgAcc float64, sc
 	return numeric.Mean(accs), scored / len(targets), nil
 }
 
-// AblationTopK compares Eq. 1's top-k distance against plain Euclidean
+// ablationTopK compares Eq. 1's top-k distance against plain Euclidean
 // distance inside the recall clustering.
-func AblationTopK(e *Env) (*Table, error) {
+func ablationTopK(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation — Eq. 1 top-k distance vs Euclidean",
 		Header: []string{"task", "distance", "silhouette", "avg recalled acc"},
@@ -76,10 +76,10 @@ func AblationTopK(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// AblationRepresentative compares representative-only proxy scoring
+// ablationRepresentative compares representative-only proxy scoring
 // against scoring every repository model directly: quality vs inference
 // cost.
-func AblationRepresentative(e *Env) (*Table, error) {
+func ablationRepresentative(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation — representative scoring vs scoring all models",
 		Header: []string{"task", "strategy", "avg recalled acc", "proxy inferences"},
@@ -131,11 +131,11 @@ func AblationRepresentative(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// AblationTrendFilter measures what the convergence-trend filter adds over
+// ablationTrendFilter measures what the convergence-trend filter adds over
 // fine-selection's halving backstop alone. The filter-less variant has
 // successive halving's schedule and cost but is not SH: the backstop breaks
 // validation ties the other way (see package selection).
-func AblationTrendFilter(e *Env) (*Table, error) {
+func ablationTrendFilter(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation — convergence-trend filter on/off",
 		Header: []string{"dataset", "variant", "epochs", "accuracy"},
@@ -179,8 +179,8 @@ func AblationTrendFilter(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// AblationProxy compares proxy scorers inside coarse recall.
-func AblationProxy(e *Env) (*Table, error) {
+// ablationProxy compares proxy scorers inside coarse recall.
+func ablationProxy(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation — proxy scorer choice in coarse recall",
 		Header: []string{"task", "scorer", "avg recalled acc"},

@@ -18,10 +18,10 @@ var fig1Datasets = map[string]string{
 	datahub.TaskCV:  "alkzar90/CC6204-Hackaton-Cub-Dataset",
 }
 
-// Fig1 reproduces Fig. 1: fine-tuning accuracy of every repository model
+// fig1 reproduces Fig. 1: fine-tuning accuracy of every repository model
 // on one NLP and one CV dataset, sorted descending — demonstrating that
 // well-suited models are markedly outnumbered by poor ones.
-func Fig1(e *Env) (*Table, error) {
+func fig1(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 1 — accuracy of all models, sorted desc",
 		Header: []string{"task", "dataset", "rank", "model", "accuracy"},
@@ -94,13 +94,13 @@ func cardVectors(e *Env, task string) ([][]float64, error) {
 	return textsim.EmbedAll(cards).Rows2D(), nil
 }
 
-// Table1 reproduces Table I: performance-based vs text-based similarity
+// table1 reproduces Table I: performance-based vs text-based similarity
 // under hierarchical clustering and k-means. All four clusterings are
 // scored with the *behavioural* silhouette — Eq. 1 distance over
 // performance vectors — because the question Table I answers is which
 // similarity groups models that actually train alike (the paper's own
 // reading: "models with similar model names may also vary").
-func Table1(e *Env) (*Table, error) {
+func table1(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Table I — clustering methods comparison (behavioural silhouette)",
 		Header: []string{"similarity", "algorithm", "NLP", "CV"},
@@ -161,9 +161,9 @@ func Table1(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// Table2 reproduces Table II: the membership of every non-singleton model
+// table2 reproduces Table II: the membership of every non-singleton model
 // cluster under hierarchical clustering with Eq. 1 similarity.
-func Table2(e *Env) (*Table, error) {
+func table2(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Table II — non-singleton model clusters",
 		Header: []string{"task", "cluster", "size", "members"},
@@ -213,10 +213,10 @@ func join(items []string) string {
 	return out
 }
 
-// Table3 reproduces Table III: models in non-singleton clusters have
+// table3 reproduces Table III: models in non-singleton clusters have
 // higher average benchmark accuracy and contribute nearly all per-dataset
 // best models.
-func Table3(e *Env) (*Table, error) {
+func table3(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Table III — singleton vs non-singleton cluster performance",
 		Header: []string{"task", "cluster type", "avg(acc)", "no. maximum(acc)"},
@@ -271,9 +271,9 @@ func Table3(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// Fig5 reproduces Fig. 5: the average ground-truth accuracy of the top-K
+// fig5 reproduces Fig. 5: the average ground-truth accuracy of the top-K
 // recalled models under coarse recall vs random recall, for each target.
-func Fig5(e *Env) (*Table, error) {
+func fig5(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 5 — avg accuracy of recalled models (coarse vs random)",
 		Header: []string{"task", "dataset", "K", "coarse-recall", "random-recall"},
@@ -325,9 +325,9 @@ func Fig5(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// TableX reproduces appendix Table X: the silhouette coefficient of
+// tableX reproduces appendix Table X: the silhouette coefficient of
 // hierarchical clustering as Eq. 1's parameter k varies.
-func TableX(e *Env) (*Table, error) {
+func tableX(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Appendix Table X — Eq. 1 parameter k selection",
 		Header: []string{"task", "k", "silhouette"},

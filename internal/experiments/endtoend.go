@@ -11,10 +11,10 @@ import (
 	"twophase/internal/recall"
 )
 
-// Table6 reproduces Table VI: end-to-end runtime (including the proxy
+// table6 reproduces Table VI: end-to-end runtime (including the proxy
 // inference charge) and selected-model accuracy of the two-phase pipeline
 // vs brute force and successive halving over the full repository.
-func Table6(e *Env) (*Table, error) {
+func table6(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Table VI — end-to-end comparison",
 		Header: []string{"dataset", "2PH epochs", "vs BF", "vs SH", "BF acc", "SH acc", "2PH acc"},
@@ -55,10 +55,10 @@ func Table6(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// Table7 reproduces Table VII: for each target, the ground-truth best
+// table7 reproduces Table VII: for each target, the ground-truth best
 // model, its accuracy, its rank within the recalled set when sorted by
 // proxy score, and the average accuracy of the recalled models.
-func Table7(e *Env) (*Table, error) {
+func table7(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Table VII — case study of recalled best models",
 		Header: []string{"dataset", "best model", "acc", "R@CR", "avg acc (recalled)"},

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V and the appendix) on top of the synthetic substrate. Each
 // experiment is a pure function of a shared Env fixture and returns a
-// Table whose rows mirror the paper's artifact; EXPERIMENTS.md records the
-// paper-vs-measured comparison for each.
+// Table whose rows mirror the paper's artifact.
 package experiments
 
 import (
@@ -93,7 +92,7 @@ func (e *Env) Targets(task string) ([]*datahub.Dataset, error) {
 
 // Experiment couples an identifier with its runner.
 type Experiment struct {
-	// ID matches DESIGN.md's experiment index (fig1, tab5, ...).
+	// ID is the name cmd/experiments' -only and -list use (fig1, tab5, ...).
 	ID string
 	// Paper names the reproduced artifact.
 	Paper string
@@ -104,29 +103,29 @@ type Experiment struct {
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig1", "Fig. 1: fine-tuning accuracy spread across the repository", Fig1},
-		{"tab1", "Table I: clustering methods comparison (silhouette)", Table1},
-		{"tab2", "Table II: model clustering memberships", Table2},
-		{"tab3", "Table III: singleton vs non-singleton performance", Table3},
-		{"fig3", "Fig. 3: top-10 validation/test curves on MNLI", Fig3},
-		{"fig4", "Fig. 4: one model's convergence groups over benchmarks", Fig4},
-		{"fig5", "Fig. 5: recalled-model accuracy, coarse vs random recall", Fig5},
-		{"fig6", "Fig. 6: trend clustering quality and prediction error", Fig6},
-		{"tab4", "Table IV: fine-selection filtering threshold sweep", Table4},
-		{"fig7", "Fig. 7: selected-model accuracy, SH vs FS", Fig7},
-		{"tab5", "Table V: selection runtime, BF vs SH vs FS", Table5},
-		{"tab6", "Table VI: end-to-end comparison (2PH vs BF vs SH)", Table6},
-		{"tab7", "Table VII: case study of recalled best models", Table7},
-		{"fig8", "Fig. 8: MNLI curves under the low learning rate", Fig8},
-		{"tabX", "Appendix Table X: Eq. 1 parameter k selection", TableX},
-		{"ablTopK", "Ablation: Eq. 1 top-k distance vs Euclidean", AblationTopK},
-		{"ablRep", "Ablation: representative scoring vs scoring all models", AblationRepresentative},
-		{"ablTrend", "Ablation: convergence-trend filter on/off", AblationTrendFilter},
-		{"ablProxy", "Ablation: proxy scorer choice in coarse recall", AblationProxy},
-		{"ablSubset", "Ablation: offline matrix from reduced training data (§III.A)", AblationSubsetMatrix},
-		{"extEnsemble", "Extension: top-3 soft-voting ensemble selection (§VII)", ExtEnsemble},
-		{"extRobust", "Extension: end-to-end robustness across world seeds", ExtRobustness},
-		{"extLSQ", "Extension: zero-epoch lsq proxy stage + recall pre-filter", ExtLSQ},
+		{"fig1", "Fig. 1: fine-tuning accuracy spread across the repository", fig1},
+		{"tab1", "Table I: clustering methods comparison (silhouette)", table1},
+		{"tab2", "Table II: model clustering memberships", table2},
+		{"tab3", "Table III: singleton vs non-singleton performance", table3},
+		{"fig3", "Fig. 3: top-10 validation/test curves on MNLI", fig3},
+		{"fig4", "Fig. 4: one model's convergence groups over benchmarks", fig4},
+		{"fig5", "Fig. 5: recalled-model accuracy, coarse vs random recall", fig5},
+		{"fig6", "Fig. 6: trend clustering quality and prediction error", fig6},
+		{"tab4", "Table IV: fine-selection filtering threshold sweep", table4},
+		{"fig7", "Fig. 7: selected-model accuracy, SH vs FS", fig7},
+		{"tab5", "Table V: selection runtime, BF vs SH vs FS", table5},
+		{"tab6", "Table VI: end-to-end comparison (2PH vs BF vs SH)", table6},
+		{"tab7", "Table VII: case study of recalled best models", table7},
+		{"fig8", "Fig. 8: MNLI curves under the low learning rate", fig8},
+		{"tabX", "Appendix Table X: Eq. 1 parameter k selection", tableX},
+		{"ablTopK", "Ablation: Eq. 1 top-k distance vs Euclidean", ablationTopK},
+		{"ablRep", "Ablation: representative scoring vs scoring all models", ablationRepresentative},
+		{"ablTrend", "Ablation: convergence-trend filter on/off", ablationTrendFilter},
+		{"ablProxy", "Ablation: proxy scorer choice in coarse recall", ablationProxy},
+		{"ablSubset", "Ablation: offline matrix from reduced training data (§III.A)", ablationSubsetMatrix},
+		{"extEnsemble", "Extension: top-3 soft-voting ensemble selection (§VII)", extEnsemble},
+		{"extRobust", "Extension: end-to-end robustness across world seeds", extRobustness},
+		{"extLSQ", "Extension: zero-epoch lsq proxy stage + recall pre-filter", extLSQ},
 	}
 }
 

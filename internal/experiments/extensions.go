@@ -14,10 +14,10 @@ import (
 	"twophase/internal/synth"
 )
 
-// ExtEnsemble evaluates §VII's multi-model extension: ensemble the top-3
+// extEnsemble evaluates §VII's multi-model extension: ensemble the top-3
 // fine-selection survivors by soft voting and compare against the single
 // selected model on every target.
-func ExtEnsemble(e *Env) (*Table, error) {
+func extEnsemble(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Extension — ensemble selection (k=3 soft voting)",
 		Header: []string{"dataset", "single acc", "ensemble acc", "best member", "epochs single", "epochs ensemble"},
@@ -63,10 +63,10 @@ func ExtEnsemble(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// ExtRobustness repeats the end-to-end comparison across three world
+// extRobustness repeats the end-to-end comparison across three world
 // seeds and reports mean and spread — checking that the headline speedups
 // and near-BF accuracy are not artifacts of one random world.
-func ExtRobustness(*Env) (*Table, error) {
+func extRobustness(*Env) (*Table, error) {
 	t := &Table{
 		Title:  "Extension — end-to-end robustness across world seeds",
 		Header: []string{"dataset", "2PH epochs (mean±sd)", "speedup vs BF (mean)", "acc gap vs BF (mean)"},
@@ -124,12 +124,12 @@ func ExtRobustness(*Env) (*Table, error) {
 	return t, nil
 }
 
-// AblationSubsetMatrix verifies §III.A's claim that "the training
+// ablationSubsetMatrix verifies §III.A's claim that "the training
 // performance on a subset of training data with relative small size could
 // be enough": rebuild the offline matrix with half and a quarter of the
 // training examples and measure how stable the model clustering stays
 // (adjusted Rand index against the full-data clustering).
-func AblationSubsetMatrix(e *Env) (*Table, error) {
+func ablationSubsetMatrix(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation — offline matrix from reduced training data",
 		Header: []string{"task", "train fraction", "ARI vs full", "non-singleton clusters"},

@@ -94,9 +94,9 @@ func curvesTable(e *Env, title string, models []string, dataset string, hp train
 	return t, nil
 }
 
-// Fig3 reproduces Fig. 3: validation/test curves of the top-10 recalled
+// fig3 reproduces Fig. 3: validation/test curves of the top-10 recalled
 // models on MNLI at the default learning rate.
-func Fig3(e *Env) (*Table, error) {
+func fig3(e *Env) (*Table, error) {
 	top, err := recalledTop(e, datahub.TaskNLP, mnliName, 10)
 	if err != nil {
 		return nil, err
@@ -104,9 +104,9 @@ func Fig3(e *Env) (*Table, error) {
 	return curvesTable(e, "Fig. 3 — top-10 curves on MNLI (default lr)", top, mnliName, trainer.Default(datahub.TaskNLP))
 }
 
-// Fig8 reproduces appendix Fig. 8: the same models trained under the low
+// fig8 reproduces appendix Fig. 8: the same models trained under the low
 // learning rate, checking robustness to hyperparameters.
-func Fig8(e *Env) (*Table, error) {
+func fig8(e *Env) (*Table, error) {
 	top, err := recalledTop(e, datahub.TaskNLP, mnliName, 10)
 	if err != nil {
 		return nil, err
@@ -148,9 +148,9 @@ func Fig8(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// Fig4 reproduces Fig. 4: one model's validation/test accuracies over all
+// fig4 reproduces Fig. 4: one model's validation/test accuracies over all
 // benchmark datasets fall into a small number of convergence groups.
-func Fig4(e *Env) (*Table, error) {
+func fig4(e *Env) (*Table, error) {
 	fw, err := e.Framework(datahub.TaskNLP)
 	if err != nil {
 		return nil, err
@@ -175,10 +175,10 @@ func Fig4(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// Fig6 reproduces Fig. 6: (blue) silhouette of first-validation trend
+// fig6 reproduces Fig. 6: (blue) silhouette of first-validation trend
 // clustering vs random clustering, and (red) leave-one-out relative error
 // of trend-based final-test prediction vs predicting the global mean.
-func Fig6(e *Env) (*Table, error) {
+func fig6(e *Env) (*Table, error) {
 	fw, err := e.Framework(datahub.TaskNLP)
 	if err != nil {
 		return nil, err
@@ -296,9 +296,9 @@ var thresholdTargets = []struct{ task, dataset, label string }{
 	{datahub.TaskCV, "trpakov/chest-xray-classification", "X-Ray"},
 }
 
-// Table4 reproduces Table IV: fine-selection accuracy and runtime under
+// table4 reproduces Table IV: fine-selection accuracy and runtime under
 // filtering thresholds 0%, 1%, 5%, 10%.
-func Table4(e *Env) (*Table, error) {
+func table4(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Table IV — filtering threshold sweep",
 		Header: []string{"dataset", "metric", "0%", "1%", "5%", "10%"},
@@ -354,10 +354,10 @@ var allTargets = []struct{ task, dataset, label string }{
 	{datahub.TaskCV, "beans", "Beans"},
 }
 
-// Fig7 reproduces Fig. 7: the accuracy of the model selected by SH vs FS
+// fig7 reproduces Fig. 7: the accuracy of the model selected by SH vs FS
 // over the recalled top-10 and over the full repository, with the best and
 // worst accuracies among the top-10 for context.
-func Fig7(e *Env) (*Table, error) {
+func fig7(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Fig. 7 — selected-model accuracy, SH vs FS",
 		Header: []string{"dataset", "pool", "SH acc", "FS acc", "best@10", "worst@10"},
@@ -421,9 +421,9 @@ func Fig7(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// Table5 reproduces Table V: runtime in epochs for BF, SH and FS over the
+// table5 reproduces Table V: runtime in epochs for BF, SH and FS over the
 // recalled top-10 and the full repository, with speedups vs BF.
-func Table5(e *Env) (*Table, error) {
+func table5(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Table V — selection runtime (training epochs)",
 		Header: []string{"dataset", "pool", "BF", "SH", "SH speedup", "FS", "FS speedup"},

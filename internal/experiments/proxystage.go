@@ -16,13 +16,13 @@ import (
 // the same top-4 cut the bench smoke gates.
 const extPrefilterK = 4
 
-// ExtLSQ builds the winner-agreement-vs-epochs table across both task
+// extLSQ builds the winner-agreement-vs-epochs table across both task
 // families: the epoch-trained two-phase baseline against the zero-epoch
 // lsq strategy, prefiltered two-phase, and prefiltered SH. Strategy names
 // go through core.ParseStrategy — the same single parser every serving
 // layer validates against — so the harness can never accept a wire name
 // the API would reject.
-func ExtLSQ(e *Env) (*Table, error) {
+func extLSQ(e *Env) (*Table, error) {
 	t := &Table{
 		Title: "Extension — zero-epoch lsq proxy stage and recall pre-filter",
 		Header: []string{"dataset", "2PH winner", "2PH ep",

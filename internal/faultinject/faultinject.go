@@ -298,9 +298,9 @@ type SiteStats struct {
 	Fires int64
 }
 
-// Snapshot reports per-rule counters keyed "site:action", for /v1/stats
+// snapshot reports per-rule counters keyed "site:action", for /v1/stats
 // and chaos-harness assertions. Nil when injection is off.
-func Snapshot() map[string]SiteStats {
+func snapshot() map[string]SiteStats {
 	inj := active.Load()
 	if inj == nil {
 		return nil
@@ -319,7 +319,7 @@ func Snapshot() map[string]SiteStats {
 // Fires sums fired faults per "site:action" — the compact form stats
 // endpoints embed. Nil when injection is off.
 func Fires() map[string]int64 {
-	snap := Snapshot()
+	snap := snapshot()
 	if snap == nil {
 		return nil
 	}

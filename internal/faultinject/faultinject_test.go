@@ -157,7 +157,7 @@ func TestFireCapDrainsSchedule(t *testing.T) {
 	if fires != 3 {
 		t.Fatalf("capped rule fired %d times, want 3", fires)
 	}
-	snap := Snapshot()
+	snap := snapshot()
 	s := snap["store.write:err"]
 	if s.Hits != 50 || s.Fires != 3 {
 		t.Fatalf("snapshot = %+v, want hits 50 fires 3", s)
@@ -169,7 +169,7 @@ func TestFireCapDrainsSchedule(t *testing.T) {
 
 func TestOffIsOffAndSitesIsolated(t *testing.T) {
 	Reset()
-	if active.Load() != nil || On(SiteStoreWrite) != nil || Snapshot() != nil || Fires() != nil {
+	if active.Load() != nil || On(SiteStoreWrite) != nil || snapshot() != nil || Fires() != nil {
 		t.Fatal("disarmed injector leaked state")
 	}
 	inj, _ := Parse("store.write:err")

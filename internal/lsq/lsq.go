@@ -110,7 +110,7 @@ func Rank(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opt
 		workers = len(models)
 	}
 	err := fanout.Each(ctx, len(models), workers, func(i int) (err error) {
-		res.Val[i], res.Test[i], err = Fit(models[i], d, opts.Lambda)
+		res.Val[i], res.Test[i], err = fit(models[i], d, opts.Lambda)
 		return err
 	})
 	if err != nil {
@@ -128,12 +128,12 @@ func Rank(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opt
 	return res, nil
 }
 
-// Fit solves the ridge head for one candidate on the target's training
+// fit solves the ridge head for one candidate on the target's training
 // split and reports the head's validation and test accuracy. The feature
 // frames come out of the model's shared extraction cache (the same frames
 // every trainer.Run and proxy scorer of this (model, dataset) reuses), so
 // a fit after any other strategy touches the target extracts nothing.
-func Fit(m *modelhub.Model, d *datahub.Dataset, lambda float64) (val, test float64, err error) {
+func fit(m *modelhub.Model, d *datahub.Dataset, lambda float64) (val, test float64, err error) {
 	if m.Task != d.Task {
 		return 0, 0, fmt.Errorf("lsq: model %q task %q does not match dataset %q task %q", m.Name, m.Task, d.Name, d.Task)
 	}

@@ -3,7 +3,7 @@
 // model names with their architecture/upstream metadata) and the simulated
 // pre-trained model itself — a frozen nonlinear feature extractor plus a
 // fixed source-label head, which together stand in for a transformer
-// checkpoint (DESIGN.md §2).
+// checkpoint.
 //
 // Both are frozen, so what they compute for a dataset split never changes.
 // A Model therefore caches, per split, the extracted feature frame

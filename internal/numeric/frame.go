@@ -16,10 +16,7 @@ package numeric
 // Blocking, tiling and loop interchange over *independent* output
 // elements are fair game; reassociating one element's sum is not. This is
 // what keeps frame kernels bit-identical to the historical per-example
-// path (see the golden suite in internal/core). Row-block parallelism
-// (parallel.go) is the same rule applied across goroutines: each worker
-// owns a contiguous block of output rows and runs the serial kernel on
-// it, so worker count changes wall clock, never bits.
+// path (see the golden suite in internal/core).
 type Frame struct {
 	N, D int
 	Data []float64 // len == N*D, row-major
@@ -77,13 +74,12 @@ const frameBlock = 64
 // N x Rows. Each output element accumulates in ascending j order with a
 // single accumulator, so every element is bit-identical to a per-row
 // MulVec; the kernel only tiles and register-blocks over *independent*
-// output elements. Large frames are row-block parallelized when spare
-// workers exist (see parallel.go); the result is the same either way.
+// output elements.
 func (m *Matrix) MulFrame(x, out *Frame) {
 	if x.D != m.Cols || out.D != m.Rows || x.N != out.N {
 		panic("numeric: MulFrame dimension mismatch")
 	}
-	mulFrameAuto(m, x, nil, out)
+	mulFrame(m, x, nil, out)
 }
 
 // MulFrameBias is MulFrame with a fused bias add:
@@ -94,7 +90,7 @@ func (m *Matrix) MulFrameBias(x *Frame, bias []float64, out *Frame) {
 	if x.D != m.Cols || out.D != m.Rows || x.N != out.N || len(bias) != m.Rows {
 		panic("numeric: MulFrameBias dimension mismatch")
 	}
-	mulFrameAuto(m, x, bias, out)
+	mulFrame(m, x, bias, out)
 }
 
 // MulFrameBiasSoftmax fuses the full prediction head: logits = M*x.Row(i)

@@ -161,3 +161,28 @@ func TestShuffle(t *testing.T) {
 		}
 	}
 }
+
+// TestNamedRNGMatchesNewNamedRNG pins the value-returning constructor to
+// the heap-allocating one: identical streams for identical inputs.
+func TestNamedRNGMatchesNewNamedRNG(t *testing.T) {
+	cases := [][]string{
+		{},
+		{""},
+		{"model-3"},
+		{"model-3", "bench-1", "offline-matrix"},
+		{"ab", "c"},
+		{"a", "bc"},
+	}
+	for _, parts := range cases {
+		a := NewNamedRNG(1234, parts...)
+		b := NamedRNG(1234, parts...)
+		for i := 0; i < 16; i++ {
+			if av, bv := a.Uint64(), b.Uint64(); av != bv {
+				t.Fatalf("parts %q draw %d: NamedRNG %x, NewNamedRNG %x", parts, i, bv, av)
+			}
+		}
+	}
+	if x, y := NamedRNG(5, "ab", "c"), NamedRNG(5, "a", "bc"); x.Uint64() == y.Uint64() {
+		t.Fatal("separator failed: (ab,c) and (a,bc) collide")
+	}
+}

@@ -35,7 +35,7 @@ func StdDev(v []float64) float64 {
 func Max(v []float64) float64 { return v[ArgMax(v)] }
 
 // Min returns the smallest element of v; it panics on an empty slice.
-func Min(v []float64) float64 { return v[ArgMin(v)] }
+func Min(v []float64) float64 { return v[argMin(v)] }
 
 // ArgSortDesc returns the indices of v ordered by descending value.
 // Ties break by ascending index so the order is deterministic.

@@ -98,11 +98,11 @@ func ArgMax(v []float64) int {
 	return best
 }
 
-// ArgMin returns the index of the smallest element (first on ties).
+// argMin returns the index of the smallest element (first on ties).
 // It panics on an empty slice.
-func ArgMin(v []float64) int {
+func argMin(v []float64) int {
 	if len(v) == 0 {
-		panic("numeric: ArgMin of empty slice")
+		panic("numeric: argMin of empty slice")
 	}
 	best := 0
 	for i := 1; i < len(v); i++ {

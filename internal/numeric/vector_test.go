@@ -128,8 +128,8 @@ func TestArgMaxArgMin(t *testing.T) {
 	if ArgMax(v) != 1 {
 		t.Fatalf("ArgMax = %d (want first of ties)", ArgMax(v))
 	}
-	if ArgMin(v) != 3 {
-		t.Fatalf("ArgMin = %d", ArgMin(v))
+	if argMin(v) != 3 {
+		t.Fatalf("argMin = %d", argMin(v))
 	}
 }
 

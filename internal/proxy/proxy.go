@@ -66,7 +66,8 @@ func (LEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 // empirical predictor than a binary one); subtracting it leaves the label
 // information — the transferability signal. This calibration is a
 // necessary adaptation of the paper's plain LEEP to a repository whose
-// source label spaces span 2-50 classes; DESIGN.md §2 records it.
+// source label spaces span 2-50 classes; the ablProxy experiment compares
+// the two.
 type CalibratedLEEP struct {
 	// Permutations is the number of label shuffles averaged into the
 	// null term; 0 means 2.

@@ -92,7 +92,7 @@ type Result struct {
 // once in the offline phase (§II.B); preparing them once per framework
 // lets a serving layer answer many targets without re-clustering the
 // repository every request.
-// An Offline is immutable after PrepareOffline and safe for concurrent use.
+// An Offline is immutable after PrepareOfflineWith and safe for concurrent use.
 type Offline struct {
 	opts   Options
 	names  []string
@@ -111,12 +111,12 @@ type Offline struct {
 	sims  [][]float64
 }
 
-// PrepareOffline computes the target-independent half of coarse recall.
-func PrepareOffline(m *perfmatrix.Matrix, opts Options) (*Offline, error) {
+// prepareOffline computes the target-independent half of coarse recall.
+func prepareOffline(m *perfmatrix.Matrix, opts Options) (*Offline, error) {
 	return PrepareOfflineWith(m, opts, 1)
 }
 
-// PrepareOfflineWith is PrepareOffline under an explicit worker budget
+// PrepareOfflineWith is prepareOffline under an explicit worker budget
 // (<= 0 means GOMAXPROCS): per-model performance vectors and the O(n²)
 // pairwise-distance precompute inside clustering fan out across workers.
 // Parallelism never touches the merge order or any per-vector reduction,
@@ -162,8 +162,9 @@ func matrixVectors(m *perfmatrix.Matrix, workers int) (names []string, vecs *num
 
 // assembleOffline derives representatives, their deterministic order and
 // the singleton-to-representative similarity table from a clustering —
-// the shared tail of PrepareOffline and Rehydrate, so a rehydrated Offline
-// is bit-identical to a freshly clustered one. None of it is persisted.
+// the shared tail of PrepareOfflineWith and Rehydrate, so a rehydrated
+// Offline is bit-identical to a freshly clustered one. None of it is
+// persisted.
 func assembleOffline(opts Options, names []string, vecs *numeric.Frame, avgAcc []float64, dist func(a, b []float64) float64, clustering cluster.Clustering) *Offline {
 	// Representatives of non-singleton clusters: best benchmark average.
 	reps := make(map[int]string)
@@ -276,7 +277,7 @@ func (o *Offline) Artifact(task string, seed uint64) *Artifact {
 // skipping the agglomerative pass. The artifact must have been produced by
 // exactly the inputs at hand — same model order and the same clustering
 // options — or Rehydrate errors so the caller falls back to
-// PrepareOffline. Everything derived (vectors, averages, representatives)
+// prepareOffline. Everything derived (vectors, averages, representatives)
 // is recomputed from the matrix, so a rehydrated Offline recalls
 // bit-identically to a cold-built one.
 func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error) {
@@ -401,10 +402,10 @@ func (o *Offline) Recall(repo *modelhub.Repository, target *datahub.Dataset, led
 
 // CoarseRecall runs the phase against one target dataset. The ledger, if
 // non-nil, is charged 0.5 epoch per proxy computation. Callers answering
-// many targets over one matrix should PrepareOffline once and call Recall
+// many targets over one matrix should PrepareOfflineWith once and call Recall
 // per target instead.
 func CoarseRecall(m *perfmatrix.Matrix, repo *modelhub.Repository, target *datahub.Dataset, opts Options, ledger *trainer.Ledger) (*Result, error) {
-	off, err := PrepareOffline(m, opts)
+	off, err := prepareOffline(m, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func (opts FineSelectOptions) prune(pool []*trainer.Run, vals []float64, stage, 
 		// convergence trends at this stage (Eq. 5/6).
 		preds := make([]float64, len(pool))
 		for i, run := range pool {
-			p, err := PredictFinal(opts.Matrix, run.Model.Name, stage, vals[i])
+			p, err := predictFinal(opts.Matrix, run.Model.Name, stage, vals[i])
 			if err != nil {
 				return nil, err
 			}

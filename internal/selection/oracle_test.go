@@ -166,7 +166,7 @@ func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.D
 		if !opts.DisableTrendFilter && opts.Matrix != nil {
 			preds := make([]float64, len(pool))
 			for i, name := range pool {
-				p, err := PredictFinal(opts.Matrix, name, stage, vals[i])
+				p, err := predictFinal(opts.Matrix, name, stage, vals[i])
 				if err != nil {
 					return nil, nil, nil, err
 				}

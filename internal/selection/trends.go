@@ -110,10 +110,10 @@ func minedTrends(m *perfmatrix.Matrix, model string, stage int) ([]Trend, error)
 	return v.([]Trend), nil
 }
 
-// PredictFinal matches val against the model's stage trends and returns
+// predictFinal matches val against the model's stage trends and returns
 // the matched trend's mean final test accuracy (Eq. 6). The trends are
 // mined on first use and then looked up; see minedTrends.
-func PredictFinal(m *perfmatrix.Matrix, model string, stage int, val float64) (float64, error) {
+func predictFinal(m *perfmatrix.Matrix, model string, stage int, val float64) (float64, error) {
 	trends, err := minedTrends(m, model, stage)
 	if err != nil {
 		return 0, err

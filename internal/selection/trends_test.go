@@ -88,7 +88,7 @@ func TestMatchTrend(t *testing.T) {
 
 func TestPredictFinalInRange(t *testing.T) {
 	m := trendFixture(t)
-	p, err := PredictFinal(m, m.Models[0], 0, 0.7)
+	p, err := predictFinal(m, m.Models[0], 0, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTrendPredictionTracksReality(t *testing.T) {
 	}
 	var worse int
 	for i := range vals {
-		pred, err := PredictFinal(m, model, 0, vals[i][0])
+		pred, err := predictFinal(m, model, 0, vals[i][0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestTrendPredictionTracksReality(t *testing.T) {
 	}
 }
 
-// TestMinedTrendsEqualTrendsAtStage: the trends PredictFinal looks up are
+// TestMinedTrendsEqualTrendsAtStage: the trends predictFinal looks up are
 // mined once per (matrix, model, stage) and equal a fresh TrendsAtStage at
 // DefaultTrendClusters for every model and stage; a second matrix gets its
 // own trends, never the first one's.
@@ -207,12 +207,12 @@ func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 					}
 				}
 				for _, val := range []float64{0, 0.37, 0.5, 0.93, 1} {
-					p, err := PredictFinal(m, model, stage, val)
+					p, err := predictFinal(m, model, stage, val)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if wantP := want[MatchTrend(want, val)].Test; math.Float64bits(p) != math.Float64bits(wantP) {
-						t.Fatalf("PredictFinal(%s, stage %d, val %v) = %v, want %v", model, stage, val, p, wantP)
+						t.Fatalf("predictFinal(%s, stage %d, val %v) = %v, want %v", model, stage, val, p, wantP)
 					}
 				}
 			}
@@ -223,10 +223,10 @@ func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	}
 	// Errors are reported on every lookup, not memoised away.
 	for i := 0; i < 2; i++ {
-		if _, err := PredictFinal(a, a.Models[0], a.Epochs, 0.5); err == nil {
+		if _, err := predictFinal(a, a.Models[0], a.Epochs, 0.5); err == nil {
 			t.Fatal("out-of-range stage accepted")
 		}
-		if _, err := PredictFinal(a, "nope", 0, 0.5); err == nil {
+		if _, err := predictFinal(a, "nope", 0, 0.5); err == nil {
 			t.Fatal("unknown model accepted")
 		}
 	}

@@ -87,7 +87,7 @@ func newArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client, 
 				peers = append(peers, owner)
 			}
 		}
-		data, _, err := walk(ctx, a, peers, nil, func(ctx context.Context, node string) ([]byte, error) {
+		data, _, err := walk(ctx, a, peers, func(ctx context.Context, node string) ([]byte, error) {
 			data, err := fetchOne(ctx, clients[node], kind, name)
 			if err == nil {
 				// A peer serving bytes that fail their own checksum is

@@ -35,11 +35,10 @@ type peerCounters struct {
 // attempter is the fleet tier's one "try again elsewhere" policy, shared
 // by the Router (select, targets) and the artifact fetcher. walk is its
 // only entry point: candidates in order, breaker gate, per-attempt
-// timeout, optional hedge against the next candidate, and on failure the
-// owner's classifier decides stop / next / next-and-charge. What a failed
-// attempt costs — the peer's failure counter, its breaker, membership on a
-// transport error, and nothing at all once the caller's context died — is
-// settled in try and nowhere else.
+// timeout, and on failure the owner's classifier decides stop / next /
+// next-and-charge. What a failed attempt costs — the peer's failure
+// counter, its breaker, membership on a transport error, and nothing at
+// all once the caller's context died — is settled in try and nowhere else.
 type attempter struct {
 	breakers *breaker.Set
 	// members, when set, is told about transport failures so the request
@@ -58,8 +57,6 @@ type attempter struct {
 
 	failovers    int64 // atomic: a candidate failed and the next one was tried
 	breakerSkips int64 // atomic: candidates skipped by an open breaker
-	hedges       int64 // atomic: hedge legs fired
-	hedgeWins    int64 // atomic: hedges whose response was the one used
 }
 
 func newPeerCounters(peers []string) map[string]*peerCounters {
@@ -70,23 +67,12 @@ func newPeerCounters(peers []string) map[string]*peerCounters {
 	return m
 }
 
-// leg is one peer's answer to one attempt.
-type leg[T any] struct {
-	node string
-	val  T
-	err  error
-	v    verdict // ruling on err
-}
-
 // walk drives one call down a candidate list and returns the first
 // success with the node that served it, the terminal error of a stopped
 // walk, or a.exhausted's error. Candidates whose breaker is open are
 // skipped up front; if that leaves none, the refusal is transient by
-// construction (cooldown and probes re-admit peers). A non-nil hedge that
-// reports armed races each attempt against the next candidate once the
-// attempt outlives the delay; hedge traffic is not a failover, so that
-// counter keeps meaning "a peer failed and another was asked".
-func walk[T any](ctx context.Context, a *attempter, candidates []string, hedge func() (time.Duration, bool),
+// construction (cooldown and probes re-admit peers).
+func walk[T any](ctx context.Context, a *attempter, candidates []string,
 	call func(ctx context.Context, node string) (T, error)) (val T, node string, err error) {
 	admitted := make([]string, 0, len(candidates))
 	for _, c := range candidates {
@@ -97,50 +83,37 @@ func walk[T any](ctx context.Context, a *attempter, candidates []string, hedge f
 		}
 	}
 	var last error
-	for i := 0; i < len(admitted); i++ {
+	for i, peer := range admitted {
 		if i > 0 {
 			atomic.AddInt64(&a.failovers, 1)
 		}
-		var res leg[T]
-		delay, armed := time.Duration(0), false
-		if hedge != nil && i+1 < len(admitted) {
-			delay, armed = hedge()
+		got, v, failure := try(ctx, a, peer, call)
+		if failure == nil {
+			return got, peer, nil
 		}
-		if armed {
-			var launched bool
-			res, launched = race(ctx, a, admitted[i], admitted[i+1], delay, call)
-			if launched {
-				i++ // the pair consumed the next candidate too
-			}
-		} else {
-			res = try(ctx, a, admitted[i], call)
+		if v == stop || ctx.Err() != nil {
+			return val, "", failure
 		}
-		if res.err == nil {
-			return res.val, res.node, nil
-		}
-		if res.v == stop || ctx.Err() != nil {
-			return val, "", res.err
-		}
-		last = res.err
+		last = failure
 	}
 	return val, "", a.exhausted(len(admitted), len(candidates)-len(admitted), last)
 }
 
-// try makes one bounded call to one peer and settles its account. An
-// attempt whose own deadline expired while the caller's context is alive
-// is a retryable unavailability whatever the call returned — including a
-// late "success" — so a hung peer is charged to its breaker and the walk
-// moves on, while the caller's own expiry stays a cancellation. A failure
-// observed after ctx died (the caller gave up, or a hedge's winner
-// canceled this leg) says nothing about the peer and is never charged.
+// try makes one bounded call to one peer and settles its account; v is
+// the ruling on a non-nil err. An attempt whose own deadline expired while
+// the caller's context is alive is a retryable unavailability whatever the
+// call returned — including a late "success" — so a hung peer is charged
+// to its breaker and the walk moves on, while the caller's own expiry
+// stays a cancellation. A failure observed after ctx died (the caller gave
+// up) says nothing about the peer and is never charged.
 func try[T any](ctx context.Context, a *attempter, node string,
-	call func(ctx context.Context, node string) (T, error)) leg[T] {
+	call func(ctx context.Context, node string) (T, error)) (val T, v verdict, err error) {
 	atomic.AddInt64(&a.counters[node].requests, 1)
 	actx, cancel := ctx, context.CancelFunc(func() {})
 	if a.timeout > 0 {
 		actx, cancel = context.WithTimeout(ctx, a.timeout)
 	}
-	val, err := call(actx, node)
+	val, err = call(actx, node)
 	expired := actx.Err() != nil && ctx.Err() == nil
 	cancel()
 	if expired {
@@ -149,13 +122,12 @@ func try[T any](ctx context.Context, a *attempter, node string,
 	}
 	if err == nil {
 		a.breakers.Success(node)
-		return leg[T]{node: node, val: val}
+		return val, stop, nil
 	}
 	if ctx.Err() != nil {
-		return leg[T]{node: node, err: err, v: stop}
+		return val, stop, err
 	}
-	v := a.classify(err)
-	if v == nextAndCharge {
+	if v = a.classify(err); v == nextAndCharge {
 		atomic.AddInt64(&a.counters[node].failures, 1)
 		a.breakers.Failure(node)
 		// Only transport failures reach membership: a decoded 5xx body or
@@ -166,40 +138,5 @@ func try[T any](ctx context.Context, a *attempter, node string,
 			a.members.ReportFailure(node)
 		}
 	}
-	return leg[T]{node: node, err: err, v: v}
-}
-
-// race runs primary and fires secondary only if primary is still in
-// flight past delay. The first success wins and the loser's call is
-// canceled, so the caller always gets exactly one answer — replicas are
-// bit-identical for the same request, which is what makes racing them
-// safe. launched reports whether the hedge actually fired (the pair then
-// consumed both candidates).
-func race[T any](ctx context.Context, a *attempter, primary, secondary string, delay time.Duration,
-	call func(ctx context.Context, node string) (T, error)) (res leg[T], launched bool) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan leg[T], 2) // one slot per leg: the loser must never block
-	go func() { ch <- try(hctx, a, primary, call) }()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	select {
-	case res = <-ch:
-	case <-timer.C:
-		atomic.AddInt64(&a.hedges, 1)
-		launched = true
-		go func() { ch <- try(hctx, a, secondary, call) }()
-		res = <-ch
-	}
-	if res.err != nil && launched {
-		// The first finisher failed; the race's other leg may still win.
-		if second := <-ch; second.err == nil {
-			res = second
-		}
-	}
-	if res.err == nil && launched && res.node == secondary {
-		atomic.AddInt64(&a.hedgeWins, 1)
-	}
-	return res, launched
+	return val, v, err
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,25 +27,18 @@ const (
 	doHang                           // blocks until its context dies
 	doLateOK                         // blocks until its context dies, then "succeeds"
 	doCallerCancels                  // the caller gives up while this call is in flight
-	doOKAfterHedge                   // answers once the hedge leg's call has started
-	doFailAfterHedge                 // fails retryably once the hedge leg's call has started
-	doOKAfterCharge                  // (hedge leg) answers once the primary, n0, has been charged
 )
 
 // TestWalk drives the fleet's one attempt loop over scripted per-candidate
-// outcomes, with and without an armed hedge, under both owners' policies
-// (router: retryable → next-and-charge, else stop; fetcher: unknown
-// artifact → next, everything else → next-and-charge). Each case pins the
-// call order, where the walk stopped, every counter, and exactly which
-// peers were charged — in particular that a hedge loser canceled by the
-// winner never is.
+// outcomes under both owners' policies (router: retryable →
+// next-and-charge, else stop; fetcher: unknown artifact → next, everything
+// else → next-and-charge). Each case pins the call order, where the walk
+// stopped, every counter, and exactly which peers were charged.
 func TestWalk(t *testing.T) {
-	const hedgeDelay = 50 * time.Millisecond
 	cases := []struct {
 		name    string
 		script  []outcome // candidates "n0", "n1", ... in walk order
 		fetcher bool      // fetcher policy instead of the router's
-		hedge   bool      // hedge armed at hedgeDelay
 		timeout time.Duration
 		open    []string // peers whose breaker is open before the walk
 
@@ -54,8 +46,6 @@ func TestWalk(t *testing.T) {
 		served    string   // "" = the walk failed
 		wantErr   error    // sentinel the failure must match
 		failovers int64
-		hedges    int64
-		hedgeWins int64
 		skips     int64
 		charged   []string
 	}{
@@ -87,27 +77,6 @@ func TestWalk(t *testing.T) {
 			calls: []string{"n1"}, served: "n1", skips: 1},
 		{name: "all breakers open", script: []outcome{doOK, doOK}, open: []string{"n0", "n1"},
 			wantErr: api.ErrUnavailable, skips: 2},
-
-		{name: "hedge: fast primary never fires it", script: []outcome{doOK, doOK}, hedge: true,
-			calls: []string{"n0"}, served: "n0"},
-		{name: "hedge: secondary wins, canceled primary uncharged", script: []outcome{doHang, doOKAfterHedge}, hedge: true,
-			calls: []string{"n0", "n1"}, served: "n1", hedges: 1, hedgeWins: 1},
-		{name: "hedge: primary wins, canceled secondary uncharged", script: []outcome{doOKAfterHedge, doHang}, hedge: true,
-			calls: []string{"n0", "n1"}, served: "n0", hedges: 1},
-		{name: "hedge: primary fails before the delay, plain failover", script: []outcome{doRetryable, doOK}, hedge: true,
-			calls: []string{"n0", "n1"}, served: "n1", failovers: 1, charged: []string{"n0"}},
-		{name: "hedge: primary fails mid-race, secondary rescues", script: []outcome{doFailAfterHedge, doOKAfterCharge}, hedge: true,
-			calls: []string{"n0", "n1"}, served: "n1", hedges: 1, hedgeWins: 1, charged: []string{"n0"}},
-		{name: "hedge: both legs fail, third candidate serves", script: []outcome{doFailAfterHedge, doRetryable, doOK}, hedge: true,
-			calls: []string{"n0", "n1", "n2"}, served: "n2", failovers: 1, hedges: 1, charged: []string{"n0", "n1"}},
-		{name: "hedge: terminal primary stops the walk", script: []outcome{doTerminal, doOK}, hedge: true,
-			calls: []string{"n0"}, wantErr: api.ErrBadRequest},
-		{name: "hedge: both legs outlive the attempt timeout", script: []outcome{doHang, doHang, doOK}, hedge: true, timeout: 80 * time.Millisecond,
-			calls: []string{"n0", "n1", "n2"}, served: "n2", failovers: 1, hedges: 1, charged: []string{"n0", "n1"}},
-		{name: "hedge: caller cancellation stops uncharged", script: []outcome{doCallerCancels, doOK}, hedge: true,
-			calls: []string{"n0"}, wantErr: context.Canceled},
-		{name: "hedge: unknown artifact under the fetcher policy", script: []outcome{doUnknownArtifact, doOK}, fetcher: true, hedge: true,
-			calls: []string{"n0", "n1"}, served: "n1", failovers: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,29 +99,12 @@ func TestWalk(t *testing.T) {
 			for _, p := range tc.open {
 				a.breakers.Failure(p)
 			}
-			var hedge func() (time.Duration, bool)
-			if tc.hedge {
-				hedge = func() (time.Duration, bool) { return hedgeDelay, true }
-			}
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			var (
-				mu       sync.Mutex
-				calls    []string
-				inFlight sync.WaitGroup
-			)
+			var calls []string
 			call := func(actx context.Context, node string) (string, error) {
-				inFlight.Add(1)
-				defer inFlight.Done()
-				mu.Lock()
 				calls = append(calls, node)
-				mu.Unlock()
-				hedged := func() bool {
-					mu.Lock()
-					defer mu.Unlock()
-					return len(calls) > 1
-				}
 				switch script[node] {
 				case doOK:
 					return node, nil
@@ -174,33 +126,11 @@ func TestWalk(t *testing.T) {
 					cancel()
 					<-actx.Done()
 					return "", actx.Err()
-				case doOKAfterHedge, doFailAfterHedge:
-					for !hedged() && actx.Err() == nil {
-						time.Sleep(time.Millisecond)
-					}
-					if script[node] == doOKAfterHedge {
-						return node, nil
-					}
-					return "", fmt.Errorf("%w: scripted", api.ErrUnavailable)
-				case doOKAfterCharge:
-					// The hedge leg answers only after the primary has been
-					// charged, so "first finisher failed" is what race sees.
-					for atomic.LoadInt64(&a.counters["n0"].failures) == 0 && actx.Err() == nil {
-						time.Sleep(time.Millisecond)
-					}
-					return node, nil
 				}
 				return "", fmt.Errorf("unscripted outcome %d", script[node])
 			}
 
-			val, node, err := walk(ctx, a, peers, hedge, call)
-			// Legs still in flight are hedge losers; let them return and
-			// settle before reading who was charged. A loser's accounting
-			// follows its call's return by a few instructions and nothing
-			// signals it, so this is a grace period for a negative
-			// assertion: too short can only hide a charge, never invent one.
-			inFlight.Wait()
-			time.Sleep(5 * time.Millisecond)
+			val, node, err := walk(ctx, a, peers, call)
 
 			if tc.served != "" {
 				if err != nil || node != tc.served || val != tc.served {
@@ -209,16 +139,11 @@ func TestWalk(t *testing.T) {
 			} else if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("walk error = %v, want %v", err, tc.wantErr)
 			}
-			mu.Lock()
-			got := append([]string(nil), calls...)
-			mu.Unlock()
-			if !reflect.DeepEqual(got, tc.calls) {
-				t.Errorf("call order = %v, want %v", got, tc.calls)
+			if !reflect.DeepEqual(calls, tc.calls) {
+				t.Errorf("call order = %v, want %v", calls, tc.calls)
 			}
 			for name, pair := range map[string][2]int64{
 				"failovers":     {atomic.LoadInt64(&a.failovers), tc.failovers},
-				"hedges":        {atomic.LoadInt64(&a.hedges), tc.hedges},
-				"hedge_wins":    {atomic.LoadInt64(&a.hedgeWins), tc.hedgeWins},
 				"breaker_skips": {atomic.LoadInt64(&a.breakerSkips), tc.skips},
 			} {
 				if pair[0] != pair[1] {

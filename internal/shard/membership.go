@@ -66,8 +66,8 @@ type Membership struct {
 	done   chan struct{}
 }
 
-// NewMembership creates a Membership; Start begins probing.
-func NewMembership(opts MembershipOptions) (*Membership, error) {
+// newMembership creates a Membership; Start begins probing.
+func newMembership(opts MembershipOptions) (*Membership, error) {
 	if len(opts.Nodes) == 0 {
 		return nil, fmt.Errorf("shard: membership needs at least one node")
 	}

@@ -44,10 +44,10 @@ func newFlakyProbe() *flakyProbe {
 }
 
 func TestMembershipRejectsBadOptions(t *testing.T) {
-	if _, err := NewMembership(MembershipOptions{Probe: func(context.Context, string) (string, error) { return "", nil }}); err == nil {
+	if _, err := newMembership(MembershipOptions{Probe: func(context.Context, string) (string, error) { return "", nil }}); err == nil {
 		t.Fatal("empty node set accepted")
 	}
-	if _, err := NewMembership(MembershipOptions{Nodes: []string{"a"}}); err == nil {
+	if _, err := newMembership(MembershipOptions{Nodes: []string{"a"}}); err == nil {
 		t.Fatal("nil probe accepted")
 	}
 }
@@ -58,7 +58,7 @@ func TestMembershipRejectsBadOptions(t *testing.T) {
 func TestMembershipDownAfterThreshold(t *testing.T) {
 	probe := newFlakyProbe()
 	probe.instance["a"] = "inst-a"
-	m, err := NewMembership(MembershipOptions{
+	m, err := newMembership(MembershipOptions{
 		Nodes:     []string{"a"},
 		Probe:     probe.probe,
 		Interval:  time.Hour, // ticks never fire; we drive rounds by hand
@@ -115,7 +115,7 @@ func TestMembershipDownAfterThreshold(t *testing.T) {
 // same threshold as missed probes.
 func TestMembershipReportFailure(t *testing.T) {
 	probe := newFlakyProbe()
-	m, err := NewMembership(MembershipOptions{
+	m, err := newMembership(MembershipOptions{
 		Nodes: []string{"a", "b"}, Probe: probe.probe, Interval: time.Hour, Threshold: 2,
 	})
 	if err != nil {
@@ -139,7 +139,7 @@ func TestMembershipReportFailure(t *testing.T) {
 func TestMembershipStartAndClose(t *testing.T) {
 	probe := newFlakyProbe()
 	probe.set("a", errors.New("down"))
-	m, err := NewMembership(MembershipOptions{
+	m, err := newMembership(MembershipOptions{
 		Nodes: []string{"a"}, Probe: probe.probe, Interval: 10 * time.Millisecond, Threshold: 1,
 	})
 	if err != nil {

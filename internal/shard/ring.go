@@ -14,8 +14,8 @@
 // Everything that asks a peer and may have to ask another — the router's
 // select and targets forwarding, the backends' artifact fetcher — goes
 // through one attempt loop (walk, in attempt.go): candidates in order,
-// breaker gate, per-attempt timeout, optional hedge, and a per-owner
-// classifier that rules stop / next / next-and-charge on each failure.
+// breaker gate, per-attempt timeout, and a per-owner classifier that
+// rules stop / next / next-and-charge on each failure.
 package shard
 
 import (

@@ -7,19 +7,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"twophase/internal/admission"
 	"twophase/internal/api"
 	"twophase/internal/breaker"
 	"twophase/internal/core"
 	"twophase/internal/fanout"
-)
-
-// Hedging constants: the latency window size and how many samples must
-// accumulate before hedging arms (an unwarmed percentile would hedge on
-// noise).
-const (
-	DefaultHedgeWindow = 256
-	hedgeMinSamples    = 20
 )
 
 // DefaultReplicas is the owner-set size per (task, seed) key when
@@ -56,13 +47,6 @@ type RouterOptions struct {
 	// http.DefaultClient). It must not impose a global timeout shorter
 	// than a cold offline build.
 	HTTPClient *http.Client
-	// HedgePercentile arms hedged sub-requests: a select sub-request
-	// still in flight past the fleet's recent p-th latency percentile is
-	// raced against the next replica owner, first success wins. Safe
-	// because replicas are bit-identical for the same request (the
-	// determinism suite proves it). 0 disables hedging; a hedge only
-	// fires once the latency window holds enough samples to trust.
-	HedgePercentile float64
 	// AttemptTimeout bounds each individual forwarded select/targets
 	// attempt, distinct from the request's own deadline: a hung backend
 	// costs one attempt timeout and a failover, not the whole deadline_ms.
@@ -84,14 +68,12 @@ type RouterOptions struct {
 // single backend — clients cannot tell the difference (except for the
 // per-target "backend" field reporting who served them).
 type Router struct {
-	// attempter is the failover/breaker/hedge/timeout policy and its
+	// attempter is the failover/breaker/timeout policy and its
 	// routing counters; Select and Targets both go through walk.
 	attempter
 	ring    *Ring
 	clients map[string]*api.Client
 	opts    RouterOptions
-	// latency is the recent select latency the hedge delay is read from.
-	latency *admission.Window
 }
 
 // NewRouter builds a router over a fixed backend set. Start begins health
@@ -118,12 +100,11 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		ring:    ring,
 		clients: make(map[string]*api.Client, len(opts.Backends)),
 		opts:    opts,
-		latency: admission.NewWindow(DefaultHedgeWindow),
 	}
 	for _, b := range opts.Backends {
 		r.clients[b] = api.NewClient(b, opts.HTTPClient)
 	}
-	r.members, err = NewMembership(MembershipOptions{
+	r.members, err = newMembership(MembershipOptions{
 		Nodes:     opts.Backends,
 		Interval:  opts.ProbeInterval,
 		Threshold: opts.ProbeThreshold,
@@ -225,16 +206,6 @@ func routedExhausted(tried, open int, last error) error {
 	return fmt.Errorf("%w: all %d candidate backends failed, last: %v", api.ErrUnavailable, tried, last)
 }
 
-// hedgeDelay reports the armed hedging trigger: the fleet's recent p-th
-// latency percentile, once enough samples accumulated. ok is false while
-// hedging is disabled or unwarmed.
-func (r *Router) hedgeDelay() (time.Duration, bool) {
-	if r.opts.HedgePercentile <= 0 || r.latency.Len() < hedgeMinSamples {
-		return 0, false
-	}
-	return r.latency.Percentile(r.opts.HedgePercentile)
-}
-
 // served is one backend's answer to a select sub-request.
 type served struct {
 	resp     *api.SelectResponse
@@ -292,17 +263,10 @@ func (r *Router) Select(ctx context.Context, req *api.SelectRequest) (*api.Selec
 		// rest of the owner set in priority order.
 		candidates := append([]string{owners[gi]}, deleteAt(owners, gi)...)
 		var err error
-		g.served, g.node, err = walk(ctx, &r.attempter, candidates, r.hedgeDelay,
-			func(ctx context.Context, node string) (served, error) {
-				var s served
-				start := time.Now()
-				resp, err := r.clients[node].Select(api.WithInstanceCapture(ctx, &s.instance), &sub)
-				if err != nil {
-					return s, err
-				}
-				r.latency.Observe(time.Since(start))
-				s.resp = resp
-				return s, nil
+		g.served, g.node, err = walk(ctx, &r.attempter, candidates,
+			func(ctx context.Context, node string) (s served, err error) {
+				s.resp, err = r.clients[node].Select(api.WithInstanceCapture(ctx, &s.instance), &sub)
+				return s, err
 			})
 		return err
 	})
@@ -400,7 +364,7 @@ func (r *Router) Targets(ctx context.Context, task string) (*api.TargetsResponse
 		return nil, fmt.Errorf("%w: missing task", api.ErrBadRequest)
 	}
 	owners, _ := r.liveFirst(r.Owners(task, r.opts.Seed))
-	resp, _, err := walk(ctx, &r.attempter, owners, nil,
+	resp, _, err := walk(ctx, &r.attempter, owners,
 		func(ctx context.Context, node string) (*api.TargetsResponse, error) {
 			return r.clients[node].Targets(ctx, task)
 		})
@@ -418,8 +382,6 @@ func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
 		Replicas:     r.opts.Replicas,
 		Failovers:    atomic.LoadInt64(&r.failovers),
 		BreakerSkips: atomic.LoadInt64(&r.breakerSkips),
-		Hedges:       atomic.LoadInt64(&r.hedges),
-		HedgeWins:    atomic.LoadInt64(&r.hedgeWins),
 		BackendStats: make([]api.BackendStats, len(snap)),
 	}
 	out := &api.Stats{APIVersion: api.Version, Gateway: g}

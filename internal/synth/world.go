@@ -1,5 +1,5 @@
 // Package synth implements the synthetic transfer-learning world that
-// substitutes for the paper's HuggingFace substrate (see DESIGN.md §2).
+// substitutes for the paper's HuggingFace substrate.
 //
 // The world assigns every semantic domain ("nli", "sentiment",
 // "natural-img", ...) a low-dimensional basis inside the shared input
@@ -24,11 +24,11 @@ const (
 	DomainRank = 6
 )
 
-// CoreDomain returns the name of the always-present generic domain for a
+// coreDomain returns the name of the always-present generic domain for a
 // task family ("nlp" or "cv"). It models the generic linguistic / visual
 // features that every pre-trained model shares, which keeps all models
 // above chance and lets strong generic models transfer broadly.
-func CoreDomain(task string) string { return "_core_" + task }
+func coreDomain(task string) string { return "_core_" + task }
 
 // World owns the domain bases. It is safe for concurrent use.
 type World struct {
@@ -98,12 +98,12 @@ func (w *World) MixtureDirections(mix map[string]float64, n int, rng *numeric.RN
 	return dirs
 }
 
-// NormalizeMixture returns a copy of mix scaled so the weights sum to 1.
+// normalizeMixture returns a copy of mix scaled so the weights sum to 1.
 // An empty or all-zero mixture returns an empty map. The total accumulates
 // in sorted key order: float sums are order-sensitive in the last ULP, and
 // map iteration order would otherwise leak into every derived weight,
 // breaking bit-reproducibility across processes.
-func NormalizeMixture(mix map[string]float64) map[string]float64 {
+func normalizeMixture(mix map[string]float64) map[string]float64 {
 	names := make([]string, 0, len(mix))
 	for k := range mix {
 		names = append(names, k)
@@ -134,6 +134,6 @@ func WithCore(mix map[string]float64, task string, coreWeight float64) map[strin
 	for k, v := range mix {
 		out[k] = v
 	}
-	out[CoreDomain(task)] += coreWeight
-	return NormalizeMixture(out)
+	out[coreDomain(task)] += coreWeight
+	return normalizeMixture(out)
 }

@@ -108,14 +108,14 @@ func TestMixtureDirectionsEmptyMixture(t *testing.T) {
 }
 
 func TestNormalizeMixture(t *testing.T) {
-	m := NormalizeMixture(map[string]float64{"a": 2, "b": 6, "c": -1})
+	m := normalizeMixture(map[string]float64{"a": 2, "b": 6, "c": -1})
 	if math.Abs(m["a"]-0.25) > 1e-12 || math.Abs(m["b"]-0.75) > 1e-12 {
 		t.Fatalf("normalized = %v", m)
 	}
 	if _, ok := m["c"]; ok {
 		t.Fatal("negative weight kept")
 	}
-	if len(NormalizeMixture(nil)) != 0 {
+	if len(normalizeMixture(nil)) != 0 {
 		t.Fatal("nil mixture should be empty")
 	}
 }
@@ -129,7 +129,7 @@ func TestWithCore(t *testing.T) {
 	if math.Abs(total-1) > 1e-12 {
 		t.Fatalf("mixture sums to %v", total)
 	}
-	if m[CoreDomain("nlp")] <= 0 {
+	if m[coreDomain("nlp")] <= 0 {
 		t.Fatal("core domain missing")
 	}
 	// input must not be mutated
@@ -141,7 +141,7 @@ func TestWithCore(t *testing.T) {
 }
 
 func TestCoreDomainNames(t *testing.T) {
-	if CoreDomain("nlp") == CoreDomain("cv") {
+	if coreDomain("nlp") == coreDomain("cv") {
 		t.Fatal("task cores must differ")
 	}
 }

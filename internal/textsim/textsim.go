@@ -23,20 +23,20 @@ const Dim = 64
 func EmbedAll(texts []string) *numeric.Frame {
 	f := numeric.NewFrame(len(texts), Dim)
 	for i, text := range texts {
-		EmbedInto(text, f.Row(i))
+		embedInto(text, f.Row(i))
 	}
 	return f
 }
 
-// EmbedInto writes the embedding of text — a unit-norm hashed bag-of-words
+// embedInto writes the embedding of text — a unit-norm hashed bag-of-words
 // vector — into v (length Dim) and returns it. Tokens are lowercase
 // alphanumeric runs; each token adds a signed hashed one-hot (the classic
 // "hashing trick" with a sign hash to reduce collisions' bias).
-func EmbedInto(text string, v []float64) []float64 {
+func embedInto(text string, v []float64) []float64 {
 	for i := range v {
 		v[i] = 0
 	}
-	for _, tok := range Tokenize(text) {
+	for _, tok := range tokenize(text) {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(tok))
 		sum := h.Sum64()
@@ -60,8 +60,8 @@ func EmbedInto(text string, v []float64) []float64 {
 	return v
 }
 
-// Tokenize splits text into lowercase alphanumeric tokens.
-func Tokenize(text string) []string {
+// tokenize splits text into lowercase alphanumeric tokens.
+func tokenize(text string) []string {
 	var tokens []string
 	var b strings.Builder
 	flush := func() {

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func embed(text string) []float64 { return EmbedInto(text, make([]float64, Dim)) }
+func embed(text string) []float64 { return embedInto(text, make([]float64, Dim)) }
 
 // similarity is the cosine similarity of two embedded cards (embeddings
 // are unit-norm, so the dot product).
@@ -20,7 +20,7 @@ func similarity(cardA, cardB string) float64 {
 }
 
 func TestTokenize(t *testing.T) {
-	got := Tokenize("BERT-base, fine-tuned on QQP (v2)!")
+	got := tokenize("BERT-base, fine-tuned on QQP (v2)!")
 	want := []string{"bert", "base", "fine", "tuned", "on", "qqp", "v2"}
 	if len(got) != len(want) {
 		t.Fatalf("tokens %v", got)
@@ -30,7 +30,7 @@ func TestTokenize(t *testing.T) {
 			t.Fatalf("token %d = %q, want %q", i, got[i], want[i])
 		}
 	}
-	if len(Tokenize("")) != 0 {
+	if len(tokenize("")) != 0 {
 		t.Fatal("empty text should have no tokens")
 	}
 }

@@ -1,9 +1,10 @@
 // Package trainer implements the fine-tuning substrate: real stochastic-
 // gradient training of a softmax head ("linear probe") on a model's frozen
-// features. It substitutes for the paper's full fine-tuning (DESIGN.md §2)
-// while producing genuine optimization dynamics — per-epoch validation and
-// test curves, convergence speed tied to feature separability, and
-// sensitivity to the learning rate — which the fine-selection phase mines.
+// features. It substitutes for the paper's full fine-tuning (README,
+// opening section: "All training is real") while producing genuine
+// optimization dynamics — per-epoch validation and test curves,
+// convergence speed tied to feature separability, and sensitivity to the
+// learning rate — which the fine-selection phase mines.
 //
 // Runtime accounting follows the paper: the unit of cost is one training
 // epoch over the target dataset's training split.

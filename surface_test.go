@@ -5,14 +5,17 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // keptHooks are the exported names under internal/ that no non-test file
-// names, kept on purpose: each is read by a test that pins live behaviour.
+// names (or, for a func, no file of another package), kept on purpose:
+// each is read by a test that pins live behaviour or says why it stays.
 // The list is exact — an entry that stops being needed fails the test too.
 // One more kept hook cannot appear here because the method rule is by bare
 // name: lifecycle.Manager.Entries (+ EntryStats), the cache residency
@@ -26,6 +29,8 @@ var keptHooks = map[string]string{
 	"shard.Breakers":            "the router's breaker set, read by the chaos and breaker suites to wait for reconvergence",
 	"breaker.AllClosed":         "reconvergence predicate over shard.Router.Breakers (same suites)",
 	"shard.Owner":               "a key's primary owner; bench/stats_test.go splits batches by it",
+	"datahub.CVBenchmarks":      "only datahub calls it, but it is one of a pair with NLPBenchmarks, which six other packages' tests build matrices from",
+	"modelhub.CVSpecs":          "only modelhub calls it, but it is one of a pair with NLPSpecs, which five other packages' tests build repositories from",
 }
 
 // harnessPackages are internal packages that are test support by design:
@@ -44,8 +49,12 @@ var stdlibHooks = map[string]bool{
 // TestExportedSurfaceIsUsed makes "exported surface = reachable surface" a
 // tier-1 check: every exported top-level func, method, type, const and var
 // declared in a non-test file under internal/ must be named, other than by
-// its own declaration, in a non-test .go file of the module (cmd/,
-// examples/, bench/ included).
+// its own declaration, in a non-test .go file of the module (cmd/ and
+// bench/ included). An exported func must also be named by a file of
+// another package, tests included: one that only its own package calls
+// is unexported. Types, consts and vars are exempt from that second rule
+// — a type's name is what a caller holds its values by, and the contract's
+// sentinels, wire codes and enum sets are exported as sets.
 //
 // It is syntactic (go/parser only) and over-approximates use by name. A
 // func, type, const or var pkg.Foo counts as used when some file names
@@ -57,39 +66,39 @@ var stdlibHooks = map[string]bool{
 // flags live code.
 func TestExportedSurfaceIsUsed(t *testing.T) {
 	type decl struct {
-		pkg, name string
-		method    bool
-		pos       string
+		pkg, name      string
+		method, fnDecl bool
+		pos            string
 	}
 	fset := token.NewFileSet()
 	var declared []decl // exported declarations under internal/
 	declIdents := map[*ast.Ident]bool{}
 	var files []*ast.File
 
-	walkSources(t, fset, func(path string, f *ast.File) {
+	walkGoFiles(t, fset, false, func(path string, f *ast.File) {
 		files = append(files, f)
 		dir := filepath.ToSlash(filepath.Dir(path))
 		if !strings.HasPrefix(dir, "internal/") || harnessPackages[dir] != "" {
 			return
 		}
-		add := func(id *ast.Ident, method bool) {
+		add := func(id *ast.Ident, method, fnDecl bool) {
 			declIdents[id] = true
 			if id.IsExported() {
-				declared = append(declared, decl{f.Name.Name, id.Name, method, fset.Position(id.Pos()).String()})
+				declared = append(declared, decl{f.Name.Name, id.Name, method, fnDecl, fset.Position(id.Pos()).String()})
 			}
 		}
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				add(d.Name, d.Recv != nil)
+				add(d.Name, d.Recv != nil, d.Recv == nil)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						add(spec.Name, false)
+						add(spec.Name, false, false)
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
-							add(id, false)
+							add(id, false, false)
 						}
 					}
 				}
@@ -99,7 +108,8 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 
 	named := map[string]bool{}     // any identifier, by bare name
 	qualified := map[string]bool{} // "pkg.Name": pkg.Name anywhere, or a bare Name inside pkg
-	for _, f := range files {
+	outside := map[string]bool{}   // "pkg.Name": the selector pkg.Name, tests included — a use from another package
+	scan := func(f *ast.File, test bool) {
 		alias := map[string]string{} // import name -> package name, where renamed
 		for _, imp := range f.Imports {
 			if imp.Name != nil {
@@ -116,10 +126,13 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 					if real, ok := alias[pkg]; ok {
 						pkg = real
 					}
-					qualified[pkg+"."+n.Sel.Name] = true
+					outside[pkg+"."+n.Sel.Name] = true
+					if !test {
+						qualified[pkg+"."+n.Sel.Name] = true
+					}
 				}
 			case *ast.Ident:
-				if declIdents[n] {
+				if declIdents[n] || test {
 					break
 				}
 				named[n.Name] = true
@@ -130,23 +143,34 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 			return true
 		})
 	}
+	for _, f := range files {
+		scan(f, false)
+	}
+	walkGoFiles(t, fset, true, func(_ string, f *ast.File) { scan(f, true) })
 
 	needed := map[string]bool{}
 	var unused []string
 	for _, d := range declared {
 		key := d.pkg + "." + d.name
 		if d.method && (named[d.name] || stdlibHooks[d.name]) || !d.method && qualified[key] {
+			if d.fnDecl && !outside[key] {
+				if keptHooks[key] != "" {
+					needed[key] = true
+				} else {
+					unused = append(unused, d.pos+": "+key+" is exported but only files of its own package name it: unexport it, or add it to keptHooks with why it stays")
+				}
+			}
 			continue
 		}
 		if keptHooks[key] != "" {
 			needed[key] = true
 			continue
 		}
-		unused = append(unused, d.pos+": "+key)
+		unused = append(unused, d.pos+": "+key+" is exported but no non-test file names it: delete it, unexport it, or add it to keptHooks with the test that needs it")
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("%s is exported but no non-test file names it: delete it, unexport it, or add it to keptHooks with the test that needs it", u)
+		t.Error(u)
 	}
 	for key := range keptHooks {
 		if !needed[key] {
@@ -159,9 +183,8 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 // goroutines with their own sync.WaitGroup instead of internal/fanout.
 // The list is exact — an entry that stops being needed fails the test too.
 var ownPools = map[string]string{
-	"internal/fanout/fanout.go":    "the one bounded fan-out itself",
-	"internal/numeric/parallel.go": "contiguous row blocks sized by flops, under a non-blocking process-wide helper reservation",
-	"cmd/loadgen/main.go":          "open-loop load driver: arrivals are paced by a clock, not claimed by workers",
+	"internal/fanout/fanout.go": "the one bounded fan-out itself",
+	"cmd/loadgen/main.go":       "open-loop load driver: arrivals are paced by a clock, not claimed by workers",
 }
 
 // TestOneFanOut makes "one bounded fan-out" a tier-1 check: a non-test
@@ -171,7 +194,7 @@ var ownPools = map[string]string{
 func TestOneFanOut(t *testing.T) {
 	fset := token.NewFileSet()
 	needed := map[string]bool{}
-	walkSources(t, fset, func(path string, f *ast.File) {
+	walkGoFiles(t, fset, false, func(path string, f *ast.File) {
 		path = filepath.ToSlash(path)
 		if strings.HasPrefix(path, "bench/") {
 			return
@@ -199,9 +222,42 @@ func TestOneFanOut(t *testing.T) {
 	}
 }
 
-// walkSources parses every non-test .go file of the module (hidden and
-// testdata directories skipped) and hands each to fn with its path.
-func walkSources(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+// mdName matches a Markdown file name, with any directory prefix.
+var mdName = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestCitedDocsExist makes "no dangling citation" a tier-1 check: a
+// Markdown file named in a Go comment (tests included) or in README.md
+// must be in the repository, at that path from the root or from the
+// citing file's directory.
+func TestCitedDocsExist(t *testing.T) {
+	check := func(from, pos, text string) {
+		for _, name := range mdName.FindAllString(text, -1) {
+			_, errRoot := os.Stat(name)
+			_, errDir := os.Stat(filepath.Join(filepath.Dir(from), name))
+			if errRoot != nil && errDir != nil {
+				t.Errorf("%s cites %s, which is not in the repository: repoint the citation or delete it", pos, name)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	for _, tests := range []bool{false, true} {
+		walkGoFiles(t, fset, tests, func(path string, f *ast.File) {
+			for _, g := range f.Comments {
+				check(path, fset.Position(g.Pos()).String(), g.Text())
+			}
+		})
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("README.md", "README.md", string(readme))
+}
+
+// walkGoFiles parses the module's _test.go files (tests) or its other .go
+// files (!tests), hidden and testdata directories skipped, and hands each
+// to fn with its path.
+func walkGoFiles(t *testing.T, fset *token.FileSet, tests bool, fn func(path string, f *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -213,10 +269,10 @@ func walkSources(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
