@@ -17,6 +17,13 @@ package numeric
 // elements are fair game; reassociating one element's sum is not. This is
 // what keeps frame kernels bit-identical to the historical per-example
 // path (see the golden suite in internal/core).
+//
+// And a product never feeds an add unconverted: write s += float64(a*b),
+// not s += a*b. The explicit conversion rounds the product, which is the
+// language's one guarantee that arm64, ppc64le, s390x and riscv64 do not
+// fuse the pair into a single-rounding multiply-add; amd64 compiles both
+// spellings to the same code. TestNoFusedMultiplyAdd (surface_test.go)
+// counts the fused instructions of an arm64 build.
 type Frame struct {
 	N, D int
 	Data []float64 // len == N*D, row-major
@@ -102,10 +109,11 @@ func (m *Matrix) MulFrameBiasSoftmax(x *Frame, bias []float64, out *Frame) {
 
 // mulFrame is the shared batched kernel: an L1-sized tile over x rows and,
 // inside it, a 2x2 register block — two matrix rows against two x rows,
-// four independent accumulators in flight — which hides FMA latency that
-// a single serial accumulator chain cannot. Every accumulator still sums
-// its own element in ascending j order, which is the determinism rule
-// that keeps this bit-identical to per-row MulVec. bias may be nil.
+// four independent accumulators in flight — which hides the add latency
+// that a single serial accumulator chain cannot. Every accumulator still
+// sums its own element in ascending j order, each product rounded first,
+// which is the determinism rule that keeps this bit-identical to per-row
+// MulVec. bias may be nil.
 func mulFrame(m *Matrix, x *Frame, bias []float64, out *Frame) {
 	d := m.Cols
 	for i0 := 0; i0 < x.N; i0 += frameBlock {
@@ -131,10 +139,10 @@ func mulFrame(m *Matrix, x *Frame, bias []float64, out *Frame) {
 				for j, wa := range w0 {
 					wb := w1[j]
 					va, vb := xa[j], xb[j]
-					s00 += wa * va
-					s01 += wa * vb
-					s10 += wb * va
-					s11 += wb * vb
+					s00 += float64(wa * va)
+					s01 += float64(wa * vb)
+					s10 += float64(wb * va)
+					s11 += float64(wb * vb)
 				}
 				if bias != nil {
 					s00, s01, s10, s11 = s00+b0, s01+b0, s10+b1, s11+b1
@@ -150,8 +158,8 @@ func mulFrame(m *Matrix, x *Frame, bias []float64, out *Frame) {
 				var s0, s1 float64
 				for j, wa := range w0 {
 					va := xa[j]
-					s0 += wa * va
-					s1 += w1[j] * va
+					s0 += float64(wa * va)
+					s1 += float64(w1[j] * va)
 				}
 				if bias != nil {
 					s0, s1 = s0+b0, s1+b1
@@ -173,8 +181,8 @@ func mulFrame(m *Matrix, x *Frame, bias []float64, out *Frame) {
 				xa, xb = xa[:len(w0)], xb[:len(w0)]
 				var s0, s1 float64
 				for j, wa := range w0 {
-					s0 += wa * xa[j]
-					s1 += wa * xb[j]
+					s0 += float64(wa * xa[j])
+					s1 += float64(wa * xb[j])
 				}
 				if bias != nil {
 					s0, s1 = s0+b0, s1+b0
@@ -187,7 +195,7 @@ func mulFrame(m *Matrix, x *Frame, bias []float64, out *Frame) {
 				xa = xa[:len(w0)]
 				var s float64
 				for j, wa := range w0 {
-					s += wa * xa[j]
+					s += float64(wa * xa[j])
 				}
 				if bias != nil {
 					s += b0

@@ -27,9 +27,10 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // MulVec computes out = M * x. out must have length Rows and x length
-// Cols. Row pairs run with two independent accumulators to hide FMA
+// Cols. Row pairs run with two independent accumulators to hide the add
 // latency; each output element still accumulates its own dot product in
-// ascending j order (the bit-identity rule — see Frame).
+// ascending j order, every product rounded before it is added (the
+// bit-identity rule — see Frame).
 func (m *Matrix) MulVec(x, out []float64) {
 	if len(x) != m.Cols || len(out) != m.Rows {
 		panic("numeric: MulVec dimension mismatch")
@@ -44,8 +45,8 @@ func (m *Matrix) MulVec(x, out []float64) {
 		var s0, s1 float64
 		for j, w0 := range r0 {
 			v := xx[j]
-			s0 += w0 * v
-			s1 += r1[j] * v
+			s0 += float64(w0 * v)
+			s1 += float64(r1[j] * v)
 		}
 		out[i], out[i+1] = s0, s1
 	}
@@ -54,7 +55,7 @@ func (m *Matrix) MulVec(x, out []float64) {
 		xx := x[:len(row)]
 		var s float64
 		for j, w := range row {
-			s += w * xx[j]
+			s += float64(w * xx[j])
 		}
 		out[i] = s
 	}

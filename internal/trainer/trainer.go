@@ -17,6 +17,12 @@
 // finished selection's winner and ensemble members). FineTune, the offline
 // path behind the performance matrix and the oracle, wants the whole test
 // curve and records it itself after every epoch.
+//
+// An epoch walks the head once per training example: the loop that writes
+// example k's weight update also accumulates example k+1's logits against
+// the weights it has just written (sgdPass, fusedStep). It is the
+// per-example sequence — logits, softmax, update — float for float, with
+// the second pass over the weights folded into the first.
 package trainer
 
 import (
@@ -176,44 +182,108 @@ func (r *Run) FinalVal() float64 { return r.curve.FinalVal() }
 // selection algorithms consult validation only, and pay for a test
 // evaluation (TestAccuracy) only where they report one.
 func (r *Run) TrainEpoch() float64 {
-	n := r.featTrain.N
-	order := r.rng.PermInto(r.perm)
-	for start := 0; start < n; start += r.HP.BatchSize {
-		end := start + r.HP.BatchSize
-		if end > n {
-			end = n
-		}
-		r.stepBatch(order[start:end])
-	}
+	r.sgdPass(r.rng.PermInto(r.perm))
 	val := r.evaluate(r.featVal, &r.valLogits, r.Dataset.Val.Y)
 	r.curve.Val = append(r.curve.Val, val)
 	return val
 }
 
-// stepBatch applies one cross-entropy SGD update over the given examples.
-// SGD is inherently sequential — the weights an example sees depend on
-// every example before it — so this stays a per-example loop; the wins
-// come from the contiguous feature frame and the reused scratch buffers.
-func (r *Run) stepBatch(idx []int) {
-	lr := r.HP.LearningRate / float64(len(idx))
-	for _, i := range idx {
-		x := r.featTrain.Row(i)
-		y := r.Dataset.Train.Y[i]
-		r.weights.MulVec(x, r.logits)
+// sgdPass applies one epoch of minibatch cross-entropy SGD, visiting the
+// training examples in the given order. SGD is sequential — the weights an
+// example sees depend on every example before it — but the head need not be
+// walked twice per example (once for the logits, once for the update): the
+// update of example k hands each weight it has just written straight to
+// example k+1's dot product (fusedStep), so only the epoch's first example
+// pays for a MulVec. The learning rate is the batch's, recomputed where a
+// batch starts, so a short last batch steps with its own size.
+//
+// Every float comes from the same operands in the same order as the
+// per-example form (logits, bias, softmax, then the update row by row),
+// which the tests keep as their oracle; each product is rounded before it
+// feeds an add (see the determinism rule on numeric.Frame).
+func (r *Run) sgdPass(order []int) {
+	n := len(order)
+	if n == 0 {
+		return
+	}
+	ys := r.Dataset.Train.Y
+	x := r.featTrain.Row(order[0])
+	r.weights.MulVec(x, r.logits)
+	var lr float64
+	for k, i := range order {
+		if k%r.HP.BatchSize == 0 {
+			lr = r.HP.LearningRate / float64(min(r.HP.BatchSize, n-k))
+		}
 		for c := range r.logits {
 			r.logits[c] += r.bias[c]
 		}
+		// probs becomes the loss gradient with respect to the logits.
 		numeric.Softmax(r.logits, r.probs)
-		for c := range r.probs {
-			g := r.probs[c]
-			if c == y {
-				g -= 1
-			}
-			row := r.weights.Row(c)
-			for j, xv := range x {
-				row[j] -= lr * (g*xv + r.HP.L2*row[j])
-			}
-			r.bias[c] -= lr * g
+		r.probs[ys[i]] -= 1
+		for c, g := range r.probs {
+			r.bias[c] -= float64(lr * g)
+		}
+		if k+1 == n {
+			r.lastStep(x, lr)
+			return
+		}
+		next := r.featTrain.Row(order[k+1])
+		r.fusedStep(x, next, lr)
+		x = next
+	}
+}
+
+// fusedStep applies example x's weight update (gradient in r.probs) and
+// leaves next's dot products against the updated weights in r.logits. Two
+// rows share one inner loop: the dot products are latency-bound single
+// accumulator chains (ascending j, the determinism rule) and overlap with
+// the throughput-bound update instead of waiting behind it.
+func (r *Run) fusedStep(x, next []float64, lr float64) {
+	l2 := r.HP.L2
+	d := r.weights.Cols
+	w := r.weights.Data
+	x, next = x[:d], next[:d]
+	c := 0
+	for ; c+2 <= len(r.probs); c += 2 {
+		r0 := w[c*d : (c+1)*d]
+		r1 := w[(c+1)*d : (c+2)*d]
+		r0, r1 = r0[:len(x)], r1[:len(x)]
+		g0, g1 := r.probs[c], r.probs[c+1]
+		var s0, s1 float64
+		for j, xv := range x {
+			nv := next[j]
+			w0, w1 := r0[j], r1[j]
+			w0 -= float64(lr * (float64(g0*xv) + float64(l2*w0)))
+			w1 -= float64(lr * (float64(g1*xv) + float64(l2*w1)))
+			r0[j], r1[j] = w0, w1
+			s0 += float64(w0 * nv)
+			s1 += float64(w1 * nv)
+		}
+		r.logits[c], r.logits[c+1] = s0, s1
+	}
+	if c < len(r.probs) {
+		row := w[c*d : (c+1)*d]
+		row = row[:len(x)]
+		g := r.probs[c]
+		var s float64
+		for j, xv := range x {
+			wv := row[j]
+			wv -= float64(lr * (float64(g*xv) + float64(l2*wv)))
+			row[j] = wv
+			s += float64(wv * next[j])
+		}
+		r.logits[c] = s
+	}
+}
+
+// lastStep applies the weight update of the epoch's last example, which
+// has no successor to compute logits for.
+func (r *Run) lastStep(x []float64, lr float64) {
+	l2 := r.HP.L2
+	for c, g := range r.probs {
+		row := r.weights.Row(c)
+		for j, xv := range x {
+			row[j] -= float64(lr * (float64(g*xv) + float64(l2*row[j])))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -352,5 +353,147 @@ func TestTestSplitExtractedOnDemand(t *testing.T) {
 	}
 	if got := m.CachedSplits(); got != 3 {
 		t.Fatalf("model holds %d cached splits after TestAccuracy, want 3", got)
+	}
+}
+
+// stepBatch is the per-example SGD update TrainEpoch ran before sgdPass
+// replaced it — MulVec over the head, bias, Softmax, then a second walk
+// over every weight row — kept verbatim as the kernel's differential
+// oracle.
+func (r *Run) stepBatch(idx []int) {
+	lr := r.HP.LearningRate / float64(len(idx))
+	for _, i := range idx {
+		x := r.featTrain.Row(i)
+		y := r.Dataset.Train.Y[i]
+		r.weights.MulVec(x, r.logits)
+		for c := range r.logits {
+			r.logits[c] += r.bias[c]
+		}
+		numeric.Softmax(r.logits, r.probs)
+		for c := range r.probs {
+			g := r.probs[c]
+			if c == y {
+				g -= 1
+			}
+			row := r.weights.Row(c)
+			for j, xv := range x {
+				row[j] -= lr * (g*xv + r.HP.L2*row[j])
+			}
+			r.bias[c] -= lr * g
+		}
+	}
+}
+
+// oracleEpoch is the TrainEpoch that drove stepBatch, batch by batch.
+func (r *Run) oracleEpoch() float64 {
+	n := r.featTrain.N
+	order := r.rng.PermInto(r.perm)
+	for start := 0; start < n; start += r.HP.BatchSize {
+		end := start + r.HP.BatchSize
+		if end > n {
+			end = n
+		}
+		r.stepBatch(order[start:end])
+	}
+	val := r.evaluate(r.featVal, &r.valLogits, r.Dataset.Val.Y)
+	r.curve.Val = append(r.curve.Val, val)
+	return val
+}
+
+// checkAgainstOracle trains two identically seeded runs for five epochs, one
+// through TrainEpoch and one through oracleEpoch, and requires every float
+// they hold — head weights, bias, the logits scratch and the validation
+// curve — to be bit-equal.
+func checkAgainstOracle(t *testing.T, m *modelhub.Model, d *datahub.Dataset, hp Hyperparams) {
+	t.Helper()
+	hp.Epochs = 5
+	run, err := NewRun(m, d, hp, 42, "oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRun(m, d, hp, 42, "oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < hp.Epochs; e++ {
+		run.TrainEpoch()
+		ref.oracleEpoch()
+	}
+	for _, f := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"weights", run.weights.Data, ref.weights.Data},
+		{"bias", run.bias, ref.bias},
+		{"logits", run.logits, ref.logits},
+		{"val curve", run.curve.Val, ref.curve.Val},
+	} {
+		if len(f.got) != len(f.want) {
+			t.Fatalf("%s: %d values, oracle has %d", f.name, len(f.got), len(f.want))
+		}
+		for i := range f.got {
+			if math.Float64bits(f.got[i]) != math.Float64bits(f.want[i]) {
+				t.Fatalf("%s[%d] = %x, oracle %x", f.name, i, f.got[i], f.want[i])
+			}
+		}
+	}
+}
+
+// TestOnePassMatchesStepBatchOnCatalog: on every NLP and CV target (2, 3,
+// 9 and 20 classes) the one-pass kernel leaves the run bit-equal to the
+// per-example update.
+func TestOnePassMatchesStepBatchOnCatalog(t *testing.T) {
+	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+		w := synth.NewWorld(42)
+		cat, err := datahub.NewTaskCatalog(w, task, datahub.Sizes{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repo, err := modelhub.NewTaskRepository(w, task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range cat.Targets() {
+			t.Run(d.Name, func(t *testing.T) {
+				checkAgainstOracle(t, repo.Models()[0], d, Default(task))
+			})
+		}
+	}
+}
+
+// TestOnePassMatchesStepBatchOnEdges covers what the catalog never hits: a
+// batch size that does not divide the split (the short last batch steps
+// with its own learning rate), batches of one and of the whole split or
+// more, a one-example and an empty training split (sgdPass must not reach
+// for a first example), and odd and even class counts past the catalog's
+// small heads (the kernel pairs rows and finishes an odd one alone).
+func TestOnePassMatchesStepBatchOnEdges(t *testing.T) {
+	w, m, d := fixture(t) // 200 training examples, 3 classes
+	for _, batch := range []int{1, 7, 24, 200, 500} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			hp := Default(datahub.TaskNLP)
+			hp.BatchSize = batch
+			checkAgainstOracle(t, m, d, hp)
+		})
+	}
+	for _, n := range []int{0, 1, 2, 25} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			short := *d
+			short.Train = datahub.Split{X: d.Train.X.Slice(0, n), Y: d.Train.Y[:n]}
+			checkAgainstOracle(t, m, &short, Default(datahub.TaskNLP))
+		})
+	}
+	for _, classes := range []int{5, 6, 7, 8} {
+		t.Run(fmt.Sprintf("classes=%d", classes), func(t *testing.T) {
+			wide, err := datahub.Generate(w, datahub.Spec{
+				Name: fmt.Sprintf("trainer/ds%d", classes), Task: datahub.TaskNLP,
+				Domains: map[string]float64{datahub.DomainNLI: 1},
+				Classes: classes, Separability: 2, Noise: 1.6,
+			}, datahub.Sizes{Train: 100, Val: 40, Test: 40})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, m, wide, Default(datahub.TaskNLP))
+		})
 	}
 }

@@ -1,11 +1,13 @@
 package twophase_bench
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -219,6 +221,100 @@ func TestOneFanOut(t *testing.T) {
 		if !needed[path] {
 			t.Errorf("ownPools lists %s, which is gone or no longer names sync.WaitGroup: drop the entry", path)
 		}
+	}
+}
+
+// fusedSites is the number of fused multiply-add instructions the arm64
+// compiler still emits per function under twophase/internal/ — each one a
+// product that feeds an add without an explicit float64(a*b) conversion,
+// and so rounds once where amd64 rounds twice (ROADMAP item 2 (i)). A
+// function not listed must have none; the list is exact, so a count can
+// only go down, and goes down here in the change that converts the site.
+// Inlined callees count under their caller (numeric.Dot and AddScaled show
+// up in GramSchmidt, Materialize and the rest).
+var fusedSites = map[string]int{
+	"api.(*Dispatcher).Select":         2,
+	"datahub.Generate":                 2,
+	"datahub.sampleSplit":              1,
+	"lsq.fit":                          1,
+	"modelhub.(*Model).Features":       1,
+	"modelhub.(*Model).extractFrame":   1,
+	"modelhub.Materialize":             7,
+	"numeric.(*RNG).Norm":              1,
+	"numeric.CholeskyFactor":           1,
+	"numeric.CholeskySolve":            2,
+	"numeric.GramSchmidt":              4,
+	"proxy.(*leepScratch).leep":        1,
+	"recall.(*Offline).Recall":         1,
+	"selection.kmeans1D":               1,
+	"synth.(*World).MixtureDirections": 2,
+	"trainer.(*Ledger).String":         1,
+}
+
+// fusedFree are the kernels every selection's floats come out of. They are
+// already covered by not being in fusedSites; naming them makes the test
+// fail, not pass vacuously, if one is renamed or inlined away.
+var fusedFree = []string{
+	"trainer.(*Run).sgdPass",
+	"trainer.(*Run).fusedStep",
+	"numeric.(*Matrix).MulVec",
+	"numeric.mulFrame",
+}
+
+// fusedOp matches arm64's scalar fused multiply-adds as go tool objdump
+// prints them (FMADDD, FMSUBD, FNMADDS, ...).
+var fusedOp = regexp.MustCompile(`\bFN?M(ADD|SUB)[SD]\b`)
+
+// TestNoFusedMultiplyAdd makes "a product never feeds an add unconverted"
+// a tier-1 check where it can be checked without the hardware: it
+// cross-compiles ./cmd/serve for arm64 (toolchain only, no network),
+// disassembles twophase/internal/ and counts fused multiply-adds per
+// function against fusedSites. amd64 has no such instruction in Go, so
+// every bit-identity suite in this repository passes there regardless.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-compiles cmd/serve for arm64; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "serve.arm64")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/serve")
+	build.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("cross-compiling cmd/serve for arm64: %v\n%s", err, out)
+	}
+	const prefix = "twophase/internal/"
+	asm, err := exec.Command("go", "tool", "objdump", "-s", prefix, bin).Output()
+	if err != nil {
+		t.Fatalf("go tool objdump: %v", err)
+	}
+	got := map[string]int{} // every function seen, with its fused count
+	var fn string
+	for _, line := range strings.Split(string(asm), "\n") {
+		if name, ok := strings.CutPrefix(line, "TEXT "+prefix); ok {
+			fn, _, _ = strings.Cut(name, "(SB)")
+			got[fn] = 0
+		} else if fusedOp.MatchString(line) {
+			got[fn]++
+		}
+	}
+	for _, fn := range fusedFree {
+		if _, ok := got[fn]; !ok {
+			t.Errorf("%s is not in the arm64 binary: the census is not looking at the kernel any more; name its successor in fusedFree", fn)
+		}
+	}
+	var bad []string
+	for fn, n := range got {
+		if allowed := fusedSites[fn]; n > allowed {
+			bad = append(bad, fmt.Sprintf("%s: %d fused multiply-adds on arm64, %d allowed: write each product that feeds an add as float64(a*b)", fn, n, allowed))
+		}
+	}
+	for fn, allowed := range fusedSites {
+		if n := got[fn]; n < allowed {
+			bad = append(bad, fmt.Sprintf("fusedSites allows %s %d fused multiply-adds, it has %d: lower the entry (drop it at 0)", fn, allowed, n))
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
 
