@@ -16,7 +16,7 @@ BENCH_AB_RUNS ?= 3
 # The golang.org/x/tools release `make deadcode-tool` installs.
 DEADCODE_VERSION ?= v0.30.0
 
-.PHONY: verify race bench bench-smoke bench-baseline bench-ab fmt vet deadcode deadcode-tool loc build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
+.PHONY: verify race bench bench-ab fmt vet deadcode deadcode-tool loc build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
 
 # verify is the tier-1 gate: exactly what CI and the roadmap run.
 verify: build test
@@ -55,22 +55,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzMulFrameMatchesMulVec -fuzztime=10s -run='^$$' ./internal/numeric
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s -run='^$$' ./internal/artifact
 
-# bench smoke-runs every benchmark once; use `go test -bench=. -benchmem`
-# for real measurements.
+# bench compiles and runs the package micro benchmarks once
+# (internal/trainer, internal/modelhub): the developer's `go test -bench`,
+# kept building. Numbers come from `go run ./bench` and `make bench-ab`.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# bench-smoke is the perf regression gate: re-measures the training hot
-# paths and fails if they regress >20% against BENCH_baseline.json
-# (calibration-scaled so slower machines don't trip it) or if the
-# steady-state epoch allocates at all.
-bench-smoke:
-	$(GO) run ./cmd/benchsmoke -baseline BENCH_baseline.json
-
-# bench-baseline re-records the checked-in baseline; run on an intended
-# perf change and commit the result.
-bench-baseline:
-	$(GO) run ./cmd/benchsmoke -baseline BENCH_baseline.json -write
 
 # bench-ab is "no optimisation lands without a before/after from that
 # harness" as one command: it exports $(BASE) into a temporary directory

@@ -1,4 +1,7 @@
-package twophase_bench
+// Package twophase_test holds the checks that need the whole module: the
+// cross-package integration tests here and the source-level guards in
+// surface_test.go.
+package twophase_test
 
 import (
 	"context"

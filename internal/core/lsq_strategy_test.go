@@ -193,6 +193,38 @@ func TestPrefilterBoundsPool(t *testing.T) {
 	}
 }
 
+// TestPrefilterKeepsTwoPhaseWinner: pruning the recalled pool to the lsq
+// ranking's top 4 — narrow enough that the filter really prunes, wide
+// enough that fine selection still has a field — picks the unfiltered
+// two-phase winner on at least 3 of this world's 4 targets. Deterministic
+// at fixed seed and sizes, so the floor is a count, not a tolerance.
+func TestPrefilterKeepsTwoPhaseWinner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds full frameworks")
+	}
+	fw := buildLSQTest(t, 0)
+	targets := fw.Catalog.Targets()
+	agree := 0
+	for _, d := range targets {
+		plain, err := fw.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategyTwoPhase})
+		if err != nil {
+			t.Fatal(err)
+		}
+		filtered, err := fw.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategyTwoPhase, PrefilterTopK: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Outcome.Winner == filtered.Outcome.Winner {
+			agree++
+		} else {
+			t.Logf("%s: plain picks %s, top-4 pre-filter picks %s", d.Name, plain.Outcome.Winner, filtered.Outcome.Winner)
+		}
+	}
+	if len(targets) != 4 || agree < 3 {
+		t.Fatalf("top-4 pre-filter kept the two-phase winner on %d of %d targets, want at least 3 of 4", agree, len(targets))
+	}
+}
+
 // TestPrefilterIgnoredByLSQ: composing the pre-filter with the lsq
 // strategy itself is a no-op, not a double charge.
 func TestPrefilterIgnoredByLSQ(t *testing.T) {

@@ -9,20 +9,24 @@ package core_test
 // target of CI.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"sync"
 	"testing"
 
+	"twophase/internal/artifact"
 	"twophase/internal/core"
 	"twophase/internal/datahub"
 )
 
 // goldenTwoPhaseJSON builds a framework with the given worker budget and
 // renders the two-phase selection report for the first target in the
-// fixture JSON form (byte equality implies bit equality of every float).
-func goldenTwoPhaseJSON(t *testing.T, task string, seed uint64, workers int) []byte {
+// fixture JSON form (byte equality implies bit equality of every float),
+// next to the encoded performance matrix: every curve the build trained,
+// not only the ones that report read.
+func goldenTwoPhaseJSON(t *testing.T, task string, seed uint64, workers int) (report, matrix []byte) {
 	t.Helper()
 	fw, err := core.Build(core.Options{Task: task, Seed: seed, Sizes: goldenSizes, BuildWorkers: workers})
 	if err != nil {
@@ -32,27 +36,39 @@ func goldenTwoPhaseJSON(t *testing.T, task string, seed uint64, workers int) []b
 		t.Fatalf("framework resolved BuildWorkers=%d, want >= 1", fw.BuildWorkers)
 	}
 	target := fw.Catalog.Targets()[0]
-	report, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: core.StrategyTwoPhase})
+	rep, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: core.StrategyTwoPhase})
 	if err != nil {
 		t.Fatalf("select %s/%d workers=%d: %v", task, seed, workers, err)
 	}
-	got, err := json.MarshalIndent(renderGolden(report), "", " ")
+	report, err = json.MarshalIndent(renderGolden(rep), "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(got, '\n')
+	matrix, err = artifact.EncodeMatrix(fw.Matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(report, '\n'), matrix
 }
 
 // TestBuildWorkersBitIdentical pins serial and parallel offline builds to
-// the recorded fixtures: BuildWorkers ∈ {1, 4} must both reproduce the
-// golden two-phase report byte for byte.
+// the recorded fixtures: BuildWorkers ∈ {1, 4, 0} — serial, a fixed width
+// and the default every server runs, the whole CPU budget — must each
+// reproduce the golden two-phase report byte for byte, and the serial
+// build's whole matrix.
 func TestBuildWorkersBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds full frameworks")
 	}
 	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
-		for _, workers := range []int{1, 4} {
-			got := goldenTwoPhaseJSON(t, task, 7, workers)
+		var serial []byte
+		for _, workers := range []int{1, 4, 0} {
+			got, matrix := goldenTwoPhaseJSON(t, task, 7, workers)
+			if serial == nil {
+				serial = matrix
+			} else if !bytes.Equal(matrix, serial) {
+				t.Errorf("%s/7 workers=%d built a different matrix than the serial build", task, workers)
+			}
 			want, err := os.ReadFile(goldenPath(task, 7, core.StrategyTwoPhase))
 			if err != nil {
 				t.Fatalf("missing golden fixture (record with -update-golden on TestGoldenSelectReports): %v", err)

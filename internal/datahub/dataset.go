@@ -91,7 +91,7 @@ func Generate(w *synth.World, spec Spec, sizes Sizes) (*Dataset, error) {
 	// a rank-6 subspace needs proportionally larger spread for the same
 	// per-pair separability as a binary task.
 	rank := synth.DomainRank
-	crowding := 1 + 0.28*math.Log2(float64(spec.Classes)/2)
+	crowding := 1 + float64(0.28*math.Log2(float64(spec.Classes)/2))
 	sep := spec.Separability * crowding
 	dirs := w.MixtureDirections(mix, rank, rng)
 	centers := numeric.NewMatrix(spec.Classes, synth.InputDim)
@@ -132,7 +132,7 @@ func sampleSplit(rng *numeric.RNG, centers *numeric.Matrix, probs []float64, noi
 		x := s.X.Row(i)
 		copy(x, centers.Row(y))
 		for j := range x {
-			x[j] += rng.Norm() * noise
+			x[j] += float64(rng.Norm() * noise)
 		}
 		s.Y[i] = y
 	}

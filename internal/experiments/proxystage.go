@@ -13,7 +13,7 @@ import (
 )
 
 // extPrefilterK is the pre-filter width the experiment measures at —
-// the same top-4 cut the bench smoke gates.
+// the same top-4 cut TestPrefilterKeepsTwoPhaseWinner (internal/core) pins.
 const extPrefilterK = 4
 
 // extLSQ builds the winner-agreement-vs-epochs table across both task

@@ -179,7 +179,7 @@ func fit(m *modelhub.Model, d *datahub.Dataset, lambda float64) (val, test float
 	// shifted Gram stable across split sizes; with λ > 0 the matrix is
 	// positive definite, so the factorization cannot fail on real input.
 	a := &numeric.Matrix{Rows: dim, Cols: dim, Data: gram.Data}
-	shift := lambda * float64(n)
+	shift := float64(lambda * float64(n))
 	for i := 0; i < dim; i++ {
 		a.Set(i, i, a.At(i, i)+shift)
 	}

@@ -174,13 +174,13 @@ func Materialize(w *synth.World, spec Spec) (*Model, error) {
 	// Low-capability models attend to a corrupted version of their domain
 	// subspace: even on in-domain tasks their features capture less of the
 	// discriminative structure. q is the retained alignment fraction.
-	q := 0.45 + 0.55*spec.Capability
+	q := 0.45 + float64(0.55*spec.Capability)
 	for i := 0; i < m.prefDirs.Rows; i++ {
 		row := m.prefDirs.Row(i)
 		noise := rng.NormVec(synth.InputDim)
 		numeric.Normalize(noise)
 		for j := range row {
-			row[j] = q*row[j] + (1-q)*noise[j]
+			row[j] = float64(q*row[j]) + float64((1-q)*noise[j])
 		}
 		numeric.Normalize(row)
 	}
@@ -190,8 +190,8 @@ func Materialize(w *synth.World, spec Spec) (*Model, error) {
 	for i := range m.bias {
 		m.bias[i] = rng.Norm() * 0.1
 	}
-	m.gain = 0.9 + 0.9*spec.Capability
-	m.leak = 0.10 + 0.35*spec.Capability
+	m.gain = 0.9 + float64(0.9*spec.Capability)
+	m.leak = 0.10 + float64(0.35*spec.Capability)
 
 	// Source head: template matching against the model's upstream task.
 	// A real checkpoint's classification head was trained on its upstream
@@ -229,7 +229,7 @@ func (m *Model) Features(x []float64) []float64 {
 
 	out := make([]float64, FeatureDim)
 	for i := range out {
-		out[i] = tanh(m.gain*aligned[i] + m.leak*generic[i] + m.bias[i])
+		out[i] = tanh(float64(m.gain*aligned[i]) + float64(m.leak*generic[i]) + m.bias[i])
 	}
 	return out
 }
@@ -330,7 +330,7 @@ func (m *Model) extractFrame(x *numeric.Frame) *numeric.Frame {
 	for i := 0; i < n; i++ {
 		a, g := out.Row(i), generic.Row(i)
 		for k, b := range m.bias {
-			a[k] = tanh(m.gain*a[k] + m.leak*g[k] + b)
+			a[k] = tanh(float64(m.gain*a[k]) + float64(m.leak*g[k]) + b)
 		}
 	}
 	return out

@@ -26,7 +26,7 @@ func CholeskyFactor(a *Matrix) error {
 			// already-factored row prefixes, subtracted once at the end.
 			var s float64
 			for k := 0; k < j; k++ {
-				s += ri[k] * rj[k]
+				s += float64(ri[k] * rj[k])
 			}
 			v := ri[j] - s
 			if i == j {
@@ -60,7 +60,7 @@ func CholeskySolve(l *Matrix, b, out []float64) {
 		row := l.Row(i)
 		var s float64
 		for k := 0; k < i; k++ {
-			s += row[k] * out[k]
+			s += float64(row[k] * out[k])
 		}
 		out[i] = (b[i] - s) / row[i]
 	}
@@ -70,7 +70,7 @@ func CholeskySolve(l *Matrix, b, out []float64) {
 	for i := n - 1; i >= 0; i-- {
 		var s float64
 		for k := i + 1; k < n; k++ {
-			s += l.At(k, i) * out[k]
+			s += float64(l.At(k, i) * out[k])
 		}
 		out[i] = (out[i] - s) / l.At(i, i)
 	}

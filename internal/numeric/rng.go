@@ -65,9 +65,11 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The quotient compiles to a
+// product (by 2^-53), so it is converted like one: inlined into a caller
+// that adds to it, it must not fuse with that add.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

@@ -9,7 +9,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, x := range a {
-		s += x * b[i]
+		s += float64(x * b[i])
 	}
 	return s
 }
@@ -18,7 +18,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -42,7 +42,7 @@ func AddScaled(dst []float64, alpha float64, src []float64) {
 		panic("numeric: AddScaled length mismatch")
 	}
 	for i, x := range src {
-		dst[i] += alpha * x
+		dst[i] += float64(alpha * x)
 	}
 }
 

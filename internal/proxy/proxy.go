@@ -163,7 +163,7 @@ func (s *leepScratch) leep(theta *numeric.Frame, ys []int) float64 {
 		var p float64
 		row := s.cond.Row(ys[i])
 		for z, t := range theta.Row(i) {
-			p += row[z] * t
+			p += float64(row[z] * t)
 		}
 		if p < 1e-300 {
 			p = 1e-300

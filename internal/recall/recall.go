@@ -380,7 +380,7 @@ func (o *Offline) Recall(repo *modelhub.Repository, target *datahub.Dataset, led
 			// precomputed Eq. 1 similarities, summed in cids order.
 			var sum float64
 			for k, sim := range o.sims[i] {
-				sum += sim * norm[k]
+				sum += float64(sim * norm[k])
 			}
 			p = sum / float64(len(o.cids))
 		}

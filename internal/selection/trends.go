@@ -141,7 +141,7 @@ func kmeans1D(points []float64, k int) []int {
 	centers := make([]float64, k)
 	for i := range centers {
 		q := (float64(i) + 0.5) / float64(k)
-		centers[i] = sorted[int(q*float64(n-1)+0.5)]
+		centers[i] = sorted[int(float64(q*float64(n-1))+0.5)]
 	}
 
 	assign := make([]int, n)

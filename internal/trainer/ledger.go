@@ -37,7 +37,7 @@ func (l *Ledger) TrainEpochs() int { return l.trainEpochs }
 // Total returns the combined cost in epochs, rounding the inference
 // half-epochs up (matching the paper's 0.5*|MC| accounting).
 func (l *Ledger) Total() float64 {
-	return float64(l.trainEpochs) + 0.5*float64(l.inferenceHalves)
+	return float64(l.trainEpochs) + float64(0.5*float64(l.inferenceHalves))
 }
 
 // Add merges another ledger into this one.

@@ -135,8 +135,8 @@ func NewRun(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, 
 	// logits and the validation curve (capacity for the full epoch budget,
 	// so in-budget appends never reallocate). One allocation instead of
 	// one per buffer keeps a candidate run at three allocs total; see
-	// BenchmarkCandidateRun. Each carve is capacity-limited so an
-	// overflowing append can never silently bleed into its neighbor.
+	// TestCandidateRunAllocatesThreeTimes. Each carve is capacity-limited
+	// so an overflowing append can never silently bleed into its neighbor.
 	slab := make([]float64, classes*(modelhub.FeatureDim+3+valN)+hp.Epochs)
 	carve := func(n int) []float64 {
 		s := slab[:n:n]

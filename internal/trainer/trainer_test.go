@@ -497,3 +497,43 @@ func TestOnePassMatchesStepBatchOnEdges(t *testing.T) {
 		})
 	}
 }
+
+// TestSteadyEpochDoesNotAllocate: a warm run's epoch — shuffle, SGD pass,
+// validation scoring, curve append — works entirely in the buffers NewRun
+// carved. The curve is rewound so the append stays inside the capacity
+// NewRun sized for the epoch budget, as every in-budget epoch does.
+func TestSteadyEpochDoesNotAllocate(t *testing.T) {
+	_, m, d := fixture(t)
+	run, err := NewRun(m, d, Default(datahub.TaskNLP), 42, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		run.curve.Val = run.curve.Val[:0]
+		run.TrainEpoch()
+	})
+	if allocs != 0 {
+		t.Fatalf("a steady TrainEpoch allocates %v times, want 0", allocs)
+	}
+}
+
+// TestCandidateRunAllocatesThreeTimes: what one fine-selection candidate
+// costs against a warm feature cache (AllocsPerRun's warm-up call fills it,
+// as any earlier run would have) — NewRun plus its full epoch budget — is
+// the Run, its float64 slab and the shuffle order, and nothing per epoch.
+func TestCandidateRunAllocatesThreeTimes(t *testing.T) {
+	_, m, d := fixture(t)
+	hp := Default(datahub.TaskNLP)
+	candidate := func() {
+		run, err := NewRun(m, d, hp, 42, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < hp.Epochs; e++ {
+			run.TrainEpoch()
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, candidate); allocs != 3 {
+		t.Fatalf("NewRun + %d epochs allocates %v times, want 3 (Run, slab, perm)", hp.Epochs, allocs)
+	}
+}

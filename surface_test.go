@@ -1,4 +1,4 @@
-package twophase_bench
+package twophase_test
 
 import (
 	"fmt"
@@ -224,36 +224,9 @@ func TestOneFanOut(t *testing.T) {
 	}
 }
 
-// fusedSites is the number of fused multiply-add instructions the arm64
-// compiler still emits per function under twophase/internal/ — each one a
-// product that feeds an add without an explicit float64(a*b) conversion,
-// and so rounds once where amd64 rounds twice (ROADMAP item 2 (i)). A
-// function not listed must have none; the list is exact, so a count can
-// only go down, and goes down here in the change that converts the site.
-// Inlined callees count under their caller (numeric.Dot and AddScaled show
-// up in GramSchmidt, Materialize and the rest).
-var fusedSites = map[string]int{
-	"api.(*Dispatcher).Select":         2,
-	"datahub.Generate":                 2,
-	"datahub.sampleSplit":              1,
-	"lsq.fit":                          1,
-	"modelhub.(*Model).Features":       1,
-	"modelhub.(*Model).extractFrame":   1,
-	"modelhub.Materialize":             7,
-	"numeric.(*RNG).Norm":              1,
-	"numeric.CholeskyFactor":           1,
-	"numeric.CholeskySolve":            2,
-	"numeric.GramSchmidt":              4,
-	"proxy.(*leepScratch).leep":        1,
-	"recall.(*Offline).Recall":         1,
-	"selection.kmeans1D":               1,
-	"synth.(*World).MixtureDirections": 2,
-	"trainer.(*Ledger).String":         1,
-}
-
-// fusedFree are the kernels every selection's floats come out of. They are
-// already covered by not being in fusedSites; naming them makes the test
-// fail, not pass vacuously, if one is renamed or inlined away.
+// fusedFree are the kernels every selection's floats come out of. The rule
+// below already covers them; naming them makes the test fail, not pass
+// vacuously, if one is renamed or inlined away.
 var fusedFree = []string{
 	"trainer.(*Run).sgdPass",
 	"trainer.(*Run).fusedStep",
@@ -268,9 +241,11 @@ var fusedOp = regexp.MustCompile(`\bFN?M(ADD|SUB)[SD]\b`)
 // TestNoFusedMultiplyAdd makes "a product never feeds an add unconverted"
 // a tier-1 check where it can be checked without the hardware: it
 // cross-compiles ./cmd/serve for arm64 (toolchain only, no network),
-// disassembles twophase/internal/ and counts fused multiply-adds per
-// function against fusedSites. amd64 has no such instruction in Go, so
-// every bit-identity suite in this repository passes there regardless.
+// disassembles twophase/internal/ and fails on any fused multiply-add, each
+// one a product that feeds an add without an explicit float64(a*b)
+// conversion and so rounds once where amd64 rounds twice. Inlined callees
+// count under their caller. amd64 has no such instruction in Go, so every
+// bit-identity suite in this repository passes there regardless.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-compiles cmd/serve for arm64; skipped in -short")
@@ -303,13 +278,8 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	}
 	var bad []string
 	for fn, n := range got {
-		if allowed := fusedSites[fn]; n > allowed {
-			bad = append(bad, fmt.Sprintf("%s: %d fused multiply-adds on arm64, %d allowed: write each product that feeds an add as float64(a*b)", fn, n, allowed))
-		}
-	}
-	for fn, allowed := range fusedSites {
-		if n := got[fn]; n < allowed {
-			bad = append(bad, fmt.Sprintf("fusedSites allows %s %d fused multiply-adds, it has %d: lower the entry (drop it at 0)", fn, allowed, n))
+		if n > 0 {
+			bad = append(bad, fmt.Sprintf("%s: %d fused multiply-adds on arm64: write each product that feeds an add as float64(a*b)", fn, n))
 		}
 	}
 	sort.Strings(bad)
