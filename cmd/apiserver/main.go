@@ -68,9 +68,15 @@
 //	-queue N             max queued requests past the inflight bound;
 //	                     beyond it requests shed as 503 overloaded
 //
+// -rate, -burst, -inflight and -queue are internal/admission's flag block,
+// the same one cmd/gateway takes.
+//
 // On SIGTERM or SIGINT the server stops accepting connections and drains
 // in-flight selections for the grace window; selections still running
 // after it are aborted through context cancellation.
+//
+// The log is one JSON record per line on stderr (api.LogJSON): a stable
+// "event" name and typed attrs.
 package main
 
 import (
@@ -78,7 +84,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -115,14 +121,12 @@ type config struct {
 	pprofAddr     string
 	sizes         datahub.Sizes
 	shutdownGrace time.Duration
-	rate          float64
-	burst         float64
-	inflight      int
-	queue         int
+	admission     admission.Options // -rate, -burst, -inflight, -queue
 	faultSchedule string
 }
 
 func main() {
+	api.LogJSON(os.Stderr)
 	cfg := config{}
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.Uint64Var(&cfg.seed, "seed", 42, "default world seed")
@@ -143,10 +147,7 @@ func main() {
 	flag.IntVar(&cfg.sizes.Val, "val", 0, "val split size (0 = default)")
 	flag.IntVar(&cfg.sizes.Test, "test", 0, "test split size (0 = default)")
 	flag.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 15*time.Second, "drain window on SIGTERM/SIGINT")
-	flag.Float64Var(&cfg.rate, "rate", 0, "per-client token refill rate, req/s (0 = no rate limiting)")
-	flag.Float64Var(&cfg.burst, "burst", 0, "per-client bucket capacity (0 = max(rate, 1))")
-	flag.IntVar(&cfg.inflight, "inflight", 0, "max concurrently admitted selections (0 = unlimited)")
-	flag.IntVar(&cfg.queue, "queue", 0, "max queued requests past the inflight bound")
+	cfg.admission.RegisterFlags(flag.CommandLine)
 	flag.StringVar(&cfg.faultSchedule, "fault-schedule", "", "deterministic fault-injection schedule (empty = TWOPHASE_FAULT_SCHEDULE env, empty = off)")
 	flag.Parse()
 
@@ -167,13 +168,14 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	if cfg.sizes != zero && (cfg.sizes.Train <= 0 || cfg.sizes.Val <= 0 || cfg.sizes.Test <= 0) {
 		return fmt.Errorf("-train, -val and -test must be set together (got %+v)", cfg.sizes)
 	}
-	if cfg.rate < 0 || cfg.burst < 0 || cfg.inflight < 0 || cfg.queue < 0 {
-		return fmt.Errorf("-rate, -burst, -inflight and -queue must be non-negative")
+	ctrl, err := admission.FromFlags(cfg.admission)
+	if err != nil {
+		return err
 	}
 	if pprofAddr, err := api.StartPprof(cfg.pprofAddr); err != nil {
 		return fmt.Errorf("pprof listener: %w", err)
 	} else if pprofAddr != "" {
-		log.Printf("apiserver: pprof on http://%s/debug/pprof/", pprofAddr)
+		slog.Info("apiserver.pprof", slog.String("addr", pprofAddr))
 	}
 	// A malformed schedule is a configuration error and must fail startup
 	// loudly — a chaos run whose faults silently never fire would "prove"
@@ -250,18 +252,17 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 			results, err := svc.WarmResults(ctx, warmKeys)
 			for _, r := range results {
 				if r.Err != nil {
-					log.Printf("apiserver: warm %s failed after %s: %v", r.Key, r.Duration.Round(time.Millisecond), r.Err)
+					slog.Error("apiserver.warm_failed", slog.String("world", r.Key.String()), slog.Duration("took", r.Duration), slog.Any("err", r.Err))
 					continue
 				}
-				log.Printf("apiserver: warm %s built in %s", r.Key, r.Duration.Round(time.Millisecond))
+				slog.Info("apiserver.warm", slog.String("world", r.Key.String()), slog.Duration("took", r.Duration))
 			}
 			if err != nil {
 				fail(fmt.Errorf("warmup: %w", err))
 				return
 			}
 			warmed.Store(true)
-			log.Printf("apiserver: warmup done, %d worlds resident in %s (%s); reporting ready",
-				len(warmKeys), time.Since(start).Round(time.Millisecond), cfg.warmSpec)
+			slog.Info("apiserver.warm_done", slog.Int("n", len(warmKeys)), slog.Duration("took", time.Since(start)), slog.String("spec", cfg.warmSpec))
 		}()
 	}
 	// Every response names its serving process, so a routing tier (and
@@ -269,15 +270,6 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	instance := cfg.instance
 	if instance == "" {
 		instance = ln.Addr().String()
-	}
-	var ctrl *admission.Controller
-	if cfg.rate > 0 || cfg.inflight > 0 {
-		ctrl = admission.NewController(admission.Options{
-			Rate:        cfg.rate,
-			Burst:       cfg.burst,
-			MaxInflight: cfg.inflight,
-			MaxQueue:    cfg.queue,
-		})
 	}
 	hopts := api.HandlerOptions{
 		Ready:     warmed.Load,
@@ -290,8 +282,8 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		hopts.Artifacts = st
 	}
 	handler := api.NewHandlerWith(api.NewDispatcher(svc, cfg.seed), hopts)
-	log.Printf("apiserver: serving v1 selection API on %s (instance %s, seed %d, cache-size %d, seed-policy %s)",
-		ln.Addr(), instance, cfg.seed, cfg.cacheSize, seeds)
+	slog.Info("apiserver.serving", slog.String("addr", ln.Addr().String()), slog.String("instance", instance),
+		slog.Uint64("seed", cfg.seed), slog.Int("cache_size", cfg.cacheSize), slog.String("seed_policy", seeds.String()))
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -43,7 +43,8 @@
 //	                     "seed=7;transport:reset@0.2#5" (empty =
 //	                     TWOPHASE_FAULT_SCHEDULE env, empty = off)
 //
-// Admission control (all off by default; see internal/admission):
+// Admission control (all off by default; internal/admission's flag block,
+// the same one cmd/apiserver takes):
 //
 //	-rate R              per-client token refill, requests/second
 //	                     (0 = no rate limiting); refusals are 429
@@ -54,13 +55,16 @@
 //	-queue N             max queued requests past the inflight bound;
 //	                     beyond it the lowest-priority waiter is shed as
 //	                     503 overloaded with Retry-After
+//
+// The log is one JSON record per line on stderr (api.LogJSON): a stable
+// "event" name and typed attrs.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -86,15 +90,13 @@ type config struct {
 	instance       string
 	pprofAddr      string
 	shutdownGrace  time.Duration
-	rate           float64
-	burst          float64
-	inflight       int
-	queue          int
+	admission      admission.Options // -rate, -burst, -inflight, -queue
 	attemptTimeout time.Duration
 	faultSchedule  string
 }
 
 func main() {
+	api.LogJSON(os.Stderr)
 	cfg := config{}
 	flag.StringVar(&cfg.addr, "addr", ":8090", "listen address")
 	flag.StringVar(&cfg.backends, "backends", "", "comma-separated backend base URLs (required)")
@@ -106,10 +108,7 @@ func main() {
 	flag.StringVar(&cfg.instance, "instance", "gateway", "this gateway's X-Instance-Id")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 15*time.Second, "drain window on SIGTERM/SIGINT")
-	flag.Float64Var(&cfg.rate, "rate", 0, "per-client token refill rate, req/s (0 = no rate limiting)")
-	flag.Float64Var(&cfg.burst, "burst", 0, "per-client bucket capacity (0 = max(rate, 1))")
-	flag.IntVar(&cfg.inflight, "inflight", 0, "max concurrently admitted selections (0 = unlimited)")
-	flag.IntVar(&cfg.queue, "queue", 0, "max queued requests past the inflight bound")
+	cfg.admission.RegisterFlags(flag.CommandLine)
 	flag.DurationVar(&cfg.attemptTimeout, "attempt-timeout", 0, "per-attempt timeout on forwarded backend requests (0 = disabled)")
 	flag.StringVar(&cfg.faultSchedule, "fault-schedule", "", "deterministic fault-injection schedule (empty = TWOPHASE_FAULT_SCHEDULE env, empty = off)")
 	flag.Parse()
@@ -134,13 +133,17 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	if pprofAddr, err := api.StartPprof(cfg.pprofAddr); err != nil {
 		return fmt.Errorf("pprof listener: %w", err)
 	} else if pprofAddr != "" {
-		log.Printf("gateway: pprof on http://%s/debug/pprof/", pprofAddr)
+		slog.Info("gateway.pprof", slog.String("addr", pprofAddr))
 	}
 	if cfg.replicas <= 0 || cfg.vnodes <= 0 || cfg.probeFailures <= 0 || cfg.probeInterval <= 0 {
 		return fmt.Errorf("-replicas, -vnodes, -probe-interval and -probe-failures must be positive")
 	}
-	if cfg.rate < 0 || cfg.burst < 0 || cfg.inflight < 0 || cfg.queue < 0 {
-		return fmt.Errorf("-rate, -burst, -inflight and -queue must be non-negative")
+	// Admission guards the gateway's own front door: requests refused here
+	// never reach a backend, so an overload sheds with a typed 429/503
+	// instead of queueing up against the fleet.
+	ctrl, err := admission.FromFlags(cfg.admission)
+	if err != nil {
+		return err
 	}
 	if cfg.attemptTimeout < 0 {
 		return fmt.Errorf("-attempt-timeout must be non-negative")
@@ -191,25 +194,13 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	// the first probe round lands, membership's optimistic defaults
 	// must not leak out as readiness.
 	members := router.Membership()
-	// Admission guards the gateway's own front door: requests refused here
-	// never reach a backend, so an overload sheds with a typed 429/503
-	// instead of queueing up against the fleet.
-	var ctrl *admission.Controller
-	if cfg.rate > 0 || cfg.inflight > 0 {
-		ctrl = admission.NewController(admission.Options{
-			Rate:        cfg.rate,
-			Burst:       cfg.burst,
-			MaxInflight: cfg.inflight,
-			MaxQueue:    cfg.queue,
-		})
-	}
 	handler := api.NewHandlerWith(router, api.HandlerOptions{
 		Ready:     func() bool { return members.Probed() && members.AliveCount() > 0 },
 		Instance:  cfg.instance,
 		Admission: ctrl,
 	})
-	log.Printf("gateway: routing v1 selection API on %s across %d backends (replicas %d, vnodes %d, seed %d)",
-		ln.Addr(), len(backends), cfg.replicas, cfg.vnodes, cfg.seed)
+	slog.Info("gateway.serving", slog.String("addr", ln.Addr().String()), slog.Int("backends", len(backends)),
+		slog.Int("replicas", cfg.replicas), slog.Int("vnodes", cfg.vnodes), slog.Uint64("seed", cfg.seed))
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

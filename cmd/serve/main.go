@@ -18,24 +18,16 @@
 //	-prefilter-top-k N  keep only the N best candidates by closed-form lsq
 //	                score before the epoch-trained strategy runs (0 = off)
 //	-server URL     send requests to a running apiserver instead of serving
-//	                in process (-store/-concurrency/-cache-size/-warm/
-//	                -seed-policy are rejected: they configure the serving
-//	                process; an explicit -seed is sent as a per-request
-//	                override)
+//	                in process (-store and -build-workers are rejected:
+//	                they configure the serving process; an explicit -seed
+//	                is sent as a per-request override)
 //	-seed N         world seed (default 42)
 //	-store DIR      artifact store; offline stage artifacts persist across
 //	                runs (matrix + clustering)
 //	-workers N      per-round training parallelism (0 = one per CPU)
-//	-build-workers N offline-build parallelism: perf-matrix cells, recall
-//	                vectors and -warm worlds share this budget (0 = one
-//	                per CPU, 1 = serial; bit-identical output either way;
-//	                rejected with -server — it configures the builder)
-//	-concurrency N  concurrent selections in the batch (0 = one per CPU)
-//	-cache-size N   max resident frameworks, LRU-evicted beyond (0 = unbounded);
-//	                up to max(8, 2N) last good frameworks stay reachable
-//	                for degraded serving
-//	-warm SPEC      pre-build worlds before serving, e.g. "nlp,cv:7"
-//	-seed-policy P  per-request seed admission: any, fixed, allow=..., max=N
+//	-build-workers N offline-build parallelism: perf-matrix cells and
+//	                recall vectors share this budget (0 = one per CPU,
+//	                1 = serial; bit-identical output either way)
 //	-deadline-ms N  anytime deadline per target (0 = none); the response
 //	                reports truncated targets instead of erroring
 //	-max-epochs N   training-epoch budget per target (-1 = unbounded;
@@ -45,6 +37,10 @@
 // The process exits nonzero when the request itself fails or when every
 // target in the batch failed (the document still prints, with the failed
 // count).
+//
+// The process serves one request over one world and exits, so the knobs of
+// a long-lived server (batch width, cache bound, warmup, seed admission)
+// are cmd/apiserver's alone: a batch's targets run one per CPU here.
 package main
 
 import (
@@ -77,10 +73,6 @@ func main() {
 	flag.StringVar(&cfg.storeDir, "store", "", "artifact store directory (optional)")
 	flag.IntVar(&cfg.workers, "workers", 0, "per-round training workers (0 = one per CPU)")
 	flag.IntVar(&cfg.buildWorkers, "build-workers", 0, "offline-build parallelism (0 = one per CPU, 1 = serial)")
-	flag.IntVar(&cfg.concurrency, "concurrency", 0, "concurrent selections (0 = one per CPU)")
-	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "max resident frameworks, LRU-evicted beyond it (0 = unbounded); up to max(8, 2N) last good frameworks stay reachable for degraded serving")
-	flag.StringVar(&cfg.warmSpec, "warm", "", `worlds to pre-build before serving, e.g. "nlp,cv:7"`)
-	flag.StringVar(&cfg.seedPolicy, "seed-policy", "any", "per-request seed admission: any, fixed, allow=..., max=N")
 	flag.Int64Var(&cfg.deadlineMS, "deadline-ms", 0, "anytime deadline per target in ms (0 = none; truncates, never cancels)")
 	flag.IntVar(&cfg.maxEpochs, "max-epochs", -1, "training-epoch budget per target (-1 = unbounded; 0 is a real zero budget)")
 	flag.BoolVar(&cfg.listTargets, "list-targets", false, "list target datasets for the task and exit")
@@ -114,10 +106,6 @@ type config struct {
 	storeDir      string
 	workers       int
 	buildWorkers  int
-	concurrency   int
-	cacheSize     int
-	warmSpec      string
-	seedPolicy    string
 	deadlineMS    int64
 	maxEpochs     int // -1 = unbounded; >=0 sent as the max_epochs budget
 	listTargets   bool
@@ -127,64 +115,33 @@ type config struct {
 // newAPI picks the transport: a remote apiserver when -server is set,
 // otherwise an in-process dispatcher over a freshly built service. Both
 // implement the same contract.
-func newAPI(ctx context.Context, cfg config) (api.API, error) {
+func newAPI(cfg config) (api.API, error) {
 	if cfg.server != "" {
 		// These knobs configure the serving process, not a request;
 		// silently ignoring them would let a user believe artifacts are
-		// persisting or fan-out is bounded when neither is true.
+		// persisting or the build is bounded when neither is true.
 		if cfg.storeDir != "" {
 			return nil, fmt.Errorf("-store configures the serving process; not valid with -server")
 		}
 		if cfg.buildWorkers != 0 {
 			return nil, fmt.Errorf("-build-workers configures the serving process; not valid with -server")
 		}
-		if cfg.concurrency != 0 {
-			return nil, fmt.Errorf("-concurrency configures the serving process; not valid with -server")
-		}
-		if cfg.cacheSize != 0 {
-			return nil, fmt.Errorf("-cache-size configures the serving process; not valid with -server")
-		}
-		if cfg.warmSpec != "" {
-			return nil, fmt.Errorf("-warm configures the serving process; not valid with -server")
-		}
-		if cfg.seedPolicy != "" && cfg.seedPolicy != "any" {
-			return nil, fmt.Errorf("-seed-policy configures the serving process; not valid with -server")
-		}
 		return api.NewClient(cfg.server, nil), nil
-	}
-	seeds, err := service.ParseSeedPolicy(cfg.seedPolicy)
-	if err != nil {
-		return nil, err
-	}
-	warmKeys, err := service.ParseWarmSpec(cfg.warmSpec, cfg.seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := service.ValidateWarmCapacity(warmKeys, cfg.cacheSize); err != nil {
-		return nil, err
 	}
 	svc, err := service.New(service.Options{
 		Base:         core.Options{Seed: cfg.seed, Sizes: cfg.sizes},
 		StoreDir:     cfg.storeDir,
 		Workers:      cfg.workers,
 		BuildWorkers: cfg.buildWorkers,
-		Concurrency:  cfg.concurrency,
-		CacheSize:    cfg.cacheSize,
-		Seeds:        seeds,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if len(warmKeys) > 0 {
-		if err := svc.Warm(ctx, warmKeys); err != nil {
-			return nil, err
-		}
 	}
 	return api.NewDispatcher(svc, cfg.seed), nil
 }
 
 func run(ctx context.Context, w io.Writer, cfg config) error {
-	a, err := newAPI(ctx, cfg)
+	a, err := newAPI(cfg)
 	if err != nil {
 		return err
 	}

@@ -209,7 +209,7 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(ctx, &bytes.Buffer{}, config{task: datahub.TaskNLP, targets: "x", server: "http://127.0.0.1:1", storeDir: "/tmp/x"}); err == nil {
 		t.Fatal("-store accepted with -server")
 	}
-	if err := run(ctx, &bytes.Buffer{}, config{task: datahub.TaskNLP, targets: "x", server: "http://127.0.0.1:1", concurrency: 2}); err == nil {
-		t.Fatal("-concurrency accepted with -server")
+	if err := run(ctx, &bytes.Buffer{}, config{task: datahub.TaskNLP, targets: "x", server: "http://127.0.0.1:1", buildWorkers: 2}); err == nil {
+		t.Fatal("-build-workers accepted with -server")
 	}
 }

@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"flag"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,4 +280,37 @@ func waitQueueLen(t *testing.T, c *Controller, want int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("queue length never reached %d (stats %+v)", want, c.Stats())
+}
+
+// TestFlagBlock: the one -rate/-burst/-inflight/-queue block parses into
+// Options, refuses a negative limit, and builds no controller at all when
+// both limits are off.
+func TestFlagBlock(t *testing.T) {
+	parse := func(args ...string) Options {
+		var o Options
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		o.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	if c, err := FromFlags(parse("-burst", "5", "-queue", "3")); c != nil || err != nil {
+		t.Fatalf("no -rate and no -inflight built (%v, %v), want no controller", c, err)
+	}
+	o := parse("-rate", "2.5", "-burst", "4", "-inflight", "3", "-queue", "1")
+	if o.Rate != 2.5 || o.Burst != 4 || o.MaxInflight != 3 || o.MaxQueue != 1 {
+		t.Fatalf("parsed %+v", o)
+	}
+	if c, err := FromFlags(o); c == nil || err != nil {
+		t.Fatalf("limits set built (%v, %v), want a controller", c, err)
+	}
+	if c, err := FromFlags(parse("-inflight", "2")); c == nil || err != nil {
+		t.Fatalf("-inflight alone built (%v, %v), want a controller", c, err)
+	}
+	for _, bad := range [][]string{{"-rate", "-1"}, {"-burst", "-1"}, {"-inflight", "-1"}, {"-queue", "-1"}} {
+		if c, err := FromFlags(parse(bad...)); c != nil || err == nil {
+			t.Fatalf("%v built (%v, %v), want an error", bad, c, err)
+		}
+	}
 }

@@ -50,15 +50,22 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Stats is the controller's observability snapshot.
+// Stats is the controller's observability snapshot, and the "admission"
+// block of /v1/stats as it stands: the tags are the wire names.
 type Stats struct {
-	Admitted    int64 // requests admitted (immediately or after queueing)
-	RateLimited int64 // requests refused by a token bucket
-	Shed        int64 // requests dropped at the queue bound
-	Queued      int64 // requests that waited for a slot before admission
-	Inflight    int   // currently admitted requests
-	QueueLen    int   // currently waiting requests
-	Clients     int   // tracked client buckets
+	// Admitted counts requests through the gate (immediately or after
+	// queueing); RateLimited and Shed count the typed refusals (a token
+	// bucket's 429s, the queue bound's 503s); Queued counts requests that
+	// waited for a slot before admission.
+	Admitted    int64 `json:"admitted"`
+	RateLimited int64 `json:"rate_limited"`
+	Shed        int64 `json:"shed"`
+	Queued      int64 `json:"queued"`
+	// Inflight / QueueLen are instantaneous gauges; Clients counts
+	// tracked per-client rate buckets.
+	Inflight int `json:"inflight"`
+	QueueLen int `json:"queue_len"`
+	Clients  int `json:"clients"`
 }
 
 // waiter is one queued request. state transitions under the controller

@@ -33,9 +33,8 @@ func newStoreDispatcher(t *testing.T) (*Dispatcher, *service.Service) {
 }
 
 // TestArtifactEndpoint exercises the distribution endpoint end to end:
-// a stored world's matrix document round-trips the wire verbatim, the
-// fingerprint rides as a strong ETag, If-None-Match short-circuits to
-// 304, and misses are typed unknown_artifact 404s.
+// a stored world's matrix document round-trips the wire verbatim and
+// misses are typed unknown_artifact 404s.
 func TestArtifactEndpoint(t *testing.T) {
 	d, svc := newStoreDispatcher(t)
 	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{Artifacts: svc.Store()}))
@@ -43,41 +42,26 @@ func TestArtifactEndpoint(t *testing.T) {
 	c := NewClient(ts.URL, nil)
 	ctx := context.Background()
 
-	want, fp, err := svc.Store().OpenArtifact("matrices", "nlp-seed42")
+	want, err := svc.Store().OpenArtifact("matrices", "nlp-seed42")
 	if err != nil {
 		t.Fatalf("store has no matrix artifact: %v", err)
 	}
-	data, notMod, err := c.FetchArtifact(ctx, "matrices", "nlp-seed42", "")
-	if err != nil || notMod {
-		t.Fatalf("fetch: data=%d notMod=%v err=%v", len(data), notMod, err)
+	data, err := c.FetchArtifact(ctx, "matrices", "nlp-seed42")
+	if err != nil {
+		t.Fatalf("fetch: data=%d err=%v", len(data), err)
 	}
 	if !reflect.DeepEqual(data, want) {
 		t.Fatal("fetched bytes differ from the store's document")
 	}
-	h, err := artifact.Verify(data)
-	if err != nil {
+	if _, err := artifact.Verify(data); err != nil {
 		t.Fatalf("fetched bytes fail verification: %v", err)
-	}
-	if h.Fingerprint != fp {
-		t.Fatalf("fingerprint %016x, want %016x", h.Fingerprint, fp)
 	}
 	if m, err := artifact.DecodeMatrix(data); err != nil || m == nil {
 		t.Fatalf("fetched matrix does not decode: %v", err)
 	}
 
-	// A matching ETag answers 304 with no body.
-	data, notMod, err = c.FetchArtifact(ctx, "matrices", "nlp-seed42", fmt.Sprintf("%016x", fp))
-	if err != nil || !notMod || data != nil {
-		t.Fatalf("conditional fetch: data=%d notMod=%v err=%v, want 304", len(data), notMod, err)
-	}
-	// A stale ETag re-sends the document.
-	data, notMod, err = c.FetchArtifact(ctx, "matrices", "nlp-seed42", "0000000000000000")
-	if err != nil || notMod || len(data) == 0 {
-		t.Fatalf("stale-etag fetch: data=%d notMod=%v err=%v, want full body", len(data), notMod, err)
-	}
-
 	// The recall document is served too.
-	if data, _, err := c.FetchArtifact(ctx, "recalls", "nlp-seed42", ""); err != nil {
+	if data, err := c.FetchArtifact(ctx, "recalls", "nlp-seed42"); err != nil {
 		t.Fatalf("recall fetch: %v", err)
 	} else if a, err := artifact.DecodeRecall(data); err != nil || a == nil {
 		t.Fatalf("fetched recall does not decode: %v", err)
@@ -85,54 +69,12 @@ func TestArtifactEndpoint(t *testing.T) {
 
 	// Misses are typed 404s on every axis: unknown name, unknown kind.
 	for _, tc := range [][2]string{{"matrices", "nlp-seed99"}, {"tables", "nlp-seed42"}} {
-		_, _, err := c.FetchArtifact(ctx, tc[0], tc[1], "")
+		_, err := c.FetchArtifact(ctx, tc[0], tc[1])
 		if !errors.Is(err, ErrUnknownArtifact) {
 			t.Errorf("fetch %s/%s: got %v, want ErrUnknownArtifact", tc[0], tc[1], err)
 		}
 		if HTTPStatus(err) != http.StatusNotFound || Code(err) != CodeUnknownArtifact {
 			t.Errorf("fetch %s/%s: status %d code %s, want 404 unknown_artifact", tc[0], tc[1], HTTPStatus(err), Code(err))
-		}
-	}
-}
-
-// TestArtifactConditionalForms verifies If-None-Match is parsed per RFC
-// 9110, not by exact string equality: a list of ETags containing the
-// current one, a weak-prefixed form, and "*" all answer 304, while a
-// list of stale tags re-sends the document.
-func TestArtifactConditionalForms(t *testing.T) {
-	d, svc := newStoreDispatcher(t)
-	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{Artifacts: svc.Store()}))
-	defer ts.Close()
-	_, fp, err := svc.Store().OpenArtifact("matrices", "nlp-seed42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := fmt.Sprintf("%q", fmt.Sprintf("%016x", fp))
-	for _, tc := range []struct {
-		header string
-		want   int
-	}{
-		{cur, http.StatusNotModified},
-		{`"0000000000000000", ` + cur, http.StatusNotModified},
-		{"W/" + cur, http.StatusNotModified},
-		{"*", http.StatusNotModified},
-		{`"0000000000000000", "1111111111111111"`, http.StatusOK},
-		{"", http.StatusOK},
-	} {
-		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/artifacts/matrices/nlp-seed42", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.header != "" {
-			req.Header.Set("If-None-Match", tc.header)
-		}
-		res, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Body.Close()
-		if res.StatusCode != tc.want {
-			t.Errorf("If-None-Match %q: status %d, want %d", tc.header, res.StatusCode, tc.want)
 		}
 	}
 }
@@ -145,7 +87,7 @@ func TestFetchArtifactCapsBody(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer ts.Close()
-	_, _, err := NewClient(ts.URL, nil).FetchArtifact(context.Background(), "matrices", "nlp-seed42", "")
+	_, err := NewClient(ts.URL, nil).FetchArtifact(context.Background(), "matrices", "nlp-seed42")
 	if err == nil {
 		t.Fatal("2 GiB artifact response accepted")
 	}
@@ -164,7 +106,7 @@ func TestFetchArtifactErrorsStayTyped(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 			fmt.Fprint(w, body)
 		}))
-		_, _, err := NewClient(ts.URL, nil).FetchArtifact(context.Background(), "matrices", "nlp-seed42", "")
+		_, err := NewClient(ts.URL, nil).FetchArtifact(context.Background(), "matrices", "nlp-seed42")
 		ts.Close()
 		if !errors.Is(err, ErrInternal) || Code(err) != CodeInternal {
 			t.Errorf("%s: err = %v (code %q), want typed ErrInternal", name, err, Code(err))

@@ -79,44 +79,35 @@ const maxArtifactBytes = 1 << 30
 
 // FetchArtifact downloads one binary artifact document from the
 // server's /v1/artifacts endpoint. kind is the store kind ("matrices",
-// "recalls"); name is the store key (e.g. "nlp-seed42"). A
-// non-empty etag (a prior fingerprint formatted "%016x") rides
-// If-None-Match; a 304 returns notModified=true with nil data. Bodies
-// larger than maxArtifactBytes fail the fetch so the ring can fall
-// through to the next owner. The returned bytes are the verbatim codec
-// document — the caller verifies the embedded checksums before trusting
-// them.
-func (c *Client) FetchArtifact(ctx context.Context, kind, name, etag string) (data []byte, notModified bool, err error) {
+// "recalls"); name is the store key (e.g. "nlp-seed42"). Bodies larger
+// than maxArtifactBytes fail the fetch so the ring can fall through to
+// the next owner. The returned bytes are the verbatim codec document —
+// the caller verifies the embedded checksums before trusting them.
+func (c *Client) FetchArtifact(ctx context.Context, kind, name string) ([]byte, error) {
 	path := "/v1/artifacts/" + url.PathEscape(kind) + "/" + url.PathEscape(name)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return nil, false, fmt.Errorf("api: build request: %w", err)
-	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", fmt.Sprintf("%q", etag))
+		return nil, fmt.Errorf("api: build request: %w", err)
 	}
 	res, err := c.hc.Do(req)
 	if err != nil {
-		return nil, false, classify(err)
+		return nil, classify(err)
 	}
 	defer res.Body.Close()
-	if res.StatusCode == http.StatusNotModified {
-		return nil, true, nil
-	}
 	if res.ContentLength > maxArtifactBytes {
-		return nil, false, fmt.Errorf("api: artifact %s/%s: %d bytes exceeds cap %d", kind, name, res.ContentLength, maxArtifactBytes)
+		return nil, fmt.Errorf("api: artifact %s/%s: %d bytes exceeds cap %d", kind, name, res.ContentLength, maxArtifactBytes)
 	}
 	body, err := io.ReadAll(io.LimitReader(res.Body, maxArtifactBytes+1))
 	if err != nil {
-		return nil, false, fmt.Errorf("api: read artifact: %w", err)
+		return nil, fmt.Errorf("api: read artifact: %w", err)
 	}
 	if len(body) > maxArtifactBytes {
-		return nil, false, fmt.Errorf("api: artifact %s/%s exceeds cap %d bytes", kind, name, maxArtifactBytes)
+		return nil, fmt.Errorf("api: artifact %s/%s exceeds cap %d bytes", kind, name, maxArtifactBytes)
 	}
 	if res.StatusCode != http.StatusOK {
-		return nil, false, responseError(http.MethodGet, path, res.StatusCode, body)
+		return nil, responseError(http.MethodGet, path, res.StatusCode, body)
 	}
-	return body, false, nil
+	return body, nil
 }
 
 // Health checks the server's liveness endpoint.

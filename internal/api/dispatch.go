@@ -150,18 +150,7 @@ func (d *Dispatcher) Stats(context.Context) (*Stats, error) {
 		OfflineBuilds: d.svc.Builds(),
 		TotalEpochs:   cost.Total(),
 		TrainEpochs:   cost.TrainEpochs(),
-	}
-	cache := d.svc.CacheStats()
-	st.Cache = CacheStats{
-		Capacity:      cache.Capacity,
-		Resident:      cache.Resident,
-		InUse:         cache.InUse,
-		Hits:          cache.Hits,
-		Misses:        cache.Misses,
-		Evictions:     cache.Evictions,
-		Builds:        cache.Builds,
-		BuildFailures: cache.BuildFailures,
-		BuildMillis:   cache.BuildTotal.Milliseconds(),
+		Cache:         d.svc.CacheStats(),
 	}
 	if err := d.svc.PersistErr(); err != nil {
 		st.PersistDegraded = true
@@ -173,12 +162,7 @@ func (d *Dispatcher) Stats(context.Context) (*Stats, error) {
 	st.Panics = d.svc.Panics()
 	if d.svc.Store() != nil {
 		a := d.svc.ArtifactStats()
-		st.Artifacts = &ArtifactStats{
-			Hits:           a.Hits,
-			Fetches:        a.Fetches,
-			FetchFailures:  a.FetchFailures,
-			FallbackBuilds: a.FallbackBuilds,
-		}
+		st.Artifacts = &a
 	}
 	return st, nil
 }

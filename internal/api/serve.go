@@ -3,11 +3,30 @@ package api
 import (
 	"context"
 	"fmt"
-	"log"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"time"
 )
+
+// LogJSON makes the process log one JSON record per line on w; the two
+// servers call it first thing. Every record in the module has one shape,
+// slog.<Level>("<package>.<event>", attrs...): the message is the stable
+// event name, filed here under "event", and everything that varies is a
+// typed attr (world, site, action, n, path, err, stack). Libraries
+// log through slog.Default(), so a process that never calls this (cmd/serve,
+// tests) prints the same records as text.
+func LogJSON(w io.Writer) {
+	slog.SetDefault(slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if len(groups) == 0 && a.Key == slog.MessageKey {
+				a.Key = "event"
+			}
+			return a
+		},
+	})))
+}
 
 // ServeUntilShutdown serves handler on ln until ctx is canceled, then
 // drains in-flight requests for the grace window; requests still running
@@ -27,7 +46,7 @@ func ServeUntilShutdown(ctx context.Context, ln net.Listener, handler http.Handl
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("api: shutting down, draining for up to %s", grace)
+	slog.Info("api.drain", slog.Duration("grace", grace))
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -57,9 +56,7 @@ type HandlerOptions struct {
 	// Artifacts, when non-nil, mounts GET /v1/artifacts/{kind}/{name}:
 	// the binary-artifact distribution endpoint ring peers use to fetch a
 	// world instead of rebuilding it. Responses are raw artifact bytes
-	// (the codec's header carries its own checksums) with the input
-	// fingerprint as a strong ETag, so If-None-Match short-circuits
-	// unchanged artifacts to 304.
+	// (the codec's header carries its own checksums).
 	Artifacts ArtifactSource
 }
 
@@ -67,7 +64,7 @@ type HandlerOptions struct {
 // store key. *store.Store satisfies it; an absent artifact must surface
 // as store.ErrNotFound so the handler can answer a typed 404.
 type ArtifactSource interface {
-	OpenArtifact(kind, name string) ([]byte, uint64, error)
+	OpenArtifact(kind, name string) ([]byte, error)
 }
 
 // NewHandlerWith mounts the v1 contract on an http.Handler:
@@ -138,15 +135,9 @@ func NewHandlerWith(a API, opts HandlerOptions) http.Handler {
 	if opts.Artifacts != nil {
 		mux.HandleFunc("GET /v1/artifacts/{kind}/{name}", func(w http.ResponseWriter, r *http.Request) {
 			kind, name := r.PathValue("kind"), r.PathValue("name")
-			data, fp, err := opts.Artifacts.OpenArtifact(kind, name)
+			data, err := opts.Artifacts.OpenArtifact(kind, name)
 			if err != nil {
 				writeError(w, classify(err))
-				return
-			}
-			etag := fmt.Sprintf("%q", fmt.Sprintf("%016x", fp))
-			w.Header().Set("ETag", etag)
-			if etagMatches(r.Header.Get("If-None-Match"), etag) {
-				w.WriteHeader(http.StatusNotModified)
 				return
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
@@ -169,15 +160,7 @@ func NewHandlerWith(a API, opts HandlerOptions) http.Handler {
 		}
 		if opts.Admission != nil {
 			st := opts.Admission.Stats()
-			resp.Admission = &AdmissionStats{
-				Admitted:    st.Admitted,
-				RateLimited: st.RateLimited,
-				Shed:        st.Shed,
-				Queued:      st.Queued,
-				Inflight:    st.Inflight,
-				QueueLen:    st.QueueLen,
-				Clients:     st.Clients,
-			}
+			resp.Admission = &st
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -207,7 +190,8 @@ func recoverPanics(next http.Handler, panics *atomic.Int64) http.Handler {
 				panic(rec)
 			}
 			panics.Add(1)
-			log.Printf("api: recovered panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
+			slog.Error("api.panic", slog.String("path", r.Method+" "+r.URL.Path),
+				slog.Any("err", rec), slog.String("stack", string(debug.Stack())))
 			// If the handler already wrote a status line this WriteHeader
 			// is a no-op and the client sees a truncated body — the best
 			// that can be done once bytes are on the wire.
@@ -216,28 +200,6 @@ func recoverPanics(next http.Handler, panics *atomic.Int64) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// etagMatches reports whether an If-None-Match header value matches the
-// given quoted ETag, per RFC 9110: the header may carry "*", a single
-// entity tag, or a comma-separated list, each optionally weak (W/
-// prefix). Weak comparison is fine for a 304 on GET.
-func etagMatches(header, etag string) bool {
-	header = strings.TrimSpace(header)
-	if header == "" {
-		return false
-	}
-	if header == "*" {
-		return true
-	}
-	for _, candidate := range strings.Split(header, ",") {
-		candidate = strings.TrimSpace(candidate)
-		candidate = strings.TrimPrefix(candidate, "W/")
-		if candidate == etag {
-			return true
-		}
-	}
-	return false
 }
 
 // clientID names the requester for per-client rate limiting: the

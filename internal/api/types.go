@@ -10,7 +10,10 @@ package api
 import (
 	"fmt"
 
+	"twophase/internal/admission"
 	"twophase/internal/core"
+	"twophase/internal/lifecycle"
+	"twophase/internal/service"
 )
 
 // Version is the contract version stamped on every response.
@@ -231,59 +234,50 @@ type Stats struct {
 	Artifacts *ArtifactStats `json:"artifacts,omitempty"`
 }
 
-// ArtifactStats is the binary-artifact subsystem's observability
-// snapshot: how worlds came to be resident in this process.
-type ArtifactStats struct {
-	// Hits counts worlds assembled from artifacts already in the local
-	// store (warm starts with zero training).
-	Hits int64 `json:"artifact_hits"`
-	// Fetches counts artifact documents fetched from ring peers and
-	// verified (a world fetch counts its matrix and recall separately).
-	Fetches int64 `json:"artifact_fetches"`
-	// FetchFailures counts world fetches that failed end to end and fell
-	// back to a local build.
-	FetchFailures int64 `json:"fetch_failures"`
-	// FallbackBuilds counts offline builds executed despite a configured
-	// store — the world was absent locally and not fetchable.
-	FallbackBuilds int64 `json:"fallback_builds"`
-}
+// The three blocks each counting package fills are that package's own
+// struct, JSON tags included: there is one definition of every counter.
+type (
+	// CacheStats is the framework lifecycle cache's snapshot.
+	CacheStats = lifecycle.Stats
+	// AdmissionStats is the admission controller's snapshot.
+	AdmissionStats = admission.Stats
+	// ArtifactStats is the binary-artifact subsystem's snapshot.
+	ArtifactStats = service.ArtifactStats
+)
 
-// AdmissionStats is the admission controller's observability snapshot.
-type AdmissionStats struct {
-	// Admitted counts requests through the gate; RateLimited and Shed
-	// count the typed refusals (429s and 503s); Queued counts requests
-	// that waited for a slot before admission.
-	Admitted    int64 `json:"admitted"`
-	RateLimited int64 `json:"rate_limited"`
-	Shed        int64 `json:"shed"`
-	Queued      int64 `json:"queued"`
-	// Inflight / QueueLen are instantaneous gauges; Clients counts
-	// tracked per-client rate buckets.
-	Inflight int `json:"inflight"`
-	QueueLen int `json:"queue_len"`
-	Clients  int `json:"clients"`
-}
-
-// CacheStats is the framework lifecycle cache's observability snapshot.
-type CacheStats struct {
-	// Capacity is the configured bound on resident frameworks
-	// (0 = unbounded).
-	Capacity int `json:"capacity"`
-	// Resident counts cached frameworks, including in-flight builds;
-	// InUse counts those pinned by at least one in-flight request.
-	Resident int `json:"resident"`
-	InUse    int `json:"in_use"`
-	// Hits/Misses count cache lookups; Evictions counts frameworks
-	// removed by the capacity bound.
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	// Builds/BuildFailures count completed framework resolutions (store
-	// loads and offline builds alike); BuildMillis is their cumulative
-	// wall time.
-	Builds        int64 `json:"builds"`
-	BuildFailures int64 `json:"build_failures"`
-	BuildMillis   int64 `json:"build_ms"`
+// Add folds one backend's document into a fleet-wide one: every counter
+// and cache gauge sums, the first persist failure seen is the one
+// reported, and the artifacts block appears once any backend has one.
+// Gateway, Admission and FaultFires describe one process and are left to
+// whoever serves the sum; APIVersion is the receiver's.
+func (s *Stats) Add(b *Stats) {
+	s.OfflineBuilds += b.OfflineBuilds
+	s.TotalEpochs += b.TotalEpochs
+	s.TrainEpochs += b.TrainEpochs
+	if b.PersistDegraded && !s.PersistDegraded {
+		s.PersistDegraded, s.PersistError = true, b.PersistError
+	}
+	s.Panics += b.Panics
+	s.DegradedWorlds += b.DegradedWorlds
+	s.DegradedServes += b.DegradedServes
+	s.Cache.Capacity += b.Cache.Capacity
+	s.Cache.Resident += b.Cache.Resident
+	s.Cache.InUse += b.Cache.InUse
+	s.Cache.Hits += b.Cache.Hits
+	s.Cache.Misses += b.Cache.Misses
+	s.Cache.Evictions += b.Cache.Evictions
+	s.Cache.Builds += b.Cache.Builds
+	s.Cache.BuildFailures += b.Cache.BuildFailures
+	s.Cache.BuildMillis += b.Cache.BuildMillis
+	if b.Artifacts != nil {
+		if s.Artifacts == nil {
+			s.Artifacts = &ArtifactStats{}
+		}
+		s.Artifacts.Hits += b.Artifacts.Hits
+		s.Artifacts.Fetches += b.Artifacts.Fetches
+		s.Artifacts.FetchFailures += b.Artifacts.FetchFailures
+		s.Artifacts.FallbackBuilds += b.Artifacts.FallbackBuilds
+	}
 }
 
 // GatewayStats is the sharding gateway's routing snapshot.

@@ -3,8 +3,8 @@
 // artifacts. It exists because cold start is dominated by JSON decode: the
 // expensive payloads are large float64 matrices, and this format stores
 // them as raw row-major little-endian words behind a fixed header, so a
-// warm start is an open + map + fingerprint check instead of a reflective
-// parse.
+// warm start is a read + checksum + fingerprint check instead of a
+// reflective parse.
 //
 // Layout (all integers little-endian):
 //
@@ -24,8 +24,8 @@
 // float64 curves for matrices (model-major, dataset-minor, epoch-
 // innermost; validation section then test section), int64 cluster
 // assignments for recall artifacts. The fingerprint hashes only the
-// provenance, so it doubles as an HTTP ETag: two backends that built the
-// same deterministic world advertise the same fingerprint.
+// provenance: two backends that built the same deterministic world
+// stamp the same fingerprint.
 //
 // Decoding is strict and total: every length is bounds-checked against
 // the real input before any allocation sized from it, and no input —

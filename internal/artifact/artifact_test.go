@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -137,7 +135,7 @@ func TestRecallRoundTrip(t *testing.T) {
 
 // TestFingerprintIsProvenance pins the fingerprint contract: same
 // provenance, same fingerprint — across separate encodes — and changed
-// provenance changes it. The fleet uses it as an HTTP ETag.
+// provenance changes it.
 func TestFingerprintIsProvenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := testMatrix(rng, 3, 2, 4)
@@ -285,34 +283,5 @@ func TestDecodeWrongKind(t *testing.T) {
 	}
 	if _, err := DecodeRecall(unknown); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown kind decoded as recall: %v", err)
-	}
-}
-
-// TestMapFile exercises the mmap read path against a real file.
-func TestMapFile(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := testMatrix(rng, 2, 3, 4)
-	data, err := EncodeMatrix(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "m.bin")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mapped, release, err := MapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	got, err := DecodeMatrix(mapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Entries, m.Entries) {
-		t.Fatal("mmap-decoded matrix drifted")
-	}
-	if _, _, err := MapFile(filepath.Join(t.TempDir(), "absent.bin")); !os.IsNotExist(err) {
-		t.Fatalf("missing file: %v", err)
 	}
 }

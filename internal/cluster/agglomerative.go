@@ -54,7 +54,7 @@ func Agglomerative(vecs [][]float64, dist Distance, threshold float64, maxCluste
 }
 
 // AgglomerativeWith is Agglomerative with the O(n²) pairwise-distance
-// precompute fanned out across a worker budget (<= 0 means GOMAXPROCS).
+// precompute fanned out across a worker budget (fanout's width).
 // The merge loop itself stays serial — each merge decision depends on the
 // previous one — but it only reads the precomputed matrix, so the
 // clustering is bit-identical for every worker count.
@@ -155,7 +155,7 @@ func KMeans(vecs [][]float64, k int, rng *numeric.RNG, iters int) Clustering {
 					best = d
 				}
 			}
-			minDist[i] = best * best
+			minDist[i] = float64(best * best)
 			total += minDist[i]
 		}
 		if total == 0 {

@@ -7,7 +7,6 @@ package cluster
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 
 	"twophase/internal/fanout"
@@ -55,7 +54,7 @@ func matrix(vecs [][]float64, dist Distance) *numeric.Matrix {
 }
 
 // matrixWith is matrix with the rows fanned out across a worker budget
-// (<= 0 means GOMAXPROCS). Each (i, j) pair is computed exactly once by
+// (fanout's width). Each (i, j) pair is computed exactly once by
 // the item that owns row i, which writes the two mirror cells — no two
 // items ever touch the same cell, and dist must be pure, so the matrix
 // is identical for every worker count. A panicking dist is re-raised
@@ -63,9 +62,6 @@ func matrix(vecs [][]float64, dist Distance) *numeric.Matrix {
 func matrixWith(vecs [][]float64, dist Distance, workers int) *numeric.Matrix {
 	n := len(vecs)
 	m := numeric.NewMatrix(n, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	err := fanout.Each(context.TODO(), n, workers, func(i int) error {
 		for j := i + 1; j < n; j++ {
 			d := dist(vecs[i], vecs[j])

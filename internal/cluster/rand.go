@@ -23,7 +23,10 @@ func AdjustedRandIndex(a, b Clustering) float64 {
 		rowSum[a.Assign[i]]++
 		colSum[b.Assign[i]]++
 	}
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
+	// The explicit conversions keep x*(x-1)/2 and the halved max below —
+	// both compiled as products with 0.5 — from fusing into the add and
+	// the subtraction they feed.
+	choose2 := func(x int) float64 { return float64(float64(x) * float64(x-1) / 2) }
 
 	var sumTable, sumRows, sumCols float64
 	for _, v := range table {
@@ -44,5 +47,5 @@ func AdjustedRandIndex(a, b Clustering) float64 {
 	if max == expected {
 		return 1 // both partitions are trivial in the same way
 	}
-	return (sumTable - expected) / (max - expected)
+	return (sumTable - expected) / (float64(max) - expected)
 }

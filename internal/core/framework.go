@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -49,14 +48,14 @@ type Options struct {
 	// fields fall back to the paper's defaults).
 	Recall recall.Options
 	// Workers bounds per-stage training parallelism of the online fine
-	// selection (see selection.Config.Workers): 0 or 1 is sequential,
-	// negative uses one worker per CPU. Results are identical across
-	// settings.
+	// selection (see selection.Config.Workers). Like every width in the
+	// module it is fanout's: 0 (or less) is one worker per CPU, 1 is
+	// sequential. Results are identical across settings.
 	Workers int
 	// BuildWorkers bounds the parallelism of the offline build itself:
 	// perf-matrix cells, per-model recall vectors and the clustering
-	// distance precompute all fan out under this budget. 0 (the default)
-	// uses one worker per CPU; 1 forces a serial build. The built
+	// distance precompute all fan out under this budget (0 is one worker
+	// per CPU; 1 forces a serial build). The built
 	// framework is bit-identical for every setting — parallel stages
 	// write preassigned cells and never reassociate a reduction.
 	BuildWorkers int
@@ -74,9 +73,9 @@ type Framework struct {
 	Recall  recall.Options
 	Seed    uint64
 	Workers int
-	// BuildWorkers is the resolved offline-parallelism budget this
-	// framework was built with (>= 1); bulk experiment utilities such as
-	// OracleAccuracies reuse it.
+	// BuildWorkers is the offline-parallelism budget this framework was
+	// built with; bulk experiment utilities such as OracleAccuracies
+	// reuse it.
 	BuildWorkers int
 
 	// Stages records, per offline stage, whether this framework loaded a
@@ -160,10 +159,6 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 	if hp == (trainer.Hyperparams{}) {
 		hp = trainer.Default(opts.Task)
 	}
-	buildWorkers := opts.BuildWorkers
-	if buildWorkers <= 0 {
-		buildWorkers = runtime.GOMAXPROCS(0)
-	}
 
 	// Stage 2: performance matrix.
 	var stages Stages
@@ -175,7 +170,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 		m = art.Matrix
 		stages.MatrixLoaded = true
 	} else {
-		m, err = perfmatrix.Build(repo, cat.Benchmarks(), hp, opts.Seed, buildWorkers)
+		m, err = perfmatrix.Build(repo, cat.Benchmarks(), hp, opts.Seed, opts.BuildWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("core: performance matrix: %w", err)
 		}
@@ -200,7 +195,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 		// only invalidates this stage; fall through and recompute it.
 	}
 	if off == nil {
-		off, err = recall.PrepareOfflineWith(m, ro, buildWorkers)
+		off, err = recall.PrepareOfflineWith(m, ro, opts.BuildWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("core: offline recall artifacts: %w", err)
 		}
@@ -217,7 +212,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 		Recall:       ro,
 		Seed:         opts.Seed,
 		Workers:      opts.Workers,
-		BuildWorkers: buildWorkers,
+		BuildWorkers: opts.BuildWorkers,
 		Stages:       stages,
 		offline:      off,
 	}, nil

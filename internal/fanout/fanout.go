@@ -4,10 +4,12 @@
 // distance matrix, a fine-selection round, a batch's targets, a gateway
 // scatter are all this shape, and here is where they agree on:
 //
-//   - width: workers <= 1 runs in index order on the caller's goroutine
-//     (no goroutine, no channel); workers > n is n; indices are claimed one
-//     at a time, so uneven items never idle a worker. Callers resolve their
-//     own "0 means per CPU" conventions before calling.
+//   - width: workers <= 0 is one per CPU (runtime.GOMAXPROCS) — the one
+//     place the module says so, every Workers / BuildWorkers / Concurrency
+//     field and flag is passed here as it stands; workers > n is n; a width
+//     of 1 runs in index order on the caller's goroutine (no goroutine, no
+//     channel); indices are claimed one at a time, so uneven items never
+//     idle a worker. No result depends on the width.
 //   - cancellation: ctx is checked as each index is claimed. Once it is
 //     done no further item starts, running items finish, and the ctx.Err()
 //     that stopped the claim is the result.
@@ -21,7 +23,8 @@ package fanout
 import (
 	"context"
 	"fmt"
-	"log"
+	"log/slog"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -75,6 +78,9 @@ func run(ctx context.Context, n, workers int, fn func(i int) error) (errs []erro
 			errs[i] = call(fn, i)
 		}
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -101,7 +107,7 @@ func call(fn func(i int) error, i int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &Panic{Index: i, Value: v}
-			log.Printf("%v\n%s", err, debug.Stack())
+			slog.Error("fanout.panic", slog.Int("n", i), slog.Any("err", err), slog.String("stack", string(debug.Stack())))
 		}
 	}()
 	return fn(i)

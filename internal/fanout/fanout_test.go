@@ -9,8 +9,10 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // goid is the running goroutine's id, from its stack header.
@@ -44,18 +46,48 @@ func TestEveryWidthFillsTheSameSlots(t *testing.T) {
 }
 
 func TestNarrowRunsInOrderOnTheCaller(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1} {
-		caller := goid()
-		var order []int
-		err := Each(context.Background(), 5, workers, func(i int) error {
-			if id := goid(); id != caller {
-				t.Errorf("workers=%d: item %d ran on goroutine %s, caller is %s", workers, i, id, caller)
+	caller := goid()
+	var order []int
+	err := Each(context.Background(), 5, 1, func(i int) error {
+		if id := goid(); id != caller {
+			t.Errorf("item %d ran on goroutine %s, caller is %s", i, id, caller)
+		}
+		order = append(order, i)
+		return nil
+	})
+	if err != nil || !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("visited %v, err %v", order, err)
+	}
+}
+
+// TestNonPositiveWidthIsOnePerCPU pins the module's one width rule where it
+// is written: every item waits until GOMAXPROCS of them are running at once
+// (a narrower pool never gets there) and none may see more (a wider one
+// would).
+func TestNonPositiveWidthIsOnePerCPU(t *testing.T) {
+	const cpus = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+	for _, workers := range []int{0, -1, -7} {
+		var running, peak atomic.Int64
+		full := make(chan struct{})
+		var once sync.Once
+		err := Each(context.Background(), 2*cpus, workers, func(i int) error {
+			now := running.Add(1)
+			defer running.Add(-1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 			}
-			order = append(order, i)
-			return nil
+			if now == cpus {
+				once.Do(func() { close(full) })
+			}
+			select {
+			case <-full:
+				return nil
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("item %d: never saw %d items running at once", i, cpus)
+			}
 		})
-		if err != nil || !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
-			t.Fatalf("workers=%d: visited %v, err %v", workers, order, err)
+		if err != nil || peak.Load() != cpus {
+			t.Fatalf("workers=%d: peak concurrency %d, want GOMAXPROCS=%d (err %v)", workers, peak.Load(), cpus, err)
 		}
 	}
 }

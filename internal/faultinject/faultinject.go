@@ -29,7 +29,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"sort"
 	"strconv"
@@ -147,6 +147,21 @@ type rule struct {
 	fires atomic.Int64
 }
 
+// take claims one fire under the rule's #max cap. It is a CAS loop, not
+// an add-then-check: fires counts faults delivered, so hits racing for the
+// last slot must leave it at the cap, never above.
+func (r *rule) take() bool {
+	for {
+		n := r.fires.Load()
+		if r.max > 0 && n >= r.max {
+			return false
+		}
+		if r.fires.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 // Fault describes one fired fault at a site. The zero value is never
 // returned; a nil *Fault means the site did not fire.
 type Fault struct {
@@ -248,7 +263,7 @@ func Enable(spec string) error {
 		return err
 	}
 	Activate(inj)
-	log.Printf("faultinject: armed schedule %q", spec)
+	slog.Info("faultinject.armed", slog.String("schedule", spec))
 	return nil
 }
 
@@ -270,9 +285,6 @@ func (inj *Injector) eval(site string) *Fault {
 		if fired != nil {
 			continue // later rules still count the hit
 		}
-		if r.max > 0 && r.fires.Load() >= r.max {
-			continue
-		}
 		if r.prob < 1 {
 			// The decision is a pure function of (seed, rule, hit index):
 			// the same schedule fires on the same indices every run.
@@ -281,12 +293,10 @@ func (inj *Injector) eval(site string) *Fault {
 				continue
 			}
 		}
-		if r.max > 0 && r.fires.Add(1) > r.max {
-			continue // lost a concurrent race to the cap
-		} else if r.max == 0 {
-			r.fires.Add(1)
+		if !r.take() {
+			continue // the #max budget is spent
 		}
-		log.Printf("faultinject: fire site=%s action=%s n=%d", r.site, r.action, n)
+		slog.Info("faultinject.fire", slog.String("site", r.site), slog.String("action", r.action.String()), slog.Int64("n", n))
 		fired = &Fault{Site: r.site, Action: r.action, Dur: r.dur, N: n, frac: r.frac, seed: inj.seed}
 	}
 	return fired
@@ -340,7 +350,6 @@ func Fires() map[string]int64 {
 // sites, incompatible actions and malformed numbers are errors.
 func Parse(spec string) (*Injector, error) {
 	inj := &Injector{bySit: make(map[string][]*rule)}
-	seenSeed := false
 	for _, item := range strings.Split(spec, ";") {
 		item = strings.TrimSpace(item)
 		if item == "" {
@@ -351,8 +360,7 @@ func Parse(spec string) (*Injector, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faultinject: bad seed %q: %v", after, err)
 			}
-			inj.seed = n
-			seenSeed = true
+			inj.seed = n // 0 is a valid (and the default) schedule seed
 			continue
 		}
 		r, err := parseRule(item)
@@ -365,7 +373,6 @@ func Parse(spec string) (*Injector, error) {
 	if len(inj.rules) == 0 {
 		return nil, fmt.Errorf("faultinject: schedule %q has no rules", spec)
 	}
-	_ = seenSeed // seed 0 is a valid (and the default) schedule seed
 	return inj, nil
 }
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -343,4 +345,43 @@ func TestActionString(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprintf("%v", ActErr)
+}
+
+// TestFireCapHoldsUnderConcurrentHits: four hits released together on a
+// rule capped at one fire deliver exactly one fault, and the fires counter
+// (fault_fires on /v1/stats) reads exactly one afterwards — in every trial.
+// An add-then-check on the counter left it at 2 in a handful of trials per
+// 200 000 while still delivering one fault.
+func TestFireCapHoldsUnderConcurrentHits(t *testing.T) {
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.DiscardHandler)) // one fire record per trial
+	trials := 200000
+	if testing.Short() {
+		trials = 20000
+	}
+	const hitters = 4
+	for trial := 0; trial < trials; trial++ {
+		inj, err := Parse("store.read:err@0.999#1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delivered atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for h := 0; h < hitters; h++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if inj.eval(SiteStoreRead) != nil {
+					delivered.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if d, f := delivered.Load(), inj.rules[0].fires.Load(); d != 1 || f != 1 {
+			t.Fatalf("trial %d: delivered %d faults, fires counter reads %d; want 1 and 1", trial, d, f)
+		}
+	}
 }

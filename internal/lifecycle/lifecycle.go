@@ -18,7 +18,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"log"
+	"log/slog"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -203,7 +203,8 @@ func (m *Manager) Get(ctx context.Context, key Key) (*Handle, error) {
 func (m *Manager) runBuild(ctx context.Context, key Key) (fw *core.Framework, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			log.Printf("lifecycle: build %s panicked: %v\n%s", key, rec, debug.Stack())
+			slog.Error("lifecycle.build_panic", slog.String("world", key.String()),
+				slog.Any("err", rec), slog.String("stack", string(debug.Stack())))
 			fw, err = nil, fmt.Errorf("lifecycle: build %s panicked: %v", key, rec)
 		}
 	}()
@@ -250,23 +251,28 @@ func (m *Manager) evictOverflowLocked() {
 	}
 }
 
-// Stats is the manager's aggregate observability snapshot.
+// Stats is the manager's aggregate observability snapshot, and the "cache"
+// block of /v1/stats as it stands: the tags are the wire names.
 type Stats struct {
-	// Capacity is the configured bound (0 = unbounded).
-	Capacity int
-	// Resident counts cached entries, including in-flight builds.
-	Resident int
-	// InUse counts resident entries with at least one outstanding handle.
-	InUse int
+	// Capacity is the configured bound on resident frameworks
+	// (0 = unbounded).
+	Capacity int `json:"capacity"`
+	// Resident counts cached entries, including in-flight builds; InUse
+	// counts those with at least one outstanding handle.
+	Resident int `json:"resident"`
+	InUse    int `json:"in_use"`
 	// Hits counts Gets served from a resident entry (including joins on an
-	// in-flight build); Misses counts Gets that started a build.
-	Hits, Misses int64
+	// in-flight build); Misses counts Gets that started a build;
 	// Evictions counts entries removed by the capacity bound.
-	Evictions int64
-	// Builds and BuildFailures count completed BuildFunc runs.
-	Builds, BuildFailures int64
-	// BuildTotal is the cumulative wall time spent in BuildFunc.
-	BuildTotal time.Duration
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	// Builds and BuildFailures count completed BuildFunc runs (store
+	// loads and offline builds alike); BuildMillis is their cumulative
+	// wall time.
+	Builds        int64 `json:"builds"`
+	BuildFailures int64 `json:"build_failures"`
+	BuildMillis   int64 `json:"build_ms"`
 }
 
 // Stats snapshots the aggregate counters.
@@ -281,7 +287,7 @@ func (m *Manager) Stats() Stats {
 		Evictions:     m.evictions,
 		Builds:        m.builds,
 		BuildFailures: m.buildFailures,
-		BuildTotal:    m.buildTotal,
+		BuildMillis:   m.buildTotal.Milliseconds(),
 	}
 	for el := m.lru.Front(); el != nil; el = el.Next() {
 		if el.Value.(*entry).refs > 0 {

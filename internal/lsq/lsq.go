@@ -35,8 +35,8 @@ type Options struct {
 	// column is regularized like every other column — simpler, and the
 	// head is a proxy score, not a served predictor.
 	Lambda float64
-	// Workers bounds how many candidates fit concurrently (fanout.Each):
-	// 0 or 1 is sequential, negative means one per candidate. Results are
+	// Workers bounds how many candidates fit concurrently (fanout's
+	// width: 0 or less is one per CPU, 1 is sequential). Results are
 	// bit-identical across settings — each model's fit is independent and
 	// writes a preassigned slot.
 	Workers int
@@ -105,11 +105,7 @@ func Rank(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opt
 	for i, m := range models {
 		res.Names[i] = m.Name
 	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = len(models)
-	}
-	err := fanout.Each(ctx, len(models), workers, func(i int) (err error) {
+	err := fanout.Each(ctx, len(models), opts.Workers, func(i int) (err error) {
 		res.Val[i], res.Test[i], err = fit(models[i], d, opts.Lambda)
 		return err
 	})

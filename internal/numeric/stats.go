@@ -26,7 +26,7 @@ func StdDev(v []float64) float64 {
 	var s float64
 	for _, x := range v {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(v)))
 }
@@ -73,9 +73,9 @@ func PearsonCorrelation(x, y []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0

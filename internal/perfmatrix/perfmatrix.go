@@ -82,7 +82,7 @@ func key(model, dataset string) string { return model + "\x00" + dataset }
 
 // Build fine-tunes every model in the repository on every benchmark
 // dataset with the given hyperparameters. Cells train concurrently under
-// the workers budget (<= 0 means GOMAXPROCS) via trainer.FineTuneGrid,
+// the workers budget (fanout's width) via trainer.FineTuneGrid,
 // which preassigns every result to its (model, dataset) cell and reports
 // the first error in index order — the matrix, and any build failure, is
 // bit-identical for every worker count.

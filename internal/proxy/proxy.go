@@ -203,7 +203,7 @@ func (NCE) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 	for y := 0; y < d.Classes; y++ {
 		for z, p := range joint.Row(y) {
 			if p > 0 && marginal[z] > 0 {
-				nce += p * math.Log(p/marginal[z])
+				nce += float64(p * math.Log(p/marginal[z]))
 			}
 		}
 	}

@@ -17,7 +17,6 @@ package recall
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
@@ -117,7 +116,7 @@ func prepareOffline(m *perfmatrix.Matrix, opts Options) (*Offline, error) {
 }
 
 // PrepareOfflineWith is prepareOffline under an explicit worker budget
-// (<= 0 means GOMAXPROCS): per-model performance vectors and the O(n²)
+// (fanout's width): per-model performance vectors and the O(n²)
 // pairwise-distance precompute inside clustering fan out across workers.
 // Parallelism never touches the merge order or any per-vector reduction,
 // so the Offline — and the Artifact persisted from it — is bit-identical
@@ -135,9 +134,9 @@ func PrepareOfflineWith(m *perfmatrix.Matrix, opts Options, workers int) (*Offli
 
 // matrixVectors extracts every model's performance vector and benchmark
 // average from the matrix, in matrix model order, a row per fan-out item
-// (<= 0 workers means GOMAXPROCS; each item owns a whole row of the output
-// frame, so contents are order-independent). Vectors land in one
-// contiguous frame, a row per model.
+// (each item owns a whole row of the output frame, so contents are
+// order-independent). Vectors land in one contiguous frame, a row per
+// model.
 func matrixVectors(m *perfmatrix.Matrix, workers int) (names []string, vecs *numeric.Frame, avgAcc []float64, err error) {
 	names = m.Models
 	if len(names) == 0 {
@@ -145,9 +144,6 @@ func matrixVectors(m *perfmatrix.Matrix, workers int) (names []string, vecs *num
 	}
 	vecs = numeric.NewFrame(len(names), len(m.Datasets))
 	avgAcc = make([]float64, len(names))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	err = fanout.Each(context.TODO(), len(names), workers, func(i int) error {
 		v, err := m.Vector(names[i])
 		if err != nil {

@@ -35,6 +35,7 @@ func (c *stepCtx) Done() <-chan struct{} {
 // the next per-model check instead of burning the remaining epochs.
 func TestCancellationStopsEarly(t *testing.T) {
 	models, m, target, cfg := fixture(t)
+	cfg.Workers = 1 // stepCtx counts from one goroutine
 
 	// Uncancelled baseline: count how many checks a full run makes.
 	full := &stepCtx{Context: context.Background(), after: 1 << 30}

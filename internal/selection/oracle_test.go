@@ -94,7 +94,7 @@ func oldBruteForce(ctx context.Context, models []*modelhub.Model, d *datahub.Dat
 			out.Truncated, out.TruncatedBy = true, by
 			break
 		}
-		if _, err := oldTrainStage(ctx, runs, pool, 1, cfg.workers(), &out.Ledger); err != nil {
+		if _, err := oldTrainStage(ctx, runs, pool, 1, cfg.Workers, &out.Ledger); err != nil {
 			return nil, err
 		}
 	}
@@ -114,7 +114,7 @@ func oldSuccessiveHalving(ctx context.Context, models []*modelhub.Model, d *data
 			break
 		}
 		out.Stages = append(out.Stages, append([]string(nil), pool...))
-		vals, err := oldTrainStage(ctx, runs, pool, stageLen, cfg.workers(), &out.Ledger)
+		vals, err := oldTrainStage(ctx, runs, pool, stageLen, cfg.Workers, &out.Ledger)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.D
 			break
 		}
 		out.Stages = append(out.Stages, append([]string(nil), pool...))
-		vals, err := oldTrainStage(ctx, runs, pool, stageLen, opts.workers(), &out.Ledger)
+		vals, err := oldTrainStage(ctx, runs, pool, stageLen, opts.Workers, &out.Ledger)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"twophase/internal/fanout"
 	"twophase/internal/trainer"
@@ -39,13 +38,4 @@ func trainStage(ctx context.Context, pool []*trainer.Run, stageLen, workers int,
 	}
 	ledger.ChargeEpochs(len(pool) * stageLen)
 	return vals, nil
-}
-
-// workers resolves Config.Workers: 0 or 1 means sequential, negative means
-// one worker per available CPU.
-func (c Config) workers() int {
-	if c.Workers < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }

@@ -58,11 +58,11 @@ type Config struct {
 	StageEpochs int
 	// Workers bounds how many surviving candidates train concurrently
 	// within one stage — per-round training is embarrassingly parallel
-	// because every run owns its RNG stream. 0 or 1 trains sequentially
-	// (the historical behaviour); negative uses one worker per CPU.
-	// Outcomes are bit-identical across settings: stage results merge in
-	// fixed pool order and the ledger is charged per stage, not per
-	// goroutine.
+	// because every run owns its RNG stream. It is fanout's width: 0 (or
+	// less) is one per CPU, 1 trains sequentially on the caller's
+	// goroutine. Outcomes are bit-identical across settings: stage
+	// results merge in fixed pool order and the ledger is charged per
+	// stage, not per goroutine.
 	Workers int
 	// MaxEpochs, when non-nil, caps the training epochs this selection
 	// may charge: a stage whose full-pool cost would push the ledger past
@@ -152,7 +152,7 @@ func search(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, c
 			break
 		}
 		out.Stages = append(out.Stages, names(pool))
-		vals, err := trainStage(ctx, pool, stageLen, cfg.workers(), &out.Ledger)
+		vals, err := trainStage(ctx, pool, stageLen, cfg.Workers, &out.Ledger)
 		if err != nil {
 			return survivors{}, err
 		}

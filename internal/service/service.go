@@ -27,8 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
-	"runtime"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,17 +58,16 @@ type Options struct {
 	// build entirely.
 	StoreDir string
 	// Workers bounds per-round candidate-training parallelism inside one
-	// fine selection. 0 means one worker per CPU; 1 forces the
-	// sequential path. Results are identical either way.
+	// fine selection. It, BuildWorkers and Concurrency are fanout widths,
+	// passed through as they stand: 0 (or less) means one per CPU, 1
+	// forces the sequential path. Results are identical either way.
 	Workers int
 	// BuildWorkers bounds offline-build parallelism (perf-matrix cells,
 	// recall vectors, clustering distances — see core.Options) and, via
-	// Warm, how many worlds build at once. 0 means one worker per CPU;
-	// 1 forces serial builds. Built frameworks are bit-identical at any
-	// setting.
+	// Warm, how many worlds build at once. Built frameworks are
+	// bit-identical at any setting.
 	BuildWorkers int
 	// Concurrency bounds how many selections of one request run at once.
-	// 0 means one per CPU.
 	Concurrency int
 	// CacheSize bounds how many built frameworks stay resident (LRU
 	// eviction; in-flight selections keep using an evicted framework
@@ -99,20 +97,22 @@ type ArtifactFetcher func(ctx context.Context, kind, name string) ([]byte, error
 // without counting a fetch failure: nothing was reachable to fail.
 var ErrNoPeers = errors.New("service: no remote artifact owners")
 
-// ArtifactStats counts the artifact-resolution outcomes of Service.load:
-// local store hits, worlds fetched from ring peers, failed fetch attempts,
-// and offline builds that ran because both tiers missed.
+// ArtifactStats counts the artifact-resolution outcomes of Service.load —
+// how worlds came to be resident in this process — and is the "artifacts"
+// block of /v1/stats as it stands: the tags are the wire names.
 type ArtifactStats struct {
-	// Hits counts worlds assembled from the local artifact store.
-	Hits int64
-	// Fetches counts artifact documents fetched and verified from peers.
-	Fetches int64
-	// FetchFailures counts worlds whose peer fetch failed (the service
-	// then built locally).
-	FetchFailures int64
-	// FallbackBuilds counts offline builds executed with a store
-	// configured — i.e. cold builds the artifact tiers could not avoid.
-	FallbackBuilds int64
+	// Hits counts worlds assembled from artifacts already in the local
+	// store (warm starts with zero training).
+	Hits int64 `json:"artifact_hits"`
+	// Fetches counts artifact documents fetched from ring peers and
+	// verified (a world fetch counts its matrix and recall separately).
+	Fetches int64 `json:"artifact_fetches"`
+	// FetchFailures counts world fetches that failed end to end and fell
+	// back to a local build.
+	FetchFailures int64 `json:"fetch_failures"`
+	// FallbackBuilds counts offline builds executed despite a configured
+	// store — the world was absent locally and not fetchable.
+	FallbackBuilds int64 `json:"fallback_builds"`
 }
 
 // Service serves two-phase model selections with lifecycle-managed
@@ -149,15 +149,6 @@ type Service struct {
 // New creates a Service. The store directory, if configured, is created on
 // the spot so a misconfigured path fails at construction, not mid-request.
 func New(opts Options) (*Service, error) {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.BuildWorkers <= 0 {
-		opts.BuildWorkers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = runtime.GOMAXPROCS(0)
-	}
 	if opts.CacheSize < 0 {
 		return nil, fmt.Errorf("service: negative cache size %d", opts.CacheSize)
 	}
@@ -257,7 +248,7 @@ func (s *Service) load(ctx context.Context, task string, seed uint64) (*core.Fra
 		return nil, err
 	}
 	atomic.AddInt64(&s.degradedServes, 1)
-	log.Printf("service: serving %s degraded from older snapshot (load failed: %v)", key, err)
+	slog.Warn("service.degraded_serve", slog.String("world", key.String()), slog.Any("err", err))
 	// Shallow copy: the framework is immutable, only the flag differs.
 	deg := *snap
 	deg.Degraded = true

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -186,34 +188,66 @@ func TestStoreHyperparamMismatchRebuilds(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential is the golden identity check: worker-pool
-// parallel fine selection must produce reports deeply identical to the
-// sequential path — winners, stage pools, accuracies and ledgers.
+// TestParallelMatchesSequential is the golden identity check, as a
+// property: seeded random (Workers, BuildWorkers, Concurrency) triples from
+// [-1, 8] — per-CPU, serial and fixed widths mixed — build the same .bin
+// files and answer the same reports (winners, stage pools, accuracies,
+// ledgers) as the all-serial (1, 1, 1) service, byte for byte. It is the
+// proof that every width can be handed to fanout as it stands.
 func TestParallelMatchesSequential(t *testing.T) {
-	seq := newTestService(t, Options{Workers: 1, Concurrency: 1})
-	par := newTestService(t, Options{Workers: 4, Concurrency: 4})
-	targets, err := seq.Targets(context.Background(), datahub.TaskNLP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(targets) == 0 {
-		t.Fatal("no targets")
-	}
-	got, err := selectAll(context.Background(), par, targets...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := selectAll(context.Background(), seq, targets...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range targets {
-		if got[i].Err != nil || want[i].Err != nil {
-			t.Fatalf("target %s errored: parallel=%v sequential=%v", targets[i], got[i].Err, want[i].Err)
+	ctx := context.Background()
+	// Two requests per service: the default two-phase batch, and a batch
+	// whose lsq pre-filter fans out under Workers as well.
+	serve := func(o Options) ([][]Result, map[string][]byte) {
+		o.StoreDir = t.TempDir()
+		s := newTestService(t, o)
+		var batches [][]Result
+		for _, req := range []Request{
+			{Task: datahub.TaskNLP},
+			{Task: datahub.TaskNLP, Strategy: core.StrategySH, PrefilterTopK: 6},
+		} {
+			var err error
+			if req.Targets, err = s.Targets(ctx, req.Task); err != nil {
+				t.Fatal(err)
+			}
+			results, err := s.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range results {
+				if r.Err != nil {
+					t.Fatalf("%+v: target %s: %v", o, r.Target, r.Err)
+				}
+			}
+			batches = append(batches, results)
 		}
-		if !reflect.DeepEqual(got[i].Report, want[i].Report) {
-			t.Fatalf("parallel report for %s differs from sequential:\n%+v\nvs\n%+v",
-				targets[i], got[i].Report, want[i].Report)
+		if err := s.PersistErr(); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, kind := range []string{"matrices", "recalls"} {
+			name := filepath.Join(kind, "nlp-seed42.bin")
+			data, err := os.ReadFile(filepath.Join(o.StoreDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = data
+		}
+		return batches, files
+	}
+	wantReports, wantFiles := serve(Options{Workers: 1, BuildWorkers: 1, Concurrency: 1})
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3; trial++ {
+		o := Options{Workers: rng.Intn(10) - 1, BuildWorkers: rng.Intn(10) - 1, Concurrency: rng.Intn(10) - 1}
+		t.Logf("trial %d: workers=%d build-workers=%d concurrency=%d", trial, o.Workers, o.BuildWorkers, o.Concurrency)
+		gotReports, gotFiles := serve(o)
+		if !reflect.DeepEqual(gotReports, wantReports) {
+			t.Fatalf("widths (%d, %d, %d): reports differ from the (1, 1, 1) run", o.Workers, o.BuildWorkers, o.Concurrency)
+		}
+		for name, want := range wantFiles {
+			if !bytes.Equal(gotFiles[name], want) {
+				t.Fatalf("widths (%d, %d, %d): %s differs from the (1, 1, 1) build", o.Workers, o.BuildWorkers, o.Concurrency, name)
+			}
 		}
 	}
 }

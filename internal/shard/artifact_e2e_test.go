@@ -138,14 +138,14 @@ func TestEndToEndArtifactColdStart(t *testing.T) {
 		t.Fatalf("resident world re-fetched: %d -> %d", stB.Artifacts.Fetches, stB2.Artifacts.Fetches)
 	}
 	key := shard.RouteKey(task, seed)
-	if data, _, err := cb.FetchArtifact(ctx, "matrices", key, ""); err != nil || len(data) == 0 {
+	if data, err := cb.FetchArtifact(ctx, "matrices", key); err != nil || len(data) == 0 {
 		t.Fatalf("backend B cannot re-serve the fetched artifact: %v", err)
 	}
-	wantDoc, _, err := ca.FetchArtifact(ctx, "matrices", key, "")
+	wantDoc, err := ca.FetchArtifact(ctx, "matrices", key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDoc, _, err := cb.FetchArtifact(ctx, "matrices", key, "")
+	gotDoc, err := cb.FetchArtifact(ctx, "matrices", key)
 	if err != nil {
 		t.Fatal(err)
 	}

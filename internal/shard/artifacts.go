@@ -145,7 +145,7 @@ func fetchOne(ctx context.Context, c *api.Client, kind, name string) ([]byte, er
 		}
 		f.Sleep(ctx.Done())
 	}
-	data, _, err := c.FetchArtifact(ctx, kind, name, "")
+	data, err := c.FetchArtifact(ctx, kind, name)
 	if err != nil {
 		return nil, err
 	}

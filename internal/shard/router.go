@@ -421,37 +421,8 @@ func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
 		return nil
 	})
 	for i := range g.BackendStats {
-		st := g.BackendStats[i].Stats
-		if st == nil {
-			continue
-		}
-		out.OfflineBuilds += st.OfflineBuilds
-		out.TotalEpochs += st.TotalEpochs
-		out.TrainEpochs += st.TrainEpochs
-		out.Cache.Capacity += st.Cache.Capacity
-		out.Cache.Resident += st.Cache.Resident
-		out.Cache.InUse += st.Cache.InUse
-		out.Cache.Hits += st.Cache.Hits
-		out.Cache.Misses += st.Cache.Misses
-		out.Cache.Evictions += st.Cache.Evictions
-		out.Cache.Builds += st.Cache.Builds
-		out.Cache.BuildFailures += st.Cache.BuildFailures
-		out.Cache.BuildMillis += st.Cache.BuildMillis
-		if st.PersistDegraded && !out.PersistDegraded {
-			out.PersistDegraded = true
-			out.PersistError = st.PersistError
-		}
-		out.Panics += st.Panics
-		out.DegradedWorlds += st.DegradedWorlds
-		out.DegradedServes += st.DegradedServes
-		if st.Artifacts != nil {
-			if out.Artifacts == nil {
-				out.Artifacts = &api.ArtifactStats{}
-			}
-			out.Artifacts.Hits += st.Artifacts.Hits
-			out.Artifacts.Fetches += st.Artifacts.Fetches
-			out.Artifacts.FetchFailures += st.Artifacts.FetchFailures
-			out.Artifacts.FallbackBuilds += st.Artifacts.FallbackBuilds
+		if st := g.BackendStats[i].Stats; st != nil {
+			out.Add(st)
 		}
 	}
 	return out, nil

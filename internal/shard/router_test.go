@@ -37,6 +37,8 @@ type stubBackend struct {
 	// epochsPerTarget is charged per served target.
 	epochsPerTarget float64
 	builds          int
+	// stats, when set, is the whole /v1/stats document this backend serves.
+	stats *api.Stats
 }
 
 func (b *stubBackend) Select(ctx context.Context, req *api.SelectRequest) (*api.SelectResponse, error) {
@@ -84,6 +86,10 @@ func (b *stubBackend) Targets(ctx context.Context, task string) (*api.TargetsRes
 }
 
 func (b *stubBackend) Stats(ctx context.Context) (*api.Stats, error) {
+	if b.stats != nil {
+		doc := *b.stats
+		return &doc, nil
+	}
 	return &api.Stats{
 		APIVersion:    api.Version,
 		OfflineBuilds: b.builds,

@@ -15,7 +15,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,8 +60,7 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	if rep.Orphans > 0 || rep.Corrupt > 0 {
-		log.Printf("store: recovery sweep quarantined %d orphaned temp files, %d corrupt artifacts in %s",
-			rep.Orphans, rep.Corrupt, dir)
+		slog.Warn("store.sweep", slog.String("path", dir), slog.Int("orphans", rep.Orphans), slog.Int("corrupt", rep.Corrupt))
 	}
 	return s, nil
 }
@@ -194,10 +193,10 @@ func (s *Store) writeBinary(kind, name string, data []byte) error {
 	return writeFile(filepath.Join(s.dir, kind, slug(name)), data)
 }
 
-// withBinary maps the codec document of kind/name and runs fn over it
-// while the mapping is held; fn must copy anything it keeps. A missing
-// file is ErrNotFound; a file fn rejects is ErrCorrupt and is quarantined
-// so it can never be decoded again or shadow the healing rewrite.
+// withBinary reads the codec document of kind/name and runs fn over it.
+// A missing file is ErrNotFound; a file fn rejects is ErrCorrupt and is
+// quarantined so it can never be decoded again or shadow the healing
+// rewrite.
 func (s *Store) withBinary(kind, name string, fn func(data []byte) error) error {
 	err := func() error {
 		s.mu.RLock()
@@ -206,14 +205,13 @@ func (s *Store) withBinary(kind, name string, fn func(data []byte) error) error 
 			return fmt.Errorf("store: read %s/%s: %w", kind, name, f.Err())
 		}
 		path := filepath.Join(s.dir, kind, slug(name))
-		data, release, err := artifact.MapFile(path)
+		data, err := os.ReadFile(path)
 		if isNotExist(err) {
 			return fmt.Errorf("%w: %s/%s", ErrNotFound, kind, name)
 		}
 		if err != nil {
-			return fmt.Errorf("store: map %s: %w", path, err)
+			return fmt.Errorf("store: read %s: %w", path, err)
 		}
-		defer release()
 		if err := fn(data); err != nil {
 			return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 		}
@@ -277,28 +275,26 @@ func (s *Store) GetRecall(name string) (*recall.Artifact, error) {
 	return a, nil
 }
 
-// OpenArtifact returns the verified codec document of an artifact plus
-// its input fingerprint — the payload of GET /v1/artifacts/{kind}/{name}.
-// Unknown kinds and missing artifacts are ErrNotFound; a failed checksum
-// is ErrCorrupt.
-func (s *Store) OpenArtifact(kind, name string) (data []byte, fp uint64, err error) {
+// OpenArtifact returns the verified codec document of an artifact — the
+// payload of GET /v1/artifacts/{kind}/{name}. Unknown kinds and missing
+// artifacts are ErrNotFound; a failed checksum is ErrCorrupt.
+func (s *Store) OpenArtifact(kind, name string) (data []byte, err error) {
 	k, ok := kindOf(kind)
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: kind %q", ErrNotFound, kind)
+		return nil, fmt.Errorf("%w: kind %q", ErrNotFound, kind)
 	}
-	err = s.withBinary(kind, name, func(mapped []byte) error {
-		h, verr := artifact.Verify(mapped)
+	err = s.withBinary(kind, name, func(doc []byte) error {
+		h, verr := artifact.Verify(doc)
 		if verr != nil {
 			return verr
 		}
 		if h.Kind != k {
 			return fmt.Errorf("kind %s under %s/", h.Kind, kind)
 		}
-		data = append([]byte(nil), mapped...)
-		fp = h.Fingerprint
+		data = doc
 		return nil
 	})
-	return data, fp, err
+	return data, err
 }
 
 // PutVerified stores fetched artifact bytes after verifying the checksum

@@ -230,7 +230,7 @@ func TestPutVerifiedGatesChecksumAndKind(t *testing.T) {
 	if err := s.PutVerified("matrices", "w", doc); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := s.OpenArtifact("matrices", "w"); err != nil || !bytes.Equal(got, doc) {
+	if got, err := s.OpenArtifact("matrices", "w"); err != nil || !bytes.Equal(got, doc) {
 		t.Fatalf("OpenArtifact after PutVerified = %d bytes, %v; want the document back", len(got), err)
 	}
 	flipped := append([]byte(nil), doc...)
@@ -255,7 +255,7 @@ func TestPutVerifiedGatesChecksumAndKind(t *testing.T) {
 			t.Errorf("a refused PutVerified left %v in %s/", got, kind)
 		}
 	}
-	if _, _, err := s.OpenArtifact("models", "w"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.OpenArtifact("models", "w"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("OpenArtifact of a directory outside the kind table = %v, want ErrNotFound", err)
 	}
 }
@@ -277,7 +277,7 @@ func TestWorldArtifactsHaveOneEncoding(t *testing.T) {
 	if _, err := s.GetMatrix("x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetMatrix over a stray JSON file = %v, want ErrNotFound", err)
 	}
-	if _, _, err := s.OpenArtifact("matrices", "x"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.OpenArtifact("matrices", "x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("OpenArtifact over a stray JSON file = %v, want ErrNotFound", err)
 	}
 	if rep, err := s.Sweep(); err != nil || len(rep.Moved) != 0 {

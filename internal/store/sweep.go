@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,13 +80,12 @@ func fileHealthyLocked(path, name string) bool {
 	if !strings.HasSuffix(name, ext) {
 		return true
 	}
-	data, release, err := artifact.MapFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return false
 	}
-	_, verr := artifact.Verify(data)
-	release()
-	return verr == nil
+	_, err = artifact.Verify(data)
+	return err == nil
 }
 
 // quarantineLocked moves kind/name into quarantine/<kind>/, uniquifying
@@ -95,7 +94,7 @@ func fileHealthyLocked(path, name string) bool {
 func (s *Store) quarantineLocked(kind, name string) bool {
 	dstDir := filepath.Join(s.dir, QuarantineDir, kind)
 	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		log.Printf("store: quarantine mkdir %s: %v", dstDir, err)
+		slog.Error("store.quarantine_failed", slog.String("path", dstDir), slog.Any("err", err))
 		return false
 	}
 	src := filepath.Join(s.dir, kind, name)
@@ -107,10 +106,10 @@ func (s *Store) quarantineLocked(kind, name string) bool {
 		dst = filepath.Join(dstDir, fmt.Sprintf("%s.%d", name, i))
 	}
 	if err := os.Rename(src, dst); err != nil {
-		log.Printf("store: quarantine %s: %v", src, err)
+		slog.Error("store.quarantine_failed", slog.String("path", src), slog.Any("err", err))
 		return false
 	}
-	log.Printf("store: quarantined %s -> %s", src, dst)
+	slog.Warn("store.quarantine", slog.String("path", src), slog.String("to", dst))
 	return true
 }
 

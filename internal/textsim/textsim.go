@@ -49,7 +49,7 @@ func embedInto(text string, v []float64) []float64 {
 	}
 	var norm float64
 	for _, x := range v {
-		norm += x * x
+		norm += float64(x * x)
 	}
 	if norm > 0 {
 		norm = math.Sqrt(norm)

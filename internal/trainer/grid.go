@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"twophase/internal/datahub"
 	"twophase/internal/fanout"
@@ -14,16 +13,13 @@ import (
 // FineTuneGrid fine-tunes every (model, dataset) cell of the grid and
 // returns the curves in row-major order: curves[mi*len(datasets)+di] is
 // models[mi] trained on datasets[di]. Cells are fanout.Each items under
-// the given worker budget (<= 0 means GOMAXPROCS). Each cell owns an
+// the given worker budget (fanout's width). Each cell owns an
 // independent RNG stream (seed, model, dataset, salt) and a preassigned
 // slot, so FineTuneGrid(workers=1) is bit-identical to FineTuneGrid(
 // workers=N) for every N — the property the offline-build determinism
 // suites pin.
 func FineTuneGrid(ctx context.Context, models []*modelhub.Model, datasets []*datahub.Dataset, hp Hyperparams, seed uint64, salt string, workers int) ([]Curve, error) {
 	curves := make([]Curve, len(models)*len(datasets))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	nd := len(datasets)
 	err := fanout.Each(ctx, len(curves), workers, func(i int) (err error) {
 		curves[i], err = FineTune(models[i/nd], datasets[i%nd], hp, seed, salt)

@@ -234,57 +234,67 @@ var fusedFree = []string{
 	"numeric.mulFrame",
 }
 
-// fusedOp matches arm64's scalar fused multiply-adds as go tool objdump
-// prints them (FMADDD, FMSUBD, FNMADDS, ...).
-var fusedOp = regexp.MustCompile(`\bFN?M(ADD|SUB)[SD]\b`)
+// fusedOp matches a scalar fused multiply-add as go tool objdump prints it
+// on the four architectures whose Go backend fuses: arm64 and riscv64
+// (FMADDD, FMSUBD, FNMADDS, ...), ppc64le (FMADD, FMSUBS, FNMSUB, ...) and
+// s390x (MADBR, MAEBR, MSDBR, MSEBR).
+var fusedOp = regexp.MustCompile(`\b(FN?M(ADD|SUB)[SD]?|M[AS][DE]BR?)\b`)
 
 // TestNoFusedMultiplyAdd makes "a product never feeds an add unconverted"
-// a tier-1 check where it can be checked without the hardware: it
-// cross-compiles ./cmd/serve for arm64 (toolchain only, no network),
-// disassembles twophase/internal/ and fails on any fused multiply-add, each
-// one a product that feeds an add without an explicit float64(a*b)
-// conversion and so rounds once where amd64 rounds twice. Inlined callees
-// count under their caller. amd64 has no such instruction in Go, so every
-// bit-identity suite in this repository passes there regardless.
+// a tier-1 check where it can be checked without the hardware: for every
+// architecture Go fuses on, it cross-compiles ./cmd/serve and
+// ./cmd/experiments (between them every package under internal/ a result
+// comes out of; toolchain only, no network), disassembles twophase/internal/
+// and fails on any fused multiply-add, each one a product that feeds an add
+// without an explicit float64(a*b) conversion and so rounds once where amd64
+// rounds twice. Inlined callees count under their caller. amd64 has no such
+// instruction in Go, so every bit-identity suite in this repository passes
+// there regardless.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles cmd/serve for arm64; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "serve.arm64")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/serve")
-	build.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("cross-compiling cmd/serve for arm64: %v\n%s", err, out)
+		t.Skip("cross-compiles two binaries for four architectures; skipped in -short")
 	}
 	const prefix = "twophase/internal/"
-	asm, err := exec.Command("go", "tool", "objdump", "-s", prefix, bin).Output()
-	if err != nil {
-		t.Fatalf("go tool objdump: %v", err)
-	}
-	got := map[string]int{} // every function seen, with its fused count
-	var fn string
-	for _, line := range strings.Split(string(asm), "\n") {
-		if name, ok := strings.CutPrefix(line, "TEXT "+prefix); ok {
-			fn, _, _ = strings.Cut(name, "(SB)")
-			got[fn] = 0
-		} else if fusedOp.MatchString(line) {
-			got[fn]++
-		}
-	}
-	for _, fn := range fusedFree {
-		if _, ok := got[fn]; !ok {
-			t.Errorf("%s is not in the arm64 binary: the census is not looking at the kernel any more; name its successor in fusedFree", fn)
-		}
-	}
-	var bad []string
-	for fn, n := range got {
-		if n > 0 {
-			bad = append(bad, fmt.Sprintf("%s: %d fused multiply-adds on arm64: write each product that feeds an add as float64(a*b)", fn, n))
-		}
-	}
-	sort.Strings(bad)
-	for _, b := range bad {
-		t.Error(b)
+	for _, arch := range []string{"arm64", "ppc64le", "s390x", "riscv64"} {
+		t.Run(arch, func(t *testing.T) {
+			got := map[string]int{} // every function seen, with its fused count
+			for _, cmd := range []string{"serve", "experiments"} {
+				bin := filepath.Join(t.TempDir(), cmd+"."+arch)
+				build := exec.Command("go", "build", "-o", bin, "./cmd/"+cmd)
+				build.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")
+				if out, err := build.CombinedOutput(); err != nil {
+					t.Fatalf("cross-compiling cmd/%s: %v\n%s", cmd, err, out)
+				}
+				asm, err := exec.Command("go", "tool", "objdump", "-s", prefix, bin).Output()
+				if err != nil {
+					t.Fatalf("go tool objdump: %v", err)
+				}
+				var fn string
+				for _, line := range strings.Split(string(asm), "\n") {
+					if name, ok := strings.CutPrefix(line, "TEXT "+prefix); ok {
+						fn, _, _ = strings.Cut(name, "(SB)")
+						got[fn] = 0 // a function both binaries link is counted in the later one
+					} else if fusedOp.MatchString(line) {
+						got[fn]++
+					}
+				}
+			}
+			for _, fn := range fusedFree {
+				if _, ok := got[fn]; !ok {
+					t.Errorf("%s is in neither binary: the census is not looking at the kernel any more; name its successor in fusedFree", fn)
+				}
+			}
+			var bad []string
+			for fn, n := range got {
+				if n > 0 {
+					bad = append(bad, fmt.Sprintf("%s: %d fused multiply-adds: write each product that feeds an add as float64(a*b)", fn, n))
+				}
+			}
+			sort.Strings(bad)
+			for _, b := range bad {
+				t.Error(b)
+			}
+		})
 	}
 }
 
