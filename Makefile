@@ -142,12 +142,14 @@ deadcode:
 deadcode-tool:
 	$(GO) install golang.org/x/tools/cmd/deadcode@$(DEADCODE_VERSION)
 
-# loc prints the three numbers ROADMAP aim 2 tracks, so the figures quoted
+# loc prints the four numbers ROADMAP aim 2 tracks, so the figures quoted
 # there come from one command: Go source lines outside tests and bench/,
-# the number of binaries under cmd/, and flag registrations in the same
-# files (a flag block registered once in a package and taken by two
-# binaries counts once: it is one definition to maintain).
+# the number of binaries under cmd/, flag registrations in the same files
+# (a flag block registered once in a package and taken by two binaries
+# counts once: it is one definition to maintain), and the number of
+# packages under internal/ (deleting one shows here).
 loc:
 	@echo "source lines (non-test, non-bench/): $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@echo "cmd binaries: $$(ls -d cmd/*/ | wc -l)"
 	@echo "flag registrations (non-test, non-bench/): $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs grep -ohE '\b(flag|fs)\.(Bool|Duration|Float64|Int|Int64|String|Uint64)(Var)?\(' | wc -l)"
+	@echo "internal packages: $$(ls -d internal/*/ | wc -l)"

@@ -3,10 +3,11 @@
 // set, batch selections scatter across the world's live owners and gather
 // back in request order, and a sub-request hitting a dead backend fails
 // over to the next replica — selections are deterministic in the world,
-// so failover is invisible to clients. Backends are health-probed; a
-// backend is marked down after consecutive probe failures and re-admitted
-// on recovery, reclaiming its exact key range (cache affinity survives a
-// bounce).
+// so failover is invisible to clients. Each backend has one health
+// record: two consecutive failures — missed probes and failed requests
+// alike — mark it down (its circuit opens and it is skipped), and it is
+// re-admitted by its first passed probe, reclaiming its exact key range
+// (cache affinity survives a bounce).
 //
 // The gateway serves the same v1 contract as a single backend:
 //
@@ -28,8 +29,6 @@
 //	-seed N              routing seed for requests without one; must match
 //	                     the backends' -seed (default 42)
 //	-probe-interval D    health-check period (default 1s)
-//	-probe-failures K    consecutive failures that mark a backend down
-//	                     (default 2)
 //	-instance ID         this gateway's X-Instance-Id (default "gateway")
 //	-pprof-addr ADDR     serve net/http/pprof on a dedicated listener
 //	                     (e.g. 127.0.0.1:6061; empty = disabled)
@@ -74,7 +73,6 @@ import (
 
 	"twophase/internal/admission"
 	"twophase/internal/api"
-	"twophase/internal/breaker"
 	"twophase/internal/faultinject"
 	"twophase/internal/shard"
 )
@@ -86,7 +84,6 @@ type config struct {
 	vnodes         int
 	seed           uint64
 	probeInterval  time.Duration
-	probeFailures  int
 	instance       string
 	pprofAddr      string
 	shutdownGrace  time.Duration
@@ -104,7 +101,6 @@ func main() {
 	flag.IntVar(&cfg.vnodes, "vnodes", shard.DefaultVNodes, "virtual nodes per backend on the ring")
 	flag.Uint64Var(&cfg.seed, "seed", 42, "routing seed for requests without one (must match the backends')")
 	flag.DurationVar(&cfg.probeInterval, "probe-interval", shard.DefaultProbeInterval, "health-check period")
-	flag.IntVar(&cfg.probeFailures, "probe-failures", shard.DefaultProbeThreshold, "consecutive probe failures that mark a backend down")
 	flag.StringVar(&cfg.instance, "instance", "gateway", "this gateway's X-Instance-Id")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 15*time.Second, "drain window on SIGTERM/SIGINT")
@@ -135,8 +131,8 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	} else if pprofAddr != "" {
 		slog.Info("gateway.pprof", slog.String("addr", pprofAddr))
 	}
-	if cfg.replicas <= 0 || cfg.vnodes <= 0 || cfg.probeFailures <= 0 || cfg.probeInterval <= 0 {
-		return fmt.Errorf("-replicas, -vnodes, -probe-interval and -probe-failures must be positive")
+	if cfg.replicas <= 0 || cfg.vnodes <= 0 || cfg.probeInterval <= 0 {
+		return fmt.Errorf("-replicas, -vnodes and -probe-interval must be positive")
 	}
 	// Admission guards the gateway's own front door: requests refused here
 	// never reach a backend, so an overload sheds with a typed 429/503
@@ -155,20 +151,18 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		return err
 	}
 	router, err := shard.NewRouter(shard.RouterOptions{
-		Backends:       backends,
-		Replicas:       cfg.replicas,
-		VNodes:         cfg.vnodes,
-		Seed:           cfg.seed,
-		ProbeInterval:  cfg.probeInterval,
-		ProbeThreshold: cfg.probeFailures,
+		Backends: backends,
+		Replicas: cfg.replicas,
+		VNodes:   cfg.vnodes,
+		// The routing seed also seeds the half-open coin, so a seeded
+		// chaos run re-admits backends in the same order every time.
+		Seed:          cfg.seed,
+		ProbeInterval: cfg.probeInterval,
 		// The transport wrapper is where the "transport" fault site lives
 		// (latency spikes, resets, raw 5xx bursts); with no schedule armed
 		// it is a single atomic load per round trip.
 		HTTPClient:     &http.Client{Transport: faultinject.Transport(nil)},
 		AttemptTimeout: cfg.attemptTimeout,
-		// Seed the half-open admission coin with the routing seed, so a
-		// seeded chaos run re-admits probes in the same order every time.
-		Breaker: breaker.Options{Seed: cfg.seed},
 	})
 	if err != nil {
 		return err
@@ -191,7 +185,7 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	// alive: healthz answers 503 while the whole fleet is down or still
 	// warming, so a load balancer in front of multiple gateways holds
 	// traffic exactly like one in front of a warming single node. Until
-	// the first probe round lands, membership's optimistic defaults
+	// the first probe round lands, the health view's optimistic defaults
 	// must not leak out as readiness.
 	members := router.Membership()
 	handler := api.NewHandlerWith(router, api.HandlerOptions{

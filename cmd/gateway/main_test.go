@@ -48,13 +48,12 @@ func TestParseBackends(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	base := config{addr: "127.0.0.1:0", backends: "http://127.0.0.1:1",
-		replicas: 1, vnodes: 8, probeInterval: time.Second, probeFailures: 1}
+		replicas: 1, vnodes: 8, probeInterval: time.Second}
 	for _, mutate := range []func(*config){
 		func(c *config) { c.backends = "" },
 		func(c *config) { c.replicas = 0 },
 		func(c *config) { c.vnodes = -1 },
 		func(c *config) { c.probeInterval = 0 },
-		func(c *config) { c.probeFailures = 0 },
 	} {
 		cfg := base
 		mutate(&cfg)
@@ -81,7 +80,6 @@ func TestGatewayLifecycle(t *testing.T) {
 		vnodes:        16,
 		seed:          42,
 		probeInterval: 20 * time.Millisecond,
-		probeFailures: 2,
 		instance:      "gw",
 		shutdownGrace: 5 * time.Second,
 	}

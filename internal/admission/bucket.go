@@ -1,8 +1,8 @@
 // Package admission is the serving tier's backpressure layer: per-client
-// token-bucket rate limiting, a bounded priority queue with load-shedding
-// over a concurrency limit, and a sliding latency window for hedging
-// decisions. It is transport-free — the API handler and the gateway mount
-// it and map its refusals onto the wire's rate_limited/overloaded errors.
+// token-bucket rate limiting and a bounded priority queue with
+// load-shedding over a concurrency limit. It is transport-free — the API
+// handler and the gateway mount it and map its refusals onto the wire's
+// rate_limited/overloaded errors.
 package admission
 
 import (
@@ -41,7 +41,7 @@ func (b *TokenBucket) Allow(now time.Time) (bool, time.Duration) {
 	defer b.mu.Unlock()
 	if !b.last.IsZero() {
 		if elapsed := now.Sub(b.last); elapsed > 0 {
-			b.tokens += elapsed.Seconds() * b.rate
+			b.tokens += float64(elapsed.Seconds() * b.rate)
 			if b.tokens > b.burst {
 				b.tokens = b.burst
 			}

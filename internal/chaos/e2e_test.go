@@ -269,7 +269,6 @@ func bootFleet(t *testing.T, logDir string, spec fleetSpec) *fleet {
 		"-backends", strings.Join(urls, ","),
 		"-replicas", "2",
 		"-probe-interval", "100ms",
-		"-probe-failures", "2",
 		"-attempt-timeout", "5s",
 		"-instance", "gw-chaos",
 	}
@@ -467,6 +466,26 @@ func awaitReconvergence(t *testing.T, f *fleet, timeout time.Duration, clog *cha
 	}
 }
 
+// archivePeerEvents copies the gateway's health transitions — its
+// shard.peer_open / shard.peer_closed records, one per backend state
+// change — from its process log into the chaos log, so the archived
+// story says which backend went down when, and why.
+func archivePeerEvents(t *testing.T, gatewayLog string, clog *chaos.Log) {
+	t.Helper()
+	data, err := os.ReadFile(gatewayLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.Contains(line, `"event":"shard.peer_`) {
+			clog.Event("gateway %s", line)
+			n++
+		}
+	}
+	clog.Event("gateway logged %d backend health transitions", n)
+}
+
 // cleanPass re-serves the matrix after the schedules drained: every key
 // must succeed (a handful of typed refusals are tolerated while the
 // restarted backend's re-armed one-shot rules drain) with a clean,
@@ -662,7 +681,8 @@ func TestChaosSmoke(t *testing.T) {
 	defer clog.Close()
 	clog.Event("=== chaos smoke ===")
 	stores := []string{t.TempDir(), t.TempDir()}
-	f := bootFleet(t, t.TempDir(), fleetSpec{
+	logDir := t.TempDir()
+	f := bootFleet(t, logDir, fleetSpec{
 		stores: stores,
 		backendSchedules: []string{
 			"seed=7;handler:panic#1;store.read:err#2",
@@ -715,6 +735,7 @@ func TestChaosSmoke(t *testing.T) {
 		}
 	}
 	f.shutdown()
+	archivePeerEvents(t, filepath.Join(logDir, "gateway.log"), clog)
 	for i, dir := range stores {
 		rep, err := chaos.ScanStore(dir)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"twophase/internal/api"
 	"twophase/internal/artifact"
-	"twophase/internal/breaker"
 	"twophase/internal/faultinject"
 	"twophase/internal/lifecycle"
 	"twophase/internal/service"
@@ -53,11 +52,13 @@ func OwnedKeys(keys []lifecycle.Key, ring *Ring, self string, replicas int) []li
 // here are exactly the backends whose ring-aware warmup built the world.
 // Self is skipped (a local miss is why the fetcher ran) and every
 // document is checksum-verified before it is trusted. The walk is the
-// router's (see attempter): each attempt carries its own timeout and a
-// per-peer circuit breaker cuts off a hanging or corrupt-serving peer so
-// repeated builds don't each re-pay its attempt timeout; a typed "unknown
-// artifact" miss is a healthy answer and never trips it. An error means
-// no live owner had a valid copy; the caller falls back to a local build.
+// router's (see attempter): each attempt carries its own timeout and the
+// per-peer health record (no probe loop here: its cooldown and half-open
+// coin are the only way back in) cuts off a hanging or corrupt-serving
+// peer so repeated builds don't each re-pay its attempt timeout; a typed
+// "unknown artifact" miss is a healthy answer and never counts against
+// it. An error means no live owner had a valid copy; the caller falls
+// back to a local build.
 func NewArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client) func(ctx context.Context, kind, name string) ([]byte, error) {
 	return newArtifactFetcher(ring, self, replicas, hc, fetchAttemptTimeout)
 }
@@ -74,7 +75,7 @@ func newArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client, 
 		clients[node] = api.NewClient(node, hc)
 	}
 	a := &attempter{
-		breakers:  breaker.NewSet(breaker.Options{}),
+		health:    newMembership(ring.Nodes(), nil, 0, 0),
 		timeout:   timeout,
 		classify:  classifyFetched,
 		exhausted: fetchExhausted,
@@ -108,7 +109,7 @@ func newArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client, 
 
 // classifyFetched is the fetcher's ruling on a failed attempt: a typed
 // miss is a healthy peer answering "I don't have it"; only real failures
-// (hangs, resets, corrupt bytes) count against the circuit. Nothing stops
+// (hangs, resets, corrupt bytes) count against the peer's health. Nothing stops
 // the walk — any other owner may still hold a valid copy.
 func classifyFetched(err error) verdict {
 	if errors.Is(err, api.ErrUnknownArtifact) {
@@ -118,7 +119,7 @@ func classifyFetched(err error) verdict {
 }
 
 // fetchExhausted reports why no owner produced the document: the last
-// peer's failure, every circuit open, or no peer to ask at all (the typed
+// peer's failure, every peer open, or no peer to ask at all (the typed
 // ErrNoPeers lets the service build without logging a distribution
 // failure).
 func fetchExhausted(tried, open int, last error) error {

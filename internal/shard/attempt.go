@@ -2,14 +2,11 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/url"
 	"sync/atomic"
 	"time"
 
 	"twophase/internal/api"
-	"twophase/internal/breaker"
 )
 
 // verdict is a classifier's ruling on one failed attempt.
@@ -34,16 +31,15 @@ type peerCounters struct {
 
 // attempter is the fleet tier's one "try again elsewhere" policy, shared
 // by the Router (select, targets) and the artifact fetcher. walk is its
-// only entry point: candidates in order, breaker gate, per-attempt
+// only entry point: candidates in order, health gate, per-attempt
 // timeout, and on failure the owner's classifier decides stop / next /
 // next-and-charge. What a failed attempt costs — the peer's failure
-// counter, its breaker, membership on a transport error, and nothing at
-// all once the caller's context died — is settled in try and nowhere else.
+// counter and its health record, and nothing at all once the caller's
+// context died — is settled in try and nowhere else.
 type attempter struct {
-	breakers *breaker.Set
-	// members, when set, is told about transport failures so the request
-	// path and the probe loop converge on one health view.
-	members *Membership
+	// health is the peers' one health view: walk's gate reads it and
+	// every settled attempt moves it, as the router's probes do.
+	health *Membership
 	// timeout bounds each attempt, distinct from the caller's deadline: a
 	// hung peer costs one timeout and a move to the next candidate, not
 	// the whole request. 0 leaves attempts bounded by the caller's context.
@@ -51,12 +47,12 @@ type attempter struct {
 	classify func(err error) verdict
 	// exhausted shapes the error of a walk that ran out of candidates:
 	// tried were called and failed (last is the final failure), open were
-	// skipped by their breakers.
+	// skipped by their open health records.
 	exhausted func(tried, open int, last error) error
 	counters  map[string]*peerCounters // one per peer, fixed at construction
 
 	failovers    int64 // atomic: a candidate failed and the next one was tried
-	breakerSkips int64 // atomic: candidates skipped by an open breaker
+	breakerSkips int64 // atomic: candidates the health gate skipped
 }
 
 func newPeerCounters(peers []string) map[string]*peerCounters {
@@ -69,14 +65,15 @@ func newPeerCounters(peers []string) map[string]*peerCounters {
 
 // walk drives one call down a candidate list and returns the first
 // success with the node that served it, the terminal error of a stopped
-// walk, or a.exhausted's error. Candidates whose breaker is open are
-// skipped up front; if that leaves none, the refusal is transient by
-// construction (cooldown and probes re-admit peers).
+// walk, or a.exhausted's error. Candidates whose peer is open (or lost
+// the half-open coin) are skipped up front; if that leaves none, the
+// refusal is transient by construction (cooldown and probes re-admit
+// peers).
 func walk[T any](ctx context.Context, a *attempter, candidates []string,
 	call func(ctx context.Context, node string) (T, error)) (val T, node string, err error) {
 	admitted := make([]string, 0, len(candidates))
 	for _, c := range candidates {
-		if a.breakers.Allow(c) {
+		if a.health.allow(c) {
 			admitted = append(admitted, c)
 		} else {
 			atomic.AddInt64(&a.breakerSkips, 1)
@@ -103,7 +100,7 @@ func walk[T any](ctx context.Context, a *attempter, candidates []string,
 // the ruling on a non-nil err. An attempt whose own deadline expired while
 // the caller's context is alive is a retryable unavailability whatever the
 // call returned — including a late "success" — so a hung peer is charged
-// to its breaker and the walk moves on, while the caller's own expiry
+// to its health record and the walk moves on, while the caller's own expiry
 // stays a cancellation. A failure observed after ctx died (the caller gave
 // up) says nothing about the peer and is never charged.
 func try[T any](ctx context.Context, a *attempter, node string,
@@ -121,7 +118,7 @@ func try[T any](ctx context.Context, a *attempter, node string,
 			Message: fmt.Sprintf("shard: attempt on %s timed out after %v", node, a.timeout)}
 	}
 	if err == nil {
-		a.breakers.Success(node)
+		a.health.success(node, "", byAttempt)
 		return val, stop, nil
 	}
 	if ctx.Err() != nil {
@@ -129,14 +126,7 @@ func try[T any](ctx context.Context, a *attempter, node string,
 	}
 	if v = a.classify(err); v == nextAndCharge {
 		atomic.AddInt64(&a.counters[node].failures, 1)
-		a.breakers.Failure(node)
-		// Only transport failures reach membership: a decoded 5xx body or
-		// an attempt timeout came from a reachable process (one broken
-		// target must not flap the whole node down).
-		var ue *url.Error
-		if a.members != nil && errors.As(err, &ue) {
-			a.members.ReportFailure(node)
-		}
+		a.health.failure(node, byAttempt)
 	}
 	return val, v, err
 }

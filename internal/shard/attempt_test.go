@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"twophase/internal/api"
-	"twophase/internal/breaker"
 	"twophase/internal/service"
 )
 
@@ -40,7 +39,7 @@ func TestWalk(t *testing.T) {
 		script  []outcome // candidates "n0", "n1", ... in walk order
 		fetcher bool      // fetcher policy instead of the router's
 		timeout time.Duration
-		open    []string // peers whose breaker is open before the walk
+		open    []string // peers open before the walk
 
 		calls     []string // peers called, in order
 		served    string   // "" = the walk failed
@@ -87,7 +86,7 @@ func TestWalk(t *testing.T) {
 				script[peers[i]] = o
 			}
 			a := &attempter{
-				breakers:  breaker.NewSet(breaker.Options{FailureThreshold: 1, Cooldown: time.Hour}),
+				health:    newMembership(peers, nil, 0, 0),
 				timeout:   tc.timeout,
 				classify:  classifyRouted,
 				exhausted: routedExhausted,
@@ -96,8 +95,11 @@ func TestWalk(t *testing.T) {
 			if tc.fetcher {
 				a.classify, a.exhausted = classifyFetched, fetchExhausted
 			}
+			a.health.cooldown = time.Hour
 			for _, p := range tc.open {
-				a.breakers.Failure(p)
+				for i := 0; i < openAfter; i++ {
+					a.health.failure(p, byAttempt)
+				}
 			}
 
 			ctx, cancel := context.WithCancel(context.Background())
@@ -151,16 +153,21 @@ func TestWalk(t *testing.T) {
 				}
 			}
 			var charged []string
-			for _, p := range peers {
-				f := atomic.LoadInt64(&a.counters[p].failures)
-				// FailureThreshold 1: a charged peer's breaker is open, an
-				// uncharged one's is not — the two ledgers must agree.
-				open := a.breakers.For(p).State() == breaker.Open
-				if pre := slices.Contains(tc.open, p); (f > 0 || pre) != open {
-					t.Errorf("%s: failures=%d pre-opened=%v but breaker open=%v", p, f, pre, open)
+			for _, ps := range a.health.snapshot() {
+				f := atomic.LoadInt64(&a.counters[ps.node].failures)
+				// The two ledgers must agree: every charge is one more
+				// consecutive failure on the peer's health record, and
+				// only the pre-opened peers are open.
+				pre := slices.Contains(tc.open, ps.node)
+				want := int(f)
+				if pre {
+					want += openAfter
+				}
+				if ps.fails != want || (ps.state == peerOpen) != pre {
+					t.Errorf("%s: failures=%d pre-opened=%v but health record %+v", ps.node, f, pre, ps.peer)
 				}
 				if f > 0 {
-					charged = append(charged, p)
+					charged = append(charged, ps.node)
 				}
 			}
 			if !reflect.DeepEqual(charged, tc.charged) {

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"twophase/internal/api"
 	"twophase/internal/artifact"
-	"twophase/internal/breaker"
 	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/faultinject"
@@ -19,8 +20,10 @@ import (
 )
 
 // newUnprobedFleet boots stub backends and a router WITHOUT starting the
-// probe loop, so breaker state moves only on request traffic — the
-// deterministic setting the breaker lifecycle assertions need.
+// probe loop, so health records move only on request traffic (and on
+// probe rounds a test runs by hand) — the deterministic setting the
+// lifecycle assertions need. Cooldowns are stretched to an hour: an open
+// backend stays open until a test re-admits it.
 func newUnprobedFleet(t *testing.T, n int, opts RouterOptions) (*Router, []*stubBackend) {
 	t.Helper()
 	backends := make([]*stubBackend, n)
@@ -37,24 +40,36 @@ func newUnprobedFleet(t *testing.T, n int, opts RouterOptions) (*Router, []*stub
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.health.cooldown = time.Hour
 	return r, backends
 }
 
-// TestRouterBreakerLifecycle drives one backend's breaker through its
-// whole machine via real forwarded traffic: consecutive failures open
-// it, open means skipped (the backend stops seeing requests while
-// failover keeps serving), a fully-open owner set refuses with a typed
-// unavailability, and the health probe loop re-admits recovered backends
-// until every breaker is closed again.
+// stateOf reads one backend's health record.
+func stateOf(t *testing.T, r *Router, node string) peerStatus {
+	t.Helper()
+	for _, ps := range r.health.snapshot() {
+		if ps.node == node {
+			return ps
+		}
+	}
+	t.Fatalf("no health record for %s", node)
+	return peerStatus{}
+}
+
+// TestRouterBreakerLifecycle drives both backends' health records through
+// the whole machine via real forwarded traffic: openAfter consecutive
+// failures open one, open means skipped (the backend stops seeing
+// requests while failover keeps serving), a fully-open owner set refuses
+// with a typed unavailability, and the probe loop closes recovered
+// backends. Each transition is one record in the log, in order.
 func TestRouterBreakerLifecycle(t *testing.T) {
-	const threshold = 3
+	events := capturePeerEvents(t)
 	r, backends := newUnprobedFleet(t, 2, RouterOptions{
 		Replicas: 2,
 		Seed:     42,
 		// The probe loop only runs in phase 4, after Start; until then
-		// breaker state moves purely on request traffic.
+		// health moves purely on request traffic.
 		ProbeInterval: 20 * time.Millisecond,
-		Breaker:       breaker.Options{FailureThreshold: threshold, Cooldown: time.Hour, Seed: 7},
 	})
 	defer r.Close()
 	ctx := context.Background()
@@ -65,16 +80,16 @@ func TestRouterBreakerLifecycle(t *testing.T) {
 	}
 
 	// Phase 1: the primary fails typed-retryably; each request fails over
-	// to the secondary, and threshold consecutive failures open the
-	// primary's breaker.
+	// to the secondary, and openAfter consecutive failures open the
+	// primary — it is no longer alive.
 	primary.fail.Store(failSlot{fmt.Errorf("%w: injected", api.ErrUnavailable)})
-	for i := 0; i < threshold; i++ {
+	for i := 0; i < openAfter; i++ {
 		if _, err := r.Select(ctx, req()); err != nil {
 			t.Fatalf("request %d: failover did not save the request: %v", i, err)
 		}
 	}
-	if st := r.Breakers().For(owners[0]).State(); st != breaker.Open {
-		t.Fatalf("primary breaker after %d failures: %v, want open", threshold, st)
+	if ps := stateOf(t, r, owners[0]); ps.state != peerOpen || ps.downEvents != 1 {
+		t.Fatalf("primary after %d failures: %+v, want open with one down event", openAfter, ps.peer)
 	}
 
 	// Phase 2: open means skipped — the primary sees no further traffic,
@@ -82,21 +97,18 @@ func TestRouterBreakerLifecycle(t *testing.T) {
 	before := atomic.LoadInt64(&primary.selects)
 	for i := 0; i < 3; i++ {
 		if _, err := r.Select(ctx, req()); err != nil {
-			t.Fatalf("request with open primary breaker failed: %v", err)
+			t.Fatalf("request with an open primary failed: %v", err)
 		}
 	}
 	if got := atomic.LoadInt64(&primary.selects); got != before {
-		t.Errorf("open-breaker backend served %d more requests, want 0", got-before)
-	}
-	if atomic.LoadInt64(&r.breakerSkips) == 0 {
-		t.Error("breakerSkips did not move while skipping an open breaker")
+		t.Errorf("open backend served %d more requests, want 0", got-before)
 	}
 	st, err := r.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Gateway.BreakerSkips == 0 {
-		t.Error("stats do not report breaker skips")
+	if st.Gateway.BreakerSkips != 3 || st.Gateway.Alive != 1 {
+		t.Errorf("stats: breaker_skips %d, alive %d; want 3 and 1", st.Gateway.BreakerSkips, st.Gateway.Alive)
 	}
 	states := map[string]string{}
 	for _, bs := range st.Gateway.BackendStats {
@@ -106,11 +118,11 @@ func TestRouterBreakerLifecycle(t *testing.T) {
 		t.Errorf("per-backend breaker states = %v, want primary open / secondary closed", states)
 	}
 
-	// Phase 3: the secondary fails too; once both breakers are open the
-	// request is refused with a typed, retryable unavailability — never an
-	// untyped error.
+	// Phase 3: the secondary fails too; once both are open the request is
+	// refused with a typed, retryable unavailability — never an untyped
+	// error.
 	secondary.fail.Store(failSlot{fmt.Errorf("%w: injected", api.ErrUnavailable)})
-	for i := 0; i < threshold; i++ {
+	for i := 0; i < openAfter; i++ {
 		if _, err := r.Select(ctx, req()); err == nil {
 			t.Fatalf("request %d with both backends failing succeeded", i)
 		}
@@ -123,23 +135,100 @@ func TestRouterBreakerLifecycle(t *testing.T) {
 		t.Fatalf("all-open refusal is not retryable: %v", err)
 	}
 
-	// Phase 4: both backends recover; the probe loop's successes close the
-	// breakers directly — reconvergence without waiting out the cooldown.
+	// Phase 4: both backends recover; the probe loop's successes close them
+	// directly — reconvergence without waiting out the cooldown.
 	primary.fail.Store(failSlot{})
 	secondary.fail.Store(failSlot{})
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r.Start(pctx)
 	deadline := time.Now().Add(5 * time.Second)
-	for !r.Breakers().AllClosed() {
+	for r.Membership().AliveCount() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("breakers never reconverged: %v", r.Breakers().Snapshot())
+			t.Fatalf("backends never reconverged: %+v", r.health.snapshot())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if _, err := r.Select(ctx, req()); err != nil {
 		t.Fatalf("post-recovery request failed: %v", err)
 	}
+
+	// The log tells the same story, one record per transition: the two
+	// opens in traffic order, then the two probe closes in either order.
+	got := events()
+	want := []string{
+		"open " + owners[0] + " fails=2 cause=attempt",
+		"open " + owners[1] + " fails=2 cause=attempt",
+		"closed " + owners[0] + " by=probe",
+		"closed " + owners[1] + " by=probe",
+	}
+	if len(got) == len(want) {
+		slices.Sort(got[2:])
+		slices.Sort(want[2:])
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("transition records:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestStatsAliveIsBreakerClosed: across a scripted failure / cooldown /
+// half-open / recovery sequence, every backend's /v1/stats entry has
+// alive exactly when breaker is "closed" — one record answers both — and
+// the states are the script's.
+func TestStatsAliveIsBreakerClosed(t *testing.T) {
+	r, backends := newUnprobedFleet(t, 2, RouterOptions{Replicas: 2, Seed: 42})
+	clk := freezeClock(r.health)
+	r.health.cooldown = peerCooldown
+	gw := httptest.NewServer(api.NewHandlerWith(r, api.HandlerOptions{}))
+	defer gw.Close()
+	c := api.NewClient(gw.URL, nil)
+	ctx := context.Background()
+	owners := r.Owners("nlp", 42)
+	primary := instanceOf(backends, owners[0])
+	sel := func() {
+		if _, err := r.Select(ctx, &api.SelectRequest{Task: "nlp", Targets: []string{"t0"}}); err != nil {
+			t.Fatalf("select: %v", err)
+		}
+	}
+	check := func(phase, wantPrimary string, wantDown int64) {
+		t.Helper()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alive := 0
+		for _, bs := range st.Gateway.BackendStats {
+			if bs.Alive != (bs.Breaker == "closed") {
+				t.Errorf("%s: %s alive=%v with breaker %q", phase, bs.URL, bs.Alive, bs.Breaker)
+			}
+			if bs.Alive {
+				alive++
+			}
+			want, down := "closed", int64(0)
+			if bs.URL == owners[0] {
+				want, down = wantPrimary, wantDown
+			}
+			if bs.Breaker != want || bs.DownEvents != down {
+				t.Errorf("%s: %s breaker %q down_events %d, want %q and %d", phase, bs.URL, bs.Breaker, bs.DownEvents, want, down)
+			}
+		}
+		if st.Gateway.Alive != alive {
+			t.Errorf("%s: gateway alive %d, but %d backends alive", phase, st.Gateway.Alive, alive)
+		}
+	}
+
+	check("fresh", "closed", 0)
+	primary.fail.Store(failSlot{fmt.Errorf("%w: injected", api.ErrInternal)})
+	sel()
+	check("one failure", "closed", 0)
+	sel()
+	check("opened", "open", 1)
+	clk.advance(peerCooldown)
+	primary.fail.Store(failSlot{})
+	sel() // walk's gate turns the primary half-open (the secondary serves)
+	check("cooled down", "half-open", 1)
+	r.health.probeAll(ctx)
+	check("probed", "closed", 1)
 }
 
 // TestFetcherFaultSites drives the artifact fetcher through the

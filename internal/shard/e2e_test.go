@@ -215,7 +215,6 @@ func TestEndToEndShardedFleet(t *testing.T) {
 		"-backends", urls[0]+","+urls[1]+","+urls[2],
 		"-replicas", "2",
 		"-probe-interval", "100ms",
-		"-probe-failures", "2",
 		"-instance", "gw-e2e",
 	)
 	gw.url = "http://127.0.0.1:" + strconv.Itoa(gwPort)

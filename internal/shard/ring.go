@@ -1,8 +1,8 @@
 // Package shard is the multi-node serving tier: a consistent-hash ring
 // that assigns each (task, seed) world to a stable owner set of backends,
-// health-check-driven membership that tracks which backends are serving,
-// and a routing gateway that scatter-gathers selection batches across the
-// owners with automatic failover.
+// one health record per backend (Membership: probes and failed requests
+// move the same state machine), and a routing gateway that scatter-gathers
+// selection batches across the owners with automatic failover.
 //
 // The two-phase economics make sharding by world the right cut: the
 // offline build is the expensive part and is cached per (task, seed), so
@@ -14,7 +14,7 @@
 // Everything that asks a peer and may have to ask another — the router's
 // select and targets forwarding, the backends' artifact fetcher — goes
 // through one attempt loop (walk, in attempt.go): candidates in order,
-// breaker gate, per-attempt timeout, and a per-owner classifier that
+// health gate, per-attempt timeout, and a per-owner classifier that
 // rules stop / next / next-and-charge on each failure.
 package shard
 

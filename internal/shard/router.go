@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"twophase/internal/api"
-	"twophase/internal/breaker"
 	"twophase/internal/core"
 	"twophase/internal/fanout"
 )
@@ -37,12 +36,12 @@ type RouterOptions struct {
 	VNodes int
 	// Seed is the routing seed for requests that do not override one. It
 	// must match the backends' -seed so the gateway routes a defaulted
-	// request to the world the backend will actually serve.
+	// request to the world the backend will actually serve. It also seeds
+	// each backend's half-open coin, so a seeded chaos run re-admits
+	// backends in the same order every time.
 	Seed uint64
-	// ProbeInterval / ProbeThreshold tune health-check membership
-	// (0 = package defaults).
-	ProbeInterval  time.Duration
-	ProbeThreshold int
+	// ProbeInterval is the health-check period (0 = DefaultProbeInterval).
+	ProbeInterval time.Duration
 	// HTTPClient is shared by all backend clients (nil =
 	// http.DefaultClient). It must not impose a global timeout shorter
 	// than a cold offline build.
@@ -52,11 +51,6 @@ type RouterOptions struct {
 	// costs one attempt timeout and a failover, not the whole deadline_ms.
 	// 0 leaves attempts bounded only by the caller's context.
 	AttemptTimeout time.Duration
-	// Breaker tunes the per-backend circuit breakers (zero value =
-	// package defaults). A backend whose breaker is open is skipped by
-	// scatter and failover until its cooldown admits probes again; health
-	// probe successes also close it directly.
-	Breaker breaker.Options
 }
 
 // Router routes v1 selection traffic across a fixed backend fleet: each
@@ -68,8 +62,8 @@ type RouterOptions struct {
 // single backend — clients cannot tell the difference (except for the
 // per-target "backend" field reporting who served them).
 type Router struct {
-	// attempter is the failover/breaker/timeout policy and its
-	// routing counters; Select and Targets both go through walk.
+	// attempter is the failover/health/timeout policy and its routing
+	// counters; Select and Targets both go through walk.
 	attempter
 	ring    *Ring
 	clients map[string]*api.Client
@@ -91,7 +85,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	r := &Router{
 		attempter: attempter{
-			breakers:  breaker.NewSet(opts.Breaker),
 			timeout:   opts.AttemptTimeout,
 			classify:  classifyRouted,
 			exhausted: routedExhausted,
@@ -104,43 +97,27 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	for _, b := range opts.Backends {
 		r.clients[b] = api.NewClient(b, opts.HTTPClient)
 	}
-	r.members, err = newMembership(MembershipOptions{
-		Nodes:     opts.Backends,
-		Interval:  opts.ProbeInterval,
-		Threshold: opts.ProbeThreshold,
-		Probe: func(ctx context.Context, node string) (string, error) {
-			h, err := r.clients[node].Healthz(ctx)
-			if err != nil {
-				// A failed probe counts against the breaker too, so a
-				// backend that died between requests opens its circuit
-				// without costing live traffic the discovery.
-				r.breakers.Failure(node)
-				return "", err
-			}
-			// A healthy probe closes the circuit directly — the probe loop
-			// is the re-admission path after a schedule drains.
-			r.breakers.Success(node)
-			return h.Instance, nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
+	// Missed probes open a backend that died between requests without
+	// costing live traffic the discovery; a passed one closes it directly
+	// — the probe loop is the re-admission path after a schedule drains.
+	r.health = newMembership(opts.Backends, func(ctx context.Context, node string) (string, error) {
+		h, err := r.clients[node].Healthz(ctx)
+		if err != nil {
+			return "", err
+		}
+		return h.Instance, nil
+	}, opts.ProbeInterval, opts.Seed)
 	return r, nil
 }
 
 // Start launches health probing until ctx is canceled or Close is called.
-func (r *Router) Start(ctx context.Context) { r.members.Start(ctx) }
+func (r *Router) Start(ctx context.Context) { r.health.Start(ctx) }
 
 // Close stops health probing.
-func (r *Router) Close() { r.members.Close() }
+func (r *Router) Close() { r.health.Close() }
 
-// Membership exposes the health tracker (for readiness gates and tests).
-func (r *Router) Membership() *Membership { return r.members }
-
-// Breakers exposes the per-backend circuit breakers (for stats and the
-// chaos harness's reconvergence poll).
-func (r *Router) Breakers() *breaker.Set { return r.breakers }
+// Membership exposes the health view (for readiness gates and tests).
+func (r *Router) Membership() *Membership { return r.health }
 
 // Owners returns the replica owner set for one world, in ring priority
 // order — the routing decision as a pure function, for tests and ops.
@@ -154,33 +131,6 @@ func (r *Router) routeSeed(req *api.SelectRequest) uint64 {
 		return *req.Seed
 	}
 	return r.opts.Seed
-}
-
-// liveFirst reorders an owner set so alive backends come first, keeping
-// ring priority order within each class, and reports how many lead the
-// list. Scatter spreads work over the alive prefix only (a known-down
-// backend must not cost every batch an inline failover), while failover
-// still walks the whole list: probe state can be stale, and trying a
-// "dead" owner last is the only way a recovered backend gets traffic
-// before its next probe. A fully-dead owner set is returned as-is with
-// alive = len(owners), for the same reason.
-func (r *Router) liveFirst(owners []string) (ordered []string, alive int) {
-	ordered = make([]string, 0, len(owners))
-	for _, o := range owners {
-		if r.members.Alive(o) {
-			ordered = append(ordered, o)
-		}
-	}
-	alive = len(ordered)
-	if alive == 0 {
-		return owners, len(owners)
-	}
-	for _, o := range owners {
-		if !r.members.Alive(o) {
-			ordered = append(ordered, o)
-		}
-	}
-	return ordered, alive
 }
 
 // classifyRouted is the router's ruling on a failed attempt: a failure
@@ -234,7 +184,7 @@ func (r *Router) Select(ctx context.Context, req *api.SelectRequest) (*api.Selec
 		return nil, err
 	}
 	seed := r.routeSeed(req)
-	owners, alive := r.liveFirst(r.Owners(req.Task, seed))
+	owners, alive := r.health.liveFirst(r.Owners(req.Task, seed))
 
 	// Scatter: slice the batch across the world's live owners. Every
 	// owner holds (or will build) the same world, so spreading a batch
@@ -363,7 +313,7 @@ func (r *Router) Targets(ctx context.Context, task string) (*api.TargetsResponse
 	if task == "" {
 		return nil, fmt.Errorf("%w: missing task", api.ErrBadRequest)
 	}
-	owners, _ := r.liveFirst(r.Owners(task, r.opts.Seed))
+	owners, _ := r.health.liveFirst(r.Owners(task, r.opts.Seed))
 	resp, _, err := walk(ctx, &r.attempter, owners,
 		func(ctx context.Context, node string) (*api.TargetsResponse, error) {
 			return r.clients[node].Targets(ctx, task)
@@ -374,8 +324,7 @@ func (r *Router) Targets(ctx context.Context, task string) (*api.TargetsResponse
 // Stats implements api.API: fleet-wide sums at the top level plus the
 // gateway's ring shape, routing counters and per-backend detail.
 func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
-	snap := r.members.Snapshot()
-	breakers := r.breakers.Snapshot()
+	snap := r.health.snapshot()
 	g := &api.GatewayStats{
 		Backends:     len(r.opts.Backends),
 		VNodes:       r.ring.VNodes(),
@@ -391,22 +340,17 @@ func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
 	// document — a monitoring scrape must never hang on one slow node.
 	ctx, cancel := context.WithTimeout(ctx, statsTimeout)
 	defer cancel()
-	for i, ns := range snap {
+	for i, ps := range snap {
 		bs := &g.BackendStats[i]
-		bs.URL = ns.Node
-		bs.Instance = ns.Instance
-		bs.Alive = ns.Alive
-		bs.DownEvents = ns.DownEvents
-		if st, ok := breakers[ns.Node]; ok {
-			bs.Breaker = st
-		} else {
-			// No traffic has touched this backend's breaker yet; report
-			// the state a fresh breaker would have.
-			bs.Breaker = breaker.Closed.String()
-		}
-		bs.Requests = atomic.LoadInt64(&r.counters[ns.Node].requests)
-		bs.Failures = atomic.LoadInt64(&r.counters[ns.Node].failures)
-		if ns.Alive {
+		bs.URL = ps.node
+		bs.Instance = ps.instance
+		// One record, one snapshot: alive is exactly "breaker": "closed".
+		bs.Alive = ps.state == peerClosed
+		bs.DownEvents = ps.downEvents
+		bs.Breaker = ps.state.String()
+		bs.Requests = atomic.LoadInt64(&r.counters[ps.node].requests)
+		bs.Failures = atomic.LoadInt64(&r.counters[ps.node].failures)
+		if bs.Alive {
 			g.Alive++
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"twophase/internal/api"
-	"twophase/internal/breaker"
 )
 
 // stubBackend is a scriptable api.API served over a real httptest server
@@ -221,9 +220,10 @@ func TestRouterRoutingStability(t *testing.T) {
 
 // TestRouterFailover: killing a backend redirects its keys to the next
 // replica with zero client-visible errors, counts the failover, and the
-// probe loop marks the backend down (a down event) until it recovers.
+// failed attempt plus the probe loop mark the backend down (a down event)
+// until it recovers.
 func TestRouterFailover(t *testing.T) {
-	r, backends := newStubFleet(t, 3, RouterOptions{Replicas: 2, Seed: 42, ProbeThreshold: 2})
+	r, backends := newStubFleet(t, 3, RouterOptions{Replicas: 2, Seed: 42})
 	owners := r.Owners("nlp", 42)
 	primary := instanceOf(backends, owners[0])
 	secondary := instanceOf(backends, owners[1])
@@ -248,16 +248,17 @@ func TestRouterFailover(t *testing.T) {
 
 	// The probe loop converges on the dead backend.
 	deadline := time.After(5 * time.Second)
-	for r.Membership().Alive(owners[0]) {
+	for stateOf(t, r, owners[0]).state == peerClosed {
 		select {
 		case <-deadline:
 			t.Fatal("dead backend never marked down")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	// Once down, requests skip it entirely: no new failover needed —
-	// including batches, whose scatter must fan out over live owners
-	// only instead of assigning the corpse a slice per request.
+	// Once down, requests skip it entirely (its probes keep failing, so
+	// its cooldown never lapses): no new failover needed — including
+	// batches, whose scatter must fan out over live owners only instead
+	// of assigning the corpse a slice per request.
 	before := atomic.LoadInt64(&r.failovers)
 	if _, err := r.Select(context.Background(), &api.SelectRequest{Task: "nlp", Targets: []string{"t0"}}); err != nil {
 		t.Fatal(err)
@@ -429,18 +430,19 @@ func TestRouterOverHTTP(t *testing.T) {
 
 // TestRouterAttemptTimeout: the per-attempt timeout is the gateway's, not
 // the request's. A backend that accepts a select and never answers costs
-// one attempt timeout and a failover — its breaker is charged, but
-// membership is not flapped (the process is reachable) — while the
-// caller's own deadline expiring on the same hung backend stays a
-// cancellation, never a retryable unavailability.
+// one attempt timeout and a failover per request, and each timeout is a
+// charged failure like any other: after openAfter of them the hung backend
+// is down — alive: false, breaker "open", down_events 1 — although its
+// process still answers healthz, and later requests skip it. The caller's
+// own deadline expiring on the same hung backend stays a cancellation,
+// never a retryable unavailability, and charges nothing.
 func TestRouterAttemptTimeout(t *testing.T) {
 	hungFleet := func(attemptTimeout time.Duration) (*Router, []*stubBackend, string) {
-		// Unprobed: a healthy probe would close the breaker under test.
+		// Unprobed: a healthy probe would close the record under test.
 		r, backends := newUnprobedFleet(t, 2, RouterOptions{
 			Replicas:       2,
 			Seed:           42,
 			AttemptTimeout: attemptTimeout,
-			Breaker:        breaker.Options{FailureThreshold: 1, Cooldown: time.Hour},
 		})
 		t.Cleanup(r.Close)
 		hung := r.Owners("nlp", 42)[0]
@@ -451,29 +453,43 @@ func TestRouterAttemptTimeout(t *testing.T) {
 
 	r, backends, hung := hungFleet(50 * time.Millisecond)
 	secondary := r.Owners("nlp", 42)[1]
-	resp, err := r.Select(context.Background(), req)
-	if err != nil {
-		t.Fatalf("select behind a hung primary: %v", err)
+	for i := 0; i < openAfter; i++ {
+		resp, err := r.Select(context.Background(), req)
+		if err != nil {
+			t.Fatalf("select %d behind a hung primary: %v", i, err)
+		}
+		if got, want := resp.Results[0].Backend, instanceOf(backends, secondary).instance; got != want {
+			t.Fatalf("select %d served by %q, want the second owner %q", i, got, want)
+		}
 	}
-	if got, want := resp.Results[0].Backend, instanceOf(backends, secondary).instance; got != want {
-		t.Fatalf("served by %q, want the second owner %q", got, want)
+	if f := atomic.LoadInt64(&r.failovers); f != openAfter {
+		t.Errorf("failovers = %d, want %d", f, openAfter)
 	}
-	if f := atomic.LoadInt64(&r.failovers); f != 1 {
-		t.Errorf("failovers = %d, want 1", f)
-	}
-	if f := atomic.LoadInt64(&r.counters[hung].failures); f != 1 {
-		t.Errorf("hung backend failures = %d, want 1", f)
+	if f := atomic.LoadInt64(&r.counters[hung].failures); f != openAfter {
+		t.Errorf("hung backend failures = %d, want %d", f, openAfter)
 	}
 	if f := atomic.LoadInt64(&r.counters[secondary].failures); f != 0 {
 		t.Errorf("serving backend failures = %d, want 0", f)
 	}
-	if st := r.Breakers().For(hung).State(); st != breaker.Open {
-		t.Errorf("hung backend breaker = %v, want open (threshold 1)", st)
+	st, err := r.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ns := range r.Membership().Snapshot() {
-		if !ns.Alive || ns.Fails != 0 || ns.DownEvents != 0 {
-			t.Errorf("membership flapped by an attempt timeout: %+v", ns)
+	for _, bs := range st.Gateway.BackendStats {
+		want := api.BackendStats{Alive: true, Breaker: "closed"}
+		if bs.URL == hung {
+			want = api.BackendStats{Alive: false, Breaker: "open", DownEvents: 1}
 		}
+		if bs.Alive != want.Alive || bs.Breaker != want.Breaker || bs.DownEvents != want.DownEvents {
+			t.Errorf("%s: alive %v breaker %q down_events %d, want %v %q %d",
+				bs.URL, bs.Alive, bs.Breaker, bs.DownEvents, want.Alive, want.Breaker, want.DownEvents)
+		}
+	}
+	if _, err := r.Select(context.Background(), req); err != nil {
+		t.Fatalf("select with the hung backend down: %v", err)
+	}
+	if s := atomic.LoadInt64(&r.breakerSkips); s != 1 {
+		t.Errorf("breaker_skips = %d, want 1 (the down backend skipped, not timed out again)", s)
 	}
 
 	// The caller's deadline is shorter than the attempt timeout: the
@@ -487,6 +503,9 @@ func TestRouterAttemptTimeout(t *testing.T) {
 	}
 	if f := atomic.LoadInt64(&r.counters[hung].failures); f != 0 {
 		t.Errorf("caller's expiry charged the backend %d failures", f)
+	}
+	if ps := stateOf(t, r, hung); ps.fails != 0 {
+		t.Errorf("caller's expiry reached the health record: %+v", ps.peer)
 	}
 	if f := atomic.LoadInt64(&r.failovers); f != 0 {
 		t.Errorf("caller's expiry counted %d failovers", f)

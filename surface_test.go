@@ -28,8 +28,6 @@ var keptHooks = map[string]string{
 	"modelhub.SourceHeadPasses": "counts source-head passes: the hoist tests prove one pass per cached split",
 	"cluster.Passes":            "counts clustering passes: the warm-start tests prove a rehydrated world never re-clusters",
 	"faultinject.Reset":         "disarms the process-wide schedule; every test that Activates defers it",
-	"shard.Breakers":            "the router's breaker set, read by the chaos and breaker suites to wait for reconvergence",
-	"breaker.AllClosed":         "reconvergence predicate over shard.Router.Breakers (same suites)",
 	"shard.Owner":               "a key's primary owner; bench/stats_test.go splits batches by it",
 	"datahub.CVBenchmarks":      "only datahub calls it, but it is one of a pair with NLPBenchmarks, which six other packages' tests build matrices from",
 	"modelhub.CVSpecs":          "only modelhub calls it, but it is one of a pair with NLPSpecs, which five other packages' tests build repositories from",
@@ -242,9 +240,10 @@ var fusedOp = regexp.MustCompile(`\b(FN?M(ADD|SUB)[SD]?|M[AS][DE]BR?)\b`)
 
 // TestNoFusedMultiplyAdd makes "a product never feeds an add unconverted"
 // a tier-1 check where it can be checked without the hardware: for every
-// architecture Go fuses on, it cross-compiles ./cmd/serve and
-// ./cmd/experiments (between them every package under internal/ a result
-// comes out of; toolchain only, no network), disassembles twophase/internal/
+// architecture Go fuses on, it cross-compiles ./cmd/serve, ./cmd/experiments,
+// ./cmd/apiserver and ./cmd/gateway (between them every package under
+// internal/ a result or a served answer comes out of, admission's token
+// buckets included; toolchain only, no network), disassembles twophase/internal/
 // and fails on any fused multiply-add, each one a product that feeds an add
 // without an explicit float64(a*b) conversion and so rounds once where amd64
 // rounds twice. Inlined callees count under their caller. amd64 has no such
@@ -252,13 +251,13 @@ var fusedOp = regexp.MustCompile(`\b(FN?M(ADD|SUB)[SD]?|M[AS][DE]BR?)\b`)
 // there regardless.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles two binaries for four architectures; skipped in -short")
+		t.Skip("cross-compiles four binaries for four architectures; skipped in -short")
 	}
 	const prefix = "twophase/internal/"
 	for _, arch := range []string{"arm64", "ppc64le", "s390x", "riscv64"} {
 		t.Run(arch, func(t *testing.T) {
 			got := map[string]int{} // every function seen, with its fused count
-			for _, cmd := range []string{"serve", "experiments"} {
+			for _, cmd := range []string{"serve", "experiments", "apiserver", "gateway"} {
 				bin := filepath.Join(t.TempDir(), cmd+"."+arch)
 				build := exec.Command("go", "build", "-o", bin, "./cmd/"+cmd)
 				build.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")
@@ -273,7 +272,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 				for _, line := range strings.Split(string(asm), "\n") {
 					if name, ok := strings.CutPrefix(line, "TEXT "+prefix); ok {
 						fn, _, _ = strings.Cut(name, "(SB)")
-						got[fn] = 0 // a function both binaries link is counted in the later one
+						got[fn] = 0 // a function several binaries link is counted in the last one
 					} else if fusedOp.MatchString(line) {
 						got[fn]++
 					}
@@ -281,7 +280,7 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 			}
 			for _, fn := range fusedFree {
 				if _, ok := got[fn]; !ok {
-					t.Errorf("%s is in neither binary: the census is not looking at the kernel any more; name its successor in fusedFree", fn)
+					t.Errorf("%s is in no binary: the census is not looking at the kernel any more; name its successor in fusedFree", fn)
 				}
 			}
 			var bad []string
