@@ -6,7 +6,8 @@
 // Endpoints:
 //
 //	POST /v1/select                  single or batch selection
-//	GET  /v1/tasks/{task}/targets    target catalog of a task family
+//	GET  /v1/tasks/{task}/targets    target catalog of a task family (from
+//	                                 the registry: builds nothing)
 //	GET  /v1/healthz                 liveness + readiness (503 while warming)
 //	GET  /v1/stats                   builds, cache, cumulative cost
 //
@@ -45,8 +46,6 @@
 //	                     with -backends)
 //	-replicas N          ring owners per world; must match the gateway
 //	                     (default 2)
-//	-vnodes N            virtual ring nodes per backend; must match the
-//	                     gateway (default 64)
 //	-seed-policy P       admission policy for per-request seeds: any
 //	                     (default), fixed, allow=1,7,42, or max=N
 //	-instance ID         instance id stamped on responses as X-Instance-Id
@@ -115,7 +114,6 @@ type config struct {
 	backends      string
 	self          string
 	replicas      int
-	vnodes        int
 	seedPolicy    string
 	instance      string
 	pprofAddr     string
@@ -139,7 +137,6 @@ func main() {
 	flag.StringVar(&cfg.backends, "backends", "", "fleet backend base URLs (comma-separated, same list as the gateway)")
 	flag.StringVar(&cfg.self, "self", "", "this backend's entry in -backends")
 	flag.IntVar(&cfg.replicas, "replicas", shard.DefaultReplicas, "ring owners per world (must match the gateway)")
-	flag.IntVar(&cfg.vnodes, "vnodes", shard.DefaultVNodes, "virtual ring nodes per backend (must match the gateway)")
 	flag.StringVar(&cfg.seedPolicy, "seed-policy", "any", "per-request seed admission: any, fixed, allow=..., max=N")
 	flag.StringVar(&cfg.instance, "instance", "", "instance id for the X-Instance-Id header (default: bound address)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -208,7 +205,7 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		if cfg.replicas <= 0 {
 			return fmt.Errorf("-replicas must be positive (got %d)", cfg.replicas)
 		}
-		ring, err := shard.NewRing(nodes, cfg.vnodes)
+		ring, err := shard.NewRing(nodes, shard.DefaultVNodes)
 		if err != nil {
 			return err
 		}
@@ -221,14 +218,12 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		return err
 	}
 	svc, err := service.New(service.Options{
-		Base:         core.Options{Seed: cfg.seed, Sizes: cfg.sizes},
-		StoreDir:     cfg.storeDir,
-		Workers:      cfg.workers,
-		BuildWorkers: cfg.buildWorkers,
-		Concurrency:  cfg.concurrency,
-		CacheSize:    cfg.cacheSize,
-		Seeds:        seeds,
-		Fetch:        fetch,
+		Base:        core.Options{Seed: cfg.seed, Sizes: cfg.sizes, Workers: cfg.workers, BuildWorkers: cfg.buildWorkers},
+		StoreDir:    cfg.storeDir,
+		Concurrency: cfg.concurrency,
+		CacheSize:   cfg.cacheSize,
+		Seeds:       seeds,
+		Fetch:       fetch,
 	})
 	if err != nil {
 		return err

@@ -12,7 +12,8 @@
 // The gateway serves the same v1 contract as a single backend:
 //
 //	POST /v1/select                  scatter-gathered selection
-//	GET  /v1/tasks/{task}/targets    proxied target catalog
+//	GET  /v1/tasks/{task}/targets    target catalog, from the registry (no
+//	                                 backend hop: answers with the fleet down)
 //	GET  /v1/healthz                 ok while ≥1 backend is alive
 //	GET  /v1/stats                   fleet sums + ring/routing counters
 //
@@ -25,7 +26,6 @@
 //	-addr HOST:PORT      listen address (default :8090)
 //	-backends URLS       comma-separated backend base URLs (required)
 //	-replicas N          owner replicas per (task, seed) key (default 2)
-//	-vnodes N            virtual nodes per backend on the ring (default 64)
 //	-seed N              routing seed for requests without one; must match
 //	                     the backends' -seed (default 42)
 //	-probe-interval D    health-check period (default 1s)
@@ -81,7 +81,6 @@ type config struct {
 	addr           string
 	backends       string
 	replicas       int
-	vnodes         int
 	seed           uint64
 	probeInterval  time.Duration
 	instance       string
@@ -98,7 +97,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8090", "listen address")
 	flag.StringVar(&cfg.backends, "backends", "", "comma-separated backend base URLs (required)")
 	flag.IntVar(&cfg.replicas, "replicas", shard.DefaultReplicas, "owner replicas per (task, seed) key")
-	flag.IntVar(&cfg.vnodes, "vnodes", shard.DefaultVNodes, "virtual nodes per backend on the ring")
 	flag.Uint64Var(&cfg.seed, "seed", 42, "routing seed for requests without one (must match the backends')")
 	flag.DurationVar(&cfg.probeInterval, "probe-interval", shard.DefaultProbeInterval, "health-check period")
 	flag.StringVar(&cfg.instance, "instance", "gateway", "this gateway's X-Instance-Id")
@@ -131,8 +129,8 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	} else if pprofAddr != "" {
 		slog.Info("gateway.pprof", slog.String("addr", pprofAddr))
 	}
-	if cfg.replicas <= 0 || cfg.vnodes <= 0 || cfg.probeInterval <= 0 {
-		return fmt.Errorf("-replicas, -vnodes and -probe-interval must be positive")
+	if cfg.replicas <= 0 || cfg.probeInterval <= 0 {
+		return fmt.Errorf("-replicas and -probe-interval must be positive")
 	}
 	// Admission guards the gateway's own front door: requests refused here
 	// never reach a backend, so an overload sheds with a typed 429/503
@@ -153,7 +151,6 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	router, err := shard.NewRouter(shard.RouterOptions{
 		Backends: backends,
 		Replicas: cfg.replicas,
-		VNodes:   cfg.vnodes,
 		// The routing seed also seeds the half-open coin, so a seeded
 		// chaos run re-admits backends in the same order every time.
 		Seed:          cfg.seed,
@@ -194,7 +191,7 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		Admission: ctrl,
 	})
 	slog.Info("gateway.serving", slog.String("addr", ln.Addr().String()), slog.Int("backends", len(backends)),
-		slog.Int("replicas", cfg.replicas), slog.Int("vnodes", cfg.vnodes), slog.Uint64("seed", cfg.seed))
+		slog.Int("replicas", cfg.replicas), slog.Uint64("seed", cfg.seed))
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

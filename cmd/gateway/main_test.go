@@ -23,10 +23,6 @@ func (e *echoAPI) Select(_ context.Context, req *api.SelectRequest) (*api.Select
 	return resp, nil
 }
 
-func (e *echoAPI) Targets(_ context.Context, task string) (*api.TargetsResponse, error) {
-	return &api.TargetsResponse{APIVersion: api.Version, Task: task, Targets: []string{"t0"}}, nil
-}
-
 func (e *echoAPI) Stats(context.Context) (*api.Stats, error) {
 	return &api.Stats{APIVersion: api.Version}, nil
 }
@@ -48,11 +44,10 @@ func TestParseBackends(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	base := config{addr: "127.0.0.1:0", backends: "http://127.0.0.1:1",
-		replicas: 1, vnodes: 8, probeInterval: time.Second}
+		replicas: 1, probeInterval: time.Second}
 	for _, mutate := range []func(*config){
 		func(c *config) { c.backends = "" },
 		func(c *config) { c.replicas = 0 },
-		func(c *config) { c.vnodes = -1 },
 		func(c *config) { c.probeInterval = 0 },
 	} {
 		cfg := base
@@ -77,7 +72,6 @@ func TestGatewayLifecycle(t *testing.T) {
 		addr:          "127.0.0.1:0",
 		backends:      b1.URL + "," + b2.URL,
 		replicas:      2,
-		vnodes:        16,
 		seed:          42,
 		probeInterval: 20 * time.Millisecond,
 		instance:      "gw",

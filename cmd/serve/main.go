@@ -18,9 +18,9 @@
 //	-prefilter-top-k N  keep only the N best candidates by closed-form lsq
 //	                score before the epoch-trained strategy runs (0 = off)
 //	-server URL     send requests to a running apiserver instead of serving
-//	                in process (-store and -build-workers are rejected:
-//	                they configure the serving process; an explicit -seed
-//	                is sent as a per-request override)
+//	                in process (-store, -workers and -build-workers are
+//	                rejected: they configure the serving process; an
+//	                explicit -seed is sent as a per-request override)
 //	-seed N         world seed (default 42)
 //	-store DIR      artifact store; offline stage artifacts persist across
 //	                runs (matrix + clustering)
@@ -33,6 +33,8 @@
 //	-max-epochs N   training-epoch budget per target (-1 = unbounded;
 //	                0 is a real zero budget)
 //	-list-targets   print the family's target datasets and exit
+//
+// -list-targets and -all read the catalog from the registry: no world, no request.
 //
 // The process exits nonzero when the request itself fails or when every
 // target in the batch failed (the document still prints, with the failed
@@ -123,16 +125,17 @@ func newAPI(cfg config) (api.API, error) {
 		if cfg.storeDir != "" {
 			return nil, fmt.Errorf("-store configures the serving process; not valid with -server")
 		}
+		if cfg.workers != 0 {
+			return nil, fmt.Errorf("-workers configures the serving process; not valid with -server")
+		}
 		if cfg.buildWorkers != 0 {
 			return nil, fmt.Errorf("-build-workers configures the serving process; not valid with -server")
 		}
 		return api.NewClient(cfg.server, nil), nil
 	}
 	svc, err := service.New(service.Options{
-		Base:         core.Options{Seed: cfg.seed, Sizes: cfg.sizes},
-		StoreDir:     cfg.storeDir,
-		Workers:      cfg.workers,
-		BuildWorkers: cfg.buildWorkers,
+		Base:     core.Options{Seed: cfg.seed, Sizes: cfg.sizes, Workers: cfg.workers, BuildWorkers: cfg.buildWorkers},
+		StoreDir: cfg.storeDir,
 	})
 	if err != nil {
 		return nil, err
@@ -141,20 +144,19 @@ func newAPI(cfg config) (api.API, error) {
 }
 
 func run(ctx context.Context, w io.Writer, cfg config) error {
-	a, err := newAPI(cfg)
-	if err != nil {
-		return err
-	}
-
 	if cfg.listTargets {
-		resp, err := a.Targets(ctx, cfg.task)
+		names, err := datahub.TargetNames(cfg.task)
 		if err != nil {
 			return err
 		}
-		for _, n := range resp.Targets {
+		for _, n := range names {
 			fmt.Fprintln(w, n)
 		}
 		return nil
+	}
+	a, err := newAPI(cfg)
+	if err != nil {
+		return err
 	}
 
 	var targets []string
@@ -162,11 +164,9 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 	case cfg.all && cfg.targets != "":
 		return fmt.Errorf("-all and -targets are mutually exclusive")
 	case cfg.all:
-		resp, err := a.Targets(ctx, cfg.task)
-		if err != nil {
+		if targets, err = datahub.TargetNames(cfg.task); err != nil {
 			return err
 		}
-		targets = resp.Targets
 	case cfg.targets != "":
 		for _, t := range strings.Split(cfg.targets, ",") {
 			if t = strings.TrimSpace(t); t != "" {
@@ -183,7 +183,6 @@ func run(ctx context.Context, w io.Writer, cfg config) error {
 		Targets: targets,
 		SelectOptions: api.SelectOptions{
 			Strategy:      cfg.strategy,
-			Workers:       cfg.workers,
 			DeadlineMS:    cfg.deadlineMS,
 			PrefilterTopK: cfg.prefilterTopK,
 		},

@@ -178,15 +178,23 @@ func TestRunAllTargetsFailed(t *testing.T) {
 	}
 }
 
+// TestRunListTargets: the listing is the registry's catalog, in or out of
+// process — with -server it names an address nothing listens on and still
+// answers, because listing makes no request.
 func TestRunListTargets(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := config{task: datahub.TaskNLP, listTargets: true, seed: 42, sizes: testSizes}
-	if err := run(context.Background(), &buf, cfg); err != nil {
+	want, err := datahub.TargetNames(datahub.TaskNLP)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("expected the 4 NLP targets, got %d:\n%s", len(lines), buf.String())
+	for _, server := range []string{"", "http://127.0.0.1:1"} {
+		var buf bytes.Buffer
+		cfg := config{task: datahub.TaskNLP, listTargets: true, seed: 42, sizes: testSizes, server: server}
+		if err := run(context.Background(), &buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Split(strings.TrimSpace(buf.String()), "\n"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("server %q: listed %v, want the 4 NLP targets %v", server, got, want)
+		}
 	}
 }
 
@@ -211,5 +219,8 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run(ctx, &bytes.Buffer{}, config{task: datahub.TaskNLP, targets: "x", server: "http://127.0.0.1:1", buildWorkers: 2}); err == nil {
 		t.Fatal("-build-workers accepted with -server")
+	}
+	if err := run(ctx, &bytes.Buffer{}, config{task: datahub.TaskNLP, targets: "x", server: "http://127.0.0.1:1", workers: 2}); err == nil {
+		t.Fatal("-workers accepted with -server")
 	}
 }

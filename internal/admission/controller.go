@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 )
@@ -126,7 +127,7 @@ func (c *Controller) Admit(ctx context.Context, client string, priority int) (fu
 			c.mu.Lock()
 			c.stats.RateLimited++
 			c.mu.Unlock()
-			return nil, retry, fmt.Errorf("%w: client %q over %g req/s", ErrRateLimited, client, c.opts.Rate)
+			return refuse(client, "rate_limited", retry, fmt.Errorf("%w: client %q over %g req/s", ErrRateLimited, client, c.opts.Rate))
 		}
 	}
 
@@ -146,7 +147,7 @@ func (c *Controller) Admit(ctx context.Context, client string, priority int) (fu
 			// is the lowest priority, so it is the one shed.
 			c.stats.Shed++
 			c.mu.Unlock()
-			return nil, c.opts.ShedRetryAfter, fmt.Errorf("%w: %d inflight, queue full", ErrShed, c.opts.MaxInflight)
+			return refuse(client, "overloaded", c.opts.ShedRetryAfter, fmt.Errorf("%w: %d inflight, queue full", ErrShed, c.opts.MaxInflight))
 		}
 		v.shed = true
 		c.remove(v)
@@ -162,11 +163,12 @@ func (c *Controller) Admit(ctx context.Context, client string, priority int) (fu
 	select {
 	case <-w.ready:
 		c.mu.Lock()
-		defer c.mu.Unlock()
 		if w.shed {
-			return nil, c.opts.ShedRetryAfter, fmt.Errorf("%w: evicted by a higher-priority request", ErrShed)
+			c.mu.Unlock()
+			return refuse(client, "overloaded", c.opts.ShedRetryAfter, fmt.Errorf("%w: evicted by a higher-priority request", ErrShed))
 		}
 		c.stats.Admitted++
+		c.mu.Unlock()
 		return c.release, 0, nil
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -183,6 +185,15 @@ func (c *Controller) Admit(ctx context.Context, client string, priority int) (fu
 		}
 		return nil, 0, ctx.Err()
 	}
+}
+
+// refuse logs one admission.refused record — who was turned away, with
+// the wire code the serving layer answers and the retry hint — and returns
+// Admit's refusal.
+func refuse(client, code string, retry time.Duration, err error) (func(), time.Duration, error) {
+	slog.Info("admission.refused", slog.String("client", client), slog.String("code", code),
+		slog.Int64("retry_after_ms", retry.Milliseconds()))
+	return nil, retry, err
 }
 
 // release returns an admitted request's slot, handing it directly to the

@@ -21,8 +21,7 @@ type errAPI struct{ err error }
 func (s errAPI) Select(context.Context, *SelectRequest) (*SelectResponse, error) {
 	return nil, s.err
 }
-func (s errAPI) Targets(context.Context, string) (*TargetsResponse, error) { return nil, s.err }
-func (s errAPI) Stats(context.Context) (*Stats, error)                     { return nil, s.err }
+func (s errAPI) Stats(context.Context) (*Stats, error) { return nil, s.err }
 
 var validReq = &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}}
 
@@ -115,15 +114,14 @@ func (s okAPI) Select(ctx context.Context, req *SelectRequest) (*SelectResponse,
 	return &SelectResponse{APIVersion: Version, Task: req.Task,
 		Results: []TargetResult{{Target: req.Targets[0], Winner: "w"}}}, nil
 }
-func (s okAPI) Targets(context.Context, string) (*TargetsResponse, error) {
-	return &TargetsResponse{APIVersion: Version}, nil
-}
 func (s okAPI) Stats(context.Context) (*Stats, error) { return &Stats{APIVersion: Version}, nil }
 
 // TestAdmissionMiddlewareRateLimit: the handler's admission gate refuses
-// over-rate clients as well-formed 429s keyed by X-Client-Id, health and
-// stats stay ungated, and the admission snapshot rides /v1/stats.
+// over-rate clients as well-formed 429s keyed by X-Client-Id, each refusal
+// is one admission.refused record, health and stats stay ungated, and the
+// admission snapshot rides /v1/stats.
 func TestAdmissionMiddlewareRateLimit(t *testing.T) {
+	events := captureEvents(t)
 	ctrl := admission.NewController(admission.Options{Rate: 0.001, Burst: 1})
 	ts := httptest.NewServer(NewHandlerWith(okAPI{}, HandlerOptions{Admission: ctrl}))
 	defer ts.Close()
@@ -159,6 +157,7 @@ func TestAdmissionMiddlewareRateLimit(t *testing.T) {
 	if e.RetryAfterMS <= 0 || res.Header.Get("Retry-After") == "" {
 		t.Fatalf("429 without a retry hint: %+v header %q", e, res.Header.Get("Retry-After"))
 	}
+	wantRefused := map[string]any{"client": "alice", "code": CodeRateLimited, "retry_after_ms": float64(e.RetryAfterMS)}
 	// Another client has its own bucket.
 	res = post("bob")
 	res.Body.Close()
@@ -176,11 +175,28 @@ func TestAdmissionMiddlewareRateLimit(t *testing.T) {
 	if st.Admission == nil || st.Admission.RateLimited != 1 || st.Admission.Admitted != 2 {
 		t.Fatalf("stats admission block: %+v", st.Admission)
 	}
+	assertRefused(t, events("admission.refused"), wantRefused)
+}
+
+// assertRefused checks that exactly one admission.refused record was
+// logged and that it carries want's attrs.
+func assertRefused(t *testing.T, recs []map[string]any, want map[string]any) {
+	t.Helper()
+	if len(recs) != 1 {
+		t.Fatalf("%d admission.refused records, want 1: %v", len(recs), recs)
+	}
+	for k, v := range want {
+		if recs[0][k] != v {
+			t.Fatalf("admission.refused %s = %v, want %v (record %v)", k, recs[0][k], v, recs[0])
+		}
+	}
 }
 
 // TestAdmissionMiddlewareShed: at the concurrency bound with no queue, an
-// arrival sheds as a well-formed 503 overloaded carrying Retry-After.
+// arrival sheds as a well-formed 503 overloaded carrying Retry-After, and
+// one admission.refused record says so.
 func TestAdmissionMiddlewareShed(t *testing.T) {
+	events := captureEvents(t)
 	ctrl := admission.NewController(admission.Options{MaxInflight: 1})
 	gate := make(chan struct{})
 	ts := httptest.NewServer(NewHandlerWith(okAPI{gate: gate}, HandlerOptions{Admission: ctrl}))
@@ -205,6 +221,8 @@ func TestAdmissionMiddlewareShed(t *testing.T) {
 	if retryAfter(err) != admission.DefaultShedRetryAfter {
 		t.Fatalf("shed retry hint %v, want %v", retryAfter(err), admission.DefaultShedRetryAfter)
 	}
+	assertRefused(t, events("admission.refused"), map[string]any{"client": "127.0.0.1", "code": CodeOverloaded,
+		"retry_after_ms": float64(admission.DefaultShedRetryAfter.Milliseconds())})
 	close(gate)
 	if err := <-first; err != nil {
 		t.Fatalf("held request failed: %v", err)
@@ -219,9 +237,7 @@ func TestAdmissionMiddlewareShed(t *testing.T) {
 // Run with -race.
 func TestAdmissionTruncationHammer(t *testing.T) {
 	d, svc := newTestDispatcher(t)
-	if _, err := svc.Framework(context.Background(), datahub.TaskNLP); err != nil {
-		t.Fatal(err)
-	}
+	warm(t, svc)
 	ctrl := admission.NewController(admission.Options{MaxInflight: 2, MaxQueue: 2})
 	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{Admission: ctrl}))
 	defer ts.Close()

@@ -12,6 +12,7 @@ import (
 
 	"twophase/internal/core"
 	"twophase/internal/datahub"
+	"twophase/internal/lifecycle"
 	"twophase/internal/service"
 )
 
@@ -26,6 +27,15 @@ func newTestDispatcher(t *testing.T) (*Dispatcher, *service.Service) {
 	return NewDispatcher(svc, 42), svc
 }
 
+// warm makes the base-seed NLP world resident, so a test's request is
+// served from it instead of waiting on its build.
+func warm(t *testing.T, svc *service.Service) {
+	t.Helper()
+	if err := svc.Warm(context.Background(), []lifecycle.Key{{Task: datahub.TaskNLP, Seed: 42}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDispatcherValidation(t *testing.T) {
 	d, _ := newTestDispatcher(t)
 	ctx := context.Background()
@@ -38,7 +48,6 @@ func TestDispatcherValidation(t *testing.T) {
 		{"no targets", &SelectRequest{Task: datahub.TaskNLP}},
 		{"empty target", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{""}}},
 		{"bad strategy", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}, SelectOptions: SelectOptions{Strategy: "zigzag"}}},
-		{"negative workers", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}, SelectOptions: SelectOptions{Workers: -1}}},
 	}
 	for _, tc := range cases {
 		_, err := d.Select(ctx, tc.req)
@@ -58,9 +67,6 @@ func TestDispatcherNotFoundMapping(t *testing.T) {
 	_, err := d.Select(ctx, &SelectRequest{Task: "audio", Targets: []string{"x"}})
 	if !errors.Is(err, ErrUnknownTask) || HTTPStatus(err) != http.StatusNotFound {
 		t.Fatalf("unknown task: err %v status %d, want ErrUnknownTask / 404", err, HTTPStatus(err))
-	}
-	if _, err := d.Targets(ctx, "audio"); !errors.Is(err, ErrUnknownTask) {
-		t.Fatalf("targets unknown task: %v", err)
 	}
 
 	// Single-target form is an RPC: the one failure is the request error.
@@ -137,9 +143,7 @@ func TestSelectCanceled(t *testing.T) {
 	d, svc := newTestDispatcher(t)
 	// Warm the framework so cancellation hits the selection, not the
 	// build wait.
-	if _, err := svc.Framework(context.Background(), datahub.TaskNLP); err != nil {
-		t.Fatal(err)
-	}
+	warm(t, svc)
 	costBefore := svc.Cost()
 	before := costBefore.Total()
 
@@ -194,23 +198,11 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("response header fields wrong: %+v", wire)
 	}
 
-	dt, err := d.Targets(ctx, datahub.TaskNLP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wt, err := c.Targets(ctx, datahub.TaskNLP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dt, wt) {
-		t.Fatalf("targets differ: %+v vs %+v", dt, wt)
-	}
-
 	// Typed errors survive the round trip.
 	if _, err := c.Select(ctx, &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"no-such"}}); !errors.Is(err, ErrUnknownTarget) {
 		t.Fatalf("wire error lost its sentinel: %v", err)
 	}
-	if _, err := c.Targets(ctx, "audio"); !errors.Is(err, ErrUnknownTask) {
+	if _, err := c.Select(ctx, &SelectRequest{Task: "audio", Targets: []string{"x"}}); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("wire unknown-task lost its sentinel: %v", err)
 	}
 	if _, err := c.Select(ctx, &SelectRequest{Task: datahub.TaskNLP}); !errors.Is(err, ErrBadRequest) {
@@ -255,7 +247,12 @@ func TestHandlerHTTPSurface(t *testing.T) {
 		t.Fatalf("error body: %v %+v", err, e)
 	}
 
-	// Unknown task on the targets route → 404.
+	// The targets route answers the registry's catalog; an unknown task
+	// is a typed 404.
+	want, _ := datahub.TargetNames(datahub.TaskCV)
+	if doc := listTargets(t, ts.URL, datahub.TaskCV); doc.APIVersion != Version || doc.Task != datahub.TaskCV || !reflect.DeepEqual(doc.Targets, want) {
+		t.Fatalf("cv targets: %+v, want %v", doc, want)
+	}
 	res, err = http.Get(ts.URL + "/v1/tasks/audio/targets")
 	if err != nil {
 		t.Fatal(err)
@@ -263,5 +260,32 @@ func TestHandlerHTTPSurface(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown task status %d, want 404", res.StatusCode)
+	}
+}
+
+// TestStrayWorkersFieldIsIgnored: training width is the server's setting,
+// not a request field, so a body still carrying "workers" — even the -1
+// that used to be a 400 — is served like the same body without it.
+func TestStrayWorkersFieldIsIgnored(t *testing.T) {
+	d, _ := newTestDispatcher(t)
+	ts := httptest.NewServer(NewHandlerWith(d, HandlerOptions{}))
+	defer ts.Close()
+	post := func(body string) SelectResponse {
+		t.Helper()
+		res, err := http.Post(ts.URL+"/v1/select", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var doc SelectResponse
+		if err := json.NewDecoder(res.Body).Decode(&doc); err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", body, res.StatusCode, err)
+		}
+		return doc
+	}
+	got := post(`{"task":"nlp","targets":["tweet_eval"],"workers":-1}`)
+	want := post(`{"task":"nlp","targets":["tweet_eval"]}`)
+	if got.Results[0].Winner == "" || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Fatalf("stray workers field changed the answer:\n%+v\nvs\n%+v", got.Results, want.Results)
 	}
 }

@@ -108,9 +108,7 @@ func TestDeadlineHTTPReturns200(t *testing.T) {
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	if _, err := svc.Framework(ctx, datahub.TaskNLP); err != nil {
-		t.Fatal(err)
-	}
+	warm(t, svc)
 	resp, err := c.Select(ctx, &SelectRequest{
 		Task:          datahub.TaskNLP,
 		Targets:       []string{"tweet_eval"},

@@ -51,16 +51,6 @@ func (c *Client) Select(ctx context.Context, req *SelectRequest) (*SelectRespons
 	return &resp, nil
 }
 
-// Targets implements API.
-func (c *Client) Targets(ctx context.Context, task string) (*TargetsResponse, error) {
-	var resp TargetsResponse
-	path := "/v1/tasks/" + url.PathEscape(task) + "/targets"
-	if err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Stats implements API.
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	var resp Stats
@@ -152,6 +142,14 @@ func responseError(method, path string, status int, body []byte) error {
 		Message: fmt.Sprintf("api: %s %s: unexpected status %d: %s", method, path, status, strings.TrimSpace(string(body)))}
 }
 
+// maxResponseBytes caps what do buffers, as maxArtifactBytes does for an
+// artifact: the gateway forwards selects and scrapes stats through here. It
+// fits the largest answer to a maxBodyBytes request: at most 1 MiB/4
+// targets (`"x",` each), each result under 1 KiB plus 12 bytes per name
+// byte (named twice, HTML-escaped to 6 bytes a byte) — 268 MiB at most.
+// Past the cap the answer is a typed internal error: the router fails over.
+var maxResponseBytes int64 = 512 << 20
+
 func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out interface{}) error {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
@@ -168,9 +166,13 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 	if dst, ok := ctx.Value(instanceCaptureKey{}).(*string); ok {
 		*dst = res.Header.Get(InstanceHeader)
 	}
-	data, err := io.ReadAll(res.Body)
+	data, err := io.ReadAll(io.LimitReader(res.Body, maxResponseBytes+1))
 	if err != nil {
 		return fmt.Errorf("api: read response: %w", err)
+	}
+	if int64(len(data)) > maxResponseBytes {
+		return &Error{Code: CodeInternal,
+			Message: fmt.Sprintf("api: %s %s: response exceeds cap %d bytes", method, path, maxResponseBytes)}
 	}
 	if res.StatusCode != http.StatusOK {
 		return responseError(method, path, res.StatusCode, data)

@@ -15,8 +15,6 @@ type API interface {
 	// surfaces that target's failure as the request error; a batch
 	// reports per-target errors in Results and counts them in Failed.
 	Select(ctx context.Context, req *SelectRequest) (*SelectResponse, error)
-	// Targets lists a task family's target datasets.
-	Targets(ctx context.Context, task string) (*TargetsResponse, error)
 	// Stats snapshots the serving process's counters.
 	Stats(ctx context.Context) (*Stats, error)
 }
@@ -52,7 +50,6 @@ func (d *Dispatcher) Select(ctx context.Context, req *SelectRequest) (*SelectRes
 		Targets:       req.Targets,
 		Strategy:      strat,
 		Seed:          req.Seed,
-		Workers:       req.Workers,
 		EnsembleK:     req.EnsembleK,
 		MaxEpochs:     req.MaxEpochs,
 		PrefilterTopK: req.PrefilterTopK,
@@ -128,18 +125,6 @@ func (d *Dispatcher) Select(ctx context.Context, req *SelectRequest) (*SelectRes
 	resp.OfflineBuilds = d.svc.Builds()
 	resp.WallMillis = time.Since(start).Milliseconds()
 	return resp, nil
-}
-
-// Targets implements API.
-func (d *Dispatcher) Targets(ctx context.Context, task string) (*TargetsResponse, error) {
-	if task == "" {
-		return nil, errBadRequest("missing task")
-	}
-	names, err := d.svc.Targets(ctx, task)
-	if err != nil {
-		return nil, classify(err)
-	}
-	return &TargetsResponse{APIVersion: Version, Task: task, Targets: names}, nil
 }
 
 // Stats implements API.

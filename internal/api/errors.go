@@ -114,7 +114,7 @@ func classify(err error) error {
 		return fmt.Errorf("%w: %v", ErrUnknownArtifact, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return fmt.Errorf("%w: %v", ErrCanceled, err)
-	case errors.Is(err, service.ErrUnknownTask):
+	case errors.Is(err, datahub.ErrUnknownTask):
 		return fmt.Errorf("%w: %v", ErrUnknownTask, err)
 	case errors.Is(err, service.ErrSeedRejected):
 		return fmt.Errorf("%w: %v", ErrSeedRejected, err)

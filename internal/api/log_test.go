@@ -8,8 +8,51 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// lockedBuffer is a bytes.Buffer that server goroutines may log into while
+// the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// captureEvents logs through LogJSON into a buffer for the rest of the test
+// and returns a reader of the records with a given event name so far, each
+// decoded from its one JSON line.
+func captureEvents(t *testing.T) func(event string) []map[string]any {
+	t.Helper()
+	prev := slog.Default()
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	var out lockedBuffer
+	LogJSON(&out)
+	return func(event string) []map[string]any {
+		out.mu.Lock()
+		defer out.mu.Unlock()
+		var recs []map[string]any
+		for _, line := range strings.Split(strings.TrimSpace(out.buf.String()), "\n") {
+			if line == "" {
+				continue
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log record is not one JSON object: %v\n%s", err, line)
+			}
+			if rec["event"] == event {
+				recs = append(recs, rec)
+			}
+		}
+		return recs
+	}
+}
 
 // panicAPI is an API stub whose Select panics.
 type panicAPI struct{ errAPI }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"twophase/internal/admission"
+	"twophase/internal/datahub"
 	"twophase/internal/faultinject"
 )
 
@@ -117,13 +118,16 @@ func NewHandlerWith(a API, opts HandlerOptions) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
+	// The catalog is a static registry table: listing builds, evicts and
+	// forwards nothing, so a gateway answers it with every backend down.
 	mux.HandleFunc("GET /v1/tasks/{task}/targets", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := a.Targets(r.Context(), r.PathValue("task"))
+		task := r.PathValue("task")
+		names, err := datahub.TargetNames(task)
 		if err != nil {
-			writeError(w, err)
+			writeError(w, classify(err))
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, TargetsResponse{APIVersion: Version, Task: task, Targets: names})
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if ready != nil && !ready() {

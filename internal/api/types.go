@@ -27,7 +27,8 @@ const Version = "v1.1"
 // path. The struct embeds flat into SelectRequest (the wire shape is
 // unchanged from v1); Validate is the single gate the Dispatcher, the HTTP
 // handler and the Client all route through, so the three paths cannot
-// drift on what a well-formed request is.
+// drift on what a well-formed request is. Training width is the server's
+// setting: a "workers" field in a body is ignored like any unknown field.
 type SelectOptions struct {
 	// Strategy picks the selection procedure: "two-phase" (default),
 	// "sh", "bf", "ensemble" or "lsq" (the zero-epoch closed-form
@@ -37,9 +38,6 @@ type SelectOptions struct {
 	// means the server's configured seed. Frameworks are cached per
 	// (task, seed).
 	Seed *uint64 `json:"seed,omitempty"`
-	// Workers bounds per-stage training parallelism for this request
-	// (0 = server default). Results are identical across settings.
-	Workers int `json:"workers,omitempty"`
 	// EnsembleK is the ensemble size for strategy "ensemble"
 	// (0 = server default of 3).
 	EnsembleK int `json:"ensemble_k,omitempty"`
@@ -96,8 +94,8 @@ func (r *SelectRequest) Normalize() (core.Strategy, error) {
 			return "", errBadRequest("empty target name")
 		}
 	}
-	if r.Workers < 0 || r.EnsembleK < 0 || r.PrefilterTopK < 0 {
-		return "", errBadRequest(fmt.Sprintf("negative tuning field (workers=%d, ensemble_k=%d, prefilter_top_k=%d)", r.Workers, r.EnsembleK, r.PrefilterTopK))
+	if r.EnsembleK < 0 || r.PrefilterTopK < 0 {
+		return "", errBadRequest(fmt.Sprintf("negative tuning field (ensemble_k=%d, prefilter_top_k=%d)", r.EnsembleK, r.PrefilterTopK))
 	}
 	if r.DeadlineMS < 0 {
 		return "", errBadRequest(fmt.Sprintf("negative deadline_ms %d", r.DeadlineMS))
@@ -186,7 +184,8 @@ type SelectResponse struct {
 	WallMillis    int64 `json:"wall_ms"`
 }
 
-// TargetsResponse lists a task family's target datasets in catalog order.
+// TargetsResponse lists a task family's target datasets in catalog order:
+// the body of GET /v1/tasks/{task}/targets, answered from the registry.
 type TargetsResponse struct {
 	APIVersion string   `json:"api_version"`
 	Task       string   `json:"task"`

@@ -28,11 +28,6 @@ import (
 	"twophase/internal/trainer"
 )
 
-// ErrUnknownTask is the sentinel for task families outside {"nlp", "cv"},
-// re-exported from datahub so serving layers can map it to a not-found
-// response without importing the data layer.
-var ErrUnknownTask = datahub.ErrUnknownTask
-
 // Options configures the offline build.
 type Options struct {
 	// Task selects the repository/dataset family ("nlp" or "cv").
@@ -369,10 +364,6 @@ func ParseStrategy(s string) (Strategy, error) {
 type SelectOptions struct {
 	// Strategy picks the procedure; empty means StrategyTwoPhase.
 	Strategy Strategy
-	// Workers overrides the framework's per-stage training parallelism
-	// for this request (0 keeps the framework default). Outcomes are
-	// bit-identical across worker counts.
-	Workers int
 	// EnsembleK is the ensemble size for StrategyEnsemble
 	// (0 means DefaultEnsembleK; ignored by the other strategies).
 	EnsembleK int
@@ -458,10 +449,6 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = f.Workers
-	}
 	report := &Report{Target: target.Name, Strategy: strat}
 	pool := f.Repo.Models()
 
@@ -471,7 +458,7 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 		// request's budget fields never truncate it — there is no training
 		// to cut short — so max_epochs: 0 yields truncated: false with the
 		// proxy-inference cost on the ledger.
-		res, err := lsq.Rank(ctx, pool, target, lsq.Options{Workers: workers}, &report.Ledger)
+		res, err := lsq.Rank(ctx, pool, target, lsq.Options{Workers: f.Workers}, &report.Ledger)
 		if err != nil {
 			return nil, fmt.Errorf("core: lsq selection on %s: %w", target.Name, err)
 		}
@@ -497,14 +484,14 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 		}
 		pool = candidates.Models()
 	}
-	pool, err = prefilter(ctx, pool, target, opts.PrefilterTopK, workers, &report.Ledger)
+	pool, err = prefilter(ctx, pool, target, opts.PrefilterTopK, f.Workers, &report.Ledger)
 	if err != nil {
 		return nil, err
 	}
 	// The budget fields make the fine phase anytime (see selection.Config).
 	fine := selection.FineSelectOptions{
 		Config: selection.Config{
-			HP: f.HP, Seed: f.Seed, Salt: fineSalt[strat], Workers: workers,
+			HP: f.HP, Seed: f.Seed, Salt: fineSalt[strat], Workers: f.Workers,
 			MaxEpochs: opts.MaxEpochs, Deadline: opts.Deadline,
 		},
 		Matrix: f.Matrix,

@@ -143,6 +143,21 @@ func TaskTargets(task string) ([]Spec, error) {
 	}
 }
 
+// TargetNames lists a task family's target dataset names in catalog order.
+// The names are static — no seed or split size changes them — so listing
+// the catalog needs no world.
+func TargetNames(task string) ([]string, error) {
+	specs, err := TaskTargets(task)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
+	}
+	return names, nil
+}
+
 // Catalog is a materialized collection of datasets indexed by name.
 type Catalog struct {
 	World    *synth.World

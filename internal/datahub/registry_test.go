@@ -1,6 +1,8 @@
 package datahub
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"twophase/internal/synth"
@@ -100,6 +102,35 @@ func TestNewTaskCatalogUnknownTask(t *testing.T) {
 	w := synth.NewWorld(42)
 	if _, err := NewTaskCatalog(w, "audio", Sizes{}); err == nil {
 		t.Fatal("unknown task accepted")
+	}
+}
+
+// TestTargetNamesMatchCatalog: the static name list the targets route and
+// cmd/serve answer from is exactly the materialized catalog's target list,
+// in order, whatever the world seed or split sizes — so listing needs no
+// world.
+func TestTargetNamesMatchCatalog(t *testing.T) {
+	for _, task := range []string{TaskNLP, TaskCV} {
+		want, err := TargetNames(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seed := range []uint64{7, 42} {
+			c, err := NewTaskCatalog(synth.NewWorld(seed), task, Sizes{Train: 5 + 5*i, Val: 5, Test: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, d := range c.Targets() {
+				got = append(got, d.Name)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: catalog targets %v, TargetNames %v", task, seed, got, want)
+			}
+		}
+	}
+	if _, err := TargetNames("audio"); !errors.Is(err, ErrUnknownTask) {
+		t.Fatalf("TargetNames(audio) = %v, want ErrUnknownTask", err)
 	}
 }
 

@@ -12,6 +12,9 @@
 // eviction keeps its framework fully usable until released — the paper's
 // offline artifacts are immutable once built, so late users of an evicted
 // framework still compute bit-identical selections.
+//
+// Every finished build is one "lifecycle.built" log record (world, took,
+// err) and every capacity eviction one "lifecycle.evicted" record (world).
 package lifecycle
 
 import (
@@ -165,6 +168,7 @@ func (m *Manager) Get(ctx context.Context, key Key) (*Handle, error) {
 	fw, err := m.runBuild(ctx, key)
 	dur := time.Since(start)
 	e.fw, e.err = fw, err
+	slog.Info("lifecycle.built", slog.String("world", key.String()), slog.Duration("took", dur), slog.Any("err", err))
 
 	m.mu.Lock()
 	e.buildDur = dur
@@ -248,6 +252,7 @@ func (m *Manager) evictOverflowLocked() {
 		}
 		m.removeLocked(victim)
 		m.evictions++
+		slog.Info("lifecycle.evicted", slog.String("world", victim.key.String()))
 	}
 }
 

@@ -115,6 +115,13 @@ func TestEpochBudgetDeterministic(t *testing.T) {
 // the ledger stays within the cap, Truncated is set exactly when the cap
 // is below the unbudgeted cost, and a cap that is not yields the
 // unbudgeted outcome.
+//
+// The deadline, the one budget the clock decides, is held to the same
+// bound: wherever it falls — already past, far in the future, or at eight
+// points across the unbudgeted run's wall time — the outcome is the one
+// an epoch cap of exactly the epochs it spent gives (TruncatedBy aside),
+// so the clock only picks the stage boundary; and a deadline run that was
+// not truncated is the unbudgeted outcome.
 func TestBudgetedPrefixMatchesUnbudgeted(t *testing.T) {
 	models, matrix, target, cfg := fixture(t)
 	ctx := context.Background()
@@ -122,10 +129,12 @@ func TestBudgetedPrefixMatchesUnbudgeted(t *testing.T) {
 		for _, s := range stageEpochGrid {
 			opts := FineSelectOptions{Config: cfg, Matrix: matrix}
 			opts.StageEpochs = s
+			began := time.Now()
 			full, err := c.run(ctx, models, target, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			wall := time.Since(began)
 			cost := full.Ledger.TrainEpochs()
 			for cap := 0; cap <= cost; cap++ {
 				opts.MaxEpochs = intPtr(cap)
@@ -150,6 +159,37 @@ func TestBudgetedPrefixMatchesUnbudgeted(t *testing.T) {
 				}
 				if cap == cost && !reflect.DeepEqual(part, full) {
 					t.Fatalf("%s: a cap the run fits in changed it:\n got %+v\nwant %+v", at, part, full)
+				}
+			}
+
+			offsets := []time.Duration{-time.Second, time.Hour}
+			for k := 1; k <= 8; k++ {
+				offsets = append(offsets, wall*time.Duration(k)/9)
+			}
+			for _, off := range offsets {
+				timed := opts
+				timed.MaxEpochs = nil
+				timed.Deadline = time.Now().Add(off)
+				got, err := c.run(ctx, models, target, timed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("%s s=%d deadline %v of %v", c.name, s, off, wall)
+				if got.Truncated != (got.TruncatedBy == TruncatedByDeadline) {
+					t.Fatalf("%s: truncated=%v by=%q", at, got.Truncated, got.TruncatedBy)
+				}
+				if !got.Truncated && !reflect.DeepEqual(got, full) {
+					t.Fatalf("%s: an untruncated run differs from the unbudgeted one:\n got %+v\nwant %+v", at, got, full)
+				}
+				capped := opts
+				capped.MaxEpochs = intPtr(got.Ledger.TrainEpochs())
+				want, err := c.run(ctx, models, target, capped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.TruncatedBy = got.TruncatedBy
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: differs from the run capped at its own %d epochs:\n got %+v\nwant %+v", at, got.Ledger.TrainEpochs(), got, want)
 				}
 			}
 		}

@@ -26,7 +26,7 @@ func TestDoRaceHammer(t *testing.T) {
 	// The store keeps re-resolving an evicted world cheap (artifact load,
 	// not a retrain), so the hammer spends its wall clock on contention —
 	// the thing under test — instead of offline fine-tuning.
-	s := newTestService(t, Options{CacheSize: 1, Workers: 2, Concurrency: 2, StoreDir: t.TempDir()})
+	s := newTestService(t, Options{Base: core.Options{Workers: 2}, CacheSize: 1, Concurrency: 2, StoreDir: t.TempDir()})
 	ctx := context.Background()
 	targets := []string{"tweet_eval", "super_glue/boolq", "tweet_eval", "super_glue/multirc"}
 	seeds := []uint64{42, 7}

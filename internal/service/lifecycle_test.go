@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"twophase/internal/cluster"
+	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/lifecycle"
 )
@@ -52,7 +53,7 @@ func TestWarmStartSkipsRecallRecompute(t *testing.T) {
 		t.Fatalf("warm-start selection differs from cold:\n%+v\nvs\n%+v", reportA, reportB)
 	}
 
-	fw, err := warm.Framework(ctx, datahub.TaskNLP)
+	fw, err := framework(ctx, warm, datahub.TaskNLP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRecallArtifactHealing(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	first := newTestService(t, Options{StoreDir: dir})
-	if _, err := first.Framework(ctx, datahub.TaskNLP); err != nil {
+	if _, err := framework(ctx, first, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	// Drop the clustering artifact (the build must have written it), keep
@@ -80,7 +81,7 @@ func TestRecallArtifactHealing(t *testing.T) {
 
 	second := newTestService(t, Options{StoreDir: dir})
 	before := cluster.Passes()
-	fw, err := second.Framework(ctx, datahub.TaskNLP)
+	fw, err := framework(ctx, second, datahub.TaskNLP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRecallArtifactHealing(t *testing.T) {
 	// The recompute healed the store: the next process loads both stages.
 	third := newTestService(t, Options{StoreDir: dir})
 	before = cluster.Passes()
-	fw3, err := third.Framework(ctx, datahub.TaskNLP)
+	fw3, err := framework(ctx, third, datahub.TaskNLP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +207,12 @@ func TestDoCanceledSkipsQueuedTargets(t *testing.T) {
 	s := newTestService(t, Options{Concurrency: 1})
 	ctx := context.Background()
 	// Warm the framework so cancellation hits the fan-out, not the build.
-	if _, err := s.Framework(ctx, datahub.TaskNLP); err != nil {
+	if _, err := framework(ctx, s, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	targets, err := s.Targets(ctx, datahub.TaskNLP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	targets := nlpTargets(t)
 	results, err := s.Do(canceled, Request{Task: datahub.TaskNLP, Targets: targets})
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +284,10 @@ func TestSeedQuotaNotConsumedByFailedBuilds(t *testing.T) {
 	s := newTestService(t, Options{Seeds: SeedPolicy{MaxDistinct: 1}})
 	ctx := context.Background()
 	bogus1, bogus2, good := uint64(101), uint64(102), uint64(7)
-	if _, err := s.Do(ctx, Request{Task: "audio", Targets: []string{"x"}, Seed: &bogus1}); !errors.Is(err, ErrUnknownTask) {
+	if _, err := s.Do(ctx, Request{Task: "audio", Targets: []string{"x"}, Seed: &bogus1}); !errors.Is(err, datahub.ErrUnknownTask) {
 		t.Fatalf("bogus task: %v", err)
 	}
-	if _, err := s.Do(ctx, Request{Task: "audio", Targets: []string{"x"}, Seed: &bogus2}); !errors.Is(err, ErrUnknownTask) {
+	if _, err := s.Do(ctx, Request{Task: "audio", Targets: []string{"x"}, Seed: &bogus2}); !errors.Is(err, datahub.ErrUnknownTask) {
 		t.Fatalf("second bogus task hit the quota instead of the task check: %v", err)
 	}
 	// The quota is still free for a legitimate override.
@@ -303,7 +301,7 @@ func TestSeedQuotaNotConsumedByFailedBuilds(t *testing.T) {
 	// Once a seed's world was granted, a later failed resolution for the
 	// same seed must NOT free its slot — otherwise pairing each new seed
 	// with a bogus request would mint unbounded worlds past the quota.
-	if _, err := s.Do(ctx, Request{Task: "audio", Targets: []string{"x"}, Seed: &good}); !errors.Is(err, ErrUnknownTask) {
+	if _, err := s.Do(ctx, Request{Task: "audio", Targets: []string{"x"}, Seed: &good}); !errors.Is(err, datahub.ErrUnknownTask) {
 		t.Fatalf("bogus task on granted seed: %v", err)
 	}
 	other := uint64(8)
@@ -353,7 +351,7 @@ func TestServiceWarm(t *testing.T) {
 // the BuildWorkers budget and reports one timed result per key, in keys
 // order, with failures isolated to their own world.
 func TestWarmResultsPerWorldTimings(t *testing.T) {
-	s := newTestService(t, Options{BuildWorkers: 2})
+	s := newTestService(t, Options{Base: core.Options{BuildWorkers: 2}})
 	ctx := context.Background()
 	keys := []lifecycle.Key{
 		{Task: datahub.TaskNLP, Seed: 42},

@@ -41,33 +41,22 @@ import (
 	"twophase/internal/trainer"
 )
 
-// ErrUnknownTask is the sentinel for requests naming a task family the
-// service cannot build, re-exported from core so API layers can map it to
-// a not-found response without string matching.
-var ErrUnknownTask = core.ErrUnknownTask
-
 // Options configures a Service.
 type Options struct {
 	// Base supplies the per-family build options (seed, sizes,
-	// hyperparameters, recall settings). Base.Task is ignored — the task
-	// family is chosen per request — and Base.Workers is superseded by
-	// Workers below.
+	// hyperparameters, recall settings, and the Workers / BuildWorkers
+	// widths every world is built and served with). Base.Task is ignored —
+	// the task family is chosen per request. Base.BuildWorkers also bounds,
+	// via Warm, how many worlds build at once.
 	Base core.Options
 	// StoreDir, when non-empty, persists offline artifacts (performance
 	// matrices, clustering artifacts) so later processes skip the offline
 	// build entirely.
 	StoreDir string
-	// Workers bounds per-round candidate-training parallelism inside one
-	// fine selection. It, BuildWorkers and Concurrency are fanout widths,
-	// passed through as they stand: 0 (or less) means one per CPU, 1
-	// forces the sequential path. Results are identical either way.
-	Workers int
-	// BuildWorkers bounds offline-build parallelism (perf-matrix cells,
-	// recall vectors, clustering distances — see core.Options) and, via
-	// Warm, how many worlds build at once. Built frameworks are
-	// bit-identical at any setting.
-	BuildWorkers int
 	// Concurrency bounds how many selections of one request run at once.
+	// Like Base.Workers and Base.BuildWorkers it is a fanout width, passed
+	// through as it stands: 0 (or less) means one per CPU, 1 forces the
+	// sequential path. Results are identical either way.
 	Concurrency int
 	// CacheSize bounds how many built frameworks stay resident (LRU
 	// eviction; in-flight selections keep using an evicted framework
@@ -176,25 +165,6 @@ func New(opts Options) (*Service, error) {
 	}
 	s.mgr = mgr
 	return s, nil
-}
-
-// Framework returns the cached framework for a task family at the
-// service's base seed, building or loading it on first use. Concurrent
-// callers for the same family share a single build; a failed build is not
-// cached, so the next caller retries. The context bounds only this
-// caller's wait: the shared build itself is never canceled by one dead
-// client, because its result serves every later request.
-//
-// The returned framework is not leased: it stays valid for the caller (it
-// is immutable), but the cache may evict it at any time. Request paths go
-// through acquire instead so eviction can account for in-flight use.
-func (s *Service) Framework(ctx context.Context, task string) (*core.Framework, error) {
-	h, err := s.acquire(ctx, task, s.opts.Base.Seed)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Release()
-	return h.Framework(), nil
 }
 
 // acquire admits the seed and leases the framework for one world. The
@@ -319,8 +289,6 @@ func (s *Service) loadWorld(ctx context.Context, task string, seed uint64) (*cor
 	opts := s.opts.Base
 	opts.Task = task
 	opts.Seed = seed
-	opts.Workers = s.opts.Workers
-	opts.BuildWorkers = s.opts.BuildWorkers
 	key := matrixKey(task, seed)
 	if s.st != nil {
 		m, err := s.st.GetMatrix(key)
@@ -512,7 +480,7 @@ func (s *Service) Warm(ctx context.Context, keys []lifecycle.Key) error {
 // at startup. The joined error aggregates every failed world.
 func (s *Service) WarmResults(ctx context.Context, keys []lifecycle.Key) ([]WarmResult, error) {
 	results := make([]WarmResult, len(keys))
-	errs := fanout.Errors(ctx, len(keys), s.opts.BuildWorkers, func(i int) error {
+	errs := fanout.Errors(ctx, len(keys), s.opts.Base.BuildWorkers, func(i int) error {
 		k := keys[i]
 		results[i].Key = k
 		start := time.Now()
@@ -535,20 +503,6 @@ func (s *Service) WarmResults(ctx context.Context, keys []lifecycle.Key) ([]Warm
 		}
 	}
 	return results, errors.Join(errs...)
-}
-
-// Targets lists the task family's target dataset names in catalog order.
-func (s *Service) Targets(ctx context.Context, task string) ([]string, error) {
-	fw, err := s.Framework(ctx, task)
-	if err != nil {
-		return nil, err
-	}
-	targets := fw.Catalog.Targets()
-	names := make([]string, len(targets))
-	for i, d := range targets {
-		names[i] = d.Name
-	}
-	return names, nil
 }
 
 // Result is one entry of a batched selection.
@@ -580,9 +534,6 @@ type Request struct {
 	// worlds with Options.CacheSize and restricts client seeds with
 	// Options.Seeds so untrusted requests cannot force unbounded builds.
 	Seed *uint64
-	// Workers overrides per-stage training parallelism for this request
-	// (0 keeps the service default). Outcomes are identical either way.
-	Workers int
 	// EnsembleK is the ensemble size for the ensemble strategy
 	// (0 means the default; ignored otherwise).
 	EnsembleK int
@@ -623,7 +574,7 @@ func (s *Service) Do(ctx context.Context, req Request) ([]Result, error) {
 	defer h.Release()
 	fw := h.Framework()
 	opts := core.SelectOptions{
-		Strategy: req.Strategy, Workers: req.Workers, EnsembleK: req.EnsembleK,
+		Strategy: req.Strategy, EnsembleK: req.EnsembleK,
 		MaxEpochs: req.MaxEpochs, Deadline: req.Deadline,
 		PrefilterTopK: req.PrefilterTopK,
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -37,16 +38,31 @@ func newTestService(t *testing.T, opts Options) *Service {
 	return s
 }
 
-// selectAll serves two-phase selections through Do, the one entry point
-// the dispatcher calls, for the named targets — the task family's whole
-// catalog when none are named.
-func selectAll(ctx context.Context, s *Service, targets ...string) ([]Result, error) {
-	if len(targets) == 0 {
-		var err error
-		if targets, err = s.Targets(ctx, datahub.TaskNLP); err != nil {
-			return nil, err
-		}
+// framework leases the task family's base-seed world, building or loading
+// it on first use, and hands back its framework — for tests that inspect
+// or tamper with the world a request will be served from.
+func framework(ctx context.Context, s *Service, task string) (*core.Framework, error) {
+	h, err := s.acquire(ctx, task, s.opts.Base.Seed)
+	if err != nil {
+		return nil, err
 	}
+	defer h.Release()
+	return h.Framework(), nil
+}
+
+// nlpTargets is the NLP family's target catalog, from the registry.
+func nlpTargets(t *testing.T) []string {
+	t.Helper()
+	names, err := datahub.TargetNames(datahub.TaskNLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// selectAll serves two-phase selections through Do, the one entry point
+// the dispatcher calls, for the named targets.
+func selectAll(ctx context.Context, s *Service, targets ...string) ([]Result, error) {
 	return s.Do(ctx, Request{Task: datahub.TaskNLP, Targets: targets})
 }
 
@@ -68,7 +84,7 @@ func TestFrameworkSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fw, err := s.Framework(context.Background(), datahub.TaskNLP)
+			fw, err := framework(context.Background(), s, datahub.TaskNLP)
 			if err != nil {
 				t.Error(err)
 				return
@@ -86,7 +102,7 @@ func TestFrameworkSingleflight(t *testing.T) {
 		t.Fatalf("%d offline builds for %d concurrent callers, want 1", got, callers)
 	}
 	// A later call still hits the cache.
-	if _, err := s.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), s, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Builds(); got != 1 {
@@ -96,15 +112,15 @@ func TestFrameworkSingleflight(t *testing.T) {
 
 func TestFrameworkBadTaskNotCached(t *testing.T) {
 	s := newTestService(t, Options{})
-	if _, err := s.Framework(context.Background(), "audio"); err == nil {
+	if _, err := framework(context.Background(), s, "audio"); err == nil {
 		t.Fatal("unknown task accepted")
 	}
 	// The failed flight must not poison the cell: a valid family still
 	// builds, and the bad one still errors.
-	if _, err := s.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), s, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Framework(context.Background(), "audio"); err == nil {
+	if _, err := framework(context.Background(), s, "audio"); err == nil {
 		t.Fatal("unknown task accepted on retry")
 	}
 }
@@ -138,13 +154,13 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreMismatchRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	first := newTestService(t, Options{StoreDir: dir, Base: core.Options{Seed: 42, Sizes: tinySizes}})
-	if _, err := first.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), first, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	// Same store, different world seed: the persisted matrix describes a
 	// different world, so the service must rebuild rather than serve it.
 	other := newTestService(t, Options{StoreDir: dir, Base: core.Options{Seed: 7, Sizes: tinySizes}})
-	if _, err := other.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), other, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	if other.Builds() != 1 {
@@ -155,7 +171,7 @@ func TestStoreMismatchRebuilds(t *testing.T) {
 func TestStoreHyperparamMismatchRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	first := newTestService(t, Options{StoreDir: dir, Base: core.Options{Seed: 42, Sizes: tinySizes}})
-	if _, err := first.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), first, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	// Same store, same seed, different learning rate: model and dataset
@@ -168,7 +184,7 @@ func TestStoreHyperparamMismatchRebuilds(t *testing.T) {
 		Sizes: tinySizes,
 		HP:    trainer.LowLR(datahub.TaskNLP),
 	}})
-	if _, err := low.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), low, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	if low.Builds() != 1 {
@@ -180,7 +196,7 @@ func TestStoreHyperparamMismatchRebuilds(t *testing.T) {
 		Seed:  42,
 		Sizes: datahub.Sizes{Train: 80, Val: 40, Test: 48},
 	}})
-	if _, err := sized.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), sized, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	if sized.Builds() != 1 {
@@ -206,10 +222,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			{Task: datahub.TaskNLP},
 			{Task: datahub.TaskNLP, Strategy: core.StrategySH, PrefilterTopK: 6},
 		} {
-			var err error
-			if req.Targets, err = s.Targets(ctx, req.Task); err != nil {
-				t.Fatal(err)
-			}
+			req.Targets = nlpTargets(t)
 			results, err := s.Do(ctx, req)
 			if err != nil {
 				t.Fatal(err)
@@ -235,18 +248,22 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		return batches, files
 	}
-	wantReports, wantFiles := serve(Options{Workers: 1, BuildWorkers: 1, Concurrency: 1})
+	widths := func(workers, buildWorkers, concurrency int) Options {
+		return Options{Base: core.Options{Workers: workers, BuildWorkers: buildWorkers}, Concurrency: concurrency}
+	}
+	wantReports, wantFiles := serve(widths(1, 1, 1))
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3; trial++ {
-		o := Options{Workers: rng.Intn(10) - 1, BuildWorkers: rng.Intn(10) - 1, Concurrency: rng.Intn(10) - 1}
-		t.Logf("trial %d: workers=%d build-workers=%d concurrency=%d", trial, o.Workers, o.BuildWorkers, o.Concurrency)
+		o := widths(rng.Intn(10)-1, rng.Intn(10)-1, rng.Intn(10)-1)
+		at := fmt.Sprintf("widths (%d, %d, %d)", o.Base.Workers, o.Base.BuildWorkers, o.Concurrency)
+		t.Logf("trial %d: %s", trial, at)
 		gotReports, gotFiles := serve(o)
 		if !reflect.DeepEqual(gotReports, wantReports) {
-			t.Fatalf("widths (%d, %d, %d): reports differ from the (1, 1, 1) run", o.Workers, o.BuildWorkers, o.Concurrency)
+			t.Fatalf("%s: reports differ from the (1, 1, 1) run", at)
 		}
 		for name, want := range wantFiles {
 			if !bytes.Equal(gotFiles[name], want) {
-				t.Fatalf("widths (%d, %d, %d): %s differs from the (1, 1, 1) build", o.Workers, o.BuildWorkers, o.Concurrency, name)
+				t.Fatalf("%s: %s differs from the (1, 1, 1) build", at, name)
 			}
 		}
 	}
@@ -254,10 +271,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestSelectAllDeterministicAndOrdered(t *testing.T) {
 	s := newTestService(t, Options{})
-	targets, err := s.Targets(context.Background(), datahub.TaskNLP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	targets := nlpTargets(t)
 	a, err := selectAll(context.Background(), s, targets...)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +320,7 @@ func TestPanickingSelectionCostsOneTarget(t *testing.T) {
 		strategy    core.Strategy
 	}{{1, core.StrategyTwoPhase}, {2, core.StrategyLSQ}} {
 		s := newTestService(t, Options{Concurrency: c.concurrency})
-		fw, err := s.Framework(context.Background(), datahub.TaskNLP)
+		fw, err := framework(context.Background(), s, datahub.TaskNLP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +348,7 @@ func TestPanickingSelectionCostsOneTarget(t *testing.T) {
 
 func TestSharedCostLedger(t *testing.T) {
 	s := newTestService(t, Options{})
-	results, err := selectAll(context.Background(), s)
+	results, err := selectAll(context.Background(), s, nlpTargets(t)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +371,7 @@ func TestSharedCostLedger(t *testing.T) {
 func TestPersistWritesWorldArtifactsOnly(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, Options{StoreDir: dir})
-	if _, err := s.Framework(context.Background(), datahub.TaskNLP); err != nil {
+	if _, err := framework(context.Background(), s, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PersistErr(); err != nil {

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +31,7 @@ type peerCounters struct {
 }
 
 // attempter is the fleet tier's one "try again elsewhere" policy, shared
-// by the Router (select, targets) and the artifact fetcher. walk is its
+// by the Router's select and the artifact fetcher. walk is its
 // only entry point: candidates in order, health gate, per-attempt
 // timeout, and on failure the owner's classifier decides stop / next /
 // next-and-charge. What a failed attempt costs — the peer's failure
@@ -83,6 +84,8 @@ func walk[T any](ctx context.Context, a *attempter, candidates []string,
 	for i, peer := range admitted {
 		if i > 0 {
 			atomic.AddInt64(&a.failovers, 1)
+			slog.Warn("shard.failover", slog.String("from", admitted[i-1]), slog.String("to", peer),
+				slog.Int("attempt", i+1), slog.String("code", api.Code(last)))
 		}
 		got, v, failure := try(ctx, a, peer, call)
 		if failure == nil {

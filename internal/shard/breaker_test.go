@@ -61,9 +61,10 @@ func stateOf(t *testing.T, r *Router, node string) peerStatus {
 // failures open one, open means skipped (the backend stops seeing
 // requests while failover keeps serving), a fully-open owner set refuses
 // with a typed unavailability, and the probe loop closes recovered
-// backends. Each transition is one record in the log, in order.
+// backends. Each transition and each failover is one record in the log,
+// in order.
 func TestRouterBreakerLifecycle(t *testing.T) {
-	events := capturePeerEvents(t)
+	events := captureShardEvents(t)
 	r, backends := newUnprobedFleet(t, 2, RouterOptions{
 		Replicas: 2,
 		Seed:     42,
@@ -153,18 +154,22 @@ func TestRouterBreakerLifecycle(t *testing.T) {
 		t.Fatalf("post-recovery request failed: %v", err)
 	}
 
-	// The log tells the same story, one record per transition: the two
-	// opens in traffic order, then the two probe closes in either order.
+	// The log tells the same story, one record per transition and per
+	// failover: phase 1's two failovers around the primary's open, the
+	// secondary's open, then the two probe closes in either order.
 	got := events()
+	failover := "failover " + owners[0] + " -> " + owners[1] + " attempt=2 code=unavailable"
 	want := []string{
+		failover,
 		"open " + owners[0] + " fails=2 cause=attempt",
+		failover,
 		"open " + owners[1] + " fails=2 cause=attempt",
 		"closed " + owners[0] + " by=probe",
 		"closed " + owners[1] + " by=probe",
 	}
 	if len(got) == len(want) {
-		slices.Sort(got[2:])
-		slices.Sort(want[2:])
+		slices.Sort(got[4:])
+		slices.Sort(want[4:])
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("transition records:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

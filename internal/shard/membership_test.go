@@ -89,11 +89,12 @@ func (b *lockedBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
-// capturePeerEvents logs through api.LogJSON into a buffer for the rest of
-// the test and returns a reader of the shard.peer_* records so far, each
-// rendered "open <peer> fails=<n> cause=<cause>" or "closed <peer>
-// by=<by>" — the records an operator (and the chaos log) sees.
-func capturePeerEvents(t *testing.T) func() []string {
+// captureShardEvents logs through api.LogJSON into a buffer for the rest of
+// the test and returns a reader of the shard.peer_* and shard.failover
+// records so far, each rendered "open <peer> fails=<n> cause=<cause>",
+// "closed <peer> by=<by>" or "failover <from> -> <to> attempt=<n>
+// code=<code>" — the records an operator (and the chaos log) sees.
+func captureShardEvents(t *testing.T) func() []string {
 	t.Helper()
 	prev := slog.Default()
 	t.Cleanup(func() { slog.SetDefault(prev) })
@@ -105,8 +106,8 @@ func capturePeerEvents(t *testing.T) func() []string {
 		var events []string
 		for _, line := range strings.Split(strings.TrimSpace(out.buf.String()), "\n") {
 			var rec struct {
-				Event, Peer, Cause, By string
-				Fails                  int
+				Event, Peer, Cause, By, From, To, Code string
+				Fails, Attempt                         int
 			}
 			if line == "" {
 				continue
@@ -119,6 +120,8 @@ func capturePeerEvents(t *testing.T) func() []string {
 				events = append(events, fmt.Sprintf("open %s fails=%d cause=%s", rec.Peer, rec.Fails, rec.Cause))
 			case "shard.peer_closed":
 				events = append(events, fmt.Sprintf("closed %s by=%s", rec.Peer, rec.By))
+			case "shard.failover":
+				events = append(events, fmt.Sprintf("failover %s -> %s attempt=%d code=%s", rec.From, rec.To, rec.Attempt, rec.Code))
 			}
 		}
 		return events
@@ -173,7 +176,7 @@ func TestPeerMachine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			events := capturePeerEvents(t)
+			events := captureShardEvents(t)
 			m := newMembership([]string{"n"}, nil, time.Hour, 0)
 			clk := freezeClock(m)
 			for i, s := range tc.steps {

@@ -12,7 +12,7 @@
 // reports — failover is invisible to clients.
 //
 // Everything that asks a peer and may have to ask another — the router's
-// select and targets forwarding, the backends' artifact fetcher — goes
+// select forwarding, the backends' artifact fetcher — goes
 // through one attempt loop (walk, in attempt.go): candidates in order,
 // health gate, per-attempt timeout, and a per-owner classifier that
 // rules stop / next / next-and-charge on each failure.
@@ -28,10 +28,11 @@ import (
 	"twophase/internal/lifecycle"
 )
 
-// DefaultVNodes is the virtual-node count per backend when Ring callers
-// leave it unset. More vnodes smooth the key distribution at the price of
-// a larger ring table; 64 keeps the imbalance under a few percent for
-// small fleets.
+// DefaultVNodes is the virtual-node count per backend. The gateway's ring
+// and every backend's ring use it, so routing and warm / fetch ownership
+// agree without a flag to keep in step. More vnodes smooth the key
+// distribution at the price of a larger ring table; 64 keeps the imbalance
+// under a few percent for small fleets.
 const DefaultVNodes = 64
 
 // RouteKey names the routing key of one framework world. It is exactly

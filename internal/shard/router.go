@@ -31,9 +31,6 @@ type RouterOptions struct {
 	// clamped to the backend count). Failover never leaves the owner set:
 	// a key's worlds are only ever built on its replicas.
 	Replicas int
-	// VNodes is the virtual-node count per backend on the ring
-	// (0 = DefaultVNodes).
-	VNodes int
 	// Seed is the routing seed for requests that do not override one. It
 	// must match the backends' -seed so the gateway routes a defaulted
 	// request to the world the backend will actually serve. It also seeds
@@ -46,10 +43,10 @@ type RouterOptions struct {
 	// http.DefaultClient). It must not impose a global timeout shorter
 	// than a cold offline build.
 	HTTPClient *http.Client
-	// AttemptTimeout bounds each individual forwarded select/targets
-	// attempt, distinct from the request's own deadline: a hung backend
-	// costs one attempt timeout and a failover, not the whole deadline_ms.
-	// 0 leaves attempts bounded only by the caller's context.
+	// AttemptTimeout bounds each individual forwarded select attempt,
+	// distinct from the request's own deadline: a hung backend costs one
+	// attempt timeout and a failover, not the whole deadline_ms. 0 leaves
+	// attempts bounded only by the caller's context.
 	AttemptTimeout time.Duration
 }
 
@@ -60,10 +57,12 @@ type RouterOptions struct {
 // dead or failing backend fails over to the next replica. Router
 // implements api.API, so the gateway serves the exact v1 contract of a
 // single backend — clients cannot tell the difference (except for the
-// per-target "backend" field reporting who served them).
+// per-target "backend" field reporting who served them). The target
+// catalog is not forwarded at all: every v1 handler answers it from the
+// registry.
 type Router struct {
 	// attempter is the failover/health/timeout policy and its routing
-	// counters; Select and Targets both go through walk.
+	// counters; Select goes through walk.
 	attempter
 	ring    *Ring
 	clients map[string]*api.Client
@@ -79,7 +78,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if opts.Replicas > len(opts.Backends) {
 		opts.Replicas = len(opts.Backends)
 	}
-	ring, err := NewRing(opts.Backends, opts.VNodes)
+	// Every backend builds its ring with DefaultVNodes too: the gateway's
+	// routing and the backends' warm / fetch ownership must agree.
+	ring, err := NewRing(opts.Backends, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -304,21 +305,6 @@ func deleteAt(s []string, i int) []string {
 	out := make([]string, 0, len(s)-1)
 	out = append(out, s[:i]...)
 	return append(out, s[i+1:]...)
-}
-
-// Targets implements api.API by forwarding to the task's owner set with
-// failover: the catalog is deterministic in (task, seed), so any owner
-// answers identically.
-func (r *Router) Targets(ctx context.Context, task string) (*api.TargetsResponse, error) {
-	if task == "" {
-		return nil, fmt.Errorf("%w: missing task", api.ErrBadRequest)
-	}
-	owners, _ := r.health.liveFirst(r.Owners(task, r.opts.Seed))
-	resp, _, err := walk(ctx, &r.attempter, owners,
-		func(ctx context.Context, node string) (*api.TargetsResponse, error) {
-			return r.clients[node].Targets(ctx, task)
-		})
-	return resp, err
 }
 
 // Stats implements api.API: fleet-wide sums at the top level plus the

@@ -2,15 +2,18 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"twophase/internal/api"
+	"twophase/internal/datahub"
 )
 
 // stubBackend is a scriptable api.API served over a real httptest server
@@ -78,10 +81,6 @@ func (b *stubBackend) Select(ctx context.Context, req *api.SelectRequest) (*api.
 		resp.Results = resp.Results[:len(resp.Results)-1]
 	}
 	return resp, nil
-}
-
-func (b *stubBackend) Targets(ctx context.Context, task string) (*api.TargetsResponse, error) {
-	return &api.TargetsResponse{APIVersion: api.Version, Task: task, Targets: []string{"t0", "t1"}}, nil
 }
 
 func (b *stubBackend) Stats(ctx context.Context) (*api.Stats, error) {
@@ -362,21 +361,12 @@ func TestRouterValidation(t *testing.T) {
 			t.Fatalf("req %+v: err = %v", req, err)
 		}
 	}
-	if _, err := r.Targets(context.Background(), ""); !errors.Is(err, api.ErrBadRequest) {
-		t.Fatal("empty task accepted")
-	}
 }
 
-// TestRouterTargetsAndStats: catalog proxying and fleet stat aggregation.
+// TestRouterTargetsAndStats: fleet stat aggregation, and a catalog the
+// gateway answers from the registry — still with every backend down.
 func TestRouterTargetsAndStats(t *testing.T) {
 	r, backends := newStubFleet(t, 3, RouterOptions{Replicas: 2, Seed: 42})
-	tg, err := r.Targets(context.Background(), "nlp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tg.Targets) != 2 || tg.APIVersion != api.Version {
-		t.Fatalf("targets: %+v", tg)
-	}
 	st, err := r.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +384,30 @@ func TestRouterTargetsAndStats(t *testing.T) {
 	for _, bs := range g.BackendStats {
 		if bs.Instance == "" || !bs.Alive || bs.Stats == nil {
 			t.Fatalf("backend stat incomplete: %+v", bs)
+		}
+	}
+
+	gw := httptest.NewServer(api.NewHandlerWith(r, api.HandlerOptions{}))
+	defer gw.Close()
+	for _, b := range backends {
+		b.srv.Close()
+	}
+	res, err := http.Get(gw.URL + "/v1/tasks/nlp/targets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var tg api.TargetsResponse
+	if err := json.NewDecoder(res.Body).Decode(&tg); err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("targets with the fleet down: status %d, %v", res.StatusCode, err)
+	}
+	want, _ := datahub.TargetNames("nlp")
+	if tg.APIVersion != api.Version || !reflect.DeepEqual(tg.Targets, want) {
+		t.Fatalf("targets: %+v, want %v", tg, want)
+	}
+	for node, c := range r.counters {
+		if n := atomic.LoadInt64(&c.requests); n != 0 {
+			t.Fatalf("listing sent %d requests to %s", n, node)
 		}
 	}
 }
