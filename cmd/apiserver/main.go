@@ -27,11 +27,11 @@
 //	                     share this budget (0 = one per CPU; 1 = serial
 //	                     builds; output is bit-identical either way)
 //	-concurrency N       concurrent selections per batch (0 = one per CPU)
-//	-cache-size N        max resident frameworks, LRU-evicted beyond it
-//	                     (0 = unbounded); the last good framework of up
-//	                     to max(8, 2N) worlds also stays reachable for
-//	                     degraded serving, so eviction frees memory only
-//	                     past that many worlds
+//	-cache-size N        max resident frameworks (0 = unbounded); beyond
+//	                     it the LRU world is demoted to a fallback that
+//	                     serves degraded if its rebuild fails, and the
+//	                     LRU fallbacks are dropped past max(8, 2N) worlds,
+//	                     so eviction frees memory only past that many
 //	-warm SPEC           pre-build worlds before reporting ready, e.g.
 //	                     "nlp" or "nlp,cv:7" (task at the base seed, or
 //	                     task:seed); healthz answers 503 until done; with
@@ -132,7 +132,7 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "per-round training workers (0 = one per CPU)")
 	flag.IntVar(&cfg.buildWorkers, "build-workers", 0, "offline-build parallelism (0 = one per CPU, 1 = serial)")
 	flag.IntVar(&cfg.concurrency, "concurrency", 0, "concurrent selections per batch (0 = one per CPU)")
-	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "max resident frameworks, LRU-evicted beyond it (0 = unbounded); up to max(8, 2N) last good frameworks stay reachable for degraded serving")
+	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "max resident frameworks (0 = unbounded); beyond it LRU worlds become fallbacks for degraded serving, dropped past max(8, 2N) worlds")
 	flag.StringVar(&cfg.warmSpec, "warm", "", `worlds to pre-build before reporting ready, e.g. "nlp,cv:7"`)
 	flag.StringVar(&cfg.backends, "backends", "", "fleet backend base URLs (comma-separated, same list as the gateway)")
 	flag.StringVar(&cfg.self, "self", "", "this backend's entry in -backends")

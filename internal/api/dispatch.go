@@ -141,9 +141,7 @@ func (d *Dispatcher) Stats(context.Context) (*Stats, error) {
 		st.PersistDegraded = true
 		st.PersistError = err.Error()
 	}
-	deg := d.svc.DegradedStats()
-	st.DegradedWorlds = deg.Worlds
-	st.DegradedServes = deg.Serves
+	st.DegradedWorlds, st.DegradedServes = d.svc.Degraded()
 	st.Panics = d.svc.Panics()
 	if d.svc.Store() != nil {
 		a := d.svc.ArtifactStats()

@@ -140,9 +140,10 @@ type TargetResult struct {
 	// set only by the sharding gateway (from the backend's X-Instance-Id
 	// response header) so clients and tests can assert routing.
 	Backend string `json:"backend,omitempty"`
-	// Degraded reports that this target was served from a fingerprint-valid
-	// older world snapshot because a rebuild or fetch failed: the winner is
-	// real but may lag the freshest artifacts. The degraded_worlds gauge on
+	// Degraded reports that this target was served from the world's
+	// lifecycle fallback — the framework it had when a bounded cache
+	// evicted it — because its rebuild or fetch failed: the winner is real
+	// but may lag the freshest artifacts. The degraded_worlds gauge on
 	// /v1/stats stays up until a clean rebuild succeeds.
 	Degraded bool `json:"degraded,omitempty"`
 }
@@ -171,8 +172,8 @@ type SelectResponse struct {
 	// Truncated counts the Results entries whose selection stopped at the
 	// request budget (their partial cost is still in TotalEpochs).
 	Truncated int `json:"truncated,omitempty"`
-	// Degraded counts the Results entries served from an older world
-	// snapshot (see TargetResult.Degraded).
+	// Degraded counts the Results entries served from a lifecycle
+	// fallback (see TargetResult.Degraded).
 	Degraded int `json:"degraded,omitempty"`
 	// TotalEpochs is the summed cost of this request's per-target
 	// ledgers — not the service's cumulative spend, so reusing a warm
@@ -210,9 +211,10 @@ type Stats struct {
 	// (each one answered as a typed internal error while serving
 	// continued). On a gateway the count includes backend panics.
 	Panics int64 `json:"panics,omitempty"`
-	// DegradedWorlds gauges (task, seed) worlds currently served from an
-	// older snapshot because their latest rebuild or fetch failed;
-	// DegradedServes counts selections answered from such snapshots.
+	// DegradedWorlds gauges (task, seed) worlds currently served from
+	// their lifecycle fallback because their latest rebuild or fetch
+	// failed; DegradedServes counts the failed rebuilds answered that way
+	// (one per rebuild, however many requests shared it).
 	DegradedWorlds int   `json:"degraded_worlds,omitempty"`
 	DegradedServes int64 `json:"degraded_serves,omitempty"`
 	// FaultFires reports fired injected faults per "site:action" when this

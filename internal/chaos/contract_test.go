@@ -251,11 +251,10 @@ func TestInjectedFaultsStayTyped(t *testing.T) {
 }
 
 // TestDegradedServingHealsAfterDrain drives the degraded-serving loop in
-// process: a world whose rebuild fails while a last-known-good snapshot
-// exists is served degraded (flagged on the result, counted on stats)
-// instead of refused — and because the lifecycle never caches a degraded
-// framework, the first clean request after the schedule drains rebuilds
-// and clears the mark.
+// process: an evicted world whose rebuild fails is served from its
+// lifecycle fallback, degraded (flagged on the result, counted on stats)
+// instead of refused — and because the entry stays a fallback, the first
+// clean request after the schedule drains rebuilds and clears the mark.
 func TestDegradedServingHealsAfterDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two real worlds")
@@ -274,8 +273,8 @@ func TestDegradedServingHealsAfterDrain(t *testing.T) {
 	}
 	disp := api.NewDispatcher(svc, chaosSeed)
 
-	// Serve nlp cleanly (snapshotting it as last known good), then evict
-	// it from the single cache slot by serving cv.
+	// Serve nlp cleanly, then evict it from the single cache slot — to a
+	// fallback — by serving cv.
 	if _, err := disp.Select(ctx, chaosReq()); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestDegradedServingHealsAfterDrain(t *testing.T) {
 	}
 
 	// Arm a read fault: the evicted nlp world's reload dies in the store,
-	// and the snapshot steps in.
+	// and the fallback steps in.
 	if err := faultinject.Enable("seed=9;store.read:err#2"); err != nil {
 		t.Fatal(err)
 	}

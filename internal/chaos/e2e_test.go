@@ -431,7 +431,9 @@ func stormPass(t *testing.T, f *fleet, baseline map[worldKey]api.SelectResponse,
 			t.Fatalf("storm %s: success diverged from fault-free baseline:\n%+v\nvs\n%+v", k, got, baseline[k])
 		}
 		if resp.Results[0].Degraded {
-			clog.Event("storm %s: served degraded (bit-identical)", k)
+			// Storm backends run unbounded caches, which never demote a
+			// world to a fallback: nothing can be served degraded.
+			t.Fatalf("storm %s: served degraded from an unbounded cache: %+v", k, resp)
 		}
 	}
 	return failed

@@ -77,12 +77,6 @@ type Framework struct {
 	// persisted artifact or recomputed the stage.
 	Stages Stages
 
-	// Degraded marks a framework served from an older snapshot because the
-	// world's latest rebuild or fetch failed. The serving layer sets it on
-	// a copy, surfaces it per response, and never caches a degraded
-	// framework — the next request retries a clean resolution.
-	Degraded bool
-
 	// offline caches the target-independent coarse-recall artifacts
 	// (performance vectors, clustering, representatives) so serving many
 	// targets does not re-cluster the repository per request.

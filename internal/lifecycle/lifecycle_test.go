@@ -1,9 +1,13 @@
 package lifecycle
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,7 +227,7 @@ func TestWaiterCancel(t *testing.T) {
 	}()
 	// Wait until the builder owns the cell, then join as a waiter with a
 	// context we cancel mid-wait.
-	for m.Len() == 0 {
+	for m.Stats().Resident == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -353,12 +357,252 @@ func TestConcurrencyHammerSize1(t *testing.T) {
 	if st.Hits+st.Misses != total {
 		t.Fatalf("hits %d + misses %d != %d gets", st.Hits, st.Misses, total)
 	}
+	// Every miss's build finished, and (InUse above) no resident entry
+	// holds a ref.
 	if st.Builds != st.Misses || st.BuildFailures != 0 {
 		t.Fatalf("build accounting off: %+v", st)
 	}
-	for _, e := range m.Entries() {
-		if e.Refs != 0 || !e.Built {
-			t.Fatalf("entry %v left refs=%d built=%v", e.Key, e.Refs, e.Built)
+}
+
+// demoted builds A and then B into a size-1 cache, leaving B resident and
+// A demoted to a fallback. It returns A's framework.
+func demoted(t *testing.T, m *Manager) *core.Framework {
+	t.Helper()
+	hA := mustGet(t, m, keyA)
+	fwA := hA.Framework()
+	hA.Release()
+	mustGet(t, m, keyB).Release()
+	if st := m.Stats(); st.Resident != 1 || st.Evictions != 1 {
+		t.Fatalf("stats after evicting A: %+v", st)
+	}
+	return fwA
+}
+
+// TestEvictionDemotesToFallback: an evicted world keeps its framework. A
+// Get on it rebuilds (a miss); when that rebuild fails the caller is
+// served the very framework built before the eviction, marked degraded.
+func TestEvictionDemotesToFallback(t *testing.T) {
+	b := newFakeBuilder()
+	m := newTestManager(t, 1, b)
+	fwA := demoted(t, m)
+	boom := errors.New("boom")
+	b.fail = func(Key) error { return boom }
+	h, err := m.Get(context.Background(), keyA)
+	if err != nil {
+		t.Fatalf("demoted world refused instead of served from its fallback: %v", err)
+	}
+	defer h.Release()
+	if h.Framework() != fwA || !h.Degraded() {
+		t.Fatalf("fallback handle: framework kept %v, degraded %v", h.Framework() == fwA, h.Degraded())
+	}
+	if got := b.count(keyA); got != 2 {
+		t.Fatalf("A built %d times, want 2 (build, failed rebuild)", got)
+	}
+	if st := m.Stats(); st.Misses != 3 || st.Builds != 2 || st.BuildFailures != 1 {
+		t.Fatalf("a failed rebuild is a miss and a build failure: %+v", st)
+	}
+}
+
+// TestFailedRebuildServesEveryWaiterDegraded: every caller sharing a failed
+// rebuild's singleflight cell gets a Degraded handle on the fallback; the
+// entry is not promoted (B stays the one resident world, the next Get on A
+// rebuilds again) and the degraded gauge reads 1 — also while that next
+// rebuild is in flight — until a clean rebuild brings it back to 0.
+func TestFailedRebuildServesEveryWaiterDegraded(t *testing.T) {
+	b := newFakeBuilder()
+	m := newTestManager(t, 1, b)
+	fwA := demoted(t, m)
+	gate := make(chan struct{})
+	boom := errors.New("boom")
+	b.fail = func(k Key) error {
+		if k != keyA {
+			return nil
+		}
+		<-gate
+		return boom
+	}
+	const callers = 6
+	before := m.Stats()
+	handles := make(chan *Handle, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, err := m.Get(context.Background(), keyA)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			handles <- h
+		}()
+	}
+	// One caller builds, the rest join its cell as hits.
+	for st := m.Stats(); st.Hits != before.Hits+callers-1 || st.Misses != before.Misses+1; st = m.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	close(handles)
+	for h := range handles {
+		if h.Framework() != fwA || !h.Degraded() {
+			t.Fatalf("waiter handle: framework kept %v, degraded %v", h.Framework() == fwA, h.Degraded())
+		}
+		h.Release()
+	}
+	if got := b.count(keyA); got != 2 {
+		t.Fatalf("A built %d times for %d callers, want 2 (one shared rebuild)", got, callers)
+	}
+	st := m.Stats()
+	if st.Resident != 1 || st.Evictions != 1 || st.BuildFailures != 1 || st.InUse != 0 {
+		t.Fatalf("failed rebuild promoted A or demoted B: %+v", st)
+	}
+	if worlds, serves := m.Degraded(); worlds != 1 || serves != 1 {
+		t.Fatalf("degraded gauges = worlds %d serves %d, want 1 / 1", worlds, serves)
+	}
+	mustGet(t, m, keyB).Release() // still resident: a hit, no build
+	if got := b.count(keyB); got != 1 {
+		t.Fatalf("B built %d times, want 1", got)
+	}
+
+	// The next Get on A rebuilds; the world stays degraded until it lands.
+	gate = make(chan struct{})
+	b.fail = func(k Key) error {
+		if k == keyA {
+			<-gate
+		}
+		return nil
+	}
+	healed := make(chan *Handle)
+	go func() {
+		h, err := m.Get(context.Background(), keyA)
+		if err != nil {
+			t.Error(err)
+		}
+		healed <- h
+	}()
+	for m.Stats().Misses != st.Misses+1 {
+		time.Sleep(time.Millisecond)
+	}
+	if worlds, _ := m.Degraded(); worlds != 1 {
+		t.Fatalf("degraded world gauge dropped to %d while its rebuild is in flight", worlds)
+	}
+	close(gate)
+	h := <-healed
+	if h == nil {
+		t.FailNow()
+	}
+	if h.Framework() == fwA || h.Degraded() {
+		t.Fatalf("clean rebuild served the fallback (degraded %v)", h.Degraded())
+	}
+	h.Release()
+	if worlds, serves := m.Degraded(); worlds != 0 || serves != 1 {
+		t.Fatalf("after a clean rebuild: degraded gauges = worlds %d serves %d, want 0 / 1", worlds, serves)
+	}
+	if st := m.Stats(); st.Resident != 1 || st.Evictions != 2 {
+		t.Fatalf("clean rebuild did not promote A over B: %+v", st)
+	}
+}
+
+// TestFallbackWindowIsBounded: ten worlds through a size-1 cache retain
+// max(8, 2·1) = 8 frameworks — one resident, seven fallbacks — and the
+// least recently used go first: A, rebuilt after the first eight, outlives
+// the worlds built after it.
+func TestFallbackWindowIsBounded(t *testing.T) {
+	b := newFakeBuilder()
+	m := newTestManager(t, 1, b)
+	keys := make([]Key, 10)
+	for i := range keys {
+		keys[i] = Key{Task: datahub.TaskNLP, Seed: uint64(100 + i)}
+	}
+	for _, k := range keys[:8] {
+		mustGet(t, m, k).Release()
+	}
+	mustGet(t, m, keys[0]).Release() // promote the oldest back to resident
+	for _, k := range keys[8:] {
+		mustGet(t, m, k).Release()
+	}
+	// The list now holds keys[0] and keys[3:]: keys[1] and keys[2] were
+	// the least recently used fallbacks when it passed 8 entries.
+	b.fail = func(Key) error { return errors.New("boom") }
+	retained := 0
+	for i, k := range keys {
+		h, err := m.Get(context.Background(), k)
+		if dropped := i == 1 || i == 2; dropped != (err != nil) {
+			t.Fatalf("world %d: err %v, dropped %v", i, err, dropped)
+		}
+		if err == nil {
+			retained++
+			h.Release()
+		}
+	}
+	if retained != 8 {
+		t.Fatalf("size-1 cache retained %d frameworks over 10 worlds, want 8", retained)
+	}
+}
+
+// TestUnboundedCacheHasNoFallback: capacity 0 never evicts, so every built
+// world stays resident, nothing is ever degraded, and a failed build
+// returns its error.
+func TestUnboundedCacheHasNoFallback(t *testing.T) {
+	b := newFakeBuilder()
+	m := newTestManager(t, 0, b)
+	for seed := uint64(0); seed < 10; seed++ {
+		mustGet(t, m, Key{Task: datahub.TaskNLP, Seed: seed}).Release()
+	}
+	boom := errors.New("boom")
+	b.fail = func(Key) error { return boom }
+	if _, err := m.Get(context.Background(), keyC); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if st := m.Stats(); st.Resident != 10 || st.Evictions != 0 || st.BuildFailures != 1 {
+		t.Fatalf("unbounded cache after 10 worlds and a failure: %+v", st)
+	}
+	if worlds, serves := m.Degraded(); worlds != 0 || serves != 0 {
+		t.Fatalf("unbounded cache degraded: worlds %d serves %d", worlds, serves)
+	}
+}
+
+// TestDegradedServeEvent: each failed rebuild answered from a fallback is
+// one lifecycle.degraded_serve record naming the world and the error,
+// however many callers share the rebuild.
+func TestDegradedServeEvent(t *testing.T) {
+	prev := slog.Default()
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	var out bytes.Buffer
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&out, nil)))
+
+	b := newFakeBuilder()
+	m := newTestManager(t, 1, b)
+	demoted(t, m)
+	b.fail = func(k Key) error {
+		if k == keyA {
+			return errors.New("store: read matrices/nlp-seed1.bin: injected")
+		}
+		return nil
+	}
+	for i := 0; i < 2; i++ {
+		if err := warmAll(m, []Key{keyA, keyA, keyA}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, serves := m.Degraded()
+	var recs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log record is not one JSON object: %v\n%s", err, line)
+		}
+		if rec["msg"] == "lifecycle.degraded_serve" {
+			recs = append(recs, rec)
+		}
+	}
+	if len(recs) < 2 || int64(len(recs)) != serves {
+		t.Fatalf("%d lifecycle.degraded_serve records for %d degraded serves", len(recs), serves)
+	}
+	for _, rec := range recs {
+		if rec["world"] != keyA.String() || rec["err"] != "store: read matrices/nlp-seed1.bin: injected" {
+			t.Fatalf("lifecycle.degraded_serve record %v", rec)
 		}
 	}
 }

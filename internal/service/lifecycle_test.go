@@ -145,9 +145,14 @@ func TestCacheEvictionUnderSeedChurn(t *testing.T) {
 	if st := s.CacheStats(); st.InUse != 0 {
 		t.Fatalf("leaked leases: %+v", st)
 	}
-	entries := s.mgr.Entries()
-	if len(entries) != 1 || entries[0].Key.Seed != s.opts.Base.Seed || entries[0].BuildDuration <= 0 {
-		t.Fatalf("cache entries after churn: %+v", entries)
+	// The one resident world is the base one: serving it again is a hit.
+	st = s.CacheStats()
+	if st.Resident != 1 || st.BuildMillis <= 0 {
+		t.Fatalf("cache after churn: %+v", st)
+	}
+	sel(nil)
+	if after := s.CacheStats(); after.Hits != st.Hits+1 || after.Misses != st.Misses {
+		t.Fatalf("base world not resident after churn: %+v, then %+v", st, after)
 	}
 }
 

@@ -7,7 +7,9 @@
 // exactly one offline build and an eviction never tears a framework out
 // from under an in-flight selection — and then serves online selections:
 // single targets, explicit batches, or the whole target catalog, fanned
-// out across a bounded concurrency budget.
+// out across a bounded concurrency budget. The manager is the one table of
+// built worlds: an evicted world whose rebuild fails is served from its
+// lifecycle fallback, and a Result says so in Degraded.
 //
 // The offline phase is a staged pipeline whose expensive stages persist
 // independently through the artifact store: the performance matrix and the
@@ -27,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,15 +125,7 @@ type Service struct {
 	fetchFailures  int64
 	fallbackBuilds int64
 
-	// Degraded-serving state: the last good framework per world, served
-	// with Degraded=true when a rebuild or fetch fails, so transient
-	// storage faults degrade answers instead of refusing them.
-	snapMu         sync.Mutex
-	snaps          map[lifecycle.Key]*core.Framework
-	snapOrder      []lifecycle.Key
-	degraded       map[lifecycle.Key]bool
-	degradedServes int64 // atomic
-	panics         int64 // selection-worker panics recovered (atomic)
+	panics int64 // selection-worker panics recovered (atomic)
 }
 
 // New creates a Service. The store directory, if configured, is created on
@@ -144,8 +137,6 @@ func New(opts Options) (*Service, error) {
 	s := &Service{
 		opts:     opts,
 		admitted: make(map[uint64]*seedAdmission),
-		snaps:    make(map[lifecycle.Key]*core.Framework),
-		degraded: make(map[lifecycle.Key]bool),
 	}
 	if opts.StoreDir != "" {
 		st, err := store.Open(opts.StoreDir)
@@ -188,92 +179,14 @@ func matrixKey(task string, seed uint64) string {
 	return lifecycle.Key{Task: task, Seed: seed}.String()
 }
 
-// load resolves a framework via loadWorld and layers degraded serving on
-// top: every clean resolution snapshots the framework as the world's last
-// known good state, and a failed resolution with a snapshot at hand
-// serves a copy marked Degraded=true instead of refusing — a transient
-// storage or build fault costs freshness, not availability. Degraded
-// frameworks are never cached by the lifecycle manager, so the next
-// request retries a clean rebuild; the first clean success clears the
-// world's degraded mark, which is how the fleet reconverges after a
-// fault schedule drains.
-func (s *Service) load(ctx context.Context, task string, seed uint64) (*core.Framework, error) {
-	key := lifecycle.Key{Task: task, Seed: seed}
-	fw, err := s.loadWorld(ctx, task, seed)
-	if err == nil {
-		s.saveSnapshot(key, fw)
-		return fw, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		// The caller walked away; nothing is wrong with the world.
-		return nil, err
-	}
-	s.snapMu.Lock()
-	snap := s.snaps[key]
-	if snap != nil {
-		s.degraded[key] = true
-	}
-	s.snapMu.Unlock()
-	if snap == nil {
-		return nil, err
-	}
-	atomic.AddInt64(&s.degradedServes, 1)
-	slog.Warn("service.degraded_serve", slog.String("world", key.String()), slog.Any("err", err))
-	// Shallow copy: the framework is immutable, only the flag differs.
-	deg := *snap
-	deg.Degraded = true
-	return &deg, nil
-}
-
-// saveSnapshot records a world's last known good framework (bounded FIFO
-// so degraded serving can't pin unbounded memory) and clears its degraded
-// mark — the world is healthy again.
-func (s *Service) saveSnapshot(key lifecycle.Key, fw *core.Framework) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	delete(s.degraded, key)
-	if _, ok := s.snaps[key]; !ok {
-		s.snapOrder = append(s.snapOrder, key)
-	}
-	s.snaps[key] = fw
-	// Keep snapshots for a few more worlds than the lifecycle cache holds:
-	// an evicted-then-failing world can still serve degraded. Unbounded
-	// caches (CacheSize 0) keep every snapshot — the world set is already
-	// bounded by the seed policy there.
-	bound := 2 * s.opts.CacheSize
-	if s.opts.CacheSize > 0 && bound < 8 {
-		bound = 8
-	}
-	if bound > 0 {
-		for len(s.snapOrder) > bound {
-			old := s.snapOrder[0]
-			s.snapOrder = s.snapOrder[1:]
-			delete(s.snaps, old)
-			delete(s.degraded, old)
-		}
-	}
-}
-
-// DegradedStats reports the degraded-serving state: how many worlds are
-// currently being served from older snapshots, and how many selections
-// have been answered that way since the process started.
-type DegradedStats struct {
-	Worlds int
-	Serves int64
-}
-
-// DegradedStats snapshots the degraded-serving gauges.
-func (s *Service) DegradedStats() DegradedStats {
-	s.snapMu.Lock()
-	worlds := len(s.degraded)
-	s.snapMu.Unlock()
-	return DegradedStats{Worlds: worlds, Serves: atomic.LoadInt64(&s.degradedServes)}
-}
+// Degraded reports the lifecycle manager's degraded-serving gauges: the
+// worlds served from their fallback and the failed rebuilds answered so.
+func (s *Service) Degraded() (worlds int, serves int64) { return s.mgr.Degraded() }
 
 // Panics counts selection-worker panics recovered by the service.
 func (s *Service) Panics() int64 { return atomic.LoadInt64(&s.panics) }
 
-// loadWorld resolves a framework through the artifact tiers: the local
+// load resolves a framework through the artifact tiers: the local
 // store first, then — when a fetcher is configured — the world's fleet
 // peers, and only then the offline build (whose artifacts persist for the
 // next process).
@@ -284,8 +197,9 @@ func (s *Service) Panics() int64 { return atomic.LoadInt64(&s.panics) }
 // artifact (ErrNotFound) consults peers, a corrupt one rebuilds locally
 // (the rewrite heals the store), and any other read failure — a transient
 // I/O or permission error — propagates instead of silently paying a
-// rebuild.
-func (s *Service) loadWorld(ctx context.Context, task string, seed uint64) (*core.Framework, error) {
+// rebuild. A failure is the lifecycle manager's to answer: from the
+// world's fallback when it has one, with the error otherwise.
+func (s *Service) load(ctx context.Context, task string, seed uint64) (*core.Framework, error) {
 	opts := s.opts.Base
 	opts.Task = task
 	opts.Seed = seed
@@ -510,8 +424,8 @@ type Result struct {
 	Target string
 	Report *core.Report
 	Err    error
-	// Degraded reports that this target was served from an older world
-	// snapshot because the latest rebuild or fetch failed.
+	// Degraded reports that this target was served from the world's
+	// lifecycle fallback because the latest rebuild or fetch failed.
 	Degraded bool
 }
 
@@ -589,7 +503,7 @@ func (s *Service) Do(ctx context.Context, req Request) ([]Result, error) {
 			return err
 		}
 		s.cost.Add(report.Ledger)
-		results[i].Report, results[i].Degraded = report, fw.Degraded
+		results[i].Report, results[i].Degraded = report, h.Degraded()
 		return nil
 	})
 	for i, name := range req.Targets {

@@ -278,6 +278,9 @@ func (r *Router) Select(ctx context.Context, req *api.SelectRequest) (*api.Selec
 			if tr.Truncated {
 				out.Truncated++
 			}
+			if tr.Degraded {
+				out.Degraded++
+			}
 		}
 		out.TotalEpochs += g.resp.TotalEpochs
 		// Dedupe the lifetime counter by node URL — unique by ring

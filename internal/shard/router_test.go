@@ -76,6 +76,10 @@ func (b *stubBackend) Select(ctx context.Context, req *api.SelectRequest) (*api.
 		}
 		resp.Results[i] = api.TargetResult{Target: tgt, Winner: "winner-for-" + tgt, Epochs: b.epochsPerTarget}
 		resp.TotalEpochs += b.epochsPerTarget
+		if tgt == "degraded" { // served from the world's fallback
+			resp.Results[i].Degraded = true
+			resp.Degraded++
+		}
 	}
 	if b.truncate.Load() && len(resp.Results) > 0 {
 		resp.Results = resp.Results[:len(resp.Results)-1]
@@ -188,6 +192,24 @@ func TestRouterScatterGather(t *testing.T) {
 		if !ownerInstances[b.instance] && atomic.LoadInt64(&b.selects) != 0 {
 			t.Fatalf("non-owner %s served %d selects", b.instance, b.selects)
 		}
+	}
+}
+
+// TestRouterCountsDegradedResults: a backend result served degraded keeps
+// its flag through the gather and counts in the merged top-level degraded,
+// the way failed and truncated results count.
+func TestRouterCountsDegradedResults(t *testing.T) {
+	r, _ := newStubFleet(t, 3, RouterOptions{Replicas: 2, Seed: 42})
+	targets := []string{"t0", "degraded", "t2", "t3"}
+	resp, err := r.Select(context.Background(), &api.SelectRequest{Task: "nlp", Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Failed != 0 || !resp.Results[1].Degraded {
+		t.Fatalf("merged response: %+v", resp)
+	}
+	if resp.Degraded != 1 {
+		t.Fatalf("top-level degraded = %d with one degraded result: %+v", resp.Degraded, resp)
 	}
 }
 

@@ -19,10 +19,6 @@ import (
 // names (or, for a func, no file of another package), kept on purpose:
 // each is read by a test that pins live behaviour or says why it stays.
 // The list is exact — an entry that stops being needed fails the test too.
-// One more kept hook cannot appear here because the method rule is by bare
-// name: lifecycle.Manager.Entries (+ EntryStats), the cache residency
-// snapshot the lifecycle and service eviction tests assert on, is masked
-// by perfmatrix.Matrix's Entries field.
 var keptHooks = map[string]string{
 	"modelhub.CachedSplits":     "feature-cache residency after a select (TestCatalogSweepStaysResident, core.Build release check)",
 	"modelhub.SourceHeadPasses": "counts source-head passes: the hoist tests prove one pass per cached split",
