@@ -101,31 +101,65 @@ func TestGoldenSelectReports(t *testing.T) {
 				if err != nil {
 					t.Fatalf("select %s/%d/%s: %v", task, seed, strat, err)
 				}
-				got, err := json.MarshalIndent(renderGolden(report), "", " ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, '\n')
-				path := goldenPath(task, seed, strat)
-				if *updateGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden fixture %s (record with -update-golden): %v", path, err)
-				}
-				if string(got) != string(want) {
-					t.Errorf("%s/%d/%s: report diverges from the recorded slice-of-slices path\n%s",
-						task, seed, strat, firstDiff(string(want), string(got)))
-				}
+				checkGolden(t, report, goldenPath(task, seed, strat))
 			}
 		}
+	}
+}
+
+// TestGoldenZeroEpochSelectReports pins the max_epochs: 0 select — the
+// request a default loadgen run sends — across commits, as
+// TestGoldenSelectReports pins the unbudgeted one: the fine phase stops
+// before its first stage, so the two-phase winner is reported untrained
+// (winner_test is an untrained head's accuracy), the ensemble's members
+// vote with untrained heads, and recall's proxy scores are most of the
+// work.
+func TestGoldenZeroEpochSelectReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden suite builds full frameworks")
+	}
+	zero := 0
+	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+		fw, err := core.Build(core.Options{Task: task, Seed: 0, Sizes: goldenSizes})
+		if err != nil {
+			t.Fatalf("build %s/0: %v", task, err)
+		}
+		target := fw.Catalog.Targets()[0]
+		for _, strat := range []core.Strategy{core.StrategyTwoPhase, core.StrategyEnsemble} {
+			report, err := fw.SelectWith(context.Background(), target, core.SelectOptions{Strategy: strat, MaxEpochs: &zero})
+			if err != nil {
+				t.Fatalf("select %s/0/%s: %v", task, strat, err)
+			}
+			path := filepath.Join("testdata", fmt.Sprintf("golden_%s_seed0_%s_epochs0.json", task, strat))
+			checkGolden(t, report, path)
+		}
+	}
+}
+
+// checkGolden compares a report's rendering with the fixture at path, or
+// rewrites the fixture under -update-golden.
+func checkGolden(t *testing.T, report *core.Report, path string) {
+	t.Helper()
+	got, err := json.MarshalIndent(renderGolden(report), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture %s (record with -update-golden): %v", path, err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("%s: report diverges from the recorded fixture\n%s", path, firstDiff(string(want), string(got)))
 	}
 }
 

@@ -13,6 +13,11 @@
 // (modelhub.Model.FeatureFrame / SourceDistributions) while the split stays
 // cached. A score reads a prefix view of them and pays only for its own
 // statistics over (distributions, labels); the ledger charge is unchanged.
+//
+// Recall's default scorer, CalibratedLEEP, makes its real LEEP pass and
+// its two null passes in one sweep over the distributions (leepSweep),
+// bit for bit three separate passes; plain LEEP is the sweep's one-label
+// case.
 package proxy
 
 import (
@@ -49,128 +54,171 @@ type LEEP struct{}
 // Name implements Scorer.
 func (LEEP) Name() string { return "leep" }
 
-// Score implements Scorer.
+// Score implements Scorer: the one-label case of the LEEP sweep.
 func (LEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 	theta, ys, err := sourceSample(m, d)
 	if err != nil {
 		return 0, err
 	}
-	scratch := newLEEPScratch(d.Classes, m.SourceClasses)
-	return scratch.leep(theta, ys), nil
+	return leepSweep(theta, d.Classes, m.SourceClasses, [3][]int{ys})[0], nil
 }
 
-// CalibratedLEEP is LEEP minus its permutation-null baseline: the LEEP the
-// model would score on the same inputs with target labels shuffled. The
-// null term captures how much likelihood the model earns purely from the
-// capacity of its source label space (a 30-way head always builds a richer
-// empirical predictor than a binary one); subtracting it leaves the label
-// information — the transferability signal. This calibration is a
-// necessary adaptation of the paper's plain LEEP to a repository whose
-// source label spaces span 2-50 classes; the ablProxy experiment compares
-// the two.
-type CalibratedLEEP struct {
-	// Permutations is the number of label shuffles averaged into the
-	// null term; 0 means 2.
-	Permutations int
-}
+// CalibratedLEEP is LEEP minus its permutation-null baseline: the mean
+// LEEP the model scores on the same inputs over two shuffles of the target
+// labels. The null term captures how much likelihood the model earns
+// purely from the capacity of its source label space (a 30-way head always
+// builds a richer empirical predictor than a binary one); subtracting it
+// leaves the label information — the transferability signal. This
+// calibration is a necessary adaptation of the paper's plain LEEP to a
+// repository whose source label spaces span 2-50 classes; the ablProxy
+// experiment compares the two.
+type CalibratedLEEP struct{}
 
 // Name implements Scorer.
 func (CalibratedLEEP) Name() string { return "leep-calibrated" }
 
-// Score implements Scorer.
-func (c CalibratedLEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
+// Score implements Scorer. The real pass and both null passes are one
+// LEEP sweep over the source-head distributions.
+func (CalibratedLEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 	theta, ys, err := sourceSample(m, d)
 	if err != nil {
 		return 0, err
 	}
-	// One set of statistics scratch serves the real pass and every null
-	// pass: each pass rewrites all of it.
-	scratch := newLEEPScratch(d.Classes, m.SourceClasses)
-	real := scratch.leep(theta, ys)
-
-	perms := c.Permutations
-	if perms <= 0 {
-		perms = 2
-	}
-	shuffled := make([]int, len(ys))
-	copy(shuffled, ys)
-	var null float64
-	for p := 0; p < perms; p++ {
-		rng := numeric.NewNamedRNG(uint64(p), "leep-null", m.Name, d.Name)
+	// Null shuffle p draws from stream p of "leep-null" and permutes the
+	// labels as the one before it left them: the first shuffles the real
+	// labels, the second the first's order. n <= MaxExamples, so both fit
+	// the fixed buffers.
+	var buf [2][MaxExamples]int
+	labels := [3][]int{ys}
+	for p := range buf {
+		shuffled := buf[p][:len(ys)]
+		copy(shuffled, labels[p])
+		rng := numeric.NamedRNG(uint64(p), "leep-null", m.Name, d.Name)
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		null += scratch.leep(theta, shuffled)
+		labels[p+1] = shuffled
 	}
-	return real - null/float64(perms), nil
+	leep := leepSweep(theta, d.Classes, m.SourceClasses, labels)
+	// The mean compiles to a product by 0.5; converted like one, it cannot
+	// fuse with the subtraction.
+	return leep[0] - float64((leep[1]+leep[2])/2), nil
 }
 
-// leepScratch holds the statistics buffers of one LEEP evaluation: the
-// empirical joint P(y, z), the source marginal P(z) and the conditional
-// P(y|z), carved from one allocation.
-type leepScratch struct {
-	joint, cond numeric.Matrix // targetK x sourceK
-	marginal    []float64      // sourceK
-}
-
-func newLEEPScratch(targetK, sourceK int) leepScratch {
-	slab := make([]float64, (2*targetK+1)*sourceK)
-	cells := targetK * sourceK
-	return leepScratch{
-		joint:    numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[:cells]},
-		cond:     numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[cells : 2*cells]},
-		marginal: slab[2*cells:],
-	}
-}
-
-// leep computes the LEEP statistic given the source-head distributions
-// theta (one row per example) and target labels ys. Every call overwrites
-// the whole scratch, so one scratch serves any number of label
-// assignments over the same theta.
-func (s *leepScratch) leep(theta *numeric.Frame, ys []int) float64 {
+// leepSweep computes the LEEP statistic over the source-head distributions
+// theta (one row per example) for the label vector labels[0] and — unless
+// labels[1] and labels[2] are nil, as for plain LEEP — for labels[1] and
+// labels[2], CalibratedLEEP's null shuffles: three passes in one sweep
+// over theta, or one. A pass builds the empirical joint P(y, z) in its
+// table, the source marginal P(z), the conditional P(y|z) over the joint in
+// place, and returns the mean log-likelihood of the expected empirical
+// predictor, (1/n) sum_i log sum_z P(y_i|z) theta_i[z]. theta has at
+// least one row (sampleSize rejects an empty split).
+//
+// The passes share everything that does not depend on the labels: each
+// quotient theta_i[z] / n is formed once, the tables fill in one walk over
+// theta, each row's likelihoods are dot products on independent
+// accumulators, and all statistics come from one allocation. Every sum
+// adds the same operands in the same order as a pass of its own (the
+// per-pass form is the tests' oracle), so each result is bit-identical to
+// one.
+func leepSweep(theta *numeric.Frame, targetK, sourceK int, labels [3][]int) [3]float64 {
 	n := theta.N
-	if n == 0 {
-		return math.Inf(-1)
+	passes := 3
+	if labels[1] == nil {
+		passes = 1
 	}
-	targetK, sourceK := s.joint.Rows, s.joint.Cols
+	cells := targetK * sourceK
+	slab := make([]float64, passes*(cells+sourceK))
+	var tables [3]numeric.Matrix
+	var marginals [3][]float64
+	for p := 0; p < passes; p++ {
+		tables[p] = numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[p*cells : (p+1)*cells]}
+		marginals[p] = slab[passes*cells+p*sourceK : passes*cells+(p+1)*sourceK]
+	}
+	nf := float64(n)
+	y0, y1, y2 := labels[0], labels[1], labels[2]
+
 	// joint[y][z] = (1/n) sum_i theta_i[z] * 1{y_i = y}
-	clear(s.joint.Data)
 	for i := 0; i < n; i++ {
-		row := s.joint.Row(ys[i])
-		for z, p := range theta.Row(i) {
-			row[z] += p / float64(n)
-		}
-	}
-	// marginal over z and conditional P(y|z)
-	clear(s.marginal)
-	for y := 0; y < targetK; y++ {
-		for z, p := range s.joint.Row(y) {
-			s.marginal[z] += p
-		}
-	}
-	for y := 0; y < targetK; y++ {
-		for z := 0; z < sourceK; z++ {
-			c := 0.0
-			if s.marginal[z] > 0 {
-				c = s.joint.At(y, z) / s.marginal[z]
+		row := theta.Row(i)
+		j0 := tables[0].Row(y0[i])[:len(row)]
+		if passes == 1 {
+			for z, t := range row {
+				j0[z] += t / nf
 			}
-			s.cond.Set(y, z, c)
+			continue
+		}
+		j1 := tables[1].Row(y1[i])[:len(row)]
+		j2 := tables[2].Row(y2[i])[:len(row)]
+		for z, t := range row {
+			q := t / nf
+			j0[z] += q
+			j1[z] += q
+			j2[z] += q
 		}
 	}
+	for p := 0; p < passes; p++ {
+		condition(tables[p], marginals[p])
+	}
+
 	// LEEP = (1/n) sum_i log( sum_z P(y_i|z) theta_i[z] )
-	var total float64
+	var total [3]float64
 	for i := 0; i < n; i++ {
-		var p float64
-		row := s.cond.Row(ys[i])
-		for z, t := range theta.Row(i) {
-			p += float64(row[z] * t)
+		row := theta.Row(i)
+		c0 := tables[0].Row(y0[i])[:len(row)]
+		if passes == 1 {
+			var s0 float64
+			for z, t := range row {
+				s0 += float64(c0[z] * t)
+			}
+			total[0] += clampedLog(s0)
+			continue
 		}
-		if p < 1e-300 {
-			p = 1e-300
+		c1 := tables[1].Row(y1[i])[:len(row)]
+		c2 := tables[2].Row(y2[i])[:len(row)]
+		var s0, s1, s2 float64
+		for z, t := range row {
+			s0 += float64(c0[z] * t)
+			s1 += float64(c1[z] * t)
+			s2 += float64(c2[z] * t)
 		}
-		total += math.Log(p)
+		total[0] += clampedLog(s0)
+		total[1] += clampedLog(s1)
+		total[2] += clampedLog(s2)
 	}
-	return total / float64(n)
+	return [3]float64{total[0] / nf, total[1] / nf, total[2] / nf}
+}
+
+// condition rewrites a LEEP pass's joint table P(y, z) in place as the
+// conditional P(y|z), accumulating the source marginal P(z) (zeroed by the
+// caller) on the way; a source label no example puts mass on conditions
+// to 0.
+func condition(table numeric.Matrix, marginal []float64) {
+	for y := 0; y < table.Rows; y++ {
+		for z, p := range table.Row(y) {
+			marginal[z] += p
+		}
+	}
+	for y := 0; y < table.Rows; y++ {
+		row := table.Row(y)
+		for z, p := range row {
+			c := 0.0
+			if marginal[z] > 0 {
+				c = p / marginal[z]
+			}
+			row[z] = c
+		}
+	}
+}
+
+// clampedLog is one example's log-likelihood term, its probability
+// clamped away from 0 so a pass never sums a -Inf.
+func clampedLog(p float64) float64 {
+	if p < 1e-300 {
+		p = 1e-300
+	}
+	return math.Log(p)
 }
 
 // NCE is the negative conditional entropy score (Tran et al., 2019): it

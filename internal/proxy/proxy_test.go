@@ -7,6 +7,7 @@ import (
 
 	"twophase/internal/datahub"
 	"twophase/internal/modelhub"
+	"twophase/internal/numeric"
 	"twophase/internal/synth"
 )
 
@@ -226,4 +227,193 @@ func TestScorerNames(t *testing.T) {
 		}
 		names[n] = true
 	}
+}
+
+// leepScratch holds the statistics buffers of one LEEP evaluation: the
+// empirical joint P(y, z), the source marginal P(z) and the conditional
+// P(y|z), carved from one allocation. With its leep method it is the
+// per-pass LEEP that scored every pass before leepSweep, kept verbatim as
+// the sweep's oracle.
+type leepScratch struct {
+	joint, cond numeric.Matrix // targetK x sourceK
+	marginal    []float64      // sourceK
+}
+
+func newLEEPScratch(targetK, sourceK int) leepScratch {
+	slab := make([]float64, (2*targetK+1)*sourceK)
+	cells := targetK * sourceK
+	return leepScratch{
+		joint:    numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[:cells]},
+		cond:     numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[cells : 2*cells]},
+		marginal: slab[2*cells:],
+	}
+}
+
+// leep computes the LEEP statistic given the source-head distributions
+// theta (one row per example) and target labels ys. Every call overwrites
+// the whole scratch, so one scratch serves any number of label
+// assignments over the same theta.
+func (s *leepScratch) leep(theta *numeric.Frame, ys []int) float64 {
+	n := theta.N
+	if n == 0 {
+		return math.Inf(-1)
+	}
+	targetK, sourceK := s.joint.Rows, s.joint.Cols
+	// joint[y][z] = (1/n) sum_i theta_i[z] * 1{y_i = y}
+	clear(s.joint.Data)
+	for i := 0; i < n; i++ {
+		row := s.joint.Row(ys[i])
+		for z, p := range theta.Row(i) {
+			row[z] += p / float64(n)
+		}
+	}
+	// marginal over z and conditional P(y|z)
+	clear(s.marginal)
+	for y := 0; y < targetK; y++ {
+		for z, p := range s.joint.Row(y) {
+			s.marginal[z] += p
+		}
+	}
+	for y := 0; y < targetK; y++ {
+		for z := 0; z < sourceK; z++ {
+			c := 0.0
+			if s.marginal[z] > 0 {
+				c = s.joint.At(y, z) / s.marginal[z]
+			}
+			s.cond.Set(y, z, c)
+		}
+	}
+	// LEEP = (1/n) sum_i log( sum_z P(y_i|z) theta_i[z] )
+	var total float64
+	for i := 0; i < n; i++ {
+		var p float64
+		row := s.cond.Row(ys[i])
+		for z, t := range theta.Row(i) {
+			p += float64(row[z] * t)
+		}
+		if p < 1e-300 {
+			p = 1e-300
+		}
+		total += math.Log(p)
+	}
+	return total / float64(n)
+}
+
+// leepCase is one random input of the sweep: source-head rows theta and
+// three label vectors over the same examples.
+type leepCase struct {
+	theta            *numeric.Frame
+	targetK, sourceK int
+	labels           [3][]int
+}
+
+// randomLEEPCase draws an n-example case. Besides softmax-like rows it
+// plants what the catalog rarely or never produces: source columns no row
+// puts mass on (a zero marginal), all-zero rows and rows of subnormal mass,
+// whose likelihood falls under the 1e-300 clamp.
+func randomLEEPCase(rng *numeric.RNG, n, targetK, sourceK int) leepCase {
+	c := leepCase{theta: numeric.NewFrame(n, sourceK), targetK: targetK, sourceK: sourceK}
+	dead := make([]bool, sourceK)
+	for z := range dead {
+		dead[z] = rng.Intn(4) == 0
+	}
+	for i := 0; i < n; i++ {
+		row := c.theta.Row(i)
+		switch rng.Intn(8) {
+		case 0: // all zero
+		case 1: // subnormal mass on one live column
+			if z := rng.Intn(sourceK); !dead[z] {
+				row[z] = 1e-310 * (1 + rng.Float64())
+			}
+		default:
+			var sum float64
+			for z := range row {
+				if !dead[z] {
+					row[z] = math.Exp(3 * rng.Norm())
+					sum += row[z]
+				}
+			}
+			for z := range row {
+				if sum > 0 {
+					row[z] /= sum
+				}
+			}
+		}
+	}
+	for k := range c.labels {
+		c.labels[k] = make([]int, n)
+		for i := range c.labels[k] {
+			c.labels[k][i] = rng.Intn(targetK)
+		}
+	}
+	return c
+}
+
+// checkSweep requires the three-label sweep and the one-label sweep to
+// equal the per-pass oracle bit for bit. It reports whether the case
+// reached the zero-marginal branch and the 1e-300 clamp.
+func checkSweep(t *testing.T, c leepCase) (zeroMarginal, clamped bool) {
+	t.Helper()
+	oracle := newLEEPScratch(c.targetK, c.sourceK)
+	three := leepSweep(c.theta, c.targetK, c.sourceK, c.labels)
+	for k, ys := range c.labels {
+		if want := oracle.leep(c.theta, ys); math.Float64bits(three[k]) != math.Float64bits(want) {
+			t.Fatalf("n=%d targetK=%d sourceK=%d: sweep pass %d = %x, per-pass leep %x",
+				c.theta.N, c.targetK, c.sourceK, k, three[k], want)
+		}
+	}
+	ys := c.labels[0]
+	want := oracle.leep(c.theta, ys)
+	if one := leepSweep(c.theta, c.targetK, c.sourceK, [3][]int{ys})[0]; math.Float64bits(one) != math.Float64bits(want) {
+		t.Fatalf("n=%d targetK=%d sourceK=%d: one-label sweep = %x, per-pass leep %x",
+			c.theta.N, c.targetK, c.sourceK, one, want)
+	}
+	// The oracle's scratch now holds the real labels' statistics.
+	for _, m := range oracle.marginal {
+		zeroMarginal = zeroMarginal || m == 0
+	}
+	for i := 0; i < c.theta.N; i++ {
+		var p float64
+		for z, th := range c.theta.Row(i) {
+			p += float64(oracle.cond.At(ys[i], z) * th)
+		}
+		clamped = clamped || p < 1e-300
+	}
+	return zeroMarginal, clamped
+}
+
+// TestLEEPSweepMatchesPerPassLEEP: over seeded random shapes (n 1-200,
+// targetK 2-20, sourceK 2-50), the sweep's three passes and its one-label
+// case equal three independent per-pass leep calls bit for bit, with the
+// zero-marginal branch and the likelihood clamp both reached.
+func TestLEEPSweepMatchesPerPassLEEP(t *testing.T) {
+	rng := numeric.NewRNG(20)
+	var zeroMarginals, clamps int
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(MaxExamples)
+		targetK := 2 + rng.Intn(19)
+		sourceK := 2 + rng.Intn(49)
+		zero, clamped := checkSweep(t, randomLEEPCase(rng, n, targetK, sourceK))
+		if zero {
+			zeroMarginals++
+		}
+		if clamped {
+			clamps++
+		}
+	}
+	if zeroMarginals == 0 || clamps == 0 {
+		t.Fatalf("cases reached the zero marginal %d times and the clamp %d times, want both", zeroMarginals, clamps)
+	}
+}
+
+// FuzzLEEPSweep lets the fuzzer pick the seed and the shape of the sweep's
+// random case, folded into the property test's ranges.
+func FuzzLEEPSweep(f *testing.F) {
+	f.Add(uint64(0), uint8(1), uint8(2), uint8(2))
+	f.Add(uint64(7), uint8(199), uint8(18), uint8(48))
+	f.Add(uint64(42), uint8(60), uint8(3), uint8(30))
+	f.Fuzz(func(t *testing.T, seed uint64, n, targetK, sourceK uint8) {
+		c := randomLEEPCase(numeric.NewRNG(seed), 1+int(n)%MaxExamples, 2+int(targetK)%19, 2+int(sourceK)%49)
+		checkSweep(t, c)
+	})
 }

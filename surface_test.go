@@ -226,6 +226,7 @@ var fusedFree = []string{
 	"trainer.(*Run).fusedStep",
 	"numeric.(*Matrix).MulVec",
 	"numeric.mulFrame",
+	"proxy.leepSweep",
 }
 
 // fusedOp matches a scalar fused multiply-add as go tool objdump prints it
