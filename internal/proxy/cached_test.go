@@ -14,7 +14,10 @@ import (
 // source-head distributions moved into the model's feature cache: one
 // SourceProbsFrame pass over the sampled feature prefix per score, fresh
 // statistics buffers per LEEP pass. The cached path must reproduce them
-// bit for bit.
+// bit for bit. Like the scorers, they write every product that feeds an
+// add (or a subtraction) as float64(a*b), so no architecture fuses it and
+// they hold as oracles on arm64 too; referenceLEEP is also the LEEP
+// sweep's per-pass oracle.
 
 func referenceTheta(m *modelhub.Model, d *datahub.Dataset) (*numeric.Frame, []int) {
 	n := d.Train.Len()
@@ -55,7 +58,7 @@ func referenceLEEP(theta *numeric.Frame, ys []int, targetK, sourceK int) float64
 		var p float64
 		row := cond.Row(ys[i])
 		for z, t := range theta.Row(i) {
-			p += row[z] * t
+			p += float64(row[z] * t)
 		}
 		if p < 1e-300 {
 			p = 1e-300
@@ -78,7 +81,7 @@ func referenceCalibratedLEEP(m *modelhub.Model, d *datahub.Dataset) float64 {
 		})
 		null += referenceLEEP(theta, shuffled, d.Classes, m.SourceClasses)
 	}
-	return real - null/perms
+	return real - float64(null/perms)
 }
 
 func referenceNCE(m *modelhub.Model, d *datahub.Dataset) float64 {
@@ -99,7 +102,7 @@ func referenceNCE(m *modelhub.Model, d *datahub.Dataset) float64 {
 	for y := 0; y < d.Classes; y++ {
 		for z, p := range joint.Row(y) {
 			if p > 0 && marginal[z] > 0 {
-				nce += p * math.Log(p/marginal[z])
+				nce += float64(p * math.Log(p/marginal[z]))
 			}
 		}
 	}

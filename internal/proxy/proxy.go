@@ -16,8 +16,8 @@
 //
 // Recall's default scorer, CalibratedLEEP, makes its real LEEP pass and
 // its two null passes in one sweep over the distributions (leepSweep),
-// bit for bit three separate passes; plain LEEP is the sweep's one-label
-// case.
+// bit for bit three separate passes; plain LEEP is the real pass of the
+// same sweep.
 package proxy
 
 import (
@@ -54,13 +54,14 @@ type LEEP struct{}
 // Name implements Scorer.
 func (LEEP) Name() string { return "leep" }
 
-// Score implements Scorer: the one-label case of the LEEP sweep.
+// Score implements Scorer: the real pass of a LEEP sweep over the real
+// labels alone.
 func (LEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 	theta, ys, err := sourceSample(m, d)
 	if err != nil {
 		return 0, err
 	}
-	return leepSweep(theta, d.Classes, m.SourceClasses, [3][]int{ys})[0], nil
+	return leepSweep(theta, d.Classes, m.SourceClasses, [3][]int{ys, ys, ys})[0], nil
 }
 
 // CalibratedLEEP is LEEP minus its permutation-null baseline: the mean
@@ -106,14 +107,12 @@ func (CalibratedLEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, err
 }
 
 // leepSweep computes the LEEP statistic over the source-head distributions
-// theta (one row per example) for the label vector labels[0] and — unless
-// labels[1] and labels[2] are nil, as for plain LEEP — for labels[1] and
-// labels[2], CalibratedLEEP's null shuffles: three passes in one sweep
-// over theta, or one. A pass builds the empirical joint P(y, z) in its
-// table, the source marginal P(z), the conditional P(y|z) over the joint in
-// place, and returns the mean log-likelihood of the expected empirical
-// predictor, (1/n) sum_i log sum_z P(y_i|z) theta_i[z]. theta has at
-// least one row (sampleSize rejects an empty split).
+// theta (one row per example) for each of the three label vectors: three
+// passes in one sweep over theta. A pass builds the empirical joint
+// P(y, z) in its table, the source marginal P(z), the conditional P(y|z)
+// over the joint in place, and returns the mean log-likelihood of the
+// expected empirical predictor, (1/n) sum_i log sum_z P(y_i|z) theta_i[z].
+// theta has at least one row (sampleSize rejects an empty split).
 //
 // The passes share everything that does not depend on the labels: each
 // quotient theta_i[z] / n is formed once, the tables fill in one walk over
@@ -121,20 +120,16 @@ func (CalibratedLEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, err
 // accumulators, and all statistics come from one allocation. Every sum
 // adds the same operands in the same order as a pass of its own (the
 // per-pass form is the tests' oracle), so each result is bit-identical to
-// one.
+// one, whatever the other two label vectors are.
 func leepSweep(theta *numeric.Frame, targetK, sourceK int, labels [3][]int) [3]float64 {
 	n := theta.N
-	passes := 3
-	if labels[1] == nil {
-		passes = 1
-	}
 	cells := targetK * sourceK
-	slab := make([]float64, passes*(cells+sourceK))
+	slab := make([]float64, 3*(cells+sourceK))
 	var tables [3]numeric.Matrix
 	var marginals [3][]float64
-	for p := 0; p < passes; p++ {
+	for p := range tables {
 		tables[p] = numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[p*cells : (p+1)*cells]}
-		marginals[p] = slab[passes*cells+p*sourceK : passes*cells+(p+1)*sourceK]
+		marginals[p] = slab[3*cells+p*sourceK : 3*cells+(p+1)*sourceK]
 	}
 	nf := float64(n)
 	y0, y1, y2 := labels[0], labels[1], labels[2]
@@ -143,12 +138,6 @@ func leepSweep(theta *numeric.Frame, targetK, sourceK int, labels [3][]int) [3]f
 	for i := 0; i < n; i++ {
 		row := theta.Row(i)
 		j0 := tables[0].Row(y0[i])[:len(row)]
-		if passes == 1 {
-			for z, t := range row {
-				j0[z] += t / nf
-			}
-			continue
-		}
 		j1 := tables[1].Row(y1[i])[:len(row)]
 		j2 := tables[2].Row(y2[i])[:len(row)]
 		for z, t := range row {
@@ -158,7 +147,7 @@ func leepSweep(theta *numeric.Frame, targetK, sourceK int, labels [3][]int) [3]f
 			j2[z] += q
 		}
 	}
-	for p := 0; p < passes; p++ {
+	for p := range tables {
 		condition(tables[p], marginals[p])
 	}
 
@@ -167,14 +156,6 @@ func leepSweep(theta *numeric.Frame, targetK, sourceK int, labels [3][]int) [3]f
 	for i := 0; i < n; i++ {
 		row := theta.Row(i)
 		c0 := tables[0].Row(y0[i])[:len(row)]
-		if passes == 1 {
-			var s0 float64
-			for z, t := range row {
-				s0 += float64(c0[z] * t)
-			}
-			total[0] += clampedLog(s0)
-			continue
-		}
 		c1 := tables[1].Row(y1[i])[:len(row)]
 		c2 := tables[2].Row(y2[i])[:len(row)]
 		var s0, s1, s2 float64

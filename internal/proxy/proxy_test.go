@@ -229,76 +229,6 @@ func TestScorerNames(t *testing.T) {
 	}
 }
 
-// leepScratch holds the statistics buffers of one LEEP evaluation: the
-// empirical joint P(y, z), the source marginal P(z) and the conditional
-// P(y|z), carved from one allocation. With its leep method it is the
-// per-pass LEEP that scored every pass before leepSweep, kept verbatim as
-// the sweep's oracle.
-type leepScratch struct {
-	joint, cond numeric.Matrix // targetK x sourceK
-	marginal    []float64      // sourceK
-}
-
-func newLEEPScratch(targetK, sourceK int) leepScratch {
-	slab := make([]float64, (2*targetK+1)*sourceK)
-	cells := targetK * sourceK
-	return leepScratch{
-		joint:    numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[:cells]},
-		cond:     numeric.Matrix{Rows: targetK, Cols: sourceK, Data: slab[cells : 2*cells]},
-		marginal: slab[2*cells:],
-	}
-}
-
-// leep computes the LEEP statistic given the source-head distributions
-// theta (one row per example) and target labels ys. Every call overwrites
-// the whole scratch, so one scratch serves any number of label
-// assignments over the same theta.
-func (s *leepScratch) leep(theta *numeric.Frame, ys []int) float64 {
-	n := theta.N
-	if n == 0 {
-		return math.Inf(-1)
-	}
-	targetK, sourceK := s.joint.Rows, s.joint.Cols
-	// joint[y][z] = (1/n) sum_i theta_i[z] * 1{y_i = y}
-	clear(s.joint.Data)
-	for i := 0; i < n; i++ {
-		row := s.joint.Row(ys[i])
-		for z, p := range theta.Row(i) {
-			row[z] += p / float64(n)
-		}
-	}
-	// marginal over z and conditional P(y|z)
-	clear(s.marginal)
-	for y := 0; y < targetK; y++ {
-		for z, p := range s.joint.Row(y) {
-			s.marginal[z] += p
-		}
-	}
-	for y := 0; y < targetK; y++ {
-		for z := 0; z < sourceK; z++ {
-			c := 0.0
-			if s.marginal[z] > 0 {
-				c = s.joint.At(y, z) / s.marginal[z]
-			}
-			s.cond.Set(y, z, c)
-		}
-	}
-	// LEEP = (1/n) sum_i log( sum_z P(y_i|z) theta_i[z] )
-	var total float64
-	for i := 0; i < n; i++ {
-		var p float64
-		row := s.cond.Row(ys[i])
-		for z, t := range theta.Row(i) {
-			p += float64(row[z] * t)
-		}
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		total += math.Log(p)
-	}
-	return total / float64(n)
-}
-
 // leepCase is one random input of the sweep: source-head rows theta and
 // three label vectors over the same examples.
 type leepCase struct {
@@ -349,42 +279,46 @@ func randomLEEPCase(rng *numeric.RNG, n, targetK, sourceK int) leepCase {
 	return c
 }
 
-// checkSweep requires the three-label sweep and the one-label sweep to
-// equal the per-pass oracle bit for bit. It reports whether the case
-// reached the zero-marginal branch and the 1e-300 clamp.
+// checkSweep requires each pass of the sweep to equal referenceLEEP over
+// its label vector bit for bit, and plain LEEP's sweep (the real labels
+// three times) to equal it over the real labels. It reports whether the
+// case has a source column no row puts mass on, so every pass reaches the
+// zero-marginal branch, and a row whose total mass is under 1e-300, whose
+// likelihood every pass clamps (a conditional is at most 1).
 func checkSweep(t *testing.T, c leepCase) (zeroMarginal, clamped bool) {
 	t.Helper()
-	oracle := newLEEPScratch(c.targetK, c.sourceK)
 	three := leepSweep(c.theta, c.targetK, c.sourceK, c.labels)
 	for k, ys := range c.labels {
-		if want := oracle.leep(c.theta, ys); math.Float64bits(three[k]) != math.Float64bits(want) {
-			t.Fatalf("n=%d targetK=%d sourceK=%d: sweep pass %d = %x, per-pass leep %x",
+		if want := referenceLEEP(c.theta, ys, c.targetK, c.sourceK); math.Float64bits(three[k]) != math.Float64bits(want) {
+			t.Fatalf("n=%d targetK=%d sourceK=%d: sweep pass %d = %x, per-pass LEEP %x",
 				c.theta.N, c.targetK, c.sourceK, k, three[k], want)
 		}
 	}
 	ys := c.labels[0]
-	want := oracle.leep(c.theta, ys)
-	if one := leepSweep(c.theta, c.targetK, c.sourceK, [3][]int{ys})[0]; math.Float64bits(one) != math.Float64bits(want) {
-		t.Fatalf("n=%d targetK=%d sourceK=%d: one-label sweep = %x, per-pass leep %x",
-			c.theta.N, c.targetK, c.sourceK, one, want)
+	want := referenceLEEP(c.theta, ys, c.targetK, c.sourceK)
+	if plain := leepSweep(c.theta, c.targetK, c.sourceK, [3][]int{ys, ys, ys})[0]; math.Float64bits(plain) != math.Float64bits(want) {
+		t.Fatalf("n=%d targetK=%d sourceK=%d: plain LEEP sweep = %x, per-pass LEEP %x",
+			c.theta.N, c.targetK, c.sourceK, plain, want)
 	}
-	// The oracle's scratch now holds the real labels' statistics.
-	for _, m := range oracle.marginal {
-		zeroMarginal = zeroMarginal || m == 0
-	}
+	nf := float64(c.theta.N)
+	live := make([]bool, c.sourceK)
 	for i := 0; i < c.theta.N; i++ {
-		var p float64
+		var mass float64
 		for z, th := range c.theta.Row(i) {
-			p += float64(oracle.cond.At(ys[i], z) * th)
+			live[z] = live[z] || th/nf != 0
+			mass += th
 		}
-		clamped = clamped || p < 1e-300
+		clamped = clamped || mass < 1e-300
+	}
+	for _, l := range live {
+		zeroMarginal = zeroMarginal || !l
 	}
 	return zeroMarginal, clamped
 }
 
 // TestLEEPSweepMatchesPerPassLEEP: over seeded random shapes (n 1-200,
-// targetK 2-20, sourceK 2-50), the sweep's three passes and its one-label
-// case equal three independent per-pass leep calls bit for bit, with the
+// targetK 2-20, sourceK 2-50), the sweep's three passes and plain LEEP's
+// sweep equal independent per-pass LEEP calls bit for bit, with the
 // zero-marginal branch and the likelihood clamp both reached.
 func TestLEEPSweepMatchesPerPassLEEP(t *testing.T) {
 	rng := numeric.NewRNG(20)
