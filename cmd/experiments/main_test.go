@@ -1,16 +1,13 @@
 package main
 
 import (
-	"encoding/csv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestRunList(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 42, "", true, ""); err != nil {
+	if err := run(&b, "42", "", true); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -23,37 +20,26 @@ func TestRunList(t *testing.T) {
 
 func TestRunUnknownID(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 42, "nope", false, ""); err == nil {
+	if err := run(&b, "42", "nope", false); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	if err := run(&b, "3-1", "tabX", false); err == nil {
+		t.Fatal("reversed seed range accepted")
 	}
 }
 
-func TestRunSingleExperimentWithCSV(t *testing.T) {
+func TestRunSingleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a full framework; skipped in -short")
 	}
-	dir := t.TempDir()
 	var b strings.Builder
-	if err := run(&b, 42, "tabX", false, dir); err != nil {
+	if err := run(&b, "42", "tabX", false); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "Table X") {
-		t.Fatalf("output missing table:\n%s", b.String())
-	}
-	f, err := os.Open(filepath.Join(dir, "tabX.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	records, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// header + 6 rows
-	if len(records) != 7 {
-		t.Fatalf("csv has %d records", len(records))
-	}
-	if records[0][0] != "task" {
-		t.Fatalf("csv header %v", records[0])
+	out := b.String()
+	// title, header, separator, 6 rows, the note and a blank line
+	if lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n"); len(lines) != 11 ||
+		!strings.Contains(lines[0], "Table X") || !strings.HasPrefix(lines[1], "task") {
+		t.Fatalf("tabX rendered as:\n%s", out)
 	}
 }

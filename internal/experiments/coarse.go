@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"twophase/internal/cluster"
+	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/numeric"
+	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 	"twophase/internal/textsim"
 )
@@ -51,38 +55,39 @@ func fig1(e *Env) (*Table, error) {
 		}
 		spread := all[0].acc - all[len(all)-1].acc
 		median := all[len(all)/2].acc
-		t.Note("%s: best %.3f, median %.3f, worst %.3f (spread %.3f) — few strong models, long weak tail",
+		t.Note("%s: best %.3f, median %.3f, worst %.3f (spread %.3f)",
 			task, all[0].acc, median, all[len(all)-1].acc, spread)
 	}
 	return t, nil
 }
 
-// perfVectors extracts the performance vectors of a task's matrix into
-// one contiguous frame and returns its row views.
-func perfVectors(e *Env, task string) ([]string, [][]float64, error) {
-	fw, err := e.Framework(task)
-	if err != nil {
-		return nil, nil, err
-	}
-	names := fw.Matrix.Models
-	vecs := numeric.NewFrame(len(names), len(fw.Matrix.Datasets))
-	for i, n := range names {
-		v, err := fw.Matrix.Vector(n)
+// perfVectors copies a matrix's performance vectors, one per model in
+// matrix order, into one contiguous frame and returns its row views.
+func perfVectors(m *perfmatrix.Matrix) ([][]float64, error) {
+	vecs := numeric.NewFrame(len(m.Models), len(m.Datasets))
+	for i, n := range m.Models {
+		v, err := m.Vector(n)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		copy(vecs.Row(i), v)
 	}
-	return names, vecs.Rows2D(), nil
+	return vecs.Rows2D(), nil
+}
+
+// recallClusters clusters a matrix's models as coarse recall does:
+// hierarchical over Eq. 1 distance, cut at the recall threshold.
+func recallClusters(fw *core.Framework, m *perfmatrix.Matrix) ([][]float64, cluster.Clustering, error) {
+	vecs, err := perfVectors(m)
+	if err != nil {
+		return nil, cluster.Clustering{}, err
+	}
+	return vecs, cluster.Agglomerative(vecs, cluster.TopKDistance(fw.Recall.SimilarityK), fw.Recall.Threshold, 0), nil
 }
 
 // cardVectors embeds every model card into one frame and returns its row
 // views.
-func cardVectors(e *Env, task string) ([][]float64, error) {
-	fw, err := e.Framework(task)
-	if err != nil {
-		return nil, err
-	}
+func cardVectors(fw *core.Framework) ([][]float64, error) {
 	cards := make([]string, 0, len(fw.Matrix.Models))
 	for _, name := range fw.Matrix.Models {
 		m, err := fw.Repo.Get(name)
@@ -105,59 +110,50 @@ func table1(e *Env) (*Table, error) {
 		Title:  "Table I — clustering methods comparison (behavioural silhouette)",
 		Header: []string{"similarity", "algorithm", "NLP", "CV"},
 	}
-	type cell struct{ sim, alg string }
-	results := map[cell]map[string]float64{}
-	add := func(sim, alg, task string, v float64) {
-		c := cell{sim, alg}
-		if results[c] == nil {
-			results[c] = map[string]float64{}
-		}
-		results[c][task] = v
-	}
-
-	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+	tasks := []string{datahub.TaskNLP, datahub.TaskCV}
+	// Per task, in row order: performance-based hierarchical and k-means,
+	// then text-based hierarchical and k-means.
+	var sil [2][4]float64
+	for ti, task := range tasks {
 		fw, err := e.Framework(task)
 		if err != nil {
 			return nil, err
 		}
-		_, perf, err := perfVectors(e, task)
+		// The reference clustering fixes K so all four cells cluster at
+		// the same granularity.
+		perf, ref, err := recallClusters(fw, fw.Matrix)
 		if err != nil {
 			return nil, err
 		}
-		cards, err := cardVectors(e, task)
+		cards, err := cardVectors(fw)
 		if err != nil {
 			return nil, err
 		}
-		dist := cluster.TopKDistance(fw.Recall.SimilarityK)
-
-		// Reference clustering fixes K so all four cells cluster at the
-		// same granularity.
-		ref := cluster.Agglomerative(perf, dist, fw.Recall.Threshold, 0)
 		k := ref.K
-
-		add("performance-based", "hierarchical", task,
-			cluster.Silhouette(perf, ref, dist))
-		km := cluster.KMeans(perf, k, numeric.NewNamedRNG(e.Seed, "tab1-kmeans-perf", task), 100)
-		add("performance-based", "k-means", task,
-			cluster.Silhouette(perf, km, dist))
-
-		textHier := cluster.Agglomerative(cards, cluster.Cosine, 0, k)
-		add("text-based", "hierarchical", task,
-			cluster.Silhouette(perf, textHier, dist))
-		textKM := cluster.KMeans(cards, k, numeric.NewNamedRNG(e.Seed, "tab1-kmeans-text", task), 100)
-		add("text-based", "k-means", task,
-			cluster.Silhouette(perf, textKM, dist))
+		for i, cl := range []cluster.Clustering{
+			ref,
+			cluster.KMeans(perf, k, numeric.NewNamedRNG(e.Seed, "tab1-kmeans-perf", task), 100),
+			cluster.Agglomerative(cards, cluster.Cosine, 0, k),
+			cluster.KMeans(cards, k, numeric.NewNamedRNG(e.Seed, "tab1-kmeans-text", task), 100),
+		} {
+			sil[ti][i] = cluster.Silhouette(perf, cl, cluster.TopKDistance(fw.Recall.SimilarityK))
+		}
 	}
-
-	for _, c := range []cell{
-		{"performance-based", "hierarchical"},
-		{"performance-based", "k-means"},
-		{"text-based", "hierarchical"},
-		{"text-based", "k-means"},
+	for i, label := range [][2]string{
+		{"performance-based", "hierarchical"}, {"performance-based", "k-means"},
+		{"text-based", "hierarchical"}, {"text-based", "k-means"},
 	} {
-		t.AddRow(c.sim, c.alg, results[c][datahub.TaskNLP], results[c][datahub.TaskCV])
+		t.AddRow(label[0], label[1], sil[0][i], sil[1][i])
 	}
-	t.Note("paper's shape: performance-based beats text-based; hierarchical beats k-means on performance similarity")
+	perfOverText, hierOverKM := math.Inf(1), math.Inf(1)
+	for _, s := range sil {
+		perfOverText = min(perfOverText, s[0]-s[2], s[1]-s[3])
+		hierOverKM = min(hierOverKM, s[0]-s[1])
+	}
+	t.Claim("tab1.perf-beats-text", perfOverText > 0, perfOverText,
+		"performance-based silhouette > text-based for every (task, algorithm); value: smallest margin")
+	t.Claim("tab1.hier-beats-kmeans", hierOverKM > 0, hierOverKM,
+		"on performance similarity, hierarchical silhouette > k-means on every task; value: smallest margin")
 	return t, nil
 }
 
@@ -173,12 +169,11 @@ func table2(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		names, vecs, err := perfVectors(e, task)
+		_, cl, err := recallClusters(fw, fw.Matrix)
 		if err != nil {
 			return nil, err
 		}
-		dist := cluster.TopKDistance(fw.Recall.SimilarityK)
-		cl := cluster.Agglomerative(vecs, dist, fw.Recall.Threshold, 0)
+		names := fw.Matrix.Models
 		id := 0
 		covered := 0
 		for _, g := range cl.NonSingletons() {
@@ -197,20 +192,9 @@ func table2(e *Env) (*Table, error) {
 
 func joinTrunc(items []string, max int) string {
 	if len(items) <= max {
-		return join(items)
+		return strings.Join(items, ", ")
 	}
-	return join(items[:max]) + fmt.Sprintf(", ... (+%d)", len(items)-max)
-}
-
-func join(items []string) string {
-	out := ""
-	for i, s := range items {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
-	return out
+	return strings.Join(items[:max], ", ") + fmt.Sprintf(", ... (+%d)", len(items)-max)
 }
 
 // table3 reproduces Table III: models in non-singleton clusters have
@@ -221,17 +205,17 @@ func table3(e *Env) (*Table, error) {
 		Title:  "Table III — singleton vs non-singleton cluster performance",
 		Header: []string{"task", "cluster type", "avg(acc)", "no. maximum(acc)"},
 	}
+	stronger, maxima := math.Inf(1), math.Inf(1)
 	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
 		fw, err := e.Framework(task)
 		if err != nil {
 			return nil, err
 		}
-		names, vecs, err := perfVectors(e, task)
+		vecs, cl, err := recallClusters(fw, fw.Matrix)
 		if err != nil {
 			return nil, err
 		}
-		dist := cluster.TopKDistance(fw.Recall.SimilarityK)
-		cl := cluster.Agglomerative(vecs, dist, fw.Recall.Threshold, 0)
+		names := fw.Matrix.Models
 
 		inNonSingleton := make([]bool, len(names))
 		for _, g := range cl.NonSingletons() {
@@ -266,8 +250,13 @@ func table3(e *Env) (*Table, error) {
 		}
 		t.AddRow(task, "non-singleton", numeric.Mean(nsAcc), nsBest)
 		t.AddRow(task, "singleton", numeric.Mean(sAcc), sBest)
+		stronger = min(stronger, numeric.Mean(nsAcc)-numeric.Mean(sAcc))
+		maxima = min(maxima, float64(nsBest)/float64(nsBest+sBest))
 	}
-	t.Note("paper's shape: non-singleton clusters hold the stronger models and almost all per-benchmark maxima")
+	t.Claim("tab3.non-singleton-stronger", stronger > 0, stronger,
+		"non-singleton avg(acc) > singleton avg(acc) on every task; value: smallest margin")
+	t.Claim("tab3.non-singleton-maxima", maxima > 0.5, maxima,
+		"non-singleton clusters hold more than half of the per-benchmark maxima on every task; value: smallest share")
 	return t, nil
 }
 
@@ -280,6 +269,7 @@ func fig5(e *Env) (*Table, error) {
 	}
 	const randomDraws = 20
 	wins, cells := 0, 0
+	var coarseAll, randomAll []float64
 	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
 		fw, err := e.Framework(task)
 		if err != nil {
@@ -314,6 +304,7 @@ func fig5(e *Env) (*Table, error) {
 				}
 				c, rd := numeric.Mean(coarse), numeric.Mean(random)
 				t.AddRow(task, d.Name, k, c, rd)
+				coarseAll, randomAll = append(coarseAll, c), append(randomAll, rd)
 				cells++
 				if c > rd {
 					wins++
@@ -321,7 +312,9 @@ func fig5(e *Env) (*Table, error) {
 			}
 		}
 	}
-	t.Note("coarse-recall beats random-recall in %d/%d (dataset, K) cells", wins, cells)
+	share := float64(wins) / float64(cells)
+	t.Claim("fig5.coarse-beats-random", share >= 0.6 && numeric.Mean(coarseAll) > numeric.Mean(randomAll), share,
+		"coarse-recall > random-recall in the mean over all (dataset, K) cells and in at least 60%% of them; value: share of cells won")
 	return t, nil
 }
 
@@ -341,7 +334,7 @@ func tableX(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, vecs, err := perfVectors(e, task)
+		vecs, err := perfVectors(fw.Matrix)
 		if err != nil {
 			return nil, err
 		}

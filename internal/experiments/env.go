@@ -124,7 +124,6 @@ func All() []Experiment {
 		{"ablProxy", "Ablation: proxy scorer choice in coarse recall", ablationProxy},
 		{"ablSubset", "Ablation: offline matrix from reduced training data (§III.A)", ablationSubsetMatrix},
 		{"extEnsemble", "Extension: top-3 soft-voting ensemble selection (§VII)", extEnsemble},
-		{"extRobust", "Extension: end-to-end robustness across world seeds", extRobustness},
 		{"extLSQ", "Extension: zero-epoch lsq proxy stage + recall pre-filter", extLSQ},
 	}
 }

@@ -3,12 +3,8 @@ package experiments
 import (
 	"context"
 
-	"fmt"
-
 	"twophase/internal/cluster"
-	"twophase/internal/core"
 	"twophase/internal/datahub"
-	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/selection"
 	"twophase/internal/synth"
@@ -22,18 +18,14 @@ func extEnsemble(e *Env) (*Table, error) {
 		Title:  "Extension — ensemble selection (k=3 soft voting)",
 		Header: []string{"dataset", "single acc", "ensemble acc", "best member", "epochs single", "epochs ensemble"},
 	}
-	const k = 3
+	const k, liftedMin = 3, 5
 	var lifted int
 	for _, tgt := range allTargets {
-		fw, err := e.Framework(tgt.task)
+		fw, d, top, err := recalledTop(e, tgt.task, tgt.dataset)
 		if err != nil {
 			return nil, err
 		}
-		d, err := fw.Catalog.Get(tgt.dataset)
-		if err != nil {
-			return nil, err
-		}
-		top, err := recalledTop(e, tgt.task, tgt.dataset, 10)
+		single, err := fineSelect(e, fw, d, top, selection.FineSelectOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -41,15 +33,10 @@ func extEnsemble(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := selection.FineSelectOptions{
+		ens, err := selection.EnsembleSelect(context.Background(), cand.Models(), d, selection.FineSelectOptions{
 			Config: selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "two-phase"},
 			Matrix: fw.Matrix,
-		}
-		single, err := selection.FineSelect(context.Background(), cand.Models(), d, opts)
-		if err != nil {
-			return nil, err
-		}
-		ens, err := selection.EnsembleSelect(context.Background(), cand.Models(), d, opts, k)
+		}, k)
 		if err != nil {
 			return nil, err
 		}
@@ -59,68 +46,8 @@ func extEnsemble(e *Env) (*Table, error) {
 			lifted++
 		}
 	}
-	t.Note("ensemble matches or lifts the single selection on %d/%d targets at the cost of training %d survivors to budget", lifted, len(allTargets), k)
-	return t, nil
-}
-
-// extRobustness repeats the end-to-end comparison across three world
-// seeds and reports mean and spread — checking that the headline speedups
-// and near-BF accuracy are not artifacts of one random world.
-func extRobustness(*Env) (*Table, error) {
-	t := &Table{
-		Title:  "Extension — end-to-end robustness across world seeds",
-		Header: []string{"dataset", "2PH epochs (mean±sd)", "speedup vs BF (mean)", "acc gap vs BF (mean)"},
-	}
-	seeds := []uint64{42, 43, 44}
-	type agg struct {
-		epochs, speedup, gap []float64
-	}
-	byTarget := map[string]*agg{}
-	var order []string
-
-	for _, seed := range seeds {
-		env := NewEnv(seed)
-		for _, tgt := range allTargets {
-			fw, err := env.Framework(tgt.task)
-			if err != nil {
-				return nil, err
-			}
-			d, err := fw.Catalog.Get(tgt.dataset)
-			if err != nil {
-				return nil, err
-			}
-			report, err := fw.Select(context.Background(), d)
-			if err != nil {
-				return nil, err
-			}
-			bf, err := fw.SelectWith(context.Background(), d, core.SelectOptions{Strategy: core.StrategyBF})
-			if err != nil {
-				return nil, err
-			}
-			a := byTarget[tgt.label]
-			if a == nil {
-				a = &agg{}
-				byTarget[tgt.label] = a
-				order = append(order, tgt.label)
-			}
-			a.epochs = append(a.epochs, report.TotalEpochs())
-			a.speedup = append(a.speedup, float64(bf.Ledger.TrainEpochs())/report.TotalEpochs())
-			a.gap = append(a.gap, bf.Outcome.WinnerTest-report.Outcome.WinnerTest)
-		}
-	}
-
-	var worstGap float64
-	for _, label := range order {
-		a := byTarget[label]
-		t.AddRow(label,
-			fmt.Sprintf("%.1f±%.1f", numeric.Mean(a.epochs), numeric.StdDev(a.epochs)),
-			fmt.Sprintf("%.2fx", numeric.Mean(a.speedup)),
-			fmt.Sprintf("%+.3f", numeric.Mean(a.gap)))
-		if g := numeric.Mean(a.gap); g > worstGap {
-			worstGap = g
-		}
-	}
-	t.Note("across seeds %v the speedup stays several-fold and the worst mean accuracy gap vs BF is %.3f", seeds, worstGap)
+	t.Claim("extEnsemble.lifts", lifted >= liftedMin, float64(lifted),
+		"ensemble acc ≥ single acc on at least %d of the %d targets; value: targets where it holds", liftedMin, len(allTargets))
 	return t, nil
 }
 
@@ -140,19 +67,7 @@ func ablationSubsetMatrix(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dist := cluster.TopKDistance(fw.Recall.SimilarityK)
-		clusterOf := func(m *perfmatrix.Matrix) (cluster.Clustering, error) {
-			vecs := make([][]float64, len(m.Models))
-			for i, n := range m.Models {
-				v, err := m.Vector(n)
-				if err != nil {
-					return cluster.Clustering{}, err
-				}
-				vecs[i] = v
-			}
-			return cluster.Agglomerative(vecs, dist, fw.Recall.Threshold, 0), nil
-		}
-		full, err := clusterOf(fw.Matrix)
+		_, full, err := recallClusters(fw, fw.Matrix)
 		if err != nil {
 			return nil, err
 		}
@@ -172,14 +87,13 @@ func ablationSubsetMatrix(e *Env) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				cl, err = clusterOf(m)
-				if err != nil {
+				if _, cl, err = recallClusters(fw, m); err != nil {
 					return nil, err
 				}
 			}
 			t.AddRow(task, frac, cluster.AdjustedRandIndex(full, cl), len(cl.NonSingletons()))
 		}
 	}
-	t.Note("§III.A claims a small training subset suffices; here half the data retains partial cluster structure (ARI ~0.15-0.45) and a quarter degrades it — the synthetic probe curves are noisier than real fine-tuning, so this bound is conservative")
+	t.Note("§III.A claims a small training subset suffices; ARI compares each reduced matrix's clustering with the full-data one")
 	return t, nil
 }

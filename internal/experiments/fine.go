@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"math"
 	"sort"
 
 	"twophase/internal/cluster"
+	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/numeric"
 	"twophase/internal/recall"
@@ -20,38 +20,43 @@ const mnliName = "LysandreJik/glue-mnli-train"
 // fig4Model is the model whose per-benchmark convergence Fig. 4 plots.
 const fig4Model = "DoyyingFace/bert-asian-hate-tweets-asian-unclean-freeze-4"
 
-// recalledTop returns the coarse-recalled top-K models for a target.
-func recalledTop(e *Env, task, dataset string, k int) ([]string, error) {
+// recalledTop returns a target's framework and dataset with its
+// coarse-recalled top-10 models.
+func recalledTop(e *Env, task, dataset string) (*core.Framework, *datahub.Dataset, []string, error) {
 	fw, err := e.Framework(task)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	d, err := fw.Catalog.Get(dataset)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	opts := fw.Recall
-	if k > 0 {
-		opts.K = k
-	}
+	opts.K = 10
 	rr, err := recall.CoarseRecall(fw.Matrix, fw.Repo, d, opts, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return fw, d, rr.Recalled, nil
+}
+
+// fineSelect runs Algorithm 1 over the named models. opts.Matrix is the
+// framework's; a zero opts.Config is the evaluation's two-phase setup.
+func fineSelect(e *Env, fw *core.Framework, d *datahub.Dataset, names []string, opts selection.FineSelectOptions) (*selection.Outcome, error) {
+	cand, err := fw.Repo.Subset(names)
 	if err != nil {
 		return nil, err
 	}
-	return rr.Recalled, nil
+	if opts.Salt == "" {
+		opts.Config = selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "two-phase"}
+	}
+	opts.Matrix = fw.Matrix
+	return selection.FineSelect(context.Background(), cand.Models(), d, opts)
 }
 
 // curvesTable renders per-epoch validation curves plus final test accuracy
 // for a set of models on a dataset under the given hyperparameters.
-func curvesTable(e *Env, title string, models []string, dataset string, hp trainer.Hyperparams) (*Table, error) {
-	fw, err := e.Framework(datahub.TaskNLP)
-	if err != nil {
-		return nil, err
-	}
-	d, err := fw.Catalog.Get(dataset)
-	if err != nil {
-		return nil, err
-	}
+func curvesTable(e *Env, title string, fw *core.Framework, d *datahub.Dataset, models []string, hp trainer.Hyperparams) (*Table, error) {
 	t := &Table{Title: title}
 	t.Header = []string{"model"}
 	for i := 0; i < hp.Epochs; i++ {
@@ -90,45 +95,33 @@ func curvesTable(e *Env, title string, models []string, dataset string, hp train
 		early = append(early, r.curve.Val[0])
 		final = append(final, r.curve.FinalTest())
 	}
-	t.Note("pearson(val@1, final test) = %.3f — early validation predicts final quality", numeric.PearsonCorrelation(early, final))
+	t.Note("pearson(val@1, final test) = %.3f", numeric.PearsonCorrelation(early, final))
 	return t, nil
 }
 
 // fig3 reproduces Fig. 3: validation/test curves of the top-10 recalled
 // models on MNLI at the default learning rate.
 func fig3(e *Env) (*Table, error) {
-	top, err := recalledTop(e, datahub.TaskNLP, mnliName, 10)
+	fw, d, top, err := recalledTop(e, datahub.TaskNLP, mnliName)
 	if err != nil {
 		return nil, err
 	}
-	return curvesTable(e, "Fig. 3 — top-10 curves on MNLI (default lr)", top, mnliName, trainer.Default(datahub.TaskNLP))
+	return curvesTable(e, "Fig. 3 — top-10 curves on MNLI (default lr)", fw, d, top, trainer.Default(datahub.TaskNLP))
 }
 
 // fig8 reproduces appendix Fig. 8: the same models trained under the low
 // learning rate, checking robustness to hyperparameters.
 func fig8(e *Env) (*Table, error) {
-	top, err := recalledTop(e, datahub.TaskNLP, mnliName, 10)
+	fw, d, top, err := recalledTop(e, datahub.TaskNLP, mnliName)
 	if err != nil {
 		return nil, err
 	}
-	t, err := curvesTable(e, "Fig. 8 — top-10 curves on MNLI (low lr)", top, mnliName, trainer.LowLR(datahub.TaskNLP))
+	t, err := curvesTable(e, "Fig. 8 — top-10 curves on MNLI (low lr)", fw, d, top, trainer.LowLR(datahub.TaskNLP))
 	if err != nil {
 		return nil, err
 	}
 	// The appendix claims the method's outcome is consistent across the
-	// two settings; verify by running fine-selection under both.
-	fw, err := e.Framework(datahub.TaskNLP)
-	if err != nil {
-		return nil, err
-	}
-	d, err := fw.Catalog.Get(mnliName)
-	if err != nil {
-		return nil, err
-	}
-	cand, err := fw.Repo.Subset(top)
-	if err != nil {
-		return nil, err
-	}
+	// two settings; run fine-selection under both.
 	for _, hp := range []struct {
 		name string
 		hp   trainer.Hyperparams
@@ -136,9 +129,8 @@ func fig8(e *Env) (*Table, error) {
 		{"default lr", trainer.Default(datahub.TaskNLP)},
 		{"low lr", trainer.LowLR(datahub.TaskNLP)},
 	} {
-		out, err := selection.FineSelect(context.Background(), cand.Models(), d, selection.FineSelectOptions{
+		out, err := fineSelect(e, fw, d, top, selection.FineSelectOptions{
 			Config: selection.Config{HP: hp.hp, Seed: e.Seed, Salt: "fig8-" + hp.name},
-			Matrix: fw.Matrix,
 		})
 		if err != nil {
 			return nil, err
@@ -248,8 +240,10 @@ func fig6(e *Env) (*Table, error) {
 		}
 	}
 	n := len(fw.Matrix.Models)
-	t.Note("validation clustering beats random clustering for %d/%d models", silWins, n)
-	t.Note("trend prediction beats mean prediction for %d/%d models", errWins, n)
+	t.Claim("fig6.val-beats-random", silWins == n, float64(silWins),
+		"sil(val) > sil(random) for every one of the %d models; value: models where it holds", n)
+	t.Claim("fig6.trend-beats-mean", errWins == n, float64(errWins),
+		"relerr(trend) < relerr(mean) for every one of the %d models; value: models where it holds", n)
 	return t, nil
 }
 
@@ -303,42 +297,39 @@ func table4(e *Env) (*Table, error) {
 		Title:  "Table IV — filtering threshold sweep",
 		Header: []string{"dataset", "metric", "0%", "1%", "5%", "10%"},
 	}
-	thresholds := []float64{0, 0.01, 0.05, 0.10}
+	var worstDrop float64
+	epochsMonotone, extraEpochs := true, 0
 	for _, tgt := range thresholdTargets {
-		fw, err := e.Framework(tgt.task)
-		if err != nil {
-			return nil, err
-		}
-		d, err := fw.Catalog.Get(tgt.dataset)
-		if err != nil {
-			return nil, err
-		}
-		top, err := recalledTop(e, tgt.task, tgt.dataset, 10)
-		if err != nil {
-			return nil, err
-		}
-		cand, err := fw.Repo.Subset(top)
+		fw, d, top, err := recalledTop(e, tgt.task, tgt.dataset)
 		if err != nil {
 			return nil, err
 		}
 		accRow := []interface{}{tgt.label, "accuracy"}
 		timeRow := []interface{}{tgt.label, "runtime"}
-		for _, th := range thresholds {
-			out, err := selection.FineSelect(context.Background(), cand.Models(), d, selection.FineSelectOptions{
-				Config:    selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "two-phase"},
-				Matrix:    fw.Matrix,
-				Threshold: th,
-			})
+		var prevAcc float64
+		var prevEpochs int
+		for i, th := range []float64{0, 0.01, 0.05, 0.10} {
+			out, err := fineSelect(e, fw, d, top, selection.FineSelectOptions{Threshold: th})
 			if err != nil {
 				return nil, err
 			}
-			accRow = append(accRow, out.WinnerTest)
-			timeRow = append(timeRow, out.Ledger.TrainEpochs())
+			acc, epochs := out.WinnerTest, out.Ledger.TrainEpochs()
+			accRow = append(accRow, acc)
+			timeRow = append(timeRow, epochs)
+			if i > 0 {
+				worstDrop = max(worstDrop, prevAcc-acc)
+				epochsMonotone = epochsMonotone && epochs >= prevEpochs
+				extraEpochs += epochs - prevEpochs
+			}
+			prevAcc, prevEpochs = acc, epochs
 		}
 		t.AddRow(accRow...)
 		t.AddRow(timeRow...)
 	}
-	t.Note("the paper's shape: larger thresholds never hurt accuracy but cost extra epochs")
+	t.Claim("tab4.accuracy-monotone", worstDrop == 0, worstDrop,
+		"accuracy never drops from one threshold to the next larger on any dataset; value: largest drop")
+	t.Claim("tab4.epochs-monotone", epochsMonotone, float64(extraEpochs),
+		"epochs never fall from one threshold to the next larger on any dataset; value: total extra epochs, 10%% over 0%%")
 	return t, nil
 }
 
@@ -354,6 +345,38 @@ var allTargets = []struct{ task, dataset, label string }{
 	{datahub.TaskCV, "beans", "Beans"},
 }
 
+// poolRun is SH's and FS's outcome over one candidate pool.
+type poolRun struct {
+	models []string
+	sh, fs *selection.Outcome
+}
+
+// shAndFS runs SH and FS over a target's recalled top-10 and over the
+// whole repository: the two pools of Fig. 7 and Table V.
+func shAndFS(e *Env, task, dataset string) (*core.Framework, [2]poolRun, error) {
+	var pools [2]poolRun
+	fw, d, top, err := recalledTop(e, task, dataset)
+	if err != nil {
+		return nil, pools, err
+	}
+	for i, models := range [][]string{top, fw.Matrix.Models} {
+		cand, err := fw.Repo.Subset(models)
+		if err != nil {
+			return nil, pools, err
+		}
+		sh, err := selection.SuccessiveHalving(context.Background(), cand.Models(), d, selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "successive-halving"})
+		if err != nil {
+			return nil, pools, err
+		}
+		fs, err := fineSelect(e, fw, d, models, selection.FineSelectOptions{})
+		if err != nil {
+			return nil, pools, err
+		}
+		pools[i] = poolRun{models, sh, fs}
+	}
+	return fw, pools, nil
+}
+
 // fig7 reproduces Fig. 7: the accuracy of the model selected by SH vs FS
 // over the recalled top-10 and over the full repository, with the best and
 // worst accuracies among the top-10 for context.
@@ -362,14 +385,9 @@ func fig7(e *Env) (*Table, error) {
 		Title:  "Fig. 7 — selected-model accuracy, SH vs FS",
 		Header: []string{"dataset", "pool", "SH acc", "FS acc", "best@10", "worst@10"},
 	}
-	var fsAtLeast int
-	var cells int
+	var fsAtLeast, cells int
 	for _, tgt := range allTargets {
-		fw, err := e.Framework(tgt.task)
-		if err != nil {
-			return nil, err
-		}
-		d, err := fw.Catalog.Get(tgt.dataset)
+		fw, pools, err := shAndFS(e, tgt.task, tgt.dataset)
 		if err != nil {
 			return nil, err
 		}
@@ -377,47 +395,22 @@ func fig7(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		top, err := recalledTop(e, tgt.task, tgt.dataset, 10)
-		if err != nil {
-			return nil, err
-		}
 		var topAcc []float64
-		for _, n := range top {
+		for _, n := range pools[0].models {
 			topAcc = append(topAcc, oracle[n])
 		}
 		best10, worst10 := numeric.Max(topAcc), numeric.Min(topAcc)
-
-		pools := []struct {
-			label  string
-			models []string
-		}{
-			{"top-10", top},
-			{fmt.Sprintf("all-%d", fw.Repo.Len()), fw.Matrix.Models},
-		}
-		for _, pool := range pools {
-			cand, err := fw.Repo.Subset(pool.models)
-			if err != nil {
-				return nil, err
-			}
-			sh, err := selection.SuccessiveHalving(context.Background(), cand.Models(), d, selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "successive-halving"})
-			if err != nil {
-				return nil, err
-			}
-			fs, err := selection.FineSelect(context.Background(), cand.Models(), d, selection.FineSelectOptions{
-				Config: selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "two-phase"},
-				Matrix: fw.Matrix,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(tgt.label, pool.label, sh.WinnerTest, fs.WinnerTest, best10, worst10)
+		for i, label := range []string{"top-10", fmt.Sprintf("all-%d", fw.Repo.Len())} {
+			sh, fs := pools[i].sh.WinnerTest, pools[i].fs.WinnerTest
+			t.AddRow(tgt.label, label, sh, fs, best10, worst10)
 			cells++
-			if fs.WinnerTest >= sh.WinnerTest-0.01 {
+			if fs >= sh-0.01 {
 				fsAtLeast++
 			}
 		}
 	}
-	t.Note("FS matches or beats SH (within 0.01) in %d/%d cells; both sit near best@10", fsAtLeast, cells)
+	t.Claim("fig7.fs-matches-sh", 2*fsAtLeast > cells, float64(fsAtLeast),
+		"FS acc ≥ SH acc − 0.01 in more than half of the %d (dataset, pool) cells; value: cells where it holds", cells)
 	return t, nil
 }
 
@@ -428,49 +421,29 @@ func table5(e *Env) (*Table, error) {
 		Title:  "Table V — selection runtime (training epochs)",
 		Header: []string{"dataset", "pool", "BF", "SH", "SH speedup", "FS", "FS speedup"},
 	}
+	ordered, fsLead := true, math.MaxInt
+	marginGrowth := math.Inf(1)
 	for _, tgt := range allTargets {
-		fw, err := e.Framework(tgt.task)
+		fw, pools, err := shAndFS(e, tgt.task, tgt.dataset)
 		if err != nil {
 			return nil, err
 		}
-		d, err := fw.Catalog.Get(tgt.dataset)
-		if err != nil {
-			return nil, err
+		var shOverFS [2]float64
+		for i, pool := range pools {
+			bf := len(pool.models) * fw.HP.Epochs
+			sh, fs := pool.sh.Ledger.TrainEpochs(), pool.fs.Ledger.TrainEpochs()
+			t.AddRow(tgt.label, fmt.Sprint(len(pool.models)), bf,
+				sh, fmt.Sprintf("%.2fx", float64(bf)/float64(sh)),
+				fs, fmt.Sprintf("%.2fx", float64(bf)/float64(fs)))
+			ordered = ordered && fs < sh && sh < bf
+			fsLead = min(fsLead, sh-fs)
+			shOverFS[i] = float64(sh) / float64(fs)
 		}
-		top, err := recalledTop(e, tgt.task, tgt.dataset, 10)
-		if err != nil {
-			return nil, err
-		}
-		pools := []struct {
-			label  string
-			models []string
-		}{
-			{"10", top},
-			{fmt.Sprintf("%d", fw.Repo.Len()), fw.Matrix.Models},
-		}
-		for _, pool := range pools {
-			cand, err := fw.Repo.Subset(pool.models)
-			if err != nil {
-				return nil, err
-			}
-			bfEpochs := len(pool.models) * fw.HP.Epochs
-			sh, err := selection.SuccessiveHalving(context.Background(), cand.Models(), d, selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "successive-halving"})
-			if err != nil {
-				return nil, err
-			}
-			fs, err := selection.FineSelect(context.Background(), cand.Models(), d, selection.FineSelectOptions{
-				Config: selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "two-phase"},
-				Matrix: fw.Matrix,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(tgt.label, pool.label,
-				bfEpochs,
-				sh.Ledger.TrainEpochs(), fmt.Sprintf("%.2fx", float64(bfEpochs)/float64(sh.Ledger.TrainEpochs())),
-				fs.Ledger.TrainEpochs(), fmt.Sprintf("%.2fx", float64(bfEpochs)/float64(fs.Ledger.TrainEpochs())))
-		}
+		marginGrowth = min(marginGrowth, shOverFS[1]-shOverFS[0])
 	}
-	t.Note("the paper's shape: FS < SH < BF at both pool sizes, with FS's margin growing at larger pools")
+	t.Claim("tab5.order", ordered, float64(fsLead),
+		"FS < SH < BF epochs on every (dataset, pool) row; value: smallest SH − FS")
+	t.Claim("tab5.margin-grows", marginGrowth > 0, marginGrowth,
+		"SH/FS epoch ratio larger at the full pool than at the top-10 pool on every dataset; value: smallest increase")
 	return t, nil
 }

@@ -8,13 +8,27 @@ import (
 )
 
 // Table is a rendered experiment artifact: a title, a header row, data
-// rows, and free-form notes (the qualitative claims to check against the
-// paper).
+// rows, descriptive notes and the claims the experiment checks. A claim
+// is the paper's qualitative result decided from the table's own
+// unformatted numbers, so the renderer, the tests and the multi-seed
+// Ledger all read one verdict; a note only describes and asserts nothing.
 type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	Claims []Claim
+}
+
+// Claim is one computed verdict. Text states the inequality and its
+// threshold and never a measured number, so it reads the same at every
+// seed; Value is the headline number the threshold is applied to (a worst
+// gap, a win count).
+type Claim struct {
+	ID    string
+	Holds bool
+	Value float64
+	Text  string
 }
 
 // AddRow appends a row of stringified cells.
@@ -38,6 +52,13 @@ func (t *Table) AddRow(cells ...interface{}) {
 // Note appends a formatted note line.
 func (t *Table) Note(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// Claim appends a computed verdict: holds must come from the unformatted
+// numbers the rows were printed from, value is the number the threshold
+// in the text applies to.
+func (t *Table) Claim(id string, holds bool, value float64, format string, args ...interface{}) {
+	t.Claims = append(t.Claims, Claim{ID: id, Holds: holds, Value: value, Text: fmt.Sprintf(format, args...)})
 }
 
 // Render writes the table as aligned text.
@@ -65,13 +86,19 @@ func (t *Table) Render(w io.Writer) error {
 			return err
 		}
 	}
+	for _, c := range t.Claims {
+		verdict := "holds"
+		if !c.Holds {
+			verdict = "DEVIATES"
+		}
+		if _, err := fmt.Fprintf(w, "claim [%s]: %s: %s = %s\n", verdict, c.ID, c.Text, num(c.Value)); err != nil {
+			return err
+		}
+	}
 	_, err := fmt.Fprintln(w)
 	return err
 }
 
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	_ = t.Render(&b)
-	return b.String()
-}
+// num formats a claim value: three significant digits, so a count prints
+// as a count and a gap as a gap.
+func num(v float64) string { return fmt.Sprintf("%.3g", v) }

@@ -17,20 +17,6 @@ func Mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// StdDev returns the population standard deviation of v.
-func StdDev(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += float64(d * d)
-	}
-	return math.Sqrt(s / float64(len(v)))
-}
-
 // Max returns the largest element of v; it panics on an empty slice.
 func Max(v []float64) float64 { return v[ArgMax(v)] }
 
