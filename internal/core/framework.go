@@ -209,28 +209,15 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 
 // fillRecallOptions resolves the per-task recall defaults the framework
 // builds with; the filled options are part of the stage-3 artifact's
-// fingerprint.
+// fingerprint. Only the CV threshold is core's own: CV performance vectors
+// span only 10 benchmarks, so their Eq. 1 distances are tighter, and a
+// finer cut keeps the cluster structure (6 non-singleton clusters in the
+// paper's Table II) visible. Every other default is recall's.
 func fillRecallOptions(task string, ro recall.Options) recall.Options {
-	def := recall.DefaultOptions()
-	if ro.K <= 0 {
-		ro.K = def.K
+	if ro.Threshold <= 0 && task == datahub.TaskCV {
+		ro.Threshold = 0.06
 	}
-	if ro.SimilarityK <= 0 {
-		ro.SimilarityK = def.SimilarityK
-	}
-	if ro.Threshold <= 0 {
-		// CV performance vectors span only 10 benchmarks, so their Eq. 1
-		// distances are tighter; a finer cut keeps the cluster structure
-		// (6 non-singleton clusters in the paper's Table II) visible.
-		if task == datahub.TaskCV {
-			ro.Threshold = 0.06
-		} else {
-			ro.Threshold = def.Threshold
-		}
-	}
-	if ro.Scorer == nil {
-		ro.Scorer = def.Scorer
-	}
+	ro.Fill()
 	return ro
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
 	"twophase/internal/numeric"
@@ -135,9 +137,8 @@ func ablationRepresentative(e *Env) (*Table, error) {
 }
 
 // ablationTrendFilter measures what the convergence-trend filter adds over
-// fine-selection's halving backstop alone. The filter-less variant has
-// successive halving's schedule and cost but is not SH: the backstop breaks
-// validation ties the other way (see package selection).
+// fine-selection's halving backstop alone, which is successive halving on
+// the same config.
 func ablationTrendFilter(e *Env) (*Table, error) {
 	t := &Table{
 		Title:  "Ablation — convergence-trend filter on/off",
@@ -151,24 +152,22 @@ func ablationTrendFilter(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var epochs [2]int
-		var acc [2]float64
-		for v, variant := range []struct {
-			label   string
-			disable bool
-		}{
-			{"with trend filter", false},
-			{"halving backstop only", true},
-		} {
-			out, err := fineSelect(e, fw, d, top, selection.FineSelectOptions{DisableTrendFilter: variant.disable})
-			if err != nil {
-				return nil, err
-			}
-			epochs[v], acc[v] = out.Ledger.TrainEpochs(), out.WinnerTest
-			t.AddRow(tgt.label, variant.label, epochs[v], acc[v])
+		fs, err := fineSelect(e, fw, d, top, selection.FineSelectOptions{})
+		if err != nil {
+			return nil, err
 		}
-		cheaper = cheaper && epochs[0] < epochs[1]
-		shortfall = max(shortfall, acc[1]-acc[0])
+		cand, err := fw.Repo.Subset(top)
+		if err != nil {
+			return nil, err
+		}
+		sh, err := selection.SuccessiveHalving(context.Background(), cand.Models(), d, selection.Config{HP: fw.HP, Seed: e.Seed, Salt: "two-phase"})
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(tgt.label, "with trend filter", fs.Ledger.TrainEpochs(), fs.WinnerTest)
+		t.AddRow(tgt.label, "halving backstop only", sh.Ledger.TrainEpochs(), sh.WinnerTest)
+		cheaper = cheaper && fs.Ledger.TrainEpochs() < sh.Ledger.TrainEpochs()
+		shortfall = max(shortfall, sh.WinnerTest-fs.WinnerTest)
 	}
 	t.Claim("ablTrend.saves-epochs", cheaper && shortfall <= tolerance, shortfall,
 		"with the trend filter: fewer epochs than the halving backstop alone (SH's cost) and acc ≥ its − %.2f on every dataset; value: largest acc shortfall", tolerance)

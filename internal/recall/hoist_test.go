@@ -68,7 +68,7 @@ func referenceRecall(t *testing.T, m *perfmatrix.Matrix, o *Offline, repo *model
 				if sim < 0 {
 					sim = 0
 				}
-				sum += sim * repProxy[rc]
+				sum += float64(sim * repProxy[rc])
 			}
 			p = sum / float64(len(o.cids))
 		}

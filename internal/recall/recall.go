@@ -17,6 +17,7 @@ package recall
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
@@ -38,30 +39,24 @@ type Options struct {
 	SimilarityK int
 	// Threshold is the average-linkage cut distance for model clustering.
 	Threshold float64
-	// Scorer is the proxy task; nil means LEEP (§II.A).
+	// Scorer is the proxy task; nil means calibrated LEEP (§II.A).
 	Scorer proxy.Scorer
 }
 
-// DefaultOptions mirrors the paper's settings.
-func DefaultOptions() Options {
-	return Options{K: 10, SimilarityK: 5, Threshold: 0.08, Scorer: proxy.CalibratedLEEP{}}
-}
-
-// fill replaces every unset field with its DefaultOptions value — the one
-// place the defaults are written; core.fillRecallOptions reads it too.
-func (o *Options) fill() {
-	def := DefaultOptions()
+// Fill replaces every unset field with the paper's setting — the one
+// place the recall defaults are written.
+func (o *Options) Fill() {
 	if o.K <= 0 {
-		o.K = def.K
+		o.K = 10
 	}
 	if o.SimilarityK <= 0 {
-		o.SimilarityK = def.SimilarityK
+		o.SimilarityK = 5
 	}
 	if o.Threshold <= 0 {
-		o.Threshold = def.Threshold
+		o.Threshold = 0.08
 	}
 	if o.Scorer == nil {
-		o.Scorer = def.Scorer
+		o.Scorer = proxy.CalibratedLEEP{}
 	}
 }
 
@@ -122,7 +117,7 @@ func prepareOffline(m *perfmatrix.Matrix, opts Options) (*Offline, error) {
 // so the Offline — and the Artifact persisted from it — is bit-identical
 // for every worker count.
 func PrepareOfflineWith(m *perfmatrix.Matrix, opts Options, workers int) (*Offline, error) {
-	opts.fill()
+	opts.Fill()
 	names, vecs, avgAcc, err := matrixVectors(m, workers)
 	if err != nil {
 		return nil, err
@@ -191,14 +186,7 @@ func assembleOffline(opts Options, names []string, vecs *numeric.Frame, avgAcc [
 	for cid := range reps {
 		cids = append(cids, cid)
 	}
-	// deterministic order
-	for i := 0; i < len(cids); i++ {
-		for j := i + 1; j < len(cids); j++ {
-			if cids[j] < cids[i] {
-				cids[i], cids[j] = cids[j], cids[i]
-			}
-		}
-	}
+	slices.Sort(cids)
 
 	// Eq. 1 similarities depend on performance vectors only, so they are
 	// offline work: a singleton outside the scored set gets its row of
@@ -280,7 +268,7 @@ func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error
 	if a == nil {
 		return nil, fmt.Errorf("recall: rehydrate: nil artifact")
 	}
-	opts.fill()
+	opts.Fill()
 	if a.SimilarityK != opts.SimilarityK {
 		return nil, fmt.Errorf("recall: artifact similarity k %d, want %d", a.SimilarityK, opts.SimilarityK)
 	}

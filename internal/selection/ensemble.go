@@ -20,7 +20,7 @@ func EnsembleSelect(ctx context.Context, models []*modelhub.Model, d *datahub.Da
 	if k < 1 {
 		return nil, fmt.Errorf("selection: ensemble size %d < 1", k)
 	}
-	s, err := search(ctx, models, d, opts.Config, k, opts.prune)
+	s, err := opts.search(ctx, models, d, k)
 	if err != nil {
 		return nil, err
 	}

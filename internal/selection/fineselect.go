@@ -2,6 +2,7 @@ package selection
 
 import (
 	"context"
+	"errors"
 
 	"twophase/internal/datahub"
 	"twophase/internal/modelhub"
@@ -14,7 +15,8 @@ import (
 // Algorithm 1.
 type FineSelectOptions struct {
 	Config
-	// Matrix supplies the offline convergence records mined into trends.
+	// Matrix supplies the offline convergence records mined into trends;
+	// FineSelect and EnsembleSelect refuse to run without one.
 	Matrix *perfmatrix.Matrix
 	// Threshold is the filtering threshold of Table IV: a model is only
 	// trend-filtered when a better-validation competitor's predicted
@@ -22,70 +24,61 @@ type FineSelectOptions struct {
 	// Threshold (as a proportion of the model's prediction). 0 is the
 	// paper's default setting.
 	Threshold float64
-	// DisableTrendFilter turns Algorithm 1's fine-filter step off,
-	// leaving its halving backstop as the only prune rule; used by the
-	// ablation benchmark. That is successive halving's schedule and cost
-	// but not its survivors — see the package comment on ties.
-	DisableTrendFilter bool
 }
 
 // FineSelect runs Algorithm 1 and returns a single fully trained model.
 func FineSelect(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opts FineSelectOptions) (*Outcome, error) {
-	s, err := search(ctx, models, d, opts.Config, 1, opts.prune)
+	s, err := opts.search(ctx, models, d, 1)
 	if err != nil {
 		return nil, err
 	}
 	return s.winner(), nil
 }
 
-// prune is Algorithm 1's prune step: the trend filter, then the halving
-// backstop (lines 8-10).
+// search is the staged search with Algorithm 1's prune step down to floor
+// survivors. Without a matrix there are no trends to filter with, so it is
+// an error rather than successive halving in disguise.
+func (opts FineSelectOptions) search(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, floor int) (survivors, error) {
+	if opts.Matrix == nil {
+		return survivors{}, errors.New("selection: no performance matrix to mine trends from")
+	}
+	return search(ctx, models, d, opts.Config, floor, opts.prune)
+}
+
+// prune is Algorithm 1's prune step: the trend filter, then halve over
+// what it kept (the halving backstop, lines 8-10). Each member's final
+// performance is predicted by matching its current validation accuracy
+// against the model's mined convergence trends at this stage (Eq. 5/6).
 func (opts FineSelectOptions) prune(pool []*trainer.Run, vals []float64, stage, floor int) ([]bool, error) {
-	keep := make([]bool, len(pool))
-	for i := range keep {
-		keep[i] = true
+	preds := make([]float64, len(pool))
+	for i, run := range pool {
+		p, err := predictFinal(opts.Matrix, run.Model.Name, stage, vals[i])
+		if err != nil {
+			return nil, err
+		}
+		preds[i] = p
 	}
-	kept := len(pool)
-	// Both rules walk the models from worst validation upward.
+	return halve(trendFilter(vals, preds, opts.Threshold, floor), vals, floor), nil
+}
+
+// trendFilter walks the members from worst validation upward and drops
+// one when some better-validation member's prediction beats its own by
+// more than the threshold proportion, while more than floor remain.
+func trendFilter(vals, preds []float64, threshold float64, floor int) []bool {
+	drop := make([]bool, len(vals))
+	left := len(vals)
 	order := numeric.ArgSortAsc(vals)
-
-	if !opts.DisableTrendFilter && opts.Matrix != nil {
-		// Predict each member's final performance by matching its
-		// current validation accuracy against the model's mined
-		// convergence trends at this stage (Eq. 5/6).
-		preds := make([]float64, len(pool))
-		for i, run := range pool {
-			p, err := predictFinal(opts.Matrix, run.Model.Name, stage, vals[i])
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = p
-		}
-		// Drop a model when some better-validation model's prediction
-		// beats its own by more than the threshold proportion.
-		for oi, i := range order {
-			if kept <= floor {
-				break
-			}
-			for _, j := range order[oi+1:] {
-				if vals[j] > vals[i] && preds[j]-preds[i] > opts.Threshold*preds[i] {
-					keep[i] = false
-					kept--
-					break
-				}
-			}
-		}
-	}
-
-	limit := max(len(pool)/2, floor)
-	for _, i := range order {
-		if kept <= limit {
+	for oi, i := range order {
+		if left <= floor {
 			break
 		}
-		if keep[i] {
-			keep[i] = false
-			kept--
+		for _, j := range order[oi+1:] {
+			if vals[j] > vals[i] && preds[j]-preds[i] > threshold*preds[i] {
+				drop[i] = true
+				left--
+				break
+			}
 		}
 	}
-	return keep, nil
+	return drop
 }

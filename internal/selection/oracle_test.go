@@ -3,13 +3,17 @@ package selection
 // Differential oracle for the one-loop replace: test-local copies of the
 // four hand-written loops the staged search replaced (FineSelect,
 // EnsembleSelect, SuccessiveHalving, BruteForce as they stood before it),
-// kept verbatim apart from their names and the slice-of-runs trainStage
-// shim. The new entry points must reproduce their outcomes field for
-// field.
+// kept verbatim apart from their names, the slice-of-runs trainStage shim,
+// the trend filter's on/off switch as a parameter, and successive
+// halving's tie rule, which now is the backstop's: of validation-tied
+// members the earlier in pool order goes. The new entry points must
+// reproduce their outcomes field for field.
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -123,9 +127,9 @@ func oldSuccessiveHalving(ctx context.Context, models []*modelhub.Model, d *data
 			if keep < 1 {
 				keep = 1
 			}
-			order := numeric.ArgSortDesc(vals)
+			order := numeric.ArgSortAsc(vals)
 			next := make([]string, 0, keep)
-			for _, i := range order[:keep] {
+			for _, i := range order[len(pool)-keep:] {
 				next = append(next, pool[i])
 			}
 			pool = oldSortByOriginal(next, all)
@@ -135,8 +139,9 @@ func oldSuccessiveHalving(ctx context.Context, models []*modelhub.Model, d *data
 }
 
 // oldStagedFilter is the loop body FineSelect (k = 1) and EnsembleSelect
-// each carried a copy of; the two copies differed only in k.
-func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opts FineSelectOptions, k int) (*Outcome, []string, map[string]*trainer.Run, error) {
+// each carried a copy of; the two copies differed only in k. With filter
+// false only the halving backstop prunes.
+func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opts FineSelectOptions, k int, filter bool) (*Outcome, []string, map[string]*trainer.Run, error) {
 	runs, pool, err := oldRuns(models, d, opts.Config)
 	if err != nil {
 		return nil, nil, nil, err
@@ -163,7 +168,7 @@ func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.D
 		for i := range keepMask {
 			keepMask[i] = true
 		}
-		if !opts.DisableTrendFilter && opts.Matrix != nil {
+		if filter {
 			preds := make([]float64, len(pool))
 			for i, name := range pool {
 				p, err := predictFinal(opts.Matrix, name, stage, vals[i])
@@ -172,39 +177,9 @@ func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.D
 				}
 				preds[i] = p
 			}
-			order := numeric.ArgSortAsc(vals)
-			for oi, i := range order {
-				dominated := false
-				for _, j := range order[oi+1:] {
-					if !keepMask[j] || vals[j] <= vals[i] {
-						continue
-					}
-					margin := opts.Threshold * preds[i]
-					if preds[j]-preds[i] > margin {
-						dominated = true
-						break
-					}
-				}
-				if dominated && oldRemaining(keepMask) > k {
-					keepMask[i] = false
-				}
-			}
+			oldTrendFilter(keepMask, vals, preds, opts.Threshold, k)
 		}
-		limit := len(pool) / 2
-		if limit < k {
-			limit = k
-		}
-		if oldRemaining(keepMask) > limit {
-			order := numeric.ArgSortAsc(vals)
-			for _, i := range order {
-				if oldRemaining(keepMask) <= limit {
-					break
-				}
-				if keepMask[i] {
-					keepMask[i] = false
-				}
-			}
-		}
+		oldBackstop(keepMask, vals, k)
 		next := pool[:0:0]
 		for i, keep := range keepMask {
 			if keep {
@@ -216,8 +191,48 @@ func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.D
 	return out, pool, runs, nil
 }
 
+// oldTrendFilter is the old loop's trend filter over a keep mask.
+func oldTrendFilter(keepMask []bool, vals, preds []float64, threshold float64, k int) {
+	order := numeric.ArgSortAsc(vals)
+	for oi, i := range order {
+		dominated := false
+		for _, j := range order[oi+1:] {
+			if !keepMask[j] || vals[j] <= vals[i] {
+				continue
+			}
+			margin := threshold * preds[i]
+			if preds[j]-preds[i] > margin {
+				dominated = true
+				break
+			}
+		}
+		if dominated && oldRemaining(keepMask) > k {
+			keepMask[i] = false
+		}
+	}
+}
+
+// oldBackstop is the old loop's halving backstop over a keep mask.
+func oldBackstop(keepMask []bool, vals []float64, k int) {
+	limit := len(keepMask) / 2
+	if limit < k {
+		limit = k
+	}
+	if oldRemaining(keepMask) > limit {
+		order := numeric.ArgSortAsc(vals)
+		for _, i := range order {
+			if oldRemaining(keepMask) <= limit {
+				break
+			}
+			if keepMask[i] {
+				keepMask[i] = false
+			}
+		}
+	}
+}
+
 func oldFineSelect(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opts FineSelectOptions) (*Outcome, error) {
-	out, pool, runs, err := oldStagedFilter(ctx, models, d, opts, 1)
+	out, pool, runs, err := oldStagedFilter(ctx, models, d, opts, 1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +243,7 @@ func oldFineSelect(ctx context.Context, models []*modelhub.Model, d *datahub.Dat
 // EnsembleOutcome into an Outcome the way core.SelectWith did (Winner =
 // Members[0], WinnerVal/WinnerTest = the ensemble's accuracies).
 func oldEnsembleSelect(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opts FineSelectOptions, k int) (*Outcome, error) {
-	out, pool, runs, err := oldStagedFilter(ctx, models, d, opts, k)
+	out, pool, runs, err := oldStagedFilter(ctx, models, d, opts, k, true)
 	if err != nil {
 		return nil, err
 	}
@@ -297,8 +312,9 @@ func strategyCases() []strategyCase {
 // paper's 1, one that leaves a remainder stage, and one stage for all.
 var stageEpochGrid = []int{1, 2, 5}
 
-// worldFixture is a 6-model pool, the offline matrix of its whole task
-// family and the family's first target, at golden sizes.
+// worldFixture is a task family's whole repository (the pool core's sh
+// strategy halves), the offline matrix over it and the family's first
+// target, at golden sizes.
 func worldFixture(t *testing.T, task string, seed uint64) ([]*modelhub.Model, *perfmatrix.Matrix, *datahub.Dataset, Config) {
 	t.Helper()
 	w := synth.NewWorld(seed)
@@ -315,14 +331,14 @@ func worldFixture(t *testing.T, task string, seed uint64) ([]*modelhub.Model, *p
 	if err != nil {
 		t.Fatal(err)
 	}
-	return repo.Models()[:6], m, cat.Targets()[0], Config{HP: hp, Seed: seed, Salt: "oracle"}
+	return repo.Models(), m, cat.Targets()[0], Config{HP: hp, Seed: seed, Salt: "oracle"}
 }
 
-// TestSearchMatchesReplacedLoops: over both task families × seeds {0, 7} ×
-// workers {1, 4} × every validation interval × every epoch cap from 0 to
-// the unbudgeted cost (and no cap), each entry point returns an outcome
-// deeply equal to its replaced loop's — winner, accuracies, ledger,
-// stages, members, truncation.
+// TestSearchMatchesReplacedLoops: over the first six models of both task
+// families × seeds {0, 7} × workers {1, 4} × every validation interval ×
+// every epoch cap from 0 to the unbudgeted cost (and no cap), each entry
+// point returns an outcome deeply equal to its replaced loop's — winner,
+// accuracies, ledger, stages, members, truncation.
 func TestSearchMatchesReplacedLoops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential grid builds four offline matrices")
@@ -330,7 +346,8 @@ func TestSearchMatchesReplacedLoops(t *testing.T) {
 	ctx := context.Background()
 	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
 		for _, seed := range []uint64{0, 7} {
-			models, matrix, target, cfg := worldFixture(t, task, seed)
+			all, matrix, target, cfg := worldFixture(t, task, seed)
+			models := all[:6]
 			for _, c := range strategyCases() {
 				for _, s := range stageEpochGrid {
 					for _, workers := range []int{1, 4} {
@@ -360,19 +377,106 @@ func TestSearchMatchesReplacedLoops(t *testing.T) {
 					}
 				}
 			}
-			// The trend filter off leaves the backstop alone; that path
-			// must be the old one too.
-			opts := FineSelectOptions{Config: cfg, DisableTrendFilter: true, Matrix: matrix}
-			want, err := oldFineSelect(ctx, models, target, opts)
+			// The old loop with its trend filter off left the backstop
+			// alone, and that is successive halving, over the whole
+			// repository too.
+			out, pool, runs, err := oldStagedFilter(ctx, all, target, FineSelectOptions{Config: cfg}, 1, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := FineSelect(ctx, models, target, opts)
+			want, err := oldFinish(out, pool, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SuccessiveHalving(ctx, all, target, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%d filter-less fs:\n got %+v\nwant %+v", task, seed, got, want)
+				t.Fatalf("%s/%d filter-less fs vs sh:\n got %+v\nwant %+v", task, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestFineSelectAtInfiniteThresholdIsSH: a threshold of +Inf lets no
+// prediction gap beat it (Inf·p is +Inf, or NaN at p = 0), so Algorithm
+// 1's prune is its halving backstop alone, and that is successive halving:
+// over both task families × seeds {0, 7} × every validation interval ×
+// workers {1, 4} × every epoch cap (and no cap) the outcomes are deeply
+// equal — winner, accuracies, ledger, every stage's pool, truncation.
+func TestFineSelectAtInfiniteThresholdIsSH(t *testing.T) {
+	ctx := context.Background()
+	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+		for _, seed := range []uint64{0, 7} {
+			models, matrix, target, cfg := worldFixture(t, task, seed)
+			for _, s := range stageEpochGrid {
+				for _, workers := range []int{1, 4} {
+					opts := FineSelectOptions{Config: cfg, Matrix: matrix, Threshold: math.Inf(1)}
+					opts.StageEpochs, opts.Workers = s, workers
+					full, err := SuccessiveHalving(ctx, models, target, opts.Config)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for cap := -1; cap <= full.Ledger.TrainEpochs(); cap++ {
+						if cap >= 0 {
+							opts.MaxEpochs = intPtr(cap)
+						}
+						sh, err := SuccessiveHalving(ctx, models, target, opts.Config)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fs, err := FineSelect(ctx, models, target, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(fs, sh) {
+							t.Fatalf("%s/%d s=%d workers=%d cap=%d:\n fs %+v\n sh %+v", task, seed, s, workers, cap, fs, sh)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPruneIsFilterThenHalve: on seeded random stages with heavy
+// validation ties and random predictions, Algorithm 1's prune step — the
+// trend filter, then halve over what it kept — drops exactly what halve
+// drops over the replaced loop's trend-filter mask, and exactly what the
+// replaced loop's filter and backstop dropped, at every floor k the
+// search prunes above.
+func TestPruneIsFilterThenHalve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + rng.IntN(11)
+		levels := 1 + rng.IntN(4)
+		vals, preds := make([]float64, n), make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(rng.IntN(levels)) / 4
+			preds[i] = rng.Float64()
+		}
+		threshold := []float64{0, 0.05, 0.2, math.Inf(1)}[rng.IntN(4)]
+		for k := 1; k <= 3 && k < n; k++ {
+			got := halve(trendFilter(vals, preds, threshold, k), vals, k)
+
+			oldMask := make([]bool, n)
+			for i := range oldMask {
+				oldMask[i] = true
+			}
+			oldTrendFilter(oldMask, vals, preds, threshold, k)
+			filtered := make([]bool, n)
+			for i, keep := range oldMask {
+				filtered[i] = !keep
+			}
+			if want := halve(filtered, vals, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("vals %v preds %v threshold %v k=%d: prune drops %v, filter mask then halve %v", vals, preds, threshold, k, got, want)
+			}
+			oldBackstop(oldMask, vals, k)
+			for i, keep := range oldMask {
+				if got[i] == keep {
+					t.Fatalf("vals %v preds %v threshold %v k=%d: prune drops %v, replaced loop keeps %v", vals, preds, threshold, k, got, oldMask)
+				}
 			}
 		}
 	}

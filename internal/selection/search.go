@@ -9,23 +9,19 @@
 // error), records the pool, trains every member for the stage's epochs and,
 // while the pool is above its survivor floor, hands the members' validation
 // accuracies to a prune step. A canceled context aborts between members
-// with ctx.Err(). There are two prune steps:
+// with ctx.Err().
 //
-//   - halve (Jamieson & Talwalkar 2016) keeps the top ⌊n/2⌋ by validation
-//     accuracy; of tied members the earlier in pool order stays.
-//   - FineSelectOptions.prune (Algorithm 1) first drops every member that
-//     some better-validating member's predicted final accuracy beats, then
-//     — the halving backstop — drops worst-validating members until at
-//     most max(⌊n/2⌋, floor) remain; of tied members the earlier in pool
-//     order goes.
-//
-// SuccessiveHalving is the search with halve, FineSelect the search with
-// Algorithm 1's step and floor 1, EnsembleSelect the same with floor k and
-// a soft vote over the survivors, and BruteForce the search with no prune
-// step at one-epoch stages. Because the two steps break ties in opposite
-// directions, FineSelect with its trend filter off is not
-// SuccessiveHalving: pool sizes and cost agree, the survivors may differ
-// among validation-tied members.
+// Every prune step ends in halve (Jamieson & Talwalkar 2016): walking up
+// from the worst validation accuracy it drops members still in play until
+// at most max(⌊n/2⌋, floor) of the pool's n remain; of tied members the
+// earlier in pool order goes. SuccessiveHalving is the search with halve
+// alone and floor 1. FineSelect is the search with Algorithm 1's step
+// (FineSelectOptions.prune) and floor 1: the trend filter first drops
+// every member that some better-validating member's predicted final
+// accuracy beats, then halve runs over what it kept (the halving
+// backstop). EnsembleSelect is the same with floor k and a soft vote over
+// the survivors, and BruteForce the search with no prune step at
+// one-epoch stages.
 //
 // Cost is accounted in training epochs through a trainer.Ledger and
 // selection is strictly on validation accuracy; held-out test accuracy is
@@ -123,11 +119,11 @@ type Outcome struct {
 	BestMemberTest float64
 }
 
-// pruneFunc decides which members of a just-trained pool reach the next
-// stage: vals are their validation accuracies in pool order, stage is the
-// 0-based index of the last epoch trained (the offline-curve position the
+// pruneFunc decides which members of a just-trained pool leave it: vals
+// are their validation accuracies in pool order, stage is the 0-based
+// index of the last epoch trained (the offline-curve position the
 // accuracies correspond to) and floor the fewest members it may keep.
-type pruneFunc func(pool []*trainer.Run, vals []float64, stage, floor int) (keep []bool, err error)
+type pruneFunc func(pool []*trainer.Run, vals []float64, stage, floor int) (drop []bool, err error)
 
 // survivors is what a search leaves for its caller to rank.
 type survivors struct {
@@ -160,13 +156,13 @@ func search(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, c
 		if prune == nil || len(pool) <= floor {
 			continue
 		}
-		keep, err := prune(pool, vals, epochs-1, floor)
+		drop, err := prune(pool, vals, epochs-1, floor)
 		if err != nil {
 			return survivors{}, err
 		}
 		next := pool[:0]
 		for i, run := range pool {
-			if keep[i] {
+			if !drop[i] {
 				next = append(next, run)
 			}
 		}
@@ -203,13 +199,27 @@ func names(pool []*trainer.Run) []string {
 	return out
 }
 
-// halve is successive halving's prune step.
-func halve(pool []*trainer.Run, vals []float64, _, _ int) ([]bool, error) {
-	keep := make([]bool, len(pool))
-	for _, i := range numeric.ArgSortDesc(vals)[:len(pool)/2] {
-		keep[i] = true
+// halve is the one halving step (see the package comment): it marks in
+// drop the worst-validating members not dropped yet until at most
+// max(⌊n/2⌋, floor) of the n remain, and returns drop.
+func halve(drop []bool, vals []float64, floor int) []bool {
+	left := 0
+	for _, d := range drop {
+		if !d {
+			left++
+		}
 	}
-	return keep, nil
+	limit := max(len(drop)/2, floor)
+	for _, i := range numeric.ArgSortAsc(vals) {
+		if left <= limit {
+			break
+		}
+		if !drop[i] {
+			drop[i] = true
+			left--
+		}
+	}
+	return drop
 }
 
 // winner fills the outcome with the best-validation survivor (the earliest
@@ -246,9 +256,12 @@ func BruteForce(ctx context.Context, models []*modelhub.Model, d *datahub.Datase
 	return s.winner(), nil
 }
 
-// SuccessiveHalving is the paper's SH baseline: the search with halve.
+// SuccessiveHalving is the paper's SH baseline: the search with halve
+// alone.
 func SuccessiveHalving(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, cfg Config) (*Outcome, error) {
-	s, err := search(ctx, models, d, cfg, 1, halve)
+	s, err := search(ctx, models, d, cfg, 1, func(pool []*trainer.Run, vals []float64, _, floor int) ([]bool, error) {
+		return halve(make([]bool, len(pool)), vals, floor), nil
+	})
 	if err != nil {
 		return nil, err
 	}

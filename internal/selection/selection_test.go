@@ -7,7 +7,6 @@ import (
 
 	"twophase/internal/datahub"
 	"twophase/internal/modelhub"
-	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/synth"
 	"twophase/internal/trainer"
@@ -128,82 +127,26 @@ func TestFineSelectCheaperThanSH(t *testing.T) {
 	}
 }
 
-// TestFineSelectWithoutMatrixEqualsSH: without trends only the halving
-// backstop prunes, and that equals successive halving in schedule — the
-// same pool size at every stage, the same epoch cost — but not in
-// survivors: the two prune steps break validation ties in opposite
-// directions (TestPruneTieDirections), so members tied at the cut may
-// swap, and from there the pools may drift apart.
-func TestFineSelectWithoutMatrixEqualsSH(t *testing.T) {
-	models, _, target, cfg := fixture(t)
-	ctx := context.Background()
-	fs, err := FineSelect(ctx, models, target, FineSelectOptions{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := SuccessiveHalving(ctx, models, target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Ledger.TrainEpochs() != sh.Ledger.TrainEpochs() {
-		t.Fatalf("matrix-less FS cost %d differs from SH %d", fs.Ledger.TrainEpochs(), sh.Ledger.TrainEpochs())
-	}
-	if len(fs.Stages) != len(sh.Stages) {
-		t.Fatalf("matrix-less FS ran %d stages, SH %d", len(fs.Stages), len(sh.Stages))
-	}
-	for i := range fs.Stages {
-		if len(fs.Stages[i]) != len(sh.Stages[i]) {
-			t.Fatalf("stage %d: matrix-less FS pool %d, SH pool %d", i, len(fs.Stages[i]), len(sh.Stages[i]))
-		}
-	}
-	// Both trained the same first stage (same pool, same salt): whoever
-	// survived it under one rule and not the other sat exactly on the cut.
-	pool, err := newRuns(models, target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ledger trainer.Ledger
-	vals, err := trainStage(ctx, pool, 1, 0, &ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := vals[numeric.ArgSortDesc(vals)[len(pool)/2-1]]
-	inSH := make(map[string]bool)
-	for _, name := range sh.Stages[1] {
-		inSH[name] = true
-	}
-	inFS := make(map[string]bool)
-	for _, name := range fs.Stages[1] {
-		inFS[name] = true
-	}
-	for i, run := range pool {
-		if name := run.Model.Name; inSH[name] != inFS[name] && vals[i] != cut {
-			t.Fatalf("%s (val %v) survived stage 0 under one rule only, away from the cut %v", name, vals[i], cut)
-		}
-	}
-}
-
-// TestPruneTieDirections pins which of two validation-tied members each
-// prune step lets go: halve keeps the earlier in pool order, Algorithm 1's
-// halving backstop drops it. The sh and two-phase golden reports record
-// one rule each.
+// TestPruneTieDirections pins which of two validation-tied members the
+// halving rule lets go: the earlier in pool order. halve alone (successive
+// halving) and Algorithm 1's prune with a filter that drops nobody (equal
+// predictions) must both give it.
 func TestPruneTieDirections(t *testing.T) {
-	pool := make([]*trainer.Run, 4)
-	backstop := FineSelectOptions{}.prune
+	same := []float64{0.5, 0.5, 0.5, 0.5}
 	for _, c := range []struct {
-		vals            []float64
-		halved, stopped []bool
+		vals []float64
+		drop []bool
 	}{
-		{[]float64{0.5, 0.5, 0.5, 0.5}, []bool{true, true, false, false}, []bool{false, false, true, true}},
-		{[]float64{0.9, 0.5, 0.5, 0.1}, []bool{true, true, false, false}, []bool{true, false, true, false}},
-		{[]float64{0.5, 0.9, 0.1, 0.5}, []bool{true, true, false, false}, []bool{false, true, false, true}},
-		{[]float64{0.7, 0.5, 0.5, 0.9}, []bool{true, false, false, true}, []bool{true, false, false, true}},
+		{[]float64{0.5, 0.5, 0.5, 0.5}, []bool{true, true, false, false}},
+		{[]float64{0.9, 0.5, 0.5, 0.1}, []bool{false, true, false, true}},
+		{[]float64{0.5, 0.9, 0.1, 0.5}, []bool{true, false, true, false}},
+		{[]float64{0.7, 0.5, 0.5, 0.9}, []bool{false, true, true, false}},
 	} {
-		if got, _ := halve(pool, c.vals, 0, 1); !reflect.DeepEqual(got, c.halved) {
-			t.Errorf("halve(%v) keeps %v, want %v", c.vals, got, c.halved)
+		if got := halve(make([]bool, len(c.vals)), c.vals, 1); !reflect.DeepEqual(got, c.drop) {
+			t.Errorf("halve(%v) drops %v, want %v", c.vals, got, c.drop)
 		}
-		if got, _ := backstop(pool, c.vals, 0, 1); !reflect.DeepEqual(got, c.stopped) {
-			t.Errorf("backstop(%v) keeps %v, want %v", c.vals, got, c.stopped)
+		if got := halve(trendFilter(c.vals, same, 0, 1), c.vals, 1); !reflect.DeepEqual(got, c.drop) {
+			t.Errorf("Algorithm 1's prune(%v) drops %v, want %v", c.vals, got, c.drop)
 		}
 	}
 }
@@ -249,7 +192,15 @@ func TestSelectionErrors(t *testing.T) {
 	if _, err := SuccessiveHalving(context.Background(), dup, target, cfg); err == nil {
 		t.Fatal("duplicate models accepted")
 	}
-	_ = m
+	if _, err := FineSelect(context.Background(), models, target, FineSelectOptions{Config: cfg}); err == nil {
+		t.Fatal("FineSelect without a matrix accepted")
+	}
+	if _, err := EnsembleSelect(context.Background(), models, target, FineSelectOptions{Config: cfg}, 2); err == nil {
+		t.Fatal("EnsembleSelect without a matrix accepted")
+	}
+	if _, err := FineSelect(context.Background(), models, target, FineSelectOptions{Config: cfg, Matrix: m}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSingleModelPool(t *testing.T) {

@@ -359,7 +359,8 @@ func TestTestSplitExtractedOnDemand(t *testing.T) {
 // stepBatch is the per-example SGD update TrainEpoch ran before sgdPass
 // replaced it — MulVec over the head, bias, Softmax, then a second walk
 // over every weight row — kept verbatim as the kernel's differential
-// oracle.
+// oracle, apart from its products, which are rounded before they are
+// summed (float64(a*b)) as in the kernel, so that no platform fuses them.
 func (r *Run) stepBatch(idx []int) {
 	lr := r.HP.LearningRate / float64(len(idx))
 	for _, i := range idx {
@@ -377,9 +378,9 @@ func (r *Run) stepBatch(idx []int) {
 			}
 			row := r.weights.Row(c)
 			for j, xv := range x {
-				row[j] -= lr * (g*xv + r.HP.L2*row[j])
+				row[j] -= float64(lr * (float64(g*xv) + float64(r.HP.L2*row[j])))
 			}
-			r.bias[c] -= lr * g
+			r.bias[c] -= float64(lr * g)
 		}
 	}
 }
