@@ -20,10 +20,15 @@ var (
 	ErrShed = errors.New("admission: overloaded, request shed")
 )
 
-// DefaultShedRetryAfter is the Retry-After hint attached to shed requests
-// when Options.ShedRetryAfter is unset: long enough for a burst to drain,
-// short enough to keep well-behaved clients responsive.
-const DefaultShedRetryAfter = 250 * time.Millisecond
+// ShedRetryAfter is the Retry-After hint attached to shed requests: long
+// enough for a burst to drain, short enough to keep well-behaved clients
+// responsive.
+const ShedRetryAfter = 250 * time.Millisecond
+
+// maxClients bounds tracked per-client buckets; at the bound, the least
+// recently used idle bucket is dropped (a dropped client starts over with
+// a full bucket).
+const maxClients = 4096
 
 // Options configures a Controller. The zero value disables every limit —
 // Admit then always succeeds immediately.
@@ -40,15 +45,6 @@ type Options struct {
 	// first (the newest among equals); an arrival that outranks no waiter
 	// is shed itself.
 	MaxQueue int
-	// ShedRetryAfter is the Retry-After hint for shed requests
-	// (0 = DefaultShedRetryAfter).
-	ShedRetryAfter time.Duration
-	// MaxClients bounds tracked per-client buckets; at the bound, the
-	// least recently used idle bucket is dropped (a dropped client starts
-	// over with a full bucket). 0 means 4096.
-	MaxClients int
-	// Now is the clock (tests override it; nil means time.Now).
-	Now func() time.Time
 }
 
 // Stats is the controller's observability snapshot, and the "admission"
@@ -100,15 +96,6 @@ func NewController(opts Options) *Controller {
 	if opts.Burst <= 0 {
 		opts.Burst = opts.Rate
 	}
-	if opts.ShedRetryAfter <= 0 {
-		opts.ShedRetryAfter = DefaultShedRetryAfter
-	}
-	if opts.MaxClients <= 0 {
-		opts.MaxClients = 4096
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	return &Controller{
 		opts:    opts,
 		buckets: make(map[string]*TokenBucket),
@@ -123,7 +110,7 @@ func NewController(opts Options) *Controller {
 // Retry-After hint; a context canceled while waiting returns ctx.Err().
 func (c *Controller) Admit(ctx context.Context, client string, priority int) (func(), time.Duration, error) {
 	if c.opts.Rate > 0 {
-		if ok, retry := c.bucket(client).Allow(c.opts.Now()); !ok {
+		if ok, retry := c.bucket(client).Allow(time.Now()); !ok {
 			c.mu.Lock()
 			c.stats.RateLimited++
 			c.mu.Unlock()
@@ -147,7 +134,7 @@ func (c *Controller) Admit(ctx context.Context, client string, priority int) (fu
 			// is the lowest priority, so it is the one shed.
 			c.stats.Shed++
 			c.mu.Unlock()
-			return refuse(client, "overloaded", c.opts.ShedRetryAfter, fmt.Errorf("%w: %d inflight, queue full", ErrShed, c.opts.MaxInflight))
+			return refuse(client, "overloaded", ShedRetryAfter, fmt.Errorf("%w: %d inflight, queue full", ErrShed, c.opts.MaxInflight))
 		}
 		v.shed = true
 		c.remove(v)
@@ -165,7 +152,7 @@ func (c *Controller) Admit(ctx context.Context, client string, priority int) (fu
 		c.mu.Lock()
 		if w.shed {
 			c.mu.Unlock()
-			return refuse(client, "overloaded", c.opts.ShedRetryAfter, fmt.Errorf("%w: evicted by a higher-priority request", ErrShed))
+			return refuse(client, "overloaded", ShedRetryAfter, fmt.Errorf("%w: evicted by a higher-priority request", ErrShed))
 		}
 		c.stats.Admitted++
 		c.mu.Unlock()
@@ -257,7 +244,7 @@ func (c *Controller) remove(target *waiter) {
 }
 
 // bucket returns the client's token bucket, creating it full on first
-// sight and evicting the least recently used bucket beyond MaxClients.
+// sight and evicting the least recently used bucket beyond maxClients.
 func (c *Controller) bucket(client string) *TokenBucket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -266,7 +253,7 @@ func (c *Controller) bucket(client string) *TokenBucket {
 		c.lru[client] = c.tick
 		return b
 	}
-	if len(c.buckets) >= c.opts.MaxClients {
+	if len(c.buckets) >= maxClients {
 		oldest, oldestTick := "", int64(0)
 		for cl, tk := range c.lru {
 			if oldest == "" || tk < oldestTick {

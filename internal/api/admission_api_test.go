@@ -41,7 +41,7 @@ func TestWireSentinelRegression(t *testing.T) {
 		{"unknown_task", ErrUnknownTask, ErrUnknownTask, http.StatusNotFound, 0},
 		{"unknown_target", ErrUnknownTarget, ErrUnknownTarget, http.StatusNotFound, 0},
 		{"seed_rejected", ErrSeedRejected, ErrSeedRejected, http.StatusForbidden, 0},
-		{"canceled", ErrCanceled, ErrCanceled, StatusClientClosedRequest, 0},
+		{"canceled", ErrCanceled, ErrCanceled, statusClientClosedRequest, 0},
 		{"unavailable", ErrUnavailable, ErrUnavailable, http.StatusServiceUnavailable, 0},
 		{"rate_limited", &Error{Code: CodeRateLimited, Message: "slow down", RetryAfter: 1500 * time.Millisecond},
 			ErrRateLimited, http.StatusTooManyRequests, 1500 * time.Millisecond},
@@ -218,11 +218,11 @@ func TestAdmissionMiddlewareShed(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("arrival at the bound: %v, want ErrOverloaded", err)
 	}
-	if retryAfter(err) != admission.DefaultShedRetryAfter {
-		t.Fatalf("shed retry hint %v, want %v", retryAfter(err), admission.DefaultShedRetryAfter)
+	if retryAfter(err) != admission.ShedRetryAfter {
+		t.Fatalf("shed retry hint %v, want %v", retryAfter(err), admission.ShedRetryAfter)
 	}
 	assertRefused(t, events("admission.refused"), map[string]any{"client": "127.0.0.1", "code": CodeOverloaded,
-		"retry_after_ms": float64(admission.DefaultShedRetryAfter.Milliseconds())})
+		"retry_after_ms": float64(admission.ShedRetryAfter.Milliseconds())})
 	close(gate)
 	if err := <-first; err != nil {
 		t.Fatalf("held request failed: %v", err)

@@ -153,8 +153,8 @@ func TestSelectCanceled(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
-	if HTTPStatus(err) != StatusClientClosedRequest {
-		t.Fatalf("status %d, want %d", HTTPStatus(err), StatusClientClosedRequest)
+	if HTTPStatus(err) != statusClientClosedRequest {
+		t.Fatalf("status %d, want %d", HTTPStatus(err), statusClientClosedRequest)
 	}
 	costAfter := svc.Cost()
 	if after := costAfter.Total(); after != before {

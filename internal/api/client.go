@@ -164,7 +164,7 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 	}
 	defer res.Body.Close()
 	if dst, ok := ctx.Value(instanceCaptureKey{}).(*string); ok {
-		*dst = res.Header.Get(InstanceHeader)
+		*dst = res.Header.Get(instanceHeader)
 	}
 	data, err := io.ReadAll(io.LimitReader(res.Body, maxResponseBytes+1))
 	if err != nil {

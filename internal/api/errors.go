@@ -97,9 +97,9 @@ func retryAfter(err error) time.Duration {
 	return 0
 }
 
-// StatusClientClosedRequest is nginx's nonstandard 499 "client closed
+// statusClientClosedRequest is nginx's nonstandard 499 "client closed
 // request", the conventional status for work abandoned by the caller.
-const StatusClientClosedRequest = 499
+const statusClientClosedRequest = 499
 
 // classify maps lower-layer failures onto the contract's sentinels. An
 // error that is already one of the sentinels passes through unchanged;
@@ -170,7 +170,7 @@ var vocabulary = []errorKind{
 	{CodeUnknownTask, ErrUnknownTask, http.StatusNotFound, false},
 	{CodeUnknownTarget, ErrUnknownTarget, http.StatusNotFound, false},
 	{CodeSeedRejected, ErrSeedRejected, http.StatusForbidden, false},
-	{CodeCanceled, ErrCanceled, StatusClientClosedRequest, false},
+	{CodeCanceled, ErrCanceled, statusClientClosedRequest, false},
 	{CodeUnavailable, ErrUnavailable, http.StatusServiceUnavailable, true},
 	{CodeRateLimited, ErrRateLimited, http.StatusTooManyRequests, true},
 	{CodeOverloaded, ErrOverloaded, http.StatusServiceUnavailable, true},

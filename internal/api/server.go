@@ -22,10 +22,10 @@ import (
 // small JSON documents, so anything bigger is a client bug.
 const maxBodyBytes = 1 << 20
 
-// InstanceHeader is the response header naming the serving process. The
+// instanceHeader is the response header naming the serving process. The
 // sharding gateway reads it off backend responses to assert and report
 // routing; multi-process tests assert routing stability through it.
-const InstanceHeader = "X-Instance-Id"
+const instanceHeader = "X-Instance-Id"
 
 // Admission request headers. ClientIDHeader names the client for
 // per-client rate limiting (falls back to the remote address);
@@ -171,7 +171,7 @@ func NewHandlerWith(a API, opts HandlerOptions) http.Handler {
 	handler := http.Handler(mux)
 	if opts.Instance != "" {
 		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(InstanceHeader, opts.Instance)
+			w.Header().Set(instanceHeader, opts.Instance)
 			mux.ServeHTTP(w, r)
 		})
 	}

@@ -30,7 +30,8 @@
 // Decoding is strict and total: every length is bounds-checked against
 // the real input before any allocation sized from it, and no input —
 // truncated, bit-flipped, or adversarial — panics or decodes without
-// passing both checksums. Corruption surfaces as ErrCorrupt.
+// passing both checksums. Corruption surfaces as an error wrapping
+// errCorrupt.
 package artifact
 
 import (
@@ -70,18 +71,19 @@ func (k Kind) String() string {
 
 const (
 	magic = "TPAF"
-	// FormatVersion is the on-disk format revision; a reader refuses
+	// formatVersion is the on-disk format revision; a reader refuses
 	// newer revisions rather than misparse them.
-	FormatVersion = 1
-	// HeaderSize is the fixed byte length of the header.
-	HeaderSize = 40
+	formatVersion = 1
+	// headerSize is the fixed byte length of the header.
+	headerSize = 40
 )
 
-// ErrCorrupt marks bytes that are not a valid artifact of the expected
+// errCorrupt marks bytes that are not a valid artifact of the expected
 // revision: bad magic, a failed checksum, a truncated body, or internal
-// lengths that disagree with the data. Callers treat it as "rebuild",
-// never as "absent".
-var ErrCorrupt = errors.New("artifact: corrupt")
+// lengths that disagree with the data. Every decode error wraps it; the
+// store reports any decode failure as its own ErrCorrupt ("rebuild",
+// never "absent").
+var errCorrupt = errors.New("artifact: corrupt")
 
 // crcTable is the CRC-64/ECMA table shared by every checksum here.
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -98,14 +100,14 @@ type Header struct {
 // parseHeader decodes and validates the fixed header: magic, version and
 // the header's own checksum. It does not touch the body.
 func parseHeader(data []byte) (Header, error) {
-	if len(data) < HeaderSize {
-		return Header{}, fmt.Errorf("%w: %d bytes, header needs %d", ErrCorrupt, len(data), HeaderSize)
+	if len(data) < headerSize {
+		return Header{}, fmt.Errorf("%w: %d bytes, header needs %d", errCorrupt, len(data), headerSize)
 	}
 	if string(data[0:4]) != magic {
-		return Header{}, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[0:4])
+		return Header{}, fmt.Errorf("%w: bad magic %q", errCorrupt, data[0:4])
 	}
 	if got, want := binary.LittleEndian.Uint64(data[32:40]), crc64.Checksum(data[0:32], crcTable); got != want {
-		return Header{}, fmt.Errorf("%w: header checksum %016x, want %016x", ErrCorrupt, got, want)
+		return Header{}, fmt.Errorf("%w: header checksum %016x, want %016x", errCorrupt, got, want)
 	}
 	h := Header{
 		Version:     binary.LittleEndian.Uint16(data[4:6]),
@@ -114,8 +116,8 @@ func parseHeader(data []byte) (Header, error) {
 		BodyLen:     binary.LittleEndian.Uint64(data[16:24]),
 		BodyCRC:     binary.LittleEndian.Uint64(data[24:32]),
 	}
-	if h.Version != FormatVersion {
-		return Header{}, fmt.Errorf("%w: format version %d, reader speaks %d", ErrCorrupt, h.Version, FormatVersion)
+	if h.Version != formatVersion {
+		return Header{}, fmt.Errorf("%w: format version %d, reader speaks %d", errCorrupt, h.Version, formatVersion)
 	}
 	return h, nil
 }
@@ -129,11 +131,11 @@ func Verify(data []byte) (Header, error) {
 	if err != nil {
 		return Header{}, err
 	}
-	if h.BodyLen != uint64(len(data)-HeaderSize) {
-		return Header{}, fmt.Errorf("%w: body length %d, have %d bytes", ErrCorrupt, h.BodyLen, len(data)-HeaderSize)
+	if h.BodyLen != uint64(len(data)-headerSize) {
+		return Header{}, fmt.Errorf("%w: body length %d, have %d bytes", errCorrupt, h.BodyLen, len(data)-headerSize)
 	}
-	if got := crc64.Checksum(data[HeaderSize:], crcTable); got != h.BodyCRC {
-		return Header{}, fmt.Errorf("%w: body checksum %016x, want %016x", ErrCorrupt, got, h.BodyCRC)
+	if got := crc64.Checksum(data[headerSize:], crcTable); got != h.BodyCRC {
+		return Header{}, fmt.Errorf("%w: body checksum %016x, want %016x", errCorrupt, got, h.BodyCRC)
 	}
 	return h, nil
 }
@@ -155,16 +157,16 @@ func encode(kind Kind, meta interface{}, payloadWords int, fill func(payload []b
 	copy(body[4:], metaJSON)
 	fill(body[payloadOff:])
 
-	data := make([]byte, HeaderSize+len(body))
+	data := make([]byte, headerSize+len(body))
 	copy(data[0:4], magic)
-	binary.LittleEndian.PutUint16(data[4:6], FormatVersion)
+	binary.LittleEndian.PutUint16(data[4:6], formatVersion)
 	binary.LittleEndian.PutUint16(data[6:8], uint16(kind))
 	fp := crc64.Checksum(append([]byte{byte(kind), byte(kind >> 8)}, metaJSON...), crcTable)
 	binary.LittleEndian.PutUint64(data[8:16], fp)
 	binary.LittleEndian.PutUint64(data[16:24], uint64(len(body)))
 	binary.LittleEndian.PutUint64(data[24:32], crc64.Checksum(body, crcTable))
 	binary.LittleEndian.PutUint64(data[32:40], crc64.Checksum(data[0:32], crcTable))
-	copy(data[HeaderSize:], body)
+	copy(data[headerSize:], body)
 	return data, nil
 }
 
@@ -176,22 +178,22 @@ func decodeBody(data []byte, want Kind, meta interface{}) ([]byte, Header, error
 		return nil, Header{}, err
 	}
 	if h.Kind != want {
-		return nil, Header{}, fmt.Errorf("%w: kind %s, want %s", ErrCorrupt, h.Kind, want)
+		return nil, Header{}, fmt.Errorf("%w: kind %s, want %s", errCorrupt, h.Kind, want)
 	}
-	body := data[HeaderSize:]
+	body := data[headerSize:]
 	if len(body) < 4 {
-		return nil, Header{}, fmt.Errorf("%w: body too short for meta length", ErrCorrupt)
+		return nil, Header{}, fmt.Errorf("%w: body too short for meta length", errCorrupt)
 	}
 	metaLen := int(binary.LittleEndian.Uint32(body[0:4]))
 	if metaLen < 0 || metaLen > len(body)-4 {
-		return nil, Header{}, fmt.Errorf("%w: meta length %d exceeds body %d", ErrCorrupt, metaLen, len(body))
+		return nil, Header{}, fmt.Errorf("%w: meta length %d exceeds body %d", errCorrupt, metaLen, len(body))
 	}
 	if err := json.Unmarshal(body[4:4+metaLen], meta); err != nil {
-		return nil, Header{}, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
+		return nil, Header{}, fmt.Errorf("%w: meta: %v", errCorrupt, err)
 	}
 	payloadOff := pad8(4 + metaLen)
 	if payloadOff > len(body) {
-		return nil, Header{}, fmt.Errorf("%w: meta padding exceeds body", ErrCorrupt)
+		return nil, Header{}, fmt.Errorf("%w: meta padding exceeds body", errCorrupt)
 	}
 	return body[payloadOff:], h, nil
 }
@@ -285,14 +287,14 @@ func DecodeMatrix(data []byte) (*perfmatrix.Matrix, error) {
 	// cannot overflow the size check into a giant allocation: with every
 	// dimension <= 2^20 the element count is <= 2^61 and cannot wrap.
 	if ep < 0 || ep > 1<<20 || nM > 1<<20 || nD > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible matrix shape %dx%dx%d", ErrCorrupt, nM, nD, ep)
+		return nil, fmt.Errorf("%w: implausible matrix shape %dx%dx%d", errCorrupt, nM, nD, ep)
 	}
 	// Compare element counts, never byte products: the payload length is
 	// ground truth, so a forged meta section can only fail the check.
 	words := uint64(nM) * uint64(nD) * uint64(ep) * 2
 	if len(payload)%8 != 0 || words != uint64(len(payload))/8 {
 		return nil, fmt.Errorf("%w: matrix payload %d bytes, shape %dx%dx%d needs %d words",
-			ErrCorrupt, len(payload), nM, nD, ep, words)
+			errCorrupt, len(payload), nM, nD, ep, words)
 	}
 	m := &perfmatrix.Matrix{
 		Task: meta.Task, Models: meta.Models, Datasets: meta.Datasets,
@@ -355,7 +357,7 @@ func DecodeRecall(data []byte) (*recall.Artifact, error) {
 	// drive a giant allocation. len(payload)/8 cannot be forged.
 	if meta.AssignLen < 0 || len(payload)%8 != 0 || uint64(meta.AssignLen) != uint64(len(payload))/8 {
 		return nil, fmt.Errorf("%w: recall payload %d bytes, assign length %d",
-			ErrCorrupt, len(payload), meta.AssignLen)
+			errCorrupt, len(payload), meta.AssignLen)
 	}
 	var assign []int
 	if meta.AssignLen > 0 {

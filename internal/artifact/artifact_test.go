@@ -178,7 +178,7 @@ func TestEncodeMatrixRejectsRagged(t *testing.T) {
 // TestCorruptionNeverPassesChecksum flips every single bit of a valid
 // matrix document and of a valid recall document (one at a time,
 // exhaustively) and truncates each at every length: Verify and both
-// decoders must refuse each mutant as ErrCorrupt — never decode it, never
+// decoders must refuse each mutant as errCorrupt — never decode it, never
 // panic.
 func TestCorruptionNeverPassesChecksum(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -192,14 +192,14 @@ func TestCorruptionNeverPassesChecksum(t *testing.T) {
 	}
 	refused := func(what string, mut []byte) {
 		t.Helper()
-		if _, err := Verify(mut); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: Verify = %v, want ErrCorrupt", what, err)
+		if _, err := Verify(mut); !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: Verify = %v, want errCorrupt", what, err)
 		}
-		if m, err := DecodeMatrix(mut); m != nil || !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: DecodeMatrix = (%v, %v), want ErrCorrupt", what, m, err)
+		if m, err := DecodeMatrix(mut); m != nil || !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: DecodeMatrix = (%v, %v), want errCorrupt", what, m, err)
 		}
-		if a, err := DecodeRecall(mut); a != nil || !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: DecodeRecall = (%v, %v), want ErrCorrupt", what, a, err)
+		if a, err := DecodeRecall(mut); a != nil || !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: DecodeRecall = (%v, %v), want errCorrupt", what, a, err)
 		}
 	}
 	for name, data := range map[string][]byte{"matrix": matrixDoc, "recall": recallDoc} {
@@ -220,7 +220,7 @@ func TestCorruptionNeverPassesChecksum(t *testing.T) {
 // overflow class: a checksum-valid artifact whose meta section claims a
 // shape whose byte size wraps uint64 (assign_len=2^61 so len*8 == 0, a
 // matrix whose nM*nD*ep*2*8 wraps) must decode
-// to ErrCorrupt, never pass the size check and panic allocating. The
+// to errCorrupt, never pass the size check and panic allocating. The
 // fuzzer cannot reach these — mutations never produce valid CRC64s — so
 // they are pinned here by crafting the encodings directly.
 func TestForgedMetaNeverPanics(t *testing.T) {
@@ -229,7 +229,7 @@ func TestForgedMetaNeverPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeRecall(data); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeRecall(data); !errors.Is(err, errCorrupt) {
 			t.Fatalf("forged assign_len decoded: %v", err)
 		}
 	})
@@ -247,7 +247,7 @@ func TestForgedMetaNeverPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeMatrix(data); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeMatrix(data); !errors.Is(err, errCorrupt) {
 			t.Fatalf("wrapping matrix shape decoded: %v", err)
 		}
 	})
@@ -261,14 +261,14 @@ func TestDecodeWrongKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeRecall(matrix); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeRecall(matrix); !errors.Is(err, errCorrupt) {
 		t.Fatalf("matrix decoded as recall: %v", err)
 	}
 	rec, err := EncodeRecall(&recall.Artifact{Task: "nlp", Models: []string{"m"}, Assign: []int{0}, Clusters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeMatrix(rec); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeMatrix(rec); !errors.Is(err, errCorrupt) {
 		t.Fatalf("recall decoded as matrix: %v", err)
 	}
 	unknown, err := encode(Kind(3), struct{}{}, 0, func([]byte) {})
@@ -278,10 +278,10 @@ func TestDecodeWrongKind(t *testing.T) {
 	if _, err := Verify(unknown); err != nil {
 		t.Fatalf("well-formed document of an unknown kind fails Verify: %v", err)
 	}
-	if _, err := DecodeMatrix(unknown); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeMatrix(unknown); !errors.Is(err, errCorrupt) {
 		t.Fatalf("unknown kind decoded as matrix: %v", err)
 	}
-	if _, err := DecodeRecall(unknown); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeRecall(unknown); !errors.Is(err, errCorrupt) {
 		t.Fatalf("unknown kind decoded as recall: %v", err)
 	}
 }

@@ -22,7 +22,7 @@ func FuzzArtifactDecode(f *testing.F) {
 		trunc := data[:len(data)/2]
 		f.Add(trunc)
 		flip := append([]byte(nil), data...)
-		flip[HeaderSize/2] ^= 0xff
+		flip[headerSize/2] ^= 0xff
 		f.Add(flip)
 	}
 	if data, err := EncodeRecall(&recall.Artifact{Task: "nlp", Models: []string{"m"}, Assign: []int{0}, Clusters: 1}); err == nil {
@@ -39,7 +39,7 @@ func FuzzArtifactDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, verr := Verify(data)
 		if verr == nil {
-			if got := crc64.Checksum(data[HeaderSize:], crcTable); got != h.BodyCRC {
+			if got := crc64.Checksum(data[headerSize:], crcTable); got != h.BodyCRC {
 				t.Fatalf("Verify accepted a body whose checksum %016x != header %016x", got, h.BodyCRC)
 			}
 		}

@@ -49,22 +49,19 @@ func (c Clustering) NonSingletons() [][]int {
 // the closest pair of clusters while their linkage stays below threshold.
 // Setting maxClusters > 0 additionally keeps merging (ignoring threshold)
 // until at most maxClusters remain; pass 0 to rely on the threshold alone.
-func Agglomerative(vecs [][]float64, dist Distance, threshold float64, maxClusters int) Clustering {
-	return AgglomerativeWith(vecs, dist, threshold, maxClusters, 1)
-}
-
-// AgglomerativeWith is Agglomerative with the O(n²) pairwise-distance
-// precompute fanned out across a worker budget (fanout's width).
-// The merge loop itself stays serial — each merge decision depends on the
-// previous one — but it only reads the precomputed matrix, so the
-// clustering is bit-identical for every worker count.
-func AgglomerativeWith(vecs [][]float64, dist Distance, threshold float64, maxClusters, workers int) Clustering {
+//
+// The O(n²) pairwise-distance precompute fans out across a worker budget
+// (fanout's width: 1 is serial). The merge loop itself stays serial — each
+// merge decision depends on the previous one — but it only reads the
+// precomputed matrix, so the clustering is bit-identical for every worker
+// count.
+func Agglomerative(vecs [][]float64, dist Distance, threshold float64, maxClusters, workers int) Clustering {
 	agglomerativePasses.Add(1)
 	n := len(vecs)
 	if n == 0 {
 		return Clustering{}
 	}
-	d := matrixWith(vecs, dist, workers)
+	d := matrix(vecs, dist, workers)
 
 	// active clusters as member lists
 	members := make([][]int, n)

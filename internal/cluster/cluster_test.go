@@ -104,7 +104,7 @@ func TestTopKDistancePanics(t *testing.T) {
 
 func TestAgglomerativeRecoversBlobs(t *testing.T) {
 	vecs, labels := blobs(10)
-	cl := Agglomerative(vecs, Euclidean, 3.0, 0)
+	cl := Agglomerative(vecs, Euclidean, 3.0, 0, 1)
 	if cl.K != 3 {
 		t.Fatalf("found %d clusters, want 3", cl.K)
 	}
@@ -117,7 +117,7 @@ func TestAgglomerativeThresholdMonotone(t *testing.T) {
 	vecs, _ := blobs(8)
 	prev := len(vecs) + 1
 	for _, th := range []float64{0.1, 1, 5, 50} {
-		cl := Agglomerative(vecs, Euclidean, th, 0)
+		cl := Agglomerative(vecs, Euclidean, th, 0, 1)
 		if cl.K > prev {
 			t.Fatalf("cluster count increased as threshold grew")
 		}
@@ -127,17 +127,17 @@ func TestAgglomerativeThresholdMonotone(t *testing.T) {
 
 func TestAgglomerativeMaxClusters(t *testing.T) {
 	vecs, _ := blobs(5)
-	cl := Agglomerative(vecs, Euclidean, 0, 2)
+	cl := Agglomerative(vecs, Euclidean, 0, 2, 1)
 	if cl.K != 2 {
 		t.Fatalf("maxClusters not honoured: K=%d", cl.K)
 	}
 }
 
 func TestAgglomerativeEmptyAndSingle(t *testing.T) {
-	if cl := Agglomerative(nil, Euclidean, 1, 0); cl.K != 0 {
+	if cl := Agglomerative(nil, Euclidean, 1, 0, 1); cl.K != 0 {
 		t.Fatal("empty input should give empty clustering")
 	}
-	cl := Agglomerative([][]float64{{1, 2}}, Euclidean, 1, 0)
+	cl := Agglomerative([][]float64{{1, 2}}, Euclidean, 1, 0, 1)
 	if cl.K != 1 || cl.Assign[0] != 0 {
 		t.Fatal("single input should give one cluster")
 	}
@@ -245,7 +245,7 @@ func TestRandomClusteringValid(t *testing.T) {
 
 func TestMatrixSymmetric(t *testing.T) {
 	vecs, _ := blobs(4)
-	m := matrix(vecs, Euclidean)
+	m := matrix(vecs, Euclidean, 1)
 	for i := 0; i < m.Rows; i++ {
 		if m.At(i, i) != 0 {
 			t.Fatal("diagonal not zero")

@@ -48,18 +48,14 @@ func Euclidean(a, b []float64) float64 { return numeric.EuclideanDistance(a, b) 
 // Cosine is 1 - cosine similarity, used for text-embedding vectors.
 func Cosine(a, b []float64) float64 { return 1 - numeric.CosineSimilarity(a, b) }
 
-// matrix precomputes the pairwise distances of vecs under dist.
-func matrix(vecs [][]float64, dist Distance) *numeric.Matrix {
-	return matrixWith(vecs, dist, 1)
-}
-
-// matrixWith is matrix with the rows fanned out across a worker budget
-// (fanout's width). Each (i, j) pair is computed exactly once by
+// matrix precomputes the pairwise distances of vecs under dist, the rows
+// fanned out across a worker budget (fanout's width: 1 is serial). Each
+// (i, j) pair is computed exactly once by
 // the item that owns row i, which writes the two mirror cells — no two
 // items ever touch the same cell, and dist must be pure, so the matrix
 // is identical for every worker count. A panicking dist is re-raised
 // here, on the caller's goroutine, where the request's own recover guards.
-func matrixWith(vecs [][]float64, dist Distance, workers int) *numeric.Matrix {
+func matrix(vecs [][]float64, dist Distance, workers int) *numeric.Matrix {
 	n := len(vecs)
 	m := numeric.NewMatrix(n, n)
 	err := fanout.Each(context.TODO(), n, workers, func(i int) error {

@@ -22,7 +22,7 @@ func ExampleAgglomerative() {
 		{0.9, 0.9}, {0.91, 0.89}, // strong pair
 		{0.5, 0.5}, {0.52, 0.51}, // weak pair
 	}
-	cl := cluster.Agglomerative(vecs, cluster.Euclidean, 0.1, 0)
+	cl := cluster.Agglomerative(vecs, cluster.Euclidean, 0.1, 0, 1)
 	fmt.Println(cl.K, cl.Assign)
 	// Output: 2 [0 0 1 1]
 }

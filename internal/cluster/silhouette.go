@@ -13,7 +13,7 @@ func Silhouette(vecs [][]float64, c Clustering, dist Distance) float64 {
 	if n == 0 || c.K <= 1 {
 		return 0
 	}
-	d := matrix(vecs, dist)
+	d := matrix(vecs, dist, 1)
 	groups := c.Groups()
 
 	scores := make([]float64, 0, n)

@@ -36,12 +36,6 @@ type Options struct {
 	Seed uint64
 	// Sizes optionally overrides split sizes (zero means defaults).
 	Sizes datahub.Sizes
-	// HP optionally overrides training hyperparameters (zero means the
-	// paper's per-task defaults).
-	HP trainer.Hyperparams
-	// Recall optionally overrides coarse-recall options (zero-value
-	// fields fall back to the paper's defaults).
-	Recall recall.Options
 	// Workers bounds per-stage training parallelism of the online fine
 	// selection (see selection.Config.Workers). Like every width in the
 	// module it is fanout's: 0 (or less) is one worker per CPU, 1 is
@@ -84,9 +78,13 @@ type Framework struct {
 }
 
 // Stages reports the provenance of each offline-pipeline stage of one
-// framework build. World synthesis (stage 1) is always recomputed — it is
-// deterministic and cheap; the expensive stages are the performance
-// matrix (stage 2) and the clustering/representative artifacts (stage 3).
+// framework build. World synthesis (stage 1) is always recomputed: it is
+// deterministic in the seed and small next to training, so only the
+// performance matrix (stage 2) and the clustering/representative
+// artifacts (stage 3) are persisted. For an assembly from stored
+// artifacts, though, synthesis is most of the cost: generating the
+// catalog's datasets alone is 83 % of an NLP AssembleArtifacts call in a
+// CPU profile.
 type Stages struct {
 	// MatrixLoaded is true when the performance matrix came from a
 	// persisted artifact instead of offline fine-tuning.
@@ -133,8 +131,10 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 	if opts.Task == "" {
 		opts.Task = datahub.TaskNLP
 	}
-	// Stage 1: world synthesis. Deterministic in the seed and cheap next
-	// to training, so it always recomputes; nothing of it is persisted.
+	// Stage 1: world synthesis. Deterministic in the seed and small next
+	// to training, so it always recomputes and nothing of it is
+	// persisted; when stages 2 and 3 come from artifacts it is most of
+	// what this call costs.
 	w := synth.NewWorld(opts.Seed)
 	cat, err := datahub.NewTaskCatalog(w, opts.Task, opts.Sizes)
 	if err != nil {
@@ -144,10 +144,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: repository: %w", err)
 	}
-	hp := opts.HP
-	if hp == (trainer.Hyperparams{}) {
-		hp = trainer.Default(opts.Task)
-	}
+	hp := trainer.Default(opts.Task)
 
 	// Stage 2: performance matrix.
 	var stages Stages
@@ -173,7 +170,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 	}
 
 	// Stage 3: target-independent recall artifacts.
-	ro := fillRecallOptions(opts.Task, opts.Recall)
+	ro := fillRecallOptions(opts.Task)
 	var off *recall.Offline
 	if art.Recall != nil {
 		if o, err := recall.Rehydrate(m, ro, art.Recall); err == nil {
@@ -213,8 +210,9 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 // span only 10 benchmarks, so their Eq. 1 distances are tighter, and a
 // finer cut keeps the cluster structure (6 non-singleton clusters in the
 // paper's Table II) visible. Every other default is recall's.
-func fillRecallOptions(task string, ro recall.Options) recall.Options {
-	if ro.Threshold <= 0 && task == datahub.TaskCV {
+func fillRecallOptions(task string) recall.Options {
+	var ro recall.Options
+	if task == datahub.TaskCV {
 		ro.Threshold = 0.06
 	}
 	ro.Fill()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"twophase/internal/datahub"
-	"twophase/internal/trainer"
 )
 
 var (
@@ -194,20 +193,5 @@ func TestOracleAccuracies(t *testing.T) {
 		if a <= 0 || a > 1 {
 			t.Fatalf("oracle acc %v for %s", a, n)
 		}
-	}
-}
-
-func TestCustomHyperparams(t *testing.T) {
-	hp := trainer.Hyperparams{LearningRate: 0.2, BatchSize: 16, Epochs: 2, L2: 0}
-	fw, err := Build(Options{Task: datahub.TaskNLP, Seed: 9, HP: hp,
-		Sizes: datahub.Sizes{Train: 30, Val: 20, Test: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fw.HP != hp {
-		t.Fatal("custom hyperparams not applied")
-	}
-	if fw.Matrix.Epochs != 2 {
-		t.Fatalf("matrix epochs %d", fw.Matrix.Epochs)
 	}
 }

@@ -65,7 +65,7 @@ func ablationTopK(e *Env) (*Table, error) {
 		t.AddRow(task, "top-k", cluster.Silhouette(vecs, clTopK, topk), accTopK)
 
 		// Euclidean at matched granularity: cut to the same cluster count.
-		clEuc := cluster.Agglomerative(vecs, cluster.Euclidean, 0, clTopK.K)
+		clEuc := cluster.Agglomerative(vecs, cluster.Euclidean, 0, clTopK.K, 1)
 		// Recall with Euclidean requires a distance swap; approximate by
 		// scaling the threshold so granularity matches (we reuse the
 		// matched-K clustering's silhouette as the comparable number).

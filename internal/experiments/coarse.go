@@ -82,7 +82,7 @@ func recallClusters(fw *core.Framework, m *perfmatrix.Matrix) ([][]float64, clus
 	if err != nil {
 		return nil, cluster.Clustering{}, err
 	}
-	return vecs, cluster.Agglomerative(vecs, cluster.TopKDistance(fw.Recall.SimilarityK), fw.Recall.Threshold, 0), nil
+	return vecs, cluster.Agglomerative(vecs, cluster.TopKDistance(fw.Recall.SimilarityK), fw.Recall.Threshold, 0, 1), nil
 }
 
 // cardVectors embeds every model card into one frame and returns its row
@@ -133,7 +133,7 @@ func table1(e *Env) (*Table, error) {
 		for i, cl := range []cluster.Clustering{
 			ref,
 			cluster.KMeans(perf, k, numeric.NewNamedRNG(e.Seed, "tab1-kmeans-perf", task), 100),
-			cluster.Agglomerative(cards, cluster.Cosine, 0, k),
+			cluster.Agglomerative(cards, cluster.Cosine, 0, k, 1),
 			cluster.KMeans(cards, k, numeric.NewNamedRNG(e.Seed, "tab1-kmeans-text", task), 100),
 		} {
 			sil[ti][i] = cluster.Silhouette(perf, cl, cluster.TopKDistance(fw.Recall.SimilarityK))
@@ -340,7 +340,7 @@ func tableX(e *Env) (*Table, error) {
 		}
 		for _, k := range ks[task] {
 			dist := cluster.TopKDistance(k)
-			cl := cluster.Agglomerative(vecs, dist, fw.Recall.Threshold, 0)
+			cl := cluster.Agglomerative(vecs, dist, fw.Recall.Threshold, 0, 1)
 			t.AddRow(task, k, cluster.Silhouette(vecs, cl, dist))
 		}
 	}

@@ -148,7 +148,7 @@ func fig4(e *Env) (*Table, error) {
 		return nil, err
 	}
 	lastStage := fw.HP.Epochs - 1
-	trends, err := selection.TrendsAtStage(fw.Matrix, fig4Model, lastStage, selection.DefaultTrendClusters)
+	trends, err := selection.TrendsAtStage(fw.Matrix, fig4Model, lastStage)
 	if err != nil {
 		return nil, err
 	}
@@ -190,10 +190,7 @@ func fig6(e *Env) (*Table, error) {
 			stage0[i] = c[0]
 		}
 		// Silhouette of the 1-D validation clustering vs a random one.
-		trends, err := selection.TrendsAtStage(fw.Matrix, model, 0, selection.DefaultTrendClusters)
-		if err != nil {
-			return nil, err
-		}
+		trends := selection.Trends(stage0, finals)
 		assign := make([]int, len(stage0))
 		for g, tr := range trends {
 			for _, i := range tr.Members {
@@ -210,9 +207,10 @@ func fig6(e *Env) (*Table, error) {
 		silRand := cluster.Silhouette(points, cluster.RandomClustering(len(stage0), len(trends), rng), cluster.Euclidean)
 
 		// Leave-one-out prediction error: for each benchmark as pseudo-
-		// target, predict its final test accuracy from the trend its
-		// first validation matches (computed without it), vs predicting
-		// the mean of the other benchmarks' finals.
+		// target, predict its final test accuracy the way selection does
+		// (Eq. 5/6: the final of the trend its first validation matches),
+		// from trends mined without it, vs predicting the mean of the
+		// other benchmarks' finals.
 		var errTrend, errMean []float64
 		for hold := range stage0 {
 			var trainVal, trainFinal []float64
@@ -222,7 +220,8 @@ func fig6(e *Env) (*Table, error) {
 					trainFinal = append(trainFinal, finals[i])
 				}
 			}
-			pred := looTrendPredict(trainVal, trainFinal, stage0[hold], selection.DefaultTrendClusters)
+			loo := selection.Trends(trainVal, trainFinal)
+			pred := loo[selection.MatchTrend(loo, stage0[hold])].Test
 			actual := finals[hold]
 			if actual == 0 {
 				continue
@@ -245,41 +244,6 @@ func fig6(e *Env) (*Table, error) {
 	t.Claim("fig6.trend-beats-mean", errWins == n, float64(errWins),
 		"relerr(trend) < relerr(mean) for every one of the %d models; value: models where it holds", n)
 	return t, nil
-}
-
-// looTrendPredict clusters (val, final) training pairs by val and predicts
-// the final of the cluster nearest to targetVal.
-func looTrendPredict(vals, finals []float64, targetVal float64, c int) float64 {
-	type vf struct{ v, f float64 }
-	// Reuse selection's 1-D clustering through a tiny local shim: cluster
-	// scalars by simple quantile k-means (same algorithm as TrendsAtStage).
-	idx := numeric.ArgSortAsc(vals)
-	if c > len(vals) {
-		c = len(vals)
-	}
-	// quantile-partition into c groups as a deterministic approximation
-	groups := make([][]vf, c)
-	for rank, i := range idx {
-		g := rank * c / len(idx)
-		groups[g] = append(groups[g], vf{vals[i], finals[i]})
-	}
-	best, bestD := 0.0, math.Inf(1)
-	for _, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		var mv, mf float64
-		for _, p := range g {
-			mv += p.v
-			mf += p.f
-		}
-		mv /= float64(len(g))
-		mf /= float64(len(g))
-		if d := math.Abs(mv - targetVal); d < bestD {
-			best, bestD = mf, d
-		}
-	}
-	return best
 }
 
 // thresholdTargets are Table IV's four datasets.

@@ -24,17 +24,15 @@ import (
 	"twophase/internal/trainer"
 )
 
-// DefaultLambda is the ridge strength when Options leaves it unset. It is
-// scaled by the training-split size at fit time, so the effective
-// regularizer tracks the Gram matrix's magnitude across split sizes.
-const DefaultLambda = 1e-2
+// lambda is the ridge strength. It is scaled by the training-split size
+// at fit time, so the effective regularizer tracks the Gram matrix's
+// magnitude across split sizes. The bias column is regularized like every
+// other column — simpler, and the head is a proxy score, not a served
+// predictor.
+const lambda = 1e-2
 
 // Options tunes a ranking pass.
 type Options struct {
-	// Lambda is the ridge strength (0 means DefaultLambda). The bias
-	// column is regularized like every other column — simpler, and the
-	// head is a proxy score, not a served predictor.
-	Lambda float64
 	// Workers bounds how many candidates fit concurrently (fanout's
 	// width: 0 or less is one per CPU, 1 is sequential). Results are
 	// bit-identical across settings — each model's fit is independent and
@@ -68,7 +66,7 @@ func (r *Result) Best() int {
 
 // TopK returns the names of the k best candidates by validation accuracy
 // (ties keep the earlier pool position), reordered to input pool order so
-// downstream stage plans see the same deterministic pool they would have
+// downstream searches see the same deterministic pool they would have
 // seen unfiltered. k >= len returns every name.
 func (r *Result) TopK(k int) []string {
 	if k >= len(r.Names) {
@@ -106,7 +104,7 @@ func Rank(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opt
 		res.Names[i] = m.Name
 	}
 	err := fanout.Each(ctx, len(models), opts.Workers, func(i int) (err error) {
-		res.Val[i], res.Test[i], err = fit(models[i], d, opts.Lambda)
+		res.Val[i], res.Test[i], err = fit(models[i], d)
 		return err
 	})
 	if err != nil {
@@ -129,16 +127,13 @@ func Rank(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, opt
 // frames come out of the model's shared extraction cache (the same frames
 // every trainer.Run and proxy scorer of this (model, dataset) reuses), so
 // a fit after any other strategy touches the target extracts nothing.
-func fit(m *modelhub.Model, d *datahub.Dataset, lambda float64) (val, test float64, err error) {
+func fit(m *modelhub.Model, d *datahub.Dataset) (val, test float64, err error) {
 	if m.Task != d.Task {
 		return 0, 0, fmt.Errorf("lsq: model %q task %q does not match dataset %q task %q", m.Name, m.Task, d.Name, d.Task)
 	}
 	n := d.Train.Len()
 	if n == 0 {
 		return 0, 0, fmt.Errorf("lsq: dataset %q has empty training split", d.Name)
-	}
-	if lambda <= 0 {
-		lambda = DefaultLambda
 	}
 	feats := m.FeatureFrame(d.Train.X)
 	dim := feats.D + 1 // +1 bias column

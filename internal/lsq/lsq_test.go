@@ -51,7 +51,7 @@ func fixture(t *testing.T) ([]*modelhub.Model, *datahub.Dataset) {
 
 func TestFitBeatsChance(t *testing.T) {
 	models, d := fixture(t)
-	val, test, err := fit(models[0], d, 0)
+	val, test, err := fit(models[0], d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFitRejectsTaskMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fit(models[0], d, 0); err == nil {
+	if _, _, err := fit(models[0], d); err == nil {
 		t.Fatal("cross-task fit succeeded, want error")
 	}
 }

@@ -21,8 +21,8 @@ import (
 
 func referenceTheta(m *modelhub.Model, d *datahub.Dataset) (*numeric.Frame, []int) {
 	n := d.Train.Len()
-	if n > MaxExamples {
-		n = MaxExamples
+	if n > maxExamples {
+		n = maxExamples
 	}
 	feats := m.FeatureFrame(d.Train.X).Slice(0, n)
 	theta := numeric.NewFrame(feats.N, m.SourceClasses)
@@ -112,12 +112,12 @@ func referenceNCE(m *modelhub.Model, d *datahub.Dataset) float64 {
 // TestCachedDistributionsScoreBitIdentical: for every repository model on
 // every catalog target of both task families, LEEP, CalibratedLEEP and NCE
 // through the cached source-head distributions equal the per-request
-// reference exactly — with a training split longer than MaxExamples, so
+// reference exactly — with a training split longer than maxExamples, so
 // the scorers read a strict prefix of the cached rows, and with one
 // shorter.
 func TestCachedDistributionsScoreBitIdentical(t *testing.T) {
 	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
-		for _, train := range []int{MaxExamples + 30, 70} {
+		for _, train := range []int{maxExamples + 30, 70} {
 			w := synth.NewWorld(42)
 			cat, err := datahub.NewTaskCatalog(w, task, datahub.Sizes{Train: train, Val: 8, Test: 8})
 			if err != nil {

@@ -39,10 +39,10 @@ type Scorer interface {
 	Score(m *modelhub.Model, d *datahub.Dataset) (float64, error)
 }
 
-// MaxExamples caps how many target examples each scorer consumes; the
+// maxExamples caps how many target examples each scorer consumes; the
 // paper notes a few hundred items suffice ("a target dataset with hundreds
 // of data items", §III.A).
-const MaxExamples = 200
+const maxExamples = 200
 
 // LEEP is the log expected empirical prediction score. It builds the
 // empirical joint distribution P(target label y, source label z) from the
@@ -87,9 +87,9 @@ func (CalibratedLEEP) Score(m *modelhub.Model, d *datahub.Dataset) (float64, err
 	}
 	// Null shuffle p draws from stream p of "leep-null" and permutes the
 	// labels as the one before it left them: the first shuffles the real
-	// labels, the second the first's order. n <= MaxExamples, so both fit
+	// labels, the second the first's order. n <= maxExamples, so both fit
 	// the fixed buffers.
-	var buf [2][MaxExamples]int
+	var buf [2][maxExamples]int
 	labels := [3][]int{ys}
 	for p := range buf {
 		shuffled := buf[p][:len(ys)]
@@ -242,28 +242,20 @@ func (NCE) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 // KNN scores a model by leave-one-out k-nearest-neighbour accuracy in its
 // feature space (Renggli et al., 2022's probe, §VI). It approximates the
 // accuracy a simple head could reach on the frozen features.
-type KNN struct {
-	// K is the neighbourhood size; 0 means 5.
-	K int
-}
+type KNN struct{}
+
+// knnK is KNN's neighbourhood size.
+const knnK = 5
 
 // Name implements Scorer.
-func (k KNN) Name() string { return fmt.Sprintf("knn%d", k.k()) }
-
-func (k KNN) k() int {
-	if k.K <= 0 {
-		return 5
-	}
-	return k.K
-}
+func (KNN) Name() string { return fmt.Sprintf("knn%d", knnK) }
 
 // Score implements Scorer.
-func (k KNN) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
+func (KNN) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 	feats, ys, err := sample(m, d)
 	if err != nil {
 		return 0, err
 	}
-	kk := k.k()
 	correct := 0
 	type nb struct {
 		dist  float64
@@ -278,8 +270,8 @@ func (k KNN) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 			}
 			nbs = append(nbs, nb{numeric.EuclideanDistance(fi, feats.Row(j)), ys[j]})
 		}
-		// partial selection of the kk nearest
-		for a := 0; a < kk && a < len(nbs); a++ {
+		// partial selection of the knnK nearest
+		for a := 0; a < knnK && a < len(nbs); a++ {
 			min := a
 			for b := a + 1; b < len(nbs); b++ {
 				if nbs[b].dist < nbs[min].dist {
@@ -289,7 +281,7 @@ func (k KNN) Score(m *modelhub.Model, d *datahub.Dataset) (float64, error) {
 			nbs[a], nbs[min] = nbs[min], nbs[a]
 		}
 		votes := make(map[int]int)
-		for a := 0; a < kk && a < len(nbs); a++ {
+		for a := 0; a < knnK && a < len(nbs); a++ {
 			votes[nbs[a].label]++
 		}
 		best, bestN := -1, -1
@@ -360,7 +352,7 @@ func Normalize(scores []float64) []float64 {
 	return out
 }
 
-// sample returns the model's features for up to MaxExamples examples of
+// sample returns the model's features for up to maxExamples examples of
 // the dataset's training split, plus their labels. Extraction goes
 // through the model's shared feature cache over the full split — the
 // same frame every trainer.Run of this (model, dataset) reuses — and the
@@ -394,8 +386,8 @@ func sampleSize(m *modelhub.Model, d *datahub.Dataset) (int, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("proxy: dataset %q has empty training split", d.Name)
 	}
-	if n > MaxExamples {
-		n = MaxExamples
+	if n > maxExamples {
+		n = maxExamples
 	}
 	return n, nil
 }

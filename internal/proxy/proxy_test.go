@@ -141,10 +141,7 @@ func TestKNNRangeAndOrdering(t *testing.T) {
 
 func TestKNNName(t *testing.T) {
 	if (KNN{}).Name() != "knn5" {
-		t.Fatalf("default kNN name %q", KNN{}.Name())
-	}
-	if (KNN{K: 3}).Name() != "knn3" {
-		t.Fatal("kNN name ignores K")
+		t.Fatalf("kNN name %q", KNN{}.Name())
 	}
 }
 
@@ -324,7 +321,7 @@ func TestLEEPSweepMatchesPerPassLEEP(t *testing.T) {
 	rng := numeric.NewRNG(20)
 	var zeroMarginals, clamps int
 	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(MaxExamples)
+		n := 1 + rng.Intn(maxExamples)
 		targetK := 2 + rng.Intn(19)
 		sourceK := 2 + rng.Intn(49)
 		zero, clamped := checkSweep(t, randomLEEPCase(rng, n, targetK, sourceK))
@@ -347,7 +344,7 @@ func FuzzLEEPSweep(f *testing.F) {
 	f.Add(uint64(7), uint8(199), uint8(18), uint8(48))
 	f.Add(uint64(42), uint8(60), uint8(3), uint8(30))
 	f.Fuzz(func(t *testing.T, seed uint64, n, targetK, sourceK uint8) {
-		c := randomLEEPCase(numeric.NewRNG(seed), 1+int(n)%MaxExamples, 2+int(targetK)%19, 2+int(sourceK)%49)
+		c := randomLEEPCase(numeric.NewRNG(seed), 1+int(n)%maxExamples, 2+int(targetK)%19, 2+int(sourceK)%49)
 		checkSweep(t, c)
 	})
 }

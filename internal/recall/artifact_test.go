@@ -15,7 +15,7 @@ import (
 func TestRehydrateBitIdentical(t *testing.T) {
 	m, repo, target := fixture(t)
 	opts := Options{K: 4}
-	cold, err := prepareOffline(m, opts)
+	cold, err := PrepareOfflineWith(m, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRehydrateBitIdentical(t *testing.T) {
 func TestRehydrateRejectsStale(t *testing.T) {
 	m, _, _ := fixture(t)
 	opts := Options{K: 4}
-	off, err := prepareOffline(m, opts)
+	off, err := PrepareOfflineWith(m, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRehydrateRejectsStale(t *testing.T) {
 // break representative derivation, so it must be rejected up front.
 func TestRehydrateRejectsEmptyCluster(t *testing.T) {
 	m, _, _ := fixture(t)
-	off, err := prepareOffline(m, Options{})
+	off, err := PrepareOfflineWith(m, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,13 +105,9 @@ type Offline struct {
 	sims  [][]float64
 }
 
-// prepareOffline computes the target-independent half of coarse recall.
-func prepareOffline(m *perfmatrix.Matrix, opts Options) (*Offline, error) {
-	return PrepareOfflineWith(m, opts, 1)
-}
-
-// PrepareOfflineWith is prepareOffline under an explicit worker budget
-// (fanout's width): per-model performance vectors and the O(n²)
+// PrepareOfflineWith computes the target-independent half of coarse
+// recall under a worker budget (fanout's width: 1 is serial): per-model
+// performance vectors and the O(n²)
 // pairwise-distance precompute inside clustering fan out across workers.
 // Parallelism never touches the merge order or any per-vector reduction,
 // so the Offline — and the Artifact persisted from it — is bit-identical
@@ -123,7 +119,7 @@ func PrepareOfflineWith(m *perfmatrix.Matrix, opts Options, workers int) (*Offli
 		return nil, err
 	}
 	dist := cluster.TopKDistance(opts.SimilarityK)
-	clustering := cluster.AgglomerativeWith(vecs.Rows2D(), dist, opts.Threshold, 0, workers)
+	clustering := cluster.Agglomerative(vecs.Rows2D(), dist, opts.Threshold, 0, workers)
 	return assembleOffline(opts, names, vecs, avgAcc, dist, clustering), nil
 }
 
@@ -261,7 +257,7 @@ func (o *Offline) Artifact(task string, seed uint64) *Artifact {
 // skipping the agglomerative pass. The artifact must have been produced by
 // exactly the inputs at hand — same model order and the same clustering
 // options — or Rehydrate errors so the caller falls back to
-// prepareOffline. Everything derived (vectors, averages, representatives)
+// PrepareOfflineWith. Everything derived (vectors, averages, representatives)
 // is recomputed from the matrix, so a rehydrated Offline recalls
 // bit-identically to a cold-built one.
 func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error) {
@@ -389,7 +385,7 @@ func (o *Offline) Recall(repo *modelhub.Repository, target *datahub.Dataset, led
 // many targets over one matrix should PrepareOfflineWith once and call Recall
 // per target instead.
 func CoarseRecall(m *perfmatrix.Matrix, repo *modelhub.Repository, target *datahub.Dataset, opts Options, ledger *trainer.Ledger) (*Result, error) {
-	off, err := prepareOffline(m, opts)
+	off, err := PrepareOfflineWith(m, opts, 1)
 	if err != nil {
 		return nil, err
 	}

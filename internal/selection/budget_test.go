@@ -107,8 +107,8 @@ func TestEpochBudgetDeterministic(t *testing.T) {
 	}
 }
 
-// TestBudgetedPrefixMatchesUnbudgeted: for every epoch-trained strategy,
-// validation interval and epoch cap from 0 to the unbudgeted cost, a
+// TestBudgetedPrefixMatchesUnbudgeted: for every epoch-trained strategy
+// and epoch cap from 0 to the unbudgeted cost, a
 // budgeted run retrains the exact same stages as the unbudgeted procedure
 // up to its truncation point — anytime means "stop early", never "train
 // differently": the recorded stages are a prefix of the unbudgeted run's,
@@ -126,71 +126,68 @@ func TestBudgetedPrefixMatchesUnbudgeted(t *testing.T) {
 	models, matrix, target, cfg := fixture(t)
 	ctx := context.Background()
 	for _, c := range strategyCases() {
-		for _, s := range stageEpochGrid {
-			opts := FineSelectOptions{Config: cfg, Matrix: matrix}
-			opts.StageEpochs = s
-			began := time.Now()
-			full, err := c.run(ctx, models, target, opts)
+		opts := FineSelectOptions{Config: cfg, Matrix: matrix}
+		began := time.Now()
+		full, err := c.run(ctx, models, target, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(began)
+		cost := full.Ledger.TrainEpochs()
+		for cap := 0; cap <= cost; cap++ {
+			opts.MaxEpochs = intPtr(cap)
+			part, err := c.run(ctx, models, target, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wall := time.Since(began)
-			cost := full.Ledger.TrainEpochs()
-			for cap := 0; cap <= cost; cap++ {
-				opts.MaxEpochs = intPtr(cap)
-				part, err := c.run(ctx, models, target, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				at := fmt.Sprintf("%s s=%d cap=%d/%d", c.name, s, cap, cost)
-				if len(part.Stages) > len(full.Stages) {
-					t.Fatalf("%s: %d stages, the unbudgeted run has %d", at, len(part.Stages), len(full.Stages))
-				}
-				for i, pool := range part.Stages {
-					if !reflect.DeepEqual(pool, full.Stages[i]) {
-						t.Fatalf("%s: stage %d pool %v, unbudgeted %v", at, i, pool, full.Stages[i])
-					}
-				}
-				if spent := part.Ledger.TrainEpochs(); spent > cap {
-					t.Fatalf("%s: spent %d epochs", at, spent)
-				}
-				if part.Truncated != (cap < cost) || (part.TruncatedBy == TruncatedByEpochs) != part.Truncated {
-					t.Fatalf("%s: truncated=%v by=%q", at, part.Truncated, part.TruncatedBy)
-				}
-				if cap == cost && !reflect.DeepEqual(part, full) {
-					t.Fatalf("%s: a cap the run fits in changed it:\n got %+v\nwant %+v", at, part, full)
+			at := fmt.Sprintf("%s cap=%d/%d", c.name, cap, cost)
+			if len(part.Stages) > len(full.Stages) {
+				t.Fatalf("%s: %d stages, the unbudgeted run has %d", at, len(part.Stages), len(full.Stages))
+			}
+			for i, pool := range part.Stages {
+				if !reflect.DeepEqual(pool, full.Stages[i]) {
+					t.Fatalf("%s: stage %d pool %v, unbudgeted %v", at, i, pool, full.Stages[i])
 				}
 			}
+			if spent := part.Ledger.TrainEpochs(); spent > cap {
+				t.Fatalf("%s: spent %d epochs", at, spent)
+			}
+			if part.Truncated != (cap < cost) || (part.TruncatedBy == TruncatedByEpochs) != part.Truncated {
+				t.Fatalf("%s: truncated=%v by=%q", at, part.Truncated, part.TruncatedBy)
+			}
+			if cap == cost && !reflect.DeepEqual(part, full) {
+				t.Fatalf("%s: a cap the run fits in changed it:\n got %+v\nwant %+v", at, part, full)
+			}
+		}
 
-			offsets := []time.Duration{-time.Second, time.Hour}
-			for k := 1; k <= 8; k++ {
-				offsets = append(offsets, wall*time.Duration(k)/9)
+		offsets := []time.Duration{-time.Second, time.Hour}
+		for k := 1; k <= 8; k++ {
+			offsets = append(offsets, wall*time.Duration(k)/9)
+		}
+		for _, off := range offsets {
+			timed := opts
+			timed.MaxEpochs = nil
+			timed.Deadline = time.Now().Add(off)
+			got, err := c.run(ctx, models, target, timed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, off := range offsets {
-				timed := opts
-				timed.MaxEpochs = nil
-				timed.Deadline = time.Now().Add(off)
-				got, err := c.run(ctx, models, target, timed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				at := fmt.Sprintf("%s s=%d deadline %v of %v", c.name, s, off, wall)
-				if got.Truncated != (got.TruncatedBy == TruncatedByDeadline) {
-					t.Fatalf("%s: truncated=%v by=%q", at, got.Truncated, got.TruncatedBy)
-				}
-				if !got.Truncated && !reflect.DeepEqual(got, full) {
-					t.Fatalf("%s: an untruncated run differs from the unbudgeted one:\n got %+v\nwant %+v", at, got, full)
-				}
-				capped := opts
-				capped.MaxEpochs = intPtr(got.Ledger.TrainEpochs())
-				want, err := c.run(ctx, models, target, capped)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want.TruncatedBy = got.TruncatedBy
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: differs from the run capped at its own %d epochs:\n got %+v\nwant %+v", at, got.Ledger.TrainEpochs(), got, want)
-				}
+			at := fmt.Sprintf("%s deadline %v of %v", c.name, off, wall)
+			if got.Truncated != (got.TruncatedBy == TruncatedByDeadline) {
+				t.Fatalf("%s: truncated=%v by=%q", at, got.Truncated, got.TruncatedBy)
+			}
+			if !got.Truncated && !reflect.DeepEqual(got, full) {
+				t.Fatalf("%s: an untruncated run differs from the unbudgeted one:\n got %+v\nwant %+v", at, got, full)
+			}
+			capped := opts
+			capped.MaxEpochs = intPtr(got.Ledger.TrainEpochs())
+			want, err := c.run(ctx, models, target, capped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.TruncatedBy = got.TruncatedBy
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: differs from the run capped at its own %d epochs:\n got %+v\nwant %+v", at, got.Ledger.TrainEpochs(), got, want)
 			}
 		}
 	}

@@ -2,10 +2,7 @@ package selection
 
 import (
 	"context"
-
 	"testing"
-
-	"twophase/internal/trainer"
 )
 
 func TestEnsembleSelectBasics(t *testing.T) {
@@ -87,56 +84,5 @@ func TestEnsembleK1MatchesFineSelectWinnerQuality(t *testing.T) {
 	// a single-member "ensemble" is just that model's prediction
 	if ens.WinnerTest != ens.BestMemberTest {
 		t.Fatalf("single-member ensemble %v != member %v", ens.WinnerTest, ens.BestMemberTest)
-	}
-}
-
-func TestStageEpochsPlan(t *testing.T) {
-	cfg := Config{HP: trainer.Hyperparams{LearningRate: 0.1, BatchSize: 8, Epochs: 5}, StageEpochs: 2}
-	plan := cfg.stagePlan()
-	if len(plan) != 3 || plan[0] != 2 || plan[1] != 2 || plan[2] != 1 {
-		t.Fatalf("plan = %v", plan)
-	}
-	cfg.StageEpochs = 0
-	if got := len(cfg.stagePlan()); got != 5 {
-		t.Fatalf("default plan has %d stages", got)
-	}
-}
-
-func TestStageEpochsReducesStages(t *testing.T) {
-	models, m, target, cfg := fixture(t)
-	cfg.StageEpochs = 2
-	out, err := FineSelect(context.Background(), models, target, FineSelectOptions{Config: cfg, Matrix: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5-epoch budget at s=2 -> 3 stages
-	if len(out.Stages) != 3 {
-		t.Fatalf("stages %d with s=2", len(out.Stages))
-	}
-	// total trained epochs never exceeds pool-size * budget
-	if out.Ledger.TrainEpochs() > len(models)*cfg.HP.Epochs {
-		t.Fatal("cost exceeds brute force")
-	}
-	if out.Winner == "" {
-		t.Fatal("no winner")
-	}
-}
-
-func TestStageEpochsSHConsistency(t *testing.T) {
-	models, _, target, cfg := fixture(t)
-	cfg.StageEpochs = 5 // one stage: SH degenerates to brute force + argmax
-	sh, err := SuccessiveHalving(context.Background(), models, target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Ledger.TrainEpochs() != len(models)*cfg.HP.Epochs {
-		t.Fatalf("single-stage SH cost %d", sh.Ledger.TrainEpochs())
-	}
-	bf, err := BruteForce(context.Background(), models, target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Winner != bf.Winner {
-		t.Fatal("single-stage SH should agree with brute force")
 	}
 }

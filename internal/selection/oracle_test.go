@@ -37,12 +37,12 @@ func oldRuns(models []*modelhub.Model, d *datahub.Dataset, cfg Config) (map[stri
 	return byName, names(runs), nil
 }
 
-func oldTrainStage(ctx context.Context, runs map[string]*trainer.Run, pool []string, stageLen, workers int, ledger *trainer.Ledger) ([]float64, error) {
+func oldTrainStage(ctx context.Context, runs map[string]*trainer.Run, pool []string, workers int, ledger *trainer.Ledger) ([]float64, error) {
 	members := make([]*trainer.Run, len(pool))
 	for i, name := range pool {
 		members[i] = runs[name]
 	}
-	return trainStage(ctx, members, stageLen, workers, ledger)
+	return trainStage(ctx, members, workers, ledger)
 }
 
 func oldRemaining(mask []bool) int {
@@ -98,7 +98,7 @@ func oldBruteForce(ctx context.Context, models []*modelhub.Model, d *datahub.Dat
 			out.Truncated, out.TruncatedBy = true, by
 			break
 		}
-		if _, err := oldTrainStage(ctx, runs, pool, 1, cfg.Workers, &out.Ledger); err != nil {
+		if _, err := oldTrainStage(ctx, runs, pool, cfg.Workers, &out.Ledger); err != nil {
 			return nil, err
 		}
 	}
@@ -112,13 +112,13 @@ func oldSuccessiveHalving(ctx context.Context, models []*modelhub.Model, d *data
 	}
 	pool := all
 	out := &Outcome{}
-	for _, stageLen := range cfg.stagePlan() {
-		if by, stop := cfg.budgetStop(out.Ledger.TrainEpochs(), len(pool)*stageLen); stop {
+	for e := 0; e < cfg.HP.Epochs; e++ {
+		if by, stop := cfg.budgetStop(out.Ledger.TrainEpochs(), len(pool)); stop {
 			out.Truncated, out.TruncatedBy = true, by
 			break
 		}
 		out.Stages = append(out.Stages, append([]string(nil), pool...))
-		vals, err := oldTrainStage(ctx, runs, pool, stageLen, cfg.Workers, &out.Ledger)
+		vals, err := oldTrainStage(ctx, runs, pool, cfg.Workers, &out.Ledger)
 		if err != nil {
 			return nil, err
 		}
@@ -147,19 +147,16 @@ func oldStagedFilter(ctx context.Context, models []*modelhub.Model, d *datahub.D
 		return nil, nil, nil, err
 	}
 	out := &Outcome{}
-	completed := 0
-	for _, stageLen := range opts.stagePlan() {
-		if by, stop := opts.budgetStop(out.Ledger.TrainEpochs(), len(pool)*stageLen); stop {
+	for stage := 0; stage < opts.HP.Epochs; stage++ {
+		if by, stop := opts.budgetStop(out.Ledger.TrainEpochs(), len(pool)); stop {
 			out.Truncated, out.TruncatedBy = true, by
 			break
 		}
 		out.Stages = append(out.Stages, append([]string(nil), pool...))
-		vals, err := oldTrainStage(ctx, runs, pool, stageLen, opts.Workers, &out.Ledger)
+		vals, err := oldTrainStage(ctx, runs, pool, opts.Workers, &out.Ledger)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		completed += stageLen
-		stage := completed - 1
 		if len(pool) <= k {
 			continue
 		}
@@ -308,10 +305,6 @@ func strategyCases() []strategyCase {
 	return cases
 }
 
-// stageEpochGrid is the validation intervals the budget grids cover: the
-// paper's 1, one that leaves a remainder stage, and one stage for all.
-var stageEpochGrid = []int{1, 2, 5}
-
 // worldFixture is a task family's whole repository (the pool core's sh
 // strategy halves), the offline matrix over it and the family's first
 // target, at golden sizes.
@@ -334,11 +327,12 @@ func worldFixture(t *testing.T, task string, seed uint64) ([]*modelhub.Model, *p
 	return repo.Models(), m, cat.Targets()[0], Config{HP: hp, Seed: seed, Salt: "oracle"}
 }
 
-// TestSearchMatchesReplacedLoops: over the first six models of both task
-// families × seeds {0, 7} × workers {1, 4} × every validation interval ×
-// every epoch cap from 0 to the unbudgeted cost (and no cap), each entry
-// point returns an outcome deeply equal to its replaced loop's — winner,
-// accuracies, ledger, stages, members, truncation.
+// TestSearchMatchesReplacedLoops: over both task families × seeds {0, 7}
+// × workers {1, 4}, each entry point returns an outcome deeply equal to
+// its replaced loop's — winner, accuracies, ledger, stages, members,
+// truncation — on two pools: the first six models at every epoch cap from
+// 0 to the unbudgeted cost (and no cap), and the whole repository, where
+// validation ties reach the halving cuts, unbudgeted.
 func TestSearchMatchesReplacedLoops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential grid builds four offline matrices")
@@ -347,31 +341,37 @@ func TestSearchMatchesReplacedLoops(t *testing.T) {
 	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
 		for _, seed := range []uint64{0, 7} {
 			all, matrix, target, cfg := worldFixture(t, task, seed)
-			models := all[:6]
 			for _, c := range strategyCases() {
-				for _, s := range stageEpochGrid {
-					for _, workers := range []int{1, 4} {
-						opts := FineSelectOptions{Config: cfg, Matrix: matrix}
-						opts.StageEpochs, opts.Workers = s, workers
+				for _, workers := range []int{1, 4} {
+					opts := FineSelectOptions{Config: cfg, Matrix: matrix}
+					opts.Workers = workers
+					for _, models := range [][]*modelhub.Model{all[:6], all} {
 						full, err := c.old(ctx, models, target, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for cap := -1; cap <= full.Ledger.TrainEpochs(); cap++ {
+						// The whole repository runs unbudgeted only: its
+						// cap sweep takes minutes under -race.
+						last := full.Ledger.TrainEpochs()
+						if len(models) == len(all) {
+							last = -1
+						}
+						capped := opts
+						for cap := -1; cap <= last; cap++ {
 							if cap >= 0 {
-								opts.MaxEpochs = intPtr(cap)
+								capped.MaxEpochs = intPtr(cap)
 							}
-							want, err := c.old(ctx, models, target, opts)
+							want, err := c.old(ctx, models, target, capped)
 							if err != nil {
 								t.Fatal(err)
 							}
-							got, err := c.run(ctx, models, target, opts)
+							got, err := c.run(ctx, models, target, capped)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s/%d %s s=%d workers=%d cap=%d:\n got %+v\nwant %+v",
-									task, seed, c.name, s, workers, cap, got, want)
+								t.Fatalf("%s/%d %s %d models workers=%d cap=%d:\n got %+v\nwant %+v",
+									task, seed, c.name, len(models), workers, cap, got, want)
 							}
 						}
 					}
@@ -402,37 +402,35 @@ func TestSearchMatchesReplacedLoops(t *testing.T) {
 // TestFineSelectAtInfiniteThresholdIsSH: a threshold of +Inf lets no
 // prediction gap beat it (Inf·p is +Inf, or NaN at p = 0), so Algorithm
 // 1's prune is its halving backstop alone, and that is successive halving:
-// over both task families × seeds {0, 7} × every validation interval ×
-// workers {1, 4} × every epoch cap (and no cap) the outcomes are deeply
-// equal — winner, accuracies, ledger, every stage's pool, truncation.
+// over both task families × seeds {0, 7} × workers {1, 4} × every epoch
+// cap (and no cap) the outcomes are deeply equal — winner, accuracies,
+// ledger, every stage's pool, truncation.
 func TestFineSelectAtInfiniteThresholdIsSH(t *testing.T) {
 	ctx := context.Background()
 	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
 		for _, seed := range []uint64{0, 7} {
 			models, matrix, target, cfg := worldFixture(t, task, seed)
-			for _, s := range stageEpochGrid {
-				for _, workers := range []int{1, 4} {
-					opts := FineSelectOptions{Config: cfg, Matrix: matrix, Threshold: math.Inf(1)}
-					opts.StageEpochs, opts.Workers = s, workers
-					full, err := SuccessiveHalving(ctx, models, target, opts.Config)
+			for _, workers := range []int{1, 4} {
+				opts := FineSelectOptions{Config: cfg, Matrix: matrix, Threshold: math.Inf(1)}
+				opts.Workers = workers
+				full, err := SuccessiveHalving(ctx, models, target, opts.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cap := -1; cap <= full.Ledger.TrainEpochs(); cap++ {
+					if cap >= 0 {
+						opts.MaxEpochs = intPtr(cap)
+					}
+					sh, err := SuccessiveHalving(ctx, models, target, opts.Config)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for cap := -1; cap <= full.Ledger.TrainEpochs(); cap++ {
-						if cap >= 0 {
-							opts.MaxEpochs = intPtr(cap)
-						}
-						sh, err := SuccessiveHalving(ctx, models, target, opts.Config)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fs, err := FineSelect(ctx, models, target, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(fs, sh) {
-							t.Fatalf("%s/%d s=%d workers=%d cap=%d:\n fs %+v\n sh %+v", task, seed, s, workers, cap, fs, sh)
-						}
+					fs, err := FineSelect(ctx, models, target, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fs, sh) {
+						t.Fatalf("%s/%d workers=%d cap=%d:\n fs %+v\n sh %+v", task, seed, workers, cap, fs, sh)
 					}
 				}
 			}
@@ -489,38 +487,35 @@ func TestPruneIsFilterThenHalve(t *testing.T) {
 func TestEnsembleOfOneIsFineSelect(t *testing.T) {
 	ctx := context.Background()
 	models, matrix, target, cfg := fixture(t)
-	for _, s := range stageEpochGrid {
-		opts := FineSelectOptions{Config: cfg, Matrix: matrix}
-		opts.StageEpochs = s
-		full, err := FineSelect(ctx, models, target, opts)
+	opts := FineSelectOptions{Config: cfg, Matrix: matrix}
+	full, err := FineSelect(ctx, models, target, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cap := -1; cap <= full.Ledger.TrainEpochs(); cap++ {
+		if cap >= 0 {
+			opts.MaxEpochs = intPtr(cap)
+		}
+		fs, err := FineSelect(ctx, models, target, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for cap := -1; cap <= full.Ledger.TrainEpochs(); cap++ {
-			if cap >= 0 {
-				opts.MaxEpochs = intPtr(cap)
-			}
-			fs, err := FineSelect(ctx, models, target, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ens, err := EnsembleSelect(ctx, models, target, opts, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ens.Members, []string{fs.Winner}) || ens.BestMemberTest != fs.WinnerTest {
-				t.Fatalf("s=%d cap=%d: members %v best %v, want [%s] %v", s, cap, ens.Members, ens.BestMemberTest, fs.Winner, fs.WinnerTest)
-			}
-			ens.Members, ens.BestMemberTest = nil, 0
-			if len(fs.Stages) == 0 {
-				// No epoch ran, so no validation accuracy was recorded:
-				// FineSelect reports 0 where the vote scores the
-				// untrained head.
-				ens.WinnerVal = fs.WinnerVal
-			}
-			if !reflect.DeepEqual(ens, fs) {
-				t.Fatalf("s=%d cap=%d:\n ensemble(1) %+v\nfine-select %+v", s, cap, ens, fs)
-			}
+		ens, err := EnsembleSelect(ctx, models, target, opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ens.Members, []string{fs.Winner}) || ens.BestMemberTest != fs.WinnerTest {
+			t.Fatalf("cap=%d: members %v best %v, want [%s] %v", cap, ens.Members, ens.BestMemberTest, fs.Winner, fs.WinnerTest)
+		}
+		ens.Members, ens.BestMemberTest = nil, 0
+		if len(fs.Stages) == 0 {
+			// No epoch ran, so no validation accuracy was recorded:
+			// FineSelect reports 0 where the vote scores the
+			// untrained head.
+			ens.WinnerVal = fs.WinnerVal
+		}
+		if !reflect.DeepEqual(ens, fs) {
+			t.Fatalf("cap=%d:\n ensemble(1) %+v\nfine-select %+v", cap, ens, fs)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"twophase/internal/trainer"
 )
 
-// trainStage trains every pool member for stageLen epochs and returns each
+// trainStage trains every pool member one epoch and returns each
 // member's latest validation accuracy, in pool order. Members train under
 // fanout.Each at the given width; results are identical at every width
 // because each trainer.Run owns its named RNG stream (seeded from world
@@ -21,12 +21,10 @@ import (
 // A canceled context aborts the stage with ctx.Err() instead of burning
 // the remaining members' epochs. A canceled stage charges nothing — its
 // partial results are discarded by the caller.
-func trainStage(ctx context.Context, pool []*trainer.Run, stageLen, workers int, ledger *trainer.Ledger) ([]float64, error) {
+func trainStage(ctx context.Context, pool []*trainer.Run, workers int, ledger *trainer.Ledger) ([]float64, error) {
 	vals := make([]float64, len(pool))
 	err := fanout.Each(ctx, len(pool), workers, func(i int) error {
-		for e := 0; e < stageLen; e++ {
-			vals[i] = pool[i].TrainEpoch()
-		}
+		vals[i] = pool[i].TrainEpoch()
 		return nil
 	})
 	if err != nil {
@@ -36,6 +34,6 @@ func trainStage(ctx context.Context, pool []*trainer.Run, stageLen, workers int,
 		}
 		return nil, err
 	}
-	ledger.ChargeEpochs(len(pool) * stageLen)
+	ledger.ChargeEpochs(len(pool))
 	return vals, nil
 }

@@ -3,11 +3,12 @@
 // (Eq. 5/6) that the paper's refinement (Algorithm 1) filters with.
 //
 // Every epoch-trained procedure is the same staged search (search): each
-// pool member gets its own trainer.Run, and then, for every stage of the
-// config's stage plan, the search stops if the budget cannot pay the whole
+// pool member gets its own trainer.Run, and then, for every epoch of the
+// budget (a stage: Algorithm 1 validates after every epoch, the paper's
+// evaluation setting), the search stops if the budget cannot pay the whole
 // pool for the stage (an anytime stop: Truncated, best-so-far winner, no
-// error), records the pool, trains every member for the stage's epochs and,
-// while the pool is above its survivor floor, hands the members' validation
+// error), records the pool, trains every member one epoch and, while the
+// pool is above its survivor floor, hands the members' validation
 // accuracies to a prune step. A canceled context aborts between members
 // with ctx.Err().
 //
@@ -20,8 +21,7 @@
 // every member that some better-validating member's predicted final
 // accuracy beats, then halve runs over what it kept (the halving
 // backstop). EnsembleSelect is the same with floor k and a soft vote over
-// the survivors, and BruteForce the search with no prune step at
-// one-epoch stages.
+// the survivors, and BruteForce the search with no prune step.
 //
 // Cost is accounted in training epochs through a trainer.Ledger and
 // selection is strictly on validation accuracy; held-out test accuracy is
@@ -48,10 +48,6 @@ type Config struct {
 	// Salt separates selection procedures that would otherwise share
 	// run streams (e.g. SH vs FS over the same models).
 	Salt string
-	// StageEpochs is Algorithm 1's validation interval s: how many
-	// epochs each surviving model trains between filtering decisions.
-	// 0 means 1, the paper's evaluation setting.
-	StageEpochs int
 	// Workers bounds how many surviving candidates train concurrently
 	// within one stage — per-round training is embarrassingly parallel
 	// because every run owns its RNG stream. It is fanout's width: 0 (or
@@ -65,7 +61,7 @@ type Config struct {
 	// the cap is not started, and the outcome reports Truncated with the
 	// best-so-far winner instead of an error. 0 is a real budget (no
 	// training at all — the winner falls out of the untrained heads,
-	// deterministically); nil runs the full stage plan. Truncation
+	// deterministically); nil runs every stage. Truncation
 	// happens only at stage boundaries, so a fixed cap yields a
 	// bit-identical outcome on every serving path.
 	MaxEpochs *int
@@ -74,19 +70,8 @@ type Config struct {
 	// Truncated. Unlike context cancellation this is not an error — the
 	// caller still gets the best-so-far winner. The check happens at
 	// stage boundaries, so a selection may overrun the deadline by up to
-	// one stage (pool size × stage epochs).
+	// one stage (one epoch of every pool member).
 	Deadline time.Time
-}
-
-// stagePlan splits the total epoch budget into stages of StageEpochs
-// epochs (the last stage takes the remainder).
-func (c Config) stagePlan() []int {
-	s := max(c.StageEpochs, 1)
-	var plan []int
-	for left := c.HP.Epochs; left > 0; left -= s {
-		plan = append(plan, min(s, left))
-	}
-	return plan
 }
 
 // Outcome reports a finished selection.
@@ -103,8 +88,8 @@ type Outcome struct {
 	// Stages records the model names still in play at the start of each
 	// training stage (diagnostics; stage 0 is the initial pool).
 	Stages [][]string
-	// Truncated reports that the selection stopped before its full stage
-	// plan because the config's budget (MaxEpochs or Deadline) ran out;
+	// Truncated reports that the selection stopped before its last stage
+	// because the config's budget (MaxEpochs or Deadline) ran out;
 	// Winner is then the best-so-far survivor, not the full procedure's.
 	Truncated bool
 	// TruncatedBy names the exhausted budget dimension
@@ -139,24 +124,22 @@ func search(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, c
 		return survivors{}, err
 	}
 	out := &Outcome{}
-	epochs := 0
-	for _, stageLen := range cfg.stagePlan() {
-		if by, stop := cfg.budgetStop(out.Ledger.TrainEpochs(), len(pool)*stageLen); stop {
+	for stage := 0; stage < cfg.HP.Epochs; stage++ {
+		if by, stop := cfg.budgetStop(out.Ledger.TrainEpochs(), len(pool)); stop {
 			// The pool and ledger stay as the last completed stage left
 			// them: partial work is kept, never rolled back.
 			out.Truncated, out.TruncatedBy = true, by
 			break
 		}
 		out.Stages = append(out.Stages, names(pool))
-		vals, err := trainStage(ctx, pool, stageLen, cfg.Workers, &out.Ledger)
+		vals, err := trainStage(ctx, pool, cfg.Workers, &out.Ledger)
 		if err != nil {
 			return survivors{}, err
 		}
-		epochs += stageLen
 		if prune == nil || len(pool) <= floor {
 			continue
 		}
-		drop, err := prune(pool, vals, epochs-1, floor)
+		drop, err := prune(pool, vals, stage, floor)
 		if err != nil {
 			return survivors{}, err
 		}
@@ -241,11 +224,10 @@ func (s survivors) winner() *Outcome {
 
 // BruteForce fine-tunes every model for the full epoch budget and selects
 // the best final validation accuracy. Cost: |M| * Epochs. The pool trains
-// one epoch pass at a time whatever the config's StageEpochs, so a budget
-// can stop it between passes — every run owns its RNG stream, so the
-// interleaving is bit-identical to training each model to completion.
+// one epoch pass at a time, so a budget can stop it between passes —
+// every run owns its RNG stream, so the interleaving is bit-identical to
+// training each model to completion.
 func BruteForce(ctx context.Context, models []*modelhub.Model, d *datahub.Dataset, cfg Config) (*Outcome, error) {
-	cfg.StageEpochs = 1
 	s, err := search(ctx, models, d, cfg, 1, nil)
 	if err != nil {
 		return nil, err

@@ -16,26 +16,20 @@ import (
 type Trend struct {
 	Val     float64 // mean validation accuracy at the stage
 	Test    float64 // mean final test accuracy (the prediction)
-	Members []int   // benchmark indices (matrix dataset order)
+	Members []int   // indices of the clustered benchmarks (matrix dataset order for TrendsAtStage)
 }
 
-// DefaultTrendClusters is the number of convergence trends mined per
-// model; Fig. 4 shows the paper's four groups.
-const DefaultTrendClusters = 4
+// trendClusters is the number of convergence trends mined per model;
+// Fig. 4 shows the paper's four groups.
+const trendClusters = 4
 
-// TrendsAtStage clusters the model's benchmark validation accuracies at
-// the given stage (0-based epoch index) into c one-dimensional groups and
-// returns one Trend per group, sorted by ascending Val.
-//
-// The 1-D k-means uses quantile initialization, which makes it
-// deterministic without an RNG.
-func TrendsAtStage(m *perfmatrix.Matrix, model string, stage, c int) ([]Trend, error) {
+// TrendsAtStage mines the model's convergence trends at the given stage
+// (0-based epoch index): Trends over its benchmark validation accuracies
+// at that stage and their final test accuracies.
+func TrendsAtStage(m *perfmatrix.Matrix, model string, stage int) ([]Trend, error) {
 	vals, finals, err := m.ValCurves(model)
 	if err != nil {
 		return nil, err
-	}
-	if c <= 0 {
-		c = DefaultTrendClusters
 	}
 	points := make([]float64, len(vals))
 	for i, curve := range vals {
@@ -44,7 +38,18 @@ func TrendsAtStage(m *perfmatrix.Matrix, model string, stage, c int) ([]Trend, e
 		}
 		points[i] = curve[stage]
 	}
-	assign := kmeans1D(points, c)
+	return Trends(points, finals), nil
+}
+
+// Trends clusters the validation accuracies vals into at most
+// trendClusters one-dimensional groups and returns one Trend per group,
+// sorted by ascending Val: its members' mean val and mean final (finals
+// aligned with vals). Members index vals.
+//
+// The 1-D k-means uses quantile initialization, which makes it
+// deterministic without an RNG.
+func Trends(vals, finals []float64) []Trend {
+	assign := kmeans1D(vals, trendClusters)
 
 	k := 0
 	for _, a := range assign {
@@ -60,7 +65,7 @@ func TrendsAtStage(m *perfmatrix.Matrix, model string, stage, c int) ([]Trend, e
 				continue
 			}
 			t.Members = append(t.Members, i)
-			t.Val += points[i]
+			t.Val += vals[i]
 			t.Test += finals[i]
 		}
 		if len(t.Members) == 0 {
@@ -71,7 +76,7 @@ func TrendsAtStage(m *perfmatrix.Matrix, model string, stage, c int) ([]Trend, e
 		trends = append(trends, t)
 	}
 	sort.Slice(trends, func(i, j int) bool { return trends[i].Val < trends[j].Val })
-	return trends, nil
+	return trends
 }
 
 // MatchTrend returns the index of the trend whose stage validation mean is
@@ -96,13 +101,13 @@ type trendKey struct {
 	stage int
 }
 
-// minedTrends is TrendsAtStage at DefaultTrendClusters, mined once per
-// (model, stage) for the lifetime of the matrix: the trends depend on the
-// offline curves alone — the paper mines them offline — so online
-// selections share one read-only copy held by the matrix they came from.
+// minedTrends is TrendsAtStage, mined once per (model, stage) for the
+// lifetime of the matrix: the trends depend on the offline curves alone —
+// the paper mines them offline — so online selections share one read-only
+// copy held by the matrix they came from.
 func minedTrends(m *perfmatrix.Matrix, model string, stage int) ([]Trend, error) {
 	v, err := m.Memo(trendKey{model, stage}, func() (any, error) {
-		return TrendsAtStage(m, model, stage, DefaultTrendClusters)
+		return TrendsAtStage(m, model, stage)
 	})
 	if err != nil {
 		return nil, err

@@ -38,11 +38,11 @@ func trendFixtureSeed(t *testing.T, seed uint64) *perfmatrix.Matrix {
 
 func TestTrendsAtStage(t *testing.T) {
 	m := trendFixture(t)
-	trends, err := TrendsAtStage(m, m.Models[0], 0, 3)
+	trends, err := TrendsAtStage(m, m.Models[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trends) == 0 || len(trends) > 3 {
+	if len(trends) == 0 || len(trends) > trendClusters {
 		t.Fatalf("trend count %d", len(trends))
 	}
 	total := 0
@@ -62,10 +62,10 @@ func TestTrendsAtStage(t *testing.T) {
 
 func TestTrendsStageOutOfRange(t *testing.T) {
 	m := trendFixture(t)
-	if _, err := TrendsAtStage(m, m.Models[0], 99, 3); err == nil {
+	if _, err := TrendsAtStage(m, m.Models[0], 99); err == nil {
 		t.Fatal("stage out of range accepted")
 	}
-	if _, err := TrendsAtStage(m, "missing", 0, 3); err == nil {
+	if _, err := TrendsAtStage(m, "missing", 0); err == nil {
 		t.Fatal("missing model accepted")
 	}
 }
@@ -168,8 +168,8 @@ func TestTrendPredictionTracksReality(t *testing.T) {
 }
 
 // TestMinedTrendsEqualTrendsAtStage: the trends predictFinal looks up are
-// mined once per (matrix, model, stage) and equal a fresh TrendsAtStage at
-// DefaultTrendClusters for every model and stage; a second matrix gets its
+// mined once per (matrix, model, stage) and equal a fresh TrendsAtStage
+// for every model and stage; a second matrix gets its
 // own trends, never the first one's.
 func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	a, b := trendFixtureSeed(t, 42), trendFixtureSeed(t, 43)
@@ -179,7 +179,7 @@ func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	for _, m := range []*perfmatrix.Matrix{a, b} {
 		for _, model := range m.Models {
 			for stage := 0; stage < m.Epochs; stage++ {
-				want, err := TrendsAtStage(m, model, stage, DefaultTrendClusters)
+				want, err := TrendsAtStage(m, model, stage)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,6 +15,10 @@ import (
 
 	"twophase/internal/core"
 	"twophase/internal/datahub"
+	"twophase/internal/modelhub"
+	"twophase/internal/perfmatrix"
+	"twophase/internal/store"
+	"twophase/internal/synth"
 	"twophase/internal/trainer"
 )
 
@@ -170,20 +174,32 @@ func TestStoreMismatchRebuilds(t *testing.T) {
 
 func TestStoreHyperparamMismatchRebuilds(t *testing.T) {
 	dir := t.TempDir()
-	first := newTestService(t, Options{StoreDir: dir, Base: core.Options{Seed: 42, Sizes: tinySizes}})
-	if _, err := framework(context.Background(), first, datahub.TaskNLP); err != nil {
-		t.Fatal(err)
-	}
 	// Same store, same seed, different learning rate: model and dataset
 	// name sets are identical (they come from static registries), so only
 	// the matrix's recorded provenance can catch this — convergence
-	// curves trained at the default LR must not steer selection at the
-	// low LR.
-	low := newTestService(t, Options{StoreDir: dir, Base: core.Options{
-		Seed:  42,
-		Sizes: tinySizes,
-		HP:    trainer.LowLR(datahub.TaskNLP),
-	}})
+	// curves trained at the low LR must not steer selection at the
+	// default one.
+	w := synth.NewWorld(42)
+	cat, err := datahub.NewTaskCatalog(w, datahub.TaskNLP, tinySizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := modelhub.NewTaskRepository(w, datahub.TaskNLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowLR, err := perfmatrix.Build(repo, cat.Benchmarks(), trainer.LowLR(datahub.TaskNLP), 42, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutMatrix(matrixKey(datahub.TaskNLP, 42), lowLR); err != nil {
+		t.Fatal(err)
+	}
+	low := newTestService(t, Options{StoreDir: dir, Base: core.Options{Seed: 42, Sizes: tinySizes}})
 	if _, err := framework(context.Background(), low, datahub.TaskNLP); err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,14 @@ import (
 	"twophase/internal/numeric"
 )
 
-// Dim is the embedding dimensionality.
-const Dim = 64
+// dim is the embedding dimensionality.
+const dim = 64
 
 // EmbedAll embeds every text into one contiguous frame, a card per row —
 // the flat-buffer form downstream clustering streams without per-card
 // pointer chasing.
 func EmbedAll(texts []string) *numeric.Frame {
-	f := numeric.NewFrame(len(texts), Dim)
+	f := numeric.NewFrame(len(texts), dim)
 	for i, text := range texts {
 		embedInto(text, f.Row(i))
 	}
@@ -29,7 +29,7 @@ func EmbedAll(texts []string) *numeric.Frame {
 }
 
 // embedInto writes the embedding of text — a unit-norm hashed bag-of-words
-// vector — into v (length Dim) and returns it. Tokens are lowercase
+// vector — into v (length dim) and returns it. Tokens are lowercase
 // alphanumeric runs; each token adds a signed hashed one-hot (the classic
 // "hashing trick" with a sign hash to reduce collisions' bias).
 func embedInto(text string, v []float64) []float64 {
@@ -40,7 +40,7 @@ func embedInto(text string, v []float64) []float64 {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(tok))
 		sum := h.Sum64()
-		idx := int(sum % Dim)
+		idx := int(sum % dim)
 		sign := 1.0
 		if (sum>>32)&1 == 1 {
 			sign = -1.0

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func embed(text string) []float64 { return embedInto(text, make([]float64, Dim)) }
+func embed(text string) []float64 { return embedInto(text, make([]float64, dim)) }
 
 // similarity is the cosine similarity of two embedded cards (embeddings
 // are unit-norm, so the dot product).
@@ -44,7 +44,7 @@ func TestEmbedUnitNorm(t *testing.T) {
 	if math.Abs(math.Sqrt(norm)-1) > 1e-9 {
 		t.Fatalf("embedding norm %v", math.Sqrt(norm))
 	}
-	if len(v) != Dim {
+	if len(v) != dim {
 		t.Fatalf("dim %d", len(v))
 	}
 }

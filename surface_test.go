@@ -48,9 +48,13 @@ var stdlibHooks = map[string]bool{
 // its own declaration, in a non-test .go file of the module (cmd/ and
 // bench/ included). An exported func must also be named by a file of
 // another package, tests included: one that only its own package calls
-// is unexported. Types, consts and vars are exempt from that second rule
-// — a type's name is what a caller holds its values by, and the contract's
-// sentinels, wire codes and enum sets are exported as sets.
+// is unexported. Consts and vars answer the same second rule one
+// declaration block at a time — the contract's sentinels, wire codes and
+// enum sets are exported as sets, so a parenthesised block of several
+// specs passes when any of its exported names is named by a file of
+// another package, and a lone const or var must be named so itself.
+// Types are exempt from it: a type's name is what a caller holds its
+// values by.
 //
 // It is syntactic (go/parser only) and over-approximates use by name. A
 // func, type, const or var pkg.Foo counts as used when some file names
@@ -65,6 +69,7 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 		pkg, name      string
 		method, fnDecl bool
 		pos            string
+		block          string // a const or var's declaration block; "" for the rest
 	}
 	fset := token.NewFileSet()
 	var declared []decl // exported declarations under internal/
@@ -77,24 +82,28 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 		if !strings.HasPrefix(dir, "internal/") || harnessPackages[dir] != "" {
 			return
 		}
-		add := func(id *ast.Ident, method, fnDecl bool) {
+		add := func(id *ast.Ident, method, fnDecl bool, block string) {
 			declIdents[id] = true
 			if id.IsExported() {
-				declared = append(declared, decl{f.Name.Name, id.Name, method, fnDecl, fset.Position(id.Pos()).String()})
+				declared = append(declared, decl{f.Name.Name, id.Name, method, fnDecl, fset.Position(id.Pos()).String(), block})
 			}
 		}
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				add(d.Name, d.Recv != nil, d.Recv == nil)
+				add(d.Name, d.Recv != nil, d.Recv == nil, "")
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						add(spec.Name, false, false)
+						add(spec.Name, false, false, "")
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
-							add(id, false, false)
+							block := fset.Position(d.Pos()).String()
+							if len(d.Specs) == 1 && len(spec.Names) == 1 {
+								block = f.Name.Name + "." + id.Name // a lone const or var is its own block
+							}
+							add(id, false, false, block)
 						}
 					}
 				}
@@ -144,11 +153,24 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 	}
 	walkGoFiles(t, fset, true, func(_ string, f *ast.File) { scan(f, true) })
 
+	blockUsed := map[string]bool{} // a const or var block with a name some other package's file names
+	for _, d := range declared {
+		if d.block != "" && outside[d.pkg+"."+d.name] {
+			blockUsed[d.block] = true
+		}
+	}
 	needed := map[string]bool{}
 	var unused []string
 	for _, d := range declared {
 		key := d.pkg + "." + d.name
 		if d.method && (named[d.name] || stdlibHooks[d.name]) || !d.method && qualified[key] {
+			if d.block != "" && !blockUsed[d.block] {
+				if keptHooks[key] != "" {
+					needed[key] = true
+				} else {
+					unused = append(unused, d.pos+": "+key+" is exported but only files of its own package name it or its block: unexport it, or add it to keptHooks with why it stays")
+				}
+			}
 			if d.fnDecl && !outside[key] {
 				if keptHooks[key] != "" {
 					needed[key] = true
@@ -171,6 +193,300 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 	for key := range keptHooks {
 		if !needed[key] {
 			t.Errorf("keptHooks lists %s, which is either gone or named by non-test code now: drop the entry", key)
+		}
+	}
+}
+
+// keptOptionFields are option fields (see TestOptionFieldsHaveCallers)
+// that no non-test file of another package sets, kept on purpose, each
+// with the test that sets it. The list is exact — an entry that stops
+// being needed fails the test too.
+var keptOptionFields = map[string]string{
+	"recall.Options.SimilarityK": "Eq. 1's k: the equation tests (equations_test.go) check Eq. 1-4 by hand at k = 1 and 2",
+}
+
+// TestOptionFieldsHaveCallers makes the options rule — a setting with one
+// value in use is a constant — a tier-1 check: every exported field of a
+// struct under internal/ named Config or Options, or whose name ends in
+// Options, must be set by a non-test file of another package (cmd/ and
+// bench/ included). Fields with a json tag are wire fields, set by
+// decoding, and exempt.
+//
+// A field counts as set where it is a key of a composite literal of its
+// struct (written out, or elided inside a slice or map literal), the left
+// side of an assignment or ++/--, or under & (flag binding). Like
+// TestExportedSurfaceIsUsed it is syntactic: the struct a selector x.F
+// reaches is found from x's declaration in the enclosing function or
+// package (a parameter, a var of a named type, a composite literal)
+// through the module's struct declarations, embedded fields included.
+// Where that finds nothing, x.F counts for a field F of every module
+// package the file imports: the check errs towards passing.
+func TestOptionFieldsHaveCallers(t *testing.T) {
+	type file struct {
+		dir     string
+		f       *ast.File
+		imports map[string]string // import name -> module directory
+	}
+	type fieldDecl struct {
+		typ      string // "dir.Type" of the field's type, "" when it is no named type
+		embedded bool
+	}
+	fset := token.NewFileSet()
+	var files []file
+	walkGoFiles(t, fset, false, func(path string, f *ast.File) {
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			importPath := strings.Trim(imp.Path.Value, `"`)
+			if dir, ok := strings.CutPrefix(importPath, "twophase/"); ok {
+				name := filepath.Base(importPath)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = dir
+			}
+		}
+		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f, imports})
+	})
+
+	// typeName names a type expression "dir.Type", or "" for anything but
+	// a (pointer to a) named type.
+	typeName := func(fl file, x ast.Expr) string {
+		if star, ok := x.(*ast.StarExpr); ok {
+			x = star.X
+		}
+		switch x := x.(type) {
+		case *ast.Ident:
+			return fl.dir + "." + x.Name
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok && fl.imports[id.Name] != "" {
+				return fl.imports[id.Name] + "." + x.Sel.Name
+			}
+		}
+		return ""
+	}
+
+	type option struct{ key, pos string } // key: "dir.Type.Field"
+	var options []option
+	structs := map[string]map[string]fieldDecl{} // "dir.Type" -> field -> declaration
+	pkgVars := map[string]string{}               // "dir.name" -> "dir.Type" of package-level vars
+	for _, fl := range files {
+		for _, d := range fl.f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range g.Specs {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for i, id := range spec.Names {
+						if spec.Type != nil {
+							pkgVars[fl.dir+"."+id.Name] = typeName(fl, spec.Type)
+						} else if i < len(spec.Values) {
+							if lit, ok := spec.Values[i].(*ast.CompositeLit); ok && lit.Type != nil {
+								pkgVars[fl.dir+"."+id.Name] = typeName(fl, lit.Type)
+							}
+						}
+					}
+				case *ast.TypeSpec:
+					st, ok := spec.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					key := fl.dir + "." + spec.Name.Name
+					isOptions := strings.HasPrefix(fl.dir, "internal/") &&
+						(spec.Name.Name == "Config" || strings.HasSuffix(spec.Name.Name, "Options"))
+					fields := map[string]fieldDecl{}
+					for _, fd := range st.Fields.List {
+						names, embedded := fd.Names, len(fd.Names) == 0
+						if embedded { // the field is named by its type
+							if typ := typeName(fl, fd.Type); typ != "" {
+								_, name, _ := strings.Cut(typ[strings.LastIndex(typ, "/")+1:], ".")
+								names = []*ast.Ident{{Name: name, NamePos: fd.Type.Pos()}}
+							}
+						}
+						wire := fd.Tag != nil && strings.Contains(fd.Tag.Value, `json:"`)
+						for _, id := range names {
+							fields[id.Name] = fieldDecl{typeName(fl, fd.Type), embedded}
+							if isOptions && id.IsExported() && !wire {
+								options = append(options, option{key + "." + id.Name, fset.Position(id.Pos()).String()})
+							}
+						}
+					}
+					structs[key] = fields
+				}
+			}
+		}
+	}
+	if len(options) == 0 {
+		t.Fatal("no options struct found under internal/: the census is not looking at them any more")
+	}
+
+	// owner finds the struct that declares field name of typ, following
+	// embedded fields, and the field's own type.
+	var owner func(typ, name string, depth int) (string, string)
+	owner = func(typ, name string, depth int) (string, string) {
+		fields := structs[typ]
+		if fd, ok := fields[name]; ok {
+			return typ, fd.typ
+		}
+		if depth < 4 {
+			for _, fd := range fields {
+				if fd.embedded {
+					if o, ft := owner(fd.typ, name, depth+1); o != "" {
+						return o, ft
+					}
+				}
+			}
+		}
+		return "", ""
+	}
+
+	set := map[string]bool{} // "dir.Type.Field", or "dir.*.Field" for an unresolved x.F
+	for _, fl := range files {
+		mark := func(typ, name string) {
+			if o, _ := owner(typ, name, 0); o != "" && !strings.HasPrefix(o, fl.dir+".") {
+				set[o+"."+name] = true
+			}
+		}
+		vars := map[string]string{} // local name -> "dir.Type"; flat per top-level declaration
+		var exprType func(x ast.Expr) string
+		exprType = func(x ast.Expr) string {
+			switch x := x.(type) {
+			case *ast.Ident:
+				if typ, ok := vars[x.Name]; ok {
+					return typ
+				}
+				return pkgVars[fl.dir+"."+x.Name]
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && fl.imports[id.Name] != "" {
+					return pkgVars[fl.imports[id.Name]+"."+x.Sel.Name]
+				}
+				if typ := exprType(x.X); typ != "" {
+					_, ft := owner(typ, x.Sel.Name, 0)
+					return ft
+				}
+			case *ast.ParenExpr:
+				return exprType(x.X)
+			case *ast.StarExpr:
+				return exprType(x.X)
+			case *ast.UnaryExpr:
+				return exprType(x.X)
+			case *ast.CompositeLit:
+				if x.Type != nil {
+					return typeName(fl, x.Type)
+				}
+			}
+			return ""
+		}
+		setsField := func(x ast.Expr) {
+			sel, ok := x.(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			if typ := exprType(sel.X); typ != "" {
+				mark(typ, sel.Sel.Name)
+				return
+			}
+			for _, dir := range fl.imports {
+				if dir != fl.dir {
+					set[dir+".*."+sel.Sel.Name] = true
+				}
+			}
+		}
+		params := func(fields *ast.FieldList) {
+			if fields == nil {
+				return
+			}
+			for _, fd := range fields.List {
+				for _, id := range fd.Names {
+					vars[id.Name] = typeName(fl, fd.Type)
+				}
+			}
+		}
+		elided := map[*ast.CompositeLit]string{} // literals whose type their enclosing literal gives
+		for _, d := range fl.f.Decls {
+			clear(vars)
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				params(fn.Recv)
+				params(fn.Type.Params)
+				params(fn.Type.Results)
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					params(n.Type.Params)
+				case *ast.ValueSpec:
+					for i, id := range n.Names {
+						if n.Type != nil {
+							vars[id.Name] = typeName(fl, n.Type)
+						} else if i < len(n.Values) {
+							vars[id.Name] = exprType(n.Values[i])
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok && n.Tok == token.DEFINE && len(n.Rhs) == len(n.Lhs) {
+							vars[id.Name] = exprType(n.Rhs[i])
+						} else if n.Tok != token.DEFINE {
+							setsField(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					setsField(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setsField(n.X)
+					}
+				case *ast.CompositeLit:
+					typ := elided[n]
+					if n.Type != nil {
+						typ = typeName(fl, n.Type)
+					}
+					var elt string
+					switch lt := n.Type.(type) {
+					case *ast.ArrayType:
+						elt = typeName(fl, lt.Elt)
+					case *ast.MapType:
+						elt = typeName(fl, lt.Value)
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok && typ != "" {
+								mark(typ, key.Name)
+							}
+							e = kv.Value
+						}
+						if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+							e = u.X
+						}
+						if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && elt != "" {
+							elided[lit] = elt
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	needed := map[string]bool{}
+	for _, o := range options {
+		typ := o.key[:strings.LastIndex(o.key, ".")]
+		dir, _, _ := strings.Cut(typ, ".")
+		name := o.key[len(typ)+1:]
+		if set[o.key] || set[dir+".*."+name] {
+			continue
+		}
+		key := filepath.Base(o.key) // "pkg.Type.Field"
+		if keptOptionFields[key] != "" {
+			needed[key] = true
+			continue
+		}
+		t.Errorf("%s: %s is set by no non-test file of another package: make it a constant, or add it to keptOptionFields with the test that needs it", o.pos, key)
+	}
+	for key := range keptOptionFields {
+		if !needed[key] {
+			t.Errorf("keptOptionFields lists %s, which is gone or set by another package now: drop the entry", key)
 		}
 	}
 }
