@@ -42,11 +42,15 @@ func TestOfflineArtifactsSurvivePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := recall.CoarseRecall(fw.Matrix, fw.Repo, target, fw.Recall, nil)
+	fresh, err := fw.Offline.Recall(fw.Repo, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromDisk, err := recall.CoarseRecall(reloaded, fw.Repo, target, fw.Recall, nil)
+	diskOffline, err := recall.PrepareOfflineWith(reloaded, fw.Recall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromDisk, err := diskOffline.Recall(fw.Repo, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

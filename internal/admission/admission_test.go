@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,6 +87,43 @@ func TestRateLimitPerClient(t *testing.T) {
 	st := c.Stats()
 	if st.RateLimited != 1 || st.Admitted != 2 || st.Clients != 2 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestBucketEvictionAtMaxClients: past maxClients the least recently used
+// bucket goes, even a drained one, and its client comes back to a full
+// bucket.
+func TestBucketEvictionAtMaxClients(t *testing.T) {
+	c := NewController(Options{Rate: 1, Burst: 1})
+	admit := func(client string) error {
+		rel, _, err := c.Admit(context.Background(), client, 0)
+		if err == nil {
+			rel()
+		}
+		return err
+	}
+	if err := admit("c0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := admit("c0"); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("c0's second request: err = %v, want ErrRateLimited", err)
+	}
+	for i := 1; i <= maxClients; i++ {
+		if err := admit(fmt.Sprintf("c%d", i)); err != nil {
+			t.Fatalf("client c%d's first request: %v", i, err)
+		}
+	}
+	if got := c.Stats().Clients; got != maxClients {
+		t.Fatalf("%d tracked buckets, want %d", got, maxClients)
+	}
+	c.mu.Lock()
+	_, kept := c.buckets["c0"]
+	c.mu.Unlock()
+	if kept {
+		t.Fatal("c0's drained bucket survived the eviction")
+	}
+	if err := admit("c0"); err != nil {
+		t.Fatalf("evicted c0 not admitted on a full bucket: %v", err)
 	}
 }
 

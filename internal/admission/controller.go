@@ -26,8 +26,8 @@ var (
 const ShedRetryAfter = 250 * time.Millisecond
 
 // maxClients bounds tracked per-client buckets; at the bound, the least
-// recently used idle bucket is dropped (a dropped client starts over with
-// a full bucket).
+// recently used bucket is dropped whatever its state, drained or full (a
+// dropped client starts over with a full bucket).
 const maxClients = 4096
 
 // Options configures a Controller. The zero value disables every limit —

@@ -71,10 +71,11 @@ type Framework struct {
 	// persisted artifact or recomputed the stage.
 	Stages Stages
 
-	// offline caches the target-independent coarse-recall artifacts
-	// (performance vectors, clustering, representatives) so serving many
-	// targets does not re-cluster the repository per request.
-	offline *recall.Offline
+	// Offline is the prepared coarse-recall stage: the target-independent
+	// artifacts (performance vectors, clustering, representatives, Eq. 1
+	// similarities) every two-phase and ensemble selection recalls from,
+	// so serving many targets never re-clusters the repository.
+	Offline *recall.Offline
 }
 
 // Stages reports the provenance of each offline-pipeline stage of one
@@ -200,7 +201,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 		Workers:      opts.Workers,
 		BuildWorkers: opts.BuildWorkers,
 		Stages:       stages,
-		offline:      off,
+		Offline:      off,
 	}, nil
 }
 
@@ -222,7 +223,7 @@ func fillRecallOptions(task string) recall.Options {
 // RecallArtifact exports the framework's stage-3 clustering artifact for
 // persistence, stamped with the matrix's provenance.
 func (f *Framework) RecallArtifact() *recall.Artifact {
-	return f.offline.Artifact(f.Task, f.Seed)
+	return f.Offline.Artifact(f.Task, f.Seed)
 }
 
 // matrixMatches verifies that a pre-built matrix was produced by exactly
@@ -453,7 +454,7 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 	}
 
 	if strat == StrategyTwoPhase || strat == StrategyEnsemble {
-		report.Recall, err = f.offline.Recall(f.Repo, target, &report.Ledger)
+		report.Recall, err = f.Offline.Recall(f.Repo, target, &report.Ledger)
 		if err != nil {
 			return nil, fmt.Errorf("core: coarse recall on %s: %w", target.Name, err)
 		}

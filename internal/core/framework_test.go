@@ -39,7 +39,7 @@ func TestBuildShape(t *testing.T) {
 	if fw.HP.Epochs != 5 {
 		t.Fatalf("NLP epochs %d", fw.HP.Epochs)
 	}
-	if fw.Recall.K != 10 || fw.Recall.SimilarityK != 5 {
+	if fw.Recall.K != 10 {
 		t.Fatalf("recall defaults %+v", fw.Recall)
 	}
 }

@@ -11,9 +11,10 @@ import (
 	"twophase/internal/selection"
 )
 
-// recallQuality computes the mean ground-truth accuracy of the recalled
-// top-10 averaged over a task's four targets, for a recall options preset.
-func recallQuality(e *Env, task string, opts recall.Options) (avgAcc float64, scored int, err error) {
+// recallQuality computes the mean ground-truth accuracy of the models a
+// prepared coarse-recall stage recalls, averaged over a task's four
+// targets, and the representatives it proxy-scores per target.
+func recallQuality(e *Env, task string, off *recall.Offline) (avgAcc float64, scored int, err error) {
 	fw, err := e.Framework(task)
 	if err != nil {
 		return 0, 0, err
@@ -28,7 +29,7 @@ func recallQuality(e *Env, task string, opts recall.Options) (avgAcc float64, sc
 		if err != nil {
 			return 0, 0, err
 		}
-		rr, err := recall.CoarseRecall(fw.Matrix, fw.Repo, d, opts, nil)
+		rr, err := off.Recall(fw.Repo, d, nil)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -52,13 +53,14 @@ func ablationTopK(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Top-k (the paper's choice).
-		vecs, clTopK, err := recallClusters(fw, fw.Matrix)
+		// Top-k (the paper's choice): the served clustering.
+		vecs, err := perfVectors(fw.Matrix)
 		if err != nil {
 			return nil, err
 		}
-		topk := cluster.TopKDistance(fw.Recall.SimilarityK)
-		accTopK, _, err := recallQuality(e, task, fw.Recall)
+		clTopK := fw.Offline.Clustering
+		topk := cluster.TopKDistance(recall.SimilarityK)
+		accTopK, _, err := recallQuality(e, task, fw.Offline)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +94,7 @@ func ablationRepresentative(e *Env) (*Table, error) {
 			return nil, err
 		}
 		// Representative-only (the framework's strategy).
-		repAcc, repScored, err := recallQuality(e, task, fw.Recall)
+		repAcc, repScored, err := recallQuality(e, task, fw.Offline)
 		if err != nil {
 			return nil, err
 		}
@@ -193,9 +195,15 @@ func ablationProxy(e *Env) (*Table, error) {
 			return nil, err
 		}
 		for _, s := range scorers {
-			opts := fw.Recall
-			opts.Scorer = s
-			acc, _, err := recallQuality(e, task, opts)
+			off := fw.Offline // the framework's own scorer is the served stage
+			if s.Name() != fw.Recall.Scorer.Name() {
+				opts := fw.Recall
+				opts.Scorer = s
+				if off, err = recall.PrepareOfflineWith(fw.Matrix, opts, fw.BuildWorkers); err != nil {
+					return nil, err
+				}
+			}
+			acc, _, err := recallQuality(e, task, off)
 			if err != nil {
 				return nil, err
 			}

@@ -75,16 +75,6 @@ func perfVectors(m *perfmatrix.Matrix) ([][]float64, error) {
 	return vecs.Rows2D(), nil
 }
 
-// recallClusters clusters a matrix's models as coarse recall does:
-// hierarchical over Eq. 1 distance, cut at the recall threshold.
-func recallClusters(fw *core.Framework, m *perfmatrix.Matrix) ([][]float64, cluster.Clustering, error) {
-	vecs, err := perfVectors(m)
-	if err != nil {
-		return nil, cluster.Clustering{}, err
-	}
-	return vecs, cluster.Agglomerative(vecs, cluster.TopKDistance(fw.Recall.SimilarityK), fw.Recall.Threshold, 0, 1), nil
-}
-
 // cardVectors embeds every model card into one frame and returns its row
 // views.
 func cardVectors(fw *core.Framework) ([][]float64, error) {
@@ -119,12 +109,13 @@ func table1(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The reference clustering fixes K so all four cells cluster at
-		// the same granularity.
-		perf, ref, err := recallClusters(fw, fw.Matrix)
+		// The served clustering is the reference: it fixes K so all four
+		// cells cluster at the same granularity.
+		perf, err := perfVectors(fw.Matrix)
 		if err != nil {
 			return nil, err
 		}
+		ref := fw.Offline.Clustering
 		cards, err := cardVectors(fw)
 		if err != nil {
 			return nil, err
@@ -136,7 +127,7 @@ func table1(e *Env) (*Table, error) {
 			cluster.Agglomerative(cards, cluster.Cosine, 0, k, 1),
 			cluster.KMeans(cards, k, numeric.NewNamedRNG(e.Seed, "tab1-kmeans-text", task), 100),
 		} {
-			sil[ti][i] = cluster.Silhouette(perf, cl, cluster.TopKDistance(fw.Recall.SimilarityK))
+			sil[ti][i] = cluster.Silhouette(perf, cl, cluster.TopKDistance(recall.SimilarityK))
 		}
 	}
 	for i, label := range [][2]string{
@@ -169,10 +160,7 @@ func table2(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, cl, err := recallClusters(fw, fw.Matrix)
-		if err != nil {
-			return nil, err
-		}
+		cl := fw.Offline.Clustering
 		names := fw.Matrix.Models
 		id := 0
 		covered := 0
@@ -211,10 +199,11 @@ func table3(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		vecs, cl, err := recallClusters(fw, fw.Matrix)
+		vecs, err := perfVectors(fw.Matrix)
 		if err != nil {
 			return nil, err
 		}
+		cl := fw.Offline.Clustering
 		names := fw.Matrix.Models
 
 		inNonSingleton := make([]bool, len(names))
@@ -279,14 +268,18 @@ func fig5(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		opts := fw.Recall
+		opts.K = fw.Repo.Len() // rank everything once, slice per K
+		off, err := recall.PrepareOfflineWith(fw.Matrix, opts, fw.BuildWorkers)
+		if err != nil {
+			return nil, err
+		}
 		for _, d := range targets {
 			oracle, err := e.Oracle(task, d.Name)
 			if err != nil {
 				return nil, err
 			}
-			opts := fw.Recall
-			opts.K = fw.Repo.Len() // rank everything once, slice per K
-			rr, err := recall.CoarseRecall(fw.Matrix, fw.Repo, d, opts, nil)
+			rr, err := off.Recall(fw.Repo, d, nil)
 			if err != nil {
 				return nil, err
 			}

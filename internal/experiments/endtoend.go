@@ -8,7 +8,6 @@ import (
 
 	"twophase/internal/core"
 	"twophase/internal/numeric"
-	"twophase/internal/recall"
 )
 
 // table6 reproduces Table VI: end-to-end runtime (including the proxy
@@ -85,7 +84,7 @@ func table7(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rr, err := recall.CoarseRecall(fw.Matrix, fw.Repo, d, fw.Recall, nil)
+		rr, err := fw.Offline.Recall(fw.Repo, d, nil)
 		if err != nil {
 			return nil, err
 		}

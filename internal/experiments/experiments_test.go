@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"twophase/internal/cluster"
+	"twophase/internal/datahub"
 )
 
 // One environment and one run of each experiment per test binary.
@@ -171,6 +174,40 @@ func TestClaimsAtDefaultSeed(t *testing.T) {
 	}
 	if want := []string{"tab4.accuracy-monotone", "ablTrend.saves-epochs"}; !slices.Equal(deviating, want) {
 		t.Fatalf("claims deviating at seed %d: %v, want %v", DefaultSeed, deviating, want)
+	}
+}
+
+// TestEvaluationReadsServedStage: once the Env's frameworks are built,
+// the experiments that read the clustering or recall candidates — tab2,
+// tab3, tab7, fig7 and ablRep — run no agglomerative pass of their own:
+// they read the coarse-recall stage the frameworks serve with. Not
+// parallel: cluster.Passes counts for the whole process.
+func TestEvaluationReadsServedStage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs full frameworks; skipped in -short")
+	}
+	tablesMu.Lock()
+	defer tablesMu.Unlock()
+	if env == nil {
+		env = NewEnv(DefaultSeed)
+	}
+	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+		if _, err := env.Framework(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := cluster.Passes()
+	for _, id := range []string{"tab2", "tab3", "tab7", "fig7", "ablRep"} {
+		ex, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.Run(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cluster.Passes() - before; got != 0 {
+		t.Fatalf("tab2, tab3, tab7, fig7 and ablRep ran %d agglomerative passes, want 0", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
 	"twophase/internal/perfmatrix"
+	"twophase/internal/recall"
 	"twophase/internal/selection"
 	"twophase/internal/synth"
 )
@@ -67,10 +68,7 @@ func ablationSubsetMatrix(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, full, err := recallClusters(fw, fw.Matrix)
-		if err != nil {
-			return nil, err
-		}
+		full := fw.Offline.Clustering
 		for _, frac := range fractions {
 			var cl cluster.Clustering
 			if frac == 1.0 {
@@ -87,9 +85,11 @@ func ablationSubsetMatrix(e *Env) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, cl, err = recallClusters(fw, m); err != nil {
+				off, err := recall.PrepareOfflineWith(m, fw.Recall, fw.BuildWorkers)
+				if err != nil {
 					return nil, err
 				}
+				cl = off.Clustering
 			}
 			t.AddRow(task, frac, cluster.AdjustedRandIndex(full, cl), len(cl.NonSingletons()))
 		}

@@ -10,7 +10,6 @@ import (
 	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/numeric"
-	"twophase/internal/recall"
 	"twophase/internal/selection"
 	"twophase/internal/trainer"
 )
@@ -31,9 +30,7 @@ func recalledTop(e *Env, task, dataset string) (*core.Framework, *datahub.Datase
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opts := fw.Recall
-	opts.K = 10
-	rr, err := recall.CoarseRecall(fw.Matrix, fw.Repo, d, opts, nil)
+	rr, err := fw.Offline.Recall(fw.Repo, d, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -21,7 +21,8 @@ func TestRehydrateBitIdentical(t *testing.T) {
 	}
 	art := cold.Artifact(m.Task, m.Seed)
 
-	// Round-trip through JSON, as the store would.
+	// Round-trip through JSON, so the rehydrated Offline shares no memory
+	// with the artifact's source.
 	data, err := json.Marshal(art)
 	if err != nil {
 		t.Fatal(err)

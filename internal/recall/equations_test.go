@@ -46,20 +46,24 @@ func handMatrix(t *testing.T, names []string, vecs [][]float64, datasets []strin
 	return m
 }
 
+// TestRecallEquationsExact checks Eq. 1-4 by hand at the production k = 5
+// over six benchmarks, so Eq. 1's top-k still leaves one difference out.
+// Every expected product is rounded on its own (float64(a*b)), as Recall
+// rounds it, so the scores compare bit for bit on every architecture.
 func TestRecallEquationsExact(t *testing.T) {
 	w := synth.NewWorld(42)
 	// Six models: {A,B} identical vectors, {C,D} identical, E and F
 	// distinct singletons.
 	names := []string{"A", "B", "C", "D", "E", "F"}
 	vecs := [][]float64{
-		{0.90, 0.80, 0.70, 0.60},
-		{0.90, 0.80, 0.70, 0.60},
-		{0.50, 0.55, 0.60, 0.65},
-		{0.50, 0.55, 0.60, 0.65},
-		{0.20, 0.90, 0.20, 0.90},
-		{0.70, 0.10, 0.80, 0.10},
+		{0.90, 0.80, 0.70, 0.60, 0.85, 0.75},
+		{0.90, 0.80, 0.70, 0.60, 0.85, 0.75},
+		{0.50, 0.55, 0.60, 0.65, 0.45, 0.70},
+		{0.50, 0.55, 0.60, 0.65, 0.45, 0.70},
+		{0.20, 0.90, 0.20, 0.90, 0.30, 0.80},
+		{0.70, 0.10, 0.80, 0.10, 0.60, 0.20},
 	}
-	datasets := []string{"d1", "d2", "d3", "d4"}
+	datasets := []string{"d1", "d2", "d3", "d4", "d5", "d6"}
 	m := handMatrix(t, names, vecs, datasets)
 
 	// Materialize real model objects (the scorer ignores their weights).
@@ -84,8 +88,8 @@ func TestRecallEquationsExact(t *testing.T) {
 	}
 
 	scorer := stubScorer{scores: map[string]float64{"A": 0.2, "C": 0.8}}
-	opts := Options{K: 6, SimilarityK: 2, Threshold: 0.01, Scorer: scorer}
-	res, err := CoarseRecall(m, repo, target, opts, nil)
+	opts := Options{K: 6, Threshold: 0.01, Scorer: scorer}
+	res, err := coarseRecall(m, repo, target, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,33 +115,27 @@ func TestRecallEquationsExact(t *testing.T) {
 		t.Fatalf("C-cluster proxy %v/%v", res.ProxyScores["C"], res.ProxyScores["D"])
 	}
 
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: got %v want %v", what, got, want)
+		}
+	}
 	// Eq. 3 for members: recall = avgAcc * proxy.
-	avgC := numeric.Mean(vecs[2])
-	if got := res.RecallScores["C"]; math.Abs(got-avgC*1.0) > 1e-12 {
-		t.Fatalf("Eq.3 for C: got %v want %v", got, avgC)
-	}
-	if res.RecallScores["A"] != 0 {
-		t.Fatalf("Eq.3 for A: got %v want 0", res.RecallScores["A"])
-	}
+	same("Eq.3 for C", res.RecallScores["C"], float64(numeric.Mean(vecs[2])*1))
+	same("Eq.3 for A", res.RecallScores["A"], 0)
 
-	// Eq. 4 for singleton E: avg over representatives of sim * proxy.
-	dist := cluster.TopKDistance(2)
-	simEA := 1 - dist(vecs[4], vecs[0])
-	simEC := 1 - dist(vecs[4], vecs[2])
-	if simEA < 0 {
-		simEA = 0
+	// Eq. 4 for singleton E: avg over representatives of sim * proxy,
+	// with Eq. 1's k = 5 of the six differences.
+	dist := cluster.TopKDistance(5)
+	simEA := max(1-dist(vecs[4], vecs[0]), 0)
+	simEC := max(1-dist(vecs[4], vecs[2]), 0)
+	if simEC == 0 {
+		t.Fatal("E is no closer than distance 1 to C: Eq. 4 propagates nothing")
 	}
-	if simEC < 0 {
-		simEC = 0
-	}
-	wantProxyE := (simEA*0 + simEC*1) / 2
-	if got := res.ProxyScores["E"]; math.Abs(got-wantProxyE) > 1e-12 {
-		t.Fatalf("Eq.4 proxy for E: got %v want %v", got, wantProxyE)
-	}
-	wantRecallE := numeric.Mean(vecs[4]) * wantProxyE
-	if got := res.RecallScores["E"]; math.Abs(got-wantRecallE) > 1e-12 {
-		t.Fatalf("Eq.4 recall for E: got %v want %v", got, wantRecallE)
-	}
+	wantProxyE := (float64(simEA*0) + float64(simEC*1)) / 2
+	same("Eq.4 proxy for E", res.ProxyScores["E"], wantProxyE)
+	same("Eq.4 recall for E", res.RecallScores["E"], float64(numeric.Mean(vecs[4])*wantProxyE))
 }
 
 // TestRecallScoreMonotoneInPrior: with a constant proxy, the recall order
@@ -145,11 +143,12 @@ func TestRecallEquationsExact(t *testing.T) {
 func TestRecallScoreMonotoneInPrior(t *testing.T) {
 	w := synth.NewWorld(42)
 	names := []string{"hi", "mid", "lo", "hi2", "mid2", "lo2"}
+	flat := func(v float64) []float64 { return []float64{v, v, v, v, v, v} }
 	vecs := [][]float64{
-		{0.9, 0.9}, {0.6, 0.6}, {0.3, 0.3},
-		{0.9, 0.9}, {0.6, 0.6}, {0.3, 0.3},
+		flat(0.9), flat(0.6), flat(0.3),
+		flat(0.9), flat(0.6), flat(0.3),
 	}
-	m := handMatrix(t, names, vecs, []string{"d1", "d2"})
+	m := handMatrix(t, names, vecs, []string{"d1", "d2", "d3", "d4", "d5", "d6"})
 	var specs []modelhub.Spec
 	for _, n := range names {
 		specs = append(specs, modelhub.Spec{
@@ -170,7 +169,7 @@ func TestRecallScoreMonotoneInPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	scorer := stubScorer{scores: map[string]float64{"hi": 0.5, "mid": 0.5, "lo": 0.5}}
-	res, err := CoarseRecall(m, repo, target, Options{K: 6, SimilarityK: 1, Threshold: 0.01, Scorer: scorer}, nil)
+	res, err := coarseRecall(m, repo, target, Options{K: 6, Threshold: 0.01, Scorer: scorer}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

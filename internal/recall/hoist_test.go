@@ -24,7 +24,7 @@ func referenceRecall(t *testing.T, m *perfmatrix.Matrix, o *Offline, repo *model
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := cluster.TopKDistance(o.opts.SimilarityK)
+	dist := cluster.TopKDistance(SimilarityK)
 	idx := make(map[string]int, len(names))
 	for i, n := range names {
 		idx[n] = i

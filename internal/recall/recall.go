@@ -11,7 +11,9 @@
 // or Rehydrate, which share assembleOffline so built and restored worlds
 // agree bit for bit). Recall, the per-request half, scores the
 // representatives on the target and combines those scores with the
-// precomputed tables; it computes no distance and no grouping.
+// precomputed tables; it computes no distance and no grouping. A framework
+// prepares one Offline and serves every target from it; the evaluation
+// reads that same Offline.
 package recall
 
 import (
@@ -29,14 +31,15 @@ import (
 	"twophase/internal/trainer"
 )
 
+// SimilarityK is the k of Eq. 1's top-k difference similarity; appendix D
+// selects 5.
+const SimilarityK = 5
+
 // Options configures the coarse-recall phase.
 type Options struct {
 	// K is the number of models to recall; the paper settles on 10
 	// (~25-30% of the repository, §V.B).
 	K int
-	// SimilarityK is the k of Eq. 1's top-k difference similarity;
-	// appendix D selects 5.
-	SimilarityK int
 	// Threshold is the average-linkage cut distance for model clustering.
 	Threshold float64
 	// Scorer is the proxy task; nil means calibrated LEEP (§II.A).
@@ -48,9 +51,6 @@ type Options struct {
 func (o *Options) Fill() {
 	if o.K <= 0 {
 		o.K = 10
-	}
-	if o.SimilarityK <= 0 {
-		o.SimilarityK = 5
 	}
 	if o.Threshold <= 0 {
 		o.Threshold = 0.08
@@ -118,7 +118,7 @@ func PrepareOfflineWith(m *perfmatrix.Matrix, opts Options, workers int) (*Offli
 	if err != nil {
 		return nil, err
 	}
-	dist := cluster.TopKDistance(opts.SimilarityK)
+	dist := cluster.TopKDistance(SimilarityK)
 	clustering := cluster.Agglomerative(vecs.Rows2D(), dist, opts.Threshold, 0, workers)
 	return assembleOffline(opts, names, vecs, avgAcc, dist, clustering), nil
 }
@@ -224,18 +224,19 @@ func assembleOffline(opts Options, names []string, vecs *numeric.Frame, avgAcc [
 
 // Artifact is the serializable form of the clustering stage of the offline
 // pipeline: the agglomerative assignment plus the fingerprint of every
-// input that shaped it. Persisting it lets a warm start rehydrate an
-// Offline without re-running the O(n³) clustering; the fingerprint lets
-// the loader detect that any input changed and rebuild the stage instead.
+// input that shaped it. Its one encoding is internal/artifact's binary
+// codec. Persisting it lets a warm start rehydrate an Offline without
+// re-running the O(n³) clustering; the fingerprint lets the loader detect
+// that any input changed and rebuild the stage instead.
 type Artifact struct {
-	Task        string   `json:"task"`
-	Seed        uint64   `json:"seed"`
-	SimilarityK int      `json:"similarity_k"`
-	Threshold   float64  `json:"threshold"`
-	Scorer      string   `json:"scorer"`
-	Models      []string `json:"models"`
-	Assign      []int    `json:"assign"`
-	Clusters    int      `json:"clusters"`
+	Task        string
+	Seed        uint64
+	SimilarityK int
+	Threshold   float64
+	Scorer      string
+	Models      []string
+	Assign      []int
+	Clusters    int
 }
 
 // Artifact exports the offline clustering stage for persistence. Task and
@@ -244,7 +245,7 @@ func (o *Offline) Artifact(task string, seed uint64) *Artifact {
 	return &Artifact{
 		Task:        task,
 		Seed:        seed,
-		SimilarityK: o.opts.SimilarityK,
+		SimilarityK: SimilarityK,
 		Threshold:   o.opts.Threshold,
 		Scorer:      o.opts.Scorer.Name(),
 		Models:      o.names,
@@ -265,8 +266,8 @@ func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error
 		return nil, fmt.Errorf("recall: rehydrate: nil artifact")
 	}
 	opts.Fill()
-	if a.SimilarityK != opts.SimilarityK {
-		return nil, fmt.Errorf("recall: artifact similarity k %d, want %d", a.SimilarityK, opts.SimilarityK)
+	if a.SimilarityK != SimilarityK {
+		return nil, fmt.Errorf("recall: artifact similarity k %d, want %d", a.SimilarityK, SimilarityK)
 	}
 	if a.Threshold != opts.Threshold {
 		return nil, fmt.Errorf("recall: artifact threshold %v, want %v", a.Threshold, opts.Threshold)
@@ -311,7 +312,7 @@ func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error
 	assign := make([]int, len(a.Assign))
 	copy(assign, a.Assign)
 	clustering := cluster.Clustering{Assign: assign, K: a.Clusters}
-	dist := cluster.TopKDistance(opts.SimilarityK)
+	dist := cluster.TopKDistance(SimilarityK)
 	return assembleOffline(opts, names, vecs, avgAcc, dist, clustering), nil
 }
 
@@ -378,18 +379,6 @@ func (o *Offline) Recall(repo *modelhub.Repository, target *datahub.Dataset, led
 		res.Recalled = append(res.Recalled, o.names[i])
 	}
 	return res, nil
-}
-
-// CoarseRecall runs the phase against one target dataset. The ledger, if
-// non-nil, is charged 0.5 epoch per proxy computation. Callers answering
-// many targets over one matrix should PrepareOfflineWith once and call Recall
-// per target instead.
-func CoarseRecall(m *perfmatrix.Matrix, repo *modelhub.Repository, target *datahub.Dataset, opts Options, ledger *trainer.Ledger) (*Result, error) {
-	off, err := PrepareOfflineWith(m, opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	return off.Recall(repo, target, ledger)
 }
 
 // RandomRecall returns K models drawn uniformly without replacement — the

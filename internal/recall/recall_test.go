@@ -40,11 +40,21 @@ func fixture(t *testing.T) (*perfmatrix.Matrix, *modelhub.Repository, *datahub.D
 	return m, repo, target
 }
 
+// coarseRecall prepares the offline half over m and recalls one target
+// from it, both halves of the phase in one call.
+func coarseRecall(m *perfmatrix.Matrix, repo *modelhub.Repository, target *datahub.Dataset, opts Options, ledger *trainer.Ledger) (*Result, error) {
+	off, err := PrepareOfflineWith(m, opts, 1)
+	if err != nil {
+		return nil, err
+	}
+	return off.Recall(repo, target, ledger)
+}
+
 func TestCoarseRecallBasics(t *testing.T) {
 	m, repo, target := fixture(t)
 	var ledger trainer.Ledger
 	opts := Options{K: 4}
-	res, err := CoarseRecall(m, repo, target, opts, &ledger)
+	res, err := coarseRecall(m, repo, target, opts, &ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +80,11 @@ func TestCoarseRecallBasics(t *testing.T) {
 
 func TestCoarseRecallDeterministic(t *testing.T) {
 	m, repo, target := fixture(t)
-	a, err := CoarseRecall(m, repo, target, Options{K: 5}, nil)
+	a, err := coarseRecall(m, repo, target, Options{K: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CoarseRecall(m, repo, target, Options{K: 5}, nil)
+	b, err := coarseRecall(m, repo, target, Options{K: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +97,7 @@ func TestCoarseRecallDeterministic(t *testing.T) {
 
 func TestCoarseRecallScoresInRange(t *testing.T) {
 	m, repo, target := fixture(t)
-	res, err := CoarseRecall(m, repo, target, Options{}, nil)
+	res, err := coarseRecall(m, repo, target, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestCoarseRecallScoresInRange(t *testing.T) {
 
 func TestRepresentativeHasBestAverage(t *testing.T) {
 	m, repo, target := fixture(t)
-	res, err := CoarseRecall(m, repo, target, Options{}, nil)
+	res, err := coarseRecall(m, repo, target, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestRepresentativeHasBestAverage(t *testing.T) {
 
 func TestSingletonPropagation(t *testing.T) {
 	m, repo, target := fixture(t)
-	res, err := CoarseRecall(m, repo, target, Options{}, nil)
+	res, err := coarseRecall(m, repo, target, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +182,7 @@ func TestSingletonPropagation(t *testing.T) {
 
 func TestCoarseRecallKOversized(t *testing.T) {
 	m, repo, target := fixture(t)
-	res, err := CoarseRecall(m, repo, target, Options{K: 999}, nil)
+	res, err := coarseRecall(m, repo, target, Options{K: 999}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +194,14 @@ func TestCoarseRecallKOversized(t *testing.T) {
 func TestCoarseRecallEmptyMatrix(t *testing.T) {
 	_, repo, target := fixture(t)
 	empty := &perfmatrix.Matrix{}
-	if _, err := CoarseRecall(empty, repo, target, Options{}, nil); err == nil {
+	if _, err := coarseRecall(empty, repo, target, Options{}, nil); err == nil {
 		t.Fatal("empty matrix accepted")
 	}
 }
 
 func TestCoarseRecallAlternativeScorer(t *testing.T) {
 	m, repo, target := fixture(t)
-	res, err := CoarseRecall(m, repo, target, Options{K: 3, Scorer: proxy.KNN{}}, nil)
+	res, err := coarseRecall(m, repo, target, Options{K: 3, Scorer: proxy.KNN{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

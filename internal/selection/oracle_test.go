@@ -332,7 +332,11 @@ func worldFixture(t *testing.T, task string, seed uint64) ([]*modelhub.Model, *p
 // its replaced loop's — winner, accuracies, ledger, stages, members,
 // truncation — on two pools: the first six models at every epoch cap from
 // 0 to the unbudgeted cost (and no cap), and the whole repository, where
-// validation ties reach the halving cuts, unbudgeted.
+// validation ties reach the halving cuts, unbudgeted. On CV seed 0, the
+// world where a tie decides a cut, the whole repository also runs at
+// workers 1 under the caps b-1 and b at every stage boundary b: a cap
+// truncates only at a boundary, so those two caps reach every outcome the
+// full cap sweep does.
 func TestSearchMatchesReplacedLoops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential grid builds four offline matrices")
@@ -350,14 +354,22 @@ func TestSearchMatchesReplacedLoops(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						// The whole repository runs unbudgeted only: its
-						// cap sweep takes minutes under -race.
-						last := full.Ledger.TrainEpochs()
-						if len(models) == len(all) {
-							last = -1
+						caps := []int{-1}
+						if len(models) < len(all) {
+							for cap := 0; cap <= full.Ledger.TrainEpochs(); cap++ {
+								caps = append(caps, cap)
+							}
+						} else if task == datahub.TaskCV && seed == 0 && workers == 1 {
+							// The full cap sweep over the whole repository
+							// takes minutes under -race; the boundary caps
+							// reach the same outcomes.
+							caps = append(caps, stageBoundaryCaps(full, cfg.HP.Epochs)...)
+							if b := caps[len(caps)-1]; b != full.Ledger.TrainEpochs() {
+								t.Fatalf("%s boundaries end at %d epochs, the unbudgeted run spends %d", c.name, b, full.Ledger.TrainEpochs())
+							}
 						}
 						capped := opts
-						for cap := -1; cap <= last; cap++ {
+						for _, cap := range caps {
 							if cap >= 0 {
 								capped.MaxEpochs = intPtr(cap)
 							}
@@ -397,6 +409,20 @@ func TestSearchMatchesReplacedLoops(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stageBoundaryCaps returns the epoch caps b-1 and b at every stage
+// boundary b of an unbudgeted outcome, b being the epochs spent once a
+// stage has trained. Every stage trains its recorded pool; brute force
+// records its one pool once and trains it every epoch.
+func stageBoundaryCaps(full *Outcome, epochs int) []int {
+	var caps []int
+	b := 0
+	for stage := 0; stage < epochs; stage++ {
+		b += len(full.Stages[min(stage, len(full.Stages)-1)])
+		caps = append(caps, b-1, b)
+	}
+	return caps
 }
 
 // TestFineSelectAtInfiniteThresholdIsSH: a threshold of +Inf lets no

@@ -131,8 +131,11 @@ func predictFinal(m *perfmatrix.Matrix, model string, stage int, val float64) (f
 }
 
 // kmeans1D clusters scalar points into at most k groups via Lloyd's
-// algorithm with quantile-initialized centers. Returned labels are
-// ordered by center value (label 0 = lowest).
+// algorithm with quantile-initialized centers. Labels are group ids in
+// [0, k): the label of a cluster that emptied goes unused. They ascend
+// with the center when the starting quantiles are distinct; tied starts
+// can let a center overtake its emptied twin, so callers order groups by
+// their mean (Trends does).
 func kmeans1D(points []float64, k int) []int {
 	n := len(points)
 	if n == 0 {
@@ -178,28 +181,6 @@ func kmeans1D(points []float64, k int) []int {
 		if !changed && iter > 0 {
 			break
 		}
-	}
-
-	// Re-label clusters in ascending center order and compact empties.
-	type cc struct {
-		center float64
-		old    int
-	}
-	var used []cc
-	seen := make(map[int]bool)
-	for _, a := range assign {
-		if !seen[a] {
-			seen[a] = true
-			used = append(used, cc{centers[a], a})
-		}
-	}
-	sort.Slice(used, func(i, j int) bool { return used[i].center < used[j].center })
-	remap := make(map[int]int, len(used))
-	for newID, u := range used {
-		remap[u.old] = newID
-	}
-	for i, a := range assign {
-		assign[i] = remap[a]
 	}
 	return assign
 }

@@ -129,6 +129,14 @@ func TestKMeans1DEdgeCases(t *testing.T) {
 			t.Fatal("identical points split across clusters")
 		}
 	}
+	// Tied starting quantiles: the first center overtakes its emptied
+	// twin, so the labels leave value order; Trends still returns the
+	// groups sorted by mean.
+	tied := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.7, 0.7, 1, 1}
+	want := []Trend{{0.5, 0.5, []int{0, 1, 2, 3, 4, 5}}, {0.7, 0.7, []int{6, 7}}, {1, 1, []int{8, 9}}}
+	if got := Trends(tied, tied); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trends over tied starts %+v, want %+v", got, want)
+	}
 }
 
 func TestKMeans1DDeterministic(t *testing.T) {

@@ -201,9 +201,7 @@ func TestExportedSurfaceIsUsed(t *testing.T) {
 // that no non-test file of another package sets, kept on purpose, each
 // with the test that sets it. The list is exact — an entry that stops
 // being needed fails the test too.
-var keptOptionFields = map[string]string{
-	"recall.Options.SimilarityK": "Eq. 1's k: the equation tests (equations_test.go) check Eq. 1-4 by hand at k = 1 and 2",
-}
+var keptOptionFields = map[string]string{}
 
 // TestOptionFieldsHaveCallers makes the options rule — a setting with one
 // value in use is a constant — a tier-1 check: every exported field of a
