@@ -322,7 +322,6 @@ type recallMeta struct {
 	Seed        uint64   `json:"seed"`
 	SimilarityK int      `json:"similarity_k"`
 	Threshold   float64  `json:"threshold"`
-	Scorer      string   `json:"scorer"`
 	Models      []string `json:"models"`
 	Clusters    int      `json:"clusters"`
 	AssignLen   int      `json:"assign_len"`
@@ -335,7 +334,7 @@ func EncodeRecall(a *recall.Artifact) ([]byte, error) {
 	}
 	meta := recallMeta{
 		Task: a.Task, Seed: a.Seed, SimilarityK: a.SimilarityK,
-		Threshold: a.Threshold, Scorer: a.Scorer, Models: a.Models,
+		Threshold: a.Threshold, Models: a.Models,
 		Clusters: a.Clusters, AssignLen: len(a.Assign),
 	}
 	return encode(KindRecall, meta, len(a.Assign), func(payload []byte) {
@@ -368,7 +367,7 @@ func DecodeRecall(data []byte) (*recall.Artifact, error) {
 	}
 	return &recall.Artifact{
 		Task: meta.Task, Seed: meta.Seed, SimilarityK: meta.SimilarityK,
-		Threshold: meta.Threshold, Scorer: meta.Scorer, Models: meta.Models,
+		Threshold: meta.Threshold, Models: meta.Models,
 		Assign: assign, Clusters: meta.Clusters,
 	}, nil
 }

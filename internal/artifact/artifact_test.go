@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -104,7 +105,7 @@ func TestMatrixRoundTrip(t *testing.T) {
 func testRecall(rng *rand.Rand, n int) *recall.Artifact {
 	a := &recall.Artifact{
 		Task: "cv", Seed: rng.Uint64(), SimilarityK: rng.Intn(9), Threshold: rng.NormFloat64(),
-		Scorer: "calibrated-leep", Clusters: rng.Intn(n + 1),
+		Clusters: rng.Intn(n + 1),
 	}
 	for i := 0; i < n; i++ {
 		a.Models = append(a.Models, "m"+string(rune('a'+i)))
@@ -129,6 +130,51 @@ func TestRecallRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, a) {
 			t.Fatalf("trial %d: recall round trip drifted:\n%+v\nvs\n%+v", trial, got, a)
+		}
+	}
+}
+
+// TestRecallDecodesScorerKey: recall encodings once also recorded the
+// proxy scorer, which never shaped the clustering. Such an encoding (its
+// meta laid out as it was written, "scorer" key included) must decode to
+// the same Artifact as the current encoding, so a store written with the
+// key still warm-starts the clustering stage.
+func TestRecallDecodesScorerKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 16; trial++ {
+		a := testRecall(rng, trial%8)
+		meta := struct {
+			Task        string   `json:"task"`
+			Seed        uint64   `json:"seed"`
+			SimilarityK int      `json:"similarity_k"`
+			Threshold   float64  `json:"threshold"`
+			Scorer      string   `json:"scorer"`
+			Models      []string `json:"models"`
+			Clusters    int      `json:"clusters"`
+			AssignLen   int      `json:"assign_len"`
+		}{a.Task, a.Seed, a.SimilarityK, a.Threshold, "leep-calibrated", a.Models, a.Clusters, len(a.Assign)}
+		data, err := encode(KindRecall, meta, len(a.Assign), func(payload []byte) {
+			for i, v := range a.Assign {
+				binary.LittleEndian.PutUint64(payload[i*8:], uint64(int64(v)))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRecall(data)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		current, err := EncodeRecall(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecodeRecall(current)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, a) {
+			t.Fatalf("trial %d: encoding with a scorer key decoded to\n%+v\nwant\n%+v", trial, got, want)
 		}
 	}
 }

@@ -71,16 +71,33 @@ func repoRoot() string {
 	return filepath.Dir(filepath.Dir(wd)) // internal/chaos -> repo root
 }
 
-// freePort reserves an ephemeral port and releases it for the child
-// process to bind. The classic race is acceptable in a test harness.
-func freePort(t *testing.T) int {
+// freePorts reserves n ephemeral ports and releases them for child
+// processes to bind. Every listener stays open until all n are drawn, so
+// the ports of one call are distinct; another process may still take one
+// between the release and the child's bind.
+func freePorts(t *testing.T, n int) []int {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	ports := make([]int, n)
+	for i := range ports {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		ports[i] = ln.Addr().(*net.TCPAddr).Port
 	}
-	defer ln.Close()
-	return ln.Addr().(*net.TCPAddr).Port
+	return ports
+}
+
+// TestFreePortsDistinct: one draw of 256 ports holds no duplicate.
+func TestFreePortsDistinct(t *testing.T) {
+	seen := make(map[int]bool)
+	for _, p := range freePorts(t, 256) {
+		if seen[p] {
+			t.Fatalf("port %d drawn twice", p)
+		}
+		seen[p] = true
+	}
 }
 
 // proc is one spawned server process.
@@ -238,9 +255,9 @@ func bootFleet(t *testing.T, logDir string, spec fleetSpec) *fleet {
 	t.Helper()
 	n := len(spec.stores)
 	urls := make([]string, n)
-	ports := make([]int, n)
+	// One draw for the whole fleet; the last port is the gateway's.
+	ports := freePorts(t, n+1)
 	for i := range urls {
-		ports[i] = freePort(t)
 		urls[i] = "http://127.0.0.1:" + strconv.Itoa(ports[i])
 	}
 	f := &fleet{urls: urls, backends: make([]*proc, n)}
@@ -263,7 +280,7 @@ func bootFleet(t *testing.T, logDir string, spec fleetSpec) *fleet {
 	for _, b := range f.backends {
 		waitHealthy(t, b.url, 30*time.Second)
 	}
-	gwPort := freePort(t)
+	gwPort := ports[n]
 	gwArgs := []string{
 		"-addr", "127.0.0.1:" + strconv.Itoa(gwPort),
 		"-backends", strings.Join(urls, ","),

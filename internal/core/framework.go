@@ -178,7 +178,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 			off = o
 			stages.RecallLoaded = true
 		}
-		// A stale clustering artifact (options changed, foreign matrix)
+		// A stale clustering artifact (another threshold, foreign matrix)
 		// only invalidates this stage; fall through and recompute it.
 	}
 	if off == nil {
@@ -206,11 +206,11 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 }
 
 // fillRecallOptions resolves the per-task recall defaults the framework
-// builds with; the filled options are part of the stage-3 artifact's
-// fingerprint. Only the CV threshold is core's own: CV performance vectors
-// span only 10 benchmarks, so their Eq. 1 distances are tighter, and a
-// finer cut keeps the cluster structure (6 non-singleton clusters in the
-// paper's Table II) visible. Every other default is recall's.
+// builds with; of them only the threshold is in the stage-3 fingerprint.
+// Only the CV threshold is core's own: CV performance vectors span only 10
+// benchmarks, so their Eq. 1 distances are tighter, and a finer cut keeps
+// the cluster structure (6 non-singleton clusters in the paper's Table II)
+// visible. Every other default is recall's.
 func fillRecallOptions(task string) recall.Options {
 	var ro recall.Options
 	if task == datahub.TaskCV {

@@ -195,13 +195,12 @@ func ablationProxy(e *Env) (*Table, error) {
 			return nil, err
 		}
 		for _, s := range scorers {
-			off := fw.Offline // the framework's own scorer is the served stage
-			if s.Name() != fw.Recall.Scorer.Name() {
-				opts := fw.Recall
-				opts.Scorer = s
-				if off, err = recall.PrepareOfflineWith(fw.Matrix, opts, fw.BuildWorkers); err != nil {
-					return nil, err
-				}
+			// The scorer acts at recall time: recall from the served clustering.
+			opts := fw.Recall
+			opts.Scorer = s
+			off, err := recall.Rehydrate(fw.Matrix, opts, fw.RecallArtifact())
+			if err != nil {
+				return nil, err
 			}
 			acc, _, err := recallQuality(e, task, off)
 			if err != nil {

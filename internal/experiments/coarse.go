@@ -270,7 +270,7 @@ func fig5(e *Env) (*Table, error) {
 		}
 		opts := fw.Recall
 		opts.K = fw.Repo.Len() // rank everything once, slice per K
-		off, err := recall.PrepareOfflineWith(fw.Matrix, opts, fw.BuildWorkers)
+		off, err := recall.Rehydrate(fw.Matrix, opts, fw.RecallArtifact())
 		if err != nil {
 			return nil, err
 		}
@@ -333,7 +333,10 @@ func tableX(e *Env) (*Table, error) {
 		}
 		for _, k := range ks[task] {
 			dist := cluster.TopKDistance(k)
-			cl := cluster.Agglomerative(vecs, dist, fw.Recall.Threshold, 0, 1)
+			cl := fw.Offline.Clustering // served at k = SimilarityK
+			if k != recall.SimilarityK {
+				cl = cluster.Agglomerative(vecs, dist, fw.Recall.Threshold, 0, 1)
+			}
 			t.AddRow(task, k, cluster.Silhouette(vecs, cl, dist))
 		}
 	}

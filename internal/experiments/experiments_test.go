@@ -179,8 +179,10 @@ func TestClaimsAtDefaultSeed(t *testing.T) {
 
 // TestEvaluationReadsServedStage: once the Env's frameworks are built,
 // the experiments that read the clustering or recall candidates — tab2,
-// tab3, tab7, fig7 and ablRep — run no agglomerative pass of their own:
-// they read the coarse-recall stage the frameworks serve with. Not
+// tab3, tab7, fig7, ablRep, fig5 and ablProxy — run no agglomerative pass
+// of their own: they read the coarse-recall stage the frameworks serve
+// with (fig5's K and ablProxy's scorers act at recall time only). tabX
+// clusters once per Eq. 1 k other than SimilarityK: 2 per task. Not
 // parallel: cluster.Passes counts for the whole process.
 func TestEvaluationReadsServedStage(t *testing.T) {
 	if testing.Short() {
@@ -196,18 +198,24 @@ func TestEvaluationReadsServedStage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := cluster.Passes()
-	for _, id := range []string{"tab2", "tab3", "tab7", "fig7", "ablRep"} {
-		ex, err := ByID(id)
+	for _, c := range []struct {
+		id     string
+		passes int64
+	}{
+		{"tab2", 0}, {"tab3", 0}, {"tab7", 0}, {"fig7", 0}, {"ablRep", 0},
+		{"fig5", 0}, {"ablProxy", 0}, {"tabX", 4},
+	} {
+		ex, err := ByID(c.id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := cluster.Passes()
 		if _, err := ex.Run(env); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := cluster.Passes() - before; got != 0 {
-		t.Fatalf("tab2, tab3, tab7, fig7 and ablRep ran %d agglomerative passes, want 0", got)
+		if got := cluster.Passes() - before; got != c.passes {
+			t.Errorf("%s ran %d agglomerative passes, want %d", c.id, got, c.passes)
+		}
 	}
 }
 

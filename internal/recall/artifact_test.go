@@ -2,10 +2,13 @@ package recall
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"twophase/internal/cluster"
+	"twophase/internal/proxy"
 	"twophase/internal/trainer"
 )
 
@@ -58,6 +61,67 @@ func TestRehydrateBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRehydrateUnderRecallTimeOptions: K and the scorer act only at
+// recall time, so a clustering stored under the default options (calibrated
+// LEEP) rehydrates under every scorer the proxy ablation compares and under
+// K = |M| without another clustering pass, and each rehydrated Offline
+// recalls bit for bit what one freshly prepared with those options does.
+func TestRehydrateUnderRecallTimeOptions(t *testing.T) {
+	m, repo, target := fixture(t)
+	served, err := PrepareOfflineWith(m, Options{Scorer: proxy.CalibratedLEEP{}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := served.Artifact(m.Task, m.Seed)
+	scorers := []proxy.Scorer{
+		proxy.CalibratedLEEP{},
+		proxy.LEEP{},
+		proxy.NCE{},
+		proxy.KNN{},
+		proxy.Ensemble{Scorers: []proxy.Scorer{proxy.CalibratedLEEP{}, proxy.KNN{}}},
+	}
+	for _, s := range scorers {
+		for _, k := range []int{4, len(m.Models)} {
+			opts := Options{K: k, Scorer: s}
+			before := cluster.Passes()
+			warm, err := Rehydrate(m, opts, art)
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", s.Name(), k, err)
+			}
+			if got := cluster.Passes() - before; got != 0 {
+				t.Fatalf("%s K=%d: rehydrate ran %d clustering passes, want 0", s.Name(), k, got)
+			}
+			cold, err := PrepareOfflineWith(m, opts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var warmLedger, coldLedger trainer.Ledger
+			got, err := warm.Recall(repo, target, &warmLedger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cold.Recall(repo, target, &coldLedger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Recalled, want.Recalled) {
+				t.Errorf("%s K=%d: recalled %v, want %v", s.Name(), k, got.Recalled, want.Recalled)
+			}
+			if len(got.RecallScores) != len(want.RecallScores) {
+				t.Fatalf("%s K=%d: %d recall scores, want %d", s.Name(), k, len(got.RecallScores), len(want.RecallScores))
+			}
+			for name, w := range want.RecallScores {
+				if g, ok := got.RecallScores[name]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%s K=%d: %s recall score %v, want %v", s.Name(), k, name, g, w)
+				}
+			}
+			if warmLedger != coldLedger {
+				t.Errorf("%s K=%d: ledger %v, want %v", s.Name(), k, warmLedger, coldLedger)
+			}
+		}
+	}
+}
+
 // TestRehydrateRejectsStale: any changed clustering input must fail
 // rehydration so the caller recomputes the stage.
 func TestRehydrateRejectsStale(t *testing.T) {
@@ -72,7 +136,6 @@ func TestRehydrateRejectsStale(t *testing.T) {
 	mutate := map[string]func(a *Artifact){
 		"similarity k": func(a *Artifact) { a.SimilarityK++ },
 		"threshold":    func(a *Artifact) { a.Threshold *= 2 },
-		"scorer":       func(a *Artifact) { a.Scorer = "other" },
 		"task":         func(a *Artifact) { a.Task = "cv" },
 		"seed":         func(a *Artifact) { a.Seed++ },
 		"model order": func(a *Artifact) {

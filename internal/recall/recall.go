@@ -13,7 +13,8 @@
 // representatives on the target and combines those scores with the
 // precomputed tables; it computes no distance and no grouping. A framework
 // prepares one Offline and serves every target from it; the evaluation
-// reads that same Offline.
+// reads that same Offline. Only the clustering persists (Artifact); K and
+// the proxy scorer act only in Recall, so a stored clustering serves both.
 package recall
 
 import (
@@ -223,17 +224,16 @@ func assembleOffline(opts Options, names []string, vecs *numeric.Frame, avgAcc [
 }
 
 // Artifact is the serializable form of the clustering stage of the offline
-// pipeline: the agglomerative assignment plus the fingerprint of every
-// input that shaped it. Its one encoding is internal/artifact's binary
-// codec. Persisting it lets a warm start rehydrate an Offline without
-// re-running the O(n³) clustering; the fingerprint lets the loader detect
-// that any input changed and rebuild the stage instead.
+// pipeline: the agglomerative assignment plus the fingerprint of the inputs
+// that shaped it (task, seed, SimilarityK, threshold, model order). Its one
+// encoding is internal/artifact's binary codec. Persisting it lets a warm
+// start rehydrate an Offline without re-running the O(n³) clustering; the
+// fingerprint lets the loader detect that any input changed and rebuild.
 type Artifact struct {
 	Task        string
 	Seed        uint64
 	SimilarityK int
 	Threshold   float64
-	Scorer      string
 	Models      []string
 	Assign      []int
 	Clusters    int
@@ -247,7 +247,6 @@ func (o *Offline) Artifact(task string, seed uint64) *Artifact {
 		Seed:        seed,
 		SimilarityK: SimilarityK,
 		Threshold:   o.opts.Threshold,
-		Scorer:      o.opts.Scorer.Name(),
 		Models:      o.names,
 		Assign:      o.Clustering.Assign,
 		Clusters:    o.Clustering.K,
@@ -255,12 +254,12 @@ func (o *Offline) Artifact(task string, seed uint64) *Artifact {
 }
 
 // Rehydrate rebuilds an Offline from a persisted clustering artifact,
-// skipping the agglomerative pass. The artifact must have been produced by
-// exactly the inputs at hand — same model order and the same clustering
-// options — or Rehydrate errors so the caller falls back to
-// PrepareOfflineWith. Everything derived (vectors, averages, representatives)
-// is recomputed from the matrix, so a rehydrated Offline recalls
-// bit-identically to a cold-built one.
+// skipping the agglomerative pass. The artifact's fingerprint must match
+// the inputs at hand or Rehydrate errors so the caller falls back to
+// PrepareOfflineWith; opts.K and opts.Scorer are free, so a served
+// clustering also yields an Offline with another K or scorer. Everything
+// derived is recomputed from the matrix, so a rehydrated Offline recalls
+// bit-identically to a cold-built one with the same options.
 func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error) {
 	if a == nil {
 		return nil, fmt.Errorf("recall: rehydrate: nil artifact")
@@ -271,9 +270,6 @@ func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error
 	}
 	if a.Threshold != opts.Threshold {
 		return nil, fmt.Errorf("recall: artifact threshold %v, want %v", a.Threshold, opts.Threshold)
-	}
-	if a.Scorer != opts.Scorer.Name() {
-		return nil, fmt.Errorf("recall: artifact scorer %q, want %q", a.Scorer, opts.Scorer.Name())
 	}
 	if a.Task != m.Task {
 		return nil, fmt.Errorf("recall: artifact task %q, want %q", a.Task, m.Task)
@@ -399,9 +395,6 @@ func RandomRecall(m *perfmatrix.Matrix, k int, rng *numeric.RNG) []string {
 // BruteForceScores computes the proxy score for every model directly (no
 // clustering) — the ablation baseline for representative-only scoring.
 func BruteForceScores(repo *modelhub.Repository, target *datahub.Dataset, scorer proxy.Scorer, ledger *trainer.Ledger) (map[string]float64, error) {
-	if scorer == nil {
-		scorer = proxy.LEEP{}
-	}
 	models := repo.Models()
 	raw := make([]float64, len(models))
 	for i, model := range models {

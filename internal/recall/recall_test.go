@@ -230,9 +230,9 @@ func TestRandomRecall(t *testing.T) {
 }
 
 func TestBruteForceScores(t *testing.T) {
-	m, repo, target := fixture(t)
+	_, repo, target := fixture(t)
 	var ledger trainer.Ledger
-	scores, err := BruteForceScores(repo, target, nil, &ledger)
+	scores, err := BruteForceScores(repo, target, proxy.CalibratedLEEP{}, &ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,5 +247,4 @@ func TestBruteForceScores(t *testing.T) {
 			t.Fatalf("score %v for %s", s, n)
 		}
 	}
-	_ = m
 }

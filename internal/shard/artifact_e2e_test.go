@@ -38,7 +38,8 @@ func TestEndToEndArtifactColdStart(t *testing.T) {
 
 	// Reserve both ports up front: the ring hashes the full URL list, so
 	// every process (and this test) must agree on it before boot.
-	portA, portB := freePort(t), freePort(t)
+	ports := freePorts(t, 2)
+	portA, portB := ports[0], ports[1]
 	urlA := "http://127.0.0.1:" + strconv.Itoa(portA)
 	urlB := "http://127.0.0.1:" + strconv.Itoa(portB)
 	fleet := urlA + "," + urlB

@@ -71,16 +71,33 @@ func repoRoot() string {
 	return filepath.Dir(filepath.Dir(wd)) // internal/shard -> repo root
 }
 
-// freePort reserves an ephemeral port and releases it for the child
-// process to bind. The classic race is acceptable in a test harness.
-func freePort(t *testing.T) int {
+// freePorts reserves n ephemeral ports and releases them for child
+// processes to bind. Every listener stays open until all n are drawn, so
+// the ports of one call are distinct; another process may still take one
+// between the release and the child's bind.
+func freePorts(t *testing.T, n int) []int {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	ports := make([]int, n)
+	for i := range ports {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		ports[i] = ln.Addr().(*net.TCPAddr).Port
 	}
-	defer ln.Close()
-	return ln.Addr().(*net.TCPAddr).Port
+	return ports
+}
+
+// TestFreePortsDistinct: one draw of 256 ports holds no duplicate.
+func TestFreePortsDistinct(t *testing.T) {
+	seen := make(map[int]bool)
+	for _, p := range freePorts(t, 256) {
+		if seen[p] {
+			t.Fatalf("port %d drawn twice", p)
+		}
+		seen[p] = true
+	}
 }
 
 // proc is one spawned server process.
@@ -191,8 +208,10 @@ func TestEndToEndShardedFleet(t *testing.T) {
 	backends := make([]*proc, backendCount)
 	urls := make([]string, backendCount)
 	instances := make(map[string]string, backendCount) // url -> instance
+	// One draw for the whole fleet; the last port is the gateway's.
+	ports := freePorts(t, backendCount+1)
 	for i := range backends {
-		port := freePort(t)
+		port := ports[i]
 		name := fmt.Sprintf("backend-%d", i)
 		args := append([]string{
 			"-addr", "127.0.0.1:" + strconv.Itoa(port),
@@ -209,7 +228,7 @@ func TestEndToEndShardedFleet(t *testing.T) {
 	}
 
 	// Boot the gateway over the fleet.
-	gwPort := freePort(t)
+	gwPort := ports[backendCount]
 	gw := spawn(t, "gateway", bins["gateway"], logDir,
 		"-addr", "127.0.0.1:"+strconv.Itoa(gwPort),
 		"-backends", urls[0]+","+urls[1]+","+urls[2],

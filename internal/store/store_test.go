@@ -175,7 +175,7 @@ func TestMatrixRoundtrip(t *testing.T) {
 func TestRecallArtifactRoundtrip(t *testing.T) {
 	s := openTemp(t)
 	art := &recall.Artifact{
-		Task: "nlp", Seed: 42, SimilarityK: 5, Threshold: 0.08, Scorer: "leep-calibrated",
+		Task: "nlp", Seed: 42, SimilarityK: 5, Threshold: 0.08,
 		Models: []string{"m0", "m1", "m2"}, Assign: []int{0, 1, 0}, Clusters: 2,
 	}
 	if err := s.PutRecall("nlp-seed42", art); err != nil {
