@@ -1,9 +1,6 @@
 GO ?= go
 SERVER_FLAGS ?=
 GATEWAY_FLAGS ?= -backends http://127.0.0.1:8080
-LOADGEN_ADDR ?= http://127.0.0.1:8090
-LOADGEN_FLAGS ?= -rate 100 -duration 10s -max-epochs 0
-LOAD_JSON ?= BENCH_load.json
 COVER_PROFILE ?= coverage.out
 COVER_FLOOR ?= 70.0
 
@@ -16,7 +13,7 @@ BENCH_AB_RUNS ?= 3
 # The golang.org/x/tools release `make deadcode-tool` installs.
 DEADCODE_VERSION ?= v0.30.0
 
-.PHONY: verify race bench bench-ab fmt vet deadcode deadcode-tool loc build test run-server run-gateway cover cover-check fuzz loadgen chaos chaos-smoke
+.PHONY: verify race bench bench-ab fmt vet deadcode deadcode-tool loc build test run-server run-gateway cover cover-check fuzz chaos chaos-smoke
 
 # verify is the tier-1 gate: exactly what CI and the roadmap run.
 verify: build test
@@ -100,14 +97,6 @@ run-server:
 # http://h1:8080,http://h2:8080 -replicas 2'`.
 run-gateway:
 	$(GO) run ./cmd/gateway $(GATEWAY_FLAGS)
-
-# loadgen replays an open-loop selection workload against a running
-# endpoint (default: the gateway on :8090) and writes the latency
-# percentiles + admission outcome mix to $(LOAD_JSON); point it elsewhere
-# with e.g. `make loadgen LOADGEN_ADDR=http://127.0.0.1:8080
-# LOADGEN_FLAGS='-rate 500 -duration 30s -deadline-ms 50'`.
-loadgen:
-	$(GO) run ./cmd/loadgen -addr $(LOADGEN_ADDR) -out $(LOAD_JSON) $(LOADGEN_FLAGS)
 
 # chaos runs the full fault-injection storm suite: three seeded
 # schedules against a real 3-backend fleet + gateway (separate OS

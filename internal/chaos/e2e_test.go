@@ -12,6 +12,7 @@ package chaos_test
 // backends, short capped schedules, the same assertions.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -100,6 +101,37 @@ func TestFreePortsDistinct(t *testing.T) {
 	}
 }
 
+// TestRestartOnTakenPortFailsFast: an apiserver spawned on a port another
+// process holds exits on "address already in use"; the health wait reports
+// errPortTaken at once, and so it does again for a restart of the same
+// proc. kill reaps each child once and may be repeated.
+func TestRestartOnTakenPortFailsFast(t *testing.T) {
+	requireChaosPrereqs(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p := spawn(t, "squatted", bins(t)["apiserver"], t.TempDir(), "-addr", ln.Addr().String())
+	p.url = "http://" + ln.Addr().String()
+	for run := 0; run < 2; run++ {
+		if run > 0 {
+			p.kill()
+			p.start(t)
+		}
+		start := time.Now()
+		err := p.healthy(30 * time.Second)
+		if !errors.Is(err, errPortTaken) {
+			t.Fatalf("run %d: health wait on a taken port: %v, want errPortTaken", run, err)
+		}
+		if waited := time.Since(start); waited > 10*time.Second {
+			t.Fatalf("run %d: health wait took %v to see the child exit", run, waited)
+		}
+	}
+	p.kill()
+	p.kill()
+}
+
 // proc is one spawned server process.
 type proc struct {
 	name string
@@ -108,6 +140,8 @@ type proc struct {
 	args []string
 	cmd  *exec.Cmd
 	logf *os.File
+	// exited is closed once the current child is reaped.
+	exited chan struct{}
 }
 
 // spawn starts a binary and registers cleanup; logs go to the test log on
@@ -132,7 +166,8 @@ func spawn(t *testing.T, name, bin string, logDir string, args ...string) *proc 
 	return p
 }
 
-// start launches (or relaunches, after kill) the process.
+// start launches (or relaunches, after kill) the process. One goroutine
+// per child reaps it, so a health wait can see it exit.
 func (p *proc) start(t *testing.T) {
 	t.Helper()
 	cmd := exec.Command(p.bin, p.args...)
@@ -141,7 +176,12 @@ func (p *proc) start(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", p.name, err)
 	}
-	p.cmd = cmd
+	exited := make(chan struct{})
+	go func() {
+		cmd.Wait()
+		close(exited)
+	}()
+	p.cmd, p.exited = cmd, exited
 }
 
 // stripFlag removes a "-name value" pair from an argument list.
@@ -157,31 +197,62 @@ func stripFlag(args []string, name string) []string {
 	return out
 }
 
-// kill SIGKILLs the process and reaps it; idempotent.
+// kill SIGKILLs the current child and waits until it is reaped;
+// idempotent.
 func (p *proc) kill() {
-	if p.cmd != nil && p.cmd.Process != nil {
+	if p.cmd != nil {
 		p.cmd.Process.Kill()
-		p.cmd.Wait()
+		<-p.exited
 	}
 }
 
-// waitHealthy polls a server's healthz until ok or the deadline.
-func waitHealthy(t *testing.T, url string, timeout time.Duration) {
-	t.Helper()
-	c := api.NewClient(url, nil)
+// errPortTaken marks a child that exited because another process bound
+// its port between freePorts' release and the child's own bind.
+var errPortTaken = errors.New("port taken by another process")
+
+// healthy polls the process's healthz until ok, the child exits or the
+// deadline passes. A child that exited is reported at once with its log,
+// wrapping errPortTaken when it exited on "address already in use".
+func (p *proc) healthy(timeout time.Duration) error {
+	c := api.NewClient(p.url, nil)
 	deadline := time.After(timeout)
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		_, err := c.Healthz(ctx)
 		cancel()
+		select {
+		case <-p.exited:
+			return p.exitError()
+		default:
+		}
 		if err == nil {
-			return
+			return nil
 		}
 		select {
+		case <-p.exited:
+			return p.exitError()
 		case <-deadline:
-			t.Fatalf("%s never became healthy: %v", url, err)
+			return fmt.Errorf("%s never became healthy: %v", p.url, err)
 		case <-time.After(50 * time.Millisecond):
 		}
+	}
+}
+
+// exitError describes a child that exited before it became healthy.
+func (p *proc) exitError() error {
+	log, _ := os.ReadFile(p.logf.Name())
+	cause := fmt.Errorf("%s exited before it became healthy: %v", p.name, p.cmd.ProcessState)
+	if bytes.Contains(log, []byte("address already in use")) {
+		cause = fmt.Errorf("%s exited: %w", p.name, errPortTaken)
+	}
+	return fmt.Errorf("%w\n---- %s log ----\n%s", cause, p.name, log)
+}
+
+// waitHealthy fails the test unless the process becomes healthy.
+func waitHealthy(t *testing.T, p *proc, timeout time.Duration) {
+	t.Helper()
+	if err := p.healthy(timeout); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -250,52 +321,77 @@ var sizeFlags = []string{"-train", "60", "-val", "40", "-test", "48"}
 
 // bootFleet spawns len(spec.stores) backends (fleet-aware: each knows the
 // full URL list, so the artifact fetcher is live) and a gateway fronting
-// them, waits for health, and returns the handles.
+// them, waits for health, and returns the handles. The whole fleet is
+// booted once more on new ports if a child lost its port (onFreshPorts).
 func bootFleet(t *testing.T, logDir string, spec fleetSpec) *fleet {
 	t.Helper()
 	n := len(spec.stores)
-	urls := make([]string, n)
 	// One draw for the whole fleet; the last port is the gateway's.
-	ports := freePorts(t, n+1)
-	for i := range urls {
-		urls[i] = "http://127.0.0.1:" + strconv.Itoa(ports[i])
-	}
-	f := &fleet{urls: urls, backends: make([]*proc, n)}
-	for i := range f.backends {
-		name := fmt.Sprintf("backend-%d", i)
-		args := append([]string{
-			"-addr", "127.0.0.1:" + strconv.Itoa(ports[i]),
-			"-instance", name,
-			"-store", spec.stores[i],
-			"-backends", strings.Join(urls, ","),
-			"-self", urls[i],
-			"-replicas", "2",
-		}, sizeFlags...)
-		if spec.backendSchedules[i] != "" {
-			args = append(args, "-fault-schedule", spec.backendSchedules[i])
+	return onFreshPorts(t, n+1, func(ports []int) (*fleet, error) {
+		urls := make([]string, n)
+		for i := range urls {
+			urls[i] = "http://127.0.0.1:" + strconv.Itoa(ports[i])
 		}
-		f.backends[i] = spawn(t, name, bins(t)["apiserver"], logDir, args...)
-		f.backends[i].url = urls[i]
+		f := &fleet{urls: urls, backends: make([]*proc, n)}
+		for i := range f.backends {
+			name := fmt.Sprintf("backend-%d", i)
+			args := append([]string{
+				"-addr", "127.0.0.1:" + strconv.Itoa(ports[i]),
+				"-instance", name,
+				"-store", spec.stores[i],
+				"-backends", strings.Join(urls, ","),
+				"-self", urls[i],
+				"-replicas", "2",
+			}, sizeFlags...)
+			if spec.backendSchedules[i] != "" {
+				args = append(args, "-fault-schedule", spec.backendSchedules[i])
+			}
+			f.backends[i] = spawn(t, name, bins(t)["apiserver"], logDir, args...)
+			f.backends[i].url = urls[i]
+		}
+		for _, b := range f.backends {
+			if err := b.healthy(30 * time.Second); err != nil {
+				f.shutdown()
+				return nil, err
+			}
+		}
+		gwPort := ports[n]
+		gwArgs := []string{
+			"-addr", "127.0.0.1:" + strconv.Itoa(gwPort),
+			"-backends", strings.Join(urls, ","),
+			"-replicas", "2",
+			"-probe-interval", "100ms",
+			"-attempt-timeout", "5s",
+			"-instance", "gw-chaos",
+		}
+		if spec.gwSchedule != "" {
+			gwArgs = append(gwArgs, "-fault-schedule", spec.gwSchedule)
+		}
+		f.gw = spawn(t, "gateway", bins(t)["gateway"], logDir, gwArgs...)
+		f.gw.url = "http://127.0.0.1:" + strconv.Itoa(gwPort)
+		if err := f.gw.healthy(30 * time.Second); err != nil {
+			f.shutdown()
+			return nil, err
+		}
+		f.client = api.NewClient(f.gw.url, nil)
+		return f, nil
+	})
+}
+
+// onFreshPorts boots a fleet on one freePorts(t, n) draw. When a child
+// lost its port to another process between the draw and its bind, boot
+// (which kills what it spawned before returning an error) runs once more
+// on a new draw; any other failure, or a second one, fails the test.
+func onFreshPorts[F any](t *testing.T, n int, boot func(ports []int) (F, error)) F {
+	t.Helper()
+	f, err := boot(freePorts(t, n))
+	if errors.Is(err, errPortTaken) {
+		t.Logf("re-drawing the fleet's ports: %v", err)
+		f, err = boot(freePorts(t, n))
 	}
-	for _, b := range f.backends {
-		waitHealthy(t, b.url, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gwPort := ports[n]
-	gwArgs := []string{
-		"-addr", "127.0.0.1:" + strconv.Itoa(gwPort),
-		"-backends", strings.Join(urls, ","),
-		"-replicas", "2",
-		"-probe-interval", "100ms",
-		"-attempt-timeout", "5s",
-		"-instance", "gw-chaos",
-	}
-	if spec.gwSchedule != "" {
-		gwArgs = append(gwArgs, "-fault-schedule", spec.gwSchedule)
-	}
-	f.gw = spawn(t, "gateway", bins(t)["gateway"], logDir, gwArgs...)
-	f.gw.url = "http://127.0.0.1:" + strconv.Itoa(gwPort)
-	waitHealthy(t, f.gw.url, 30*time.Second)
-	f.client = api.NewClient(f.gw.url, nil)
 	return f
 }
 
@@ -312,7 +408,9 @@ func bins(t *testing.T) map[string]string {
 // shutdown kills every process in the fleet (reverse order: gateway
 // first, so no probe noise lands on dying backends).
 func (f *fleet) shutdown() {
-	f.gw.kill()
+	if f.gw != nil {
+		f.gw.kill()
+	}
 	for _, b := range f.backends {
 		b.kill()
 	}
@@ -668,7 +766,7 @@ func TestChaosStorms(t *testing.T) {
 			// it, and the storm would never terminate.
 			f.backends[0].args = stripFlag(f.backends[0].args, "-fault-schedule")
 			f.backends[0].start(t)
-			waitHealthy(t, f.backends[0].url, 30*time.Second)
+			waitHealthy(t, f.backends[0], 30*time.Second)
 			clog.Event("backend-0 restarted")
 
 			// 5. Storm pass two with the full fleet back.

@@ -108,7 +108,7 @@ func TestGoldenSelectReports(t *testing.T) {
 }
 
 // TestGoldenZeroEpochSelectReports pins the max_epochs: 0 select — the
-// request a default loadgen run sends — across commits, as
+// cheapest anytime request the API offers — across commits, as
 // TestGoldenSelectReports pins the unbudgeted one: the fine phase stops
 // before its first stage, so the two-phase winner is reported untrained
 // (winner_test is an untrained head's accuracy), the ensemble's members

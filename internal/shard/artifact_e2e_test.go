@@ -9,6 +9,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os/exec"
 	"reflect"
@@ -32,57 +33,67 @@ func TestEndToEndArtifactColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logDir := t.TempDir()
 	sizeFlags := []string{"-train", "60", "-val", "40", "-test", "48"}
 	const task, target = "nlp", "tweet_eval"
 
 	// Reserve both ports up front: the ring hashes the full URL list, so
 	// every process (and this test) must agree on it before boot.
-	ports := freePorts(t, 2)
-	portA, portB := ports[0], ports[1]
-	urlA := "http://127.0.0.1:" + strconv.Itoa(portA)
-	urlB := "http://127.0.0.1:" + strconv.Itoa(portB)
-	fleet := urlA + "," + urlB
-
-	// Pick a seed owned by A under replicas=1, so the warm spec lands
-	// entirely on A and B provably cannot have built the world itself.
-	ring, err := shard.NewRing([]string{urlA, urlB}, shard.DefaultVNodes)
-	if err != nil {
-		t.Fatal(err)
+	type fleet struct {
+		a, b *proc
+		seed uint64
 	}
-	seed := uint64(0)
-	for ; seed < 64; seed++ {
-		if ring.Owners(shard.RouteKey(task, seed), 1)[0] == urlA {
-			break
+	f := onFreshPorts(t, 2, func(ports []int) (f fleet, err error) {
+		logDir := t.TempDir()
+		urlA := "http://127.0.0.1:" + strconv.Itoa(ports[0])
+		urlB := "http://127.0.0.1:" + strconv.Itoa(ports[1])
+		nodes := urlA + "," + urlB
+
+		// Pick a seed owned by A under replicas=1, so the warm spec lands
+		// entirely on A and B provably cannot have built the world itself.
+		ring, err := shard.NewRing([]string{urlA, urlB}, shard.DefaultVNodes)
+		if err != nil {
+			return f, err
 		}
-	}
-	if seed == 64 {
-		t.Fatal("no seed in 0..63 owned by backend A — ring is broken")
-	}
-	warm := fmt.Sprintf("%s:%d", task, seed)
+		for ; f.seed < 64; f.seed++ {
+			if ring.Owners(shard.RouteKey(task, f.seed), 1)[0] == urlA {
+				break
+			}
+		}
+		if f.seed == 64 {
+			return f, errors.New("no seed in 0..63 owned by backend A — ring is broken")
+		}
+		warm := fmt.Sprintf("%s:%d", task, f.seed)
 
-	// Both backends get the SAME -warm spec; ring-aware filtering must
-	// reduce it to "everything" on A and "nothing" on B.
-	spawnBackend := func(name, addr, selfURL string) *proc {
-		args := append([]string{
-			"-addr", addr,
-			"-instance", name,
-			"-store", t.TempDir(), // private store: nothing shared via disk
-			"-warm", warm,
-			"-backends", fleet,
-			"-self", selfURL,
-			"-replicas", "1",
-		}, sizeFlags...)
-		p := spawn(t, name, bins["apiserver"], logDir, args...)
-		p.url = selfURL
-		return p
-	}
-	a := spawnBackend("backend-a", "127.0.0.1:"+strconv.Itoa(portA), urlA)
-	b := spawnBackend("backend-b", "127.0.0.1:"+strconv.Itoa(portB), urlB)
-	// A reports ready only after its warm build; B owns no warm keys and
-	// must come up without building anything.
-	waitHealthy(t, a.url, 120*time.Second)
-	waitHealthy(t, b.url, 15*time.Second)
+		// Both backends get the SAME -warm spec; ring-aware filtering must
+		// reduce it to "everything" on A and "nothing" on B.
+		spawnBackend := func(name string, port int, selfURL string) *proc {
+			args := append([]string{
+				"-addr", "127.0.0.1:" + strconv.Itoa(port),
+				"-instance", name,
+				"-store", t.TempDir(), // private store: nothing shared via disk
+				"-warm", warm,
+				"-backends", nodes,
+				"-self", selfURL,
+				"-replicas", "1",
+			}, sizeFlags...)
+			p := spawn(t, name, bins["apiserver"], logDir, args...)
+			p.url = selfURL
+			return p
+		}
+		f.a = spawnBackend("backend-a", ports[0], urlA)
+		f.b = spawnBackend("backend-b", ports[1], urlB)
+		// A reports ready only after its warm build; B owns no warm keys
+		// and must come up without building anything.
+		if err = f.a.healthy(120 * time.Second); err == nil {
+			err = f.b.healthy(15 * time.Second)
+		}
+		if err != nil {
+			f.a.kill()
+			f.b.kill()
+		}
+		return f, err
+	})
+	a, b, seed := f.a, f.b, f.seed
 
 	ctx := context.Background()
 	ca, cb := api.NewClient(a.url, nil), api.NewClient(b.url, nil)

@@ -14,7 +14,9 @@ package shard_test
 //     down event, and aggregated per-backend counters.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -22,6 +24,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -102,13 +105,16 @@ func TestFreePortsDistinct(t *testing.T) {
 
 // proc is one spawned server process.
 type proc struct {
-	name string
-	url  string
-	cmd  *exec.Cmd
+	name   string
+	url    string
+	cmd    *exec.Cmd
+	logf   *os.File
+	exited chan struct{} // closed once the child is reaped
 }
 
 // spawn starts a binary and registers cleanup; logs go to the test log on
-// failure via the per-process log file.
+// failure via the per-process log file. One goroutine reaps the child, so
+// a health wait can see it exit.
 func spawn(t *testing.T, name, bin string, logDir string, args ...string) *proc {
 	t.Helper()
 	logf, err := os.Create(filepath.Join(logDir, name+".log"))
@@ -121,12 +127,13 @@ func spawn(t *testing.T, name, bin string, logDir string, args ...string) *proc 
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", name, err)
 	}
-	p := &proc{name: name, cmd: cmd}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
+	p := &proc{name: name, cmd: cmd, logf: logf, exited: make(chan struct{})}
+	go func() {
 		cmd.Wait()
+		close(p.exited)
+	}()
+	t.Cleanup(func() {
+		p.kill()
 		logf.Close()
 		if t.Failed() {
 			if data, err := os.ReadFile(logf.Name()); err == nil {
@@ -137,23 +144,112 @@ func spawn(t *testing.T, name, bin string, logDir string, args ...string) *proc 
 	return p
 }
 
-// waitHealthy polls a server's healthz until ok or the deadline.
-func waitHealthy(t *testing.T, url string, timeout time.Duration) {
-	t.Helper()
-	c := api.NewClient(url, nil)
+// kill SIGKILLs the process and waits until it is reaped; idempotent.
+func (p *proc) kill() {
+	p.cmd.Process.Kill()
+	<-p.exited
+}
+
+// errPortTaken marks a child that exited because another process bound
+// its port between freePorts' release and the child's own bind.
+var errPortTaken = errors.New("port taken by another process")
+
+// healthy polls the process's healthz until ok, the child exits or the
+// deadline passes. A child that exited is reported at once with its log,
+// wrapping errPortTaken when it exited on "address already in use".
+func (p *proc) healthy(timeout time.Duration) error {
+	c := api.NewClient(p.url, nil)
 	deadline := time.After(timeout)
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		_, err := c.Healthz(ctx)
 		cancel()
+		select {
+		case <-p.exited:
+			return p.exitError()
+		default:
+		}
 		if err == nil {
-			return
+			return nil
 		}
 		select {
+		case <-p.exited:
+			return p.exitError()
 		case <-deadline:
-			t.Fatalf("%s never became healthy: %v", url, err)
+			return fmt.Errorf("%s never became healthy: %v", p.url, err)
 		case <-time.After(50 * time.Millisecond):
 		}
+	}
+}
+
+// exitError describes a child that exited before it became healthy.
+func (p *proc) exitError() error {
+	log, _ := os.ReadFile(p.logf.Name())
+	cause := fmt.Errorf("%s exited before it became healthy: %v", p.name, p.cmd.ProcessState)
+	if bytes.Contains(log, []byte("address already in use")) {
+		cause = fmt.Errorf("%s exited: %w", p.name, errPortTaken)
+	}
+	return fmt.Errorf("%w\n---- %s log ----\n%s", cause, p.name, log)
+}
+
+// onFreshPorts boots a fleet on one freePorts(t, n) draw. When a child
+// lost its port to another process between the draw and its bind, boot
+// (which kills what it spawned before returning an error) runs once more
+// on a new draw; any other failure, or a second one, fails the test.
+func onFreshPorts[F any](t *testing.T, n int, boot func(ports []int) (F, error)) F {
+	t.Helper()
+	f, err := boot(freePorts(t, n))
+	if errors.Is(err, errPortTaken) {
+		t.Logf("re-drawing the fleet's ports: %v", err)
+		f, err = boot(freePorts(t, n))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestFleetPortsRedrawnOnce: a boot that lost a port runs once more on a
+// new draw of as many ports.
+func TestFleetPortsRedrawnOnce(t *testing.T) {
+	var draws [][]int
+	got := onFreshPorts(t, 3, func(ports []int) (int, error) {
+		draws = append(draws, ports)
+		if len(draws) == 1 {
+			return 0, fmt.Errorf("backend-1 exited: %w", errPortTaken)
+		}
+		return len(draws), nil
+	})
+	if got != 2 || len(draws) != 2 || len(draws[1]) != 3 {
+		t.Fatalf("boot returned %d after draws %v, want a second boot on 3 ports", got, draws)
+	}
+}
+
+// TestHealthWaitFailsFastOnTakenPort: an apiserver spawned on a port
+// another process holds exits on "address already in use", and the
+// health wait reports errPortTaken at once rather than at its deadline.
+func TestHealthWaitFailsFastOnTakenPort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e harness (builds binaries, spawns 1 process)")
+	}
+	bins, err := buildBinaries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p := spawn(t, "squatted", bins["apiserver"], t.TempDir(), "-addr", ln.Addr().String())
+	p.url = "http://" + ln.Addr().String()
+	start := time.Now()
+	err = p.healthy(30 * time.Second)
+	if !errors.Is(err, errPortTaken) {
+		t.Fatalf("health wait on a taken port: %v, want errPortTaken", err)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("health wait took %v to see the child exit", waited)
 	}
 }
 
@@ -199,46 +295,59 @@ func TestEndToEndShardedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logDir := t.TempDir()
 	storeDir := t.TempDir() // shared artifact store: failover reloads, never retrains
 	const backendCount = 3
 	sizeFlags := []string{"-train", "60", "-val", "40", "-test", "48"}
 
-	// Boot the backend fleet.
-	backends := make([]*proc, backendCount)
-	urls := make([]string, backendCount)
+	// Boot the backend fleet and the gateway over it on one draw of
+	// ports; the last port is the gateway's.
+	type fleet struct {
+		backends []*proc
+		urls     []string
+		gw       *proc
+	}
+	f := onFreshPorts(t, backendCount+1, func(ports []int) (f fleet, err error) {
+		logDir := t.TempDir()
+		spawnOn := func(name, bin string, port int, args ...string) *proc {
+			p := spawn(t, name, bin, logDir, append([]string{"-addr", "127.0.0.1:" + strconv.Itoa(port)}, args...)...)
+			p.url = "http://127.0.0.1:" + strconv.Itoa(port)
+			return p
+		}
+		defer func() {
+			if err != nil {
+				for _, p := range append(f.backends, f.gw) {
+					if p != nil {
+						p.kill()
+					}
+				}
+			}
+		}()
+		for i := 0; i < backendCount; i++ {
+			name := fmt.Sprintf("backend-%d", i)
+			b := spawnOn(name, bins["apiserver"], ports[i],
+				append([]string{"-instance", name, "-store", storeDir}, sizeFlags...)...)
+			f.backends = append(f.backends, b)
+			f.urls = append(f.urls, b.url)
+		}
+		for _, b := range f.backends {
+			if err := b.healthy(15 * time.Second); err != nil {
+				return f, err
+			}
+		}
+		f.gw = spawnOn("gateway", bins["gateway"], ports[backendCount],
+			"-backends", strings.Join(f.urls, ","),
+			"-replicas", "2",
+			"-probe-interval", "100ms",
+			"-instance", "gw-e2e",
+		)
+		return f, f.gw.healthy(15 * time.Second)
+	})
+	backends, urls := f.backends, f.urls
 	instances := make(map[string]string, backendCount) // url -> instance
-	// One draw for the whole fleet; the last port is the gateway's.
-	ports := freePorts(t, backendCount+1)
-	for i := range backends {
-		port := ports[i]
-		name := fmt.Sprintf("backend-%d", i)
-		args := append([]string{
-			"-addr", "127.0.0.1:" + strconv.Itoa(port),
-			"-instance", name,
-			"-store", storeDir,
-		}, sizeFlags...)
-		backends[i] = spawn(t, name, bins["apiserver"], logDir, args...)
-		backends[i].url = "http://127.0.0.1:" + strconv.Itoa(port)
-		urls[i] = backends[i].url
-		instances[backends[i].url] = name
-	}
 	for _, b := range backends {
-		waitHealthy(t, b.url, 15*time.Second)
+		instances[b.url] = b.name
 	}
-
-	// Boot the gateway over the fleet.
-	gwPort := ports[backendCount]
-	gw := spawn(t, "gateway", bins["gateway"], logDir,
-		"-addr", "127.0.0.1:"+strconv.Itoa(gwPort),
-		"-backends", urls[0]+","+urls[1]+","+urls[2],
-		"-replicas", "2",
-		"-probe-interval", "100ms",
-		"-instance", "gw-e2e",
-	)
-	gw.url = "http://127.0.0.1:" + strconv.Itoa(gwPort)
-	waitHealthy(t, gw.url, 15*time.Second)
-	c := api.NewClient(gw.url, nil)
+	c := api.NewClient(f.gw.url, nil)
 
 	// An in-process ring over the same URLs predicts the owners the
 	// gateway process must pick: consistent hashing is deterministic
@@ -279,10 +388,7 @@ func TestEndToEndShardedFleet(t *testing.T) {
 			victim = b
 		}
 	}
-	if err := victim.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	victim.cmd.Wait()
+	victim.kill()
 
 	// Every request must keep succeeding — the first ones pay an inline
 	// failover (probes haven't noticed yet), later ones route around the

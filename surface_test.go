@@ -494,7 +494,6 @@ func TestOptionFieldsHaveCallers(t *testing.T) {
 // The list is exact — an entry that stops being needed fails the test too.
 var ownPools = map[string]string{
 	"internal/fanout/fanout.go": "the one bounded fan-out itself",
-	"cmd/loadgen/main.go":       "open-loop load driver: arrivals are paced by a clock, not claimed by workers",
 }
 
 // TestOneFanOut makes "one bounded fan-out" a tier-1 check: a non-test
