@@ -82,10 +82,10 @@ type Framework struct {
 // framework build. World synthesis (stage 1) is always recomputed: it is
 // deterministic in the seed and small next to training, so only the
 // performance matrix (stage 2) and the clustering/representative
-// artifacts (stage 3) are persisted. For an assembly from stored
-// artifacts, though, synthesis is most of the cost: generating the
-// catalog's datasets alone is 83 % of an NLP AssembleArtifacts call in a
-// CPU profile.
+// artifacts (stage 3) are persisted. Stage 1 generates no dataset: the
+// catalog generates a target on its first read, and the benchmark
+// datasets are generated only when stage 2 recomputes, so an assembly
+// from stored artifacts synthesizes the model repository alone.
 type Stages struct {
 	// MatrixLoaded is true when the performance matrix came from a
 	// persisted artifact instead of offline fine-tuning.
@@ -134,8 +134,8 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 	}
 	// Stage 1: world synthesis. Deterministic in the seed and small next
 	// to training, so it always recomputes and nothing of it is
-	// persisted; when stages 2 and 3 come from artifacts it is most of
-	// what this call costs.
+	// persisted. The catalog generates no dataset here; stage 2 generates
+	// the benchmarks only when it trains on them.
 	w := synth.NewWorld(opts.Seed)
 	cat, err := datahub.NewTaskCatalog(w, opts.Task, opts.Sizes)
 	if err != nil {
@@ -151,7 +151,7 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 	var stages Stages
 	var m *perfmatrix.Matrix
 	if art.Matrix != nil {
-		if err := matrixMatches(art.Matrix, opts.Task, opts.Seed, repo, cat.Benchmarks(), hp); err != nil {
+		if err := matrixMatches(art.Matrix, opts.Task, opts.Seed, repo, cat, hp); err != nil {
 			return nil, fmt.Errorf("core: assemble: %w", err)
 		}
 		m = art.Matrix
@@ -232,7 +232,7 @@ func (f *Framework) RecallArtifact() *recall.Artifact {
 // foreign store artifact can never silently steer online selection. Model
 // and dataset name sets alone cannot discriminate (they come from static
 // per-task registries), which is why the matrix records its provenance.
-func matrixMatches(m *perfmatrix.Matrix, task string, seed uint64, repo *modelhub.Repository, benchmarks []*datahub.Dataset, hp trainer.Hyperparams) error {
+func matrixMatches(m *perfmatrix.Matrix, task string, seed uint64, repo *modelhub.Repository, cat *datahub.Catalog, hp trainer.Hyperparams) error {
 	if m.Task != task {
 		return fmt.Errorf("matrix task %q, want %q", m.Task, task)
 	}
@@ -245,15 +245,8 @@ func matrixMatches(m *perfmatrix.Matrix, task string, seed uint64, repo *modelhu
 	if m.Epochs != hp.Epochs {
 		return fmt.Errorf("matrix epochs %d, want %d", m.Epochs, hp.Epochs)
 	}
-	if len(benchmarks) > 0 {
-		sizes := datahub.Sizes{
-			Train: benchmarks[0].Train.Len(),
-			Val:   benchmarks[0].Val.Len(),
-			Test:  benchmarks[0].Test.Len(),
-		}
-		if m.Sizes != sizes {
-			return fmt.Errorf("matrix split sizes %+v, want %+v", m.Sizes, sizes)
-		}
+	if m.Sizes != cat.Sizes {
+		return fmt.Errorf("matrix split sizes %+v, want %+v", m.Sizes, cat.Sizes)
 	}
 	wantModels := make([]string, 0, repo.Len())
 	for _, mod := range repo.Models() {
@@ -262,11 +255,7 @@ func matrixMatches(m *perfmatrix.Matrix, task string, seed uint64, repo *modelhu
 	if err := sameNames(m.Models, wantModels); err != nil {
 		return fmt.Errorf("matrix models: %w", err)
 	}
-	wantDatasets := make([]string, 0, len(benchmarks))
-	for _, d := range benchmarks {
-		wantDatasets = append(wantDatasets, d.Name)
-	}
-	if err := sameNames(m.Datasets, wantDatasets); err != nil {
+	if err := sameNames(m.Datasets, cat.BenchmarkNames()); err != nil {
 		return fmt.Errorf("matrix datasets: %w", err)
 	}
 	return nil

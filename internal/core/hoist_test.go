@@ -62,7 +62,8 @@ func TestStoredArtifactBytesPinned(t *testing.T) {
 // every cache empty, and the first select must extract the target splits it
 // reads and nothing else: the train split for a scored representative,
 // train and val for a recalled candidate, the test split for the winner
-// alone.
+// alone. Nor does the built framework keep a benchmark dataset: the first
+// Get of each benchmark name generates it.
 func TestBuildReleasesBenchmarkFrames(t *testing.T) {
 	fw, err := core.Build(core.Options{Task: datahub.TaskNLP, Seed: 11, Sizes: goldenSizes})
 	if err != nil {
@@ -100,6 +101,16 @@ func TestBuildReleasesBenchmarkFrames(t *testing.T) {
 	}
 	if got := modelhub.Extractions() - before; got != total {
 		t.Fatalf("first select ran %d extraction passes, want %d (target splits only)", got, total)
+	}
+
+	for _, name := range fw.Catalog.BenchmarkNames() {
+		gen := datahub.Generations()
+		if _, err := fw.Catalog.Get(name); err != nil {
+			t.Fatal(err)
+		}
+		if got := datahub.Generations() - gen; got != 1 {
+			t.Fatalf("first Get of benchmark %s after Build generated %d datasets, want 1 (the framework kept it)", name, got)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package datahub
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"twophase/internal/numeric"
 	"twophase/internal/synth"
@@ -72,17 +73,45 @@ type Dataset struct {
 
 // Generate materializes the spec inside the world. All randomness derives
 // from (world seed, dataset name), so repeated calls return identical data.
+// A zero Sizes means DefaultSizes.
 func Generate(w *synth.World, spec Spec, sizes Sizes) (*Dataset, error) {
-	if spec.Classes < 2 {
-		return nil, fmt.Errorf("datahub: dataset %q needs >= 2 classes, got %d", spec.Name, spec.Classes)
+	sizes = sizes.resolve()
+	if err := check(spec, sizes); err != nil {
+		return nil, err
 	}
-	if sizes == (Sizes{}) {
-		sizes = DefaultSizes
+	return generate(w, spec, sizes), nil
+}
+
+// resolve maps the zero Sizes to DefaultSizes.
+func (s Sizes) resolve() Sizes {
+	if s == (Sizes{}) {
+		return DefaultSizes
+	}
+	return s
+}
+
+// check rejects what generate cannot materialize: fewer than 2 classes or
+// a non-positive split size.
+func check(spec Spec, sizes Sizes) error {
+	if spec.Classes < 2 {
+		return fmt.Errorf("datahub: dataset %q needs >= 2 classes, got %d", spec.Name, spec.Classes)
 	}
 	if sizes.Train <= 0 || sizes.Val <= 0 || sizes.Test <= 0 {
-		return nil, fmt.Errorf("datahub: dataset %q has non-positive split size %+v", spec.Name, sizes)
+		return fmt.Errorf("datahub: dataset %q has non-positive split size %+v", spec.Name, sizes)
 	}
+	return nil
+}
 
+// generated counts generate calls in this process.
+var generated atomic.Int64
+
+// Generations reports how many datasets this process has generated, for
+// tests that pin which datasets a path materializes.
+func Generations() int64 { return generated.Load() }
+
+// generate materializes a checked spec at resolved sizes.
+func generate(w *synth.World, spec Spec, sizes Sizes) *Dataset {
+	generated.Add(1)
 	rng := numeric.NewNamedRNG(w.Seed, "dataset", spec.Name)
 	mix := synth.WithCore(spec.Domains, spec.Task, 0.25)
 
@@ -107,7 +136,7 @@ func Generate(w *synth.World, spec Spec, sizes Sizes) (*Dataset, error) {
 	d.Train = sampleSplit(rng, centers, probs, spec.Noise, sizes.Train)
 	d.Val = sampleSplit(rng, centers, probs, spec.Noise, sizes.Val)
 	d.Test = sampleSplit(rng, centers, probs, spec.Noise, sizes.Test)
-	return d, nil
+	return d
 }
 
 // labelProbs returns the label distribution: uniform for imbalance 0,

@@ -3,6 +3,7 @@ package datahub
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"twophase/internal/synth"
 )
@@ -158,36 +159,48 @@ func TargetNames(task string) ([]string, error) {
 	return names, nil
 }
 
-// Catalog is a materialized collection of datasets indexed by name.
+// Catalog is a task family's benchmark and target datasets, indexed by
+// name. It keeps specs: Get generates a dataset on its first read and
+// keeps it, Benchmarks generates afresh and keeps none. Each dataset
+// draws from its own named stream, so generation order never changes one.
 type Catalog struct {
-	World    *synth.World
-	Sizes    Sizes
-	byName   map[string]*Dataset
-	ordered  []*Dataset
-	specsErr error
+	World   *synth.World
+	Sizes   Sizes // resolved: a zero Sizes reads DefaultSizes here
+	byName  map[string]*entry
+	ordered []*entry
 }
 
-// newCatalog materializes all given specs in the world.
+// entry is one catalog dataset, generated on its first Get.
+type entry struct {
+	spec Spec
+	once sync.Once
+	d    *Dataset
+}
+
+// newCatalog checks the given specs against the sizes and indexes them;
+// it generates nothing.
 func newCatalog(w *synth.World, sizes Sizes, specs ...[]Spec) (*Catalog, error) {
-	c := &Catalog{World: w, Sizes: sizes, byName: make(map[string]*Dataset)}
+	sizes = sizes.resolve()
+	c := &Catalog{World: w, Sizes: sizes, byName: make(map[string]*entry)}
 	for _, group := range specs {
 		for _, spec := range group {
 			if _, dup := c.byName[spec.Name]; dup {
 				return nil, fmt.Errorf("datahub: duplicate dataset %q", spec.Name)
 			}
-			d, err := Generate(w, spec, sizes)
-			if err != nil {
+			if err := check(spec, sizes); err != nil {
 				return nil, err
 			}
-			c.byName[spec.Name] = d
-			c.ordered = append(c.ordered, d)
+			e := &entry{spec: spec}
+			c.byName[spec.Name] = e
+			c.ordered = append(c.ordered, e)
 		}
 	}
 	return c, nil
 }
 
-// NewTaskCatalog materializes the full benchmark+target catalog for a task
-// family ("nlp" or "cv").
+// NewTaskCatalog returns the benchmark+target catalog of a task family
+// ("nlp" or "cv"). It rejects an invalid spec or split size at once but
+// generates no dataset.
 func NewTaskCatalog(w *synth.World, task string, sizes Sizes) (*Catalog, error) {
 	switch task {
 	case TaskNLP:
@@ -199,33 +212,55 @@ func NewTaskCatalog(w *synth.World, task string, sizes Sizes) (*Catalog, error) 
 	}
 }
 
-// Get returns the dataset by name, or an error if it is not in the catalog.
+// Get returns the dataset by name, or an error if it is not in the
+// catalog. The first Get of a name generates the dataset and the catalog
+// keeps it; concurrent first callers share that one generation.
 func (c *Catalog) Get(name string) (*Dataset, error) {
-	d, ok := c.byName[name]
+	e, ok := c.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: dataset %q not in catalog", ErrUnknownDataset, name)
 	}
-	return d, nil
+	return c.load(e), nil
 }
 
-// Benchmarks returns the benchmark datasets in registration order.
+// load generates e's dataset once and keeps it.
+func (c *Catalog) load(e *entry) *Dataset {
+	e.once.Do(func() { e.d = generate(c.World, e.spec, c.Sizes) })
+	return e.d
+}
+
+// Benchmarks generates the benchmark datasets afresh, in registration
+// order, and keeps none of them: the offline matrix stage is their one
+// reader. A request that names a benchmark reads it through Get.
 func (c *Catalog) Benchmarks() []*Dataset {
 	var out []*Dataset
-	for _, d := range c.ordered {
-		if d.Spec.Benchmark {
-			out = append(out, d)
+	for _, e := range c.ordered {
+		if e.spec.Benchmark {
+			out = append(out, generate(c.World, e.spec, c.Sizes))
+		}
+	}
+	return out
+}
+
+// BenchmarkNames lists the benchmark dataset names in registration
+// order, generating nothing.
+func (c *Catalog) BenchmarkNames() []string {
+	var out []string
+	for _, e := range c.ordered {
+		if e.spec.Benchmark {
+			out = append(out, e.spec.Name)
 		}
 	}
 	return out
 }
 
 // Targets returns the non-benchmark (evaluation) datasets in registration
-// order.
+// order. Like Get, it generates each on its first read and keeps it.
 func (c *Catalog) Targets() []*Dataset {
 	var out []*Dataset
-	for _, d := range c.ordered {
-		if !d.Spec.Benchmark {
-			out = append(out, d)
+	for _, e := range c.ordered {
+		if !e.spec.Benchmark {
+			out = append(out, c.load(e))
 		}
 	}
 	return out

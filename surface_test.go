@@ -23,6 +23,8 @@ var keptHooks = map[string]string{
 	"modelhub.CachedSplits":     "feature-cache residency after a select (TestCatalogSweepStaysResident, core.Build release check)",
 	"modelhub.SourceHeadPasses": "counts source-head passes: the hoist tests prove one pass per cached split",
 	"cluster.Passes":            "counts clustering passes: the warm-start tests prove a rehydrated world never re-clusters",
+	"datahub.Generations":       "counts dataset generations: the core tests prove a restore generates no benchmark dataset and a built world keeps none",
+	"datahub.Generate":          "one dataset outside a catalog (the catalog generates through its checked specs); the lsq, recall and trainer tests build single datasets from it",
 	"faultinject.Reset":         "disarms the process-wide schedule; every test that Activates defers it",
 	"shard.Owner":               "a key's primary owner; bench/stats_test.go splits batches by it",
 	"datahub.CVBenchmarks":      "only datahub calls it, but it is one of a pair with NLPBenchmarks, which six other packages' tests build matrices from",
