@@ -43,15 +43,16 @@ cover-check:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 	  { echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
 
-# fuzz smoke-runs the five native fuzz targets (store slug x2, numeric
-# kernel, LEEP sweep, artifact decode) for a few seconds each; real fuzzing
-# campaigns should raise -fuzztime.
+# fuzz smoke-runs the six native fuzz targets (store slug x2, numeric
+# kernel, LEEP sweep, artifact decode, fault-schedule grammar) for a few
+# seconds each; real fuzzing campaigns should raise -fuzztime.
 fuzz:
 	$(GO) test -fuzz=FuzzSlugInjective -fuzztime=10s -run='^$$' ./internal/store
 	$(GO) test -fuzz=FuzzSlugPairwise -fuzztime=10s -run='^$$' ./internal/store
 	$(GO) test -fuzz=FuzzMulFrameMatchesMulVec -fuzztime=10s -run='^$$' ./internal/numeric
 	$(GO) test -fuzz=FuzzLEEPSweep -fuzztime=10s -run='^$$' ./internal/proxy
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s -run='^$$' ./internal/artifact
+	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s -run='^$$' ./internal/faultinject
 
 # bench compiles and runs the package micro benchmarks once
 # (internal/trainer, internal/modelhub): the developer's `go test -bench`,

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ import (
 	"strings"
 
 	"twophase/internal/experiments"
+	"twophase/internal/fanout"
 )
 
 func main() {
@@ -63,26 +65,40 @@ func run(w io.Writer, seedList, only string, list bool) error {
 		}
 	}
 
-	var ledger experiments.Ledger
-	for _, seed := range seeds {
-		env := experiments.NewEnv(seed)
+	// Seeds share no state — the experiments keep nothing package-level
+	// but atomic counters — so they run side by side, each into its own
+	// slot, and the ledger reads the slots in seed order: the output is
+	// the same at any width.
+	tables := make([][]*experiments.Table, len(seeds))
+	err = fanout.Each(context.Background(), len(seeds), 0, func(i int) error {
+		env := experiments.NewEnv(seeds[i])
 		for _, ex := range selected {
 			table, err := ex.Run(env)
 			if err != nil {
-				return fmt.Errorf("experiment %s at seed %d: %w", ex.ID, seed, err)
+				return fmt.Errorf("experiment %s at seed %d: %w", ex.ID, seeds[i], err)
 			}
-			if len(seeds) == 1 {
-				err = table.Render(w)
-			} else {
-				err = ledger.Add(seed, table)
-			}
-			if err != nil {
+			tables[i] = append(tables[i], table)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(seeds) == 1 {
+		for _, table := range tables[0] {
+			if err := table.Render(w); err != nil {
 				return err
 			}
 		}
-	}
-	if len(seeds) == 1 {
 		return nil
+	}
+	var ledger experiments.Ledger
+	for i, seed := range seeds {
+		for _, table := range tables[i] {
+			if err := ledger.Add(seed, table); err != nil {
+				return err
+			}
+		}
 	}
 	return ledger.Table().Render(w)
 }

@@ -103,16 +103,8 @@ func TestCrossSeedWorldsDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := 0
-	for _, model := range a.Matrix.Models {
-		va, err := a.Matrix.AvgAcc(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vb, err := b.Matrix.AvgAcc(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if va == vb {
+	for i := range a.Matrix.Models {
+		if a.Matrix.AvgAcc(i) == b.Matrix.AvgAcc(i) {
 			same++
 		}
 	}

@@ -10,7 +10,7 @@
 //
 //	offset  size  field
 //	0       4     magic "TPAF"
-//	4       2     format version (1)
+//	4       2     format version (2)
 //	6       2     kind (1 = matrix, 2 = recall)
 //	8       8     input fingerprint (CRC-64/ECMA of kind + meta JSON)
 //	16      8     body length in bytes
@@ -21,11 +21,17 @@
 // The body is a 4-byte meta length, a small JSON meta section carrying
 // names and scalar provenance (task, seed, hyperparameters, split sizes),
 // zero padding to the next 8-byte boundary, then the raw numeric payload:
-// float64 curves for matrices (model-major, dataset-minor, epoch-
-// innermost; validation section then test section), int64 cluster
-// assignments for recall artifacts. The fingerprint hashes only the
-// provenance: two backends that built the same deterministic world
-// stamp the same fingerprint.
+// for matrices the two arrays of perfmatrix.Matrix verbatim, float64
+// words in its cell order (model-major, dataset-minor) — the validation
+// section (E = hp.Epochs words per cell, epoch-innermost) then the
+// final-test section (one word per cell); int64 cluster assignments for
+// recall artifacts. The fingerprint hashes only the provenance: two
+// backends that built the same deterministic world stamp the same
+// fingerprint.
+//
+// A file of another format version fails the header check like any other
+// corrupt artifact, and the store's quarantine-and-rebuild path replaces
+// it: there is one decoder, for the current layout.
 //
 // Decoding is strict and total: every length is bounds-checked against
 // the real input before any allocation sized from it, and no input —
@@ -72,8 +78,8 @@ func (k Kind) String() string {
 const (
 	magic = "TPAF"
 	// formatVersion is the on-disk format revision; a reader refuses
-	// newer revisions rather than misparse them.
-	formatVersion = 1
+	// every other revision rather than misparse it.
+	formatVersion = 2
 	// headerSize is the fixed byte length of the header.
 	headerSize = 40
 )
@@ -205,13 +211,8 @@ func putFloats(dst []byte, src []float64) {
 	}
 }
 
-// getFloats reads n little-endian float64 words from src. Zero-length
-// curves decode to nil, matching what a JSON round trip of a nil slice
-// yields — the two paths must produce DeepEqual artifacts.
+// getFloats reads n little-endian float64 words from src.
 func getFloats(src []byte, n int) []float64 {
-	if n == 0 {
-		return nil
-	}
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
@@ -219,57 +220,40 @@ func getFloats(src []byte, n int) []float64 {
 	return out
 }
 
-// matrixMeta is the provenance half of a matrix encoding; the curves
-// themselves live in the numeric payload.
+// matrixMeta is the provenance half of a matrix encoding; the two arrays
+// live in the numeric payload.
 type matrixMeta struct {
 	Task     string              `json:"task"`
 	Models   []string            `json:"models"`
 	Datasets []string            `json:"datasets"`
-	Epochs   int                 `json:"epochs"`
 	Seed     uint64              `json:"seed"`
 	HP       trainer.Hyperparams `json:"hp"`
 	Sizes    datahub.Sizes       `json:"sizes"`
 }
 
-// EncodeMatrix encodes a performance matrix. It requires the matrix to be
-// rectangular — an entry for every (model, dataset) pair, every curve of
-// length Epochs — which every matrix the offline pipeline builds is; a
-// ragged matrix is an error.
+// EncodeMatrix encodes a performance matrix. Its arrays must have the
+// matrix's shape — E = HP.Epochs validation words and one test word per
+// (model, dataset) cell — which every matrix the offline pipeline builds
+// has; any other length is an error.
 func EncodeMatrix(m *perfmatrix.Matrix) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("artifact: nil matrix")
 	}
-	nM, nD, ep := len(m.Models), len(m.Datasets), m.Epochs
+	cells, ep := len(m.Models)*len(m.Datasets), m.HP.Epochs
 	if ep < 0 {
 		return nil, fmt.Errorf("artifact: negative epochs %d", ep)
 	}
-	cells := nM * nD
-	for _, model := range m.Models {
-		for _, ds := range m.Datasets {
-			e, err := m.Entry(model, ds)
-			if err != nil {
-				return nil, fmt.Errorf("artifact: ragged matrix: %w", err)
-			}
-			if len(e.Val) != ep || len(e.Test) != ep {
-				return nil, fmt.Errorf("artifact: ragged matrix: %s/%s curves %d/%d, want %d",
-					model, ds, len(e.Val), len(e.Test), ep)
-			}
-		}
+	if len(m.Val) != cells*ep || len(m.Test) != cells {
+		return nil, fmt.Errorf("artifact: matrix arrays hold %d val and %d test words, a %dx%d matrix of %d-epoch curves needs %d and %d",
+			len(m.Val), len(m.Test), len(m.Models), len(m.Datasets), ep, cells*ep, cells)
 	}
 	meta := matrixMeta{
 		Task: m.Task, Models: m.Models, Datasets: m.Datasets,
-		Epochs: m.Epochs, Seed: m.Seed, HP: m.HP, Sizes: m.Sizes,
+		Seed: m.Seed, HP: m.HP, Sizes: m.Sizes,
 	}
-	return encode(KindMatrix, meta, cells*ep*2, func(payload []byte) {
-		testOff := cells * ep * 8
-		for i, model := range m.Models {
-			for j, ds := range m.Datasets {
-				e, _ := m.Entry(model, ds)
-				off := (i*nD + j) * ep * 8
-				putFloats(payload[off:], e.Val)
-				putFloats(payload[testOff+off:], e.Test)
-			}
-		}
+	return encode(KindMatrix, meta, len(m.Val)+len(m.Test), func(payload []byte) {
+		putFloats(payload, m.Val)
+		putFloats(payload[len(m.Val)*8:], m.Test)
 	})
 }
 
@@ -282,7 +266,7 @@ func DecodeMatrix(data []byte) (*perfmatrix.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	nM, nD, ep := len(meta.Models), len(meta.Datasets), meta.Epochs
+	nM, nD, ep := len(meta.Models), len(meta.Datasets), meta.HP.Epochs
 	// Bound each dimension before multiplying so a hostile meta section
 	// cannot overflow the size check into a giant allocation: with every
 	// dimension <= 2^20 the element count is <= 2^61 and cannot wrap.
@@ -291,28 +275,19 @@ func DecodeMatrix(data []byte) (*perfmatrix.Matrix, error) {
 	}
 	// Compare element counts, never byte products: the payload length is
 	// ground truth, so a forged meta section can only fail the check.
-	words := uint64(nM) * uint64(nD) * uint64(ep) * 2
+	cells := uint64(nM) * uint64(nD)
+	words := cells * (uint64(ep) + 1)
 	if len(payload)%8 != 0 || words != uint64(len(payload))/8 {
 		return nil, fmt.Errorf("%w: matrix payload %d bytes, shape %dx%dx%d needs %d words",
 			errCorrupt, len(payload), nM, nD, ep, words)
 	}
-	m := &perfmatrix.Matrix{
+	nVal := int(cells) * ep
+	return &perfmatrix.Matrix{
 		Task: meta.Task, Models: meta.Models, Datasets: meta.Datasets,
-		Epochs: meta.Epochs, Seed: meta.Seed, HP: meta.HP, Sizes: meta.Sizes,
-		Entries: make(map[string]*perfmatrix.Entry, nM*nD),
-	}
-	testOff := nM * nD * ep * 8
-	for i, model := range meta.Models {
-		for j, ds := range meta.Datasets {
-			off := (i*nD + j) * ep * 8
-			m.Entries[model+"\x00"+ds] = &perfmatrix.Entry{
-				Model: model, Dataset: ds,
-				Val:  getFloats(payload[off:], ep),
-				Test: getFloats(payload[testOff+off:], ep),
-			}
-		}
-	}
-	return m, nil
+		Seed: meta.Seed, HP: meta.HP, Sizes: meta.Sizes,
+		Val:  getFloats(payload, nVal),
+		Test: getFloats(payload[nVal*8:], int(cells)),
+	}, nil
 }
 
 // recallMeta is the provenance half of a recall encoding; the cluster

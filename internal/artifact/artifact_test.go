@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"twophase/internal/datahub"
@@ -20,12 +22,12 @@ import (
 // values (denormals, negatives, values that lose digits in decimal).
 func testMatrix(rng *rand.Rand, nM, nD, ep int) *perfmatrix.Matrix {
 	m := &perfmatrix.Matrix{
-		Task:    "nlp",
-		Epochs:  ep,
-		Seed:    42,
-		HP:      trainer.Hyperparams{LearningRate: 0.1, BatchSize: 8, Epochs: ep, L2: 1e-4},
-		Sizes:   datahub.Sizes{Train: 60, Val: 40, Test: 48},
-		Entries: map[string]*perfmatrix.Entry{},
+		Task:  "nlp",
+		Seed:  42,
+		HP:    trainer.Hyperparams{LearningRate: 0.1, BatchSize: 8, Epochs: ep, L2: 1e-4},
+		Sizes: datahub.Sizes{Train: 60, Val: 40, Test: 48},
+		Val:   make([]float64, nM*nD*ep),
+		Test:  make([]float64, nM*nD),
 	}
 	for i := 0; i < nM; i++ {
 		m.Models = append(m.Models, "model_"+string(rune('a'+i)))
@@ -33,24 +35,52 @@ func testMatrix(rng *rand.Rand, nM, nD, ep int) *perfmatrix.Matrix {
 	for j := 0; j < nD; j++ {
 		m.Datasets = append(m.Datasets, "data/"+string(rune('a'+j)))
 	}
-	for _, model := range m.Models {
-		for _, ds := range m.Datasets {
-			e := &perfmatrix.Entry{Model: model, Dataset: ds}
-			for k := 0; k < ep; k++ {
-				e.Val = append(e.Val, rng.Float64()/3)
-				e.Test = append(e.Test, rng.NormFloat64()*1e-300)
-			}
-			m.Entries[model+"\x00"+ds] = e
-		}
+	for k := range m.Val {
+		m.Val[k] = rng.Float64() / 3
+	}
+	for k := range m.Test {
+		m.Test[k] = rng.NormFloat64() * 1e-300
 	}
 	return m
 }
 
-// TestMatrixRoundTrip is the property test against the JSON path:
-// Decode ∘ Encode is the identity, bit for bit, and reproduces exactly the
-// matrix a JSON round trip reproduces, across seeded random shapes —
-// 0×N, N×0, 1×1 and zero-epoch curves (the only curve lengths the encoder
-// accepts are the rectangular ones) — and awkward values.
+// encodeV1 lays m out as format version 1 wrote a matrix, under a
+// version-1 header whose checksums are valid: an "epochs" key in the meta,
+// and after the validation section an E-word test curve per cell (here
+// the final accuracy E times) where version 2 keeps one word.
+func encodeV1(t testing.TB, m *perfmatrix.Matrix) []byte {
+	t.Helper()
+	meta := struct {
+		matrixMeta
+		Epochs int `json:"epochs"`
+	}{matrixMeta{m.Task, m.Models, m.Datasets, m.Seed, m.HP, m.Sizes}, m.HP.Epochs}
+	ep := m.HP.Epochs
+	data, err := encode(KindMatrix, meta, 2*len(m.Val), func(payload []byte) {
+		putFloats(payload, m.Val)
+		for c, v := range m.Test {
+			for e := 0; e < ep; e++ {
+				binary.LittleEndian.PutUint64(payload[(len(m.Val)+c*ep+e)*8:], math.Float64bits(v))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return withVersion(data, 1)
+}
+
+// withVersion returns a copy of an encoding stamped with another format
+// version, its header checksum recomputed so only the version is wrong.
+func withVersion(data []byte, v uint16) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(out[4:6], v)
+	binary.LittleEndian.PutUint64(out[32:40], crc64.Checksum(out[0:32], crcTable))
+	return out
+}
+
+// TestMatrixRoundTrip is the property test of the matrix codec:
+// Decode ∘ Encode is the identity, bit for bit, across seeded random
+// shapes — 0×N, N×0, 1×1 and zero-epoch curves — and awkward values.
 func TestMatrixRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := [][3]int{{0, 3, 2}, {3, 0, 2}, {0, 0, 0}, {1, 1, 1}, {1, 1, 0}}
@@ -64,6 +94,14 @@ func TestMatrixRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
+		meta, err := json.Marshal(matrixMeta{m.Task, m.Models, m.Datasets, m.Seed, m.HP, m.Sizes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// E + 1 payload words per cell.
+		if want := headerSize + pad8(4+len(meta)) + 8*len(m.Models)*len(m.Datasets)*(shape[2]+1); len(data) != want {
+			t.Fatalf("trial %d (shape %v): %d bytes, want %d", trial, shape, len(data), want)
+		}
 		got, err := DecodeMatrix(data)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
@@ -71,32 +109,31 @@ func TestMatrixRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("trial %d (shape %v): decode(encode(m)) != m:\n%+v\nvs\n%+v", trial, shape, got, m)
 		}
-		jdata, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaJSON perfmatrix.Matrix
-		if err := json.Unmarshal(jdata, &viaJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, &viaJSON) {
-			t.Fatalf("trial %d: binary and JSON round trips disagree:\n%+v\nvs\n%+v", trial, got, &viaJSON)
-		}
-		for _, model := range m.Models {
-			for _, ds := range m.Datasets {
-				want, _ := m.Entry(model, ds)
-				have, err := got.Entry(model, ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range want.Val {
-					if math.Float64bits(want.Val[k]) != math.Float64bits(have.Val[k]) ||
-						math.Float64bits(want.Test[k]) != math.Float64bits(have.Test[k]) {
-						t.Fatalf("trial %d: %s/%s epoch %d not bit-identical", trial, model, ds, k)
-					}
+		for _, arr := range [][2][]float64{{m.Val, got.Val}, {m.Test, got.Test}} {
+			for k := range arr[0] {
+				if math.Float64bits(arr[0][k]) != math.Float64bits(arr[1][k]) {
+					t.Fatalf("trial %d: word %d not bit-identical", trial, k)
 				}
 			}
 		}
+	}
+}
+
+// TestVersion1Refused: a version-1 matrix — its checksums valid, its
+// layout the old one — is corrupt to this reader, so the store
+// quarantines it and rebuilds; and the same bytes stamped version 2 fail
+// the payload-shape check, so no reader misparses one layout as the other.
+func TestVersion1Refused(t *testing.T) {
+	m := testMatrix(rand.New(rand.NewSource(7)), 3, 2, 4)
+	v1 := encodeV1(t, m)
+	if _, err := Verify(v1); !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("Verify(v1) = %v, want errCorrupt naming the version", err)
+	}
+	if got, err := DecodeMatrix(v1); got != nil || !errors.Is(err, errCorrupt) {
+		t.Fatalf("DecodeMatrix(v1) = (%v, %v), want errCorrupt", got, err)
+	}
+	if got, err := DecodeMatrix(withVersion(v1, formatVersion)); got != nil || !errors.Is(err, errCorrupt) {
+		t.Fatalf("a version-1 payload under a current header decoded: (%v, %v)", got, err)
 	}
 }
 
@@ -204,20 +241,25 @@ func TestFingerprintIsProvenance(t *testing.T) {
 	}
 }
 
-// TestEncodeMatrixRejectsRagged: matrices with missing entries or
-// short curves must refuse binary encoding (the store falls back to
-// JSON) rather than silently drop data.
+// TestEncodeMatrixRejectsRagged: a matrix whose arrays do not have its
+// shape — a validation curve short, a final accuracy missing — must
+// refuse encoding rather than write a document no decoder would accept.
 func TestEncodeMatrixRejectsRagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := testMatrix(rng, 2, 2, 3)
-	delete(m.Entries, m.Models[0]+"\x00"+m.Datasets[1])
+	m.Val = m.Val[:len(m.Val)-1]
 	if _, err := EncodeMatrix(m); err == nil {
-		t.Fatal("matrix with missing entry encoded")
+		t.Fatal("matrix with a short validation section encoded")
 	}
 	m = testMatrix(rng, 2, 2, 3)
-	m.Entries[m.Models[0]+"\x00"+m.Datasets[0]].Val = []float64{1}
+	m.Test = m.Test[:len(m.Test)-1]
 	if _, err := EncodeMatrix(m); err == nil {
-		t.Fatal("matrix with short curve encoded")
+		t.Fatal("matrix with a short test section encoded")
+	}
+	m = testMatrix(rng, 2, 2, 3)
+	m.Test = append(m.Test, m.Test...)
+	if _, err := EncodeMatrix(m); err == nil {
+		t.Fatal("matrix with a per-epoch test section encoded")
 	}
 }
 
@@ -265,7 +307,7 @@ func TestCorruptionNeverPassesChecksum(t *testing.T) {
 // TestForgedMetaNeverPanics is the regression suite for the uint64
 // overflow class: a checksum-valid artifact whose meta section claims a
 // shape whose byte size wraps uint64 (assign_len=2^61 so len*8 == 0, a
-// matrix whose nM*nD*ep*2*8 wraps) must decode
+// matrix whose nM*nD*(ep+1)*8 wraps) must decode
 // to errCorrupt, never pass the size check and panic allocating. The
 // fuzzer cannot reach these — mutations never produce valid CRC64s — so
 // they are pinned here by crafting the encodings directly.
@@ -280,14 +322,14 @@ func TestForgedMetaNeverPanics(t *testing.T) {
 		}
 	})
 	t.Run("matrix/wrapping-shape", func(t *testing.T) {
-		// 2^20 models × 2^20 datasets × 2^24 epochs: the old byte-product
-		// check computed 2^20·2^20·2^24·2·8 ≡ 0 (mod 2^64) and accepted an
-		// empty payload.
+		// 2^20 models × 2^20 datasets × 2^24 epochs: a byte-product check
+		// would compute 2^20·2^20·2^24·2·8 ≡ 0 (mod 2^64) for a two-curve
+		// cell and accept an empty payload.
 		meta := matrixMeta{
 			Task:     "nlp",
 			Models:   make([]string, 1<<20),
 			Datasets: make([]string, 1<<20),
-			Epochs:   1 << 24,
+			HP:       trainer.Hyperparams{Epochs: 1 << 24},
 		}
 		data, err := encode(KindMatrix, meta, 0, func([]byte) {})
 		if err != nil {

@@ -15,7 +15,10 @@ import (
 // carries).
 func FuzzArtifactDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(6))
-	if data, err := EncodeMatrix(testMatrix(rng, 2, 2, 3)); err == nil {
+	m := testMatrix(rng, 2, 2, 3)
+	// A version-1 matrix with valid checksums: the header check refuses it.
+	f.Add(encodeV1(f, m))
+	if data, err := EncodeMatrix(m); err == nil {
 		f.Add(data)
 		// Seed a few systematic corruptions so coverage starts past the
 		// magic check even before the fuzzer mutates.

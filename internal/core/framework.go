@@ -242,9 +242,6 @@ func matrixMatches(m *perfmatrix.Matrix, task string, seed uint64, repo *modelhu
 	if m.HP != hp {
 		return fmt.Errorf("matrix hyperparams %+v, want %+v", m.HP, hp)
 	}
-	if m.Epochs != hp.Epochs {
-		return fmt.Errorf("matrix epochs %d, want %d", m.Epochs, hp.Epochs)
-	}
 	if m.Sizes != cat.Sizes {
 		return fmt.Errorf("matrix split sizes %+v, want %+v", m.Sizes, cat.Sizes)
 	}
@@ -528,7 +525,7 @@ func (f *Framework) OracleAccuracies(ctx context.Context, target *datahub.Datase
 	}
 	out := make(map[string]float64, len(models))
 	for i, m := range models {
-		out[m.Name] = curves[i].FinalTest()
+		out[m.Name] = curves[i].Test
 	}
 	return out, nil
 }

@@ -99,7 +99,7 @@ func TestSelectEndToEnd(t *testing.T) {
 		t.Fatalf("two-phase cost %v epochs, expected well under brute force", report.TotalEpochs())
 	}
 	// ledger composition: recall inference + fine-selection training
-	wantTotal := 0.5*float64(report.Recall.ScoredModels) + float64(report.Outcome.Ledger.TrainEpochs())
+	wantTotal := float64(0.5*float64(report.Recall.ScoredModels)) + float64(report.Outcome.Ledger.TrainEpochs())
 	if report.TotalEpochs() != wantTotal {
 		t.Fatalf("ledger total %v != recall+selection %v", report.TotalEpochs(), wantTotal)
 	}

@@ -54,10 +54,7 @@ func ablationTopK(e *Env) (*Table, error) {
 			return nil, err
 		}
 		// Top-k (the paper's choice): the served clustering.
-		vecs, err := perfVectors(fw.Matrix)
-		if err != nil {
-			return nil, err
-		}
+		vecs := fw.Matrix.Vectors().Rows2D()
 		clTopK := fw.Offline.Clustering
 		topk := cluster.TopKDistance(recall.SimilarityK)
 		accTopK, _, err := recallQuality(e, task, fw.Offline)
@@ -119,11 +116,7 @@ func ablationRepresentative(e *Env) (*Table, error) {
 			names := fw.Matrix.Models
 			vals := make([]float64, len(names))
 			for i, n := range names {
-				avg, err := fw.Matrix.AvgAcc(n)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = avg * scores[n]
+				vals[i] = fw.Matrix.AvgAcc(i) * scores[n]
 			}
 			for _, i := range numeric.ArgSortDesc(vals)[:10] {
 				accs = append(accs, oracle[names[i]])

@@ -10,7 +10,6 @@ import (
 	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/numeric"
-	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 	"twophase/internal/textsim"
 )
@@ -61,20 +60,6 @@ func fig1(e *Env) (*Table, error) {
 	return t, nil
 }
 
-// perfVectors copies a matrix's performance vectors, one per model in
-// matrix order, into one contiguous frame and returns its row views.
-func perfVectors(m *perfmatrix.Matrix) ([][]float64, error) {
-	vecs := numeric.NewFrame(len(m.Models), len(m.Datasets))
-	for i, n := range m.Models {
-		v, err := m.Vector(n)
-		if err != nil {
-			return nil, err
-		}
-		copy(vecs.Row(i), v)
-	}
-	return vecs.Rows2D(), nil
-}
-
 // cardVectors embeds every model card into one frame and returns its row
 // views.
 func cardVectors(fw *core.Framework) ([][]float64, error) {
@@ -111,10 +96,7 @@ func table1(e *Env) (*Table, error) {
 		}
 		// The served clustering is the reference: it fixes K so all four
 		// cells cluster at the same granularity.
-		perf, err := perfVectors(fw.Matrix)
-		if err != nil {
-			return nil, err
-		}
+		perf := fw.Matrix.Vectors().Rows2D()
 		ref := fw.Offline.Clustering
 		cards, err := cardVectors(fw)
 		if err != nil {
@@ -199,10 +181,7 @@ func table3(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		vecs, err := perfVectors(fw.Matrix)
-		if err != nil {
-			return nil, err
-		}
+		vecs := fw.Matrix.Vectors().Rows2D()
 		cl := fw.Offline.Clustering
 		names := fw.Matrix.Models
 
@@ -327,10 +306,7 @@ func tableX(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		vecs, err := perfVectors(fw.Matrix)
-		if err != nil {
-			return nil, err
-		}
+		vecs := fw.Matrix.Vectors().Rows2D()
 		for _, k := range ks[task] {
 			dist := cluster.TopKDistance(k)
 			cl := fw.Offline.Clustering // served at k = SimilarityK

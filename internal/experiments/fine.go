@@ -77,7 +77,7 @@ func curvesTable(e *Env, title string, fw *core.Framework, d *datahub.Dataset, m
 		}
 		recs = append(recs, rec{name, curve})
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].curve.FinalTest() > recs[j].curve.FinalTest() })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].curve.Test > recs[j].curve.Test })
 
 	// Correlation between epoch-1 validation and final test accuracy —
 	// the early-stopping premise of §IV.A.
@@ -87,10 +87,10 @@ func curvesTable(e *Env, title string, fw *core.Framework, d *datahub.Dataset, m
 		for _, v := range r.curve.Val {
 			cells = append(cells, v)
 		}
-		cells = append(cells, r.curve.FinalTest())
+		cells = append(cells, r.curve.Test)
 		t.AddRow(cells...)
 		early = append(early, r.curve.Val[0])
-		final = append(final, r.curve.FinalTest())
+		final = append(final, r.curve.Test)
 	}
 	t.Note("pearson(val@1, final test) = %.3f", numeric.PearsonCorrelation(early, final))
 	return t, nil
@@ -177,15 +177,8 @@ func fig6(e *Env) (*Table, error) {
 		Header: []string{"model", "sil(val)", "sil(random)", "relerr(trend)", "relerr(mean)"},
 	}
 	var silWins, errWins int
-	for _, model := range fw.Matrix.Models {
-		vals, finals, err := fw.Matrix.ValCurves(model)
-		if err != nil {
-			return nil, err
-		}
-		stage0 := make([]float64, len(vals))
-		for i, c := range vals {
-			stage0[i] = c[0]
-		}
+	for mi, model := range fw.Matrix.Models {
+		stage0, finals := fw.Matrix.ValAt(mi, 0), fw.Matrix.Vector(mi)
 		// Silhouette of the 1-D validation clustering vs a random one.
 		trends := selection.Trends(stage0, finals)
 		assign := make([]int, len(stage0))

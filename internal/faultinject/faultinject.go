@@ -390,7 +390,7 @@ func parseRule(item string) (*rule, error) {
 	}
 	if body, prob, ok := cutLast(item, "@"); ok {
 		p, err := strconv.ParseFloat(prob, 64)
-		if err != nil || p <= 0 || p > 1 {
+		if err != nil || !(p > 0 && p <= 1) { // a NaN fails both, so it is refused
 			return nil, fmt.Errorf("faultinject: bad probability in %q (want (0,1])", item)
 		}
 		r.prob = p
@@ -423,7 +423,7 @@ func parseRule(item string) (*rule, error) {
 			r.dur = d
 		case ActTorn:
 			f, err := strconv.ParseFloat(parts[2], 64)
-			if err != nil || f <= 0 || f >= 1 {
+			if err != nil || !(f > 0 && f < 1) {
 				return nil, fmt.Errorf("faultinject: bad torn fraction in %q (want (0,1))", item)
 			}
 			r.frac = f

@@ -29,9 +29,13 @@ func TestParseRejectsMalformedSchedules(t *testing.T) {
 		{"transport:hang", "needs a duration"},
 		{"transport:hang:zoom", "bad hang duration"},
 		{"store.write:torn:1.5", "bad torn fraction"},
+		{"store.write:torn:NaN", "bad torn fraction"},
+		{"store.write:torn:-Inf", "bad torn fraction"},
 		{"store.write:err:10ms", "takes no parameter"},
 		{"store.write:err@0", "bad probability"},
 		{"store.write:err@1.5", "bad probability"},
+		{"store.read:err@NaN", "bad probability"},
+		{"store.read:err@+Inf", "bad probability"},
 		{"store.write:err#0", "bad fire cap"},
 		{"store.write:err#-3", "bad fire cap"},
 	}

@@ -11,7 +11,8 @@ func cloneMatrix(m *Matrix) *Matrix {
 	return c
 }
 
-// spdFixture builds a deterministic SPD matrix A = GᵀG + I.
+// spdFixture builds a deterministic SPD matrix A = GᵀG + I, each product
+// rounded on its own so A has the same bits on every architecture.
 func spdFixture(n int) *Matrix {
 	rng := NewRNG(13)
 	g := RandomMatrix(rng, n, n, 1.0)
@@ -20,7 +21,7 @@ func spdFixture(n int) *Matrix {
 		for j := 0; j < n; j++ {
 			var s float64
 			for k := 0; k < n; k++ {
-				s += g.At(k, i) * g.At(k, j)
+				s += float64(g.At(k, i) * g.At(k, j))
 			}
 			a.Set(i, j, s)
 		}

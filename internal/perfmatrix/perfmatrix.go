@@ -1,9 +1,10 @@
 // Package perfmatrix builds the paper's offline artifact: the performance
 // matrix Matrix(D, M) — final test accuracy of every model fine-tuned on
-// every benchmark dataset — together with the full per-epoch
-// validation/test curves that the fine-selection phase mines for
-// convergence trends (§II.B "Offline"). A Matrix is plain data; its one
-// on-disk encoding belongs to internal/artifact.
+// every benchmark dataset — together with the per-epoch validation curves
+// that the fine-selection phase mines for convergence trends (§II.B
+// "Offline"). Those two are all selection reads of a run, so they are all
+// a Matrix keeps. A Matrix is plain data; its one on-disk encoding belongs
+// to internal/artifact.
 package perfmatrix
 
 import (
@@ -13,42 +14,30 @@ import (
 
 	"twophase/internal/datahub"
 	"twophase/internal/modelhub"
+	"twophase/internal/numeric"
 	"twophase/internal/trainer"
 )
 
-// Entry records one offline fine-tuning run of a model on a benchmark
-// dataset.
-type Entry struct {
-	Model   string    `json:"model"`
-	Dataset string    `json:"dataset"`
-	Val     []float64 `json:"val"`  // per-epoch validation accuracy
-	Test    []float64 `json:"test"` // per-epoch test accuracy
-}
-
-// FinalTest returns the end-of-training test accuracy.
-func (e *Entry) FinalTest() float64 {
-	if len(e.Test) == 0 {
-		return 0
-	}
-	return e.Test[len(e.Test)-1]
-}
-
 // Matrix is the performance matrix plus convergence records for one task
-// family. Model and dataset orders are fixed at build time so performance
-// vectors are comparable. Seed, HP and Sizes record the provenance of the
-// runs — the world seed, training hyperparameters and benchmark split
-// sizes — so a persisted matrix can be checked against the world a loader
-// expects instead of silently steering selection with foreign curves.
+// family, as two flat arrays in one cell order, model-major and
+// dataset-minor: cell (i, j), Models[i] fine-tuned on Datasets[j], is
+// c = i*len(Datasets)+j. Val holds each cell's validation curve, E =
+// HP.Epochs words from Val[c*E]; Test holds each cell's final test
+// accuracy at Test[c]. Model and dataset orders are fixed at build time so
+// performance vectors are comparable. Seed, HP and Sizes record the provenance of the runs — the
+// world seed, training hyperparameters and benchmark split sizes — so a
+// persisted matrix can be checked against the world a loader expects
+// instead of silently steering selection with foreign curves.
 type Matrix struct {
-	Task     string              `json:"task"`
-	Models   []string            `json:"models"`
-	Datasets []string            `json:"datasets"`
-	Epochs   int                 `json:"epochs"`
-	Seed     uint64              `json:"seed"`
-	HP       trainer.Hyperparams `json:"hp"`
-	Sizes    datahub.Sizes       `json:"sizes"`
-	Entries  map[string]*Entry   `json:"entries"` // keyed by model + "\x00" + dataset
-	memo     sync.Map            // Memo's table: key -> *memoEntry
+	Task     string
+	Models   []string
+	Datasets []string
+	Seed     uint64
+	HP       trainer.Hyperparams
+	Sizes    datahub.Sizes
+	Val      []float64 // len(Models)*len(Datasets)*HP.Epochs validation accuracies
+	Test     []float64 // len(Models)*len(Datasets) final test accuracies
+	memo     sync.Map  // Memo's table: key -> *memoEntry
 }
 
 // memoEntry is one memoised derivation; once makes concurrent first
@@ -78,8 +67,6 @@ func (m *Matrix) Memo(key any, compute func() (any, error)) (any, error) {
 	return e.val, e.err
 }
 
-func key(model, dataset string) string { return model + "\x00" + dataset }
-
 // Build fine-tunes every model in the repository on every benchmark
 // dataset with the given hyperparameters. Cells train concurrently under
 // the workers budget (fanout's width) via trainer.FineTuneGrid,
@@ -90,19 +77,19 @@ func Build(repo *modelhub.Repository, benchmarks []*datahub.Dataset, hp trainer.
 	if len(benchmarks) == 0 {
 		return nil, fmt.Errorf("perfmatrix: no benchmark datasets")
 	}
+	models := repo.Models()
 	m := &Matrix{
-		Task:   repo.Task,
-		Epochs: hp.Epochs,
-		Seed:   seed,
-		HP:     hp,
+		Task: repo.Task,
+		Seed: seed,
+		HP:   hp,
 		Sizes: datahub.Sizes{
 			Train: benchmarks[0].Train.Len(),
 			Val:   benchmarks[0].Val.Len(),
 			Test:  benchmarks[0].Test.Len(),
 		},
-		Entries: make(map[string]*Entry, repo.Len()*len(benchmarks)),
+		Val:  make([]float64, 0, len(models)*len(benchmarks)*hp.Epochs),
+		Test: make([]float64, 0, len(models)*len(benchmarks)),
 	}
-	models := repo.Models()
 	for _, mod := range models {
 		m.Models = append(m.Models, mod.Name)
 	}
@@ -117,78 +104,42 @@ func Build(repo *modelhub.Repository, benchmarks []*datahub.Dataset, hp trainer.
 	if err != nil {
 		return nil, err
 	}
-	for mi, mod := range models {
-		for di, d := range benchmarks {
-			curve := curves[mi*len(benchmarks)+di]
-			m.Entries[key(mod.Name, d.Name)] = &Entry{
-				Model:   mod.Name,
-				Dataset: d.Name,
-				Val:     curve.Val,
-				Test:    curve.Test,
-			}
-		}
+	// FineTuneGrid's order is the matrix's cell order.
+	for _, c := range curves {
+		m.Val = append(m.Val, c.Val...)
+		m.Test = append(m.Test, c.Test)
 	}
 	return m, nil
 }
 
-// Entry returns the run record for (model, dataset).
-func (m *Matrix) Entry(model, dataset string) (*Entry, error) {
-	e, ok := m.Entries[key(model, dataset)]
-	if !ok {
-		return nil, fmt.Errorf("perfmatrix: no entry for model %q on dataset %q", model, dataset)
-	}
-	return e, nil
+// Vector returns row i of the matrix — model i's final test accuracy on
+// every benchmark, in dataset order: its |D|-dimensional performance
+// vector vec(m_j) of §III.A. The row is a view of Test; callers must not
+// write to it.
+func (m *Matrix) Vector(i int) []float64 {
+	nD := len(m.Datasets)
+	return m.Test[i*nD : (i+1)*nD : (i+1)*nD]
 }
 
-// Perf returns p(dataset | model): the final test accuracy of the model
-// fine-tuned on the benchmark dataset.
-func (m *Matrix) Perf(model, dataset string) (float64, error) {
-	e, err := m.Entry(model, dataset)
-	if err != nil {
-		return 0, err
-	}
-	return e.FinalTest(), nil
+// Vectors returns a copy of every model's performance vector as one
+// frame, row i for model i: the points coarse recall clusters.
+func (m *Matrix) Vectors() *numeric.Frame {
+	return &numeric.Frame{N: len(m.Models), D: len(m.Datasets), Data: numeric.Clone(m.Test)}
 }
 
-// Vector returns the model's |D|-dimensional performance vector in the
-// matrix's dataset order (vec(m_j) of §III.A).
-func (m *Matrix) Vector(model string) ([]float64, error) {
-	v := make([]float64, len(m.Datasets))
-	for i, d := range m.Datasets {
-		p, err := m.Perf(model, d)
-		if err != nil {
-			return nil, err
-		}
-		v[i] = p
-	}
-	return v, nil
-}
+// AvgAcc returns acc(m_j) of model i: its mean final test accuracy across
+// all benchmark datasets (the prior-capability term of Eq. 2).
+func (m *Matrix) AvgAcc(i int) float64 { return numeric.Mean(m.Vector(i)) }
 
-// AvgAcc returns acc(m_j): the model's mean final test accuracy across all
-// benchmark datasets (the prior-capability term of Eq. 2).
-func (m *Matrix) AvgAcc(model string) (float64, error) {
-	v, err := m.Vector(model)
-	if err != nil {
-		return 0, err
+// ValAt returns model i's validation accuracy on every benchmark after
+// epoch stage+1 (0 <= stage < HP.Epochs), in dataset order: the points
+// convergence-trend mining clusters at that stage.
+func (m *Matrix) ValAt(i, stage int) []float64 {
+	nD, ep := len(m.Datasets), m.HP.Epochs
+	out := make([]float64, nD)
+	for j := range out {
+		c := (i*nD + j) * ep
+		out[j] = m.Val[c : c+ep][stage] // a stage past the curve panics, never reads the next cell
 	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v)), nil
-}
-
-// ValCurves returns, for one model, the per-benchmark validation curves
-// and final test accuracies — the raw material of convergence-trend
-// mining. Curves are returned in the matrix's dataset order.
-func (m *Matrix) ValCurves(model string) (val [][]float64, finalTest []float64, err error) {
-	for _, d := range m.Datasets {
-		e, err := m.Entry(model, d)
-		if err != nil {
-			return nil, nil, err
-		}
-		val = append(val, e.Val)
-		finalTest = append(finalTest, e.FinalTest())
-	}
-	return val, finalTest, nil
+	return out
 }

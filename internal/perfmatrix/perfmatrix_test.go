@@ -3,6 +3,7 @@ package perfmatrix
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,27 +43,53 @@ func TestBuildComplete(t *testing.T) {
 	if len(m.Models) != repo.Len() || len(m.Datasets) != len(benches) {
 		t.Fatalf("matrix shape %dx%d", len(m.Models), len(m.Datasets))
 	}
-	if len(m.Entries) != repo.Len()*len(benches) {
-		t.Fatalf("entries %d", len(m.Entries))
+	cells := repo.Len() * len(benches)
+	if len(m.Val) != cells*m.HP.Epochs || len(m.Test) != cells {
+		t.Fatalf("arrays hold %d val and %d test words for %d cells of %d epochs", len(m.Val), len(m.Test), cells, m.HP.Epochs)
 	}
-	for _, model := range m.Models {
-		for _, ds := range m.Datasets {
-			e, err := m.Entry(model, ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(e.Val) != m.Epochs || len(e.Test) != m.Epochs {
-				t.Fatalf("curve lengths %d/%d", len(e.Val), len(e.Test))
-			}
-			p, err := m.Perf(model, ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p < 0 || p > 1 {
-				t.Fatalf("perf %v", p)
-			}
+	for _, p := range append(append([]float64(nil), m.Val...), m.Test...) {
+		if p < 0 || p > 1 {
+			t.Fatalf("accuracy %v", p)
 		}
 	}
+}
+
+// TestCellOrder pins the arrays' layout against the runs they hold: cell
+// (i, j) is model i fine-tuned on benchmark j, model-major, its curve
+// epoch-innermost, and Test holds the run's final test accuracy.
+func TestCellOrder(t *testing.T) {
+	repo, benches, m := smallFixture(t)
+	hp, ep := m.HP, m.HP.Epochs
+	for _, c := range [][2]int{{0, 0}, {1, 2}, {3, 1}} {
+		i, j := c[0], c[1]
+		mod, err := repo.Get(m.Models[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := trainer.FineTune(mod, benches[j], hp, 42, "offline-matrix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := i*len(m.Datasets) + j
+		for e, v := range want.Val {
+			if math.Float64bits(m.Val[cell*ep+e]) != math.Float64bits(v) {
+				t.Fatalf("cell (%d, %d) epoch %d: %v, the run recorded %v", i, j, e, m.Val[cell*ep+e], v)
+			}
+			if got := m.ValAt(i, e)[j]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("ValAt(%d, %d)[%d] = %v, want %v", i, e, j, got, v)
+			}
+		}
+		if math.Float64bits(m.Test[cell]) != math.Float64bits(want.Test) || m.Vector(i)[j] != want.Test {
+			t.Fatalf("cell (%d, %d): final test %v, the run recorded %v", i, j, m.Test[cell], want.Test)
+		}
+	}
+	// A stage past the curve must not read the next cell's first epoch.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ValAt past the last epoch returned values")
+		}
+	}()
+	m.ValAt(0, ep)
 }
 
 func TestBuildRejectsTargets(t *testing.T) {
@@ -86,20 +113,15 @@ func TestBuildRejectsTargets(t *testing.T) {
 func TestBuildDeterministicDespiteParallelism(t *testing.T) {
 	_, _, a := smallFixture(t)
 	_, _, b := smallFixture(t)
-	for k, ea := range a.Entries {
-		eb := b.Entries[k]
-		for i := range ea.Val {
-			if ea.Val[i] != eb.Val[i] {
-				t.Fatal("parallel builds diverged")
-			}
-		}
+	if !slices.Equal(a.Val, b.Val) || !slices.Equal(a.Test, b.Test) {
+		t.Fatal("parallel builds diverged")
 	}
 }
 
 // TestBuildWorkerCountInvariant pins the BuildWorkers contract at the
 // matrix level: serial (1) and oversubscribed (3 workers for 12 cells)
-// builds must agree bit for bit on every curve point with the default-
-// budget fixture.
+// builds must agree bit for bit on every word with the default-budget
+// fixture.
 func TestBuildWorkerCountInvariant(t *testing.T) {
 	repo, benches, base := smallFixture(t)
 	for _, workers := range []int{1, 3} {
@@ -107,15 +129,13 @@ func TestBuildWorkerCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, eb := range base.Entries {
-			em, ok := m.Entries[k]
-			if !ok {
-				t.Fatalf("workers=%d: missing entry %q", workers, k)
+		for _, arr := range [][2][]float64{{base.Val, m.Val}, {base.Test, m.Test}} {
+			if len(arr[0]) != len(arr[1]) {
+				t.Fatalf("workers=%d: %d words, want %d", workers, len(arr[1]), len(arr[0]))
 			}
-			for i := range eb.Val {
-				if math.Float64bits(eb.Val[i]) != math.Float64bits(em.Val[i]) ||
-					math.Float64bits(eb.Test[i]) != math.Float64bits(em.Test[i]) {
-					t.Fatalf("workers=%d: curve %q diverges at epoch %d", workers, k, i)
+			for k := range arr[0] {
+				if math.Float64bits(arr[0][k]) != math.Float64bits(arr[1][k]) {
+					t.Fatalf("workers=%d: word %d diverges", workers, k)
 				}
 			}
 		}
@@ -124,54 +144,21 @@ func TestBuildWorkerCountInvariant(t *testing.T) {
 
 func TestVectorAndAvgAcc(t *testing.T) {
 	_, _, m := smallFixture(t)
-	v, err := m.Vector(m.Models[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != len(m.Datasets) {
-		t.Fatalf("vector len %d", len(v))
-	}
-	avg, err := m.AvgAcc(m.Models[0])
-	if err != nil {
-		t.Fatal(err)
+	v := m.Vector(1)
+	if len(v) != len(m.Datasets) || &v[0] != &m.Test[len(m.Datasets)] {
+		t.Fatalf("Vector(1) is not row 1 of Test")
 	}
 	var want float64
 	for _, x := range v {
 		want += x
 	}
 	want /= float64(len(v))
-	if avg != want {
+	if avg := m.AvgAcc(1); avg != want {
 		t.Fatalf("avg %v != %v", avg, want)
 	}
-	if _, err := m.Vector("missing"); err == nil {
-		t.Fatal("missing model accepted")
-	}
-}
-
-func TestValCurves(t *testing.T) {
-	_, _, m := smallFixture(t)
-	vals, finals, err := m.ValCurves(m.Models[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != len(m.Datasets) || len(finals) != len(m.Datasets) {
-		t.Fatal("ValCurves lengths wrong")
-	}
-	for i, ds := range m.Datasets {
-		e, err := m.Entry(m.Models[1], ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if finals[i] != e.FinalTest() {
-			t.Fatal("final mismatch")
-		}
-	}
-}
-
-func TestEntryFinalTestEmpty(t *testing.T) {
-	e := &Entry{}
-	if e.FinalTest() != 0 {
-		t.Fatal("empty entry final should be 0")
+	vecs := m.Vectors()
+	if vecs.N != len(m.Models) || !slices.Equal(vecs.Row(1), v) || &vecs.Data[0] == &m.Test[0] {
+		t.Fatal("Vectors is not a copy of the matrix's rows")
 	}
 }
 

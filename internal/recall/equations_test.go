@@ -11,6 +11,7 @@ import (
 	"twophase/internal/perfmatrix"
 	"twophase/internal/proxy"
 	"twophase/internal/synth"
+	"twophase/internal/trainer"
 )
 
 // stubScorer returns fixed proxy scores keyed by model name, so Eq. 2-4
@@ -31,18 +32,12 @@ func handMatrix(t *testing.T, names []string, vecs [][]float64, datasets []strin
 		Task:     datahub.TaskNLP,
 		Models:   names,
 		Datasets: datasets,
-		Epochs:   1,
-		Entries:  map[string]*perfmatrix.Entry{},
+		HP:       trainer.Hyperparams{Epochs: 1},
 	}
-	for i, name := range names {
-		for j, ds := range datasets {
-			m.Entries[name+"\x00"+ds] = &perfmatrix.Entry{
-				Model: name, Dataset: ds,
-				Val:  []float64{vecs[i][j]},
-				Test: []float64{vecs[i][j]},
-			}
-		}
+	for _, v := range vecs {
+		m.Test = append(m.Test, v...)
 	}
+	m.Val = m.Test
 	return m
 }
 

@@ -20,7 +20,7 @@ import (
 // needs from the matrix, so it shares no precomputed table with o.
 func referenceRecall(t *testing.T, m *perfmatrix.Matrix, o *Offline, repo *modelhub.Repository, target *datahub.Dataset) *Result {
 	t.Helper()
-	names, vecs, avgAcc, err := matrixVectors(m, 1)
+	names, vecs, avgAcc, err := matrixVectors(m)
 	if err != nil {
 		t.Fatal(err)
 	}

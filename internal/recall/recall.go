@@ -18,13 +18,11 @@
 package recall
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
-	"twophase/internal/fanout"
 	"twophase/internal/modelhub"
 	"twophase/internal/numeric"
 	"twophase/internal/perfmatrix"
@@ -107,15 +105,14 @@ type Offline struct {
 }
 
 // PrepareOfflineWith computes the target-independent half of coarse
-// recall under a worker budget (fanout's width: 1 is serial): per-model
-// performance vectors and the O(n²)
-// pairwise-distance precompute inside clustering fan out across workers.
+// recall under a worker budget (fanout's width: 1 is serial): the O(n²)
+// pairwise-distance precompute inside clustering fans out across workers.
 // Parallelism never touches the merge order or any per-vector reduction,
 // so the Offline — and the Artifact persisted from it — is bit-identical
 // for every worker count.
 func PrepareOfflineWith(m *perfmatrix.Matrix, opts Options, workers int) (*Offline, error) {
 	opts.Fill()
-	names, vecs, avgAcc, err := matrixVectors(m, workers)
+	names, vecs, avgAcc, err := matrixVectors(m)
 	if err != nil {
 		return nil, err
 	}
@@ -124,28 +121,20 @@ func PrepareOfflineWith(m *perfmatrix.Matrix, opts Options, workers int) (*Offli
 	return assembleOffline(opts, names, vecs, avgAcc, dist, clustering), nil
 }
 
-// matrixVectors extracts every model's performance vector and benchmark
-// average from the matrix, in matrix model order, a row per fan-out item
-// (each item owns a whole row of the output frame, so contents are
-// order-independent). Vectors land in one contiguous frame, a row per
-// model.
-func matrixVectors(m *perfmatrix.Matrix, workers int) (names []string, vecs *numeric.Frame, avgAcc []float64, err error) {
+// matrixVectors returns the matrix's models, their performance vectors
+// (a frame, a row per model in matrix order) and each model's benchmark
+// average.
+func matrixVectors(m *perfmatrix.Matrix) (names []string, vecs *numeric.Frame, avgAcc []float64, err error) {
 	names = m.Models
 	if len(names) == 0 {
 		return nil, nil, nil, fmt.Errorf("recall: empty performance matrix")
 	}
-	vecs = numeric.NewFrame(len(names), len(m.Datasets))
+	vecs = m.Vectors()
 	avgAcc = make([]float64, len(names))
-	err = fanout.Each(context.TODO(), len(names), workers, func(i int) error {
-		v, err := m.Vector(names[i])
-		if err != nil {
-			return err
-		}
-		copy(vecs.Row(i), v)
-		avgAcc[i] = numeric.Mean(v)
-		return nil
-	})
-	return names, vecs, avgAcc, err
+	for i := range names {
+		avgAcc[i] = m.AvgAcc(i)
+	}
+	return names, vecs, avgAcc, nil
 }
 
 // assembleOffline derives representatives, their deterministic order and
@@ -277,7 +266,7 @@ func Rehydrate(m *perfmatrix.Matrix, opts Options, a *Artifact) (*Offline, error
 	if a.Seed != m.Seed {
 		return nil, fmt.Errorf("recall: artifact seed %d, want %d", a.Seed, m.Seed)
 	}
-	names, vecs, avgAcc, err := matrixVectors(m, 0)
+	names, vecs, avgAcc, err := matrixVectors(m)
 	if err != nil {
 		return nil, err
 	}

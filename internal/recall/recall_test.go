@@ -1,6 +1,7 @@
 package recall
 
 import (
+	"slices"
 	"testing"
 
 	"twophase/internal/datahub"
@@ -124,16 +125,9 @@ func TestRepresentativeHasBestAverage(t *testing.T) {
 		if len(groups[cid]) < 2 {
 			continue
 		}
-		repAvg, err := m.AvgAcc(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		repAvg := m.AvgAcc(slices.Index(m.Models, rep))
 		for _, i := range groups[cid] {
-			avg, err := m.AvgAcc(m.Models[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if avg > repAvg+1e-12 {
+			if avg := m.AvgAcc(i); avg > repAvg+1e-12 {
 				t.Fatalf("representative %s (%.3f) not the best of its cluster (%s has %.3f)",
 					rep, repAvg, m.Models[i], avg)
 			}

@@ -3,6 +3,7 @@ package selection
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"twophase/internal/numeric"
@@ -27,18 +28,14 @@ const trendClusters = 4
 // (0-based epoch index): Trends over its benchmark validation accuracies
 // at that stage and their final test accuracies.
 func TrendsAtStage(m *perfmatrix.Matrix, model string, stage int) ([]Trend, error) {
-	vals, finals, err := m.ValCurves(model)
-	if err != nil {
-		return nil, err
+	i := slices.Index(m.Models, model)
+	if i < 0 {
+		return nil, fmt.Errorf("selection: model %s is not in the performance matrix", model)
 	}
-	points := make([]float64, len(vals))
-	for i, curve := range vals {
-		if stage >= len(curve) {
-			return nil, fmt.Errorf("selection: stage %d outside %d-epoch offline curve for %s", stage, len(curve), model)
-		}
-		points[i] = curve[stage]
+	if stage < 0 || stage >= m.HP.Epochs {
+		return nil, fmt.Errorf("selection: stage %d outside %d-epoch offline curve for %s", stage, m.HP.Epochs, model)
 	}
-	return Trends(points, finals), nil
+	return Trends(m.ValAt(i, stage), m.Vector(i)), nil
 }
 
 // Trends clusters the validation accuracies vals into at most

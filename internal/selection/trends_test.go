@@ -156,13 +156,10 @@ func TestTrendPredictionTracksReality(t *testing.T) {
 	// (the paper's Fig. 6 claim).
 	m := trendFixture(t)
 	model := m.Models[0]
-	vals, finals, err := m.ValCurves(model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals, finals := m.ValAt(0, 0), m.Vector(0)
 	var worse int
 	for i := range vals {
-		pred, err := predictFinal(m, model, 0, vals[i][0])
+		pred, err := predictFinal(m, model, 0, vals[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +183,7 @@ func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	// matrix itself would now answer b's lookups with a's trends.
 	for _, m := range []*perfmatrix.Matrix{a, b} {
 		for _, model := range m.Models {
-			for stage := 0; stage < m.Epochs; stage++ {
+			for stage := 0; stage < m.HP.Epochs; stage++ {
 				want, err := TrendsAtStage(m, model, stage)
 				if err != nil {
 					t.Fatal(err)
@@ -231,7 +228,7 @@ func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
 	}
 	// Errors are reported on every lookup, not memoised away.
 	for i := 0; i < 2; i++ {
-		if _, err := predictFinal(a, a.Models[0], a.Epochs, 0.5); err == nil {
+		if _, err := predictFinal(a, a.Models[0], a.HP.Epochs, 0.5); err == nil {
 			t.Fatal("out-of-range stage accepted")
 		}
 		if _, err := predictFinal(a, "nope", 0, 0.5); err == nil {

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -412,53 +414,80 @@ func TestPersistWritesWorldArtifactsOnly(t *testing.T) {
 }
 
 // TestStoreCorruptArtifactRebuilds covers the fallback path end to end: a
-// corrupt persisted matrix must not fail the service — it triggers a
-// fresh offline build whose artifacts overwrite the bad file, healing the
-// store for the next process.
+// corrupt persisted matrix must not fail the service — it is quarantined
+// and triggers a fresh offline build whose artifacts replace the bad
+// file, healing the store for the next process. A matrix written by an
+// older format version is that case too: its checksums are valid, its
+// header version is not the reader's.
 func TestStoreCorruptArtifactRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	first := newTestService(t, Options{StoreDir: dir})
-	reportA, err := selectOne(context.Background(), first, "tweet_eval")
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(valid []byte) []byte
+	}{
+		// Garbage that fails the binary format's checksum.
+		{"garbage", func([]byte) []byte { return []byte("{definitely not a matrix") }},
+		// The current file restamped as version 1, its header checksum
+		// recomputed so only the version is wrong.
+		{"version 1", func(valid []byte) []byte {
+			v1 := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint16(v1[4:6], 1)
+			binary.LittleEndian.PutUint64(v1[32:40], crc64.Checksum(v1[0:32], crc64.MakeTable(crc64.ECMA)))
+			return v1
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			first := newTestService(t, Options{StoreDir: dir})
+			reportA, err := selectOne(context.Background(), first, "tweet_eval")
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	path := filepath.Join(dir, "matrices", "nlp-seed42.bin")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("expected persisted matrix at %s: %v", path, err)
-	}
-	// Garbage that fails the binary format's checksum — the store must
-	// surface it as corrupt (not absent), and the service must rebuild.
-	if err := os.WriteFile(path, []byte("{definitely not a matrix"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, "matrices", "nlp-seed42.bin")
+			valid, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("expected persisted matrix at %s: %v", path, err)
+			}
+			bad := c.corrupt(valid)
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	second := newTestService(t, Options{StoreDir: dir})
-	reportB, err := selectOne(context.Background(), second, "tweet_eval")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Builds() != 1 {
-		t.Fatalf("corrupt artifact served without rebuild (%d builds)", second.Builds())
-	}
-	if err := second.PersistErr(); err != nil {
-		t.Fatalf("rebuild failed to overwrite the corrupt artifact: %v", err)
-	}
-	if !reflect.DeepEqual(reportA, reportB) {
-		t.Fatalf("rebuilt selection differs from original:\n%+v\nvs\n%+v", reportA, reportB)
-	}
+			second := newTestService(t, Options{StoreDir: dir})
+			reportB, err := selectOne(context.Background(), second, "tweet_eval")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Builds() != 1 {
+				t.Fatalf("corrupt artifact served without rebuild (%d builds)", second.Builds())
+			}
+			if err := second.PersistErr(); err != nil {
+				t.Fatalf("rebuild failed to overwrite the corrupt artifact: %v", err)
+			}
+			if !reflect.DeepEqual(reportA, reportB) {
+				t.Fatalf("rebuilt selection differs from original:\n%+v\nvs\n%+v", reportA, reportB)
+			}
+			quarantined, err := os.ReadFile(filepath.Join(dir, store.QuarantineDir, "matrices", "nlp-seed42.bin"))
+			if err != nil || !bytes.Equal(quarantined, bad) {
+				t.Fatalf("the bad file is not in quarantine as it was written: %v", err)
+			}
+			if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, valid) {
+				t.Fatalf("the rebuild did not write the current-version file back: %v", err)
+			}
 
-	// The overwrite healed the store: a third process serves from it.
-	third := newTestService(t, Options{StoreDir: dir})
-	reportC, err := selectOne(context.Background(), third, "tweet_eval")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Builds() != 0 {
-		t.Fatalf("healed store not served (%d builds)", third.Builds())
-	}
-	if !reflect.DeepEqual(reportB, reportC) {
-		t.Fatalf("store-served selection differs from rebuild:\n%+v\nvs\n%+v", reportB, reportC)
+			// The overwrite healed the store: a third process serves from it.
+			third := newTestService(t, Options{StoreDir: dir})
+			reportC, err := selectOne(context.Background(), third, "tweet_eval")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if third.Builds() != 0 {
+				t.Fatalf("healed store not served (%d builds)", third.Builds())
+			}
+			if !reflect.DeepEqual(reportA, reportC) {
+				t.Fatalf("store-served selection differs from the first:\n%+v\nvs\n%+v", reportA, reportC)
+			}
+		})
 	}
 }
 

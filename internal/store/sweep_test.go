@@ -17,15 +17,13 @@ import (
 func sweepMatrix() *perfmatrix.Matrix {
 	m := &perfmatrix.Matrix{
 		Task:     "nlp",
-		Epochs:   2,
 		Seed:     42,
 		HP:       trainer.Hyperparams{LearningRate: 0.1, BatchSize: 8, Epochs: 2, L2: 1e-4},
 		Sizes:    datahub.Sizes{Train: 60, Val: 40, Test: 48},
 		Models:   []string{"m0"},
 		Datasets: []string{"d0"},
-		Entries: map[string]*perfmatrix.Entry{
-			"m0\x00d0": {Model: "m0", Dataset: "d0", Val: []float64{0.1, 0.2}, Test: []float64{0.3, 0.4}},
-		},
+		Val:      []float64{0.1, 0.2},
+		Test:     []float64{0.4},
 	}
 	return m
 }

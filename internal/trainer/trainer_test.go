@@ -103,23 +103,23 @@ func TestCurveShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(curve.Val) != 5 || len(curve.Test) != 5 {
-		t.Fatalf("curve lengths %d/%d", len(curve.Val), len(curve.Test))
+	if len(curve.Val) != 5 {
+		t.Fatalf("curve length %d", len(curve.Val))
 	}
-	for _, v := range append(curve.Val, curve.Test...) {
+	for _, v := range append(curve.Val, curve.Test) {
 		if v < 0 || v > 1 {
 			t.Fatalf("accuracy %v outside [0,1]", v)
 		}
 	}
-	if curve.FinalVal() != curve.Val[4] || curve.FinalTest() != curve.Test[4] {
-		t.Fatal("Final accessors disagree with slices")
+	if curve.FinalVal() != curve.Val[4] {
+		t.Fatal("FinalVal disagrees with the curve")
 	}
 }
 
 func TestEmptyCurveAccessors(t *testing.T) {
 	var c Curve
-	if c.FinalVal() != 0 || c.FinalTest() != 0 {
-		t.Fatal("empty curve accessors should be 0")
+	if c.FinalVal() != 0 {
+		t.Fatal("empty curve's FinalVal should be 0")
 	}
 }
 
@@ -134,8 +134,93 @@ func TestFineTuneDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Val {
-		if a.Val[i] != b.Val[i] || a.Test[i] != b.Test[i] {
+		if a.Val[i] != b.Val[i] {
 			t.Fatal("identical runs diverged")
+		}
+	}
+	if a.Test != b.Test {
+		t.Fatal("identical runs reported different test accuracies")
+	}
+}
+
+// fineTunePerEpoch is FineTune as it was when the performance matrix kept
+// a test curve: it scores the test split after every epoch. It is the
+// oracle for FineTune's one final test evaluation.
+func fineTunePerEpoch(m *modelhub.Model, d *datahub.Dataset, hp Hyperparams, seed uint64, salt string) (val, test []float64, err error) {
+	run, err := NewRun(m, d, hp, seed, salt)
+	if err != nil {
+		return nil, nil, err
+	}
+	for e := 0; e < hp.Epochs; e++ {
+		run.TrainEpoch()
+		test = append(test, run.TestAccuracy())
+	}
+	return run.Curve().Val, test, nil
+}
+
+// TestFineTuneMatchesPerEpochOracle: scoring the test split once, after
+// the last epoch, leaves the validation curve bit for bit what per-epoch
+// scoring recorded, and the final test accuracy is the oracle's
+// last-epoch word — on cells of both task families, at each family's
+// epoch budget, benchmarks of 2 up to 20 classes included.
+func TestFineTuneMatchesPerEpochOracle(t *testing.T) {
+	w := synth.NewWorld(7)
+	sizes := datahub.Sizes{Train: 60, Val: 40, Test: 48}
+	for _, c := range []struct {
+		task     string
+		models   []modelhub.Spec
+		datasets []datahub.Spec
+	}{
+		{datahub.TaskNLP, modelhub.NLPSpecs(), datahub.NLPBenchmarks()},
+		{datahub.TaskCV, modelhub.CVSpecs(), datahub.CVBenchmarks()},
+	} {
+		hp := Default(c.task)
+		tenPlus := 0
+		for _, name := range []string{"dbpedia_14", "yahoo_answers_topics", "glue/cola", "food101", "mnist", "cats_vs_dogs"} {
+			var spec *datahub.Spec
+			for i := range c.datasets {
+				if c.datasets[i].Name == name {
+					spec = &c.datasets[i]
+				}
+			}
+			if spec == nil {
+				continue
+			}
+			if spec.Classes >= 10 {
+				tenPlus++
+			}
+			d, err := datahub.Generate(w, *spec, sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ms := range []modelhub.Spec{c.models[0], c.models[len(c.models)/2], c.models[len(c.models)-1]} {
+				m, err := modelhub.Materialize(w, ms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				val, test, err := fineTunePerEpoch(m, d, hp, w.Seed, "offline-matrix")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := FineTune(m, d, hp, w.Seed, "offline-matrix")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Val) != hp.Epochs || len(val) != hp.Epochs {
+					t.Fatalf("%s on %s: curves of %d and %d epochs, want %d", ms.Name, name, len(got.Val), len(val), hp.Epochs)
+				}
+				for e := range val {
+					if math.Float64bits(got.Val[e]) != math.Float64bits(val[e]) {
+						t.Fatalf("%s on %s: epoch %d validation %v, the per-epoch oracle recorded %v", ms.Name, name, e, got.Val[e], val[e])
+					}
+				}
+				if want := test[len(test)-1]; math.Float64bits(got.Test) != math.Float64bits(want) {
+					t.Fatalf("%s on %s: final test %v, the per-epoch oracle's last word is %v", ms.Name, name, got.Test, want)
+				}
+			}
+		}
+		if tenPlus < 2 {
+			t.Fatalf("%s: %d benchmarks of 10 or more classes checked, want 2", c.task, tenPlus)
 		}
 	}
 }
@@ -194,10 +279,10 @@ func TestStagedTrainingMatchesFineTune(t *testing.T) {
 		if run.FinalVal() != val {
 			t.Fatalf("epoch %d: FinalVal %v, TrainEpoch returned %v", e, run.FinalVal(), val)
 		}
-		// FineTune's test curve is what the staged run would report if
-		// asked after the same epoch; asking does not disturb training.
-		if got := run.TestAccuracy(); got != full.Test[e] {
-			t.Fatalf("epoch %d: staged TestAccuracy %v, FineTune recorded %v", e, got, full.Test[e])
+		// Asking for test accuracy after any epoch does not disturb
+		// training; after the last it is FineTune's final test accuracy.
+		if got := run.TestAccuracy(); e == hp.Epochs-1 && got != full.Test {
+			t.Fatalf("staged TestAccuracy %v after the last epoch, FineTune reported %v", got, full.Test)
 		}
 	}
 	staged := run.Curve()
@@ -206,10 +291,10 @@ func TestStagedTrainingMatchesFineTune(t *testing.T) {
 			t.Fatal("staged training diverges from FineTune")
 		}
 	}
-	// A staged run scores the validation split only: no per-epoch test
-	// accuracy is recorded.
-	if len(staged.Test) != 0 || staged.FinalTest() != 0 {
-		t.Fatalf("staged run recorded a test curve: %v", staged.Test)
+	// A staged run scores the validation split only: no test accuracy is
+	// recorded.
+	if staged.Test != 0 {
+		t.Fatalf("staged run recorded a test accuracy: %v", staged.Test)
 	}
 }
 

@@ -27,8 +27,6 @@ var keptHooks = map[string]string{
 	"datahub.Generate":          "one dataset outside a catalog (the catalog generates through its checked specs); the lsq, recall and trainer tests build single datasets from it",
 	"faultinject.Reset":         "disarms the process-wide schedule; every test that Activates defers it",
 	"shard.Owner":               "a key's primary owner; bench/stats_test.go splits batches by it",
-	"datahub.CVBenchmarks":      "only datahub calls it, but it is one of a pair with NLPBenchmarks, which six other packages' tests build matrices from",
-	"modelhub.CVSpecs":          "only modelhub calls it, but it is one of a pair with NLPSpecs, which five other packages' tests build repositories from",
 }
 
 // harnessPackages are internal packages that are test support by design:
@@ -544,6 +542,26 @@ var fusedFree = []string{
 	"proxy.leepSweep",
 }
 
+// oraclePackages are the packages whose tests hold this module's floats to
+// an oracle — a replaced kernel, a hand computation, a recorded curve —
+// often bit for bit. On an architecture that fuses, an unconverted product
+// in the oracle moves its bits while the converted kernel's stay put.
+var oraclePackages = []string{"numeric", "trainer", "proxy", "selection", "recall", "lsq", "perfmatrix", "core"}
+
+// fusedTestSites are the fused multiply-adds the arm64 test binaries of
+// oraclePackages keep, by package/file:line: each feeds only a check with a
+// tolerance, so rounding once or twice cannot flip it. A product that
+// feeds an exact comparison is converted instead. The list is exact — a
+// site that stops fusing fails the test until its entry goes.
+var fusedTestSites = map[string]string{
+	"numeric/cholesky_test.go:46":   "L·Lᵀ against A, within 1e-9",
+	"numeric/matrix_test.go:59":     "RandomMatrix second moment, within 0.05",
+	"numeric/matrix_test.go:63":     "RandomMatrix variance, within 0.05",
+	"numeric/rng_test.go:99":        "Norm second moment, within 0.03",
+	"numeric/rng_test.go:102":       "Norm variance, within 0.03",
+	"core/lsq_strategy_test.go:189": "the lsq pass's charge, within 1e-12",
+}
+
 // fusedOp matches a scalar fused multiply-add as go tool objdump prints it
 // on the four architectures whose Go backend fuses: arm64 and riscv64
 // (FMADDD, FMSUBD, FNMADDS, ...), ppc64le (FMADD, FMSUBS, FNMSUB, ...) and
@@ -558,9 +576,11 @@ var fusedOp = regexp.MustCompile(`\b(FN?M(ADD|SUB)[SD]?|M[AS][DE]BR?)\b`)
 // buckets included; toolchain only, no network), disassembles twophase/internal/
 // and fails on any fused multiply-add, each one a product that feeds an add
 // without an explicit float64(a*b) conversion and so rounds once where amd64
-// rounds twice. Inlined callees count under their caller. amd64 has no such
-// instruction in Go, so every bit-identity suite in this repository passes
-// there regardless.
+// rounds twice. Inlined callees count under their caller. The oracles are
+// held to the same rule: the arm64 test binaries of oraclePackages may fuse
+// only at the tolerance-checked sites fusedTestSites lists. amd64 has no
+// such instruction in Go, so every bit-identity suite in this repository
+// passes there regardless.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-compiles four binaries for four architectures; skipped in -short")
@@ -607,6 +627,41 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 			}
 		})
 	}
+	t.Run("arm64 oracle tests", func(t *testing.T) {
+		seen := map[string]bool{}
+		var bad []string
+		for _, pkg := range oraclePackages {
+			bin := filepath.Join(t.TempDir(), pkg+".test")
+			build := exec.Command("go", "test", "-c", "-o", bin, "./internal/"+pkg)
+			build.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
+			if out, err := build.CombinedOutput(); err != nil {
+				t.Fatalf("cross-compiling the tests of internal/%s: %v\n%s", pkg, err, out)
+			}
+			asm, err := exec.Command("go", "tool", "objdump", "-s", prefix, bin).Output()
+			if err != nil {
+				t.Fatalf("go tool objdump: %v", err)
+			}
+			for _, line := range strings.Split(string(asm), "\n") {
+				if !fusedOp.MatchString(line) {
+					continue
+				}
+				site := pkg + "/" + strings.Fields(line)[0] // objdump's first column is file:line
+				if fusedTestSites[site] == "" {
+					bad = append(bad, site+": a fused multiply-add in an oracle test: write the product as float64(a*b), or list the site in fusedTestSites if only a tolerance reads it")
+				}
+				seen[site] = true
+			}
+		}
+		for site := range fusedTestSites {
+			if !seen[site] {
+				bad = append(bad, site+" is in fusedTestSites but fuses no more: drop the entry")
+			}
+		}
+		sort.Strings(bad)
+		for _, b := range bad {
+			t.Error(b)
+		}
+	})
 }
 
 // mdName matches a Markdown file name, with any directory prefix.
