@@ -346,7 +346,10 @@ func TestFlagBlock(t *testing.T) {
 	if c, err := FromFlags(parse("-inflight", "2")); c == nil || err != nil {
 		t.Fatalf("-inflight alone built (%v, %v), want a controller", c, err)
 	}
-	for _, bad := range [][]string{{"-rate", "-1"}, {"-burst", "-1"}, {"-inflight", "-1"}, {"-queue", "-1"}} {
+	for _, bad := range [][]string{
+		{"-rate", "-1"}, {"-burst", "-1"}, {"-inflight", "-1"}, {"-queue", "-1"},
+		{"-rate", "NaN"}, {"-rate", "5", "-burst", "NaN"}, {"-rate", "+Inf"}, {"-rate", "5", "-burst", "Inf"},
+	} {
 		if c, err := FromFlags(parse(bad...)); c != nil || err == nil {
 			t.Fatalf("%v built (%v, %v), want an error", bad, c, err)
 		}

@@ -3,6 +3,7 @@ package admission
 import (
 	"flag"
 	"fmt"
+	"math"
 )
 
 // RegisterFlags binds the operator-facing limits to -rate, -burst,
@@ -17,8 +18,14 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 
 // FromFlags validates parsed limits and builds their controller: nil — no
 // gate on the request path at all — when neither -rate nor -inflight is
-// set.
+// set. A non-finite -rate or -burst is refused: NaN compares false against
+// every bound, so it would pass the sign check and switch the rate limit
+// off (NaN rate) or refuse every request with a nonsense Retry-After (NaN
+// burst).
 func FromFlags(o Options) (*Controller, error) {
+	if math.IsNaN(o.Rate) || math.IsInf(o.Rate, 0) || math.IsNaN(o.Burst) || math.IsInf(o.Burst, 0) {
+		return nil, fmt.Errorf("-rate and -burst must be finite")
+	}
 	if o.Rate < 0 || o.Burst < 0 || o.MaxInflight < 0 || o.MaxQueue < 0 {
 		return nil, fmt.Errorf("-rate, -burst, -inflight and -queue must be non-negative")
 	}

@@ -10,6 +10,7 @@ import (
 	"twophase/internal/core"
 	"twophase/internal/datahub"
 	"twophase/internal/numeric"
+	"twophase/internal/perfmatrix"
 	"twophase/internal/selection"
 	"twophase/internal/trainer"
 )
@@ -145,7 +146,7 @@ func fig4(e *Env) (*Table, error) {
 		return nil, err
 	}
 	lastStage := fw.HP.Epochs - 1
-	trends, err := selection.TrendsAtStage(fw.Matrix, fig4Model, lastStage)
+	trends, err := fw.Matrix.Trends(fig4Model, lastStage)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +181,7 @@ func fig6(e *Env) (*Table, error) {
 	for mi, model := range fw.Matrix.Models {
 		stage0, finals := fw.Matrix.ValAt(mi, 0), fw.Matrix.Vector(mi)
 		// Silhouette of the 1-D validation clustering vs a random one.
-		trends := selection.Trends(stage0, finals)
+		trends := perfmatrix.MineTrends(stage0, finals)
 		assign := make([]int, len(stage0))
 		for g, tr := range trends {
 			for _, i := range tr.Members {
@@ -210,8 +211,8 @@ func fig6(e *Env) (*Table, error) {
 					trainFinal = append(trainFinal, finals[i])
 				}
 			}
-			loo := selection.Trends(trainVal, trainFinal)
-			pred := loo[selection.MatchTrend(loo, stage0[hold])].Test
+			loo := perfmatrix.MineTrends(trainVal, trainFinal)
+			pred := loo[perfmatrix.MatchTrend(loo, stage0[hold])].Test
 			actual := finals[hold]
 			if actual == 0 {
 				continue

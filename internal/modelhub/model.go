@@ -198,55 +198,36 @@ func Materialize(w *synth.World, spec Spec) (*Model, error) {
 	// dataset, so its predictions are informative about where an input
 	// lies in the model's domain span — the property LEEP exploits. We
 	// synthesize upstream class centers inside the model's (corrupted)
-	// preferred subspace and use their feature embeddings as head rows.
+	// preferred subspace and use their feature embeddings as head rows: one
+	// frame of centers, extracted in one pass and scaled by headTemp.
 	const upstreamSep = 2.2
 	const headTemp = 1.5
-	m.head = numeric.NewMatrix(spec.SourceClasses, FeatureDim)
-	for z := 0; z < spec.SourceClasses; z++ {
-		center := make([]float64, synth.InputDim)
+	centers := numeric.NewFrame(spec.SourceClasses, synth.InputDim)
+	for z := 0; z < centers.N; z++ {
 		for j := 0; j < PrefRank; j++ {
-			numeric.AddScaled(center, rng.Norm()*upstreamSep, m.prefDirs.Row(j))
-		}
-		feat := m.Features(center)
-		row := m.head.Row(z)
-		for i, f := range feat {
-			row[i] = headTemp * f
+			numeric.AddScaled(centers.Row(z), rng.Norm()*upstreamSep, m.prefDirs.Row(j))
 		}
 	}
+	feats := m.extractFrame(centers)
+	for i, f := range feats.Data {
+		feats.Data[i] = headTemp * f
+	}
+	m.head = &numeric.Matrix{Rows: feats.N, Cols: feats.D, Data: feats.Data}
 	return m, nil
-}
-
-// Features computes the frozen representation phi(x) = tanh(gain*Wp(Px) +
-// leak*Wg(x) + b). The caller owns the returned slice.
-func (m *Model) Features(x []float64) []float64 {
-	proj := make([]float64, PrefRank)
-	m.prefDirs.MulVec(x, proj)
-
-	aligned := make([]float64, FeatureDim)
-	m.wPref.MulVec(proj, aligned)
-	generic := make([]float64, FeatureDim)
-	m.wGeneric.MulVec(x, generic)
-
-	out := make([]float64, FeatureDim)
-	for i := range out {
-		out[i] = tanh(float64(m.gain*aligned[i]) + float64(m.leak*generic[i]) + m.bias[i])
-	}
-	return out
 }
 
 // FeatureFrame extracts features for every row of x through the batched
 // frame kernels, caching the result by input-frame identity. The returned
 // frame is shared and read-only: callers must not write through its rows.
-// Every element is bit-identical to Features of the same row.
 func (m *Model) FeatureFrame(x *numeric.Frame) *numeric.Frame {
 	return m.entry(x).frame
 }
 
 // SourceDistributions returns the frozen source head's softmax
 // distribution for every row of x: row i is the softmax of the head
-// applied to Features(x.Row(i)), bit for bit. The result is computed once
-// from the cached extraction of x, shared by every later caller while that
-// extraction stays cached, and read-only. Rows are independent, so a
+// applied to the features of x.Row(i), bit for bit. The result is
+// computed once from the cached extraction of x, shared by every later
+// caller while that extraction stays cached, and read-only. Rows are independent, so a
 // prefix view (Slice) equals the head applied to the same prefix of the
 // features.
 func (m *Model) SourceDistributions(x *numeric.Frame) *numeric.Frame {
@@ -315,10 +296,11 @@ func (m *Model) CachedSplits() int {
 	return len(m.featCache)
 }
 
-// extractFrame is the batched extractor: phi(X) = tanh(gain*Wp(P·X) +
-// leak*Wg(X) + b) computed with contiguous matrix-matrix kernels. Each
-// output element follows exactly the accumulation order of Features, so
-// the two paths agree bit for bit.
+// extractFrame is the extractor: phi(X) = tanh(gain*Wp(P·X) + leak*Wg(X)
+// + b), computed with contiguous matrix-matrix kernels. Each output
+// element follows exactly the accumulation order of a per-vector MulVec
+// pass over its row (features in the package tests), so every row is
+// bit-identical to extracting that input alone.
 func (m *Model) extractFrame(x *numeric.Frame) *numeric.Frame {
 	n := x.N
 	proj := numeric.NewFrame(n, PrefRank)

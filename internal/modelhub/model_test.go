@@ -44,7 +44,7 @@ func TestMaterializeDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := numeric.NewNamedRNG(1, "probe").NormVec(synth.InputDim)
-	fa, fb := a.Features(x), b.Features(x)
+	fa, fb := features(a, x), features(b, x)
 	for i := range fa {
 		if fa[i] != fb[i] {
 			t.Fatal("same world+spec produced different models")
@@ -62,7 +62,7 @@ func TestFeaturesBounded(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		x := rng.NormVec(synth.InputDim)
 		numeric.Scale(x, 5)
-		f := m.Features(x)
+		f := features(m, x)
 		if len(f) != FeatureDim {
 			t.Fatalf("feature dim %d", len(f))
 		}
@@ -72,6 +72,24 @@ func TestFeaturesBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// features is the per-vector extractor phi(x) = tanh(gain*Wp(Px) +
+// leak*Wg(x) + b): the reference extractFrame is pinned to bit for bit.
+func features(m *Model, x []float64) []float64 {
+	proj := make([]float64, PrefRank)
+	m.prefDirs.MulVec(x, proj)
+
+	aligned := make([]float64, FeatureDim)
+	m.wPref.MulVec(proj, aligned)
+	generic := make([]float64, FeatureDim)
+	m.wGeneric.MulVec(x, generic)
+
+	out := make([]float64, FeatureDim)
+	for i := range out {
+		out[i] = tanh(float64(m.gain*aligned[i]) + float64(m.leak*generic[i]) + m.bias[i])
+	}
+	return out
 }
 
 // sourceProbs is the per-example source head: the reference the frame
@@ -89,7 +107,7 @@ func sourceProbs(m *Model, features []float64) []float64 {
 func featuresPerExample(m *Model, xs [][]float64) [][]float64 {
 	out := make([][]float64, len(xs))
 	for i, x := range xs {
-		out[i] = m.Features(x)
+		out[i] = features(m, x)
 	}
 	return out
 }
@@ -101,7 +119,7 @@ func TestSourceProbsDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := numeric.NewNamedRNG(3, "x").NormVec(synth.InputDim)
-	p := sourceProbs(m, m.Features(x))
+	p := sourceProbs(m, features(m, x))
 	if len(p) != m.SourceClasses {
 		t.Fatalf("probs len %d", len(p))
 	}

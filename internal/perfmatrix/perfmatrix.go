@@ -3,8 +3,9 @@
 // every benchmark dataset — together with the per-epoch validation curves
 // that the fine-selection phase mines for convergence trends (§II.B
 // "Offline"). Those two are all selection reads of a run, so they are all
-// a Matrix keeps. A Matrix is plain data; its one on-disk encoding belongs
-// to internal/artifact.
+// a Matrix keeps. The convergence trends Eq. 5–6 match against are mined
+// from those curves on first use (Matrix.Trends) and never persisted; a
+// Matrix's one on-disk encoding belongs to internal/artifact.
 package perfmatrix
 
 import (
@@ -37,34 +38,10 @@ type Matrix struct {
 	Sizes    datahub.Sizes
 	Val      []float64 // len(Models)*len(Datasets)*HP.Epochs validation accuracies
 	Test     []float64 // len(Models)*len(Datasets) final test accuracies
-	memo     sync.Map  // Memo's table: key -> *memoEntry
-}
-
-// memoEntry is one memoised derivation; once makes concurrent first
-// askers share a single computation.
-type memoEntry struct {
-	once sync.Once
-	val  any
-	err  error
-}
-
-// Memo returns what compute returned the first time key was asked of this
-// matrix, running compute exactly once per key however many goroutines
-// ask. It is where consumers keep data mined from the matrix alone (the
-// fine-selection phase's convergence trends): the memo lives on the matrix,
-// so it is shared by everything selecting over that matrix and is
-// collected with it — a process that restores and drops worlds retains
-// nothing. The matrix must not change after the first call, and callers
-// must treat the shared value as read-only. Keys follow the context.Value
-// convention: comparable, of a type private to the consumer.
-func (m *Matrix) Memo(key any, compute func() (any, error)) (any, error) {
-	v, ok := m.memo.Load(key)
-	if !ok {
-		v, _ = m.memo.LoadOrStore(key, new(memoEntry))
-	}
-	e := v.(*memoEntry)
-	e.once.Do(func() { e.val, e.err = compute() })
-	return e.val, e.err
+	// trends is Trends' table, model-major and stage-minor, mined on
+	// the first call under trendsOnce.
+	trends     [][]Trend
+	trendsOnce sync.Once
 }
 
 // Build fine-tunes every model in the repository on every benchmark

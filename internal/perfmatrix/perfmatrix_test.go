@@ -1,11 +1,8 @@
 package perfmatrix
 
 import (
-	"errors"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"twophase/internal/datahub"
@@ -159,52 +156,5 @@ func TestVectorAndAvgAcc(t *testing.T) {
 	vecs := m.Vectors()
 	if vecs.N != len(m.Models) || !slices.Equal(vecs.Row(1), v) || &vecs.Data[0] == &m.Test[0] {
 		t.Fatal("Vectors is not a copy of the matrix's rows")
-	}
-}
-
-// TestMemoComputesOncePerKeyPerMatrix: racing first askers of one key
-// share one computation (errors included), distinct keys and distinct
-// matrices never share a value. Run with -race.
-func TestMemoComputesOncePerKeyPerMatrix(t *testing.T) {
-	type key struct{ name string }
-	a, b := &Matrix{}, &Matrix{}
-	var calls atomic.Int64
-	compute := func(v int) func() (any, error) {
-		return func() (any, error) {
-			calls.Add(1)
-			return v, nil
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if v, err := a.Memo(key{"x"}, compute(1)); err != nil || v.(int) != 1 {
-				t.Errorf("a[x] = %v, %v", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("16 racing askers computed %d times, want 1", got)
-	}
-	if v, _ := a.Memo(key{"y"}, compute(2)); v.(int) != 2 {
-		t.Fatalf("a[y] = %v, want its own value 2", v)
-	}
-	if v, _ := b.Memo(key{"x"}, compute(3)); v.(int) != 3 {
-		t.Fatalf("b[x] = %v, want its own value 3 (not a's)", v)
-	}
-	if v, _ := a.Memo(key{"x"}, compute(4)); v.(int) != 1 {
-		t.Fatalf("a[x] = %v after a second compute was offered, want the first value 1", v)
-	}
-	boom := errors.New("boom")
-	for i := 0; i < 2; i++ {
-		if _, err := a.Memo(key{"bad"}, func() (any, error) { calls.Add(1); return nil, boom }); err != boom {
-			t.Fatalf("a[bad] error = %v, want boom", err)
-		}
-	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("%d computations in total, want 4 (x, y, b's x, bad)", got)
 	}
 }

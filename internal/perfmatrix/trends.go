@@ -1,4 +1,4 @@
-package selection
+package perfmatrix
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"twophase/internal/numeric"
-	"twophase/internal/perfmatrix"
 )
 
 // Trend is one mined convergence trend of a model: the mean validation
@@ -17,35 +16,48 @@ import (
 type Trend struct {
 	Val     float64 // mean validation accuracy at the stage
 	Test    float64 // mean final test accuracy (the prediction)
-	Members []int   // indices of the clustered benchmarks (matrix dataset order for TrendsAtStage)
+	Members []int   // indices of the clustered benchmarks (matrix dataset order for Matrix.Trends)
 }
 
 // trendClusters is the number of convergence trends mined per model;
 // Fig. 4 shows the paper's four groups.
 const trendClusters = 4
 
-// TrendsAtStage mines the model's convergence trends at the given stage
-// (0-based epoch index): Trends over its benchmark validation accuracies
-// at that stage and their final test accuracies.
-func TrendsAtStage(m *perfmatrix.Matrix, model string, stage int) ([]Trend, error) {
+// Trends returns the model's convergence trends at the given stage
+// (0-based epoch index): MineTrends over its benchmark validation
+// accuracies at that stage and their final test accuracies. The trends
+// depend on the offline curves alone — the paper mines them offline — so
+// the first call mines every (model, stage) of the matrix once, and every
+// call returns the shared read-only slices. The matrix must not change
+// after the first call.
+func (m *Matrix) Trends(model string, stage int) ([]Trend, error) {
 	i := slices.Index(m.Models, model)
 	if i < 0 {
-		return nil, fmt.Errorf("selection: model %s is not in the performance matrix", model)
+		return nil, fmt.Errorf("perfmatrix: model %s is not in the performance matrix", model)
 	}
 	if stage < 0 || stage >= m.HP.Epochs {
-		return nil, fmt.Errorf("selection: stage %d outside %d-epoch offline curve for %s", stage, m.HP.Epochs, model)
+		return nil, fmt.Errorf("perfmatrix: stage %d outside %d-epoch offline curve for %s", stage, m.HP.Epochs, model)
 	}
-	return Trends(m.ValAt(i, stage), m.Vector(i)), nil
+	m.trendsOnce.Do(func() {
+		ep := m.HP.Epochs
+		m.trends = make([][]Trend, len(m.Models)*ep)
+		for i := range m.Models {
+			for s := 0; s < ep; s++ {
+				m.trends[i*ep+s] = MineTrends(m.ValAt(i, s), m.Vector(i))
+			}
+		}
+	})
+	return m.trends[i*m.HP.Epochs+stage], nil
 }
 
-// Trends clusters the validation accuracies vals into at most
+// MineTrends clusters the validation accuracies vals into at most
 // trendClusters one-dimensional groups and returns one Trend per group,
 // sorted by ascending Val: its members' mean val and mean final (finals
 // aligned with vals). Members index vals.
 //
 // The 1-D k-means uses quantile initialization, which makes it
 // deterministic without an RNG.
-func Trends(vals, finals []float64) []Trend {
+func MineTrends(vals, finals []float64) []Trend {
 	assign := kmeans1D(vals, trendClusters)
 
 	k := 0
@@ -55,19 +67,22 @@ func Trends(vals, finals []float64) []Trend {
 		}
 	}
 	trends := make([]Trend, 0, k)
+	members := make([]int, 0, len(vals)) // the groups partition vals: one array holds every Members
 	for g := 0; g < k; g++ {
 		var t Trend
+		start := len(members)
 		for i, a := range assign {
 			if a != g {
 				continue
 			}
-			t.Members = append(t.Members, i)
+			members = append(members, i)
 			t.Val += vals[i]
 			t.Test += finals[i]
 		}
-		if len(t.Members) == 0 {
+		if len(members) == start {
 			continue
 		}
+		t.Members = members[start:len(members):len(members)]
 		t.Val /= float64(len(t.Members))
 		t.Test /= float64(len(t.Members))
 		trends = append(trends, t)
@@ -91,48 +106,12 @@ func MatchTrend(trends []Trend, val float64) int {
 	return best
 }
 
-// trendKey identifies one model's mined trends at one stage in a matrix's
-// memo.
-type trendKey struct {
-	model string
-	stage int
-}
-
-// minedTrends is TrendsAtStage, mined once per (model, stage) for the
-// lifetime of the matrix: the trends depend on the offline curves alone —
-// the paper mines them offline — so online selections share one read-only
-// copy held by the matrix they came from.
-func minedTrends(m *perfmatrix.Matrix, model string, stage int) ([]Trend, error) {
-	v, err := m.Memo(trendKey{model, stage}, func() (any, error) {
-		return TrendsAtStage(m, model, stage)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]Trend), nil
-}
-
-// predictFinal matches val against the model's stage trends and returns
-// the matched trend's mean final test accuracy (Eq. 6). The trends are
-// mined on first use and then looked up; see minedTrends.
-func predictFinal(m *perfmatrix.Matrix, model string, stage int, val float64) (float64, error) {
-	trends, err := minedTrends(m, model, stage)
-	if err != nil {
-		return 0, err
-	}
-	idx := MatchTrend(trends, val)
-	if idx < 0 {
-		return 0, fmt.Errorf("selection: no trends for model %s", model)
-	}
-	return trends[idx].Test, nil
-}
-
 // kmeans1D clusters scalar points into at most k groups via Lloyd's
 // algorithm with quantile-initialized centers. Labels are group ids in
 // [0, k): the label of a cluster that emptied goes unused. They ascend
 // with the center when the starting quantiles are distinct; tied starts
 // can let a center overtake its emptied twin, so callers order groups by
-// their mean (Trends does).
+// their mean (MineTrends does).
 func kmeans1D(points []float64, k int) []int {
 	n := len(points)
 	if n == 0 {
@@ -150,6 +129,7 @@ func kmeans1D(points []float64, k int) []int {
 	}
 
 	assign := make([]int, n)
+	sums, counts := make([]float64, k), make([]int, k)
 	for iter := 0; iter < 50; iter++ {
 		changed := false
 		for i, p := range points {
@@ -164,8 +144,8 @@ func kmeans1D(points []float64, k int) []int {
 				changed = true
 			}
 		}
-		sums := make([]float64, k)
-		counts := make([]int, k)
+		clear(sums)
+		clear(counts)
 		for i, p := range points {
 			sums[assign[i]] += p
 			counts[assign[i]]++

@@ -3,6 +3,7 @@ package selection
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"twophase/internal/datahub"
 	"twophase/internal/modelhub"
@@ -59,6 +60,20 @@ func (opts FineSelectOptions) prune(pool []*trainer.Run, vals []float64, stage, 
 		preds[i] = p
 	}
 	return halve(trendFilter(vals, preds, opts.Threshold, floor), vals, floor), nil
+}
+
+// predictFinal matches val against the model's stage trends and returns
+// the matched trend's mean final test accuracy (Eq. 6).
+func predictFinal(m *perfmatrix.Matrix, model string, stage int, val float64) (float64, error) {
+	trends, err := m.Trends(model, stage)
+	if err != nil {
+		return 0, err
+	}
+	idx := perfmatrix.MatchTrend(trends, val)
+	if idx < 0 {
+		return 0, fmt.Errorf("selection: no trends for model %s", model)
+	}
+	return trends[idx].Test, nil
 }
 
 // trendFilter walks the members from worst validation upward and drops

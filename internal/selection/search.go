@@ -1,6 +1,8 @@
 // Package selection implements the fine-selection phase (§IV) and its
-// baselines, plus the convergence-trend mining over the offline matrix
-// (Eq. 5/6) that the paper's refinement (Algorithm 1) filters with.
+// baselines. The convergence trends the paper's refinement (Algorithm 1)
+// filters with are mined by the matrix that holds their curves
+// (perfmatrix.Matrix.Trends); this package matches validation accuracies
+// against them (Eq. 5/6).
 //
 // Every epoch-trained procedure is the same staged search (search): each
 // pool member gets its own trainer.Run, and then, for every epoch of the

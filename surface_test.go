@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ var keptHooks = map[string]string{
 // every caller of their exported names is a _test.go file of the same
 // package, so the rule below has nothing to say about them.
 var harnessPackages = map[string]string{
-	"internal/chaos": "shared helpers of the chaos suites (contract_test.go, e2e_test.go); no non-test importer",
+	"internal/chaos": "shared helpers of the chaos and fleet suites (contract_test.go, e2e_test.go, fleet_e2e_test.go); no non-test importer",
 }
 
 // stdlibHooks are methods the standard library calls through its own
@@ -694,6 +695,81 @@ func TestCitedDocsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("README.md", "README.md", string(readme))
+}
+
+// runFlag matches a go test -run pattern in a CI step or a Makefile
+// recipe, quoted or bare, after "-run " or "-run=".
+var runFlag = regexp.MustCompile(`-run[= ]'?([^'\s]+)'?`)
+
+// pkgArg matches a package path argument of a go test command.
+var pkgArg = regexp.MustCompile(`\./[\w./-]+`)
+
+// TestRunPatternsNameTests makes "a step that selects tests by name runs
+// them" a tier-1 check. go test reports "no tests to run" and passes when
+// a -run pattern matches nothing, so a renamed or moved oracle test would
+// silently drop out of the arm64 job or make chaos. Every alternative of
+// every -run pattern in .github/workflows/ci.yml and the Makefile must
+// match a Test, Fuzz or Example func declared in a _test.go file of a
+// package the same command tests. The pattern "^$" (run nothing, for
+// bench and fuzz steps) is exempt.
+func TestRunPatternsNameTests(t *testing.T) {
+	fset := token.NewFileSet()
+	funcs := make(map[string][]string) // package dir -> its test func names
+	walkGoFiles(t, fset, true, func(path string, f *ast.File) {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Fuzz", "Example"} {
+				if strings.HasPrefix(fn.Name.Name, prefix) {
+					funcs[filepath.Dir(path)] = append(funcs[filepath.Dir(path)], fn.Name.Name)
+				}
+			}
+		}
+	})
+	checked := 0
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			m := runFlag.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			pattern := m[1]
+			if file == "Makefile" {
+				pattern = strings.ReplaceAll(pattern, "$$", "$")
+			}
+			if pattern == "^$" {
+				continue
+			}
+			var dirs []string
+			for _, p := range pkgArg.FindAllString(line, -1) {
+				dirs = append(dirs, filepath.Clean(p))
+			}
+			if len(dirs) == 0 {
+				t.Errorf("%s:%d: -run %s tests no ./ package this check can read", file, i+1, pattern)
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s:%d: -run alternative %q: %v", file, i+1, alt, err)
+					continue
+				}
+				checked++
+				if !slices.ContainsFunc(dirs, func(dir string) bool { return slices.ContainsFunc(funcs[dir], re.MatchString) }) {
+					t.Errorf("%s:%d: -run alternative %q matches no test func in %v: the step would report \"no tests to run\" and pass", file, i+1, alt, dirs)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run pattern to check: the guard proves nothing")
+	}
+	t.Logf("%d -run alternatives checked", checked)
 }
 
 // walkGoFiles parses the module's _test.go files (tests) or its other .go
