@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"twophase/internal/datahub"
@@ -11,9 +12,13 @@ import (
 	"twophase/internal/trainer"
 )
 
-func trendFixture(t *testing.T) *perfmatrix.Matrix {
+func trendFixture(t *testing.T) *perfmatrix.Matrix { return trendFixtureSeed(t, 42) }
+
+// trendFixtureSeed builds a 3-model x 8-benchmark NLP matrix at the given
+// world seed.
+func trendFixtureSeed(t *testing.T, seed uint64) *perfmatrix.Matrix {
 	t.Helper()
-	w := synth.NewWorld(42)
+	w := synth.NewWorld(seed)
 	repo, err := modelhub.NewRepository(w, datahub.TaskNLP, modelhub.NLPSpecs()[:3])
 	if err != nil {
 		t.Fatal(err)
@@ -42,11 +47,57 @@ func TestPredictFinalInRange(t *testing.T) {
 	if p < 0 || p > 1 {
 		t.Fatalf("prediction %v", p)
 	}
-	if _, err := predictFinal(m, m.Models[0], m.HP.Epochs, 0.7); err == nil {
-		t.Fatal("out-of-range stage accepted")
+}
+
+// TestTrendsStageOutOfRange: predictFinal refuses a stage outside the
+// offline curve and a model missing from the matrix, on every call (the
+// error is not memoised away by the first one).
+func TestTrendsStageOutOfRange(t *testing.T) {
+	m := trendFixture(t)
+	for i := 0; i < 2; i++ {
+		for _, stage := range []int{-1, m.HP.Epochs, 99} {
+			if p, err := predictFinal(m, m.Models[0], stage, 0.5); err == nil {
+				t.Fatalf("stage %d accepted: predicted %v", stage, p)
+			}
+		}
+		if p, err := predictFinal(m, "missing", 0, 0.5); err == nil {
+			t.Fatalf("missing model accepted: predicted %v", p)
+		}
 	}
-	if _, err := predictFinal(m, "nope", 0, 0.7); err == nil {
-		t.Fatal("unknown model accepted")
+}
+
+// TestMinedTrendsEqualTrendsAtStage: at two seeds, for every (model,
+// stage) and a spread of validation accuracies, predictFinal answers the
+// final test accuracy of the trend MatchTrend picks among the trends
+// mined from that stage's validation accuracies of that matrix, bit for
+// bit.
+func TestMinedTrendsEqualTrendsAtStage(t *testing.T) {
+	a, b := trendFixtureSeed(t, 42), trendFixtureSeed(t, 43)
+	differ := false
+	// Predict over all of a before touching b: trends keyed off less than
+	// the matrix itself would now answer b's predictions with a's trends.
+	for _, m := range []*perfmatrix.Matrix{a, b} {
+		for i, model := range m.Models {
+			for stage := 0; stage < m.HP.Epochs; stage++ {
+				want := perfmatrix.MineTrends(m.ValAt(i, stage), m.Vector(i))
+				if m == b {
+					other := perfmatrix.MineTrends(a.ValAt(i, stage), a.Vector(i))
+					differ = differ || !reflect.DeepEqual(other, want)
+				}
+				for _, val := range []float64{0, 0.37, 0.5, 0.93, 1} {
+					p, err := predictFinal(m, model, stage, val)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantP := want[perfmatrix.MatchTrend(want, val)].Test; math.Float64bits(p) != math.Float64bits(wantP) {
+						t.Fatalf("seed %d: predictFinal(%s, stage %d, val %v) = %v, want %v", m.Seed, model, stage, val, p, wantP)
+					}
+				}
+			}
+		}
+	}
+	if !differ {
+		t.Fatal("the two fixtures mined identical trends everywhere; the isolation check proved nothing")
 	}
 }
 
