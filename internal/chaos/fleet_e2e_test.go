@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -30,8 +29,11 @@ import (
 	"twophase/internal/shard"
 )
 
-// mustSelect is trySelect that fails the test on a request error or a
-// failed target.
+// mustSelect is trySelect that fails the test on a request error, a
+// failed target or a degraded serve. strip clears the degradation flags
+// so the storms can compare degraded and clean serves; these fault-free
+// tests must see none, or a failover that served a lifecycle fallback
+// would pass as invisible.
 func mustSelect(t *testing.T, c *api.Client, k worldKey) *api.SelectResponse {
 	t.Helper()
 	resp, err := trySelect(c, k)
@@ -40,6 +42,9 @@ func mustSelect(t *testing.T, c *api.Client, k worldKey) *api.SelectResponse {
 	}
 	if resp.Failed != 0 || resp.Results[0].Error != "" {
 		t.Fatalf("select %s failed in-body: %+v", k, resp.Results[0])
+	}
+	if resp.Degraded != 0 || resp.Results[0].Degraded {
+		t.Fatalf("select %s served degraded: %+v", k, resp.Results[0])
 	}
 	return resp
 }
@@ -62,52 +67,20 @@ func TestFleetPortsRedrawnOnce(t *testing.T) {
 
 func TestEndToEndShardedFleet(t *testing.T) {
 	requireChaosPrereqs(t)
-	bin := bins(t)
 
-	storeDir := t.TempDir() // shared artifact store: failover reloads, never retrains
+	// Three fleet-aware backends over one shared artifact store (failover
+	// reloads, never retrains) and a gateway with 2 replicas per key.
+	storeDir := t.TempDir()
 	const backendCount = 3
-
-	// Boot the backend fleet and the gateway over it on one draw of
-	// ports; the last port is the gateway's.
-	f := onFreshPorts(t, backendCount+1, func(ports []int) (*fleet, error) {
-		logDir := t.TempDir()
-		spawnOn := func(name, bin string, port int, args ...string) *proc {
-			p := spawn(t, name, bin, logDir, append([]string{"-addr", "127.0.0.1:" + strconv.Itoa(port)}, args...)...)
-			p.url = "http://127.0.0.1:" + strconv.Itoa(port)
-			return p
-		}
-		f := &fleet{}
-		for i := 0; i < backendCount; i++ {
-			name := fmt.Sprintf("backend-%d", i)
-			b := spawnOn(name, bin["apiserver"], ports[i],
-				append([]string{"-instance", name, "-store", storeDir}, sizeFlags...)...)
-			f.backends = append(f.backends, b)
-			f.urls = append(f.urls, b.url)
-		}
-		for _, b := range f.backends {
-			if err := b.healthy(15 * time.Second); err != nil {
-				f.shutdown()
-				return nil, err
-			}
-		}
-		f.gw = spawnOn("gateway", bin["gateway"], ports[backendCount],
-			"-backends", strings.Join(f.urls, ","),
-			"-replicas", "2",
-			"-probe-interval", "100ms",
-			"-instance", "gw-e2e",
-		)
-		if err := f.gw.healthy(15 * time.Second); err != nil {
-			f.shutdown()
-			return nil, err
-		}
-		return f, nil
+	f := bootFleet(t, t.TempDir(), fleetSpec{
+		stores:           []string{storeDir, storeDir, storeDir},
+		backendSchedules: []string{"", "", ""},
 	})
-	backends, urls := f.backends, f.urls
+	backends, urls, c := f.backends, f.urls, f.client
 	instances := make(map[string]string, backendCount) // url -> instance
 	for _, b := range backends {
 		instances[b.url] = b.name
 	}
-	c := api.NewClient(f.gw.url, nil)
 
 	// An in-process ring over the same URLs predicts the owners the
 	// gateway process must pick: consistent hashing is deterministic
