@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"twophase/internal/core"
 	"twophase/internal/datahub"
@@ -48,6 +49,9 @@ func TestDispatcherValidation(t *testing.T) {
 		{"no targets", &SelectRequest{Task: datahub.TaskNLP}},
 		{"empty target", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{""}}},
 		{"bad strategy", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}, SelectOptions: SelectOptions{Strategy: "zigzag"}}},
+		{"negative deadline", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}, SelectOptions: SelectOptions{DeadlineMS: -1}}},
+		{"deadline past a Duration", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}, SelectOptions: SelectOptions{DeadlineMS: 9_223_372_036_855}}},
+		{"deadline 1<<62", &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}, SelectOptions: SelectOptions{DeadlineMS: 1 << 62}}},
 	}
 	for _, tc := range cases {
 		_, err := d.Select(ctx, tc.req)
@@ -57,6 +61,24 @@ func TestDispatcherValidation(t *testing.T) {
 		if HTTPStatus(err) != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, HTTPStatus(err))
 		}
+	}
+}
+
+// TestDeadlineBound: the largest deadline_ms a time.Duration holds is
+// accepted and resolves to a deadline in the future; one more millisecond
+// would wrap the dispatcher's product into the past, so it is refused.
+func TestDeadlineBound(t *testing.T) {
+	req := &SelectRequest{Task: datahub.TaskNLP, Targets: []string{"tweet_eval"}, SelectOptions: SelectOptions{DeadlineMS: 9_223_372_036_854}}
+	if err := req.Validate(); err != nil {
+		t.Fatalf("deadline_ms %d refused: %v", req.DeadlineMS, err)
+	}
+	start := time.Now()
+	if !start.Add(time.Duration(req.DeadlineMS) * time.Millisecond).After(start) {
+		t.Fatalf("deadline_ms %d resolves to a deadline in the past", req.DeadlineMS)
+	}
+	req.DeadlineMS++
+	if err := req.Validate(); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("deadline_ms %d: got %v, want ErrBadRequest", req.DeadlineMS, err)
 	}
 }
 

@@ -9,6 +9,8 @@ package api
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"twophase/internal/admission"
 	"twophase/internal/core"
@@ -45,7 +47,7 @@ type SelectOptions struct {
 	// fine phase stops at the last stage boundary inside the deadline and
 	// the response reports truncated=true with the best-so-far winner —
 	// a 200, never a 499 (which remains reserved for the client walking
-	// away). 0 means no deadline.
+	// away). 0 means no deadline; above maxDeadlineMS is a bad request.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxEpochs caps the training epochs per target. An explicit 0 is a
 	// real budget (no training; the winner falls out of the untrained
@@ -77,6 +79,11 @@ type SelectRequest struct {
 	SelectOptions
 }
 
+// maxDeadlineMS is the largest deadline_ms a time.Duration holds: the
+// dispatcher multiplies it by time.Millisecond, and a larger value would
+// wrap into a deadline already past (or zero) when the select starts.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Normalize is the request's one validation pass: it rejects a malformed
 // shape or tuning knob with ErrBadRequest and resolves the wire strategy
 // name to its canonical core.Strategy (empty means two-phase). It is
@@ -99,6 +106,9 @@ func (r *SelectRequest) Normalize() (core.Strategy, error) {
 	}
 	if r.DeadlineMS < 0 {
 		return "", errBadRequest(fmt.Sprintf("negative deadline_ms %d", r.DeadlineMS))
+	}
+	if r.DeadlineMS > maxDeadlineMS {
+		return "", errBadRequest(fmt.Sprintf("deadline_ms %d exceeds %d", r.DeadlineMS, maxDeadlineMS))
 	}
 	if r.MaxEpochs != nil && *r.MaxEpochs < 0 {
 		return "", errBadRequest(fmt.Sprintf("negative max_epochs %d", *r.MaxEpochs))

@@ -82,10 +82,11 @@ type Framework struct {
 // framework build. World synthesis (stage 1) is always recomputed: it is
 // deterministic in the seed and small next to training, so only the
 // performance matrix (stage 2) and the clustering/representative
-// artifacts (stage 3) are persisted. Stage 1 generates no dataset: the
-// catalog generates a target on its first read, and the benchmark
-// datasets are generated only when stage 2 recomputes, so an assembly
-// from stored artifacts synthesizes the model repository alone.
+// artifacts (stage 3) are persisted. Stage 1 generates no dataset and
+// materializes no model: the catalog generates a target and the repository
+// a model on its first read, and the benchmark datasets and the models
+// trained on them exist only while stage 2 recomputes, so an assembly from
+// stored artifacts synthesizes nothing a request has not read.
 type Stages struct {
 	// MatrixLoaded is true when the performance matrix came from a
 	// persisted artifact instead of offline fine-tuning.
@@ -105,9 +106,11 @@ type Artifacts struct {
 	Recall *recall.Artifact
 }
 
-// Build runs the offline phase: materialize the world, fine-tune every
-// repository model on every benchmark dataset, and keep the performance
-// matrix plus convergence records for online use.
+// Build runs the offline phase: fine-tune every repository model on every
+// benchmark dataset, and keep the performance matrix plus convergence
+// records for online use. It keeps none of the models it trained: a built
+// framework, like an assembled one, synthesizes nothing a request has not
+// read.
 func Build(opts Options) (*Framework, error) { return build(opts, Artifacts{}) }
 
 // AssembleArtifacts constructs a Framework from whatever persisted stage
@@ -124,7 +127,7 @@ func AssembleArtifacts(opts Options, art Artifacts) (*Framework, error) {
 
 // build is the staged offline pipeline:
 //
-//	stage 1  world synthesis     — catalog + repository from the seed
+//	stage 1  world synthesis     — catalog + repository specs from the seed
 //	stage 2  performance matrix  — offline fine-tuning (or artifact)
 //	stage 3  recall artifacts    — clustering + representatives (or artifact)
 //	stage 4  framework assembly
@@ -134,8 +137,9 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 	}
 	// Stage 1: world synthesis. Deterministic in the seed and small next
 	// to training, so it always recomputes and nothing of it is
-	// persisted. The catalog generates no dataset here; stage 2 generates
-	// the benchmarks only when it trains on them.
+	// persisted. The catalog generates no dataset and the repository
+	// materializes no model here; stage 2 generates the benchmarks and
+	// trains models of its own only when it recomputes.
 	w := synth.NewWorld(opts.Seed)
 	cat, err := datahub.NewTaskCatalog(w, opts.Task, opts.Sizes)
 	if err != nil {
@@ -157,16 +161,19 @@ func build(opts Options, art Artifacts) (*Framework, error) {
 		m = art.Matrix
 		stages.MatrixLoaded = true
 	} else {
-		m, err = perfmatrix.Build(repo, cat.Benchmarks(), hp, opts.Seed, opts.BuildWorkers)
+		// The matrix stage trains a repository of its own and drops it
+		// with the benchmark frames its feature caches filled, the way
+		// Catalog.Benchmarks keeps no dataset: no request reads a
+		// benchmark split, and the served repository materializes a model
+		// when a request first reads it. Models draw from (seed, name)
+		// alone, so the served ones are bit-identical to these.
+		trained, err := modelhub.NewTaskRepository(w, opts.Task)
+		if err != nil {
+			return nil, fmt.Errorf("core: repository: %w", err)
+		}
+		m, err = perfmatrix.Build(trained, cat.Benchmarks(), hp, opts.Seed, opts.BuildWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("core: performance matrix: %w", err)
-		}
-		// Training every model on every benchmark split went through the
-		// models' feature caches, and no online request ever asks for a
-		// benchmark split: drop those frames instead of keeping each
-		// model's last few resident for the life of the framework.
-		for _, mod := range repo.Models() {
-			mod.ReleaseFeatures()
 		}
 	}
 
@@ -245,11 +252,7 @@ func matrixMatches(m *perfmatrix.Matrix, task string, seed uint64, repo *modelhu
 	if m.Sizes != cat.Sizes {
 		return fmt.Errorf("matrix split sizes %+v, want %+v", m.Sizes, cat.Sizes)
 	}
-	wantModels := make([]string, 0, repo.Len())
-	for _, mod := range repo.Models() {
-		wantModels = append(wantModels, mod.Name)
-	}
-	if err := sameNames(m.Models, wantModels); err != nil {
+	if err := sameNames(m.Models, repo.Names()); err != nil {
 		return fmt.Errorf("matrix models: %w", err)
 	}
 	if err := sameNames(m.Datasets, cat.BenchmarkNames()); err != nil {
@@ -416,7 +419,6 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 		return nil, err
 	}
 	report := &Report{Target: target.Name, Strategy: strat}
-	pool := f.Repo.Models()
 
 	if strat == StrategyLSQ {
 		// Zero-epoch path: rank the whole repository by closed-form head
@@ -424,7 +426,7 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 		// request's budget fields never truncate it — there is no training
 		// to cut short — so max_epochs: 0 yields truncated: false with the
 		// proxy-inference cost on the ledger.
-		res, err := lsq.Rank(ctx, pool, target, lsq.Options{Workers: f.Workers}, &report.Ledger)
+		res, err := lsq.Rank(ctx, f.Repo.Models(), target, lsq.Options{Workers: f.Workers}, &report.Ledger)
 		if err != nil {
 			return nil, fmt.Errorf("core: lsq selection on %s: %w", target.Name, err)
 		}
@@ -439,6 +441,10 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 		return report, nil
 	}
 
+	// Two-phase and ensemble materialize only the representatives they
+	// proxy-score and the candidates they recall; sh and bf search the
+	// whole repository.
+	var pool []*modelhub.Model
 	if strat == StrategyTwoPhase || strat == StrategyEnsemble {
 		report.Recall, err = f.Offline.Recall(f.Repo, target, &report.Ledger)
 		if err != nil {
@@ -449,6 +455,8 @@ func (f *Framework) SelectWith(ctx context.Context, target *datahub.Dataset, opt
 			return nil, err
 		}
 		pool = candidates.Models()
+	} else {
+		pool = f.Repo.Models()
 	}
 	pool, err = prefilter(ctx, pool, target, opts.PrefilterTopK, f.Workers, &report.Ledger)
 	if err != nil {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
+	"twophase/internal/modelhub"
 )
 
 // TestAssembleArtifactsStages: the staged pipeline must reuse exactly the
@@ -102,5 +104,71 @@ func TestAssembleResolvesZeroSizes(t *testing.T) {
 	}
 	if !fw.Stages.MatrixLoaded {
 		t.Fatal("matrix built under DefaultSizes not loaded under Sizes{}")
+	}
+}
+
+// TestFrameworkMaterializesWhatRequestsRead: neither a built nor a restored
+// framework holds a model when it returns; the build trains every model
+// once, in a repository of its own that it drops. A two-phase select then
+// materializes exactly the representatives it proxy-scores and the
+// candidates it recalls, and sh, bf and lsq, which search the whole
+// repository, materialize all of it.
+func TestFrameworkMaterializesWhatRequestsRead(t *testing.T) {
+	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+		opts := Options{Task: task, Seed: 42, Sizes: datahub.Sizes{Train: 60, Val: 40, Test: 48}}
+		before := modelhub.Materializations()
+		built, err := Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := modelhub.Materializations()-before, int64(built.Repo.Len()); got != want {
+			t.Fatalf("%s: Build materialized %d models, want %d (the matrix stage's, once each)", task, got, want)
+		}
+		art := Artifacts{Matrix: built.Matrix, Recall: built.RecallArtifact()}
+		restore := func() *Framework {
+			t.Helper()
+			before := modelhub.Materializations()
+			fw, err := AssembleArtifacts(opts, art)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := modelhub.Materializations() - before; got != 0 {
+				t.Fatalf("%s: a restore materialized %d models, want 0", task, got)
+			}
+			return fw
+		}
+		target := built.Catalog.Targets()[0]
+		selectCounting := func(fw *Framework, s Strategy) (*Report, int64) {
+			t.Helper()
+			before := modelhub.Materializations()
+			rep, err := fw.SelectWith(context.Background(), target, SelectOptions{Strategy: s})
+			if err != nil {
+				t.Fatalf("%s %s: %v", task, s, err)
+			}
+			return rep, modelhub.Materializations() - before
+		}
+
+		for _, fw := range []*Framework{built, restore()} {
+			rep, got := selectCounting(fw, StrategyTwoPhase)
+			read := make(map[string]bool)
+			for _, name := range rep.Recall.Representatives {
+				read[name] = true
+			}
+			for _, name := range rep.Recall.Recalled {
+				read[name] = true
+			}
+			if got != int64(len(read)) {
+				t.Fatalf("%s: a two-phase select materialized %d models, want |representatives ∪ recalled| = %d", task, got, len(read))
+			}
+			if _, got = selectCounting(fw, StrategyTwoPhase); got != 0 {
+				t.Fatalf("%s: a repeated two-phase select materialized %d models, want 0", task, got)
+			}
+		}
+		for _, s := range []Strategy{StrategySH, StrategyBF, StrategyLSQ} {
+			fw := restore()
+			if _, got := selectCounting(fw, s); got != int64(fw.Repo.Len()) {
+				t.Fatalf("%s: a %s select materialized %d models, want the whole repository (%d)", task, s, got, fw.Repo.Len())
+			}
+		}
 	}
 }

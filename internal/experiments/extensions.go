@@ -5,6 +5,7 @@ import (
 
 	"twophase/internal/cluster"
 	"twophase/internal/datahub"
+	"twophase/internal/modelhub"
 	"twophase/internal/perfmatrix"
 	"twophase/internal/recall"
 	"twophase/internal/selection"
@@ -81,7 +82,15 @@ func ablationSubsetMatrix(e *Env) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				m, err := perfmatrix.Build(fw.Repo, cat.Benchmarks(), fw.HP, e.Seed, 0)
+				// A repository of this world's own: the served framework's
+				// models would materialize all at once and fill their
+				// caches with this world's benchmark splits. Same seed, so
+				// its models are bit-identical to the served ones.
+				repo, err := modelhub.NewTaskRepository(w, task)
+				if err != nil {
+					return nil, err
+				}
+				m, err := perfmatrix.Build(repo, cat.Benchmarks(), fw.HP, e.Seed, 0)
 				if err != nil {
 					return nil, err
 				}

@@ -190,18 +190,30 @@ func TestSourceDistributionsLiveAndDieWithTheEntry(t *testing.T) {
 		}
 	}
 
-	// ReleaseFeatures empties the cache; the old handle stays readable.
-	m.ReleaseFeatures()
-	if n := m.CachedSplits(); n != 0 {
-		t.Fatalf("%d splits cached after ReleaseFeatures", n)
+	// Evict every entry through the LRU: the cache fills with foreign
+	// splits and stays at its bound. The evicted handle stays readable for
+	// its holder, and the next lookup extracts and runs the head again.
+	for i := 0; i < m.featBound; i++ {
+		m.FeatureFrame(numeric.NewFrame(2, synth.InputDim))
 	}
-	headBefore = SourceHeadPasses()
-	m.SourceDistributions(d.Train.X)
-	if got := SourceHeadPasses() - headBefore; got != 1 {
-		t.Fatalf("released split source-head passes = %d, want 1", got)
+	if n := m.CachedSplits(); n != m.featBound {
+		t.Fatalf("%d splits cached after filling the cache, want the bound %d", n, m.featBound)
 	}
-	if n := m.CachedSplits(); n != 1 {
-		t.Fatalf("%d splits cached after one lookup, want 1", n)
+	extBefore, headBefore = Extractions(), SourceHeadPasses()
+	third := m.SourceDistributions(d.Train.X)
+	if e, h := Extractions()-extBefore, SourceHeadPasses()-headBefore; e != 1 || h != 1 {
+		t.Fatalf("split evicted again: %d extractions and %d source-head passes, want 1 and 1", e, h)
+	}
+	if third == again {
+		t.Fatal("split evicted again served the old distribution frame")
+	}
+	for j := range again.Data {
+		if math.Float64bits(again.Data[j]) != math.Float64bits(third.Data[j]) {
+			t.Fatal("the evicted handle no longer matches a fresh computation")
+		}
+	}
+	if n := m.CachedSplits(); n != m.featBound {
+		t.Fatalf("%d splits cached after one more lookup, want the bound %d", n, m.featBound)
 	}
 }
 

@@ -22,9 +22,13 @@
 // 384 KB at the registry's widest head (50 classes) — 1.55 MB worst case,
 // reached only by a model every target has asked all three splits of (a
 // candidate run reads train and val; the test split is extracted for a run
-// that is asked for test accuracy, online the winner). ReleaseFeatures
-// empties the cache; the offline build calls it once the benchmark splits
-// it trained on are no longer needed.
+// that is asked for test accuracy, online the winner).
+//
+// A Repository materializes a model on its first read and keeps it with
+// its cache. The offline matrix build trains every model on every
+// benchmark split through a repository of its own, which the framework
+// drops with the frames it filled; a served repository holds only the
+// models its requests read, and only target splits in their caches.
 package modelhub
 
 import (
@@ -97,7 +101,7 @@ type Model struct {
 	featMu    sync.Mutex
 	featCache map[*numeric.Frame]*featEntry
 	featTick  uint64
-	featBound int // featureCacheBound(Task), fixed by Materialize
+	featBound int // featureCacheBound(Task), fixed by check
 }
 
 // featEntry is one cached extraction with its LRU recency stamp. The
@@ -153,19 +157,44 @@ func SourceHeadPasses() int64 { return sourceHeadPasses.Load() }
 // All randomness derives from (world seed, model name), so repeated calls
 // return an identical model.
 func Materialize(w *synth.World, spec Spec) (*Model, error) {
+	bound, err := check(spec)
+	if err != nil {
+		return nil, err
+	}
+	return materialize(w, spec, bound), nil
+}
+
+// check rejects what materialize cannot build: an empty name, a
+// capability outside [0,1], fewer than 2 source classes or an unknown
+// task. It returns the feature-cache bound of the spec's task family.
+func check(spec Spec) (int, error) {
 	if spec.Name == "" {
-		return nil, fmt.Errorf("modelhub: model spec has empty name")
+		return 0, fmt.Errorf("modelhub: model spec has empty name")
 	}
 	if spec.Capability < 0 || spec.Capability > 1 {
-		return nil, fmt.Errorf("modelhub: model %q capability %v outside [0,1]", spec.Name, spec.Capability)
+		return 0, fmt.Errorf("modelhub: model %q capability %v outside [0,1]", spec.Name, spec.Capability)
 	}
 	if spec.SourceClasses < 2 {
-		return nil, fmt.Errorf("modelhub: model %q needs >= 2 source classes, got %d", spec.Name, spec.SourceClasses)
+		return 0, fmt.Errorf("modelhub: model %q needs >= 2 source classes, got %d", spec.Name, spec.SourceClasses)
 	}
 	bound, err := featureCacheBound(spec.Task)
 	if err != nil {
-		return nil, fmt.Errorf("modelhub: model %q: %w", spec.Name, err)
+		return 0, fmt.Errorf("modelhub: model %q: %w", spec.Name, err)
 	}
+	return bound, nil
+}
+
+// materialized counts materialize calls in this process.
+var materialized atomic.Int64
+
+// Materializations reports how many models this process has
+// materialized, for tests that pin which models a path reads.
+func Materializations() int64 { return materialized.Load() }
+
+// materialize builds a checked spec's model with the cache bound check
+// returned for it.
+func materialize(w *synth.World, spec Spec, bound int) *Model {
+	materialized.Add(1)
 	rng := numeric.NewNamedRNG(w.Seed, "model", spec.Name)
 	mix := synth.WithCore(spec.Domains, spec.Task, 0.30)
 
@@ -213,7 +242,7 @@ func Materialize(w *synth.World, spec Spec) (*Model, error) {
 		feats.Data[i] = headTemp * f
 	}
 	m.head = &numeric.Matrix{Rows: feats.N, Cols: feats.D, Data: feats.Data}
-	return m, nil
+	return m
 }
 
 // FeatureFrame extracts features for every row of x through the batched
@@ -275,17 +304,6 @@ func (m *Model) entry(x *numeric.Frame) *featEntry {
 		e.frame = m.extractFrame(x)
 	})
 	return e
-}
-
-// ReleaseFeatures drops every cached extraction (and the distributions
-// held with it). Frames already handed out stay valid for their holders;
-// the next request for a split extracts it again. The offline build calls
-// this once its benchmark-split training is done: no online request ever
-// asks for a benchmark split, so those frames would only sit in the heap.
-func (m *Model) ReleaseFeatures() {
-	m.featMu.Lock()
-	m.featCache = nil
-	m.featMu.Unlock()
 }
 
 // CachedSplits reports how many split extractions the model currently

@@ -182,7 +182,7 @@ func fisherScore(m *Model, d *datahub.Dataset) float64 {
 	var between float64
 	for y, cm := range classMean {
 		numeric.Scale(cm, 1/float64(classN[y]))
-		between += float64(classN[y]) * sq(numeric.EuclideanDistance(cm, mean))
+		between += float64(float64(classN[y]) * sq(numeric.EuclideanDistance(cm, mean)))
 	}
 	var within float64
 	for i, f := range feats {
@@ -194,7 +194,7 @@ func fisherScore(m *Model, d *datahub.Dataset) float64 {
 	return between / within
 }
 
-func sq(x float64) float64 { return x * x }
+func sq(x float64) float64 { return float64(x * x) }
 
 // TestCapabilityHelpsInDomain: higher capability should raise in-domain
 // feature quality (via the uncorrupted preferred subspace).

@@ -2,6 +2,7 @@ package modelhub
 
 import (
 	"fmt"
+	"sync"
 
 	"twophase/internal/datahub"
 	"twophase/internal/synth"
@@ -113,16 +114,31 @@ func CVSpecs() []Spec {
 	}
 }
 
-// Repository is a materialized model repository (the paper's M).
+// Repository is a task family's model repository (the paper's M),
+// indexed by name. It keeps specs: a model materializes on its first read
+// (Get or Models, on the repository or a Subset of it) and the repository
+// keeps it, feature cache and all. Each model draws from its own named stream and the world's
+// name-keyed domain bases, so materialization order never changes one.
 type Repository struct {
-	Task   string
-	models []*Model
-	byName map[string]*Model
+	Task    string
+	world   *synth.World
+	byName  map[string]*entry
+	ordered []*entry
 }
 
-// NewRepository materializes every spec inside the world.
+// entry is one repository model, materialized on its first read. A
+// Subset shares its parent's entries, so a model exists once per world.
+type entry struct {
+	spec  Spec
+	bound int // featureCacheBound(spec.Task), fixed by check
+	once  sync.Once
+	m     *Model
+}
+
+// NewRepository checks every spec against the task and indexes it; it
+// materializes nothing.
 func NewRepository(w *synth.World, task string, specs []Spec) (*Repository, error) {
-	r := &Repository{Task: task, byName: make(map[string]*Model, len(specs))}
+	r := &Repository{Task: task, world: w, byName: make(map[string]*entry, len(specs))}
 	for _, spec := range specs {
 		if spec.Task != task {
 			return nil, fmt.Errorf("modelhub: model %q has task %q, repository wants %q", spec.Name, spec.Task, task)
@@ -130,18 +146,20 @@ func NewRepository(w *synth.World, task string, specs []Spec) (*Repository, erro
 		if _, dup := r.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("modelhub: duplicate model %q", spec.Name)
 		}
-		m, err := Materialize(w, spec)
+		bound, err := check(spec)
 		if err != nil {
 			return nil, err
 		}
-		r.models = append(r.models, m)
-		r.byName[spec.Name] = m
+		e := &entry{spec: spec, bound: bound}
+		r.byName[spec.Name] = e
+		r.ordered = append(r.ordered, e)
 	}
 	return r, nil
 }
 
-// NewTaskRepository materializes the paper's full repository for a task
-// family: 40 models for "nlp", 30 for "cv".
+// NewTaskRepository returns the paper's full repository for a task
+// family: 40 models for "nlp", 30 for "cv". It rejects an invalid spec at
+// once but materializes no model.
 func NewTaskRepository(w *synth.World, task string) (*Repository, error) {
 	switch task {
 	case datahub.TaskNLP:
@@ -153,39 +171,63 @@ func NewTaskRepository(w *synth.World, task string) (*Repository, error) {
 	}
 }
 
-// Models returns the repository contents in registration order.
+// load materializes e's model once and keeps it; concurrent first readers
+// share that one materialization.
+func (r *Repository) load(e *entry) *Model {
+	e.once.Do(func() { e.m = materialize(r.world, e.spec, e.bound) })
+	return e.m
+}
+
+// Models returns the repository contents in registration order,
+// materializing every model not read yet: the strategies that search the
+// whole repository (sh, bf, lsq) and the matrix build read them all.
 func (r *Repository) Models() []*Model {
-	out := make([]*Model, len(r.models))
-	copy(out, r.models)
+	out := make([]*Model, len(r.ordered))
+	for i, e := range r.ordered {
+		out[i] = r.load(e)
+	}
 	return out
 }
 
 // Len returns the number of models.
-func (r *Repository) Len() int { return len(r.models) }
+func (r *Repository) Len() int { return len(r.ordered) }
 
-// Get returns a model by name, or an error if absent.
+// Names lists the model names in registration order, materializing
+// nothing.
+func (r *Repository) Names() []string {
+	out := make([]string, len(r.ordered))
+	for i, e := range r.ordered {
+		out[i] = e.spec.Name
+	}
+	return out
+}
+
+// Get returns a model by name, or an error if absent. The first Get of a
+// name materializes the model.
 func (r *Repository) Get(name string) (*Model, error) {
-	m, ok := r.byName[name]
+	e, ok := r.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("modelhub: model %q not in repository", name)
 	}
-	return m, nil
+	return r.load(e), nil
 }
 
 // Subset returns a new repository restricted to the named models, in the
-// given order.
+// given order. It shares the parent's entries: a model the subset
+// materializes is the parent's, and one the parent already holds is
+// reused.
 func (r *Repository) Subset(names []string) (*Repository, error) {
-	sub := &Repository{Task: r.Task, byName: make(map[string]*Model, len(names))}
+	sub := &Repository{Task: r.Task, world: r.world, byName: make(map[string]*entry, len(names))}
 	for _, n := range names {
-		m, err := r.Get(n)
-		if err != nil {
-			return nil, err
+		e, ok := r.byName[n]
+		if !ok {
+			return nil, fmt.Errorf("modelhub: model %q not in repository", n)
 		}
 		if _, dup := sub.byName[n]; dup {
 			return nil, fmt.Errorf("modelhub: duplicate model %q in subset", n)
 		}
-		sub.models = append(sub.models, m)
-		sub.byName[n] = m
+		sub.byName[n] = e
+		sub.ordered = append(sub.ordered, e)
 	}
 	return sub, nil
 }

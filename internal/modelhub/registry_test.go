@@ -1,6 +1,8 @@
 package modelhub
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"twophase/internal/datahub"
@@ -137,5 +139,148 @@ func TestRepositoryModelsIndependentSlice(t *testing.T) {
 	ms[0] = nil
 	if repo.Models()[0] == nil {
 		t.Fatal("Models() exposes internal slice")
+	}
+}
+
+// TestRepositoryGetMatchesMaterialize: materializing lazily, in any order,
+// is the eager Materialize bit for bit. A repository is built without a
+// materialization; Get then walks every spec of both tasks in reverse on
+// one world, and Materialize walks them forward on a fresh world of the
+// same seed. Every weight is compared by its bits. The extractor is the
+// root of every golden, so this also runs in CI's arm64 job.
+func TestRepositoryGetMatchesMaterialize(t *testing.T) {
+	for _, task := range []string{datahub.TaskNLP, datahub.TaskCV} {
+		before := Materializations()
+		repo, err := NewTaskRepository(synth.NewWorld(42), task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := Materializations() - before; n != 0 {
+			t.Fatalf("%s: NewTaskRepository materialized %d models, want 0", task, n)
+		}
+		specs := NLPSpecs()
+		if task == datahub.TaskCV {
+			specs = CVSpecs()
+		}
+		lazy := make([]*Model, len(specs))
+		for i := len(specs) - 1; i >= 0; i-- {
+			if lazy[i], err = repo.Get(specs[i].Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := Materializations() - before; n != int64(len(specs)) {
+			t.Fatalf("%s: %d Gets materialized %d models", task, len(specs), n)
+		}
+		fresh := synth.NewWorld(42)
+		for i, spec := range specs {
+			want, err := Materialize(fresh, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameModelBits(t, task+" "+spec.Name, lazy[i], want)
+		}
+	}
+}
+
+// sameModelBits fails unless every frozen weight of got and want has the
+// same bits.
+func sameModelBits(t *testing.T, label string, got, want *Model) {
+	t.Helper()
+	words := func(m *Model) map[string][]float64 {
+		return map[string][]float64{
+			"prefDirs": m.prefDirs.Data, "wPref": m.wPref.Data, "wGeneric": m.wGeneric.Data,
+			"bias": m.bias, "head": m.head.Data, "gain": {m.gain}, "leak": {m.leak},
+		}
+	}
+	g, w := words(got), words(want)
+	for name, ws := range w {
+		gs := g[name]
+		if len(gs) != len(ws) {
+			t.Fatalf("%s: %s has %d words, want %d", label, name, len(gs), len(ws))
+		}
+		for i := range ws {
+			if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
+				t.Fatalf("%s: %s[%d] = %x, want %x", label, name, i, gs[i], ws[i])
+			}
+		}
+	}
+	if got.featBound != want.featBound {
+		t.Fatalf("%s: cache bound %d, want %d", label, got.featBound, want.featBound)
+	}
+}
+
+// TestRepositoryGetMaterializesOnce: racing first readers of one name share
+// one materialization and one model, and a Subset reads its parent's
+// models instead of materializing its own. Run with -race.
+func TestRepositoryGetMaterializesOnce(t *testing.T) {
+	repo, err := NewTaskRepository(synth.NewWorld(42), datahub.TaskNLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := Materializations()
+	got := make([]*Model, 16)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := repo.Get("roberta-base")
+			if err != nil {
+				t.Error(err)
+			}
+			got[g] = m
+		}()
+	}
+	wg.Wait()
+	if n := Materializations() - before; n != 1 {
+		t.Fatalf("16 concurrent Gets materialized %d models, want 1", n)
+	}
+	for g, m := range got {
+		if m != got[0] {
+			t.Fatalf("reader %d got another model", g)
+		}
+	}
+
+	names := []string{"bert-base-uncased", "roberta-base"}
+	sub, err := repo.Subset(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Materializations() - before; n != 1 {
+		t.Fatalf("Subset materialized %d models, want none", n-1)
+	}
+	for i, m := range sub.Models() {
+		want, err := repo.Get(names[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != want {
+			t.Fatalf("Subset model %s is not the parent's", names[i])
+		}
+	}
+	if n := Materializations() - before; n != 2 {
+		t.Fatalf("a two-model Subset sharing one materialized model brought the count to %d, want 2", n)
+	}
+}
+
+// TestNewRepositoryRejectsBadSpecs: the checks Materialize applies fail
+// the repository's construction, before any model is read, so a lazy read
+// cannot fail on a spec.
+func TestNewRepositoryRejectsBadSpecs(t *testing.T) {
+	w := synth.NewWorld(42)
+	before := Materializations()
+	for i, spec := range []Spec{
+		{},                            // empty name
+		testModelSpec("a", nil, -0.1), // capability < 0
+		testModelSpec("b", nil, 1.1),  // capability > 1
+		{Name: "c", Task: datahub.TaskNLP, Capability: 0.5, SourceClasses: 1}, // 1 source class
+		{Name: "d", Task: "audio", Capability: 0.5, SourceClasses: 2},         // unknown task family
+	} {
+		if _, err := NewRepository(w, spec.Task, []Spec{spec}); err == nil {
+			t.Fatalf("case %d: invalid spec accepted", i)
+		}
+	}
+	if n := Materializations() - before; n != 0 {
+		t.Fatalf("rejecting bad specs materialized %d models", n)
 	}
 }

@@ -378,6 +378,7 @@ func TestRouterValidation(t *testing.T) {
 		nil,
 		{Targets: []string{"t0"}},
 		{Task: "nlp"},
+		{Task: "nlp", Targets: []string{"t0"}, SelectOptions: api.SelectOptions{DeadlineMS: 1 << 62}},
 	} {
 		if _, err := r.Select(context.Background(), req); !errors.Is(err, api.ErrBadRequest) {
 			t.Fatalf("req %+v: err = %v", req, err)

@@ -21,10 +21,12 @@ import (
 // each is read by a test that pins live behaviour or says why it stays.
 // The list is exact — an entry that stops being needed fails the test too.
 var keptHooks = map[string]string{
-	"modelhub.CachedSplits":     "feature-cache residency after a select (TestCatalogSweepStaysResident, core.Build release check)",
+	"modelhub.CachedSplits":     "feature-cache residency: a served model holds only target splits (TestBuildReleasesBenchmarkFrames, TestCatalogSweepStaysResident) and a run extracts test on demand (trainer)",
+	"modelhub.Materializations": "counts model materializations: the core tests prove a built or restored world holds no model and a select materializes only what it reads",
 	"modelhub.SourceHeadPasses": "counts source-head passes: the hoist tests prove one pass per cached split",
 	"cluster.Passes":            "counts clustering passes: the warm-start tests prove a rehydrated world never re-clusters",
 	"datahub.Generations":       "counts dataset generations: the core tests prove a restore generates no benchmark dataset and a built world keeps none",
+	"modelhub.Materialize":      "one model outside a repository (the repository materializes through its checked specs); the lsq, proxy and trainer tests build single models from it, and it is the eager oracle of TestRepositoryGetMatchesMaterialize",
 	"datahub.Generate":          "one dataset outside a catalog (the catalog generates through its checked specs); the lsq, recall and trainer tests build single datasets from it",
 	"faultinject.Reset":         "disarms the process-wide schedule; every test that Activates defers it",
 	"shard.Owner":               "a key's primary owner; bench/stats_test.go splits batches by it",
@@ -547,7 +549,7 @@ var fusedFree = []string{
 // an oracle — a replaced kernel, a hand computation, a recorded curve —
 // often bit for bit. On an architecture that fuses, an unconverted product
 // in the oracle moves its bits while the converted kernel's stay put.
-var oraclePackages = []string{"numeric", "trainer", "proxy", "selection", "recall", "lsq", "perfmatrix", "core"}
+var oraclePackages = []string{"numeric", "trainer", "proxy", "selection", "recall", "lsq", "perfmatrix", "core", "modelhub"}
 
 // fusedTestSites are the fused multiply-adds the arm64 test binaries of
 // oraclePackages keep, by package/file:line: each feeds only a check with a
